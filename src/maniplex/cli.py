@@ -40,7 +40,7 @@ from .counterexample import (
 )
 from .coxeter import schreier_correspondence, verdict as classify
 from .extension import extend, verify_extension
-from .poset import is_faithful, is_polytopal, pos_of, poset_to_dot, poset_to_json_dict
+from .poset import pos_of, poset_to_dot, poset_to_json_dict
 
 
 def _sha256(data: bytes) -> str:
@@ -142,20 +142,20 @@ def cmd_find_theta(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_passed(checks: list[Check], name: str) -> bool:
+    return any(c.name == name and c.status == PASS for c in checks)
+
+
 def _bstar_certificate(result: BStarResult, digest: str) -> str:
-    faith = is_faithful(result.bstar)
     v = classify(result.bstar)
     return _certificate(
         digest,
         result.checks,
         flags=result.bstar.flag_count,
-        faithful=faith.faithful,
-        polytopal=is_polytopal(result.bstar),
+        faithful=result.witness is None,
+        polytopal=_check_passed(result.checks, "cover-polytopal"),
         witness=list(result.witness) if result.witness is not None else None,
-        poset_iso=any(
-            c.name == "poset-projects-isomorphically" and c.status == PASS
-            for c in result.checks
-        ),
+        poset_iso=_check_passed(result.checks, "poset-projects-isomorphically"),
         verdict={"sparse": v.sparse, "semisparse": v.semisparse},
     )
 
@@ -194,7 +194,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     m = result.bstar
     for rank in range(5, args.rank + 1):
         facet = faces(m, m.rank - 1)[0]
-        res = verify_extension(m, facet, check_connectivity=rank <= 5 or args.full)
+        res = verify_extension(m, facet)
         text = maniplex_to_json(res.extension)
         (out / f"maniplex-rank{rank}.json").write_text(text, encoding="utf-8")
         cert = _certificate(
@@ -329,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="build the rank-n example by iterated extension")
     p.add_argument("--rank", type=int, required=True, help="target rank (>= 4)")
     p.add_argument("--output", "-o", required=True, help="output directory")
-    p.add_argument("--full", action="store_true", help="force connectivity checks above rank 5")
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("export", help="render a maniplex or its face poset")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 DOT_PALETTE = ("red", "green", "blue", "orange")
@@ -28,11 +28,13 @@ class FormatError(ValueError):
     """A maniplex description that is structurally malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Maniplex:
-    """Plain container for the edge-colouring permutations."""
+    """Plain container for the edge-colouring permutations, plus a face table
+    cache (`face_table`) kept out of equality, hashing and repr."""
 
     perms: tuple[tuple[int, ...], ...]
+    _faces: dict[int, "FaceTable"] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perms", tuple(tuple(row) for row in self.perms))
@@ -75,6 +77,11 @@ class Face(NamedTuple):
     flags: tuple[int, ...]
 
 
+class FaceTable(NamedTuple):
+    ids: tuple[int, ...]  # flag -> canonical id (least flag) of its i-face
+    faces: tuple[Face, ...]  # in increasing canonical order
+
+
 def structural_errors(m: Maniplex) -> list[str]:
     """Problems that make the permutation table meaningless (not axiom failures)."""
     errors = []
@@ -111,8 +118,9 @@ def validate(m: Maniplex) -> ValidationReport:
             seen.add(key)
             violations.append(Violation(axiom, tuple(witness)))
 
+    perms = m.perms
     n, size = m.rank, m.flag_count
-    for i, row in enumerate(m.perms):
+    for i, row in enumerate(perms):
         for f in range(size):
             if row[row[f]] != f:
                 report(AXIOM_INVOLUTION, i, f)
@@ -123,8 +131,9 @@ def validate(m: Maniplex) -> ValidationReport:
                 break
     for i in range(n):
         for j in range(i + 1, n):
+            ri, rj = perms[i], perms[j]
             for f in range(size):
-                if m.perms[i][f] == m.perms[j][f]:
+                if ri[f] == rj[f]:
                     report(AXIOM_PROPER, i, j, f)
                     break
     # connectivity under all colours
@@ -134,7 +143,7 @@ def validate(m: Maniplex) -> ValidationReport:
     reached = 1
     while queue:
         f = queue.popleft()
-        for row in m.perms:
+        for row in perms:
             g = row[f]
             if not seen_flags[g]:
                 seen_flags[g] = True
@@ -145,7 +154,7 @@ def validate(m: Maniplex) -> ValidationReport:
     # colours at distance > 1 must generate 4-cycles
     for i in range(n):
         for j in range(i + 2, n):
-            ri, rj = m.perms[i], m.perms[j]
+            ri, rj = perms[i], perms[j]
             for f in range(size):
                 if ri[rj[ri[rj[f]]]] != f:
                     report(AXIOM_SQUARE, i, j, f)
@@ -186,21 +195,31 @@ def components(m: Maniplex, colours: Iterable[int]) -> list[Component]:
     return out
 
 
-def faces(m: Maniplex, i: int) -> list[Face]:
-    """The i-faces: components after deleting the colour-i edges."""
+def face_table(m: Maniplex, i: int) -> FaceTable:
+    """The i-faces (components after deleting the colour-i edges) and each
+    flag's face id, computed once per maniplex and rank."""
     if not 0 <= i < m.rank:
         raise ValueError(f"face rank {i} out of range for rank {m.rank}")
-    cols = [c for c in range(m.rank) if c != i]
-    return [Face(i, c.canonical, c.flags) for c in components(m, cols)]
+    table = m._faces.get(i)
+    if table is None:
+        cols = [c for c in range(m.rank) if c != i]
+        found = tuple(Face(i, c.canonical, c.flags) for c in components(m, cols))
+        ids = [0] * m.flag_count
+        for face in found:
+            for f in face.flags:
+                ids[f] = face.canonical
+        table = m._faces[i] = FaceTable(tuple(ids), found)
+    return table
+
+
+def faces(m: Maniplex, i: int) -> list[Face]:
+    """The i-faces, in increasing canonical order."""
+    return list(face_table(m, i).faces)
 
 
 def face_map(m: Maniplex, i: int) -> list[int]:
     """flag -> canonical id of its i-face."""
-    out = [-1] * m.flag_count
-    for face in faces(m, i):
-        for f in face.flags:
-            out[f] = face.canonical
-    return out
+    return list(face_table(m, i).ids)
 
 
 def dual(m: Maniplex) -> Maniplex:
@@ -214,6 +233,7 @@ def _propagate(src: Maniplex, dst: Maniplex, image: int) -> Optional[tuple[int, 
     The proper colouring forces the whole map once one image is chosen, so
     this is a single BFS with consistency checks.
     """
+    rows = tuple(zip(src.perms, dst.perms))
     size = src.flag_count
     phi = [-1] * size
     used = [False] * size
@@ -222,9 +242,9 @@ def _propagate(src: Maniplex, dst: Maniplex, image: int) -> Optional[tuple[int, 
     queue = deque([0])
     while queue:
         f = queue.popleft()
-        for i in range(src.rank):
-            g = src.perms[i][f]
-            h = dst.perms[i][phi[f]]
+        for src_row, dst_row in rows:
+            g = src_row[f]
+            h = dst_row[phi[f]]
             if phi[g] < 0:
                 if used[h]:
                     return None

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import coxeter
-from .certify import INFO, SKIP, Check, all_ok, passed
+from .certify import Check, all_ok, passed
 from .core import (
-    Face,
     Maniplex,
     automorphism_count,
     dual,
-    face_map,
+    face_table,
     faces,
     isomorphic,
     restrict,
@@ -63,14 +62,11 @@ def build_B() -> Maniplex:
     vector = tuple(len(faces(b, i)) for i in range(4))
     _require(vector == B_FACE_VECTOR, f"face vector {vector} != {B_FACE_VECTOR}")
     # flat: every vertex is incident to every facet
-    facet_list = faces(b, 3)
-    for vertex in faces(b, 0):
-        vset = set(vertex.flags)
-        for facet in facet_list:
-            _require(not vset.isdisjoint(facet.flags), "not flat")
+    incident = set(zip(face_table(b, 0).ids, face_table(b, 3).ids))
+    _require(len(incident) == B_FACE_VECTOR[0] * B_FACE_VECTOR[3], "not flat")
     hemicube = platonic("hemicube")
     hemioct = platonic("hemioctahedron")
-    for facet in facet_list:
+    for facet in faces(b, 3):
         sub = restrict(b, facet.flags, (0, 1, 2))
         _require(isomorphic(sub, hemicube) is not None, "facet is not a hemicube")
     for comp in faces(b, 0):
@@ -154,8 +150,8 @@ def find_theta(b: Maniplex) -> ThetaSet:
     """
     if b.rank != 4:
         raise ValueError("find_theta expects a rank-4 maniplex")
-    maps = [face_map(b, i) for i in range(4)]
-    one_faces = faces(b, 1)
+    maps = [face_table(b, i).ids for i in range(4)]
+    one_faces = face_table(b, 1).faces
     chosen: list[int] = []
     used_two: set[int] = set()
     load: dict[tuple[int, int], int] = {}
@@ -256,7 +252,7 @@ def verify_B_conditions(b: Maniplex, theta: ThetaSet, etheta: EThetaSet) -> BCon
     """
     failures: list[tuple[str, object]] = []
     outcomes: dict[tuple[int, int], str] = {}
-    maps = [face_map(b, i) for i in range(4)]
+    maps = [face_table(b, i).ids for i in range(4)]
     theta_set = set(theta.flags)
     shifted = {i: set(b.perms[i][f] for f in theta.flags) for i in range(4)}
 
@@ -324,17 +320,19 @@ def _projection_poset_iso(bstar: Maniplex, b: Maniplex) -> bool:
 
     The projection sends cover flag v to v // 2, and the least member of a
     lifted face projects onto the least member of its image, so relabelling
-    is exact; every face must also be a 2-to-1 lift.
+    is exact; every face must also be a 2-to-1 lift.  A cover face whose
+    flags all project into the base face of half its id, and which is twice
+    that face's size, is such a lift (each base flag has two preimages).
     """
     for i in range(bstar.rank):
-        up = faces(bstar, i)
-        down = {face.canonical: set(face.flags) for face in faces(b, i)}
-        if len(up) != len(down):
+        up, down = face_table(bstar, i), face_table(b, i)
+        if len(up.faces) != len(down.faces):
             return False
-        for face in up:
-            image = {v // 2 for v in face.flags}
-            if len(face.flags) != 2 * len(image) or down.get(face.canonical // 2) != image:
-                return False
+        if any(down.ids[v // 2] != c // 2 for v, c in enumerate(up.ids)):
+            return False
+        size = {face.canonical: len(face.flags) for face in down.faces}
+        if any(len(face.flags) != 2 * size[face.canonical // 2] for face in up.faces):
+            return False
     relabelled = {
         (f"{a.split(':')[0]}:{int(a.split(':')[1]) // 2}", f"{c.split(':')[0]}:{int(c.split(':')[1]) // 2}")
         for a, c in pos_of(bstar).less

@@ -13,10 +13,9 @@ all four tags when it meets F without being contained in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .certify import INFO, SKIP, Check, all_ok, passed
-from .core import Face, Maniplex, faces, isomorphic, restrict, validate
+from .core import Face, Maniplex, face_table, isomorphic, restrict, validate
 from .poset import (
     RankedPoset,
     boundedness_witness,
@@ -41,12 +40,9 @@ _TAGS_ALL = frozenset(TAG_CODES)
 def _resolve_facet(m: Maniplex, facet: Face) -> Face:
     if facet.rank != m.rank - 1:
         raise ValueError(f"marked face has rank {facet.rank}, need {m.rank - 1}")
-    for candidate in faces(m, m.rank - 1):
-        if candidate.canonical == facet.canonical:
-            if candidate.flags != facet.flags:
-                raise ValueError("marked face does not match any facet of this maniplex")
-            return candidate
-    raise ValueError("marked face does not match any facet of this maniplex")
+    if facet not in face_table(m, m.rank - 1).faces:
+        raise ValueError("marked face does not match any facet of this maniplex")
+    return facet
 
 
 def extend(m: Maniplex, facet: Face) -> Maniplex:
@@ -92,26 +88,19 @@ def y_profile(m: Maniplex, facet: Face, flag: int, i: int) -> frozenset[tuple[in
     facet = _resolve_facet(m, facet)
     if not 0 <= i < m.rank:
         raise ValueError(f"face rank {i} out of range")
-    cols = [c for c in range(m.rank) if c != i]
-    comp = {flag}
-    stack = [flag]
-    while stack:
-        f = stack.pop()
-        for c in cols:
-            g = m.perms[c][f]
-            if g not in comp:
-                comp.add(g)
-                stack.append(g)
-    fset = set(facet.flags)
-    if comp.isdisjoint(fset):
+    table = face_table(m, i)
+    face = next(fc for fc in table.faces if fc.canonical == table.ids[flag])
+    facet_ids = face_table(m, m.rank - 1).ids
+    inside = sum(1 for f in face.flags if facet_ids[f] == facet.canonical)
+    if inside == 0:
         return _TAGS_MISSING
-    if comp == fset:
-        return _TAGS_EQUAL
-    if comp <= fset:
+    if inside < len(face.flags):
+        return _TAGS_ALL
+    if len(face.flags) < len(facet.flags):
         raise YProfileUndefined(
             f"{i}-face of flag {flag} is properly contained in the marked facet"
         )
-    return _TAGS_ALL
+    return _TAGS_EQUAL
 
 
 @dataclass
@@ -133,7 +122,7 @@ def _poset_is_partial_and_graded(p: RankedPoset) -> bool:
     )
 
 
-def verify_extension(m: Maniplex, facet: Face, check_connectivity: bool = True) -> ExtensionResult:
+def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     """Extend and certify; polytopality claims are gated on the base's own status.
 
     Faithfulness of the extension is recorded, never asserted; only the
@@ -148,7 +137,7 @@ def verify_extension(m: Maniplex, facet: Face, check_connectivity: bool = True) 
     checks.append(passed("extension-valid", report.ok, report.violations or None))
     checks.append(passed("flag-count", ext.flag_count == 4 * m.flag_count, ext.flag_count))
 
-    ext_facets = faces(ext, n)
+    ext_facets = face_table(ext, n).faces
     checks.append(passed("four-facets", len(ext_facets) == 4, len(ext_facets)))
     facets_iso = all(
         isomorphic(restrict(ext, fc.flags, range(n)), m) is not None for fc in ext_facets
@@ -207,31 +196,32 @@ def verify_extension(m: Maniplex, facet: Face, check_connectivity: bool = True) 
         structural_ok = _poset_is_partial_and_graded(p_ext)
         dia = diamond_witness(p_ext) if structural_ok else ("poset not graded",)
         checks.append(passed("diamond", structural_ok and dia is None, dia))
-        if not check_connectivity:
-            checks.append(Check("strong-flag-connectivity", SKIP, "capped at this rank"))
-            checks.append(Check("polytopal", SKIP, "connectivity capped"))
-        else:
-            conn = flag_connectivity_witness(p_ext) if structural_ok and dia is None else ("earlier failure",)
-            checks.append(passed("strong-flag-connectivity", conn is None, conn))
-            checks.append(passed("polytopal", structural_ok and dia is None and conn is None))
+        conn = flag_connectivity_witness(p_ext) if structural_ok and dia is None else ("earlier failure",)
+        checks.append(passed("strong-flag-connectivity", conn is None, conn))
+        checks.append(passed("polytopal", structural_ok and dia is None and conn is None))
 
     return ExtensionResult(ext, facet, checks)
 
 
 def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex) -> bool:
-    """Every extension face over a base face spans exactly the predicted tags."""
+    """Every extension face over a base face spans exactly the predicted tags.
+
+    Every span holds (0, 0), so a predicted set is a face exactly when all
+    its flags carry the face id 4 * base canonical and it has the face's size.
+    """
     code = {tag: k for k, tag in enumerate(TAG_CODES)}
     for i in range(m.rank):
-        lookup: dict[int, set[int]] = {}
-        for face in faces(ext, i):
-            for v in face.flags:
-                lookup[v] = set(face.flags)
-        for base_face in faces(m, i):
+        ext_table = face_table(ext, i)
+        size = {face.canonical: len(face.flags) for face in ext_table.faces}
+        for base_face in face_table(m, i).faces:
             try:
                 tags = y_profile(m, facet, base_face.canonical, i)
             except YProfileUndefined:
                 return False
-            predicted = {4 * f + code[t] for f in base_face.flags for t in tags}
-            if lookup.get(4 * base_face.canonical + 0) != predicted:
+            target = 4 * base_face.canonical
+            offsets = [code[t] for t in tags]
+            if size.get(target) != len(base_face.flags) * len(offsets):
+                return False
+            if any(ext_table.ids[4 * f + k] != target for f in base_face.flags for k in offsets):
                 return False
     return True

@@ -11,12 +11,12 @@ strong flag connectivity via sections.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import Face, FormatError, Maniplex, dual, faces, validate
+from .core import FormatError, Maniplex, dual, face_table, faces, validate
 
 ISO_FACE_LIMIT = 64  # brute-force poset matching is only vouched for below this
 
@@ -82,17 +82,11 @@ class RankedPoset:
 
 
 def pos_of(m: Maniplex) -> RankedPoset:
-    """The face poset, with labels 'rank:canonicalFlag' plus '-1:0' and 'n:0'."""
+    """The face poset, with labels 'rank:canonicalFlag' plus '-1:0' and 'n:0';
+    faces of different ranks are incident when some flag lies in both."""
     n = m.rank
-    levels: list[tuple[str, ...]] = []
-    flagsets: dict[str, frozenset[int]] = {}
-    for i in range(n):
-        labels = []
-        for face in faces(m, i):
-            label = f"{i}:{face.canonical}"
-            labels.append(label)
-            flagsets[label] = frozenset(face.flags)
-        levels.append(tuple(labels))
+    tables = [face_table(m, i) for i in range(n)]
+    levels = [tuple(f"{i}:{face.canonical}" for face in t.faces) for i, t in enumerate(tables)]
     bottom, top = "-1:0", f"{n}:0"
     less: set[tuple[str, str]] = {(bottom, top)}
     for labels in levels:
@@ -101,11 +95,8 @@ def pos_of(m: Maniplex) -> RankedPoset:
             less.add((label, top))
     for i in range(n):
         for j in range(i + 1, n):
-            for la in levels[i]:
-                sa = flagsets[la]
-                for lb in levels[j]:
-                    if not sa.isdisjoint(flagsets[lb]):
-                        less.add((la, lb))
+            for a, b in set(zip(tables[i].ids, tables[j].ids)):
+                less.add((f"{i}:{a}", f"{j}:{b}"))
     return RankedPoset(n, ((bottom,),) + tuple(levels) + ((top,),), frozenset(less))
 
 
@@ -123,16 +114,11 @@ def flag_function(m: Maniplex) -> FlagFunctionTable:
     n = m.rank
     labels_by_rank = []
     for i in range(n):
-        row = [""] * m.flag_count
-        for face in faces(m, i):
-            for f in face.flags:
-                row[f] = f"{i}:{face.canonical}"
-        labels_by_rank.append(row)
+        table = face_table(m, i)
+        label = {face.canonical: f"{i}:{face.canonical}" for face in table.faces}
+        labels_by_rank.append([label[c] for c in table.ids])
     bottom, top = "-1:0", f"{n}:0"
-    chains = {
-        f: (bottom,) + tuple(labels_by_rank[i][f] for i in range(n)) + (top,)
-        for f in range(m.flag_count)
-    }
+    chains = {f: (bottom, *labels, top) for f, labels in enumerate(zip(*labels_by_rank))}
     fibers: dict[tuple[str, ...], list[int]] = defaultdict(list)
     for f in range(m.flag_count):
         fibers[chains[f]].append(f)
@@ -279,7 +265,7 @@ def section(p: RankedPoset, lower: str, upper: str) -> RankedPoset:
     levels: list[list[str]] = [[] for _ in range(new_rank + 2)]
     for label in keep:
         levels[p.rank_of[label] - offset + 1].append(label)
-    less = frozenset((a, b) for a, b in p.less if a in keep and b in keep)
+    less = frozenset((a, b) for a in keep for b in p.up[a] & keep)
     return RankedPoset(new_rank, tuple(tuple(level) for level in levels), less)
 
 

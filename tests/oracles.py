@@ -152,3 +152,37 @@ def shortest_lex_words_brute(perms: Perms, base: int, max_len: int) -> dict[int,
             if f not in best:
                 best[f] = word
     return best
+
+
+def faces_by_bfs(perms: Perms, i: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The i-faces as (least flag, sorted flags), by a fresh BFS from every
+    unlabelled flag over the colours other than i."""
+    size = len(perms[0])
+    rows = [row for c, row in enumerate(perms) if c != i]
+    seen: set[int] = set()
+    out = []
+    for start in range(size):
+        if start in seen:
+            continue
+        seen.add(start)
+        members, stack = [start], [start]
+        while stack:
+            f = stack.pop()
+            for row in rows:
+                if row[f] not in seen:
+                    seen.add(row[f])
+                    members.append(row[f])
+                    stack.append(row[f])
+        out.append((min(members), tuple(sorted(members))))
+    return out
+
+
+def section_by_filter(faces, less, lower: str, upper: str):
+    """(faces per rank from lower up to upper, strict order) of a section,
+    filtering every pair of the whole order."""
+    keep = {lower, upper} | {b for a, b in less if a == lower and (b, upper) in less}
+    index = {x: k for k, level in enumerate(faces) for x in level}
+    levels = tuple(
+        tuple(sorted(x for x in faces[k] if x in keep)) for k in range(index[lower], index[upper] + 1)
+    )
+    return levels, frozenset((a, b) for a, b in less if a in keep and b in keep)

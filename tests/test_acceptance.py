@@ -1,4 +1,4 @@
-"""End-to-end acceptance run: six timed criteria, one printed line each.
+"""End-to-end acceptance run: seven timed criteria, one printed line each.
 
 Run with output visible:  pytest -s tests/test_acceptance.py -v
 """
@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 import suites
-from maniplex.certify import PASS, SKIP
+from maniplex.certify import INFO, PASS
 from maniplex.cli import main as cli_main
 from maniplex.core import (
     automorphism_count,
@@ -30,6 +30,7 @@ from maniplex.counterexample import (
     verify_B_conditions,
 )
 from maniplex.coxeter import verdict
+from maniplex.extension import verify_extension
 from maniplex.poset import is_faithful, is_polytopal, rank3_theorems
 
 
@@ -183,7 +184,7 @@ def test_criterion_4_higher_rank_extensions(tmp_path):
         assert status6["extension-valid"] == "pass"
         assert status6["unfaithfulness-preserved"] == "pass"
         assert status6["diamond"] == "pass"
-        assert status6["strong-flag-connectivity"] == "skip"
+        assert status6["strong-flag-connectivity"] == "pass"
 
 
 def test_criterion_5_rank3_corpus():
@@ -223,3 +224,15 @@ def test_criterion_6_property_volume(named_corpus, b_maniplex, bstar_result):
             b_maniplex, bstar_result.bstar, rng, trials=1000
         )
         assert total >= 1000
+
+
+def test_criterion_7_rank7_fully_certified():
+    with criterion(7, "rank-7 extension, every check run", 30):
+        m = build_B_star().bstar
+        for rank in (5, 6, 7):
+            res = verify_extension(m, faces(m, rank - 2)[0])
+            status = checks_by_name(res.checks)
+            assert status.pop("extension-faithful-observed") == INFO
+            assert set(status.values()) == {PASS}, (rank, status)
+            m = res.extension
+        assert m.rank == 7 and m.flag_count == 12288

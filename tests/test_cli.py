@@ -8,6 +8,10 @@ from maniplex.cli import main
 from maniplex.core import from_json_dict
 from maniplex.voltage import double_cover, voltage_from_json_dict
 
+# SHA-256 of build-bstar's certificate.json for this version; any change to
+# the certificate's bytes must be deliberate
+BSTAR_CERTIFICATE_SHA256 = "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937"
+
 XOR4_DOC = {
     "rank": 4,
     "flags": 16,
@@ -144,6 +148,11 @@ def test_build_bstar_is_deterministic(bstar_dir, tmp_path):
     assert main(["build-bstar", "-o", str(again)]) == 0
     for name in ("b.json", "voltage-theta.json", "bstar.json", "certificate.json"):
         assert filecmp.cmp(bstar_dir / name, again / name, shallow=False), name
+
+
+def test_build_bstar_certificate_bytes(bstar_dir):
+    data = (bstar_dir / "certificate.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == BSTAR_CERTIFICATE_SHA256
 
 
 def test_voltage_document_rebuilds_cover(bstar_dir):

@@ -11,6 +11,7 @@ from maniplex.core import (
     components,
     dual,
     face_map,
+    face_table,
     faces,
     from_json_dict,
     isomorphic,
@@ -24,7 +25,7 @@ from maniplex.core import (
 )
 from maniplex.corpus import platonic, torus_44
 
-from oracles import brute_isomorphisms, partition_by_merging, polygon_flag_graph
+from oracles import brute_isomorphisms, faces_by_bfs, partition_by_merging, polygon_flag_graph
 
 # small deliberately broken structures, one per axiom
 FIXED_POINT = Maniplex(((0, 1),))
@@ -115,6 +116,36 @@ def test_faces_and_face_map():
             assert fm[f] == face.canonical
     with pytest.raises(ValueError):
         faces(m, 3)
+
+
+def test_face_table_matches_bfs_oracle(named_corpus, b_maniplex, bstar_result):
+    members = dict(named_corpus, B=b_maniplex, Bstar=bstar_result.bstar)
+    for name, m in members.items():
+        fresh = Maniplex(m.perms)
+        for i in range(m.rank):
+            want = faces_by_bfs(m.perms, i)
+            want_map = [0] * m.flag_count
+            for canonical, flags in want:
+                for f in flags:
+                    want_map[f] = canonical
+            for mm in (fresh, m):
+                assert [(face.canonical, face.flags) for face in faces(mm, i)] == want, (name, i)
+                assert all(face.rank == i for face in faces(mm, i))
+                assert face_map(mm, i) == want_map, (name, i)
+            assert face_table(fresh, i) is face_table(fresh, i)
+        # the cache stays out of equality, hashing, repr and JSON
+        assert fresh == Maniplex(m.perms) and hash(fresh) == hash(Maniplex(m.perms))
+        assert repr(fresh) == repr(Maniplex(m.perms))
+        assert to_json_dict(fresh) == to_json_dict(Maniplex(m.perms))
+
+
+def test_automorphism_count_unchanged_by_face_table(named_corpus, b_maniplex):
+    for m in [*named_corpus.values(), b_maniplex]:
+        fresh = Maniplex(m.perms)
+        before = automorphism_count(fresh)
+        for i in range(fresh.rank):
+            face_table(fresh, i)
+        assert automorphism_count(fresh) == before
 
 
 def test_dual():

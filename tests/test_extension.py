@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from maniplex import core
 from maniplex.certify import FAIL, PASS, SKIP
 from maniplex.core import Face, Maniplex, faces, isomorphic, restrict, validate
 from maniplex.corpus import platonic, torus_44
@@ -148,15 +151,6 @@ def test_verify_extension_on_single_facet_base():
     assert detail == (0, 12)
 
 
-def test_verify_extension_connectivity_cap():
-    cube = platonic("cube")
-    res = verify_extension(cube, faces(cube, 2)[0], check_connectivity=False)
-    st = statuses(res)
-    assert st["strong-flag-connectivity"] == SKIP
-    assert st["polytopal"] == SKIP
-    assert FAIL not in st.values()
-
-
 def test_extension_facet_sections(bstar_result):
     m = bstar_result.bstar
     res = verify_extension(m, faces(m, 3)[0])
@@ -170,15 +164,35 @@ def test_extension_facet_sections(bstar_result):
         assert poset_isomorphism(section(p, bottom, top), pos_of(m)) is not None
 
 
+def test_verify_extension_labels_each_rank_once(bstar_result, monkeypatch):
+    calls = Counter()
+    labelled = []  # keeps every labelled maniplex alive, so ids stay unique
+    components = core.components
+
+    def counting(m, colours):
+        colours = tuple(colours)
+        labelled.append(m)
+        calls[id(m), colours] += 1
+        return components(m, colours)
+
+    monkeypatch.setattr(core, "components", counting)
+    m = Maniplex(bstar_result.bstar.perms)
+    res = verify_extension(m, faces(m, 3)[0])
+    assert res.ok
+    assert calls and max(calls.values()) == 1
+    # only the base and the extension are labelled
+    assert {id(x) for x in labelled} == {id(m), id(res.extension)}
+
+
 def test_second_extension_step(bstar_result):
     m = bstar_result.bstar
     ext5 = verify_extension(m, faces(m, 3)[0]).extension
-    res = verify_extension(ext5, faces(ext5, 4)[0], check_connectivity=False)
+    res = verify_extension(ext5, faces(ext5, 4)[0])
     assert res.ok
     assert res.extension.flag_count == 3072
     st = statuses(res)
     assert st["diamond"] == PASS
-    assert st["strong-flag-connectivity"] == SKIP
+    assert st["strong-flag-connectivity"] == PASS
 
 
 def test_rank5_extension_face_counts(bstar_result):

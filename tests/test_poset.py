@@ -27,7 +27,7 @@ from maniplex.poset import (
     section,
 )
 
-from oracles import chains_by_product
+from oracles import chains_by_product, section_by_filter
 
 # hand-built pathological posets
 NOT_TRANSITIVE = RankedPoset(
@@ -142,6 +142,14 @@ def test_section_vertex_figure_is_triangle():
     assert sec.rank == 2
     triangle = coset_enumerate(string_coxeter([3])).to_maniplex()
     assert poset_isomorphism(sec, pos_of(triangle)) is not None
+
+
+def test_section_matches_filter_oracle(b_maniplex):
+    p = pos_of(b_maniplex)
+    for lower, upper in sorted(p.less):
+        sec = section(p, lower, upper)
+        assert (sec.faces, sec.less) == section_by_filter(p.faces, p.less, lower, upper), (lower, upper)
+        assert sec.rank == p.rank_of[upper] - p.rank_of[lower] - 1
 
 
 def test_section_errors():
