@@ -147,7 +147,7 @@ def _check_passed(checks: list[Check], name: str) -> bool:
 
 
 def _bstar_certificate(result: BStarResult, digest: str) -> str:
-    v = classify(result.bstar)
+    v = result.verdict
     return _certificate(
         digest,
         result.checks,
@@ -269,7 +269,7 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         return 1
     if not 0 <= args.base < m.flag_count:
         raise ValueError(f"base flag {args.base} out of range (0..{m.flag_count - 1})")
-    v = classify(m, args.base)
+    v = classify(m)
     schreier = schreier_correspondence(m, args.base)
     doc = {
         "version": __version__,

@@ -280,9 +280,47 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
     The action on flags is free (connectivity plus forced propagation), so
     the count equals the number of valid images of flag 0 and divides the
     flag count; equality is reflexibility.
+
+    Only one image per orbit is propagated.  The valid images are the
+    Aut-orbit of flag 0, so for the subgroup K generated by the
+    automorphisms found so far, the valid images and the invalid ones are
+    both unions of K-orbits: each success closes the valid set under the
+    new generator (at least doubling K, by Lagrange), and each failure
+    marks its flag's whole K-orbit invalid.  A partial map (the flag graph
+    is disconnected) counts its own image only.
     """
-    count = sum(1 for image in range(m.flag_count) if _propagate(m, m, image) is not None)
-    return AutomorphismInfo(count, count == m.flag_count)
+    size = m.flag_count
+    valid = [None] * size  # None: not yet decided
+    if size:
+        valid[0] = True  # the identity
+    gens: list[tuple[int, ...]] = []
+    for image in range(1, size):
+        if valid[image] is not None:
+            continue
+        phi = _propagate(m, m, image)
+        if phi is None:
+            _close_orbit(valid, gens, [image], False)
+        elif -1 in phi:
+            valid[image] = True
+        else:
+            gens.append(phi)
+            _close_orbit(valid, gens, [f for f in range(size) if valid[f]], True)
+    count = valid.count(True)
+    return AutomorphismInfo(count, count == size)
+
+
+def _close_orbit(valid: list, gens: list[tuple[int, ...]], seeds: list[int], status: bool) -> None:
+    """Mark every flag reachable from the seeds under the generators."""
+    for f in seeds:
+        valid[f] = status
+    stack = list(seeds)
+    while stack:
+        f = stack.pop()
+        for phi in gens:
+            g = phi[f]
+            if valid[g] is None:
+                valid[g] = status
+                stack.append(g)
 
 
 def restrict(m: Maniplex, flags: Iterable[int], colours: Iterable[int]) -> Maniplex:

@@ -309,6 +309,7 @@ class BStarResult:
     bstar: Maniplex
     checks: list[Check]
     witness: Optional[tuple[int, int]]  # sheet pair in one fiber
+    verdict: coxeter.Verdict
 
     @property
     def ok(self) -> bool:
@@ -372,8 +373,7 @@ def build_B_star() -> BStarResult:
         for fiber in fibers.values()
     )
     checks.append(passed("fibers-are-sheet-pairs", sheet_pairs))
-    checks.append(passed("cover-polytopal", is_polytopal(bstar)))
-
-    v = coxeter.verdict(bstar)
+    v = coxeter.verdict(bstar)  # sparse is exactly polytopal
+    checks.append(passed("cover-polytopal", v.sparse))
     checks.append(passed("verdict-sparse-not-semisparse", v.sparse and not v.semisparse))
-    return BStarResult(b, theta, e_theta, z, bstar, checks, witness)
+    return BStarResult(b, theta, e_theta, z, bstar, checks, witness, v)

@@ -143,9 +143,8 @@ class Verdict(NamedTuple):
         return "not sparse"
 
 
-def verdict(m: Maniplex, base: int = 0) -> Verdict:
+def verdict(m: Maniplex) -> Verdict:
     """Classify the maniplex: sparse iff polytopal, semisparse iff also faithful."""
-    del base  # the classification is base-independent; kept for symmetry
     poly = is_polytope(pos_of(m))
     faith = is_faithful(m)
     sparse = poly.ok

@@ -171,11 +171,7 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
             break
     checks.append(passed("ridges-in-two-facets", ridge_ok, witness))
 
-    base_diamond = (
-        _poset_is_partial_and_graded(p_base)
-        and boundedness_witness(p_base) is None
-        and diamond_witness(p_base) is None
-    )
+    base_diamond = _poset_is_partial_and_graded(p_base) and diamond_witness(p_base) is None
     if not base_diamond:
         checks.append(Check("facet-sections-match-base", SKIP, "base fails the diamond condition"))
         checks.append(Check("tag-spans-match", SKIP, "base fails the diamond condition"))

@@ -273,13 +273,31 @@ def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
     """First section (including the whole poset) whose chain graph is disconnected.
 
     Assumes transitivity, boundedness and gradedness already verified.
+    Under those, every maximal chain of a section is a cover path of the
+    parent from its least to its greatest face, all of one length, so the
+    paths are walked in place and no section poset is built.  Sections of
+    rank at most 1 (upper two ranks or less above lower) are skipped:
+    their maximal chains differ in at most one face.
     """
-    pairs = sorted(p.less, key=lambda ab: (p.rank_of[ab[0]], ab))
+    cover_up: dict[str, list[str]] = defaultdict(list)
+    for a, b in p.covers:
+        cover_up[a].append(b)
+    rank_of = p.rank_of
+    pairs = sorted(
+        (ab for ab in p.less if rank_of[ab[1]] - rank_of[ab[0]] > 2),
+        key=lambda ab: (rank_of[ab[0]], ab),
+    )
     for lower, upper in pairs:
-        sec = section(p, lower, upper)
-        chains = maximal_chains(sec)
-        if len({len(c) for c in chains}) > 1:
-            return (lower, upper)  # non-graded section; cannot be flag-connected
+        below = p.down[upper]
+        chains: list[tuple[str, ...]] = []
+        stack: list[tuple[str, ...]] = [(lower,)]
+        while stack:
+            chain = stack.pop()
+            for b in cover_up[chain[-1]]:
+                if b == upper:
+                    chains.append(chain + (b,))
+                elif b in below:
+                    stack.append(chain + (b,))
         if not _chains_connected(chains):
             return (lower, upper)
     return None

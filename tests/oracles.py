@@ -186,3 +186,71 @@ def section_by_filter(faces, less, lower: str, upper: str):
         tuple(sorted(x for x in faces[k] if x in keep)) for k in range(index[lower], index[upper] + 1)
     )
     return levels, frozenset((a, b) for a, b in less if a in keep and b in keep)
+
+
+def automorphism_count_by_propagation(perms: Perms) -> int:
+    """Images of flag 0 that extend to a colour-preserving map, trying every
+    image with a fresh depth-first propagation over flag 0's component."""
+    size = len(perms[0])
+    count = 0
+    for image in range(size):
+        phi = {0: image}
+        stack = [0]
+        ok = True
+        while stack and ok:
+            f = stack.pop()
+            for row in perms:
+                g, h = row[f], row[phi[f]]
+                if g not in phi:
+                    phi[g] = h
+                    stack.append(g)
+                elif phi[g] != h:
+                    ok = False
+                    break
+        if ok and len(set(phi.values())) == len(phi):
+            count += 1
+    return count
+
+
+def flag_connectivity_by_sections(faces, less):
+    """First comparable pair, in (rank of lower, pair) order, whose section's
+    maximal chains are not all of one length or are not connected under
+    'differ in exactly one face'; None when every section passes.
+
+    Each section is filtered out of the whole order (`section_by_filter`),
+    its covers found by testing every middle element, and its chains walked
+    from the bottom.
+    """
+    rank_of = {x: k for k, level in enumerate(faces) for x in level}
+    for lower, upper in sorted(less, key=lambda ab: (rank_of[ab[0]], ab)):
+        levels, sec_less = section_by_filter(faces, less, lower, upper)
+        keep = [x for level in levels for x in level]
+        up: dict[str, list[str]] = {x: [] for x in keep}
+        for a, b in sec_less:
+            if not any((a, c) in sec_less and (c, b) in sec_less for c in keep):
+                up[a].append(b)
+        chains, stack = [], [(lower,)]
+        while stack:
+            chain = stack.pop()
+            if up[chain[-1]]:
+                stack.extend(chain + (b,) for b in up[chain[-1]])
+            else:
+                chains.append(chain)
+        if len({len(c) for c in chains}) > 1:
+            return (lower, upper)
+        by_blank: dict[tuple, list[int]] = {}
+        for k, chain in enumerate(chains):
+            for pos in range(1, len(chain) - 1):
+                by_blank.setdefault((pos, chain[:pos] + chain[pos + 1:]), []).append(k)
+        reached, stack2 = {0}, [0]
+        while stack2:
+            k = stack2.pop()
+            chain = chains[k]
+            for pos in range(1, len(chain) - 1):
+                for j in by_blank[(pos, chain[:pos] + chain[pos + 1:])]:
+                    if j not in reached:
+                        reached.add(j)
+                        stack2.append(j)
+        if len(reached) != len(chains):
+            return (lower, upper)
+    return None

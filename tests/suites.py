@@ -11,7 +11,8 @@ from maniplex.core import (
     restrict,
     validate,
 )
-from maniplex.coxeter import act, coset_words, reduce_word
+from maniplex.corpus import torus_44
+from maniplex.coxeter import act, coset_words, reduce_word, verdict
 from maniplex.poset import (
     flag_function,
     flag_graph_of,
@@ -23,6 +24,16 @@ from maniplex.poset import (
 from maniplex.voltage import VoltageAssignment, canonical_edge, double_cover
 
 SEED = 20260825
+
+# every torus map {4,4}_(b,c) with b, c >= 0 and at most 512 flags
+TORUS_POOL = tuple((b, c) for b in range(9) for c in range(9) if 1 <= b * b + c * c <= 64)
+
+
+def torus_automorphisms(b, c):
+    """Closed form: {4,4}_(b,c) is reflexible, with 8n automorphisms, when
+    bc(b - c) = 0, and chiral, with 4n, otherwise; n = b^2 + c^2."""
+    n = b * b + c * c
+    return 8 * n if b * c * (b - c) == 0 else 4 * n
 
 
 def suite_square_axiom(members):
@@ -168,4 +179,18 @@ def suite_schreier_words(members):
             assert act(m, w, 0) == f
             assert not w or w[1:] in words
             cases += 1
+    return cases
+
+
+def suite_torus_census(pool):
+    """Each torus map is a valid maniplex on 8n flags, semisparse exactly when
+    n >= 4, with its closed-form automorphism count."""
+    cases = 0
+    for b, c in pool:
+        m = torus_44(b, c)
+        n = b * b + c * c
+        assert m.flag_count == 8 * n and validate(m).ok, (b, c)
+        assert verdict(m).summary == ("semisparse" if n >= 4 else "not sparse"), (b, c)
+        assert automorphism_count(m).count == torus_automorphisms(b, c), (b, c)
+        cases += 1
     return cases

@@ -1,4 +1,4 @@
-"""End-to-end acceptance run: seven timed criteria, one printed line each.
+"""End-to-end acceptance run: eight timed criteria, one printed line each.
 
 Run with output visible:  pytest -s tests/test_acceptance.py -v
 """
@@ -236,3 +236,8 @@ def test_criterion_7_rank7_fully_certified():
             assert set(status.values()) == {PASS}, (rank, status)
             m = res.extension
         assert m.rank == 7 and m.flag_count == 12288
+
+
+def test_criterion_8_torus_census():
+    with criterion(8, "torus census validated, classified and counted", 10):
+        assert suites.suite_torus_census(suites.TORUS_POOL) == 57

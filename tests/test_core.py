@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
 
+import suites
+from maniplex import core
 from maniplex.core import (
     DOT_PALETTE,
     Face,
@@ -24,8 +27,15 @@ from maniplex.core import (
     validate,
 )
 from maniplex.corpus import platonic, torus_44
+from maniplex.cosets import coset_enumerate, string_coxeter
 
-from oracles import brute_isomorphisms, faces_by_bfs, partition_by_merging, polygon_flag_graph
+from oracles import (
+    automorphism_count_by_propagation,
+    brute_isomorphisms,
+    faces_by_bfs,
+    partition_by_merging,
+    polygon_flag_graph,
+)
 
 # small deliberately broken structures, one per axiom
 FIXED_POINT = Maniplex(((0, 1),))
@@ -69,7 +79,7 @@ def test_validate_happy_path(named_corpus):
         assert report.ok, (name, report.violations)
 
 
-def test_validate_axiom_witnesses():
+def test_validate_axiom_witnesses(two_squares):
     def broken(m):
         return {v.axiom for v in validate(m).violations}
 
@@ -78,11 +88,7 @@ def test_validate_axiom_witnesses():
     assert "proper-colouring" in broken(IMPROPER)
     assert "square" in broken(SQUARE_BREAKER)
 
-    sq = platonic("square")
-    two_copies = Maniplex(
-        tuple(tuple(row) + tuple(v + 8 for v in row) for row in sq.perms)
-    )
-    assert "connected" in broken(two_copies)
+    assert "connected" in broken(two_squares)
 
 
 def test_validate_one_witness_per_colour():
@@ -181,6 +187,38 @@ def test_automorphism_count_against_brute_force():
         assert info.count == len(brute_isomorphisms(m.perms, m.perms))
     assert automorphism_count(platonic("square")).is_reflexible
     assert automorphism_count(platonic("cube")) == (48, True)
+
+
+def test_automorphism_count_matches_propagation_oracle(
+    named_corpus, b_maniplex, bstar_result, simplex5, two_squares
+):
+    for m in [*named_corpus.values(), b_maniplex, bstar_result.bstar, simplex5, two_squares]:
+        assert automorphism_count(m).count == automorphism_count_by_propagation(m.perms), m
+    # disconnected: each copy's images of flag 0 extend over its component
+    assert automorphism_count(two_squares) == (16, True)
+    # a square, a hexagon and a square: no image in the hexagon extends
+    parts = (polygon_flag_graph(4), polygon_flag_graph(6), polygon_flag_graph(4))
+    offsets = (0, 8, 20)
+    mixed = Maniplex(
+        tuple(
+            tuple(f + k for part, k in zip(parts, offsets) for f in part[colour])
+            for colour in range(2)
+        )
+    )
+    assert automorphism_count(mixed).count == automorphism_count_by_propagation(mixed.perms) == 16
+
+
+def test_automorphism_count_propagates_once_per_orbit(monkeypatch):
+    calls = []
+    real = core._propagate
+    monkeypatch.setattr(core, "_propagate", lambda *args: calls.append(args[2]) or real(*args))
+    cell24 = coset_enumerate(string_coxeter([3, 4, 3])).to_maniplex()
+    cases = [(cell24, 1152)]
+    cases += [(torus_44(b, c), suites.torus_automorphisms(b, c)) for b, c in suites.TORUS_POOL]
+    for m, want in cases:
+        calls.clear()
+        assert automorphism_count(m).count == want
+        assert len(calls) <= 2 * math.ceil(math.log2(m.flag_count)), (m, calls)
 
 
 def test_restrict():

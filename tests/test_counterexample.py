@@ -8,7 +8,6 @@ from maniplex.counterexample import (
     B_FLAGS,
     B_PRESENTATION,
     EThetaOverlap,
-    EThetaSet,
     ThetaNotFound,
     ThetaSet,
     build_E_theta,

@@ -1,8 +1,10 @@
 import pytest
 
-from maniplex.core import FormatError, isomorphic
+from maniplex import poset
+from maniplex.core import FormatError, faces, isomorphic
 from maniplex.corpus import platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
+from maniplex.extension import extend
 from maniplex.poset import (
     DiamondError,
     ISO_FACE_LIMIT,
@@ -27,7 +29,7 @@ from maniplex.poset import (
     section,
 )
 
-from oracles import chains_by_product, section_by_filter
+from oracles import chains_by_product, flag_connectivity_by_sections, section_by_filter
 
 # hand-built pathological posets
 NOT_TRANSITIVE = RankedPoset(
@@ -162,6 +164,27 @@ def test_section_errors():
 
 def test_flag_connectivity_of_polytopes():
     assert flag_connectivity_witness(pos_of(platonic("hemicube"))) is None
+
+
+def test_flag_connectivity_matches_section_oracle(
+    named_corpus, b_maniplex, bstar_result, simplex5, two_squares
+):
+    members = [*named_corpus.values(), b_maniplex, bstar_result.bstar, simplex5, two_squares]
+    m = bstar_result.bstar
+    for _ in (5, 6):  # the tower's extensions
+        m = extend(m, faces(m, m.rank - 1)[0])
+        members.append(m)
+    for m in members:
+        p = pos_of(m)
+        assert flag_connectivity_witness(p) == flag_connectivity_by_sections(p.faces, p.less), m
+    assert flag_connectivity_witness(pos_of(two_squares)) == ("-1:0", "2:0")
+
+
+def test_is_polytope_builds_no_section(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poset, "section", lambda *args: calls.append(args) or section(*args))
+    assert is_polytope(pos_of(torus_44(3, 2))).ok
+    assert calls == []
 
 
 def test_flag_graph_roundtrip():

@@ -1,6 +1,6 @@
 import pytest
 
-from maniplex.core import Maniplex, components, isomorphic, restrict, validate
+from maniplex.core import components, restrict, validate
 from maniplex.corpus import platonic, torus_44
 from maniplex.voltage import (
     VoltageAssignment,
