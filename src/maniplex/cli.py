@@ -1,8 +1,9 @@
 """Command-line front end: generate, check, certify, and export.
 
-Exit codes: 0 success, 1 semantic failure (axiom or certification), 2
-I/O or parse failure.  All file output is byte-deterministic for a fixed
-input and version; wall-clock timings go to stderr only.
+Exit codes: 0 success, 1 semantic failure (axiom or certification) or a
+size limit refused, 2 I/O or parse failure.  All file output is
+byte-deterministic for a fixed input and version; wall-clock timings go to
+stderr only.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .counterexample import (
 )
 from .coxeter import schreier_correspondence, verdict as classify
 from .extension import extend, verify_extension
-from .poset import pos_of, poset_to_dot, poset_to_json_dict
+from .poset import PosetTooLarge, pos_of, poset_to_dot, poset_to_json_dict
 
 
 def _sha256(data: bytes) -> str:
@@ -160,6 +161,18 @@ def _bstar_certificate(result: BStarResult, digest: str) -> str:
     )
 
 
+def _write_bstar(out: Path, result: BStarResult, maniplex_name: str, certificate_name: str) -> int:
+    """Write B* and its certificate; rc 1, reported, when certification failed."""
+    bstar_text = maniplex_to_json(result.bstar)
+    (out / maniplex_name).write_text(bstar_text, encoding="utf-8")
+    cert = _bstar_certificate(result, _sha256(bstar_text.encode("utf-8")))
+    (out / certificate_name).write_text(cert, encoding="utf-8")
+    if not result.ok:
+        print(f"error: certification failed at {_first_failure(result.checks)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_build_bstar(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     result = build_B_star()
@@ -169,14 +182,7 @@ def cmd_build_bstar(args: argparse.Namespace) -> int:
         _voltage_doc(_sha256(b_text.encode("utf-8")), result.theta.flags, result.e_theta.edges),
         encoding="utf-8",
     )
-    bstar_text = maniplex_to_json(result.bstar)
-    (out / "bstar.json").write_text(bstar_text, encoding="utf-8")
-    cert = _bstar_certificate(result, _sha256(bstar_text.encode("utf-8")))
-    (out / "certificate.json").write_text(cert, encoding="utf-8")
-    if not result.ok:
-        print(f"error: certification failed at {_first_failure(result.checks)}", file=sys.stderr)
-        return 1
-    return 0
+    return _write_bstar(out, result, "bstar.json", "certificate.json")
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
@@ -184,12 +190,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         raise ValueError(f"rank must be at least 4, got {args.rank}")
     out = _outdir(args.output)
     result = build_B_star()
-    bstar_text = maniplex_to_json(result.bstar)
-    (out / "maniplex-rank4.json").write_text(bstar_text, encoding="utf-8")
-    cert = _bstar_certificate(result, _sha256(bstar_text.encode("utf-8")))
-    (out / "certificate-rank4.json").write_text(cert, encoding="utf-8")
-    if not result.ok:
-        print(f"error: certification failed at {_first_failure(result.checks)}", file=sys.stderr)
+    if _write_bstar(out, result, "maniplex-rank4.json", "certificate-rank4.json"):
         return 1
     m = result.bstar
     for rank in range(5, args.rank + 1):
@@ -356,7 +357,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         rc = args.func(args)
-    except (BuildError, ThetaNotFound, EThetaOverlap, CosetCapExceeded) as exc:
+    except (BuildError, ThetaNotFound, EThetaOverlap, CosetCapExceeded, PosetTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, OSError, ValueError) as exc:

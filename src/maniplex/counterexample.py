@@ -367,10 +367,11 @@ def build_B_star() -> BStarResult:
     faith = is_faithful(bstar)
     witness = faith.witness
     checks.append(passed("cover-unfaithful", not faith.faithful, witness))
-    fibers = flag_function(bstar).fibers
-    sheet_pairs = all(
-        len(fiber) == 2 and fiber[1] == fiber[0] + 1 and fiber[0] % 2 == 0
-        for fiber in fibers.values()
+    # every fiber is a sheet pair {2f, 2f + 1}: the two sheets share a chain
+    # and the sheet pairs have distinct chains
+    chains = flag_function(bstar)
+    sheet_pairs = 2 * len(set(chains)) == len(chains) and all(
+        chains[v] == chains[v + 1] for v in range(0, len(chains), 2)
     )
     checks.append(passed("fibers-are-sheet-pairs", sheet_pairs))
     v = coxeter.verdict(bstar)  # sparse is exactly polytopal

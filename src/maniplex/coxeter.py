@@ -63,10 +63,6 @@ def reduce_word(word: Sequence[int], rank: int) -> Word:
     return tuple(letters)
 
 
-def in_stabilizer(m: Maniplex, base: int, word: Sequence[int]) -> bool:
-    return act(m, word, base) == base
-
-
 def coset_words(m: Maniplex, base: int = 0) -> tuple[Word, ...]:
     """Shortest-lex word from `base` to every flag (breadth-first)."""
     if not 0 <= base < m.flag_count:
@@ -122,11 +118,6 @@ def schreier_correspondence(m: Maniplex, base: int = 0) -> SchreierReport:
         if i != j
     )
     return SchreierReport(words, acts, singles, pairs)
-
-
-def stabilizer_label(word: Sequence[int], index: int) -> str:
-    """Double-coset style name W_index . word . N for a face of a quotient."""
-    return f"W{index}·{word_str(word)}·N"
 
 
 class Verdict(NamedTuple):

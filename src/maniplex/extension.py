@@ -16,20 +16,7 @@ from dataclasses import dataclass
 
 from .certify import INFO, SKIP, Check, all_ok, passed
 from .core import Face, Maniplex, face_table, isomorphic, restrict, validate
-from .poset import (
-    RankedPoset,
-    boundedness_witness,
-    diamond_witness,
-    flag_connectivity_witness,
-    flag_function,
-    gradedness_witness,
-    is_faithful,
-    is_polytope,
-    order_transitivity_witness,
-    pos_of,
-    poset_isomorphism,
-    section,
-)
+from .poset import PolytopeReport, is_faithful, is_polytope, pos_of, poset_isomorphism, section
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _TAGS_MISSING = frozenset({(0, 0), (1, 0)})
@@ -114,12 +101,9 @@ class ExtensionResult:
         return all_ok(self.checks)
 
 
-def _poset_is_partial_and_graded(p: RankedPoset) -> bool:
-    return (
-        order_transitivity_witness(p) is None
-        and boundedness_witness(p) is None
-        and gradedness_witness(p) is None
-    )
+def _graded_with_diamonds(report: PolytopeReport) -> bool:
+    """A partial order that is bounded, graded and meets the diamond condition."""
+    return report.ok or report.failed == "strong-flag-connectivity"
 
 
 def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
@@ -151,8 +135,8 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         checks.append(Check("unfaithfulness-preserved", SKIP, "base is faithful"))
     else:
         w1, w2 = base_faith.witness
-        table = flag_function(ext)
-        lifted = table.chains[4 * w1] == table.chains[4 * w2]
+        ids = [face_table(ext, i).ids for i in range(n + 1)]
+        lifted = all(row[4 * w1] == row[4 * w2] for row in ids)
         checks.append(
             passed("unfaithfulness-preserved", lifted and not ext_faith.faithful, (4 * w1, 4 * w2))
         )
@@ -171,8 +155,8 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
             break
     checks.append(passed("ridges-in-two-facets", ridge_ok, witness))
 
-    base_diamond = _poset_is_partial_and_graded(p_base) and diamond_witness(p_base) is None
-    if not base_diamond:
+    base = is_polytope(p_base)
+    if not _graded_with_diamonds(base):
         checks.append(Check("facet-sections-match-base", SKIP, "base fails the diamond condition"))
         checks.append(Check("tag-spans-match", SKIP, "base fails the diamond condition"))
     else:
@@ -184,17 +168,20 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         checks.append(passed("facet-sections-match-base", sections_ok))
         checks.append(passed("tag-spans-match", _tag_spans_match(m, facet, ext)))
 
-    if not is_polytope(p_base).ok:
+    if not base.ok:
         checks.append(Check("diamond", SKIP, "base is not polytopal"))
         checks.append(Check("strong-flag-connectivity", SKIP, "base is not polytopal"))
         checks.append(Check("polytopal", SKIP, "base is not polytopal"))
     else:
-        structural_ok = _poset_is_partial_and_graded(p_ext)
-        dia = diamond_witness(p_ext) if structural_ok else ("poset not graded",)
-        checks.append(passed("diamond", structural_ok and dia is None, dia))
-        conn = flag_connectivity_witness(p_ext) if structural_ok and dia is None else ("earlier failure",)
-        checks.append(passed("strong-flag-connectivity", conn is None, conn))
-        checks.append(passed("polytopal", structural_ok and dia is None and conn is None))
+        poly = is_polytope(p_ext)
+        if _graded_with_diamonds(poly):
+            dia, conn = None, poly.witness
+        else:
+            dia = poly.witness if poly.failed == "diamond" else ("poset not graded",)
+            conn = ("earlier failure",)
+        checks.append(passed("diamond", dia is None, dia))
+        checks.append(passed("strong-flag-connectivity", poly.ok, conn))
+        checks.append(passed("polytopal", poly.ok))
 
     return ExtensionResult(ext, facet, checks)
 

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import FormatError, Maniplex, dual, face_table, faces, validate
+from .core import FormatError, Maniplex, face_table, validate
 
 ISO_FACE_LIMIT = 64  # brute-force poset matching is only vouched for below this
+
+
+class PosetTooLarge(ValueError):
+    """A poset is over ISO_FACE_LIMIT proper faces, too large to match by brute force."""
 
 
 @dataclass(frozen=True)
@@ -102,27 +106,10 @@ def pos_of(m: Maniplex) -> RankedPoset:
 
 # ---------- flag function ----------
 
-@dataclass
-class FlagFunctionTable:
-    """flag -> maximal chain of pos_of(M), and the fibers of that map."""
-
-    chains: dict[int, tuple[str, ...]]
-    fibers: dict[tuple[str, ...], tuple[int, ...]]
-
-
-def flag_function(m: Maniplex) -> FlagFunctionTable:
-    n = m.rank
-    labels_by_rank = []
-    for i in range(n):
-        table = face_table(m, i)
-        label = {face.canonical: f"{i}:{face.canonical}" for face in table.faces}
-        labels_by_rank.append([label[c] for c in table.ids])
-    bottom, top = "-1:0", f"{n}:0"
-    chains = {f: (bottom, *labels, top) for f, labels in enumerate(zip(*labels_by_rank))}
-    fibers: dict[tuple[str, ...], list[int]] = defaultdict(list)
-    for f in range(m.flag_count):
-        fibers[chains[f]].append(f)
-    return FlagFunctionTable(chains, {k: tuple(sorted(v)) for k, v in fibers.items()})
+def flag_function(m: Maniplex) -> list[tuple[int, ...]]:
+    """flag -> maximal chain of pos_of(M), as the face-table ids of the
+    flag's faces of ranks 0..n-1 (face id c at rank i is the label 'i:c')."""
+    return list(zip(*(face_table(m, i).ids for i in range(m.rank))))
 
 
 class FaithfulnessResult(NamedTuple):
@@ -131,12 +118,15 @@ class FaithfulnessResult(NamedTuple):
 
 
 def is_faithful(m: Maniplex) -> FaithfulnessResult:
-    table = flag_function(m)
-    for chain in sorted(table.fibers):
-        fiber = table.fibers[chain]
-        if len(fiber) > 1:
-            return FaithfulnessResult(False, (fiber[0], fiber[1]))
-    return FaithfulnessResult(True, None)
+    """The witness is the two least flags of the first shared chain, with
+    chains ordered by their 'i:c' labels, that is by the ids as strings."""
+    fibers: dict[tuple[int, ...], list[int]] = defaultdict(list)
+    for f, chain in enumerate(flag_function(m)):
+        fibers[chain].append(f)
+    if len(fibers) == m.flag_count:
+        return FaithfulnessResult(True, None)
+    chain = min((c for c, fiber in fibers.items() if len(fiber) > 1), key=lambda c: tuple(map(str, c)))
+    return FaithfulnessResult(False, tuple(fibers[chain][:2]))
 
 
 # ---------- polytope axioms ----------
@@ -396,7 +386,7 @@ def poset_isomorphism(p: RankedPoset, q: RankedPoset) -> Optional[dict[str, str]
     if tuple(len(level) for level in p.faces) != tuple(len(level) for level in q.faces):
         return None
     if max(p.proper_face_count, q.proper_face_count) > ISO_FACE_LIMIT:
-        raise ValueError(f"poset too large for brute-force matching (> {ISO_FACE_LIMIT} proper faces)")
+        raise PosetTooLarge(f"poset too large for brute-force matching (> {ISO_FACE_LIMIT} proper faces)")
     sig_p, sig_q = _signatures(p), _signatures(q)
     if sorted(sig_p.values()) != sorted(sig_q.values()):
         return None
@@ -448,6 +438,20 @@ class Rank3Report:
     violations: list[tuple[int, str]]  # (index into corpus, what failed)
 
 
+def _fiber_pair(m: Maniplex, chains: list[tuple[int, ...]], colour: int) -> Optional[tuple[int, int]]:
+    """First {flag, flag^colour} inside one fiber, fibers taken in order of
+    their least flag and each fiber in flag order."""
+    first: dict[tuple[int, ...], int] = {}
+    for f, chain in enumerate(chains):
+        first.setdefault(chain, f)
+    row = m.perms[colour]
+    hits = [(first[chain], f) for f, chain in enumerate(chains) if chains[row[f]] == chain]
+    if not hits:
+        return None
+    f = min(hits)[1]
+    return (min(f, row[f]), max(f, row[f]))
+
+
 def rank3_theorems(corpus: list[Maniplex]) -> Rank3Report:
     """Check the rank-3 structure facts on a corpus.
 
@@ -460,25 +464,19 @@ def rank3_theorems(corpus: list[Maniplex]) -> Rank3Report:
     for idx, m in enumerate(corpus):
         if m.rank != 3:
             raise ValueError(f"corpus member {idx} has rank {m.rank}, expected 3")
-        faith = is_faithful(m)
+        chains = flag_function(m)
+        faithful = len(set(chains)) == len(chains)
         polytopal = is_polytopal(m)
         pair0 = pair2 = None
-        if not faith.faithful:
-            table = flag_function(m)
-            for fiber in table.fibers.values():
-                members = set(fiber)
-                for f in fiber:
-                    if pair0 is None and m.perms[0][f] in members:
-                        pair0 = (min(f, m.perms[0][f]), max(f, m.perms[0][f]))
-                    if pair2 is None and m.perms[2][f] in members:
-                        pair2 = (min(f, m.perms[2][f]), max(f, m.perms[2][f]))
+        if not faithful:
+            pair0, pair2 = _fiber_pair(m, chains, 0), _fiber_pair(m, chains, 2)
             if polytopal:
                 violations.append((idx, "unfaithful but polytopal"))
             if pair0 is None:
                 violations.append((idx, "unfaithful with no {flag, flag^0} fiber pair"))
             if pair2 is None:
                 violations.append((idx, "unfaithful with no {flag, flag^2} fiber pair"))
-        entries.append(Rank3Entry(faith.faithful, polytopal, pair0, pair2))
+        entries.append(Rank3Entry(faithful, polytopal, pair0, pair2))
     return Rank3Report(entries, violations)
 
 
@@ -509,9 +507,3 @@ def poset_to_dot(p: RankedPoset, include_extremes: bool = True) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def dual_face_counts(m: Maniplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(face counts of M, face counts of dual M) for quick sanity checks."""
-    ours = tuple(len(faces(m, i)) for i in range(m.rank))
-    theirs = tuple(len(faces(dual(m), i)) for i in range(m.rank))
-    return ours, theirs

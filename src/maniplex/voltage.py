@@ -87,24 +87,6 @@ def double_cover(m: Maniplex, z: VoltageAssignment) -> DoubleCover:
     return DoubleCover(m, Maniplex(tuple(perms)))
 
 
-def cover_graph(
-    n_vertices: int,
-    edges: list[tuple[int, int]],
-    nontrivial: Iterable[int],
-) -> tuple[int, list[tuple[int, int]]]:
-    """Double cover of a plain (uncoloured) graph; nontrivial picks edge indices.
-
-    Returns (vertex count, edge list) with vertices (v, s) numbered 2v+s.
-    """
-    hot = set(nontrivial)
-    out = []
-    for k, (u, v) in enumerate(edges):
-        flip = 1 if k in hot else 0
-        for s in (0, 1):
-            out.append((2 * u + s, 2 * v + (s ^ flip)))
-    return 2 * n_vertices, out
-
-
 def lift_connected(m: Maniplex, z: VoltageAssignment, flags: Iterable[int], colours: Iterable[int]) -> bool:
     """Is the preimage of a connected colour-closed flag set connected in the cover?
 

@@ -9,6 +9,7 @@ files were computed with these.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 Perms = tuple[tuple[int, ...], ...]
 
@@ -254,3 +255,96 @@ def flag_connectivity_by_sections(faces, less):
         if len(reached) != len(chains):
             return (lower, upper)
     return None
+
+
+class LabelledFlagFunction(NamedTuple):
+    chains: dict[int, tuple[str, ...]]  # flag -> ('-1:0', '0:c0', ..., 'n:0')
+    fibers: dict[tuple[str, ...], tuple[int, ...]]  # chain -> its flags, ascending
+
+
+def flag_function(m) -> LabelledFlagFunction:
+    """Each flag's maximal chain of the face poset as label strings 'i:c'
+    (c the least flag of its i-face, found by `faces_by_bfs`), and the fibers.
+    `m` is anything with a `perms` attribute."""
+    perms = m.perms
+    n, size = len(perms), len(perms[0])
+    labels = [[""] * size for _ in range(n)]
+    for i in range(n):
+        for least, members in faces_by_bfs(perms, i):
+            for f in members:
+                labels[i][f] = f"{i}:{least}"
+    chains = {f: ("-1:0",) + tuple(labels[i][f] for i in range(n)) + (f"{n}:0",) for f in range(size)}
+    fibers: dict[tuple[str, ...], list[int]] = {}
+    for f in range(size):
+        fibers.setdefault(chains[f], []).append(f)
+    return LabelledFlagFunction(chains, {k: tuple(v) for k, v in fibers.items()})
+
+
+def faithfulness_by_labels(m) -> tuple[bool, object]:
+    """(faithful, witness): the witness is the two least flags of the first
+    fiber with more than one flag, fibers taken in label-string order."""
+    table = flag_function(m)
+    for chain in sorted(table.fibers):
+        fiber = table.fibers[chain]
+        if len(fiber) > 1:
+            return False, (fiber[0], fiber[1])
+    return True, None
+
+
+def fiber_pair_by_labels(m, colour: int):
+    """First {flag, flag^colour} inside one fiber, fibers taken in order of
+    their least flag and each fiber in flag order; None when there is none."""
+    row = m.perms[colour]
+    for fiber in flag_function(m).fibers.values():
+        for f in fiber:
+            if row[f] in fiber:
+                return (min(f, row[f]), max(f, row[f]))
+    return None
+
+
+def renumber(perms: Perms, sigma) -> Perms:
+    """The same flag graph with flag f renamed sigma[f]."""
+    inverse = [0] * len(sigma)
+    for f, g in enumerate(sigma):
+        inverse[g] = f
+    return tuple(tuple(sigma[row[inverse[h]]] for h in range(len(sigma))) for row in perms)
+
+
+def dual_face_counts(perms: Perms) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(face counts per rank, face counts per rank with the colours reversed)."""
+    n = len(perms)
+    ours = tuple(len(faces_by_bfs(perms, i)) for i in range(n))
+    theirs = tuple(len(faces_by_bfs(perms[::-1], i)) for i in range(n))
+    return ours, theirs
+
+
+def cover_graph(
+    n_vertices: int,
+    edges: list[tuple[int, int]],
+    nontrivial,
+) -> tuple[int, list[tuple[int, int]]]:
+    """Double cover of a plain (uncoloured) graph; nontrivial picks edge indices.
+
+    Returns (vertex count, edge list) with vertices (v, s) numbered 2v+s.
+    """
+    hot = set(nontrivial)
+    out = []
+    for k, (u, v) in enumerate(edges):
+        flip = 1 if k in hot else 0
+        for s in (0, 1):
+            out.append((2 * u + s, 2 * v + (s ^ flip)))
+    return 2 * n_vertices, out
+
+
+def in_stabilizer(perms: Perms, base: int, word) -> bool:
+    """Does the word (rightmost letter first) fix the base flag?"""
+    f = base
+    for letter in reversed(word):
+        f = perms[letter][f]
+    return f == base
+
+
+def stabilizer_label(word, index: int) -> str:
+    """Double-coset style name W_index . word . N for a face of a quotient."""
+    letters = "".join(f"r{letter}" for letter in word) if word else "e"
+    return f"W{index}·{letters}·N"

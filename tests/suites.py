@@ -14,7 +14,6 @@ from maniplex.core import (
 from maniplex.corpus import torus_44
 from maniplex.coxeter import act, coset_words, reduce_word, verdict
 from maniplex.poset import (
-    flag_function,
     flag_graph_of,
     is_faithful,
     is_polytopal,
@@ -22,6 +21,7 @@ from maniplex.poset import (
     pos_of,
 )
 from maniplex.voltage import VoltageAssignment, canonical_edge, double_cover
+from oracles import flag_function
 
 SEED = 20260825
 

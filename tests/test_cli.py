@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from maniplex import poset
 from maniplex.cli import main
 from maniplex.core import from_json_dict
 from maniplex.voltage import double_cover, voltage_from_json_dict
@@ -168,6 +169,15 @@ def test_counterexample_rank4_matches_bstar(bstar_dir, tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert names == ["certificate-rank4.json", "maniplex-rank4.json"]
     assert filecmp.cmp(out / "maniplex-rank4.json", bstar_dir / "bstar.json", shallow=False)
+    assert filecmp.cmp(out / "certificate-rank4.json", bstar_dir / "certificate.json", shallow=False)
+
+
+def test_counterexample_size_refusal_exits_1(monkeypatch, tmp_path, capsys):
+    # rank 5's facet section has more proper faces than this limit allows
+    monkeypatch.setattr(poset, "ISO_FACE_LIMIT", 10)
+    assert main(["counterexample", "--rank", "5", "-o", str(tmp_path / "ce")]) == 1
+    err = capsys.readouterr().err
+    assert "error: poset too large for brute-force matching (> 10 proper faces)" in err
 
 
 def test_counterexample_rank_too_low(tmp_path):

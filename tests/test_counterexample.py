@@ -166,7 +166,7 @@ def test_bstar_unfaithful_with_sheet_pair(bstar_result):
 
 
 def test_bstar_fibers_are_sheet_pairs(bstar_result):
-    from maniplex.poset import flag_function
+    from oracles import flag_function
 
     table = flag_function(bstar_result.bstar)
     for fiber in table.fibers.values():

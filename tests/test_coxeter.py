@@ -8,14 +8,12 @@ from maniplex.coxeter import (
     SchreierReport,
     act,
     coset_words,
-    in_stabilizer,
     reduce_word,
     schreier_correspondence,
-    stabilizer_label,
     verdict,
     word_str,
 )
-from oracles import shortest_lex_words_brute
+from oracles import in_stabilizer, shortest_lex_words_brute, stabilizer_label
 
 
 def test_act_basics():
@@ -105,9 +103,9 @@ def test_coset_words_requires_connected():
 
 def test_in_stabilizer():
     sq = platonic("square")
-    assert in_stabilizer(sq, 0, ())
-    assert in_stabilizer(sq, 0, (0, 0))
-    assert not in_stabilizer(sq, 0, (0,))
+    assert in_stabilizer(sq.perms, 0, ())
+    assert in_stabilizer(sq.perms, 0, (0, 0))
+    assert not in_stabilizer(sq.perms, 0, (0,))
 
 
 def test_relators_act_trivially_on_quotient(b_maniplex):

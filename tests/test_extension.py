@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from maniplex import core
+from maniplex import core, extension, poset
 from maniplex.certify import FAIL, PASS, SKIP
 from maniplex.core import Face, Maniplex, faces, isomorphic, restrict, validate
 from maniplex.corpus import platonic, torus_44
@@ -182,6 +182,35 @@ def test_verify_extension_labels_each_rank_once(bstar_result, monkeypatch):
     assert calls and max(calls.values()) == 1
     # only the base and the extension are labelled
     assert {id(x) for x in labelled} == {id(m), id(res.extension)}
+
+
+def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):
+    # one polytope report per poset and one flag-function pass per maniplex
+    m = bstar_result.bstar
+    assert not is_faithful(m).faithful
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(poset, name)
+
+        def wrapper(arg):
+            calls[name, arg.rank] += 1
+            return inner(arg)
+
+        for module in (poset, extension):  # also a name imported into extension
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+
+    counting("order_transitivity_witness")
+    counting("flag_function")
+    res = verify_extension(m, faces(m, 3)[0])
+    assert res.ok
+    assert calls == {
+        ("order_transitivity_witness", 4): 1,
+        ("order_transitivity_witness", 5): 1,
+        ("flag_function", 4): 1,
+        ("flag_function", 5): 1,
+    }
 
 
 def test_second_extension_step(bstar_result):

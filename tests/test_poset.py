@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from maniplex import poset
-from maniplex.core import FormatError, faces, isomorphic
+from maniplex.core import FormatError, Maniplex, dual, faces, isomorphic
 from maniplex.corpus import platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
+from maniplex.coxeter import verdict
 from maniplex.extension import extend
 from maniplex.poset import (
     DiamondError,
@@ -11,9 +14,7 @@ from maniplex.poset import (
     RankedPoset,
     boundedness_witness,
     diamond_witness,
-    dual_face_counts,
     flag_connectivity_witness,
-    flag_function,
     flag_graph_of,
     gradedness_witness,
     is_faithful,
@@ -29,7 +30,16 @@ from maniplex.poset import (
     section,
 )
 
-from oracles import chains_by_product, flag_connectivity_by_sections, section_by_filter
+from oracles import (
+    chains_by_product,
+    dual_face_counts,
+    faithfulness_by_labels,
+    fiber_pair_by_labels,
+    flag_connectivity_by_sections,
+    flag_function,
+    renumber,
+    section_by_filter,
+)
 
 # hand-built pathological posets
 NOT_TRANSITIVE = RankedPoset(
@@ -119,6 +129,57 @@ def test_faithfulness():
     assert result.witness is not None
     table = flag_function(torus_44(1, 0))
     assert sorted(table.fibers.values()) == [(0, 3, 4, 7), (1, 2, 5, 6)]
+
+
+def test_flag_function_matches_label_oracle(named_corpus, b_maniplex, bstar_result):
+    for m in [*named_corpus.values(), b_maniplex, bstar_result.bstar]:
+        want = flag_function(m).chains
+        top = f"{m.rank}:0"
+        got = [("-1:0", *(f"{i}:{c}" for i, c in enumerate(chain)), top) for chain in poset.flag_function(m)]
+        assert got == [want[f] for f in range(m.flag_count)]
+
+
+def test_faithfulness_witness_under_renumbering(bstar_result):
+    """is_faithful, verdict and rank3_theorems against the label-string
+    oracle on seeded flag renumberings.
+
+    Flag 0's chain is all ids 0, first in any order, and in B*, torus (1,0)
+    and the rank-5 extension it is shared, so their witnesses start at flag
+    0 whatever the numbering.  A cube beside torus (1,0) (a flag graph with
+    two components) also has singleton fibers, and there the label-string
+    order of chains differs from their numeric order.
+    """
+    bstar = bstar_result.bstar
+    cube, t10 = platonic("cube"), torus_44(1, 0)
+    beside = Maniplex(tuple(a + tuple(f + 48 for f in b) for a, b in zip(cube.perms, t10.perms)))
+    members = [bstar, t10, torus_44(1, 1), extend(bstar, faces(bstar, 3)[0]), beside]
+    rng = random.Random(20261018)
+    string_order_differs = 0
+    for m in members:
+        sparse = verdict(m).sparse
+        for _ in range(4):
+            sigma = list(range(m.flag_count))
+            rng.shuffle(sigma)
+            moved = Maniplex(renumber(m.perms, sigma))
+            faithful, witness = faithfulness_by_labels(moved)
+            assert tuple(is_faithful(moved)) == (faithful, witness)
+            v = verdict(moved)
+            assert v.sparse == sparse
+            assert v.semisparse == (sparse and faithful)
+            if sparse:
+                assert v.witness == witness
+            if m.rank == 3:
+                (entry,) = rank3_theorems([moved]).entries
+                assert entry.faithful == faithful
+                if not faithful:
+                    assert entry.pair0 == fiber_pair_by_labels(moved, 0)
+                    assert entry.pair2 == fiber_pair_by_labels(moved, 2)
+            if not faithful:
+                table = flag_function(moved)
+                shared = [fiber for fiber in table.fibers.values() if len(fiber) > 1]
+                numeric = min(shared, key=lambda fb: [int(x.split(":")[1]) for x in table.chains[fb[0]]])
+                string_order_differs += numeric[:2] != witness
+    assert string_order_differs > 0
 
 
 def test_maximal_chains_against_product_oracle():
@@ -217,6 +278,8 @@ def test_poset_isomorphism_size_guard():
     assert p.proper_face_count > ISO_FACE_LIMIT
     with pytest.raises(ValueError):
         poset_isomorphism(p, p)
+    with pytest.raises(poset.PosetTooLarge):
+        poset_isomorphism(p, p)
 
 
 def test_rank3_theorems(named_corpus):
@@ -261,6 +324,7 @@ def test_poset_dot():
 
 
 def test_dual_face_counts(b_maniplex):
-    ours, theirs = dual_face_counts(b_maniplex)
+    ours, theirs = dual_face_counts(b_maniplex.perms)
     assert ours == (4, 6, 6, 4)
     assert theirs == tuple(reversed(ours))
+    assert theirs == tuple(len(faces(dual(b_maniplex), i)) for i in range(4))
