@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,11 +49,24 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write(path: Path | str, text: str) -> None:
+    """Write `text` to `<path>.tmp`, then rename it over `path`: an
+    interrupted write leaves no torn file under the final name."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
 
 
 def _outdir(path: str) -> Path:
@@ -164,9 +178,9 @@ def _bstar_certificate(result: BStarResult, digest: str) -> str:
 def _write_bstar(out: Path, result: BStarResult, maniplex_name: str, certificate_name: str) -> int:
     """Write B* and its certificate; rc 1, reported, when certification failed."""
     bstar_text = maniplex_to_json(result.bstar)
-    (out / maniplex_name).write_text(bstar_text, encoding="utf-8")
+    _write(out / maniplex_name, bstar_text)
     cert = _bstar_certificate(result, _sha256(bstar_text.encode("utf-8")))
-    (out / certificate_name).write_text(cert, encoding="utf-8")
+    _write(out / certificate_name, cert)
     if not result.ok:
         print(f"error: certification failed at {_first_failure(result.checks)}", file=sys.stderr)
         return 1
@@ -177,10 +191,10 @@ def cmd_build_bstar(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     result = build_B_star()
     b_text = maniplex_to_json(result.b)
-    (out / "b.json").write_text(b_text, encoding="utf-8")
-    (out / "voltage-theta.json").write_text(
+    _write(out / "b.json", b_text)
+    _write(
+        out / "voltage-theta.json",
         _voltage_doc(_sha256(b_text.encode("utf-8")), result.theta.flags, result.e_theta.edges),
-        encoding="utf-8",
     )
     return _write_bstar(out, result, "bstar.json", "certificate.json")
 
@@ -197,7 +211,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         facet = faces(m, m.rank - 1)[0]
         res = verify_extension(m, facet)
         text = maniplex_to_json(res.extension)
-        (out / f"maniplex-rank{rank}.json").write_text(text, encoding="utf-8")
+        _write(out / f"maniplex-rank{rank}.json", text)
         cert = _certificate(
             _sha256(text.encode("utf-8")),
             res.checks,
@@ -205,7 +219,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             flags=res.extension.flag_count,
             faithful=_check_detail(res.checks, "extension-faithful-observed"),
         )
-        (out / f"certificate-rank{rank}.json").write_text(cert, encoding="utf-8")
+        _write(out / f"certificate-rank{rank}.json", cert)
         if not res.ok:
             print(
                 f"error: certification failed at rank {rank}: {_first_failure(res.checks)}",
@@ -254,8 +268,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if out is None:
         sys.stdout.write(cert)
     else:
-        (out / "extension.json").write_text(text, encoding="utf-8")
-        (out / "certificate.json").write_text(cert, encoding="utf-8")
+        _write(out / "extension.json", text)
+        _write(out / "certificate.json", cert)
     if not res.ok:
         print(f"error: certification failed at {_first_failure(res.checks)}", file=sys.stderr)
         return 1

@@ -1,11 +1,28 @@
-"""HLT-style Todd-Coxeter coset enumeration for involutory presentations.
+"""Todd-Coxeter coset enumeration for involutory presentations.
 
-Generators are their own inverses here (every presentation we feed in
-contains the relator (i, i)), which lets the table track a single arrow
-per generator.  Equalities discovered while tracing relators are merged
-through a union-find over coset labels; the scan order is fixed, so for a
-given presentation the enumeration is deterministic.  Enumeration either
-completes below the coset cap or fails loudly - no partial tables.
+Every generator is its own inverse: `Presentation` refuses a generator
+without its relator (i, i).  So the table keeps one arrow per generator and
+sets it both ways: defining c = x.d also records c.d = x.
+
+The enumeration is Hasselgrove-Leech-Trotter with deductions (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 5.1-5.2).  The
+subgroup words are scanned from coset 0, then every relator from each live
+coset in label order.  A scan runs forward and backward; it allocates a
+coset only while the gap between the two ends is longer than one letter.
+A one-letter gap is closed by a deduction.  Two ends that meet on
+different cosets start a coincidence, merged through a union-find in which
+the smaller label survives.  Enumeration either completes below the coset
+cap or fails loudly - no partial tables.
+
+The finished table is renumbered in relator-trace order: coset 0, then each
+coset the first time it is reached by tracing the subgroup words from 0 and
+then every relator, in presentation order, from each numbered coset in
+turn.  A scan that allocates a coset at every undefined step, with no
+deductions, numbers its cosets in exactly this order: it first reaches each
+class of equal cosets at that point of the same walk, and a label that is
+later merged away only revisits classes reached before.  So the numbering,
+and every table built here, does not depend on how the enumeration went;
+the tests compare it with such a scan.
 """
 
 from __future__ import annotations
@@ -55,6 +72,10 @@ class Presentation:
             for letter in word:
                 if not 0 <= letter < self.ngens:
                     raise ValueError(f"relator letter {letter} out of range")
+        involutions = {w[0] for w in self.relators if w == (w[0], w[0])}
+        for d in range(self.ngens):
+            if d not in involutions:
+                raise ValueError(f"generator {d} lacks its involution relator ({d}, {d})")
 
     def extended(self, *extra: Sequence[int]) -> "Presentation":
         return Presentation(self.ngens, self.relators + tuple(tuple(w) for w in extra))
@@ -100,75 +121,105 @@ def coset_enumerate(
     """
     if cap is None:
         cap = default_cap()
-    ngens = pres.ngens
-    labels: list[int] = []
-    neighbors: list[list[int]] = []
+    rows: list[list[int]] = [[] for _ in range(pres.ngens)]  # rows[d][c] = c.d
+    parent: list[int] = []
 
     def add_vertex() -> int:
-        if len(labels) >= cap:
+        if len(parent) >= cap:
             raise CosetCapExceeded(f"allocated more than {cap} cosets")
-        c = len(labels)
-        labels.append(c)
-        neighbors.append([SENTINEL] * ngens)
+        c = len(parent)
+        parent.append(c)
+        for row in rows:
+            row.append(SENTINEL)
         return c
 
     def find(c: int) -> int:
         root = c
-        while labels[root] != root:
-            root = labels[root]
-        while labels[c] != root:
-            labels[c], c = root, labels[c]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
         return root
 
-    def follow(c: int, d: int) -> int:
-        c = find(c)
-        if neighbors[c][d] == SENTINEL:
-            neighbors[c][d] = add_vertex()
-        return find(neighbors[c][d])
-
-    def trace(c: int, word: Sequence[int]) -> int:
-        for d in word:
-            c = follow(c, d)
-        return c
-
     def unify(a: int, b: int) -> None:
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
+        """Process the coincidence a = b and every one it implies."""
+        dead: list[int] = []
+
+        def merge(a: int, b: int) -> None:
             a, b = find(a), find(b)
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            labels[b] = a
-            for d in range(ngens):
-                nb = neighbors[b][d]
-                if nb != SENTINEL:
-                    na = neighbors[a][d]
-                    if na == SENTINEL:
-                        neighbors[a][d] = nb
-                    else:
-                        stack.append((na, nb))
+            if a != b:
+                if b < a:
+                    a, b = b, a
+                parent[b] = a
+                dead.append(b)
 
-    start = add_vertex()
+        merge(a, b)
+        for gone in dead:  # grows while it is walked
+            for row in rows:
+                x = row[gone]
+                if x == SENTINEL:
+                    continue
+                row[x] = SENTINEL
+                mu, nu = find(gone), find(x)
+                if row[mu] != SENTINEL:
+                    merge(nu, row[mu])
+                elif row[nu] != SENTINEL:
+                    merge(mu, row[nu])
+                else:
+                    row[mu], row[nu] = nu, mu
+
+    def scan_and_fill(alpha: int, word: Sequence[int]) -> None:
+        f, i, b, j = alpha, 0, alpha, len(word) - 1
+        while True:
+            while i <= j and rows[word[i]][f] != SENTINEL:
+                f = rows[word[i]][f]
+                i += 1
+            if i > j:
+                if f != b:
+                    unify(f, b)
+                return
+            while j > i and rows[word[j]][b] != SENTINEL:
+                b = rows[word[j]][b]
+                j -= 1
+            row = rows[word[i]]
+            if j == i:  # one letter left: deduce it, both arrows
+                if row[b] == SENTINEL:
+                    row[f], row[b] = b, f
+                else:
+                    unify(f, row[b])
+                return
+            c = add_vertex()
+            row[f], row[c] = c, f
+
+    add_vertex()
     for word in subgroup_gens:
-        unify(trace(start, tuple(word)), start)
-    scan = 0
-    while scan < len(labels):
-        if find(scan) == scan:
-            for rel in pres.relators:
-                unify(trace(scan, rel), scan)
-        scan += 1
+        scan_and_fill(0, word)
+    alpha = 0
+    while alpha < len(parent):
+        for rel in pres.relators:
+            if parent[alpha] != alpha:
+                break
+            scan_and_fill(alpha, rel)
+        alpha += 1
 
-    live = [c for c in range(len(labels)) if find(c) == c]
-    index = {c: k for k, c in enumerate(live)}
-    perms = []
-    for d in range(ngens):
-        row = []
-        for c in live:
-            target = neighbors[c][d]
-            if target == SENTINEL:  # impossible once (d, d) is a relator
-                raise RuntimeError(f"generator {d} undefined on coset {index[c]}")
-            row.append(index[find(target)])
-        perms.append(tuple(row))
-    return CosetTable(tuple(perms))
+    # renumber in relator-trace order (see the module docstring)
+    live = sum(1 for c, p in enumerate(parent) if c == p)
+    number = [SENTINEL] * len(parent)
+    number[0] = 0
+    order = [0]
+
+    def visit(c: int, word: Sequence[int]) -> None:
+        for d in word:
+            c = rows[d][c]
+            if number[c] == SENTINEL:
+                number[c] = len(order)
+                order.append(c)
+
+    for word in subgroup_gens:
+        visit(0, word)
+    k = 0
+    while len(order) < live:
+        for rel in pres.relators:
+            visit(order[k], rel)
+        k += 1
+    return CosetTable(tuple(tuple(number[row[c]] for c in order) for row in rows))

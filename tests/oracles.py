@@ -348,3 +348,60 @@ def stabilizer_label(word, index: int) -> str:
     """Double-coset style name W_index . word . N for a face of a quotient."""
     letters = "".join(f"r{letter}" for letter in word) if word else "e"
     return f"W{index}·{letters}·N"
+
+
+def coset_enumerate_hlt(pres, subgroup_gens=()) -> Perms:
+    """Plain HLT coset enumeration: one forward trace per relator that
+    allocates a coset at every undefined step, sets one arrow per definition
+    and merges the two ends; cosets keep their allocation order."""
+    ngens = pres.ngens
+    labels: list[int] = []
+    neighbors: list[list[int]] = []
+
+    def add_vertex() -> int:
+        labels.append(len(labels))
+        neighbors.append([-1] * ngens)
+        return labels[-1]
+
+    def find(c: int) -> int:
+        while labels[c] != c:
+            labels[c] = labels[labels[c]]
+            c = labels[c]
+        return c
+
+    def trace(c: int, word) -> int:
+        for d in word:
+            c = find(c)
+            if neighbors[c][d] == -1:
+                neighbors[c][d] = add_vertex()
+            c = find(neighbors[c][d])
+        return c
+
+    def unify(a: int, b: int) -> None:
+        stack = [(a, b)]
+        while stack:
+            a, b = map(find, stack.pop())
+            if a == b:
+                continue
+            a, b = min(a, b), max(a, b)
+            labels[b] = a
+            for d in range(ngens):
+                nb = neighbors[b][d]
+                if nb != -1:
+                    if neighbors[a][d] == -1:
+                        neighbors[a][d] = nb
+                    else:
+                        stack.append((neighbors[a][d], nb))
+
+    add_vertex()
+    for word in subgroup_gens:
+        unify(trace(0, word), 0)
+    scan = 0
+    while scan < len(labels):
+        if find(scan) == scan:
+            for rel in pres.relators:
+                unify(trace(scan, rel), scan)
+        scan += 1
+    live = [c for c in range(len(labels)) if find(c) == c]
+    index = {c: k for k, c in enumerate(live)}
+    return tuple(tuple(index[find(neighbors[c][d])] for c in live) for d in range(ngens))

@@ -1,4 +1,4 @@
-"""End-to-end acceptance run: eight timed criteria, one printed line each.
+"""End-to-end acceptance run: nine timed criteria, one printed line each.
 
 Run with output visible:  pytest -s tests/test_acceptance.py -v
 """
@@ -22,6 +22,7 @@ from maniplex.core import (
     validate,
 )
 from maniplex.corpus import platonic, torus_44
+from maniplex.cosets import DEFAULT_CAP, coset_enumerate, string_coxeter
 from maniplex.counterexample import (
     build_B,
     build_B_star,
@@ -241,3 +242,17 @@ def test_criterion_7_rank7_fully_certified():
 def test_criterion_8_torus_census():
     with criterion(8, "torus census validated, classified and counted", 10):
         assert suites.suite_torus_census(suites.TORUS_POOL) == 57
+
+
+def test_criterion_9_rank5_regular_polytopes():
+    expected = {
+        (3, 3, 3, 3): (720, (6, 15, 20, 15, 6)),
+        (4, 3, 3, 3): (3840, (32, 80, 80, 40, 10)),
+        (3, 3, 3, 4): (3840, (10, 40, 80, 80, 32)),
+    }
+    with criterion(9, "rank-5 regular polytopes from Todd-Coxeter at the default cap", 10):
+        for symbol, (flags, vector) in expected.items():
+            m = coset_enumerate(string_coxeter(symbol), cap=DEFAULT_CAP).to_maniplex()
+            assert validate(m).ok, symbol
+            assert m.flag_count == flags, symbol
+            assert tuple(len(faces(m, i)) for i in range(m.rank)) == vector, symbol

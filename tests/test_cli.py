@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from maniplex import poset
+from maniplex import cli, poset
 from maniplex.cli import main
 from maniplex.core import from_json_dict
 from maniplex.voltage import double_cover, voltage_from_json_dict
@@ -55,6 +55,21 @@ def test_gen_writes_to_stdout_by_default(capsys):
     doc = json.loads(captured.out)
     assert doc["flags"] == 8
     assert "[time] gen:" in captured.err
+
+
+def test_interrupted_write_leaves_no_torn_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    fresh = tmp_path / "fresh.json"
+    assert main(["gen", "platonic", "--name", "cube", "-o", str(fresh)]) == 2
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier", encoding="utf-8")
+    assert main(["gen", "platonic", "--name", "cube", "-o", str(kept)]) == 2
+    assert kept.read_text(encoding="utf-8") == "earlier"
+    assert main(["build-bstar", "-o", str(tmp_path / "bstar")]) == 2
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bstar", "kept.json"]
 
 
 def test_check_ok_document(tmp_path):

@@ -1,7 +1,8 @@
 import pytest
 
-from maniplex.core import isomorphic, validate
+from maniplex.core import dual, faces, isomorphic, validate
 from maniplex.corpus import platonic
+from maniplex.counterexample import B_PRESENTATION
 from maniplex.cosets import (
     CAP_ENV_VAR,
     CosetCapExceeded,
@@ -10,6 +11,9 @@ from maniplex.cosets import (
     default_cap,
     string_coxeter,
 )
+from oracles import coset_enumerate_hlt
+
+PETRIE_CUBE = (0, 1, 2) * 3
 
 
 def test_presentation_validation():
@@ -21,6 +25,15 @@ def test_presentation_validation():
         Presentation(0, ())
     pres = Presentation(2, ((0, 0), (1, 1)))
     assert pres.extended((0, 1, 0, 1)).relators[-1] == (0, 1, 0, 1)
+
+
+def test_presentation_requires_involution_relators():
+    # the table sets both arrows of every definition, so a generator
+    # without (d, d) would silently get d^2 = 1
+    with pytest.raises(ValueError, match=r"generator 1 lacks its involution relator \(1, 1\)"):
+        Presentation(2, ((0, 0), (0, 1) * 3))
+    with pytest.raises(ValueError):
+        Presentation(3, ((0, 0), (1, 1), (2, 2, 2)))
 
 
 def test_string_coxeter_shape():
@@ -83,3 +96,33 @@ def test_enumeration_is_deterministic():
     first = coset_enumerate(string_coxeter([4, 3]))
     second = coset_enumerate(string_coxeter([4, 3]))
     assert first.perms == second.perms
+
+
+def test_coset_enumerate_matches_hlt_oracle():
+    symbols = (
+        [3], [4], [4, 3], [3, 4], [3, 3], [3, 5], [5, 3], [3, 3, 3], [4, 3, 3], [3, 4, 3],
+        [3, 3, 3, 3], [4, 3, 3, 3], [3, 3, 3, 4], [3, 3, 3, 3, 3],
+    )
+    cases = [(string_coxeter(s), ()) for s in symbols]
+    cases += [
+        (string_coxeter([4, 3]).extended(PETRIE_CUBE), ()),
+        (string_coxeter([3, 4]).extended(PETRIE_CUBE), ()),
+        (B_PRESENTATION, ()),
+        (string_coxeter([4, 3]), ((0,),)),
+        (string_coxeter([4, 3]), ((1,), (2,))),
+        (string_coxeter([4, 3]), ((0,), (1,))),
+        (string_coxeter([3, 4, 3]), ((0, 1, 0), (2,))),
+        # a rotation word: tracing it numbers cosets before any relator does
+        (string_coxeter([4, 3]), ((1, 2),)),
+    ]
+    for pres, subgroup in cases:
+        assert coset_enumerate(pres, subgroup).perms == coset_enumerate_hlt(pres, subgroup), (pres, subgroup)
+
+
+def test_rank5_cube_and_orthoplex_fit_a_small_cap():
+    # 3 840 cosets each; a scan without deductions allocates ~118 000
+    cube = coset_enumerate(string_coxeter([4, 3, 3, 3]), cap=6000).to_maniplex()
+    orthoplex = coset_enumerate(string_coxeter([3, 3, 3, 4]), cap=6000).to_maniplex()
+    assert tuple(len(faces(cube, i)) for i in range(5)) == (32, 80, 80, 40, 10)
+    assert tuple(len(faces(orthoplex, i)) for i in range(5)) == (10, 40, 80, 80, 32)
+    assert isomorphic(cube, dual(orthoplex)) is not None
