@@ -30,11 +30,15 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Maniplex:
-    """Plain container for the edge-colouring permutations, plus a face table
-    cache (`face_table`) kept out of equality, hashing and repr."""
+    """Plain container for the edge-colouring permutations, plus a cache kept
+    out of equality, hashing and repr: the face table of rank i under key i
+    (`face_table`) and the faithfulness result under "faithful"
+    (`poset.is_faithful`)."""
 
     perms: tuple[tuple[int, ...], ...]
-    _faces: dict[int, "FaceTable"] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict[int | str, "FaceTable | FaithfulnessResult"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perms", tuple(tuple(row) for row in self.perms))
@@ -200,7 +204,7 @@ def face_table(m: Maniplex, i: int) -> FaceTable:
     flag's face id, computed once per maniplex and rank."""
     if not 0 <= i < m.rank:
         raise ValueError(f"face rank {i} out of range for rank {m.rank}")
-    table = m._faces.get(i)
+    table = m._cache.get(i)
     if table is None:
         cols = [c for c in range(m.rank) if c != i]
         found = tuple(Face(i, c.canonical, c.flags) for c in components(m, cols))
@@ -208,7 +212,7 @@ def face_table(m: Maniplex, i: int) -> FaceTable:
         for face in found:
             for f in face.flags:
                 ids[f] = face.canonical
-        table = m._faces[i] = FaceTable(tuple(ids), found)
+        table = m._cache[i] = FaceTable(tuple(ids), found)
     return table
 
 

@@ -6,7 +6,8 @@ their flag sets intersect.  A least face (rank -1) and greatest face
 (rank n) are adjoined.  `is_polytope` checks, in order: the incidence
 relation is actually a partial order (transitive), boundedness, gradedness
 (every maximal chain has one face per rank), the diamond condition, and
-strong flag connectivity via sections.
+strong flag connectivity, decided as connectivity of every section's
+proper faces under incidence (see `flag_connectivity_witness`).
 """
 
 from __future__ import annotations
@@ -119,14 +120,20 @@ class FaithfulnessResult(NamedTuple):
 
 def is_faithful(m: Maniplex) -> FaithfulnessResult:
     """The witness is the two least flags of the first shared chain, with
-    chains ordered by their 'i:c' labels, that is by the ids as strings."""
-    fibers: dict[tuple[int, ...], list[int]] = defaultdict(list)
-    for f, chain in enumerate(flag_function(m)):
-        fibers[chain].append(f)
-    if len(fibers) == m.flag_count:
-        return FaithfulnessResult(True, None)
-    chain = min((c for c, fiber in fibers.items() if len(fiber) > 1), key=lambda c: tuple(map(str, c)))
-    return FaithfulnessResult(False, tuple(fibers[chain][:2]))
+    chains ordered by their 'i:c' labels, that is by the ids as strings.
+    Computed once per maniplex and kept in its cache."""
+    result = m._cache.get("faithful")
+    if result is None:
+        fibers: dict[tuple[int, ...], list[int]] = defaultdict(list)
+        for f, chain in enumerate(flag_function(m)):
+            fibers[chain].append(f)
+        if len(fibers) == m.flag_count:
+            result = FaithfulnessResult(True, None)
+        else:
+            chain = min((c for c, fiber in fibers.items() if len(fiber) > 1), key=lambda c: tuple(map(str, c)))
+            result = FaithfulnessResult(False, tuple(fibers[chain][:2]))
+        m._cache["faithful"] = result
+    return result
 
 
 # ---------- polytope axioms ----------
@@ -187,8 +194,7 @@ def diamond_witness(p: RankedPoset) -> Optional[tuple[str, str, tuple[str, ...]]
 def maximal_chains(p: RankedPoset) -> list[tuple[str, ...]]:
     """All maximal chains, as cover paths from the least to the greatest face.
 
-    Assumes a transitive, bounded order (is_polytope verifies both before
-    relying on this).
+    Assumes a transitive, bounded order.
     """
     if len(p.level(-1)) != 1 or len(p.level(p.rank)) != 1:
         raise ValueError("maximal_chains needs unique least and greatest faces")
@@ -211,38 +217,6 @@ def maximal_chains(p: RankedPoset) -> list[tuple[str, ...]]:
     return sorted(out)
 
 
-def _chains_connected(chains: list[tuple[str, ...]]) -> bool:
-    """Connectivity under 'differ in exactly one face' adjacency.
-
-    Chains are grouped by the tuple obtained by blanking one position;
-    each group is a clique of mutually adjacent chains.
-    """
-    count = len(chains)
-    if count <= 1:
-        return True
-    parent = list(range(count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    length = len(chains[0])
-    for pos in range(1, length - 1):
-        groups: dict[tuple, int] = {}
-        for idx, chain in enumerate(chains):
-            key = chain[:pos] + chain[pos + 1:]
-            if key in groups:
-                ra, rb = find(groups[key]), find(idx)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                groups[key] = idx
-    root = find(0)
-    return all(find(i) == root for i in range(count))
-
-
 def section(p: RankedPoset, lower: str, upper: str) -> RankedPoset:
     """The section upper/lower, re-ranked so lower sits at rank -1."""
     if lower not in p.rank_of or upper not in p.rank_of:
@@ -260,41 +234,48 @@ def section(p: RankedPoset, lower: str, upper: str) -> RankedPoset:
 
 
 def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
-    """First section (including the whole poset) whose chain graph is disconnected.
+    """First section, as its (lower, upper) pair, whose proper faces are not
+    connected under incidence; None when there is none.
 
-    Assumes transitivity, boundedness and gradedness already verified.
-    Under those, every maximal chain of a section is a cover path of the
-    parent from its least to its greatest face, all of one length, so the
-    paths are walked in place and no section poset is built.  Sections of
-    rank at most 1 (upper two ranks or less above lower) are skipped:
-    their maximal chains differ in at most one face.
+    McMullen-Schulte, Abstract Regular Polytopes (2002), Proposition 2A1: a
+    poset with least and greatest faces whose maximal chains all have
+    rank + 2 faces (P1, P2) is strongly flag-connected iff it is strongly
+    connected, i.e. every section of rank >= 2, itself included, has its
+    proper faces connected under incidence.  So this assumes transitivity,
+    boundedness and gradedness already verified.  Pairs go in (rank of
+    lower, pair) order, three or more ranks apart (a section of rank <= 1 is
+    connected by definition).  The named section's chain graph is
+    disconnected too, but a search over chain graphs may stop at an earlier
+    pair whose proper faces are connected while a subsection's are not.
     """
-    cover_up: dict[str, list[str]] = defaultdict(list)
-    for a, b in p.covers:
-        cover_up[a].append(b)
-    rank_of = p.rank_of
+    rank_of, up, down = p.rank_of, p.up, p.down
     pairs = sorted(
         (ab for ab in p.less if rank_of[ab[1]] - rank_of[ab[0]] > 2),
         key=lambda ab: (rank_of[ab[0]], ab),
     )
     for lower, upper in pairs:
-        below = p.down[upper]
-        chains: list[tuple[str, ...]] = []
-        stack: list[tuple[str, ...]] = [(lower,)]
+        inside = up[lower] & down[upper]
+        start = next(iter(inside))
+        reached, stack = {start}, [start]
         while stack:
-            chain = stack.pop()
-            for b in cover_up[chain[-1]]:
-                if b == upper:
-                    chains.append(chain + (b,))
-                elif b in below:
-                    stack.append(chain + (b,))
-        if not _chains_connected(chains):
+            x = stack.pop()
+            new = ((up[x] | down[x]) & inside) - reached
+            reached |= new
+            stack.extend(new)
+        if len(reached) != len(inside):
             return (lower, upper)
     return None
 
 
 def is_polytope(p: RankedPoset) -> PolytopeReport:
-    """Abstract-polytope test with first-failure reporting."""
+    """Abstract-polytope test with first-failure reporting.
+
+    Each axiom relies on those checked before it.  Strong flag connectivity
+    is decided by McMullen-Schulte's Proposition 2A1, whose precondition
+    (bounded, every maximal chain of full length) the earlier checks
+    establish; its witness is the first (lower, upper) section whose proper
+    faces are disconnected under incidence (`flag_connectivity_witness`).
+    """
     bad = order_transitivity_witness(p)
     if bad is not None:
         return PolytopeReport(False, None, bad, "order-not-transitive")

@@ -213,46 +213,65 @@ def automorphism_count_by_propagation(perms: Perms) -> int:
     return count
 
 
-def flag_connectivity_by_sections(faces, less):
-    """First comparable pair, in (rank of lower, pair) order, whose section's
-    maximal chains are not all of one length or are not connected under
-    'differ in exactly one face'; None when every section passes.
+def section_chains_connected(faces, less, lower: str, upper: str) -> bool:
+    """Are the maximal chains of the section upper/lower all of one length
+    and connected under 'differ in exactly one face'?
 
-    Each section is filtered out of the whole order (`section_by_filter`),
-    its covers found by testing every middle element, and its chains walked
-    from the bottom.
+    The section is filtered out of the whole order (`section_by_filter`),
+    its covers are the pairs with nothing strictly between, and its chains
+    are walked from the bottom.
     """
+    levels, sec_less = section_by_filter(faces, less, lower, upper)
+    keep = [x for level in levels for x in level]
+    above: dict[str, set[str]] = {x: set() for x in keep}
+    below: dict[str, set[str]] = {x: set() for x in keep}
+    for a, b in sec_less:
+        above[a].add(b)
+        below[b].add(a)
+    up: dict[str, list[str]] = {x: [] for x in keep}
+    for a, b in sec_less:
+        if not above[a] & below[b]:  # nothing strictly between: a cover
+            up[a].append(b)
+    chains, stack = [], [(lower,)]
+    while stack:
+        chain = stack.pop()
+        if up[chain[-1]]:
+            stack.extend(chain + (b,) for b in up[chain[-1]])
+        else:
+            chains.append(chain)
+    if len({len(c) for c in chains}) > 1:
+        return False
+    by_blank: dict[tuple, list[int]] = {}
+    for k, chain in enumerate(chains):
+        for pos in range(1, len(chain) - 1):
+            by_blank.setdefault((pos, chain[:pos] + chain[pos + 1:]), []).append(k)
+    reached, stack2 = {0}, [0]
+    while stack2:
+        k = stack2.pop()
+        chain = chains[k]
+        for pos in range(1, len(chain) - 1):
+            for j in by_blank[(pos, chain[:pos] + chain[pos + 1:])]:
+                if j not in reached:
+                    reached.add(j)
+                    stack2.append(j)
+    return len(reached) == len(chains)
+
+
+def flag_connectivity_by_sections(faces, less):
+    """First comparable pair, in (rank of lower, pair) order, whose section
+    fails `section_chains_connected`; None when every section passes.
+
+    Pairs with the same lower end are consecutive, and their sections are
+    filtered out of the order pairs at or above that end only."""
     rank_of = {x: k for k, level in enumerate(faces) for x in level}
+    succ: dict[str, set[str]] = {x: set() for x in rank_of}
+    for a, b in less:
+        succ[a].add(b)
+    last, above = None, frozenset()
     for lower, upper in sorted(less, key=lambda ab: (rank_of[ab[0]], ab)):
-        levels, sec_less = section_by_filter(faces, less, lower, upper)
-        keep = [x for level in levels for x in level]
-        up: dict[str, list[str]] = {x: [] for x in keep}
-        for a, b in sec_less:
-            if not any((a, c) in sec_less and (c, b) in sec_less for c in keep):
-                up[a].append(b)
-        chains, stack = [], [(lower,)]
-        while stack:
-            chain = stack.pop()
-            if up[chain[-1]]:
-                stack.extend(chain + (b,) for b in up[chain[-1]])
-            else:
-                chains.append(chain)
-        if len({len(c) for c in chains}) > 1:
-            return (lower, upper)
-        by_blank: dict[tuple, list[int]] = {}
-        for k, chain in enumerate(chains):
-            for pos in range(1, len(chain) - 1):
-                by_blank.setdefault((pos, chain[:pos] + chain[pos + 1:]), []).append(k)
-        reached, stack2 = {0}, [0]
-        while stack2:
-            k = stack2.pop()
-            chain = chains[k]
-            for pos in range(1, len(chain) - 1):
-                for j in by_blank[(pos, chain[:pos] + chain[pos + 1:])]:
-                    if j not in reached:
-                        reached.add(j)
-                        stack2.append(j)
-        if len(reached) != len(chains):
+        if lower != last:
+            last, above = lower, frozenset((a, b) for a in succ[lower] | {lower} for b in succ[a])
+        if not section_chains_connected(faces, above, lower, upper):
             return (lower, upper)
     return None
 

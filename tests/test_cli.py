@@ -1,6 +1,8 @@
 import filecmp
 import hashlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -193,6 +195,23 @@ def test_counterexample_size_refusal_exits_1(monkeypatch, tmp_path, capsys):
     assert main(["counterexample", "--rank", "5", "-o", str(tmp_path / "ce")]) == 1
     err = capsys.readouterr().err
     assert "error: poset too large for brute-force matching (> 10 proper faces)" in err
+
+
+def test_counterexample_one_flag_function_pass_per_maniplex(tmp_path, monkeypatch):
+    # B once; B* twice (faithfulness, then the sheet-pair check), its later
+    # faithfulness reads (verdict, the rank-5 step) memoised; each extension once
+    inner = poset.flag_function
+    calls = Counter()
+
+    def counting(m):
+        calls[m.rank, m.flag_count] += 1
+        return inner(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("maniplex") and getattr(module, "flag_function", None) is inner:
+            monkeypatch.setattr(module, "flag_function", counting)
+    assert main(["counterexample", "--rank", "6", "-o", str(tmp_path / "ce")]) == 0
+    assert calls == {(4, 96): 1, (4, 192): 2, (5, 768): 1, (6, 3072): 1}
 
 
 def test_counterexample_rank_too_low(tmp_path):

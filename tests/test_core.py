@@ -28,6 +28,7 @@ from maniplex.core import (
 )
 from maniplex.corpus import platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
+from maniplex.poset import is_faithful
 
 from oracles import (
     automorphism_count_by_propagation,
@@ -139,7 +140,9 @@ def test_face_table_matches_bfs_oracle(named_corpus, b_maniplex, bstar_result):
                 assert all(face.rank == i for face in faces(mm, i))
                 assert face_map(mm, i) == want_map, (name, i)
             assert face_table(fresh, i) is face_table(fresh, i)
-        # the cache stays out of equality, hashing, repr and JSON
+        assert is_faithful(fresh) is is_faithful(fresh)
+        # the cache, face tables and faithfulness memo alike, stays out of
+        # equality, hashing, repr and JSON
         assert fresh == Maniplex(m.perms) and hash(fresh) == hash(Maniplex(m.perms))
         assert repr(fresh) == repr(Maniplex(m.perms))
         assert to_json_dict(fresh) == to_json_dict(Maniplex(m.perms))

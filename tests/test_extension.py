@@ -185,9 +185,10 @@ def test_verify_extension_labels_each_rank_once(bstar_result, monkeypatch):
 
 
 def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):
-    # one polytope report per poset and one flag-function pass per maniplex
-    m = bstar_result.bstar
-    assert not is_faithful(m).faithful
+    # one polytope report per poset and one flag-function pass per maniplex;
+    # the fixture's B* already holds its faithfulness result, so use a fresh copy
+    assert not is_faithful(bstar_result.bstar).faithful
+    m = Maniplex(bstar_result.bstar.perms)
     calls = Counter()
 
     def counting(name):

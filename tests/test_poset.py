@@ -39,6 +39,7 @@ from oracles import (
     flag_function,
     renumber,
     section_by_filter,
+    section_chains_connected,
 )
 
 # hand-built pathological posets
@@ -227,18 +228,69 @@ def test_flag_connectivity_of_polytopes():
     assert flag_connectivity_witness(pos_of(platonic("hemicube"))) is None
 
 
+def pyramid(p: RankedPoset, mark: str) -> RankedPoset:
+    """The pyramid over p: p's faces plus each face joined to a new apex,
+    labelled with `mark` appended; p's greatest face is the base facet."""
+    apex = {x: x + mark for x in p.rank_of}
+    levels = [p.level(-1)]
+    levels += [p.level(r) + tuple(apex[x] for x in p.level(r - 1)) for r in range(p.rank + 1)]
+    levels.append((apex[p.level(p.rank)[0]],))
+    less = {*p.less, *((apex[a], apex[b]) for a, b in p.less), *((a, apex[b]) for a, b in p.less)}
+    less |= {(a, apex[a]) for a in p.rank_of}
+    return RankedPoset(p.rank + 1, tuple(levels), less)
+
+
+def dual_poset(p: RankedPoset) -> RankedPoset:
+    return RankedPoset(p.rank, tuple(reversed(p.faces)), {(b, a) for a, b in p.less})
+
+
+def connectivity_against_oracle(p: RankedPoset):
+    """The oracle's first failing section; is_polytope must fail on strong
+    flag connectivity exactly when there is one, naming a section whose
+    chain graph the oracle finds disconnected."""
+    want = flag_connectivity_by_sections(p.faces, p.less)
+    report = is_polytope(p)
+    assert (report.failed == "strong-flag-connectivity") == (want is not None), (report, want)
+    if want is not None:
+        assert not section_chains_connected(p.faces, p.less, *report.witness)
+    return want
+
+
 def test_flag_connectivity_matches_section_oracle(
     named_corpus, b_maniplex, bstar_result, simplex5, two_squares
 ):
     members = [*named_corpus.values(), b_maniplex, bstar_result.bstar, simplex5, two_squares]
+    members += [torus_44(b, c) for b in range(7) for c in range(7) if b or c]
     m = bstar_result.bstar
     for _ in (5, 6):  # the tower's extensions
         m = extend(m, faces(m, m.rank - 1)[0])
         members.append(m)
     for m in members:
         p = pos_of(m)
-        assert flag_connectivity_witness(p) == flag_connectivity_by_sections(p.faces, p.less), m
+        assert flag_connectivity_witness(p) == connectivity_against_oracle(p), m
     assert flag_connectivity_witness(pos_of(two_squares)) == ("-1:0", "2:0")
+
+
+def test_flag_connectivity_fails_on_proper_sections(two_squares):
+    # prepolytopes connected under incidence as a whole (through the apex)
+    # whose base facet, or in the duals a vertex figure, is two disjoint
+    # squares or cubes
+    cube = platonic("cube")
+    squares = pos_of(two_squares)
+    cubes = pos_of(Maniplex(tuple(row + tuple(f + 48 for f in row) for row in cube.perms)))
+    broken = [pyramid(squares, "^"), pyramid(cubes, "^"), pyramid(pyramid(squares, "^"), "*")]
+    broken += [dual_poset(p) for p in broken]
+    for p in broken:
+        assert connectivity_against_oracle(p) is not None
+        lower, upper = is_polytope(p).witness
+        assert (lower, upper) != (p.level(-1)[0], p.level(p.rank)[0])
+    assert is_polytope(broken[2]).witness == ("-1:0", "2:0")  # two ranks below the top
+    # the whole dual pyramid's chain graph is disconnected too, so the oracle
+    # stops there; the package names the vertex figure
+    assert flag_connectivity_by_sections(broken[3].faces, broken[3].less) == ("2:0^", "-1:0")
+    assert is_polytope(broken[3]).witness == ("2:0^", "-1:0^")
+    for p in (pos_of(platonic("square")), pos_of(cube)):  # the construction itself is sound
+        assert is_polytope(pyramid(p, "^")).ok and is_polytope(dual_poset(pyramid(p, "^"))).ok
 
 
 def test_is_polytope_builds_no_section(monkeypatch):
