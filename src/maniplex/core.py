@@ -11,6 +11,7 @@ structures can be represented and reported on.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
@@ -81,9 +82,32 @@ class Face(NamedTuple):
     flags: tuple[int, ...]
 
 
-class FaceTable(NamedTuple):
-    ids: tuple[int, ...]  # flag -> canonical id (least flag) of its i-face
-    faces: tuple[Face, ...]  # in increasing canonical order
+class FaceTable:
+    """The i-faces of a maniplex: `ids` maps each flag to the canonical id
+    (least flag) of its i-face; `faces`, in increasing canonical order, is
+    grouped from `ids` the first time it is read."""
+
+    __slots__ = ("rank", "ids", "_row", "_faces")
+
+    def __init__(self, rank: int, ids: array, row: tuple[int, ...]) -> None:
+        self.rank = rank
+        self.ids = ids
+        self._row = row  # an involution of the maniplex, for its int objects
+        self._faces: Optional[tuple[Face, ...]] = None
+
+    @property
+    def faces(self) -> tuple[Face, ...]:
+        """Each flag is stored as the int object the row already holds for
+        it (row[row[f]] is f for an involution), so the faces add no int
+        objects of their own."""
+        if self._faces is None:
+            row = self._row
+            groups: dict[int, list[int]] = {}
+            for f, c in enumerate(self.ids):
+                shared = row[row[f]]
+                groups.setdefault(c, []).append(shared if shared == f else f)
+            self._faces = tuple(Face(self.rank, c, tuple(flags)) for c, flags in groups.items())
+        return self._faces
 
 
 def structural_errors(m: Maniplex) -> list[str]:
@@ -176,27 +200,30 @@ def _check_colours(m: Maniplex, colours: Iterable[int]) -> tuple[int, ...]:
 
 def components(m: Maniplex, colours: Iterable[int]) -> list[Component]:
     """Connected components of the subgraph spanned by the given colours."""
-    cols = _check_colours(m, colours)
+    groups: dict[int, list[int]] = {}
+    for f, c in enumerate(_component_ids(m, _check_colours(m, colours))):
+        groups.setdefault(c, []).append(f)
+    return [Component(c, tuple(flags)) for c, flags in groups.items()]
+
+
+def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
+    """flag -> least flag of its component under the given colours, from
+    one search over the flag graph."""
     rows = [m.perms[c] for c in cols]
-    size = m.flag_count
-    comp = [-1] * size
-    out = []
-    for start in range(size):
-        if comp[start] >= 0:
+    ids = [-1] * m.flag_count
+    for start in range(m.flag_count):
+        if ids[start] >= 0:
             continue
-        comp[start] = start
-        members = [start]
-        queue = deque([start])
-        while queue:
-            f = queue.popleft()
+        ids[start] = start
+        stack = [start]
+        while stack:
+            f = stack.pop()
             for row in rows:
                 g = row[f]
-                if comp[g] < 0:
-                    comp[g] = start
-                    members.append(g)
-                    queue.append(g)
-        out.append(Component(start, tuple(sorted(members))))
-    return out
+                if ids[g] < 0:
+                    ids[g] = start
+                    stack.append(g)
+    return array("i", ids)
 
 
 def face_table(m: Maniplex, i: int) -> FaceTable:
@@ -206,13 +233,8 @@ def face_table(m: Maniplex, i: int) -> FaceTable:
         raise ValueError(f"face rank {i} out of range for rank {m.rank}")
     table = m._cache.get(i)
     if table is None:
-        cols = [c for c in range(m.rank) if c != i]
-        found = tuple(Face(i, c.canonical, c.flags) for c in components(m, cols))
-        ids = [0] * m.flag_count
-        for face in found:
-            for f in face.flags:
-                ids[f] = face.canonical
-        table = m._cache[i] = FaceTable(tuple(ids), found)
+        ids = _component_ids(m, [c for c in range(m.rank) if c != i])
+        table = m._cache[i] = FaceTable(i, ids, m.perms[i])
     return table
 
 
@@ -355,6 +377,11 @@ def to_json_dict(m: Maniplex) -> dict:
 
 def from_json_dict(doc: object) -> Maniplex:
     """Parse the interchange dict, rejecting structural garbage."""
+    return Maniplex(tuple(tuple(row) for row in _checked_perms(doc)))
+
+
+def _checked_perms(doc: object) -> list:
+    """The document's perms list, once its shape and entries are checked."""
     if not isinstance(doc, dict):
         raise FormatError("maniplex document must be a JSON object")
     for key in ("rank", "flags", "perms"):
@@ -373,7 +400,7 @@ def from_json_dict(doc: object) -> Maniplex:
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < nflags:
                 raise FormatError(f"perms[{i}] entry out of range: {v!r}")
-    return Maniplex(tuple(tuple(row) for row in perms))
+    return perms
 
 
 def dumps_json(obj: object) -> str:
@@ -382,15 +409,36 @@ def dumps_json(obj: object) -> str:
 
 
 def maniplex_to_json(m: Maniplex) -> str:
-    return dumps_json(to_json_dict(m))
+    """`dumps_json(to_json_dict(m))`, appended to one row at a time: the
+    generic encoder holds a string for every entry of every row at once."""
+    text = '{\n  "flags": %d,\n  "perms": [' % m.flag_count
+    sep = "\n    "
+    for row in m.perms:
+        text += sep + ("[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" if row else "[]")
+        sep = ",\n    "
+    text += ("\n  ]" if m.perms else "]") + ',\n  "rank": %d\n}\n' % m.rank
+    return text
+
+
+class _Interned(dict):
+    """Decimal text -> int, one int object per distinct value."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
 
 
 def maniplex_from_json(text: str) -> Maniplex:
+    """Decode with one int object per distinct value, turning each row into
+    its tuple in place, so that only one row is ever held twice."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_Interned().__getitem__)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-    return from_json_dict(doc)
+    perms = _checked_perms(doc)
+    for i, row in enumerate(perms):
+        perms[i] = tuple(row)
+    return Maniplex(tuple(perms))
 
 
 def to_dot(m: Maniplex) -> str:

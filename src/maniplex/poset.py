@@ -91,7 +91,7 @@ def pos_of(m: Maniplex) -> RankedPoset:
     faces of different ranks are incident when some flag lies in both."""
     n = m.rank
     tables = [face_table(m, i) for i in range(n)]
-    levels = [tuple(f"{i}:{face.canonical}" for face in t.faces) for i, t in enumerate(tables)]
+    levels = [tuple(f"{i}:{c}" for c in sorted(set(t.ids))) for i, t in enumerate(tables)]
     bottom, top = "-1:0", f"{n}:0"
     less: set[tuple[str, str]] = {(bottom, top)}
     for labels in levels:
@@ -361,6 +361,9 @@ def poset_isomorphism(p: RankedPoset, q: RankedPoset) -> Optional[dict[str, str]
     """Rank-preserving order isomorphism by backtracking, or None.
 
     Only vouched for on posets with at most ISO_FACE_LIMIT proper faces.
+    The package's own facet-section check no longer calls it (see
+    `extension._section_matches_base`); the tests keep it as the
+    brute-force oracle for that check.
     """
     if p.rank != q.rank:
         return None

@@ -424,3 +424,62 @@ def coset_enumerate_hlt(pres, subgroup_gens=()) -> Perms:
     live = [c for c in range(len(labels)) if find(c) == c]
     index = {c: k for k, c in enumerate(live)}
     return tuple(tuple(index[find(neighbors[c][d])] for c in live) for d in range(ngens))
+
+
+def order_isomorphic_by_cover_search(p_faces, p_less, q_faces, q_less) -> bool:
+    """Is there a rank-preserving order isomorphism p -> q?  Each poset is
+    given as (faces per rank, strict order pairs), with one least and one
+    greatest face, which map to each other.  Backtracking that maps the
+    proper faces in breadth-first order over p's covers among them, each
+    to an unused image of its rank covering, or covered by, the image of
+    the face it was reached from, checked against every face mapped so far."""
+    if [len(level) for level in p_faces] != [len(level) for level in q_faces] or len(p_less) != len(q_less):
+        return False
+    if len(p_faces) < 3 or len(p_faces[0]) != 1 or len(p_faces[-1]) != 1:
+        return False
+
+    def proper_covers(faces, less):
+        rank = {x: r for r, level in enumerate(faces) for x in level}
+        near = {x: set() for x in rank}
+        for a, b in less:
+            if rank[b] == rank[a] + 1 and 0 < rank[a] and rank[b] < len(faces) - 1:
+                near[a].add(b)
+                near[b].add(a)
+        return rank, near
+
+    p_rank, p_near = proper_covers(p_faces, p_less)
+    q_rank, q_near = proper_covers(q_faces, q_less)
+    mapping = {p_faces[0][0]: q_faces[0][0], p_faces[-1][0]: q_faces[-1][0]}
+    start = p_faces[1][0]
+    order, parent = [start], {start: None}
+    for x in order:
+        for y in sorted(p_near[x]):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    if len(order) != len(p_rank) - 2:
+        raise ValueError("proper faces are not connected under covers")
+    extremes = list(mapping.items())
+    if any(((a, b) in p_less) != ((x, y) in q_less) for a, x in extremes for b, y in extremes):
+        return False
+
+    def place(k: int) -> bool:
+        if k == len(order):
+            return True
+        a = order[k]
+        pool = q_faces[1] if parent[a] is None else q_near[mapping[parent[a]]]
+        used = set(mapping.values())
+        for b in sorted(pool):
+            if b in used or q_rank[b] != p_rank[a]:
+                continue
+            if all(
+                ((a, x) in p_less) == ((b, y) in q_less) and ((x, a) in p_less) == ((y, b) in q_less)
+                for x, y in mapping.items()
+            ):
+                mapping[a] = b
+                if place(k + 1):
+                    return True
+                del mapping[a]
+        return False
+
+    return place(0)

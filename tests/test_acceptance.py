@@ -1,4 +1,4 @@
-"""End-to-end acceptance run: nine timed criteria, one printed line each.
+"""End-to-end acceptance run: ten timed criteria, one printed line each.
 
 Run with output visible:  pytest -s tests/test_acceptance.py -v
 """
@@ -256,3 +256,14 @@ def test_criterion_9_rank5_regular_polytopes():
             assert validate(m).ok, symbol
             assert m.flag_count == flags, symbol
             assert tuple(len(faces(m, i)) for i in range(m.rank)) == vector, symbol
+
+
+def test_criterion_10_rank8_counterexample_certified(tmp_path):
+    with criterion(10, "counterexample --rank 8, every check run", 20):
+        assert cli_main(["counterexample", "--rank", "8", "-o", str(tmp_path)]) == 0
+        for rank in range(5, 9):
+            cert = json.loads((tmp_path / f"certificate-rank{rank}.json").read_text())
+            status = {c["name"]: c["status"] for c in cert["checks"]}
+            assert status.pop("extension-faithful-observed") == INFO
+            assert set(status.values()) == {PASS}, (rank, status)
+            assert cert["ok"] and cert["flags"] == 192 * 4 ** (rank - 4)

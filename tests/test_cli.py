@@ -190,16 +190,20 @@ def test_counterexample_rank4_matches_bstar(bstar_dir, tmp_path):
 
 
 def test_counterexample_size_refusal_exits_1(monkeypatch, tmp_path, capsys):
-    # rank 5's facet section has more proper faces than this limit allows
-    monkeypatch.setattr(poset, "ISO_FACE_LIMIT", 10)
-    assert main(["counterexample", "--rank", "5", "-o", str(tmp_path / "ce")]) == 1
-    err = capsys.readouterr().err
-    assert "error: poset too large for brute-force matching (> 10 proper faces)" in err
+    # an internal size limit (here the coset cap, hit while building B) is a
+    # refusal: exit 1 with the reason, and no artifact written
+    monkeypatch.setenv("MANIPLEX_COSET_CAP", "10")
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--rank", "5", "-o", str(out)]) == 1
+    assert "error: allocated more than 10 cosets" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_counterexample_one_flag_function_pass_per_maniplex(tmp_path, monkeypatch):
     # B once; B* twice (faithfulness, then the sheet-pair check), its later
-    # faithfulness reads (verdict, the rank-5 step) memoised; each extension once
+    # faithfulness reads (verdict, the rank-5 step) memoised; the rank-5
+    # extension once, as the rank-6 step's base; the rank-6 extension none,
+    # because the lifted base pair already proves it unfaithful
     inner = poset.flag_function
     calls = Counter()
 
@@ -211,7 +215,7 @@ def test_counterexample_one_flag_function_pass_per_maniplex(tmp_path, monkeypatc
         if name.startswith("maniplex") and getattr(module, "flag_function", None) is inner:
             monkeypatch.setattr(module, "flag_function", counting)
     assert main(["counterexample", "--rank", "6", "-o", str(tmp_path / "ce")]) == 0
-    assert calls == {(4, 96): 1, (4, 192): 2, (5, 768): 1, (6, 3072): 1}
+    assert calls == {(4, 96): 1, (4, 192): 2, (5, 768): 1}
 
 
 def test_counterexample_rank_too_low(tmp_path):

@@ -13,6 +13,7 @@ from maniplex.core import (
     automorphism_count,
     components,
     dual,
+    dumps_json,
     face_map,
     face_table,
     faces,
@@ -26,8 +27,9 @@ from maniplex.core import (
     to_json_dict,
     validate,
 )
-from maniplex.corpus import platonic, torus_44
+from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
+from maniplex.extension import extend
 from maniplex.poset import is_faithful
 
 from oracles import (
@@ -241,6 +243,30 @@ def test_json_roundtrip():
     assert json.loads(text) == {"rank": 3, "flags": 40, "perms": [list(r) for r in m.perms]}
     # canonical form: serialization is stable
     assert maniplex_to_json(maniplex_from_json(text)) == text
+
+
+def test_maniplex_to_json_matches_generic_encoder(named_corpus, b_maniplex, bstar_result):
+    tower = [bstar_result.bstar]
+    while tower[-1].rank < 6:
+        m = tower[-1]
+        tower.append(extend(m, faces(m, m.rank - 1)[0]))
+    members = [
+        *named_corpus.values(),
+        *(platonic(name) for name in corpus_names()),
+        b_maniplex,
+        *tower,
+        Maniplex(((1, 0),)),  # rank 1
+    ]
+    for m in members:
+        assert maniplex_to_json(m) == dumps_json(to_json_dict(m)), m
+
+
+def test_decoded_maniplex_holds_one_int_per_value(bstar_result):
+    m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
+    decoded = maniplex_from_json(maniplex_to_json(m))
+    assert decoded == m
+    assert all(type(row) is tuple for row in decoded.perms)
+    assert len({id(v) for row in decoded.perms for v in row}) == decoded.flag_count
 
 
 @pytest.mark.parametrize(
