@@ -8,6 +8,12 @@ relation is actually a partial order (transitive), boundedness, gradedness
 (every maximal chain has one face per rank), the diamond condition, and
 strong flag connectivity, decided as connectivity of every section's
 proper faces under incidence (see `flag_connectivity_witness`).
+
+The axioms are decided on one integer index per poset: faces numbered in
+`rank_of` order, and for each face the faces above and below it as bits
+of a Python int.  Transitivity, covers and diamonds are then one mask
+test per order pair, and connectivity a breadth-first search over masks.
+The label-set maps `up` and `down` are built only when asked for.
 """
 
 from __future__ import annotations
@@ -24,6 +30,23 @@ ISO_FACE_LIMIT = 64  # brute-force poset matching is only vouched for below this
 
 class PosetTooLarge(ValueError):
     """A poset is over ISO_FACE_LIMIT proper faces, too large to match by brute force."""
+
+
+class FaceIndex(NamedTuple):
+    """Face k is labels[k], of rank ranks[k], faces numbered in `rank_of`
+    order (by rank, then label).  Bit j of up[k] (of down[k]) is set when
+    face j lies above (below) face k; pairs are the order pairs as (k, j)."""
+
+    labels: tuple[str, ...]
+    ranks: tuple[int, ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+
+def _sorted_labels(labels: tuple[str, ...], mask: int) -> list[str]:
+    """The labels of the faces whose bits are set in mask, in label order."""
+    return sorted(label for k, label in enumerate(labels) if mask >> k & 1)
 
 
 @dataclass(frozen=True)
@@ -56,6 +79,18 @@ class RankedPoset:
         return {label: r for r, level in enumerate(self.faces, start=-1) for label in level}
 
     @cached_property
+    def _index(self) -> FaceIndex:
+        labels = tuple(self.rank_of)
+        number = {label: k for k, label in enumerate(labels)}
+        pairs = tuple((number[a], number[b]) for a, b in self.less)
+        bit = [1 << k for k in range(len(labels))]
+        up, down = [0] * len(labels), [0] * len(labels)
+        for i, j in pairs:
+            up[i] |= bit[j]
+            down[j] |= bit[i]
+        return FaceIndex(labels, tuple(self.rank_of.values()), tuple(up), tuple(down), pairs)
+
+    @cached_property
     def up(self) -> dict[str, frozenset[str]]:
         out: dict[str, set[str]] = {label: set() for label in self.rank_of}
         for a, b in self.less:
@@ -71,9 +106,9 @@ class RankedPoset:
 
     @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:
-        """Pairs a < b with nothing strictly between."""
-        out = [(a, b) for a, b in self.less if not self.up[a] & self.down[b]]
-        return tuple(sorted(out))
+        """Pairs a < b with nothing strictly between, sorted."""
+        labels, _, up, down, pairs = self._index
+        return tuple(sorted((labels[i], labels[j]) for i, j in pairs if not up[i] & down[j]))
 
     def lt(self, a: str, b: str) -> bool:
         return (a, b) in self.less
@@ -90,19 +125,20 @@ def pos_of(m: Maniplex) -> RankedPoset:
     """The face poset, with labels 'rank:canonicalFlag' plus '-1:0' and 'n:0';
     faces of different ranks are incident when some flag lies in both."""
     n = m.rank
-    tables = [face_table(m, i) for i in range(n)]
-    levels = [tuple(f"{i}:{c}" for c in sorted(set(t.ids))) for i, t in enumerate(tables)]
+    ids = [face_table(m, i).ids for i in range(n)]
+    labels = [{c: f"{i}:{c}" for c in sorted(set(row))} for i, row in enumerate(ids)]
     bottom, top = "-1:0", f"{n}:0"
     less: set[tuple[str, str]] = {(bottom, top)}
-    for labels in levels:
-        for label in labels:
+    for level in labels:
+        for label in level.values():
             less.add((bottom, label))
             less.add((label, top))
     for i in range(n):
         for j in range(i + 1, n):
-            for a, b in set(zip(tables[i].ids, tables[j].ids)):
-                less.add((f"{i}:{a}", f"{j}:{b}"))
-    return RankedPoset(n, ((bottom,),) + tuple(levels) + ((top,),), frozenset(less))
+            lower, upper = labels[i], labels[j]
+            less.update((lower[a], upper[b]) for a, b in set(zip(ids[i], ids[j])))
+    levels = tuple(tuple(level.values()) for level in labels)
+    return RankedPoset(n, ((bottom,),) + levels + ((top,),), frozenset(less))
 
 
 # ---------- flag function ----------
@@ -147,12 +183,18 @@ class PolytopeReport:
 
 
 def order_transitivity_witness(p: RankedPoset) -> Optional[tuple[str, str, str]]:
-    for b in p.rank_of:
-        for a in p.down[b]:
-            for c in p.up[b]:
-                if (a, c) not in p.less:
-                    return (a, b, c)
-    return None
+    """The least (a, b, c) with a < b < c but not a < c, or None.
+
+    Least means b first in `rank_of` order (by rank, then label), then a,
+    then c in label order, so the witness does not depend on hashing.
+    """
+    labels, _, up, _, pairs = p._index
+    bad = [(j, i) for i, j in pairs if up[j] & ~up[i]]
+    if not bad:
+        return None
+    j = min(bad)[0]
+    a, i = min((labels[i], i) for k, i in bad if k == j)
+    return (a, labels[j], _sorted_labels(labels, up[j] & ~up[i])[0])
 
 
 def boundedness_witness(p: RankedPoset) -> Optional[tuple]:
@@ -170,25 +212,30 @@ def boundedness_witness(p: RankedPoset) -> Optional[tuple]:
 
 
 def gradedness_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
-    """A cover pair skipping a rank, if any.
+    """The least cover pair, in label order, skipping a rank, if any.
 
     With transitivity and boundedness in hand, every maximal chain is a
     bottom-to-top cover path, so 'all maximal chains have n+2 elements'
     is exactly 'every cover raises rank by one'.
     """
-    for a, b in p.covers:
-        if p.rank_of[b] - p.rank_of[a] != 1:
-            return (a, b)
-    return None
+    labels, ranks, up, down, pairs = p._index
+    bad = [(labels[i], labels[j]) for i, j in pairs if ranks[j] - ranks[i] > 1 and not up[i] & down[j]]
+    return min(bad, default=None)
 
 
 def diamond_witness(p: RankedPoset) -> Optional[tuple[str, str, tuple[str, ...]]]:
-    for a, b in sorted(p.less):
-        if p.rank_of[b] - p.rank_of[a] == 2:
-            middles = tuple(sorted(p.up[a] & p.down[b]))
-            if len(middles) != 2:
-                return (a, b, middles)
-    return None
+    """The least pair two ranks apart, in label order, with other than two
+    faces strictly between, and those faces; None when there is none."""
+    labels, ranks, up, down, pairs = p._index
+    bad = [
+        (labels[i], labels[j], up[i] & down[j])
+        for i, j in pairs
+        if ranks[j] - ranks[i] == 2 and (up[i] & down[j]).bit_count() != 2
+    ]
+    if not bad:
+        return None
+    a, b, middles = min(bad)
+    return (a, b, tuple(_sorted_labels(labels, middles)))
 
 
 def maximal_chains(p: RankedPoset) -> list[tuple[str, ...]]:
@@ -247,23 +294,27 @@ def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
     connected by definition).  The named section's chain graph is
     disconnected too, but a search over chain graphs may stop at an earlier
     pair whose proper faces are connected while a subsection's are not.
+
+    Each search runs on the face index: the section's proper faces are the
+    mask up[lower] & down[upper], and each round adds every face above or
+    below one on the frontier.
     """
-    rank_of, up, down = p.rank_of, p.up, p.down
-    pairs = sorted(
-        (ab for ab in p.less if rank_of[ab[1]] - rank_of[ab[0]] > 2),
-        key=lambda ab: (rank_of[ab[0]], ab),
-    )
-    for lower, upper in pairs:
-        inside = up[lower] & down[upper]
-        start = next(iter(inside))
-        reached, stack = {start}, [start]
-        while stack:
-            x = stack.pop()
-            new = ((up[x] | down[x]) & inside) - reached
-            reached |= new
-            stack.extend(new)
-        if len(reached) != len(inside):
-            return (lower, upper)
+    labels, ranks, up, down, pairs = p._index
+    near = [u | d for u, d in zip(up, down)]
+    # faces are numbered by rank, then label, so (rank, label) of lower is its number
+    for i, upper, j in sorted((i, labels[j], j) for i, j in pairs if ranks[j] - ranks[i] > 2):
+        inside = up[i] & down[j]
+        reached = frontier = inside & -inside
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= near[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & inside & ~reached
+            reached |= frontier
+        if reached != inside:
+            return (labels[i], upper)
     return None
 
 

@@ -483,3 +483,49 @@ def order_isomorphic_by_cover_search(p_faces, p_less, q_faces, q_less) -> bool:
         return False
 
     return place(0)
+
+
+def polytope_report_by_label_sets(faces, less):
+    """(ok, failed axiom, witness, malformed) of the abstract-polytope test
+    on a poset given as (faces per rank from -1 up, strict order pairs),
+    computed on sets of labels: each face's faces above and below as sets,
+    covers and diamonds by intersecting them, connectivity by
+    `flag_connectivity_by_sections`.
+
+    The transitivity witness is the least (a, b, c) with a < b < c but not
+    a < c: b by (rank, label), then a, then c by label.  Every other
+    witness is the first failure in label order, pairs sorted."""
+    rank_of = {x: r for r, level in enumerate(faces, start=-1) for x in level}
+    above: dict[str, set[str]] = {x: set() for x in rank_of}
+    below: dict[str, set[str]] = {x: set() for x in rank_of}
+    for a, b in less:
+        above[a].add(b)
+        below[b].add(a)
+    for b in sorted(rank_of, key=lambda x: (rank_of[x], x)):
+        for a in sorted(below[b]):
+            for c in sorted(above[b]):
+                if (a, c) not in less:
+                    return (False, None, (a, b, c), "order-not-transitive")
+    if len(faces[0]) != 1:
+        return (False, "bounded", ("minimum", tuple(faces[0])), None)
+    if len(faces[-1]) != 1:
+        return (False, "bounded", ("maximum", tuple(faces[-1])), None)
+    bottom, top = faces[0][0], faces[-1][0]
+    for x in sorted(rank_of, key=lambda x: (rank_of[x], x)):
+        if x != bottom and (bottom, x) not in less:
+            return (False, "bounded", ("minimum-not-below", x), None)
+        if x != top and (x, top) not in less:
+            return (False, "bounded", ("maximum-not-above", x), None)
+    covers = sorted((a, b) for a, b in less if not above[a] & below[b])
+    for a, b in covers:
+        if rank_of[b] - rank_of[a] != 1:
+            return (False, "graded", (a, b), None)
+    for a, b in sorted(less):
+        if rank_of[b] - rank_of[a] == 2:
+            middles = tuple(sorted(above[a] & below[b]))
+            if len(middles) != 2:
+                return (False, "diamond", (a, b, middles), None)
+    witness = flag_connectivity_by_sections(faces, less)
+    if witness is not None:
+        return (False, "strong-flag-connectivity", witness, None)
+    return (True, None, None, None)

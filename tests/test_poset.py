@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from maniplex import poset
+from maniplex import coxeter, poset
 from maniplex.core import FormatError, Maniplex, dual, faces, isomorphic
 from maniplex.corpus import platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
@@ -37,10 +41,12 @@ from oracles import (
     fiber_pair_by_labels,
     flag_connectivity_by_sections,
     flag_function,
+    polytope_report_by_label_sets,
     renumber,
     section_by_filter,
     section_chains_connected,
 )
+from test_extension import moved_pair
 
 # hand-built pathological posets
 NOT_TRANSITIVE = RankedPoset(
@@ -256,19 +262,77 @@ def connectivity_against_oracle(p: RankedPoset):
     return want
 
 
-def test_flag_connectivity_matches_section_oracle(
-    named_corpus, b_maniplex, bstar_result, simplex5, two_squares
-):
-    members = [*named_corpus.values(), b_maniplex, bstar_result.bstar, simplex5, two_squares]
+@pytest.fixture(scope="module")
+def oracle_members(named_corpus, b_maniplex, bstar_result, simplex5, two_squares):
+    """The named maps, B, B*, the tower's rank-5 and rank-6 extensions, the
+    24-cell, the 5-simplex, two squares and torus_44(b, c) for b, c <= 6."""
+    cell24 = coset_enumerate(string_coxeter([3, 4, 3])).to_maniplex()
+    members = [*named_corpus.values(), b_maniplex, bstar_result.bstar, cell24, simplex5, two_squares]
     members += [torus_44(b, c) for b in range(7) for c in range(7) if b or c]
     m = bstar_result.bstar
     for _ in (5, 6):  # the tower's extensions
         m = extend(m, faces(m, m.rank - 1)[0])
         members.append(m)
-    for m in members:
+    return members
+
+
+def test_flag_connectivity_matches_section_oracle(oracle_members, two_squares):
+    for m in oracle_members:
         p = pos_of(m)
         assert flag_connectivity_witness(p) == connectivity_against_oracle(p), m
     assert flag_connectivity_witness(pos_of(two_squares)) == ("-1:0", "2:0")
+
+
+def test_is_polytope_matches_label_set_oracle(oracle_members):
+    """The whole report, witness included, against the label-set oracle on
+    the oracle members' posets, the pathologies, and each of them with one
+    order pair dropped and, where there is one to move, one pair moved."""
+    posets = [pos_of(m) for m in oracle_members] + [NOT_TRANSITIVE, TWO_MINIMA, RANK_SKIPPER]
+    rng = random.Random(20261018)
+    mutants = []
+    for p in posets:
+        mutants.append(RankedPoset(p.rank, p.faces, p.less - {rng.choice(sorted(p.less))}))
+        try:
+            mutants.append(moved_pair(p))
+        except ValueError:  # no pair to move: every rank-1 face lies above that vertex
+            pass
+    outcomes = set()
+    for p in posets + mutants:
+        report = is_polytope(p)
+        want = polytope_report_by_label_sets(p.faces, p.less)
+        assert (report.ok, report.failed, report.witness, report.malformed) == want, p.faces
+        outcomes.add(want[1] or want[3])
+    axioms = {"order-not-transitive", "bounded", "graded", "diamond", "strong-flag-connectivity"}
+    assert outcomes == axioms | {None}
+
+
+# a 3x3 poset whose only missing pairs end at the top: every y has four
+# transitivity failures beneath it
+TRANSITIVITY_BY_HASH_SEED = """
+from maniplex.poset import RankedPoset, order_transitivity_witness
+xs, ys = ("x1", "x2", "x3"), ("y1", "y2", "y3")
+less = {("b", x) for x in xs} | {("b", y) for y in ys} | {(x, y) for x in xs for y in ys}
+print(order_transitivity_witness(RankedPoset(2, (("b",), xs, ys, ("t",)), less | {(y, "t") for y in ys})))
+"""
+
+
+def test_transitivity_witness_ignores_hash_seed():
+    src = str(Path(poset.__file__).resolve().parents[1])
+    seen = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        command = [sys.executable, "-c", TRANSITIVITY_BY_HASH_SEED]
+        seen.add(subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout)
+    assert seen == {"('b', 'y1', 't')\n"}
+
+
+def test_verdict_builds_no_label_sets(monkeypatch):
+    built = []
+    monkeypatch.setattr(coxeter, "pos_of", lambda m: built.append(pos_of(m)) or built[-1])
+    assert verdict(torus_44(3, 2)).summary == "semisparse"
+    (p,) = built
+    assert "_index" in vars(p)
+    assert not {"up", "down"} & vars(p).keys()
 
 
 def test_flag_connectivity_fails_on_proper_sections(two_squares):
