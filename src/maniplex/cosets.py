@@ -14,15 +14,20 @@ different cosets start a coincidence, merged through a union-find in which
 the smaller label survives.  Enumeration either completes below the coset
 cap or fails loudly - no partial tables.
 
-The finished table is renumbered in relator-trace order: coset 0, then each
-coset the first time it is reached by tracing the subgroup words from 0 and
-then every relator, in presentation order, from each numbered coset in
-turn.  A scan that allocates a coset at every undefined step, with no
-deductions, numbers its cosets in exactly this order: it first reaches each
-class of equal cosets at that point of the same walk, and a label that is
-later merged away only revisits classes reached before.  So the numbering,
-and every table built here, does not depend on how the enumeration went;
-the tests compare it with such a scan.
+Live cosets keep their labels, compacted in increasing order, and that is
+relator-trace order: coset 0, then each coset the first time it is reached
+by tracing the subgroup words from 0 and then every relator, in
+presentation order, from each numbered coset in turn.  Each live coset but
+0 is allocated at the forward end of a scan (alpha, w) with alpha live: one
+allocated from an alpha that later dies is identified with the smaller
+coset at the same place of the cycle that alpha's representative closed
+earlier.  The trace of w from alpha in the finished table passes through
+the live coset where the scan allocated it, and every earlier trace is an
+earlier scan, closed by cosets that already existed, so it passes only
+through smaller labels.  So the numbering, like every table built here,
+does not depend on how the enumeration went; the tests check it by tracing
+the finished table and against a scan that allocates at every undefined
+step, with no deductions.
 """
 
 from __future__ import annotations
@@ -119,6 +124,10 @@ def coset_enumerate(
     Raises CosetCapExceeded once more than `cap` cosets have been allocated
     (live or since merged).
     """
+    for word in subgroup_gens:
+        for letter in word:
+            if not 0 <= letter < pres.ngens:
+                raise ValueError(f"subgroup letter {letter} out of range")
     if cap is None:
         cap = default_cap()
     rows: list[list[int]] = [[] for _ in range(pres.ngens)]  # rows[d][c] = c.d
@@ -168,20 +177,21 @@ def coset_enumerate(
                 else:
                     row[mu], row[nu] = nu, mu
 
-    def scan_and_fill(alpha: int, word: Sequence[int]) -> None:
+    def scan_and_fill(alpha: int, word: Sequence[list[int]]) -> None:
+        """Scan a relator given as its generators' rows."""
         f, i, b, j = alpha, 0, alpha, len(word) - 1
         while True:
-            while i <= j and rows[word[i]][f] != SENTINEL:
-                f = rows[word[i]][f]
+            while i <= j and (x := word[i][f]) != SENTINEL:
+                f = x
                 i += 1
             if i > j:
                 if f != b:
                     unify(f, b)
                 return
-            while j > i and rows[word[j]][b] != SENTINEL:
-                b = rows[word[j]][b]
+            while j > i and (x := word[j][b]) != SENTINEL:
+                b = x
                 j -= 1
-            row = rows[word[i]]
+            row = word[i]
             if j == i:  # one letter left: deduce it, both arrows
                 if row[b] == SENTINEL:
                     row[f], row[b] = b, f
@@ -191,35 +201,23 @@ def coset_enumerate(
             c = add_vertex()
             row[f], row[c] = c, f
 
+    # rows are only appended to, so a word's rows stay valid throughout
+    relators = [[rows[d] for d in rel] for rel in pres.relators]
     add_vertex()
     for word in subgroup_gens:
-        scan_and_fill(0, word)
+        scan_and_fill(0, [rows[d] for d in word])
     alpha = 0
     while alpha < len(parent):
-        for rel in pres.relators:
+        for rel in relators:
             if parent[alpha] != alpha:
                 break
             scan_and_fill(alpha, rel)
         alpha += 1
 
-    # renumber in relator-trace order (see the module docstring)
-    live = sum(1 for c, p in enumerate(parent) if c == p)
+    # live labels are already in relator-trace order (see the module docstring);
+    # keeping p, not c, reuses the int objects parent holds instead of new ones
+    order = [p for c, p in enumerate(parent) if c == p]
     number = [SENTINEL] * len(parent)
-    number[0] = 0
-    order = [0]
-
-    def visit(c: int, word: Sequence[int]) -> None:
-        for d in word:
-            c = rows[d][c]
-            if number[c] == SENTINEL:
-                number[c] = len(order)
-                order.append(c)
-
-    for word in subgroup_gens:
-        visit(0, word)
-    k = 0
-    while len(order) < live:
-        for rel in pres.relators:
-            visit(order[k], rel)
-        k += 1
+    for k, c in enumerate(order):
+        number[c] = k
     return CosetTable(tuple(tuple(number[row[c]] for c in order) for row in rows))

@@ -426,6 +426,31 @@ def coset_enumerate_hlt(pres, subgroup_gens=()) -> Perms:
     return tuple(tuple(index[find(neighbors[c][d])] for c in live) for d in range(ngens))
 
 
+def relator_trace_order(perms: Perms, pres, subgroup_gens=()) -> list[int]:
+    """The cosets of a finished table in relator-trace order: coset 0, then
+    each coset the first time it is reached by tracing the subgroup words
+    from 0 and then every relator, in presentation order, from each coset
+    already in the order, in turn."""
+    order = [0]
+    seen = {0}
+
+    def visit(c: int, word) -> None:
+        for d in word:
+            c = perms[d][c]
+            if c not in seen:
+                seen.add(c)
+                order.append(c)
+
+    for word in subgroup_gens:
+        visit(0, word)
+    k = 0
+    while k < len(order):
+        for rel in pres.relators:
+            visit(order[k], rel)
+        k += 1
+    return order
+
+
 def order_isomorphic_by_cover_search(p_faces, p_less, q_faces, q_less) -> bool:
     """Is there a rank-preserving order isomorphism p -> q?  Each poset is
     given as (faces per rank, strict order pairs), with one least and one

@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from maniplex.core import dual, faces, isomorphic, validate
+from maniplex.core import dual, faces, isomorphic, maniplex_to_json, validate
 from maniplex.corpus import platonic
 from maniplex.counterexample import B_PRESENTATION
 from maniplex.cosets import (
@@ -11,9 +14,58 @@ from maniplex.cosets import (
     default_cap,
     string_coxeter,
 )
-from oracles import coset_enumerate_hlt
+from oracles import coset_enumerate_hlt, relator_trace_order
 
 PETRIE_CUBE = (0, 1, 2) * 3
+
+NAMED_SYMBOLS = (
+    [3], [4], [4, 3], [3, 4], [3, 3], [3, 5], [5, 3], [3, 3, 3], [4, 3, 3], [3, 4, 3],
+    [3, 3, 3, 3], [4, 3, 3, 3], [3, 3, 3, 4], [3, 3, 3, 3, 3],
+)
+NAMED_CASES = [(string_coxeter(s), ()) for s in NAMED_SYMBOLS] + [
+    (string_coxeter([4, 3]).extended(PETRIE_CUBE), ()),
+    (string_coxeter([3, 4]).extended(PETRIE_CUBE), ()),
+    (B_PRESENTATION, ()),
+    (string_coxeter([4, 3]), ((0,),)),
+    (string_coxeter([4, 3]), ((1,), (2,))),
+    (string_coxeter([4, 3]), ((0,), (1,))),
+    (string_coxeter([3, 4, 3]), ((0, 1, 0), (2,))),
+    # a rotation word: tracing it numbers cosets before any relator does
+    (string_coxeter([4, 3]), ((1, 2),)),
+]
+
+# SHA-256 of maniplex_to_json for every maniplex the package builds by
+# coset enumeration; any drift in the numbering changes these bytes
+COSET_BUILT_SHA256 = {
+    "B": "436810899bae0a76ff199b3e153f5984ba28677a665290f98524a073a9a88050",
+    "square": "ab4d42725ac20a91cca232944a6853ede58789b8bad41fa9f15b68fd4eb908a7",
+    "cube": "2374f5d30fa718930f8cdf6c6cf61330069bebd6e79af018197c8e52ae201e1b",
+    "hemicube": "847dee9675dd47e75a79d1652ac23d10dd8f7f87ba5953e2c3d00fea5b3addce",
+    "hemioctahedron": "d281a0f056466be2cf4d29c8011a255ffa75cad57aa74e28716d9bf829f2c3ef",
+    "24cell": "1597941bb292640956cede1575ce253f64e3265f15978e4cbb55aed93867009a",
+    "5simplex": "43588f667b7bea371c196995e1c1f7896e784c7634909c59cc2fb2fa9a1b5042",
+    "5cube": "0b03d73fa1939476acd807def90d3a0cee6ad6e4949781f77c1f8f05a941c4dc",
+    "5orthoplex": "7bcbce85fa39b10bbe16c166cbb59ab30ac14a934da039713e65f395a3da8b52",
+}
+REGULAR_SYMBOLS = {"24cell": [3, 4, 3], "5simplex": [3, 3, 3, 3], "5cube": [4, 3, 3, 3], "5orthoplex": [3, 3, 3, 4]}
+
+
+def random_involutory_case(rng: random.Random) -> tuple[Presentation, tuple[tuple[int, ...], ...]]:
+    """2-5 involutions, a random order for each pair's product, up to two
+    powers of random short words, and up to three random subgroup words."""
+    n = rng.randint(2, 5)
+    relators = [(d, d) for d in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            relators.append((i, j) * rng.choice((2, 2, 3, 3, 4, 5, 6)))
+    for _ in range(rng.randint(0, 2)):
+        word = tuple(rng.randrange(n) for _ in range(rng.randint(2, 4)))
+        relators.append(word * rng.randint(1, 4))
+    rng.shuffle(relators)
+    subgroup = tuple(
+        tuple(rng.randrange(n) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(0, 3))
+    )
+    return Presentation(n, tuple(relators)), subgroup
 
 
 def test_presentation_validation():
@@ -99,24 +151,53 @@ def test_enumeration_is_deterministic():
 
 
 def test_coset_enumerate_matches_hlt_oracle():
-    symbols = (
-        [3], [4], [4, 3], [3, 4], [3, 3], [3, 5], [5, 3], [3, 3, 3], [4, 3, 3], [3, 4, 3],
-        [3, 3, 3, 3], [4, 3, 3, 3], [3, 3, 3, 4], [3, 3, 3, 3, 3],
-    )
-    cases = [(string_coxeter(s), ()) for s in symbols]
-    cases += [
-        (string_coxeter([4, 3]).extended(PETRIE_CUBE), ()),
-        (string_coxeter([3, 4]).extended(PETRIE_CUBE), ()),
-        (B_PRESENTATION, ()),
-        (string_coxeter([4, 3]), ((0,),)),
-        (string_coxeter([4, 3]), ((1,), (2,))),
-        (string_coxeter([4, 3]), ((0,), (1,))),
-        (string_coxeter([3, 4, 3]), ((0, 1, 0), (2,))),
-        # a rotation word: tracing it numbers cosets before any relator does
-        (string_coxeter([4, 3]), ((1, 2),)),
-    ]
-    for pres, subgroup in cases:
+    for pres, subgroup in NAMED_CASES:
         assert coset_enumerate(pres, subgroup).perms == coset_enumerate_hlt(pres, subgroup), (pres, subgroup)
+
+
+def test_live_cosets_are_in_relator_trace_order():
+    # the table is returned without renumbering; tracing the subgroup words
+    # and then the relators must reach its cosets in label order, so that
+    # renumbering by trace order would leave it unchanged
+    for pres, subgroup in NAMED_CASES:
+        perms = coset_enumerate(pres, subgroup).perms
+        assert relator_trace_order(perms, pres, subgroup) == list(range(len(perms[0]))), (pres, subgroup)
+    rng = random.Random(20261018)
+    checked = coincided = 0
+    for _ in range(1700):
+        pres, subgroup = random_involutory_case(rng)
+        try:
+            table = coset_enumerate(pres, subgroup, cap=500)
+        except CosetCapExceeded:
+            continue
+        assert relator_trace_order(table.perms, pres, subgroup) == list(range(table.count)), (pres, subgroup)
+        checked += 1
+        try:  # a cap of the live count is exceeded exactly when some coset died
+            coset_enumerate(pres, subgroup, cap=table.count)
+        except CosetCapExceeded:
+            coincided += 1
+    assert checked >= 1000
+    assert coincided >= checked // 2
+
+
+def test_subgroup_letters_are_validated():
+    pres = string_coxeter([4, 3])
+    # -1 would otherwise index the last generator's row and act as generator 2
+    with pytest.raises(ValueError, match="subgroup letter -1 out of range"):
+        coset_enumerate(pres, ((-1,),))
+    with pytest.raises(ValueError, match="subgroup letter 3 out of range"):
+        coset_enumerate(pres, ((3,),))
+    assert coset_enumerate(pres, ((2,),)).count == 24
+
+
+def test_coset_built_maniplexes_are_byte_pinned():
+    built = {"B": coset_enumerate(B_PRESENTATION).to_maniplex()}
+    for name in ("square", "cube", "hemicube", "hemioctahedron"):
+        built[name] = platonic(name)
+    for name, symbol in REGULAR_SYMBOLS.items():
+        built[name] = coset_enumerate(string_coxeter(symbol)).to_maniplex()
+    digests = {name: hashlib.sha256(maniplex_to_json(m).encode()).hexdigest() for name, m in built.items()}
+    assert digests == COSET_BUILT_SHA256
 
 
 def test_rank5_cube_and_orthoplex_fit_a_small_cap():
