@@ -410,11 +410,13 @@ def dumps_json(obj: object) -> str:
 
 def maniplex_to_json(m: Maniplex) -> str:
     """`dumps_json(to_json_dict(m))`, appended to one row at a time: the
-    generic encoder holds a string for every entry of every row at once."""
+    generic encoder holds a string for every entry of every row at once.
+    Rows share one decimal string per flag, so entries must lie in 0..flags-1."""
+    strs = list(map(str, range(m.flag_count)))
     text = '{\n  "flags": %d,\n  "perms": [' % m.flag_count
     sep = "\n    "
     for row in m.perms:
-        text += sep + ("[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" if row else "[]")
+        text += sep + ("[\n      " + ",\n      ".join(map(strs.__getitem__, row)) + "\n    ]" if row else "[]")
         sep = ",\n    "
     text += ("\n  ]" if m.perms else "]") + ',\n  "rank": %d\n}\n' % m.rank
     return text

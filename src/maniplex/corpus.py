@@ -2,8 +2,13 @@
 
 torus_44(b, c) builds the flag graph of the square-grid map on the torus
 obtained by quotienting the plane by the lattice spanned by (b, c) and
-(-c, b); it has 8(b^2+c^2) flags.  platonic(name) builds flag graphs of a
-few classical maps by coset enumeration over their standard presentations.
+(-c, b); it has 8(b^2+c^2) flags, eight per unit cell.  With N = b^2 + c^2
+and g = gcd(b, c), the Hermite form of the lattice makes the cells (x, t)
+with x < N/g and t < g one representative per class, so cell (x, t) is
+numbered x*g + t outright.  r0 and r1 stay inside a cell and r2 crosses into
+a neighbouring one, so only each cell's four neighbours are reduced modulo
+the lattice.  platonic(name) builds flag graphs of a few classical maps by
+coset enumeration over their standard presentations.
 """
 
 from __future__ import annotations
@@ -13,10 +18,14 @@ import math
 from .core import Maniplex, validate
 from .cosets import coset_enumerate, string_coxeter
 
-# corner k of the cell at (x, y) sits at (x, y) + _CORNER[k];
-# side j joins corners j and j+1 and is crossed into the cell at +_ACROSS[j]
-_CORNER = ((0, 0), (1, 0), (1, 1), (0, 1))
+# Corner k of cell (x, y) is (x, y) + ((0, 0), (1, 0), (1, 1), (0, 1))[k];
+# side j joins corners j and j + 1, and across it lies cell (x, y) + _ACROSS[j].
+# Local flag l = 2k + s is at corner k on side k - s.  r1 takes it to l ^ 1,
+# r0 to _R0[l] (the side's other corner), and r2 to local flag _R2[l][1] of
+# the cell across side _R2[l][0] (the same corner and side).
 _ACROSS = ((0, -1), (1, 0), (0, 1), (-1, 0))
+_R0 = (3, 6, 5, 0, 7, 2, 1, 4)
+_R2 = ((0, 7), (3, 2), (1, 1), (0, 4), (2, 3), (1, 6), (3, 5), (2, 0))
 
 
 def _lattice_reducer(b: int, c: int):
@@ -42,15 +51,10 @@ def _lattice_reducer(b: int, c: int):
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
     """(u, v) with u*a + v*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_u, u = u, old_u - quot * u
-        old_v, v = v, old_v - quot * v
-    return old_u, old_v
+    if b == 0:
+        return 1, 0
+    u, v = _bezout(b, a % b)
+    return v, u - a // b * v
 
 
 def torus_44(b: int, c: int) -> Maniplex:
@@ -58,48 +62,14 @@ def torus_44(b: int, c: int) -> Maniplex:
     if b < 0 or c < 0 or (b == 0 and c == 0):
         raise ValueError("need b, c >= 0 and not both zero")
     canon, n, g = _lattice_reducer(b, c)
-    cells = sorted({canon(x, y) for x in range(n) for y in range(g)})
-    if len(cells) != n:
-        raise RuntimeError("lattice reduction produced a wrong cell count")
-    cell_index = {cell: k for k, cell in enumerate(cells)}
-
-    def flag_id(cell: tuple[int, int], corner: int, side_sel: int) -> int:
-        return (cell_index[canon(*cell)] * 4 + corner) * 2 + side_sel
-
-    size = 8 * n
-    r0 = [0] * size
-    r1 = [0] * size
-    r2 = [0] * size
-    for cell in cells:
-        x, y = cell
-        for k in range(4):
-            for s in (0, 1):
-                me = flag_id(cell, k, s)
-                # r0: other endpoint of the edge, same cell and edge
-                if s == 0:
-                    r0[me] = flag_id(cell, (k + 1) % 4, 1)
-                else:
-                    r0[me] = flag_id(cell, (k - 1) % 4, 0)
-                # r1: other edge at the same corner
-                r1[me] = flag_id(cell, k, 1 - s)
-                # r2: same corner and edge, neighbouring cell
-                j = k if s == 0 else (k - 1) % 4
-                dx, dy = _ACROSS[j]
-                other = (x + dx, y + dy)
-                k2 = _NEIGHBOUR_CORNER[j][k]
-                s2 = 0 if k2 == (j + 2) % 4 else 1
-                r2[me] = flag_id(other, k2, s2)
-    return Maniplex((tuple(r0), tuple(r1), tuple(r2)))
-
-
-# corner relabelling when crossing side j: which corner of the neighbour
-# carries the same grid vertex (only corners on side j appear)
-_NEIGHBOUR_CORNER = (
-    {0: 3, 1: 2},  # crossing the bottom side
-    {1: 0, 2: 3},  # crossing the right side
-    {2: 1, 3: 0},  # crossing the top side
-    {3: 2, 0: 1},  # crossing the left side
-)
+    r0, r2 = [], []
+    for x in range(n // g):
+        for t in range(g):
+            base = 8 * (x * g + t)
+            r0 += [base + k for k in _R0]
+            across = [8 * (cx * g + ct) for cx, ct in (canon(x + dx, t + dy) for dx, dy in _ACROSS)]
+            r2 += [across[j] + k for j, k in _R2]
+    return Maniplex((tuple(r0), tuple(f ^ 1 for f in range(8 * n)), tuple(r2)))
 
 
 _PETRIE_CUBE = ((0, 1, 2) * 3,)

@@ -134,15 +134,11 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     p_ext = pos_of(ext)
 
     # every ridge of the extension lies under exactly two of its facets
-    facet_labels = set(p_ext.level(n))
-    ridge_ok = True
-    witness = None
-    for ridge in p_ext.level(n - 1):
-        above = sum(1 for lab in facet_labels if (ridge, lab) in p_ext.less)
-        if above != 2:
-            ridge_ok, witness = False, (ridge, above)
-            break
-    checks.append(passed("ridges-in-two-facets", ridge_ok, witness))
+    labels, ranks, up = p_ext._index[:3]
+    facets = sum(1 << k for k, r in enumerate(ranks) if r == n)
+    ridges = ((labels[k], (up[k] & facets).bit_count()) for k, r in enumerate(ranks) if r == n - 1)
+    witness = next((ridge for ridge in ridges if ridge[1] != 2), None)
+    checks.append(passed("ridges-in-two-facets", witness is None, witness))
 
     base = is_polytope(p_base)
     if not _graded_with_diamonds(base):
@@ -217,14 +213,17 @@ def _section_matches_base(
     inverse = [0] * len(phi)
     for k, f in enumerate(phi):
         inverse[f] = facet.flags[k]
-    label = f"{n}:{facet.canonical}"
-    image = {p_base.level(-1)[0]: p_ext.level(-1)[0], p_base.level(n)[0]: label}
+    base, ext_index = p_base._index, p_ext._index
+    number = {label: k for k, label in enumerate(ext_index.labels)}
+    image: dict[str, int] = {}
     for i in range(n):
         ext_ids = face_table(ext, i).ids
         for c in set(face_table(m, i).ids):
-            image[f"{i}:{c}"] = f"{i}:{ext_ids[inverse[c]]}"
-    inside = p_ext.down[label] | {label}
-    if len(set(image.values())) != len(image) or set(image.values()) != inside:
+            image[f"{i}:{c}"] = number[f"{i}:{ext_ids[inverse[c]]}"]
+    # base face number -> extension face number; both bottoms are face 0
+    to = [0] + [image[label] for label in base.labels[1:-1]] + [number[f"{n}:{facet.canonical}"]]
+    inside = ext_index.down[to[-1]] | 1 << to[-1]
+    if len(set(to)) != len(to) or sum(1 << k for k in to) != inside:
         return False
-    pairs = {(a, b) for a, b in p_ext.less if a in inside and b in inside}
-    return {(image[a], image[b]) for a, b in p_base.less} == pairs
+    pairs = {(i, j) for i, j in ext_index.pairs if inside >> i & 1 and inside >> j & 1}
+    return {(to[i], to[j]) for i, j in base.pairs} == pairs

@@ -9,11 +9,13 @@ relation is actually a partial order (transitive), boundedness, gradedness
 strong flag connectivity, decided as connectivity of every section's
 proper faces under incidence (see `flag_connectivity_witness`).
 
-The axioms are decided on one integer index per poset: faces numbered in
-`rank_of` order, and for each face the faces above and below it as bits
-of a Python int.  Transitivity, covers and diamonds are then one mask
-test per order pair, and connectivity a breadth-first search over masks.
-The label-set maps `up` and `down` are built only when asked for.
+A poset is one integer index (`FaceIndex`): faces numbered by rank, then
+label, and for each face the faces above and below it as bits of a Python
+int.  `pos_of` builds it straight from the face tables; a poset given by
+hand as label levels and label pairs is checked once and indexed the same
+way.  Transitivity, covers and diamonds are one mask test per order pair,
+and connectivity a breadth-first search over masks.  The label views
+(`faces`, `less`, `rank_of`, `up`, `down`) are derived only when read.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ class PosetTooLarge(ValueError):
 
 
 class FaceIndex(NamedTuple):
-    """Face k is labels[k], of rank ranks[k], faces numbered in `rank_of`
-    order (by rank, then label).  Bit j of up[k] (of down[k]) is set when
-    face j lies above (below) face k; pairs are the order pairs as (k, j)."""
+    """Face k is labels[k], of rank ranks[k], faces numbered by rank, then
+    label.  Bit j of up[k] (of down[k]) is set when face j lies above
+    (below) face k; pairs are the order pairs as (k, j)."""
 
     labels: tuple[str, ...]
     ranks: tuple[int, ...]
@@ -44,65 +46,85 @@ class FaceIndex(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
-def _sorted_labels(labels: tuple[str, ...], mask: int) -> list[str]:
-    """The labels of the faces whose bits are set in mask, in label order."""
-    return sorted(label for k, label in enumerate(labels) if mask >> k & 1)
+def _face_index(labels: list[str], ranks: list[int], pairs) -> FaceIndex:
+    """The index of faces numbered as listed, with the given order pairs."""
+    bit = [1 << k for k in range(len(labels))]
+    up, down = [0] * len(labels), [0] * len(labels)
+    for i, j in pairs:
+        up[i] |= bit[j]
+        down[j] |= bit[i]
+    return FaceIndex(tuple(labels), tuple(ranks), tuple(up), tuple(down), tuple(pairs))
 
 
-@dataclass(frozen=True)
+def _labels_in(labels: tuple[str, ...], mask: int) -> list[str]:
+    """The labels of the faces whose bits are set in mask, by face number."""
+    return [label for k, label in enumerate(labels) if mask >> k & 1]
+
+
 class RankedPoset:
-    """Faces carry opaque string labels; `less` is the strict order."""
+    """A ranked poset held as its `FaceIndex`; faces carry opaque string
+    labels, and `less` is the strict order as label pairs.  Two posets are
+    equal when they have the same rank, faces and order."""
 
-    rank: int
-    faces: tuple[tuple[str, ...], ...]  # index r+1 holds the rank-r labels
-    less: frozenset[tuple[str, str]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faces", tuple(tuple(sorted(level)) for level in self.faces))
-        object.__setattr__(self, "less", frozenset(self.less))
-        if len(self.faces) != self.rank + 2:
+    def __init__(self, rank: int, faces, less) -> None:
+        """Check and index a poset given as label levels, rank -1 first, and label pairs."""
+        faces = tuple(tuple(sorted(level)) for level in faces)
+        if len(faces) != rank + 2:
             raise FormatError("need one face level per rank -1..n")
-        ranks: dict[str, int] = {}
-        for r, level in enumerate(self.faces, start=-1):
+        number: dict[str, int] = {}
+        ranks: list[int] = []
+        for r, level in enumerate(faces, start=-1):
             for label in level:
-                if label in ranks:
+                if label in number:
                     raise FormatError(f"duplicate face label {label!r}")
-                ranks[label] = r
-        for a, b in self.less:
-            if a not in ranks or b not in ranks:
+                number[label] = len(ranks)
+                ranks.append(r)
+        pairs = set()
+        for a, b in less:
+            if a not in number or b not in number:
                 raise FormatError(f"order pair ({a!r}, {b!r}) uses unknown labels")
-            if ranks[a] >= ranks[b]:
+            if ranks[number[a]] >= ranks[number[b]]:
                 raise FormatError(f"order pair ({a!r}, {b!r}) does not increase rank")
+            pairs.add((number[a], number[b]))
+        self.rank = rank
+        self._index = _face_index(list(number), ranks, pairs)
+
+    # faces are numbered canonically, so equal faces and order mean equal indexes
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankedPoset):
+            return NotImplemented
+        return (self.rank, self._index[:3]) == (other.rank, other._index[:3])
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self._index[:3]))
+
+    def __repr__(self) -> str:
+        return f"RankedPoset(rank={self.rank}, faces={self.faces!r})"
+
+    @cached_property
+    def faces(self) -> tuple[tuple[str, ...], ...]:
+        """The labels of each rank, in label order; index r + 1 holds rank r."""
+        ranked = list(zip(self._index.labels, self._index.ranks))
+        return tuple(tuple(x for x, r in ranked if r == rank) for rank in range(-1, self.rank + 1))
+
+    @cached_property
+    def less(self) -> frozenset[tuple[str, str]]:
+        labels = self._index.labels
+        return frozenset((labels[i], labels[j]) for i, j in self._index.pairs)
 
     @cached_property
     def rank_of(self) -> dict[str, int]:
-        return {label: r for r, level in enumerate(self.faces, start=-1) for label in level}
-
-    @cached_property
-    def _index(self) -> FaceIndex:
-        labels = tuple(self.rank_of)
-        number = {label: k for k, label in enumerate(labels)}
-        pairs = tuple((number[a], number[b]) for a, b in self.less)
-        bit = [1 << k for k in range(len(labels))]
-        up, down = [0] * len(labels), [0] * len(labels)
-        for i, j in pairs:
-            up[i] |= bit[j]
-            down[j] |= bit[i]
-        return FaceIndex(labels, tuple(self.rank_of.values()), tuple(up), tuple(down), pairs)
+        return dict(zip(self._index.labels, self._index.ranks))
 
     @cached_property
     def up(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {label: set() for label in self.rank_of}
-        for a, b in self.less:
-            out[a].add(b)
-        return {k: frozenset(v) for k, v in out.items()}
+        labels = self._index.labels
+        return {label: frozenset(_labels_in(labels, mask)) for label, mask in zip(labels, self._index.up)}
 
     @cached_property
     def down(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {label: set() for label in self.rank_of}
-        for a, b in self.less:
-            out[b].add(a)
-        return {k: frozenset(v) for k, v in out.items()}
+        labels = self._index.labels
+        return {label: frozenset(_labels_in(labels, mask)) for label, mask in zip(labels, self._index.down)}
 
     @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:
@@ -123,22 +145,27 @@ class RankedPoset:
 
 def pos_of(m: Maniplex) -> RankedPoset:
     """The face poset, with labels 'rank:canonicalFlag' plus '-1:0' and 'n:0';
-    faces of different ranks are incident when some flag lies in both."""
+    faces of different ranks are incident when some flag lies in both.
+    Indexed straight from the face tables: per rank, canonical id -> face
+    number, and per pair of ranks, the number pairs of the flags' faces."""
     n = m.rank
     ids = [face_table(m, i).ids for i in range(n)]
-    labels = [{c: f"{i}:{c}" for c in sorted(set(row))} for i, row in enumerate(ids)]
-    bottom, top = "-1:0", f"{n}:0"
-    less: set[tuple[str, str]] = {(bottom, top)}
-    for level in labels:
-        for label in level.values():
-            less.add((bottom, label))
-            less.add((label, top))
+    labels, ranks = ["-1:0"], [-1]
+    numbers: list[dict[int, int]] = []
+    for i, row in enumerate(ids):
+        level = sorted(set(row), key=str)
+        numbers.append({c: k for k, c in enumerate(level, start=len(labels))})
+        labels += [f"{i}:{c}" for c in level]
+        ranks += [i] * len(level)
+    top = len(labels)
+    pairs = [(0, k) for k in range(1, top + 1)] + [(k, top) for k in range(1, top)]
     for i in range(n):
         for j in range(i + 1, n):
-            lower, upper = labels[i], labels[j]
-            less.update((lower[a], upper[b]) for a, b in set(zip(ids[i], ids[j])))
-    levels = tuple(tuple(level.values()) for level in labels)
-    return RankedPoset(n, ((bottom,),) + levels + ((top,),), frozenset(less))
+            lower, upper = numbers[i], numbers[j]
+            pairs += [(lower[a], upper[b]) for a, b in set(zip(ids[i], ids[j]))]
+    p = RankedPoset.__new__(RankedPoset)  # the index is built right, so skip the label checks
+    p.rank, p._index = n, _face_index(labels + [f"{n}:0"], ranks + [n], pairs)
+    return p
 
 
 # ---------- flag function ----------
@@ -155,17 +182,19 @@ class FaithfulnessResult(NamedTuple):
 
 
 def is_faithful(m: Maniplex) -> FaithfulnessResult:
-    """The witness is the two least flags of the first shared chain, with
-    chains ordered by their 'i:c' labels, that is by the ids as strings.
-    Computed once per maniplex and kept in its cache."""
+    """Faithful when no two flags share a chain.  Otherwise the witness is
+    the two least flags of the first shared chain, with chains ordered by
+    their 'i:c' labels, that is by the ids as strings; fibers are grouped
+    only then.  Computed once per maniplex and kept in its cache."""
     result = m._cache.get("faithful")
     if result is None:
-        fibers: dict[tuple[int, ...], list[int]] = defaultdict(list)
-        for f, chain in enumerate(flag_function(m)):
-            fibers[chain].append(f)
-        if len(fibers) == m.flag_count:
+        chains = flag_function(m)
+        if len(set(chains)) == m.flag_count:
             result = FaithfulnessResult(True, None)
         else:
+            fibers: dict[tuple[int, ...], list[int]] = defaultdict(list)
+            for f, chain in enumerate(chains):
+                fibers[chain].append(f)
             chain = min((c for c, fiber in fibers.items() if len(fiber) > 1), key=lambda c: tuple(map(str, c)))
             result = FaithfulnessResult(False, tuple(fibers[chain][:2]))
         m._cache["faithful"] = result
@@ -194,21 +223,26 @@ def order_transitivity_witness(p: RankedPoset) -> Optional[tuple[str, str, str]]
         return None
     j = min(bad)[0]
     a, i = min((labels[i], i) for k, i in bad if k == j)
-    return (a, labels[j], _sorted_labels(labels, up[j] & ~up[i])[0])
+    return (a, labels[j], min(_labels_in(labels, up[j] & ~up[i])))
 
 
 def boundedness_witness(p: RankedPoset) -> Optional[tuple]:
-    if len(p.level(-1)) != 1:
+    """The first failure of: one least face, one greatest face, then per
+    face, by rank and label, lying above the least and below the greatest."""
+    labels, ranks, up, down, _ = p._index
+    if ranks.count(-1) != 1:
         return ("minimum", p.level(-1))
-    if len(p.level(p.rank)) != 1:
+    if ranks.count(p.rank) != 1:
         return ("maximum", p.level(p.rank))
-    bottom, top = p.level(-1)[0], p.level(p.rank)[0]
-    for label, r in p.rank_of.items():
-        if label != bottom and (bottom, label) not in p.less:
-            return ("minimum-not-below", label)
-        if label != top and (label, top) not in p.less:
-            return ("maximum-not-above", label)
-    return None
+    # faces are numbered by rank, so the least face is the first and the greatest the last
+    top = len(labels) - 1
+    not_over_min = ((1 << top + 1) - 2) & ~up[0]
+    not_under_max = ((1 << top) - 1) & ~down[top]
+    missed = not_over_min | not_under_max
+    if not missed:
+        return None
+    k = (missed & -missed).bit_length() - 1
+    return ("minimum-not-below" if not_over_min >> k & 1 else "maximum-not-above", labels[k])
 
 
 def gradedness_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
@@ -235,7 +269,7 @@ def diamond_witness(p: RankedPoset) -> Optional[tuple[str, str, tuple[str, ...]]
     if not bad:
         return None
     a, b, middles = min(bad)
-    return (a, b, tuple(_sorted_labels(labels, middles)))
+    return (a, b, tuple(sorted(_labels_in(labels, middles))))
 
 
 def maximal_chains(p: RankedPoset) -> list[tuple[str, ...]]:
@@ -246,10 +280,8 @@ def maximal_chains(p: RankedPoset) -> list[tuple[str, ...]]:
     if len(p.level(-1)) != 1 or len(p.level(p.rank)) != 1:
         raise ValueError("maximal_chains needs unique least and greatest faces")
     cover_up: dict[str, list[str]] = defaultdict(list)
-    for a, b in p.covers:
+    for a, b in p.covers:  # sorted, so each face's covers are too
         cover_up[a].append(b)
-    for a in cover_up:
-        cover_up[a].sort()
     bottom = p.level(-1)[0]
     out: list[tuple[str, ...]] = []
     stack: list[tuple[str, ...]] = [(bottom,)]
@@ -270,14 +302,11 @@ def section(p: RankedPoset, lower: str, upper: str) -> RankedPoset:
         raise ValueError("section endpoints must be faces of the poset")
     if not p.lt(lower, upper):
         raise ValueError(f"section endpoints must be comparable: {lower!r}, {upper!r}")
+    low, high = p.rank_of[lower], p.rank_of[upper]
     keep = {lower, upper} | (p.up[lower] & p.down[upper])
-    offset = p.rank_of[lower] + 1
-    new_rank = p.rank_of[upper] - offset
-    levels: list[list[str]] = [[] for _ in range(new_rank + 2)]
-    for label in keep:
-        levels[p.rank_of[label] - offset + 1].append(label)
+    levels = [[label for label in level if label in keep] for level in p.faces[low + 1 : high + 2]]
     less = frozenset((a, b) for a in keep for b in p.up[a] & keep)
-    return RankedPoset(new_rank, tuple(tuple(level) for level in levels), less)
+    return RankedPoset(high - low - 1, levels, less)
 
 
 def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:

@@ -9,6 +9,7 @@ files were computed with these.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 Perms = tuple[tuple[int, ...], ...]
@@ -274,6 +275,98 @@ def flag_connectivity_by_sections(faces, less):
         if not section_chains_connected(faces, above, lower, upper):
             return (lower, upper)
     return None
+
+
+class LabelledPoset(NamedTuple):
+    rank: int
+    faces: tuple[tuple[str, ...], ...]  # rank -1 first, each level in label order
+    less: frozenset[tuple[str, str]]
+    covers: tuple[tuple[str, str], ...]  # pairs with nothing strictly between, sorted
+    rank_of: dict[str, int]  # faces by rank, then label
+
+
+def pos_of_by_labels(m) -> LabelledPoset:
+    """The face poset as label strings: 'i:c' for the i-face whose least
+    flag is c (found by `faces_by_bfs`), plus '-1:0' below and 'n:0' above
+    everything; faces of ranks i < j are incident when some flag lies in
+    both, read as the label pairs of every flag's two faces.  `m` is
+    anything with a `perms` attribute."""
+    perms = m.perms
+    n, size = len(perms), len(perms[0])
+    labels = [[""] * size for _ in range(n)]
+    for i in range(n):
+        for least, members in faces_by_bfs(perms, i):
+            for f in members:
+                labels[i][f] = f"{i}:{least}"
+    bottom, top = "-1:0", f"{n}:0"
+    less = {(bottom, top)}
+    for row in labels:
+        less.update((bottom, label) for label in row)
+        less.update((label, top) for label in row)
+    for i in range(n):
+        for j in range(i + 1, n):
+            less.update(zip(labels[i], labels[j]))
+    faces = ((bottom,), *(tuple(sorted(set(row))) for row in labels), (top,))
+    above: dict[str, set[str]] = {x: set() for level in faces for x in level}
+    below: dict[str, set[str]] = {x: set() for x in above}
+    for a, b in less:
+        above[a].add(b)
+        below[b].add(a)
+    covers = tuple(sorted((a, b) for a, b in less if not above[a] & below[b]))
+    rank_of = {x: r for r, level in enumerate(faces, start=-1) for x in level}
+    return LabelledPoset(n, faces, frozenset(less), covers, rank_of)
+
+
+# corner k of the cell at (x, y) sits at (x, y) + ((0, 0), (1, 0), (1, 1),
+# (0, 1))[k]; side j joins corners j and j + 1 and is crossed into the cell
+# at (x, y) + _ACROSS[j]
+_ACROSS = ((0, -1), (1, 0), (0, 1), (-1, 0))
+# crossing side j, the neighbour's corner at the same grid point
+_NEIGHBOUR_CORNER = ({0: 3, 1: 2}, {1: 0, 2: 3}, {2: 1, 3: 0}, {3: 2, 0: 1})
+
+
+def torus_44_by_lattice(b: int, c: int) -> Perms:
+    """Flag graph of the {4,4} torus map with translation lattice
+    <(b, c), (-c, b)>, built flag by flag.
+
+    Flag (cell, corner k, side s) is numbered (cell * 4 + k) * 2 + s, on
+    side k for s = 0 and side k - 1 for s = 1.  A cell is a class of Z^2
+    modulo the lattice: (u, v) is a lattice point exactly when u b + v c and
+    v b - u c are both multiples of N = b^2 + c^2, so the pair of those two
+    residues names the class.  Cells are numbered in increasing order of
+    their representatives (x, t), 0 <= x < N/g, 0 <= t < g with
+    g = gcd(b, c), which the function checks are N distinct classes, that
+    is all of them.  Every flag's r0, r1 and r2 neighbour is found by naming
+    the class of the cell it lies in."""
+    n, g = b * b + c * c, math.gcd(b, c)
+
+    def key(x: int, y: int) -> tuple[int, int]:
+        return ((x * b + y * c) % n, (y * b - x * c) % n)
+
+    rep = {key(x, t): (x, t) for x in range(n // g) for t in range(g)}
+    assert len(rep) == n, "the representatives do not name every class"
+    cells = sorted(rep.values())
+    cell_index = {cell: k for k, cell in enumerate(cells)}
+
+    def flag_id(cell: tuple[int, int], corner: int, side: int) -> int:
+        return (cell_index[rep[key(*cell)]] * 4 + corner) * 2 + side
+
+    r0, r1, r2 = [0] * (8 * n), [0] * (8 * n), [0] * (8 * n)
+    for cell in cells:
+        x, y = cell
+        for k in range(4):
+            for s in (0, 1):
+                me = flag_id(cell, k, s)
+                # r0: other endpoint of the side, same cell
+                r0[me] = flag_id(cell, (k + 1) % 4, 1) if s == 0 else flag_id(cell, (k - 1) % 4, 0)
+                # r1: other side at the same corner
+                r1[me] = flag_id(cell, k, 1 - s)
+                # r2: same corner and side, neighbouring cell
+                j = k if s == 0 else (k - 1) % 4
+                dx, dy = _ACROSS[j]
+                k2 = _NEIGHBOUR_CORNER[j][k]
+                r2[me] = flag_id((x + dx, y + dy), k2, 0 if k2 == (j + 2) % 4 else 1)
+    return (tuple(r0), tuple(r1), tuple(r2))
 
 
 class LabelledFlagFunction(NamedTuple):

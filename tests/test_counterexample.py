@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from maniplex.core import dual, face_map, faces, isomorphic, restrict, validate
+from maniplex.core import dual, face_map, face_table, faces, isomorphic, restrict, validate
 from maniplex.corpus import platonic
 from maniplex.cosets import coset_enumerate
 from maniplex.counterexample import (
@@ -10,13 +12,16 @@ from maniplex.counterexample import (
     EThetaOverlap,
     ThetaNotFound,
     ThetaSet,
+    _face_lifts_connected,
+    _projection_poset_iso,
     build_E_theta,
     find_theta,
     path_edges,
     verify_B_conditions,
 )
 from maniplex.poset import flag_graph_of, is_faithful, pos_of
-from maniplex.voltage import double_cover
+from maniplex.voltage import VoltageAssignment, double_cover, lift_connected
+from oracles import pos_of_by_labels
 
 THETA_FROZEN = (0, 24, 25, 57, 74, 87)
 
@@ -175,10 +180,46 @@ def test_bstar_fibers_are_sheet_pairs(bstar_result):
         assert fiber[0] % 2 == 0
 
 
+def test_face_lift_count_rule_matches_lift_connected(b_maniplex, bstar_result):
+    """A face of B lifts to one face of the double cover when `lift_connected`
+    finds its preimage connected, and to two otherwise, so comparing face
+    counts per rank decides what searching every lift does.  On B*'s voltage
+    assignment every lift connects; on one nontrivial colour-0 edge the
+    faces through it connect and the vertices do not."""
+    b = b_maniplex
+    single = VoltageAssignment.from_edges(b, [(0, 0)])
+    for z, want in ((bstar_result.assignment, True), (single, False)):
+        cover = double_cover(b, z).cover
+        lifts = []
+        for i in range(4):
+            base_ids = face_table(b, i).ids
+            over = Counter(base_ids[c // 2] for c in set(face_table(cover, i).ids))  # cover faces per base face
+            for face in faces(b, i):
+                connected = lift_connected(b, z, face.flags, [c for c in range(4) if c != i])
+                assert over[face.canonical] == (1 if connected else 2), (i, face.canonical)
+                lifts.append(connected)
+        assert _face_lifts_connected(cover, b) == all(lifts) == want
+    assert any(lifts)
+
+
 def test_bstar_poset_collapses_to_base(bstar_result):
     rebuilt = flag_graph_of(pos_of(bstar_result.bstar))
     assert isomorphic(rebuilt, bstar_result.b) is not None
     assert isomorphic(rebuilt, bstar_result.bstar) is None
+
+
+def test_projection_check_matches_halved_label_poset(bstar_result):
+    # the per-rank checks imply the order part: B*'s label poset with every
+    # id halved is B's; a cover with a split face lift fails them
+    def halve(label):
+        rank, flag = label.split(":")
+        return f"{rank}:{int(flag) // 2}"
+
+    b, bstar = bstar_result.b, bstar_result.bstar
+    assert _projection_poset_iso(bstar, b)
+    assert {(halve(a), halve(c)) for a, c in pos_of_by_labels(bstar).less} == pos_of_by_labels(b).less
+    split = double_cover(b, VoltageAssignment.from_edges(b, [(0, 0)])).cover
+    assert not _projection_poset_iso(split, b)
 
 
 def test_bstar_equals_double_cover_of_b(bstar_result):

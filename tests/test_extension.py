@@ -296,6 +296,20 @@ def test_facet_section_check_skips_without_a_flag_isomorphism(monkeypatch):
     assert detail == "a facet is not a copy of the base"
 
 
+def test_ridge_check_names_a_ridge_under_one_facet(monkeypatch):
+    # drop one ridge-facet pair from the extension's poset: that ridge is
+    # then under one facet, and the check names it with the count
+    cube = platonic("cube")
+    ext_poset = pos_of(extend(cube, faces(cube, 2)[0]))
+    ridge = ext_poset.level(2)[0]
+    facet = min(x for x in ext_poset.level(3) if (ridge, x) in ext_poset.less)
+    dropped = RankedPoset(ext_poset.rank, ext_poset.faces, ext_poset.less - {(ridge, facet)})
+    monkeypatch.setattr(extension, "pos_of", lambda m: dropped if m.rank == 4 else pos_of(m))
+    res = verify_extension(cube, faces(cube, 2)[0])
+    check = next(c for c in res.checks if c.name == "ridges-in-two-facets")
+    assert (check.status, check.detail) == (FAIL, (ridge, 1))
+
+
 def test_extension_rows_share_one_int_per_flag(bstar_result):
     m = bstar_result.bstar
     ext = extend(m, faces(m, 3)[0])

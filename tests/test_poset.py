@@ -42,10 +42,12 @@ from oracles import (
     flag_connectivity_by_sections,
     flag_function,
     polytope_report_by_label_sets,
+    pos_of_by_labels,
     renumber,
     section_by_filter,
     section_chains_connected,
 )
+import suites
 from test_extension import moved_pair
 
 # hand-built pathological posets
@@ -108,6 +110,22 @@ def test_axiom_witnesses_on_pathologies():
     assert boundedness_witness(RANK_SKIPPER) is None
     assert gradedness_witness(RANK_SKIPPER) == ("w", "t")
     assert is_polytope(RANK_SKIPPER).failed == "graded"
+
+
+def test_boundedness_witness_takes_faces_in_order():
+    # y is neither above the least face nor below the greatest: the least-face
+    # test comes first; z, later in label order, only misses the greatest;
+    # without (b, t) the least face itself comes first
+    levels = (("b",), ("x", "y", "z"), ("t",))
+    less = {("b", "x"), ("b", "z"), ("b", "t"), ("x", "t")}
+    assert boundedness_witness(RankedPoset(1, levels, less)) == ("minimum-not-below", "y")
+    assert boundedness_witness(RankedPoset(1, levels, less | {("b", "y")})) == ("maximum-not-above", "y")
+    assert boundedness_witness(RankedPoset(1, levels, less | {("b", "y"), ("y", "t")})) == ("maximum-not-above", "z")
+    assert boundedness_witness(RankedPoset(1, levels, less - {("b", "t")})) == ("maximum-not-above", "b")
+    for case in (less, less | {("b", "y")}, less - {("b", "t")}):
+        report = is_polytope(RankedPoset(1, levels, case))
+        got = (report.ok, report.failed, report.witness, report.malformed)
+        assert got == polytope_report_by_label_sets(levels, case)
 
 
 def test_diamond_witness_torus11():
@@ -304,6 +322,30 @@ def test_is_polytope_matches_label_set_oracle(oracle_members):
         outcomes.add(want[1] or want[3])
     axioms = {"order-not-transitive", "bounded", "graded", "diamond", "strong-flag-connectivity"}
     assert outcomes == axioms | {None}
+
+
+def test_pos_of_matches_label_oracle(oracle_members):
+    """The poset indexed from the face tables against the label-string
+    construction, on the oracle members and every census pool map (the pool
+    holds each map's mirror (c, b) too): rank, faces, order, covers and
+    ranks, equality with the same poset built from its labels, and the
+    faithfulness witness; on the pool maps also the polytope
+    report (the oracle members' reports are compared in
+    `test_is_polytope_matches_label_set_oracle`)."""
+    pool = [torus_44(b, c) for b, c in suites.TORUS_POOL]
+    for m in [*oracle_members, *pool]:
+        p, want = pos_of(m), pos_of_by_labels(m)
+        assert (p.rank, p.faces, p.less, p.covers, p.rank_of) == want, m
+        assert list(p.rank_of) == list(want.rank_of)
+        rebuilt = RankedPoset(want.rank, want.faces, want.less)
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        assert RankedPoset(want.rank, want.faces, want.less - {min(want.less)}) != p
+        assert tuple(is_faithful(m)) == faithfulness_by_labels(m), m
+    for m in pool:
+        p = pos_of(m)
+        report = is_polytope(p)
+        got = (report.ok, report.failed, report.witness, report.malformed)
+        assert got == polytope_report_by_label_sets(p.faces, p.less), m
 
 
 # a 3x3 poset whose only missing pairs end at the top: every y has four
