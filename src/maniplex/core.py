@@ -124,11 +124,20 @@ def structural_errors(m: Maniplex) -> list[str]:
         if len(row) != size:
             errors.append(f"permutation {i} has length {len(row)}, expected {size}")
             continue
-        for f, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size:
-                errors.append(f"permutation {i} entry {f} out of range: {v!r}")
-                break
+        f = _bad_entry(row, size)
+        if f is not None:
+            errors.append(f"permutation {i} entry {f} out of range: {row[f]!r}")
     return errors
+
+
+def _bad_entry(row: list | tuple, size: int) -> Optional[int]:
+    """Index of the first entry of the row that is not an int in 0..size-1
+    (bools excluded), or None.  A row of plain ints is settled by its
+    min and max; any other row is scanned entry by entry."""
+    if set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < size:
+        return None
+    bad = (f for f, v in enumerate(row) if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size)
+    return next(bad, None)
 
 
 def validate(m: Maniplex) -> ValidationReport:
@@ -164,21 +173,10 @@ def validate(m: Maniplex) -> ValidationReport:
                 if ri[f] == rj[f]:
                     report(AXIOM_PROPER, i, j, f)
                     break
-    # connectivity under all colours
-    seen_flags = [False] * size
-    queue = deque([0])
-    seen_flags[0] = True
-    reached = 1
-    while queue:
-        f = queue.popleft()
-        for row in perms:
-            g = row[f]
-            if not seen_flags[g]:
-                seen_flags[g] = True
-                reached += 1
-                queue.append(g)
-    if reached != size:
-        report(AXIOM_CONNECTED, seen_flags.index(False))
+    # connectivity: the least nonzero id is the least flag not reached from flag 0
+    ids = _component_ids(m, range(n))
+    if any(ids):
+        report(AXIOM_CONNECTED, min(set(ids) - {0}))
     # colours at distance > 1 must generate 4-cycles
     for i in range(n):
         for j in range(i + 2, n):
@@ -397,9 +395,9 @@ def _checked_perms(doc: object) -> list:
     for i, row in enumerate(perms):
         if not isinstance(row, list) or len(row) != nflags:
             raise FormatError(f"perms[{i}] must be a list of length {nflags}")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < nflags:
-                raise FormatError(f"perms[{i}] entry out of range: {v!r}")
+        f = _bad_entry(row, nflags)
+        if f is not None:
+            raise FormatError(f"perms[{i}] entry out of range: {row[f]!r}")
     return perms
 
 

@@ -4,20 +4,22 @@ The extension of a rank-n maniplex M over a facet F has flags (f, x) with
 x in Z_2 x Z_2, numbered 4f + code(x) where code maps (0,0),(1,0),(0,1),
 (1,1) to 0,1,2,3.  The old colours act on the flag part only; the new
 colour n adds (1,0) outside F and (1,1) inside F, so it toggles the tag by
-XOR 1 or XOR 3.  The four tag translates give four facets, each a copy of
-M, and the face structure over any face of M is governed by its tag span:
+XOR 1 or XOR 3.  When M is connected, the four facets are the tag classes
+{4g + t}, each carried from M by g -> 4g + t colour for colour, and the
+face structure over any face of M is governed by its tag span:
 {(0,0),(1,0)} when the face misses F, {(0,0),(1,1)} when it equals F, and
 all four tags when it meets F without being contained in it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
 from .certify import INFO, SKIP, Check, all_ok, passed
-from .core import Face, Maniplex, face_table, isomorphic, restrict, validate
+from .core import Face, Maniplex, face_table, validate
 from .poset import PolytopeReport, RankedPoset, is_faithful, is_polytope, pos_of
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -112,10 +114,15 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks.append(passed("extension-valid", report.ok, report.violations or None))
     checks.append(passed("flag-count", ext.flag_count == 4 * m.flag_count, ext.flag_count))
 
-    ext_facets = face_table(ext, n).faces
-    checks.append(passed("four-facets", len(ext_facets) == 4, len(ext_facets)))
-    isos = [isomorphic(restrict(ext, fc.flags, range(n)), m) for fc in ext_facets]
-    checks.append(passed("facets-copy-base", None not in isos))
+    facet_ids = face_table(ext, n).ids
+    count = len(set(facet_ids))
+    checks.append(passed("four-facets", count == 4, count))
+    # facet t is the tag class {4g + t}, which the old colours keep, so colour i
+    # sends 4g + t to 4 m.perms[i][g] + t exactly when the flag parts agree
+    copies = facet_ids == array("i", range(4)) * m.flag_count and all(
+        [x >> 2 for x in row[t::4]] == list(base_row) for base_row, row in zip(m.perms, ext.perms) for t in range(4)
+    )
+    checks.append(passed("facets-copy-base", copies))
 
     base_faith = is_faithful(m)
     if base_faith.faithful:
@@ -145,12 +152,10 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         checks.append(Check("facet-sections-match-base", SKIP, "base fails the diamond condition"))
         checks.append(Check("tag-spans-match", SKIP, "base fails the diamond condition"))
     else:
-        if None in isos:
+        if not copies:
             checks.append(Check("facet-sections-match-base", SKIP, "a facet is not a copy of the base"))
         else:
-            sections_ok = all(
-                _section_matches_base(m, p_base, ext, p_ext, fc, phi) for fc, phi in zip(ext_facets, isos)
-            )
+            sections_ok = all(_section_matches_base(m, p_base, ext, p_ext, t) for t in range(4))
             checks.append(passed("facet-sections-match-base", sections_ok))
         checks.append(passed("tag-spans-match", _tag_spans_match(m, facet, ext)))
 
@@ -196,32 +201,27 @@ def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex) -> bool:
     return True
 
 
-def _section_matches_base(
-    m: Maniplex, p_base: RankedPoset, ext: Maniplex, p_ext: RankedPoset, facet: Face, phi: tuple[int, ...]
-) -> bool:
-    """The section of pos(ext) below the facet is isomorphic to pos(m).
+def _section_matches_base(m: Maniplex, p_base: RankedPoset, ext: Maniplex, p_ext: RankedPoset, t: int) -> bool:
+    """The section of pos(ext) below facet t is isomorphic to pos(m).
 
-    phi is a flag isomorphism from the facet, restricted and renumbered in
-    increasing flag order, onto M.  It sends the base face of rank i at
-    flag c to the extension's i-face at flag facet.flags[phi^-1(c)], the
-    bottom to the bottom and the top to the facet.  When that map is a
-    bijection onto the faces at or below the facet and carries the base's
-    order pairs exactly onto the section's, it is an order isomorphism.
-    Linear in flags plus order pairs.
+    Facet t must be the tag class {4g + t}, carried from M by g -> 4g + t.
+    The base face of rank i at flag c then goes to the extension's i-face
+    at flag 4c + t, the bottom to the bottom and the top to the facet,
+    whose id is its least flag t.  When that map is a bijection onto the
+    faces at or below the facet and carries the base's order pairs exactly
+    onto the section's, it is an order isomorphism.  Linear in flags plus
+    order pairs.
     """
     n = m.rank
-    inverse = [0] * len(phi)
-    for k, f in enumerate(phi):
-        inverse[f] = facet.flags[k]
     base, ext_index = p_base._index, p_ext._index
     number = {label: k for k, label in enumerate(ext_index.labels)}
     image: dict[str, int] = {}
     for i in range(n):
         ext_ids = face_table(ext, i).ids
         for c in set(face_table(m, i).ids):
-            image[f"{i}:{c}"] = number[f"{i}:{ext_ids[inverse[c]]}"]
+            image[f"{i}:{c}"] = number[f"{i}:{ext_ids[4 * c + t]}"]
     # base face number -> extension face number; both bottoms are face 0
-    to = [0] + [image[label] for label in base.labels[1:-1]] + [number[f"{n}:{facet.canonical}"]]
+    to = [0] + [image[label] for label in base.labels[1:-1]] + [number[f"{n}:{t}"]]
     inside = ext_index.down[to[-1]] | 1 << to[-1]
     if len(set(to)) != len(to) or sum(1 << k for k in to) != inside:
         return False

@@ -185,15 +185,21 @@ def sections_by_cover_search(p_ext, p_base):
     )
 
 
-def test_facet_section_check_matches_oracles(bstar_result):
-    # every extension over every facet of: B* (rank 5) and of its facet-0
-    # extension (rank 6), the named maps, and the torus maps with b, c <= 3;
-    # the brute-force matcher is the oracle wherever it finishes in well
-    # under a second, the cover search everywhere
-    rank5 = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
-    bases = {"B*": bstar_result.bstar, "rank5": rank5}
+def extension_corpus(bstar):
+    """B* and its facet-0 extension (rank 5), the named maps, and the torus
+    maps with b, c <= 3, by name."""
+    rank5 = extend(bstar, faces(bstar, 3)[0])
+    bases = {"B*": bstar, "rank5": rank5}
     bases.update((name, platonic(name)) for name in corpus_names())
     bases.update((f"torus({b},{c})", torus_44(b, c)) for b in range(4) for c in range(4) if b or c)
+    return bases
+
+
+def test_facet_section_check_matches_oracles(bstar_result):
+    # every extension over every facet of the extension corpus; the
+    # brute-force matcher is the oracle wherever it finishes in well under
+    # a second, the cover search everywhere
+    bases = extension_corpus(bstar_result.bstar)
     brute = {"B*", "rank5", *corpus_names()}
     brute.update(f"torus({b},{c})" for b in range(3) for c in range(3) if b * b + c * c <= 5)
     checked = 0
@@ -233,37 +239,44 @@ def moved_pair(p: RankedPoset) -> RankedPoset:
     return RankedPoset(p.rank, p.faces, (p.less - {(a, b)}) | {(a, c)})
 
 
+def swapped_facets(p: RankedPoset, a: str, b: str) -> RankedPoset:
+    """p with the faces labelled a and b trading labels."""
+    name = {a: b, b: a}
+    return RankedPoset(p.rank, p.faces, {(name.get(x, x), name.get(y, y)) for x, y in p.less})
+
+
 def test_facet_section_check_fails_on_mutated_posets():
     cube = platonic("cube")
     ext = extend(cube, faces(cube, 2)[0])
     p_base, p_ext = pos_of(cube), pos_of(ext)
-    facet = faces(ext, 3)[0]
-    phi = isomorphic(restrict(ext, facet.flags, range(3)), cube)
-    bottom, label = p_ext.level(-1)[0], f"3:{facet.canonical}"
+    bottom, label = p_ext.level(-1)[0], "3:0"  # facet 0 is the tag class {4g}
     section_faces, section_less = section_by_filter(p_ext.faces, p_ext.less, bottom, label)
-    assert extension._section_matches_base(cube, p_base, ext, p_ext, facet, phi)
+    assert all(extension._section_matches_base(cube, p_base, ext, p_ext, t) for t in range(4))
     assert order_isomorphic_by_cover_search(section_faces, section_less, p_base.faces, p_base.less)
 
     bad_base = moved_pair(p_base)
-    assert not extension._section_matches_base(cube, bad_base, ext, p_ext, facet, phi)
+    assert not extension._section_matches_base(cube, bad_base, ext, p_ext, 0)
     assert poset_isomorphism(section(p_ext, bottom, label), bad_base) is None
     assert not order_isomorphic_by_cover_search(section_faces, section_less, bad_base.faces, bad_base.less)
 
     bad_ext = moved_pair(p_ext)
-    assert not extension._section_matches_base(cube, p_base, ext, bad_ext, facet, phi)
+    assert not extension._section_matches_base(cube, p_base, ext, bad_ext, 0)
     assert poset_isomorphism(section(bad_ext, bottom, label), p_base) is None
 
-    # a flag map that is not an isomorphism does not induce one on faces
-    shifted = phi[1:] + phi[:1]
-    assert not extension._section_matches_base(cube, p_base, ext, p_ext, facet, shifted)
+    # facet 0 read through tag 1: its section is still a copy of the base,
+    # but the faces at the flags 4c + 1 are not the faces below it
+    misread = swapped_facets(p_ext, "3:0", "3:1")
+    assert poset_isomorphism(section(misread, bottom, "3:1"), p_base) is not None
+    assert not extension._section_matches_base(cube, p_base, ext, misread, 1)
 
 
 def test_facet_section_check_needs_a_bijection():
     # torus (1, 0) has two edges with the same vertex and face.  Glue four
     # copies by a new colour that joins both edges of copy 0 through copy 1:
-    # facet 0 is still a copy of the base, and every base order pair still
-    # maps onto a pair of its section, but the section has one edge, so the
-    # face map is not injective and the posets are not isomorphic
+    # facet 0 is still the tag class {4g}, a copy of the base, and every
+    # base order pair still maps onto a pair of its section, but the section
+    # has one edge, so the face map is not injective and the posets are not
+    # isomorphic
     m = torus_44(1, 0)
     e1, e2 = (face.flags for face in faces(m, 1))
     rows = [tuple(4 * row[f] + t for f in range(8) for t in range(4)) for row in m.perms]
@@ -277,16 +290,26 @@ def test_facet_section_check_needs_a_bijection():
         glue[4 * f + 2], glue[4 * f + 3] = 4 * f + 3, 4 * f + 2
     ext = Maniplex((*rows, tuple(glue)))
     facet = faces(ext, 3)[0]
-    assert facet.flags == tuple(sorted(copy0))
-    phi = isomorphic(restrict(ext, facet.flags, range(3)), m)
+    assert facet.flags == tuple(range(0, 32, 4))
+    assert isomorphic(restrict(ext, facet.flags, range(3)), m) is not None
     p_base, p_ext = pos_of(m), pos_of(ext)
-    assert phi is not None
-    assert not extension._section_matches_base(m, p_base, ext, p_ext, facet, phi)
-    assert poset_isomorphism(section(p_ext, p_ext.level(-1)[0], f"3:{facet.canonical}"), p_base) is None
+    assert not extension._section_matches_base(m, p_base, ext, p_ext, 0)
+    assert poset_isomorphism(section(p_ext, p_ext.level(-1)[0], "3:0"), p_base) is None
+
+
+def crossed(ext: Maniplex) -> Maniplex:
+    """ext with the colour-0 edges at flags 0 and 1 crossed: flag 0 (tag 0)
+    and flag 1 (tag 1) trade partners, so one colour-0 edge joins tags 0
+    and 1, and another joins tags 1 and 0."""
+    row = list(ext.perms[0])
+    a, b = row[0], row[1]
+    row[0], row[1], row[a], row[b] = b, a, 1, 0
+    return Maniplex((tuple(row), *ext.perms[1:]))
 
 
 def test_facet_section_check_skips_without_a_flag_isomorphism(monkeypatch):
-    monkeypatch.setattr(extension, "isomorphic", lambda m1, m2: None)
+    real = extension.extend
+    monkeypatch.setattr(extension, "extend", lambda m, facet: crossed(real(m, facet)))
     cube = platonic("cube")
     res = verify_extension(cube, faces(cube, 2)[0])
     st = statuses(res)
@@ -294,6 +317,31 @@ def test_facet_section_check_skips_without_a_flag_isomorphism(monkeypatch):
     assert st["facet-sections-match-base"] == SKIP
     detail = next(c.detail for c in res.checks if c.name == "facet-sections-match-base")
     assert detail == "a facet is not a copy of the base"
+
+
+def facets_copy_base_by_search(ext: Maniplex, m: Maniplex) -> bool:
+    """Each facet of ext, restricted and renumbered, is isomorphic to m."""
+    n = m.rank
+    return all(isomorphic(restrict(ext, fc.flags, range(n)), m) is not None for fc in faces(ext, n))
+
+
+def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, monkeypatch):
+    # over every extension of the extension corpus and of a disconnected
+    # base, and over a tag-crossing mutant of each, the tag arithmetic and
+    # the per-facet isomorphism search agree
+    bases = extension_corpus(bstar_result.bstar)
+    bases["two squares"] = two_squares
+    real = extension.extend
+    checked = 0
+    for name, m in bases.items():
+        for facet in faces(m, m.rank - 1):
+            for build, expected in ((real, name != "two squares"), (lambda m, f: crossed(real(m, f)), False)):
+                monkeypatch.setattr(extension, "extend", build)
+                res = verify_extension(m, facet)
+                copies = statuses(res)["facets-copy-base"] == PASS
+                assert copies == facets_copy_base_by_search(res.extension, m) == expected, (name, facet.canonical)
+            checked += 1
+    assert checked == 145
 
 
 def test_ridge_check_names_a_ridge_under_one_facet(monkeypatch):
@@ -334,12 +382,13 @@ def test_verify_extension_labels_each_rank_once(bstar_result, monkeypatch):
     m = Maniplex(bstar_result.bstar.perms)
     res = verify_extension(m, faces(m, 3)[0])
     assert res.ok
-    # one face-id search per (maniplex, rank), and only the base and the
-    # extension are labelled
+    # one face-id search per (maniplex, rank), plus validate's one search
+    # over all colours of the extension; only the base and the extension
+    # are labelled
     assert calls and max(calls.values()) == 1
     assert {id(x) for x in labelled} == {id(m), id(res.extension)}
     ext_searches = sorted(cols for key, cols in calls if key == id(res.extension))
-    assert ext_searches == sorted(tuple(c for c in range(5) if c != i) for i in range(5))
+    assert ext_searches == sorted([tuple(range(5))] + [tuple(c for c in range(5) if c != i) for i in range(5)])
 
 
 def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):
