@@ -1,9 +1,9 @@
 """Command-line front end: generate, check, certify, and export.
 
-Exit codes: 0 success, 1 semantic failure (axiom or certification) or a
-size limit refused, 2 I/O or parse failure.  All file output is
-byte-deterministic for a fixed input and version; wall-clock timings go to
-stderr only.
+Exit codes: 0 success, 1 semantic failure (axiom or certification), a
+size limit refused or an internal failure, 2 I/O or parse failure.  All
+file output is byte-deterministic for a fixed input and version;
+wall-clock timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .counterexample import (
     find_theta,
 )
 from .coxeter import schreier_correspondence, verdict as classify
-from .extension import extend, verify_extension
-from .poset import pos_of, poset_to_dot, poset_to_json_dict
+from .extension import YProfileUndefined, extend, verify_extension
+from .poset import DiamondError, pos_of, poset_to_dot, poset_to_json_dict
 
 
 def _sha256(data: bytes) -> str:
@@ -371,7 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         rc = args.func(args)
-    except (BuildError, ThetaNotFound, EThetaOverlap, CosetCapExceeded) as exc:
+    except (BuildError, ThetaNotFound, EThetaOverlap, CosetCapExceeded, YProfileUndefined, DiamondError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, OSError, ValueError) as exc:

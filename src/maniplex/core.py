@@ -146,44 +146,36 @@ def validate(m: Maniplex) -> ValidationReport:
     if structural:
         return ValidationReport(False, structural, [])
 
-    violations: list[Violation] = []
-    seen: set[tuple] = set()
-
-    def report(axiom: str, *witness) -> None:
-        key = (axiom,) + witness[:-1]  # one witness per axiom/colour combination
-        if key not in seen:
-            seen.add(key)
-            violations.append(Violation(axiom, tuple(witness)))
-
+    violations: list[Violation] = []  # each loop stops at its first witness
     perms = m.perms
     n, size = m.rank, m.flag_count
     for i, row in enumerate(perms):
         for f in range(size):
             if row[row[f]] != f:
-                report(AXIOM_INVOLUTION, i, f)
+                violations.append(Violation(AXIOM_INVOLUTION, (i, f)))
                 break
         for f in range(size):
             if row[f] == f:
-                report(AXIOM_FIXED_POINT_FREE, i, f)
+                violations.append(Violation(AXIOM_FIXED_POINT_FREE, (i, f)))
                 break
     for i in range(n):
         for j in range(i + 1, n):
             ri, rj = perms[i], perms[j]
             for f in range(size):
                 if ri[f] == rj[f]:
-                    report(AXIOM_PROPER, i, j, f)
+                    violations.append(Violation(AXIOM_PROPER, (i, j, f)))
                     break
     # connectivity: the least nonzero id is the least flag not reached from flag 0
     ids = _component_ids(m, range(n))
     if any(ids):
-        report(AXIOM_CONNECTED, min(set(ids) - {0}))
+        violations.append(Violation(AXIOM_CONNECTED, (min(set(ids) - {0}),)))
     # colours at distance > 1 must generate 4-cycles
     for i in range(n):
         for j in range(i + 2, n):
             ri, rj = perms[i], perms[j]
             for f in range(size):
                 if ri[rj[ri[rj[f]]]] != f:
-                    report(AXIOM_SQUARE, i, j, f)
+                    violations.append(Violation(AXIOM_SQUARE, (i, j, f)))
                     break
     return ValidationReport(not violations, [], violations)
 

@@ -8,7 +8,10 @@ XOR 1 or XOR 3.  When M is connected, the four facets are the tag classes
 {4g + t}, each carried from M by g -> 4g + t colour for colour, and the
 face structure over any face of M is governed by its tag span:
 {(0,0),(1,0)} when the face misses F, {(0,0),(1,1)} when it equals F, and
-all four tags when it meets F without being contained in it.
+all four tags when it meets F without being contained in it.  Each span
+comes from two counts over M's face ids, and it fixes the face id of every
+extension flag over the face, so the spans are certified by comparing one
+predicted id array per rank with the extension's face table.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _TAGS_MISSING = frozenset({(0, 0), (1, 0)})
 _TAGS_EQUAL = frozenset({(0, 0), (1, 1)})
 _TAGS_ALL = frozenset(TAG_CODES)
+# span -> for tag codes 0..3, the id of the extension face holding that tag over base face c, minus 4c
+_TAG_OFFSETS = {_TAGS_MISSING: (0, 0, 2, 2), _TAGS_EQUAL: (0, 1, 1, 0), _TAGS_ALL: (0, 0, 0, 0)}
 
 
 def _resolve_facet(m: Maniplex, facet: Face) -> Face:
@@ -58,6 +63,24 @@ class YProfileUndefined(ValueError):
     """The face/facet configuration falls outside the three covered cases."""
 
 
+def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[int, int]] | None]:
+    """Each i-face's tag span, keyed by canonical id, from the face sizes and
+    the count of each face's flags in the marked facet; None for an i-face
+    properly contained in the facet."""
+    ids = face_table(m, i).ids
+    facet_ids = face_table(m, m.rank - 1).ids
+    inside = Counter(c for c, t in zip(ids, facet_ids) if t == facet.canonical)
+    spans: dict[int, frozenset[tuple[int, int]] | None] = {}
+    for c, size in Counter(ids).items():
+        if not inside[c]:
+            spans[c] = _TAGS_MISSING
+        elif inside[c] < size:
+            spans[c] = _TAGS_ALL
+        else:
+            spans[c] = _TAGS_EQUAL if size == len(facet.flags) else None
+    return spans
+
+
 def y_profile(m: Maniplex, facet: Face, flag: int, i: int) -> frozenset[tuple[int, int]]:
     """Tag span of the extension face over the i-face of the given flag.
 
@@ -68,19 +91,12 @@ def y_profile(m: Maniplex, facet: Face, flag: int, i: int) -> frozenset[tuple[in
     facet = _resolve_facet(m, facet)
     if not 0 <= i < m.rank:
         raise ValueError(f"face rank {i} out of range")
-    table = face_table(m, i)
-    face = next(fc for fc in table.faces if fc.canonical == table.ids[flag])
-    facet_ids = face_table(m, m.rank - 1).ids
-    inside = sum(1 for f in face.flags if facet_ids[f] == facet.canonical)
-    if inside == 0:
-        return _TAGS_MISSING
-    if inside < len(face.flags):
-        return _TAGS_ALL
-    if len(face.flags) < len(facet.flags):
+    span = _tag_spans(m, facet, i)[face_table(m, i).ids[flag]]
+    if span is None:
         raise YProfileUndefined(
             f"{i}-face of flag {flag} is properly contained in the marked facet"
         )
-    return _TAGS_EQUAL
+    return span
 
 
 @dataclass
@@ -180,24 +196,18 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
 def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex) -> bool:
     """Every extension face over a base face spans exactly the predicted tags.
 
-    Every span holds (0, 0), so a predicted set is a face exactly when all
-    its flags carry the face id 4 * base canonical and it has the face's size.
+    Over a base i-face with least flag c, the face holding tag 0 has id 4c
+    and the face holding the other tags, if any, has as id its least flag.
+    So the spans predict every flag's face id, and a rank matches when the
+    prediction equals the extension's face table flag for flag.
     """
-    code = {tag: k for k, tag in enumerate(TAG_CODES)}
     for i in range(m.rank):
-        ext_ids = face_table(ext, i).ids
-        size = Counter(ext_ids)
-        for base_face in face_table(m, i).faces:
-            try:
-                tags = y_profile(m, facet, base_face.canonical, i)
-            except YProfileUndefined:
-                return False
-            target = 4 * base_face.canonical
-            offsets = [code[t] for t in tags]
-            if size[target] != len(base_face.flags) * len(offsets):
-                return False
-            if any(ext_ids[4 * f + k] != target for f in base_face.flags for k in offsets):
-                return False
+        spans = _tag_spans(m, facet, i)
+        if None in spans.values():
+            return False
+        predicted = array("i", [4 * c + off for c in face_table(m, i).ids for off in _TAG_OFFSETS[spans[c]]])
+        if predicted != face_table(ext, i).ids:
+            return False
     return True
 
 
@@ -215,13 +225,10 @@ def _section_matches_base(m: Maniplex, p_base: RankedPoset, ext: Maniplex, p_ext
     n = m.rank
     base, ext_index = p_base._index, p_ext._index
     number = {label: k for k, label in enumerate(ext_index.labels)}
-    image: dict[str, int] = {}
-    for i in range(n):
-        ext_ids = face_table(ext, i).ids
-        for c in set(face_table(m, i).ids):
-            image[f"{i}:{c}"] = number[f"{i}:{ext_ids[4 * c + t]}"]
+    ids = [face_table(ext, i).ids for i in range(n)]
+    proper = (map(int, label.split(":")) for label in base.labels[1:-1])  # 'i:c' -> (i, c)
     # base face number -> extension face number; both bottoms are face 0
-    to = [0] + [image[label] for label in base.labels[1:-1]] + [number[f"{n}:{t}"]]
+    to = [0] + [number[f"{i}:{ids[i][4 * c + t]}"] for i, c in proper] + [number[f"{n}:{t}"]]
     inside = ext_index.down[to[-1]] | 1 << to[-1]
     if len(set(to)) != len(to) or sum(1 << k for k in to) != inside:
         return False

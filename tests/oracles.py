@@ -179,6 +179,32 @@ def faces_by_bfs(perms: Perms, i: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+def tag_spans_match_by_faces(base: Perms, facet_flags, ext: Perms) -> bool:
+    """Over every base i-face below the top rank, the extension faces are
+    the predicted tag spans, checked face by face.  With k of the face's
+    flags in the marked facet, the span is tags {0, 1} when k is 0, {0, 3}
+    when the face's flags are the facet's, and all four tags when
+    0 < k < the face's size; a face properly inside the facet has no span
+    and fails.  The flags {4f + t : f in the face, t in the span} must make
+    up one extension i-face (faces found by `faces_by_bfs`)."""
+    inside = set(facet_flags)
+    for i in range(len(base)):
+        ext_faces = {members for _, members in faces_by_bfs(ext, i)}
+        for _, members in faces_by_bfs(base, i):
+            k = len(inside.intersection(members))
+            if k == 0:
+                tags = (0, 1)
+            elif k < len(members):
+                tags = (0, 1, 2, 3)
+            elif len(members) == len(inside):
+                tags = (0, 3)
+            else:
+                return False
+            if tuple(sorted(4 * f + t for f in members for t in tags)) not in ext_faces:
+                return False
+    return True
+
+
 def section_by_filter(faces, less, lower: str, upper: str):
     """(faces per rank from lower up to upper, strict order) of a section,
     filtering every pair of the whole order."""

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from maniplex import cli, poset
+from maniplex import cli, extension, poset
 from maniplex.cli import main
 from maniplex.core import from_json_dict
 from maniplex.voltage import double_cover, voltage_from_json_dict
@@ -293,3 +293,23 @@ def test_verdict_document(tmp_path):
 def test_verdict_base_out_of_range(tmp_path):
     path = gen(tmp_path, "sq.json", "gen", "platonic", "--name", "square")
     assert main(["verdict", "-i", path, "--base", "8"]) == 2
+
+
+def test_internal_failures_exit_1(tmp_path, monkeypatch, capsys):
+    # YProfileUndefined and DiamondError are ValueErrors, but they report a
+    # failure inside the package, not bad usage or IO
+    path = gen(tmp_path, "cube.json", "gen", "platonic", "--name", "cube")
+    capsys.readouterr()
+
+    def refuse_spans(m, facet):
+        raise extension.YProfileUndefined("1-face of flag 0 is properly contained in the marked facet")
+
+    def refuse_diamond(m):
+        raise poset.DiamondError(("-1:0", "0:0"))
+
+    monkeypatch.setattr(cli, "verify_extension", refuse_spans)
+    assert main(["extend", "-i", path, "--verify", "-o", str(tmp_path / "ext")]) == 1
+    assert "error: 1-face of flag 0" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "pos_of", refuse_diamond)
+    assert main(["export", "--format", "json", "-i", path]) == 1
+    assert "error: diamond condition fails" in capsys.readouterr().err

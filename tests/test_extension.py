@@ -15,7 +15,7 @@ from maniplex.extension import (
     y_profile,
 )
 from maniplex.poset import RankedPoset, is_faithful, pos_of, section, poset_isomorphism
-from oracles import order_isomorphic_by_cover_search, section_by_filter
+from oracles import order_isomorphic_by_cover_search, section_by_filter, tag_spans_match_by_faces
 
 
 def statuses(result):
@@ -297,14 +297,23 @@ def test_facet_section_check_needs_a_bijection():
     assert poset_isomorphism(section(p_ext, p_ext.level(-1)[0], "3:0"), p_base) is None
 
 
-def crossed(ext: Maniplex) -> Maniplex:
-    """ext with the colour-0 edges at flags 0 and 1 crossed: flag 0 (tag 0)
-    and flag 1 (tag 1) trade partners, so one colour-0 edge joins tags 0
-    and 1, and another joins tags 1 and 0."""
-    row = list(ext.perms[0])
-    a, b = row[0], row[1]
-    row[0], row[1], row[a], row[b] = b, a, 1, 0
-    return Maniplex((tuple(row), *ext.perms[1:]))
+def crossed(ext: Maniplex, colour: int = 0, x: int = 0, y: int = 1) -> Maniplex:
+    """ext with the edges of the given colour at flags x and y crossed: x
+    and y trade partners.  By default flag 0 (tag 0) and flag 1 (tag 1),
+    so one colour-0 edge joins tags 0 and 1, and another joins tags 1 and
+    0."""
+    perms = list(ext.perms)
+    row = list(perms[colour])
+    a, b = row[x], row[y]
+    row[x], row[y], row[a], row[b] = b, a, y, x
+    perms[colour] = tuple(row)
+    return Maniplex(tuple(perms))
+
+
+def new_colour_swapped(ext: Maniplex) -> Maniplex:
+    """ext with the new colour's edges at flags 0 and 2 crossed: base flag
+    0 is then twisted as if it had changed sides of the marked facet."""
+    return crossed(ext, ext.rank - 1, 0, 2)
 
 
 def test_facet_section_check_skips_without_a_flag_isomorphism(monkeypatch):
@@ -342,6 +351,46 @@ def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, 
                 assert copies == facets_copy_base_by_search(res.extension, m) == expected, (name, facet.canonical)
             checked += 1
     assert checked == 145
+
+
+def test_tag_spans_match_agrees_with_face_search(bstar_result):
+    # over every extension of the extension corpus, a tag-crossing mutant
+    # of each and a new-colour mutant of each, the predicted face ids and
+    # the face-by-face search agree
+    verdicts = Counter()
+    for name, m in extension_corpus(bstar_result.bstar).items():
+        for facet in faces(m, m.rank - 1):
+            ext = extend(m, facet)
+            for kind, built in (("real", ext), ("crossed", crossed(ext)), ("swapped", new_colour_swapped(ext))):
+                ok = extension._tag_spans_match(m, facet, built)
+                assert ok == tag_spans_match_by_faces(m.perms, facet.flags, built.perms), (name, facet.canonical, kind)
+                verdicts[kind, ok] += 1
+    assert verdicts == {
+        ("real", True): 135,
+        ("real", False): 2,  # torus (1, 0) and (0, 1): each edge lies properly inside the one facet
+        ("crossed", True): 116,
+        ("crossed", False): 21,
+        ("swapped", False): 137,
+    }
+
+
+def test_tag_spans_match_fails_on_a_twisted_new_colour(monkeypatch):
+    real = extension.extend
+    monkeypatch.setattr(extension, "extend", lambda m, facet: new_colour_swapped(real(m, facet)))
+    cube = platonic("cube")
+    st = statuses(verify_extension(cube, faces(cube, 2)[0]))
+    assert st["tag-spans-match"] == FAIL
+    assert st["facet-sections-match-base"] == PASS  # the old colours still copy the base
+
+
+def test_verify_extension_groups_only_the_base_facets(bstar_result):
+    # the checks read face ids; only the marked facet's lookup groups a
+    # face table into faces
+    m = Maniplex(bstar_result.bstar.perms)
+    res = verify_extension(m, faces(m, 3)[0])
+    assert res.ok
+    assert [i for i in range(4) if m._cache[i]._faces is not None] == [3]
+    assert all(res.extension._cache[i]._faces is None for i in range(5))
 
 
 def test_ridge_check_names_a_ridge_under_one_facet(monkeypatch):
