@@ -401,12 +401,18 @@ def dumps_json(obj: object) -> str:
 def maniplex_to_json(m: Maniplex) -> str:
     """`dumps_json(to_json_dict(m))`, appended to one row at a time: the
     generic encoder holds a string for every entry of every row at once.
-    Rows share one decimal string per flag, so entries must lie in 0..flags-1."""
+    Rows share one decimal string per flag, so an entry outside 0..flags-1
+    raises FormatError instead of encoding as some other flag."""
     strs = list(map(str, range(m.flag_count)))
     text = '{\n  "flags": %d,\n  "perms": [' % m.flag_count
     sep = "\n    "
-    for row in m.perms:
-        text += sep + ("[\n      " + ",\n      ".join(map(strs.__getitem__, row)) + "\n    ]" if row else "[]")
+    for i, row in enumerate(m.perms):
+        if row and min(row) < 0:  # strs would take it from the end
+            raise FormatError(f"perms[{i}] entry out of range: {min(row)!r}")
+        try:
+            text += sep + ("[\n      " + ",\n      ".join(map(strs.__getitem__, row)) + "\n    ]" if row else "[]")
+        except IndexError:
+            raise FormatError(f"perms[{i}] entry out of range: {max(row)!r}") from None
         sep = ",\n    "
     text += ("\n  ]" if m.perms else "]") + ',\n  "rank": %d\n}\n' % m.rank
     return text

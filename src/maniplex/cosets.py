@@ -14,6 +14,16 @@ different cosets start a coincidence, merged through a union-find in which
 the smaller label survives.  Enumeration either completes below the coset
 cap or fails loudly - no partial tables.
 
+Most relator scans from a coset meet a cycle that deductions have already
+closed.  So the main loop first walks each relator forward from alpha and
+scans it only if the walk stops at an undefined entry or ends on a coset
+other than alpha.  A closed walk is not a scan: the scan it replaces would
+run its forward end all the way round to alpha and stop, allocating
+nothing, deducing nothing and finding no coincidence.  The table and the
+union-find are left exactly as that scan leaves them, so every later scan,
+and with it the allocation order, is unchanged; and since nothing merges,
+alpha is still live after a closed walk.
+
 Live cosets keep their labels, compacted in increasing order, and that is
 relator-trace order: coset 0, then each coset the first time it is reached
 by tracing the subgroup words from 0 and then every relator, in
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .core import Maniplex
@@ -208,10 +219,17 @@ def coset_enumerate(
         scan_and_fill(0, [rows[d] for d in word])
     alpha = 0
     while alpha < len(parent):
-        for rel in relators:
-            if parent[alpha] != alpha:
-                break
-            scan_and_fill(alpha, rel)
+        if parent[alpha] == alpha:
+            for rel in relators:
+                f = alpha
+                for row in rel:
+                    f = row[f]
+                    if f == SENTINEL:
+                        break
+                if f != alpha:  # not a closed cycle: scan it
+                    scan_and_fill(alpha, rel)
+                    if parent[alpha] != alpha:
+                        break
         alpha += 1
 
     # live labels are already in relator-trace order (see the module docstring);
@@ -220,4 +238,7 @@ def coset_enumerate(
     number = [SENTINEL] * len(parent)
     for k, c in enumerate(order):
         number[c] = k
-    return CosetTable(tuple(tuple(number[row[c]] for c in order) for row in rows))
+    if len(order) == 1:  # itemgetter of one index returns the entry, not a tuple
+        return CosetTable(tuple((number[row[0]],) for row in rows))
+    live = itemgetter(*order)
+    return CosetTable(tuple(itemgetter(*live(row))(number) for row in rows))

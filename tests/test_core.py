@@ -261,6 +261,20 @@ def test_maniplex_to_json_matches_generic_encoder(named_corpus, b_maniplex, bsta
         assert maniplex_to_json(m) == dumps_json(to_json_dict(m)), m
 
 
+@pytest.mark.parametrize(
+    "perms, message",
+    [
+        # a negative entry would index the shared strings from the end: 1
+        (((-1, 0),), r"perms\[0\] entry out of range: -1"),
+        # one past the last flag would raise a bare IndexError
+        (((1, 0), (0, 2)), r"perms\[1\] entry out of range: 2"),
+    ],
+)
+def test_maniplex_to_json_refuses_out_of_range_entries(perms, message):
+    with pytest.raises(FormatError, match=message):
+        maniplex_to_json(Maniplex(perms))
+
+
 def test_decoded_maniplex_holds_one_int_per_value(bstar_result):
     m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
     decoded = maniplex_from_json(maniplex_to_json(m))

@@ -32,6 +32,11 @@ NAMED_CASES = [(string_coxeter(s), ()) for s in NAMED_SYMBOLS] + [
     (string_coxeter([3, 4, 3]), ((0, 1, 0), (2,))),
     # a rotation word: tracing it numbers cosets before any relator does
     (string_coxeter([4, 3]), ((1, 2),)),
+    # the whole group: a one-coset table
+    (string_coxeter([4, 3]), ((0,), (1,), (2,))),
+    # (0 1)^2 collapses the squares: some relator walks from a live coset
+    # come round complete but end on another coset, which only a scan merges
+    (string_coxeter([4, 3]).extended((0, 1) * 2), ()),
 ]
 
 # SHA-256 of maniplex_to_json for every maniplex the package builds by
@@ -48,6 +53,20 @@ COSET_BUILT_SHA256 = {
     "5orthoplex": "7bcbce85fa39b10bbe16c166cbb59ab30ac14a934da039713e65f395a3da8b52",
 }
 REGULAR_SYMBOLS = {"24cell": [3, 4, 3], "5simplex": [3, 3, 3, 3], "5cube": [4, 3, 3, 3], "5orthoplex": [3, 3, 3, 4]}
+
+# cosets allocated, merged ones included, in building each of them: the
+# smallest cap under which the enumeration completes
+COSET_BUILT_ALLOCATIONS = {
+    "B": (B_PRESENTATION, 161),
+    "square": (string_coxeter([4]), 8),
+    "cube": (string_coxeter([4, 3]), 48),
+    "hemicube": (string_coxeter([4, 3]).extended(PETRIE_CUBE), 28),
+    "hemioctahedron": (string_coxeter([3, 4]).extended(PETRIE_CUBE), 28),
+    "24cell": (string_coxeter(REGULAR_SYMBOLS["24cell"]), 1181),
+    "5simplex": (string_coxeter(REGULAR_SYMBOLS["5simplex"]), 817),
+    "5cube": (string_coxeter(REGULAR_SYMBOLS["5cube"]), 4598),
+    "5orthoplex": (string_coxeter(REGULAR_SYMBOLS["5orthoplex"]), 4609),
+}
 
 
 def random_involutory_case(rng: random.Random) -> tuple[Presentation, tuple[tuple[int, ...], ...]]:
@@ -198,6 +217,14 @@ def test_coset_built_maniplexes_are_byte_pinned():
         built[name] = coset_enumerate(string_coxeter(symbol)).to_maniplex()
     digests = {name: hashlib.sha256(maniplex_to_json(m).encode()).hexdigest() for name, m in built.items()}
     assert digests == COSET_BUILT_SHA256
+
+
+def test_coset_built_maniplexes_pin_their_allocations():
+    for name, (pres, allocated) in COSET_BUILT_ALLOCATIONS.items():
+        m = coset_enumerate(pres, cap=allocated).to_maniplex()
+        assert hashlib.sha256(maniplex_to_json(m).encode()).hexdigest() == COSET_BUILT_SHA256[name], name
+        with pytest.raises(CosetCapExceeded):
+            coset_enumerate(pres, cap=allocated - 1)
 
 
 def test_rank5_cube_and_orthoplex_fit_a_small_cap():
