@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -32,12 +32,12 @@ class FormatError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Maniplex:
     """Plain container for the edge-colouring permutations, plus a cache kept
-    out of equality, hashing and repr: the face table of rank i under key i
-    (`face_table`) and the faithfulness result under "faithful"
-    (`poset.is_faithful`)."""
+    out of equality, hashing and repr: under key i, the face table of rank i,
+    each flag's face id as an `array('i')` (`face_table`); under "faithful",
+    the faithfulness result (`poset.is_faithful`)."""
 
     perms: tuple[tuple[int, ...], ...]
-    _cache: dict[int | str, "FaceTable | FaithfulnessResult"] = field(
+    _cache: dict[int | str, "array | FaithfulnessResult"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -51,9 +51,6 @@ class Maniplex:
     @property
     def flag_count(self) -> int:
         return len(self.perms[0]) if self.perms else 0
-
-    def adjacent(self, flag: int, colour: int) -> int:
-        return self.perms[colour][flag]
 
     def __repr__(self) -> str:
         return f"Maniplex(rank={self.rank}, flags={self.flag_count})"
@@ -80,34 +77,6 @@ class Face(NamedTuple):
     rank: int
     canonical: int
     flags: tuple[int, ...]
-
-
-class FaceTable:
-    """The i-faces of a maniplex: `ids` maps each flag to the canonical id
-    (least flag) of its i-face; `faces`, in increasing canonical order, is
-    grouped from `ids` the first time it is read."""
-
-    __slots__ = ("rank", "ids", "_row", "_faces")
-
-    def __init__(self, rank: int, ids: array, row: tuple[int, ...]) -> None:
-        self.rank = rank
-        self.ids = ids
-        self._row = row  # an involution of the maniplex, for its int objects
-        self._faces: Optional[tuple[Face, ...]] = None
-
-    @property
-    def faces(self) -> tuple[Face, ...]:
-        """Each flag is stored as the int object the row already holds for
-        it (row[row[f]] is f for an involution), so the faces add no int
-        objects of their own."""
-        if self._faces is None:
-            row = self._row
-            groups: dict[int, list[int]] = {}
-            for f, c in enumerate(self.ids):
-                shared = row[row[f]]
-                groups.setdefault(c, []).append(shared if shared == f else f)
-            self._faces = tuple(Face(self.rank, c, tuple(flags)) for c, flags in groups.items())
-        return self._faces
 
 
 def structural_errors(m: Maniplex) -> list[str]:
@@ -216,26 +185,28 @@ def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
     return array("i", ids)
 
 
-def face_table(m: Maniplex, i: int) -> FaceTable:
-    """The i-faces (components after deleting the colour-i edges) and each
-    flag's face id, computed once per maniplex and rank."""
+def face_table(m: Maniplex, i: int) -> array:
+    """flag -> canonical id (least flag) of its i-face, the component after
+    deleting the colour-i edges; computed once per maniplex and rank."""
     if not 0 <= i < m.rank:
         raise ValueError(f"face rank {i} out of range for rank {m.rank}")
-    table = m._cache.get(i)
-    if table is None:
-        ids = _component_ids(m, [c for c in range(m.rank) if c != i])
-        table = m._cache[i] = FaceTable(i, ids, m.perms[i])
-    return table
+    ids = m._cache.get(i)
+    if ids is None:
+        ids = m._cache[i] = _component_ids(m, [c for c in range(m.rank) if c != i])
+    return ids
 
 
 def faces(m: Maniplex, i: int) -> list[Face]:
-    """The i-faces, in increasing canonical order."""
-    return list(face_table(m, i).faces)
-
-
-def face_map(m: Maniplex, i: int) -> list[int]:
-    """flag -> canonical id of its i-face."""
-    return list(face_table(m, i).ids)
+    """The i-faces, in increasing canonical order, grouped from the face
+    table on each call.  Each flag is stored as the int object the colour-i
+    row already holds for it (row[row[f]] is f for an involution), so the
+    faces add no int objects of their own."""
+    ids, row = face_table(m, i), m.perms[i]
+    groups: dict[int, list[int]] = defaultdict(list)
+    for f, c in enumerate(ids):
+        shared = row[row[f]]
+        groups[c].append(shared if shared == f else f)
+    return [Face(i, c, tuple(flags)) for c, flags in groups.items()]
 
 
 def dual(m: Maniplex) -> Maniplex:
@@ -363,11 +334,6 @@ def restrict(m: Maniplex, flags: Iterable[int], colours: Iterable[int]) -> Manip
 
 def to_json_dict(m: Maniplex) -> dict:
     return {"rank": m.rank, "flags": m.flag_count, "perms": [list(row) for row in m.perms]}
-
-
-def from_json_dict(doc: object) -> Maniplex:
-    """Parse the interchange dict, rejecting structural garbage."""
-    return Maniplex(tuple(tuple(row) for row in _checked_perms(doc)))
 
 
 def _checked_perms(doc: object) -> list:

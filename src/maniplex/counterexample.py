@@ -17,6 +17,7 @@ onto the one of B.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,10 +60,10 @@ def build_B() -> Maniplex:
     b = coset_enumerate(B_PRESENTATION).to_maniplex()
     _require(b.flag_count == B_FLAGS, f"expected {B_FLAGS} flags, got {b.flag_count}")
     _require(validate(b).ok, "enumerated graph is not a maniplex")
-    vector = tuple(len(faces(b, i)) for i in range(4))
+    vector = tuple(len(set(face_table(b, i))) for i in range(4))
     _require(vector == B_FACE_VECTOR, f"face vector {vector} != {B_FACE_VECTOR}")
     # flat: every vertex is incident to every facet
-    incident = set(zip(face_table(b, 0).ids, face_table(b, 3).ids))
+    incident = set(zip(face_table(b, 0), face_table(b, 3)))
     _require(len(incident) == B_FACE_VECTOR[0] * B_FACE_VECTOR[3], "not flat")
     hemicube = platonic("hemicube")
     hemioct = platonic("hemioctahedron")
@@ -85,23 +86,14 @@ def build_B() -> Maniplex:
 class ThetaSet:
     flags: tuple[int, ...]  # sorted; one flag per 1-face and per 2-face
 
-    def shifted(self, b: Maniplex, colours: tuple[int, ...]) -> tuple[int, ...]:
-        """Apply the given colours (leftmost last) to every member."""
-        out = []
-        for f in self.flags:
-            g = f
-            for c in reversed(colours):
-                g = b.perms[c][g]
-            out.append(g)
-        return tuple(sorted(out))
-
 
 class ThetaNotFound(RuntimeError):
     pass
 
 
-def _theta_conditions_hold(b: Maniplex, theta: tuple[int, ...], maps) -> bool:
-    """(A.2)-(A.4) for the vertex (i=0) and facet (i=3) directions."""
+def _theta_conditions_hold(b: Maniplex, theta: tuple[int, ...], maps, canonical) -> bool:
+    """(A.2)-(A.4) for the vertex (i=0) and facet (i=3) directions, over the
+    face ids `maps` and each rank's canonical ids `canonical`."""
     for i in (0, 3):
         here = maps[i]
         shifted = [b.perms[i][f] for f in theta]
@@ -111,8 +103,8 @@ def _theta_conditions_hold(b: Maniplex, theta: tuple[int, ...], maps) -> bool:
         shift_count: dict[int, int] = {}
         for g in shifted:
             shift_count[here[g]] = shift_count.get(here[g], 0) + 1
-        for face in faces(b, i):
-            inside = members.get(face.canonical, [])
+        for c in canonical[i]:
+            inside = members.get(c, [])
             if len(inside) not in (1, 2):
                 return False
             if len(inside) == 2:
@@ -120,10 +112,10 @@ def _theta_conditions_hold(b: Maniplex, theta: tuple[int, ...], maps) -> bool:
                 for j in range(4):
                     if j != i and maps[j][f1] == maps[j][f2]:
                         return False
-                if shift_count.get(face.canonical, 0) != 1:
+                if shift_count.get(c, 0) != 1:
                     return False
             else:
-                if shift_count.get(face.canonical, 0) != 2:
+                if shift_count.get(c, 0) != 2:
                     return False
     return True
 
@@ -133,7 +125,7 @@ def _face_lifts_connected(cover: Maniplex, b: Maniplex) -> bool:
 
     Each base face's preimage is one cover face or two, so this holds
     exactly when the cover has as many faces as b at every rank."""
-    return all(len(face_table(cover, i).faces) == len(face_table(b, i).faces) for i in range(b.rank))
+    return all(len(set(face_table(cover, i))) == len(set(face_table(b, i))) for i in range(b.rank))
 
 
 def _cover_certified(b: Maniplex, theta: tuple[int, ...]) -> bool:
@@ -152,8 +144,9 @@ def find_theta(b: Maniplex) -> ThetaSet:
     """
     if b.rank != 4:
         raise ValueError("find_theta expects a rank-4 maniplex")
-    maps = [face_table(b, i).ids for i in range(4)]
-    one_faces = face_table(b, 1).faces
+    maps = [face_table(b, i) for i in range(4)]
+    canonical = [set(ids) for ids in maps]
+    one_faces = faces(b, 1)
     chosen: list[int] = []
     used_two: set[int] = set()
     load: dict[tuple[int, int], int] = {}
@@ -161,7 +154,7 @@ def find_theta(b: Maniplex) -> ThetaSet:
     def dfs(level: int) -> Optional[tuple[int, ...]]:
         if level == len(one_faces):
             theta = tuple(chosen)
-            if _theta_conditions_hold(b, theta, maps) and _cover_certified(b, theta):
+            if _theta_conditions_hold(b, theta, maps, canonical) and _cover_certified(b, theta):
                 return theta
             return None
         for f in one_faces[level].flags:
@@ -254,7 +247,7 @@ def verify_B_conditions(b: Maniplex, theta: ThetaSet, etheta: EThetaSet) -> BCon
     """
     failures: list[tuple[str, object]] = []
     outcomes: dict[tuple[int, int], str] = {}
-    maps = [face_table(b, i).ids for i in range(4)]
+    maps = [face_table(b, i) for i in range(4)]
     theta_set = set(theta.flags)
     shifted = {i: set(b.perms[i][f] for f in theta.flags) for i in range(4)}
 
@@ -280,23 +273,23 @@ def verify_B_conditions(b: Maniplex, theta: ThetaSet, etheta: EThetaSet) -> BCon
             per_face[key][c] += 1
 
     for i in (1, 2):
-        for face in faces(b, i):
-            counts = per_face.get((i, face.canonical), {})
+        for c in sorted(set(maps[i])):
+            counts = per_face.get((i, c), {})
             for j in range(4):
                 if j != i and counts.get(j, 0) != 1:
-                    failures.append(("B.3", (i, face.canonical, j, counts.get(j, 0))))
+                    failures.append(("B.3", (i, c, j, counts.get(j, 0))))
 
     for i in (0, 3):
         near = ((i + 1) % 4, (i - 1) % 4)
         far = (i + 2) % 4
-        for face in faces(b, i):
-            counts = per_face.get((i, face.canonical), {})
+        for c in sorted(set(maps[i])):
+            counts = per_face.get((i, c), {})
             two_two_one = all(counts.get(j, 0) == 2 for j in near) and counts.get(far, 0) == 1
             one_one_two = all(counts.get(j, 0) == 1 for j in near) and counts.get(far, 0) == 2
             if two_two_one == one_one_two:
-                failures.append(("B.4", (i, face.canonical, dict(counts))))
+                failures.append(("B.4", (i, c, dict(counts))))
             else:
-                outcomes[(i, face.canonical)] = "two-two-one" if two_two_one else "one-one-two"
+                outcomes[(i, c)] = "two-two-one" if two_two_one else "one-one-two"
     return BConditionsReport(not failures, failures, outcomes)
 
 
@@ -332,12 +325,12 @@ def _projection_poset_iso(bstar: Maniplex, b: Maniplex) -> bool:
     """
     for i in range(bstar.rank):
         up, down = face_table(bstar, i), face_table(b, i)
-        if len(up.faces) != len(down.faces):
+        lifted, size = Counter(up), Counter(down)  # face id -> flags in the face
+        if len(lifted) != len(size):
             return False
-        if any(down.ids[v // 2] != c // 2 for v, c in enumerate(up.ids)):
+        if any(down[v // 2] != c // 2 for v, c in enumerate(up)):
             return False
-        size = {face.canonical: len(face.flags) for face in down.faces}
-        if any(len(face.flags) != 2 * size[face.canonical // 2] for face in up.faces):
+        if any(count != 2 * size[c // 2] for c, count in lifted.items()):
             return False
     return True
 

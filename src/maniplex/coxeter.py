@@ -91,10 +91,6 @@ def coset_words(m: Maniplex, base: int = 0) -> tuple[Word, ...]:
     return tuple(words)  # type: ignore[arg-type]
 
 
-def word_str(word: Sequence[int]) -> str:
-    return "".join(f"r{letter}" for letter in word) if word else "e"
-
-
 class SchreierReport(NamedTuple):
     words: tuple[Word, ...]
     acts_correctly: bool  # act(words[f], base) == f for every flag

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .certify import INFO, SKIP, Check, all_ok, passed
-from .core import Face, Maniplex, face_table, validate
+from .core import Face, Maniplex, face_table, faces, validate
 from .poset import PolytopeReport, RankedPoset, is_faithful, is_polytope, pos_of
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -36,7 +36,7 @@ _TAG_OFFSETS = {_TAGS_MISSING: (0, 0, 2, 2), _TAGS_EQUAL: (0, 1, 1, 0), _TAGS_AL
 def _resolve_facet(m: Maniplex, facet: Face) -> Face:
     if facet.rank != m.rank - 1:
         raise ValueError(f"marked face has rank {facet.rank}, need {m.rank - 1}")
-    if facet not in face_table(m, m.rank - 1).faces:
+    if facet not in faces(m, m.rank - 1):
         raise ValueError("marked face does not match any facet of this maniplex")
     return facet
 
@@ -52,10 +52,10 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     ints = list(range(4 * size))
     quads = [tuple(ints[k:k + 4]) for k in range(0, 4 * size, 4)]  # flag f -> (4f, ..., 4f + 3)
     perms = [tuple(chain.from_iterable(map(quads.__getitem__, row))) for row in m.perms]
-    mask = [1] * size
+    new_colour = [(b, a, d, c) for a, b, c, d in quads]  # tag XOR 1 outside the facet
     for f in facet.flags:
-        mask[f] = 3
-    perms.append(tuple([ints[k ^ mask[k >> 2]] for k in range(4 * size)]))
+        new_colour[f] = quads[f][::-1]  # tag XOR 3 inside it
+    perms.append(tuple(chain.from_iterable(new_colour)))
     return Maniplex(tuple(perms))
 
 
@@ -67,8 +67,8 @@ def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[in
     """Each i-face's tag span, keyed by canonical id, from the face sizes and
     the count of each face's flags in the marked facet; None for an i-face
     properly contained in the facet."""
-    ids = face_table(m, i).ids
-    facet_ids = face_table(m, m.rank - 1).ids
+    ids = face_table(m, i)
+    facet_ids = face_table(m, m.rank - 1)
     inside = Counter(c for c, t in zip(ids, facet_ids) if t == facet.canonical)
     spans: dict[int, frozenset[tuple[int, int]] | None] = {}
     for c, size in Counter(ids).items():
@@ -91,7 +91,7 @@ def y_profile(m: Maniplex, facet: Face, flag: int, i: int) -> frozenset[tuple[in
     facet = _resolve_facet(m, facet)
     if not 0 <= i < m.rank:
         raise ValueError(f"face rank {i} out of range")
-    span = _tag_spans(m, facet, i)[face_table(m, i).ids[flag]]
+    span = _tag_spans(m, facet, i)[face_table(m, i)[flag]]
     if span is None:
         raise YProfileUndefined(
             f"{i}-face of flag {flag} is properly contained in the marked facet"
@@ -121,16 +121,15 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     Faithfulness of the extension is recorded, never asserted; only the
     preservation of unfaithfulness is a hard check.
     """
-    facet = _resolve_facet(m, facet)
+    ext = extend(m, facet)  # resolves the facet
     n = m.rank
-    ext = extend(m, facet)
     checks: list[Check] = []
 
     report = validate(ext)
     checks.append(passed("extension-valid", report.ok, report.violations or None))
     checks.append(passed("flag-count", ext.flag_count == 4 * m.flag_count, ext.flag_count))
 
-    facet_ids = face_table(ext, n).ids
+    facet_ids = face_table(ext, n)
     count = len(set(facet_ids))
     checks.append(passed("four-facets", count == 4, count))
     # facet t is the tag class {4g + t}, which the old colours keep, so colour i
@@ -146,7 +145,7 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         preserved = Check("unfaithfulness-preserved", SKIP, "base is faithful")
     else:
         w1, w2 = base_faith.witness
-        lifted = all(face_table(ext, i).ids[4 * w1] == face_table(ext, i).ids[4 * w2] for i in range(n + 1))
+        lifted = all(face_table(ext, i)[4 * w1] == face_table(ext, i)[4 * w2] for i in range(n + 1))
         # two flags with the same faces already make the extension unfaithful
         ext_faithful = False if lifted else is_faithful(ext).faithful
         preserved = passed("unfaithfulness-preserved", lifted and not ext_faithful, (4 * w1, 4 * w2))
@@ -157,9 +156,8 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     p_ext = pos_of(ext)
 
     # every ridge of the extension lies under exactly two of its facets
-    labels, ranks, up = p_ext._index[:3]
-    facets = sum(1 << k for k, r in enumerate(ranks) if r == n)
-    ridges = ((labels[k], (up[k] & facets).bit_count()) for k, r in enumerate(ranks) if r == n - 1)
+    facets = sum(1 << k for k, r in enumerate(p_ext.ranks) if r == n)
+    ridges = ((p_ext.labels[k], (p_ext.up[k] & facets).bit_count()) for k, r in enumerate(p_ext.ranks) if r == n - 1)
     witness = next((ridge for ridge in ridges if ridge[1] != 2), None)
     checks.append(passed("ridges-in-two-facets", witness is None, witness))
 
@@ -205,8 +203,8 @@ def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex) -> bool:
         spans = _tag_spans(m, facet, i)
         if None in spans.values():
             return False
-        predicted = array("i", [4 * c + off for c in face_table(m, i).ids for off in _TAG_OFFSETS[spans[c]]])
-        if predicted != face_table(ext, i).ids:
+        predicted = array("i", [4 * c + off for c in face_table(m, i) for off in _TAG_OFFSETS[spans[c]]])
+        if predicted != face_table(ext, i):
             return False
     return True
 
@@ -223,14 +221,13 @@ def _section_matches_base(m: Maniplex, p_base: RankedPoset, ext: Maniplex, p_ext
     order pairs.
     """
     n = m.rank
-    base, ext_index = p_base._index, p_ext._index
-    number = {label: k for k, label in enumerate(ext_index.labels)}
-    ids = [face_table(ext, i).ids for i in range(n)]
-    proper = (map(int, label.split(":")) for label in base.labels[1:-1])  # 'i:c' -> (i, c)
+    number = {label: k for k, label in enumerate(p_ext.labels)}
+    ids = [face_table(ext, i) for i in range(n)]
+    proper = (map(int, label.split(":")) for label in p_base.labels[1:-1])  # 'i:c' -> (i, c)
     # base face number -> extension face number; both bottoms are face 0
     to = [0] + [number[f"{i}:{ids[i][4 * c + t]}"] for i, c in proper] + [number[f"{n}:{t}"]]
-    inside = ext_index.down[to[-1]] | 1 << to[-1]
+    inside = p_ext.down[to[-1]] | 1 << to[-1]
     if len(set(to)) != len(to) or sum(1 << k for k in to) != inside:
         return False
-    pairs = {(i, j) for i, j in ext_index.pairs if inside >> i & 1 and inside >> j & 1}
-    return {(to[i], to[j]) for i, j in base.pairs} == pairs
+    pairs = {(i, j) for i, j in p_ext.pairs if inside >> i & 1 and inside >> j & 1}
+    return {(to[i], to[j]) for i, j in p_base.pairs} == pairs

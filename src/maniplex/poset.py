@@ -9,13 +9,13 @@ relation is actually a partial order (transitive), boundedness, gradedness
 strong flag connectivity, decided as connectivity of every section's
 proper faces under incidence (see `flag_connectivity_witness`).
 
-A poset is one integer index (`FaceIndex`): faces numbered by rank, then
-label, and for each face the faces above and below it as bits of a Python
-int.  `pos_of` builds it straight from the face tables; a poset given by
-hand as label levels and label pairs is checked once and indexed the same
-way.  Transitivity, covers and diamonds are one mask test per order pair,
-and connectivity a breadth-first search over masks.  The label views
-(`faces`, `less`, `rank_of`, `up`, `down`) are derived only when read.
+A `RankedPoset` is its integers: faces numbered by rank, then label, and
+for each face the faces above and below it as bits of a Python int.
+`pos_of` builds them straight from the face tables; a poset given by hand
+as label levels and label pairs is checked once and numbered the same way.
+Transitivity, covers and diamonds are one mask test per order pair, and
+connectivity a breadth-first search over masks.  The label views (`faces`,
+`less`, `rank_of`, `covers`) are derived only when read.
 """
 
 from __future__ import annotations
@@ -34,40 +34,21 @@ class PosetTooLarge(ValueError):
     """A poset is over ISO_FACE_LIMIT proper faces, too large to match by brute force."""
 
 
-class FaceIndex(NamedTuple):
-    """Face k is labels[k], of rank ranks[k], faces numbered by rank, then
-    label.  Bit j of up[k] (of down[k]) is set when face j lies above
-    (below) face k; pairs are the order pairs as (k, j)."""
-
-    labels: tuple[str, ...]
-    ranks: tuple[int, ...]
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-
-
-def _face_index(labels: list[str], ranks: list[int], pairs) -> FaceIndex:
-    """The index of faces numbered as listed, with the given order pairs."""
-    bit = [1 << k for k in range(len(labels))]
-    up, down = [0] * len(labels), [0] * len(labels)
-    for i, j in pairs:
-        up[i] |= bit[j]
-        down[j] |= bit[i]
-    return FaceIndex(tuple(labels), tuple(ranks), tuple(up), tuple(down), tuple(pairs))
-
-
 def _labels_in(labels: tuple[str, ...], mask: int) -> list[str]:
     """The labels of the faces whose bits are set in mask, by face number."""
     return [label for k, label in enumerate(labels) if mask >> k & 1]
 
 
 class RankedPoset:
-    """A ranked poset held as its `FaceIndex`; faces carry opaque string
-    labels, and `less` is the strict order as label pairs.  Two posets are
-    equal when they have the same rank, faces and order."""
+    """A ranked poset held as integers.  Face k is labels[k], an opaque
+    string, of rank ranks[k], faces numbered by rank, then label.  Bit j of
+    up[k] (of down[k]) is set when face j lies above (below) face k; pairs
+    are the order pairs as (k, j), and `less` is the strict order as label
+    pairs.  Two posets are equal when they have the same rank, faces and
+    order."""
 
     def __init__(self, rank: int, faces, less) -> None:
-        """Check and index a poset given as label levels, rank -1 first, and label pairs."""
+        """Check and number a poset given as label levels, rank -1 first, and label pairs."""
         faces = tuple(tuple(sorted(level)) for level in faces)
         if len(faces) != rank + 2:
             raise FormatError("need one face level per rank -1..n")
@@ -86,17 +67,26 @@ class RankedPoset:
             if ranks[number[a]] >= ranks[number[b]]:
                 raise FormatError(f"order pair ({a!r}, {b!r}) does not increase rank")
             pairs.add((number[a], number[b]))
-        self.rank = rank
-        self._index = _face_index(list(number), ranks, pairs)
+        self._set(rank, list(number), ranks, pairs)
 
-    # faces are numbered canonically, so equal faces and order mean equal indexes
+    def _set(self, rank: int, labels: list[str], ranks: list[int], pairs) -> None:
+        """Number the faces as listed and set their masks from the order pairs."""
+        bit = [1 << k for k in range(len(labels))]
+        up, down = [0] * len(labels), [0] * len(labels)
+        for i, j in pairs:
+            up[i] |= bit[j]
+            down[j] |= bit[i]
+        self.rank, self.labels, self.ranks = rank, tuple(labels), tuple(ranks)
+        self.up, self.down, self.pairs = tuple(up), tuple(down), tuple(pairs)
+
+    # faces are numbered canonically, so equal faces and order mean equal integers
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RankedPoset):
             return NotImplemented
-        return (self.rank, self._index[:3]) == (other.rank, other._index[:3])
+        return (self.rank, self.labels, self.ranks, self.up) == (other.rank, other.labels, other.ranks, other.up)
 
     def __hash__(self) -> int:
-        return hash((self.rank, self._index[:3]))
+        return hash((self.rank, self.labels, self.ranks, self.up))
 
     def __repr__(self) -> str:
         return f"RankedPoset(rank={self.rank}, faces={self.faces!r})"
@@ -104,33 +94,23 @@ class RankedPoset:
     @cached_property
     def faces(self) -> tuple[tuple[str, ...], ...]:
         """The labels of each rank, in label order; index r + 1 holds rank r."""
-        ranked = list(zip(self._index.labels, self._index.ranks))
+        ranked = list(zip(self.labels, self.ranks))
         return tuple(tuple(x for x, r in ranked if r == rank) for rank in range(-1, self.rank + 1))
 
     @cached_property
     def less(self) -> frozenset[tuple[str, str]]:
-        labels = self._index.labels
-        return frozenset((labels[i], labels[j]) for i, j in self._index.pairs)
+        labels = self.labels
+        return frozenset((labels[i], labels[j]) for i, j in self.pairs)
 
     @cached_property
     def rank_of(self) -> dict[str, int]:
-        return dict(zip(self._index.labels, self._index.ranks))
-
-    @cached_property
-    def up(self) -> dict[str, frozenset[str]]:
-        labels = self._index.labels
-        return {label: frozenset(_labels_in(labels, mask)) for label, mask in zip(labels, self._index.up)}
-
-    @cached_property
-    def down(self) -> dict[str, frozenset[str]]:
-        labels = self._index.labels
-        return {label: frozenset(_labels_in(labels, mask)) for label, mask in zip(labels, self._index.down)}
+        return dict(zip(self.labels, self.ranks))
 
     @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Pairs a < b with nothing strictly between, sorted."""
-        labels, _, up, down, pairs = self._index
-        return tuple(sorted((labels[i], labels[j]) for i, j in pairs if not up[i] & down[j]))
+        labels, up, down = self.labels, self.up, self.down
+        return tuple(sorted((labels[i], labels[j]) for i, j in self.pairs if not up[i] & down[j]))
 
     def lt(self, a: str, b: str) -> bool:
         return (a, b) in self.less
@@ -149,7 +129,7 @@ def pos_of(m: Maniplex) -> RankedPoset:
     Indexed straight from the face tables: per rank, canonical id -> face
     number, and per pair of ranks, the number pairs of the flags' faces."""
     n = m.rank
-    ids = [face_table(m, i).ids for i in range(n)]
+    ids = [face_table(m, i) for i in range(n)]
     labels, ranks = ["-1:0"], [-1]
     numbers: list[dict[int, int]] = []
     for i, row in enumerate(ids):
@@ -163,8 +143,8 @@ def pos_of(m: Maniplex) -> RankedPoset:
         for j in range(i + 1, n):
             lower, upper = numbers[i], numbers[j]
             pairs += [(lower[a], upper[b]) for a, b in set(zip(ids[i], ids[j]))]
-    p = RankedPoset.__new__(RankedPoset)  # the index is built right, so skip the label checks
-    p.rank, p._index = n, _face_index(labels + [f"{n}:0"], ranks + [n], pairs)
+    p = RankedPoset.__new__(RankedPoset)  # numbered right, so skip the label checks
+    p._set(n, labels + [f"{n}:0"], ranks + [n], pairs)
     return p
 
 
@@ -173,7 +153,7 @@ def pos_of(m: Maniplex) -> RankedPoset:
 def flag_function(m: Maniplex) -> list[tuple[int, ...]]:
     """flag -> maximal chain of pos_of(M), as the face-table ids of the
     flag's faces of ranks 0..n-1 (face id c at rank i is the label 'i:c')."""
-    return list(zip(*(face_table(m, i).ids for i in range(m.rank))))
+    return list(zip(*(face_table(m, i) for i in range(m.rank))))
 
 
 class FaithfulnessResult(NamedTuple):
@@ -217,8 +197,8 @@ def order_transitivity_witness(p: RankedPoset) -> Optional[tuple[str, str, str]]
     Least means b first in `rank_of` order (by rank, then label), then a,
     then c in label order, so the witness does not depend on hashing.
     """
-    labels, _, up, _, pairs = p._index
-    bad = [(j, i) for i, j in pairs if up[j] & ~up[i]]
+    labels, up = p.labels, p.up
+    bad = [(j, i) for i, j in p.pairs if up[j] & ~up[i]]
     if not bad:
         return None
     j = min(bad)[0]
@@ -229,7 +209,7 @@ def order_transitivity_witness(p: RankedPoset) -> Optional[tuple[str, str, str]]
 def boundedness_witness(p: RankedPoset) -> Optional[tuple]:
     """The first failure of: one least face, one greatest face, then per
     face, by rank and label, lying above the least and below the greatest."""
-    labels, ranks, up, down, _ = p._index
+    labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
     if ranks.count(-1) != 1:
         return ("minimum", p.level(-1))
     if ranks.count(p.rank) != 1:
@@ -252,18 +232,18 @@ def gradedness_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
     bottom-to-top cover path, so 'all maximal chains have n+2 elements'
     is exactly 'every cover raises rank by one'.
     """
-    labels, ranks, up, down, pairs = p._index
-    bad = [(labels[i], labels[j]) for i, j in pairs if ranks[j] - ranks[i] > 1 and not up[i] & down[j]]
+    labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
+    bad = [(labels[i], labels[j]) for i, j in p.pairs if ranks[j] - ranks[i] > 1 and not up[i] & down[j]]
     return min(bad, default=None)
 
 
 def diamond_witness(p: RankedPoset) -> Optional[tuple[str, str, tuple[str, ...]]]:
     """The least pair two ranks apart, in label order, with other than two
     faces strictly between, and those faces; None when there is none."""
-    labels, ranks, up, down, pairs = p._index
+    labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
     bad = [
         (labels[i], labels[j], up[i] & down[j])
-        for i, j in pairs
+        for i, j in p.pairs
         if ranks[j] - ranks[i] == 2 and (up[i] & down[j]).bit_count() != 2
     ]
     if not bad:
@@ -303,9 +283,11 @@ def section(p: RankedPoset, lower: str, upper: str) -> RankedPoset:
     if not p.lt(lower, upper):
         raise ValueError(f"section endpoints must be comparable: {lower!r}, {upper!r}")
     low, high = p.rank_of[lower], p.rank_of[upper]
-    keep = {lower, upper} | (p.up[lower] & p.down[upper])
+    i, j = p.labels.index(lower), p.labels.index(upper)
+    inside = p.up[i] & p.down[j] | 1 << i | 1 << j
+    keep = set(_labels_in(p.labels, inside))
     levels = [[label for label in level if label in keep] for level in p.faces[low + 1 : high + 2]]
-    less = frozenset((a, b) for a in keep for b in p.up[a] & keep)
+    less = frozenset((a, b) for a, up in zip(p.labels, p.up) if a in keep for b in _labels_in(p.labels, up & inside))
     return RankedPoset(high - low - 1, levels, less)
 
 
@@ -324,14 +306,14 @@ def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
     disconnected too, but a search over chain graphs may stop at an earlier
     pair whose proper faces are connected while a subsection's are not.
 
-    Each search runs on the face index: the section's proper faces are the
+    Each search runs on the face masks: the section's proper faces are the
     mask up[lower] & down[upper], and each round adds every face above or
     below one on the frontier.
     """
-    labels, ranks, up, down, pairs = p._index
+    labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
     near = [u | d for u, d in zip(up, down)]
     # faces are numbered by rank, then label, so (rank, label) of lower is its number
-    for i, upper, j in sorted((i, labels[j], j) for i, j in pairs if ranks[j] - ranks[i] > 2):
+    for i, upper, j in sorted((i, labels[j], j) for i, j in p.pairs if ranks[j] - ranks[i] > 2):
         inside = up[i] & down[j]
         reached = frontier = inside & -inside
         while frontier:
@@ -424,15 +406,16 @@ def flag_graph_of(p: RankedPoset) -> Maniplex:
 # ---------- poset isomorphism (small posets) ----------
 
 def _signatures(p: RankedPoset) -> dict[str, tuple]:
-    sig = {label: (r,) for label, r in p.rank_of.items()}
+    labels = p.labels
+    sig = {label: (r,) for label, r in zip(labels, p.ranks)}
     for _ in range(2):  # two refinement rounds are plenty at these sizes
         sig = {
             label: (
                 sig[label],
-                tuple(sorted(sig[x] for x in p.up[label])),
-                tuple(sorted(sig[x] for x in p.down[label])),
+                tuple(sorted(sig[x] for x in _labels_in(labels, up))),
+                tuple(sorted(sig[x] for x in _labels_in(labels, down))),
             )
-            for label in sig
+            for label, up, down in zip(labels, p.up, p.down)
         }
     return sig
 

@@ -66,12 +66,6 @@ class DoubleCover:
     base: Maniplex
     cover: Maniplex  # flags (f, s) -> 2f + s; may fail the maniplex axioms
 
-    def project(self, cover_flag: int) -> int:
-        return cover_flag // 2
-
-    def sheet(self, cover_flag: int) -> int:
-        return cover_flag % 2
-
 
 def double_cover(m: Maniplex, z: VoltageAssignment) -> DoubleCover:
     perms = []

@@ -673,3 +673,13 @@ def polytope_report_by_label_sets(faces, less):
     if witness is not None:
         return (False, "strong-flag-connectivity", witness, None)
     return (True, None, None, None)
+
+
+def shifted_flags(b, flags, colours) -> tuple[int, ...]:
+    """Apply the given colours (leftmost last) to every flag, sorted."""
+    out = []
+    for f in flags:
+        for c in reversed(colours):
+            f = b.perms[c][f]
+        out.append(f)
+    return tuple(sorted(out))

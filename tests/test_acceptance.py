@@ -14,9 +14,9 @@ from maniplex.cli import main as cli_main
 from maniplex.core import (
     automorphism_count,
     dual,
-    face_map,
+    face_table,
     faces,
-    from_json_dict,
+    maniplex_from_json,
     isomorphic,
     restrict,
     validate,
@@ -33,6 +33,7 @@ from maniplex.counterexample import (
 from maniplex.coxeter import verdict
 from maniplex.extension import verify_extension
 from maniplex.poset import is_faithful, is_polytopal, rank3_theorems
+from oracles import shifted_flags
 
 
 @contextmanager
@@ -94,9 +95,9 @@ def test_criterion_2_marked_set_pipeline():
         # balance: each vertex and each facet holds one or two marked flags,
         # and together with the colour-shifted copies always sees three
         for i in (0, 3):
-            fm = face_map(b, i)
+            fm = list(face_table(b, i))
             shift_count = {}
-            for g in theta.shifted(b, (i,)):
+            for g in shifted_flags(b, theta.flags, (i,)):
                 shift_count[fm[g]] = shift_count.get(fm[g], 0) + 1
             for face in faces(b, i):
                 inside = sum(1 for t in theta.flags if fm[t] == face.canonical)
@@ -153,7 +154,7 @@ def test_criterion_4_higher_rank_extensions(tmp_path):
         assert cli_main(["counterexample", "--rank", "5", "-o", str(out5)]) == 0
         elapsed5 = time.perf_counter() - start
         assert elapsed5 < 300, f"rank-5 run took {elapsed5:.2f}s"
-        m5 = from_json_dict(json.loads((out5 / "maniplex-rank5.json").read_text()))
+        m5 = maniplex_from_json((out5 / "maniplex-rank5.json").read_text())
         assert m5.rank == 5 and m5.flag_count == 768
         assert validate(m5).ok
         cert5 = json.loads((out5 / "certificate-rank5.json").read_text())
@@ -176,7 +177,7 @@ def test_criterion_4_higher_rank_extensions(tmp_path):
         assert cli_main(["counterexample", "--rank", "6", "-o", str(out6)]) == 0
         elapsed6 = time.perf_counter() - start6
         assert elapsed6 < 600, f"rank-6 run took {elapsed6:.2f}s"
-        m6 = from_json_dict(json.loads((out6 / "maniplex-rank6.json").read_text()))
+        m6 = maniplex_from_json((out6 / "maniplex-rank6.json").read_text())
         assert m6.rank == 6 and m6.flag_count == 3072
         assert validate(m6).ok
         cert6 = json.loads((out6 / "certificate-rank6.json").read_text())

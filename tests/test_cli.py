@@ -3,17 +3,37 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from maniplex import cli, extension, poset
 from maniplex.cli import main
-from maniplex.core import from_json_dict
+from maniplex.core import maniplex_from_json
 from maniplex.voltage import double_cover, voltage_from_json_dict
 
 # SHA-256 of build-bstar's certificate.json for this version; any change to
 # the certificate's bytes must be deliberate
 BSTAR_CERTIFICATE_SHA256 = "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937"
+
+# SHA-256 of the artifacts that read the face tables and the face poset:
+# every file of `counterexample --rank 6`, the poset exports of B and of the
+# cube, the failing extension certificate of torus (1,0) and the verdict
+# document of torus (1,1), whose witness is a face-poset diamond
+ARTIFACT_SHA256 = {
+    "rank6/certificate-rank4.json": "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937",
+    "rank6/certificate-rank5.json": "68218f62ba596970c05c0ce512eae26a4805be20134a75e7459c308afe86333c",
+    "rank6/certificate-rank6.json": "d3ab0a83e7d0a21061dd6aa0422cc6c8aca95ab1d6809ae9612a2a0b9c05bc4e",
+    "rank6/maniplex-rank4.json": "a27c1f6ad7d80f97518fc439e9431a59bba9203246008263cc88176ec2d774a7",
+    "rank6/maniplex-rank5.json": "afb0707a3a66056008e48a5874039e6c8823d394f906251acfcc45cf5684992c",
+    "rank6/maniplex-rank6.json": "4f380743be6b5652fe1358172e0d913c4ca205ab6637e227f4951915a97c65b4",
+    "b.poset.json": "6eb997d41c6bd4c3b56874f3d1bb05b451ad07905b3891c076e44dd36ce3dbae",
+    "b.hasse.dot": "a14deb7a99338e855fcef6ecdd3031322a31f7761c75a0c0589ccc9f94d709f3",
+    "cube.poset.json": "77d2bab7f47b80439212144b32e1574228b6063b542723bb3cb6629a6d8efb80",
+    "cube.hasse.dot": "89c56074605ef22876c919d560f423f7e80f3266e45a0e1f8128df4404ca5b44",
+    "torus10.extension-certificate.json": "4cc8de8ccece56808e28861c1683f5fb6ebfb48fe57af0396fb225d9ecebc419",
+    "torus11.verdict.json": "40595a85d4ee93b897cbdebcd35ac71aa94cc2eee63eab37d49d625e3f92ee4d",
+}
 
 XOR4_DOC = {
     "rank": 4,
@@ -174,10 +194,10 @@ def test_build_bstar_certificate_bytes(bstar_dir):
 
 
 def test_voltage_document_rebuilds_cover(bstar_dir):
-    b = from_json_dict(load(bstar_dir / "b.json"))
+    b = maniplex_from_json((bstar_dir / "b.json").read_text())
     assignment = voltage_from_json_dict(b, load(bstar_dir / "voltage-theta.json"))
     cover = double_cover(b, assignment).cover
-    assert cover.perms == from_json_dict(load(bstar_dir / "bstar.json")).perms
+    assert cover.perms == maniplex_from_json((bstar_dir / "bstar.json").read_text()).perms
 
 
 def test_counterexample_rank4_matches_bstar(bstar_dir, tmp_path):
@@ -187,6 +207,27 @@ def test_counterexample_rank4_matches_bstar(bstar_dir, tmp_path):
     assert names == ["certificate-rank4.json", "maniplex-rank4.json"]
     assert filecmp.cmp(out / "maniplex-rank4.json", bstar_dir / "bstar.json", shallow=False)
     assert filecmp.cmp(out / "certificate-rank4.json", bstar_dir / "certificate.json", shallow=False)
+
+
+def test_artifact_bytes_pinned(tmp_path):
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    got = {}
+    rank6 = tmp_path / "rank6"
+    assert main(["counterexample", "--rank", "6", "-o", str(rank6)]) == 0
+    for path in rank6.iterdir():
+        got[f"rank6/{path.name}"] = digest(path)
+    for name, argv in (("b", ["build-b"]), ("cube", ["gen", "platonic", "--name", "cube"])):
+        src = gen(tmp_path, f"{name}.json", *argv)
+        for fmt, suffix in (("json", "poset.json"), ("hasse-dot", "hasse.dot")):
+            got[f"{name}.{suffix}"] = digest(Path(gen(tmp_path, f"{name}.{suffix}", "export", "--format", fmt, "-i", src)))
+    torus10 = gen(tmp_path, "torus10.json", "gen", "torus", "--b", "1", "--c", "0")
+    assert main(["extend", "--verify", "-i", torus10, "-o", str(tmp_path / "ext")]) == 1
+    got["torus10.extension-certificate.json"] = digest(tmp_path / "ext" / "certificate.json")
+    torus11 = gen(tmp_path, "torus11.json", "gen", "torus", "--b", "1", "--c", "1")
+    got["torus11.verdict.json"] = digest(Path(gen(tmp_path, "torus11.verdict.json", "verdict", "-i", torus11)))
+    assert got == ARTIFACT_SHA256
 
 
 def test_counterexample_size_refusal_exits_1(monkeypatch, tmp_path, capsys):

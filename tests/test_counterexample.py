@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from maniplex.core import dual, face_map, face_table, faces, isomorphic, restrict, validate
+from maniplex.core import dual, face_table, faces, isomorphic, restrict, validate
 from maniplex.corpus import platonic
 from maniplex.cosets import coset_enumerate
 from maniplex.counterexample import (
@@ -21,7 +21,7 @@ from maniplex.counterexample import (
 )
 from maniplex.poset import flag_graph_of, is_faithful, pos_of
 from maniplex.voltage import VoltageAssignment, double_cover, lift_connected
-from oracles import pos_of_by_labels
+from oracles import pos_of_by_labels, shifted_flags
 
 THETA_FROZEN = (0, 24, 25, 57, 74, 87)
 
@@ -59,18 +59,18 @@ def test_theta_is_frozen_value(theta):
 
 def test_theta_covers_edges_and_polygons_once(b_maniplex, theta):
     for i in (1, 2):
-        fm = face_map(b_maniplex, i)
+        fm = list(face_table(b_maniplex, i))
         hits = sorted(fm[f] for f in theta.flags)
         assert hits == sorted(face.canonical for face in faces(b_maniplex, i))
 
 
 def test_theta_balance_on_vertices_and_facets(b_maniplex, theta):
     for i in (0, 3):
-        fm = face_map(b_maniplex, i)
+        fm = list(face_table(b_maniplex, i))
         per_face: dict[int, list[int]] = {}
         for f in theta.flags:
             per_face.setdefault(fm[f], []).append(f)
-        shifted = theta.shifted(b_maniplex, (i,))
+        shifted = shifted_flags(b_maniplex, theta.flags, (i,))
         shift_count: dict[int, int] = {}
         for g in shifted:
             shift_count[fm[g]] = shift_count.get(fm[g], 0) + 1
@@ -82,7 +82,7 @@ def test_theta_balance_on_vertices_and_facets(b_maniplex, theta):
                 f1, f2 = inside
                 for j in range(4):
                     if j != i:
-                        fmj = face_map(b_maniplex, j)
+                        fmj = list(face_table(b_maniplex, j))
                         assert fmj[f1] != fmj[f2]
 
 
@@ -192,8 +192,8 @@ def test_face_lift_count_rule_matches_lift_connected(b_maniplex, bstar_result):
         cover = double_cover(b, z).cover
         lifts = []
         for i in range(4):
-            base_ids = face_table(b, i).ids
-            over = Counter(base_ids[c // 2] for c in set(face_table(cover, i).ids))  # cover faces per base face
+            base_ids = face_table(b, i)
+            over = Counter(base_ids[c // 2] for c in set(face_table(cover, i)))  # cover faces per base face
             for face in faces(b, i):
                 connected = lift_connected(b, z, face.flags, [c for c in range(4) if c != i])
                 assert over[face.canonical] == (1 if connected else 2), (i, face.canonical)

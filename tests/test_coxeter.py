@@ -11,7 +11,6 @@ from maniplex.coxeter import (
     reduce_word,
     schreier_correspondence,
     verdict,
-    word_str,
 )
 from oracles import in_stabilizer, shortest_lex_words_brute, stabilizer_label
 
@@ -165,8 +164,6 @@ def test_verdict_is_base_independent(b_maniplex):
     assert verdict(moved) == verdict(b_maniplex)
 
 
-def test_word_str_and_labels():
-    assert word_str(()) == "e"
-    assert word_str((0, 1, 0)) == "r0r1r0"
+def test_stabilizer_labels():
     assert stabilizer_label((), 0) == "W0·e·N"
     assert stabilizer_label((1, 2), 5) == "W5·r1r2·N"

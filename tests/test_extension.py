@@ -383,14 +383,17 @@ def test_tag_spans_match_fails_on_a_twisted_new_colour(monkeypatch):
     assert st["facet-sections-match-base"] == PASS  # the old colours still copy the base
 
 
-def test_verify_extension_groups_only_the_base_facets(bstar_result):
+def test_verify_extension_groups_only_the_base_facets(bstar_result, monkeypatch):
     # the checks read face ids; only the marked facet's lookup groups a
     # face table into faces
     m = Maniplex(bstar_result.bstar.perms)
-    res = verify_extension(m, faces(m, 3)[0])
+    facet = faces(m, 3)[0]
+    grouped = []
+    monkeypatch.setattr(extension, "faces", lambda mm, i: grouped.append((mm, i)) or faces(mm, i))
+    res = verify_extension(m, facet)
     assert res.ok
-    assert [i for i in range(4) if m._cache[i]._faces is not None] == [3]
-    assert all(res.extension._cache[i]._faces is None for i in range(5))
+    assert len(grouped) == 1
+    assert grouped[0][0] is m and grouped[0][1] == 3
 
 
 def test_ridge_check_names_a_ridge_under_one_facet(monkeypatch):

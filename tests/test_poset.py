@@ -373,8 +373,7 @@ def test_verdict_builds_no_label_sets(monkeypatch):
     monkeypatch.setattr(coxeter, "pos_of", lambda m: built.append(pos_of(m)) or built[-1])
     assert verdict(torus_44(3, 2)).summary == "semisparse"
     (p,) = built
-    assert "_index" in vars(p)
-    assert not {"up", "down"} & vars(p).keys()
+    assert not {"faces", "less", "rank_of", "covers"} & vars(p).keys()
 
 
 def test_flag_connectivity_fails_on_proper_sections(two_squares):

@@ -112,10 +112,16 @@ def test_sheet_swap_commutes():
 
 
 def test_projection_and_sheet():
+    # cover flag 2f + s is flag f on sheet s: a trivial edge keeps the sheet,
+    # a nontrivial one swaps it
     m = platonic("square")
-    dc = double_cover(m, no_voltage(m))
-    assert dc.project(7) == 3
-    assert dc.sheet(7) == 1
+    z = VoltageAssignment.from_edges(m, [(0, 0)])
+    cover = double_cover(m, z).cover
+    for i, row in enumerate(cover.perms):
+        for v in range(cover.flag_count):
+            f, s = divmod(v, 2)
+            assert row[v] == 2 * m.perms[i][f] + (s ^ z.voltage(f, i))
+    assert cover.perms[0][0] == 2 * m.perms[0][0] + 1
 
 
 def test_lift_connected_validates_input():
