@@ -152,8 +152,7 @@ def cmd_find_theta(args: argparse.Namespace) -> int:
         print("error: input is not a valid maniplex", file=sys.stderr)
         return 1
     theta = find_theta(m)
-    marked = build_E_theta(m, theta)
-    _emit(_voltage_doc(digest, theta.flags, marked.edges), args.output)
+    _emit(_voltage_doc(digest, theta, build_E_theta(m, theta)), args.output)
     return 0
 
 
@@ -194,7 +193,7 @@ def cmd_build_bstar(args: argparse.Namespace) -> int:
     _write(out / "b.json", b_text)
     _write(
         out / "voltage-theta.json",
-        _voltage_doc(_sha256(b_text.encode("utf-8")), result.theta.flags, result.e_theta.edges),
+        _voltage_doc(_sha256(b_text.encode("utf-8")), result.theta, result.e_theta),
     )
     return _write_bstar(out, result, "bstar.json", "certificate.json")
 

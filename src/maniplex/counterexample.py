@@ -36,7 +36,7 @@ from .core import (
 from .corpus import platonic
 from .cosets import coset_enumerate, string_coxeter
 from .poset import flag_function, is_faithful, is_polytopal
-from .voltage import VoltageAssignment, canonical_edge, double_cover
+from .voltage import Edge, canonical_edge, double_cover
 
 B_FLAGS = 96
 B_FACE_VECTOR = (4, 6, 6, 4)
@@ -82,11 +82,6 @@ def build_B() -> Maniplex:
 
 # ---------- the marked flag set ----------
 
-@dataclass(frozen=True)
-class ThetaSet:
-    flags: tuple[int, ...]  # sorted; one flag per 1-face and per 2-face
-
-
 class ThetaNotFound(RuntimeError):
     pass
 
@@ -130,13 +125,13 @@ def _face_lifts_connected(cover: Maniplex, b: Maniplex) -> bool:
 
 def _cover_certified(b: Maniplex, theta: tuple[int, ...]) -> bool:
     """Post-filter: the derived voltage cover is a maniplex and all face lifts connect."""
-    z = build_E_theta(b, ThetaSet(tuple(sorted(theta)))).voltage(b)
-    cover = double_cover(b, z).cover
+    cover = double_cover(b, build_E_theta(b, tuple(sorted(theta))))
     return validate(cover).ok and _face_lifts_connected(cover, b)
 
 
-def find_theta(b: Maniplex) -> ThetaSet:
-    """Lexicographically least valid marked set under canonical flag order.
+def find_theta(b: Maniplex) -> tuple[int, ...]:
+    """Lexicographically least valid marked set under canonical flag order,
+    as its sorted flags: one flag per 1-face and per 2-face.
 
     Depth-first over the 1-faces in canonical order, choosing flags in
     increasing order; the 2-face bijection and the <=2-per-vertex/facet
@@ -180,31 +175,16 @@ def find_theta(b: Maniplex) -> ThetaSet:
     result = dfs(0)
     if result is None:
         raise ThetaNotFound("no marked set satisfies the conditions")
-    return ThetaSet(tuple(sorted(result)))
+    return tuple(sorted(result))
 
 
 # ---------- the voltage edge set ----------
-
-@dataclass(frozen=True)
-class EThetaSet:
-    """Per marked flag, the edge set of its 4-edge path (colours 1,3,0,2).
-
-    groups[flag] lists the path edges from flag^{31} to flag^{02}; edges is
-    their union, canonical (lower endpoint, colour) form.
-    """
-
-    edges: frozenset[tuple[int, int]]
-    groups: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-    def voltage(self, b: Maniplex) -> VoltageAssignment:
-        return VoltageAssignment(b, self.edges)
-
 
 class EThetaOverlap(RuntimeError):
     pass
 
 
-def path_edges(b: Maniplex, flag: int) -> tuple[tuple[int, int], ...]:
+def path_edges(b: Maniplex, flag: int) -> tuple[Edge, ...]:
     """The four edges, in path order, hung off one marked flag."""
     f0 = b.perms[0][flag]
     f3 = b.perms[3][flag]
@@ -216,16 +196,16 @@ def path_edges(b: Maniplex, flag: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def build_E_theta(b: Maniplex, theta: ThetaSet) -> EThetaSet:
-    groups = []
-    union: set[tuple[int, int]] = set()
-    for f in theta.flags:
+def build_E_theta(b: Maniplex, theta: tuple[int, ...]) -> frozenset[Edge]:
+    """The voltage edges: the union of the marked flags' paths, which must
+    be edge-disjoint, in canonical (lower endpoint, colour) form."""
+    union: set[Edge] = set()
+    for f in theta:
         edges = path_edges(b, f)
         if len(set(edges)) != 4 or union & set(edges):
             raise EThetaOverlap(f"path edges of flag {f} overlap another group")
         union.update(edges)
-        groups.append((f, edges))
-    return EThetaSet(frozenset(union), tuple(groups))
+    return frozenset(union)
 
 
 # ---------- the balance conditions on faces ----------
@@ -237,7 +217,7 @@ class BConditionsReport:
     outcomes: dict[tuple[int, int], str]  # (rank in {0,3}, canonical) -> "two-two-one" | "one-one-two"
 
 
-def verify_B_conditions(b: Maniplex, theta: ThetaSet, etheta: EThetaSet) -> BConditionsReport:
+def verify_B_conditions(b: Maniplex, theta: tuple[int, ...], edges: frozenset[Edge]) -> BConditionsReport:
     """Per-face balance of marked edges.
 
     Edge and polygon faces (ranks 1, 2) must contain exactly one marked
@@ -248,12 +228,12 @@ def verify_B_conditions(b: Maniplex, theta: ThetaSet, etheta: EThetaSet) -> BCon
     failures: list[tuple[str, object]] = []
     outcomes: dict[tuple[int, int], str] = {}
     maps = [face_table(b, i) for i in range(4)]
-    theta_set = set(theta.flags)
-    shifted = {i: set(b.perms[i][f] for f in theta.flags) for i in range(4)}
+    theta_set = set(theta)
+    shifted = {i: set(b.perms[i][f] for f in theta) for i in range(4)}
 
     for colour in (1, 2):
         partner = (colour + 2) % 4
-        for f, c in sorted(etheta.edges):
+        for f, c in sorted(edges):
             if c != colour:
                 continue
             g = b.perms[c][f]
@@ -264,7 +244,7 @@ def verify_B_conditions(b: Maniplex, theta: ThetaSet, etheta: EThetaSet) -> BCon
 
     # count marked edges inside each face, per colour
     per_face: dict[tuple[int, int], dict[int, int]] = {}
-    for f, c in etheta.edges:
+    for f, c in edges:
         for i in range(4):
             if i == c:
                 continue  # a colour-c edge joins two different c-faces
@@ -298,9 +278,8 @@ def verify_B_conditions(b: Maniplex, theta: ThetaSet, etheta: EThetaSet) -> BCon
 @dataclass
 class BStarResult:
     b: Maniplex
-    theta: ThetaSet
-    e_theta: EThetaSet
-    assignment: VoltageAssignment
+    theta: tuple[int, ...]
+    e_theta: frozenset[Edge]
     bstar: Maniplex
     checks: list[Check]
     witness: Optional[tuple[int, int]]  # sheet pair in one fiber
@@ -341,8 +320,7 @@ def build_B_star() -> BStarResult:
     theta = find_theta(b)
     e_theta = build_E_theta(b, theta)
     conditions = verify_B_conditions(b, theta, e_theta)
-    z = e_theta.voltage(b)
-    bstar = double_cover(b, z).cover
+    bstar = double_cover(b, e_theta)
 
     checks = [
         passed("marked-set-conditions", conditions.ok, conditions.failures or None),
@@ -365,4 +343,4 @@ def build_B_star() -> BStarResult:
     v = coxeter.verdict(bstar)  # sparse is exactly polytopal
     checks.append(passed("cover-polytopal", v.sparse))
     checks.append(passed("verdict-sparse-not-semisparse", v.sparse and not v.semisparse))
-    return BStarResult(b, theta, e_theta, z, bstar, checks, witness, v)
+    return BStarResult(b, theta, e_theta, bstar, checks, witness, v)

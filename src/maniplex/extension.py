@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .certify import INFO, SKIP, Check, all_ok, passed
-from .core import Face, Maniplex, face_table, faces, validate
+from .core import Face, Maniplex, face_table, validate
 from .poset import PolytopeReport, RankedPoset, is_faithful, is_polytope, pos_of
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -34,9 +34,12 @@ _TAG_OFFSETS = {_TAGS_MISSING: (0, 0, 2, 2), _TAGS_EQUAL: (0, 1, 1, 0), _TAGS_AL
 
 
 def _resolve_facet(m: Maniplex, facet: Face) -> Face:
+    """The facet, once its flags are checked to be exactly those whose face
+    id is its canonical id, in one pass over the facet table."""
     if facet.rank != m.rank - 1:
         raise ValueError(f"marked face has rank {facet.rank}, need {m.rank - 1}")
-    if facet not in faces(m, m.rank - 1):
+    ids = face_table(m, m.rank - 1)
+    if not facet.flags or facet.flags != tuple(f for f, c in enumerate(ids) if c == facet.canonical):
         raise ValueError("marked face does not match any facet of this maniplex")
     return facet
 

@@ -683,3 +683,63 @@ def shifted_flags(b, flags, colours) -> tuple[int, ...]:
             f = b.perms[c][f]
         out.append(f)
     return tuple(sorted(out))
+
+
+def voltage_edges(m, pairs) -> frozenset[tuple[int, int]]:
+    """The given (flag, colour) edges in canonical (lower endpoint, colour) form."""
+    return frozenset((min(f, m.perms[c][f]), c) for f, c in pairs)
+
+
+class SquareParity(NamedTuple):
+    colours: tuple[int, int]
+    canonical: int  # least flag of the bicoloured square
+    parity: int  # of the number of nontrivial edges in the square
+
+
+def square_parities(m, nontrivial) -> list[SquareParity]:
+    """Voltage parity of every bicoloured square (colours at distance > 1),
+    squares found by merging."""
+    out = []
+    for i in range(m.rank):
+        for j in range(i + 2, m.rank):
+            for square in partition_by_merging(m.perms, (i, j), m.flag_count):
+                edges = {(min(f, m.perms[c][f]), c) for f in square for c in (i, j)}
+                out.append(SquareParity((i, j), square[0], len(edges & nontrivial) % 2))
+    return out
+
+
+class CoverReport(NamedTuple):
+    """The classical two-part criterion for a double cover to be a maniplex:
+    the nontrivial edges are not a cut-set, and every bicoloured square
+    carries an even number of them.  Tests compare it with validating the
+    cover directly, which is authoritative."""
+
+    not_cutset: bool
+    odd_square: SquareParity | None  # the first square of odd parity
+
+    @property
+    def holds(self) -> bool:
+        return self.not_cutset and self.odd_square is None
+
+
+def _connected_avoiding(m, banned) -> bool:
+    seen = [False] * m.flag_count
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        f = stack.pop()
+        for c in range(m.rank):
+            g = m.perms[c][f]
+            if (min(f, g), c) in banned or seen[g]:
+                continue
+            seen[g] = True
+            reached += 1
+            stack.append(g)
+    return reached == m.flag_count
+
+
+def cover_is_maniplex(m, nontrivial) -> CoverReport:
+    """The two-part criterion over the canonical `nontrivial` edges."""
+    odd = next((sq for sq in square_parities(m, nontrivial) if sq.parity), None)
+    return CoverReport(_connected_avoiding(m, nontrivial), odd)

@@ -28,6 +28,7 @@ from maniplex.counterexample import (
     build_B_star,
     build_E_theta,
     find_theta,
+    path_edges,
     verify_B_conditions,
 )
 from maniplex.coxeter import verdict
@@ -85,31 +86,31 @@ def test_criterion_2_marked_set_pipeline():
     with criterion(2, "marked flag set and its edge system", 30):
         b = build_B()
         theta = find_theta(b)
-        assert len(theta.flags) == 6
+        assert len(theta) == 6
         # one marked flag in every edge orbit and every 2-face
         for i in (1, 2):
             hit = {}
             for face in faces(b, i):
-                hit[face.canonical] = sum(1 for t in theta.flags if t in face.flags)
+                hit[face.canonical] = sum(1 for t in theta if t in face.flags)
             assert set(hit.values()) == {1}
         # balance: each vertex and each facet holds one or two marked flags,
         # and together with the colour-shifted copies always sees three
         for i in (0, 3):
             fm = list(face_table(b, i))
             shift_count = {}
-            for g in shifted_flags(b, theta.flags, (i,)):
+            for g in shifted_flags(b, theta, (i,)):
                 shift_count[fm[g]] = shift_count.get(fm[g], 0) + 1
             for face in faces(b, i):
-                inside = sum(1 for t in theta.flags if fm[t] == face.canonical)
+                inside = sum(1 for t in theta if fm[t] == face.canonical)
                 assert inside in (1, 2)
                 assert inside + shift_count.get(face.canonical, 0) == 3
         etheta = build_E_theta(b, theta)
         # six edge-disjoint four-edge paths, one per marked flag
-        assert len(etheta.groups) == 6
-        assert all(len(set(path)) == 4 for _, path in etheta.groups)
-        assert len(etheta.edges) == 24
-        assert etheta.edges == {e for _, path in etheta.groups for e in path}
-        for _, path in etheta.groups:
+        paths = [path_edges(b, t) for t in theta]
+        assert all(len(set(path)) == 4 for path in paths)
+        assert len(etheta) == 24
+        assert etheta == {e for path in paths for e in path}
+        for path in paths:
             for (f1, c1), (f2, c2) in zip(path, path[1:]):
                 e1 = {f1, b.perms[c1][f1]}
                 e2 = {f2, b.perms[c2][f2]}

@@ -10,17 +10,23 @@ import pytest
 from maniplex import cli, extension, poset
 from maniplex.cli import main
 from maniplex.core import maniplex_from_json
-from maniplex.voltage import double_cover, voltage_from_json_dict
+from maniplex.voltage import double_cover
 
 # SHA-256 of build-bstar's certificate.json for this version; any change to
 # the certificate's bytes must be deliberate
 BSTAR_CERTIFICATE_SHA256 = "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937"
 
-# SHA-256 of the artifacts that read the face tables and the face poset:
-# every file of `counterexample --rank 6`, the poset exports of B and of the
-# cube, the failing extension certificate of torus (1,0) and the verdict
-# document of torus (1,1), whose witness is a face-poset diamond
+# SHA-256 of the artifacts that read the face tables, the face poset and
+# the voltage edges: every file of `counterexample --rank 6` and of
+# `build-bstar`, `find-theta` on build-bstar's B, the poset exports of B and
+# of the cube, the failing extension certificate of torus (1,0) and the
+# verdict document of torus (1,1), whose witness is a face-poset diamond
 ARTIFACT_SHA256 = {
+    "bstar/b.json": "436810899bae0a76ff199b3e153f5984ba28677a665290f98524a073a9a88050",
+    "bstar/bstar.json": "a27c1f6ad7d80f97518fc439e9431a59bba9203246008263cc88176ec2d774a7",
+    "bstar/certificate.json": "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937",
+    "bstar/voltage-theta.json": "0b09b339667b9dfba765b5488e50108055ac78c85798c69e8763751f7e747c16",
+    "find-theta.json": "0b09b339667b9dfba765b5488e50108055ac78c85798c69e8763751f7e747c16",
     "rank6/certificate-rank4.json": "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937",
     "rank6/certificate-rank5.json": "68218f62ba596970c05c0ce512eae26a4805be20134a75e7459c308afe86333c",
     "rank6/certificate-rank6.json": "d3ab0a83e7d0a21061dd6aa0422cc6c8aca95ab1d6809ae9612a2a0b9c05bc4e",
@@ -195,8 +201,8 @@ def test_build_bstar_certificate_bytes(bstar_dir):
 
 def test_voltage_document_rebuilds_cover(bstar_dir):
     b = maniplex_from_json((bstar_dir / "b.json").read_text())
-    assignment = voltage_from_json_dict(b, load(bstar_dir / "voltage-theta.json"))
-    cover = double_cover(b, assignment).cover
+    edges = frozenset(tuple(e) for e in load(bstar_dir / "voltage-theta.json")["edges"])
+    cover = double_cover(b, edges)
     assert cover.perms == maniplex_from_json((bstar_dir / "bstar.json").read_text()).perms
 
 
@@ -218,6 +224,11 @@ def test_artifact_bytes_pinned(tmp_path):
     assert main(["counterexample", "--rank", "6", "-o", str(rank6)]) == 0
     for path in rank6.iterdir():
         got[f"rank6/{path.name}"] = digest(path)
+    bstar = tmp_path / "bstar"
+    assert main(["build-bstar", "-o", str(bstar)]) == 0
+    for path in bstar.iterdir():
+        got[f"bstar/{path.name}"] = digest(path)
+    got["find-theta.json"] = digest(Path(gen(tmp_path, "find-theta.json", "find-theta", "-i", str(bstar / "b.json"))))
     for name, argv in (("b", ["build-b"]), ("cube", ["gen", "platonic", "--name", "cube"])):
         src = gen(tmp_path, f"{name}.json", *argv)
         for fmt, suffix in (("json", "poset.json"), ("hasse-dot", "hasse.dot")):

@@ -11,7 +11,6 @@ from maniplex.counterexample import (
     B_PRESENTATION,
     EThetaOverlap,
     ThetaNotFound,
-    ThetaSet,
     _face_lifts_connected,
     _projection_poset_iso,
     build_E_theta,
@@ -20,8 +19,8 @@ from maniplex.counterexample import (
     verify_B_conditions,
 )
 from maniplex.poset import flag_graph_of, is_faithful, pos_of
-from maniplex.voltage import VoltageAssignment, double_cover, lift_connected
-from oracles import pos_of_by_labels, shifted_flags
+from maniplex.voltage import double_cover, lift_connected
+from oracles import pos_of_by_labels, shifted_flags, voltage_edges
 
 THETA_FROZEN = (0, 24, 25, 57, 74, 87)
 
@@ -54,13 +53,13 @@ def test_b_facet_and_vertex_sections(b_maniplex):
 
 
 def test_theta_is_frozen_value(theta):
-    assert theta.flags == THETA_FROZEN
+    assert theta == THETA_FROZEN
 
 
 def test_theta_covers_edges_and_polygons_once(b_maniplex, theta):
     for i in (1, 2):
         fm = list(face_table(b_maniplex, i))
-        hits = sorted(fm[f] for f in theta.flags)
+        hits = sorted(fm[f] for f in theta)
         assert hits == sorted(face.canonical for face in faces(b_maniplex, i))
 
 
@@ -68,9 +67,9 @@ def test_theta_balance_on_vertices_and_facets(b_maniplex, theta):
     for i in (0, 3):
         fm = list(face_table(b_maniplex, i))
         per_face: dict[int, list[int]] = {}
-        for f in theta.flags:
+        for f in theta:
             per_face.setdefault(fm[f], []).append(f)
-        shifted = shifted_flags(b_maniplex, theta.flags, (i,))
+        shifted = shifted_flags(b_maniplex, theta, (i,))
         shift_count: dict[int, int] = {}
         for g in shifted:
             shift_count[fm[g]] = shift_count.get(fm[g], 0) + 1
@@ -101,7 +100,7 @@ def test_theta_not_found_on_hypercube_like_action():
 
 
 def test_path_edges_shape(b_maniplex, theta):
-    for f in theta.flags:
+    for f in theta:
         edges = path_edges(b_maniplex, f)
         assert [c for _, c in edges] == [1, 3, 0, 2]
         # consecutive edges share exactly one endpoint: a genuine path
@@ -114,21 +113,21 @@ def test_path_edges_shape(b_maniplex, theta):
 
 
 def test_e_theta_counts(b_maniplex, theta, etheta):
-    assert len(etheta.edges) == 24
-    assert len(etheta.groups) == 6
+    assert len(etheta) == 24
+    assert len(theta) == 6
     seen = set()
-    for f, group in etheta.groups:
-        assert f in theta.flags
-        assert len(group) == 4
+    for f in theta:
+        group = path_edges(b_maniplex, f)
+        assert len(set(group)) == 4
         assert not (seen & set(group))
         seen.update(group)
-    assert seen == set(etheta.edges)
+    assert seen == etheta
 
 
 def test_e_theta_overlap_raises(b_maniplex):
     # two flags on the same colour-3 edge share path edges
     f = 0
-    clash = ThetaSet(tuple(sorted((f, b_maniplex.perms[3][f]))))
+    clash = tuple(sorted((f, b_maniplex.perms[3][f])))
     with pytest.raises(EThetaOverlap):
         build_E_theta(b_maniplex, clash)
 
@@ -147,7 +146,7 @@ def test_b_conditions_under_duality(b_maniplex, theta, etheta):
     b = b_maniplex
     d = dual(b)
     et_d = build_E_theta(d, theta)
-    assert et_d.edges == frozenset((f, 3 - c) for f, c in etheta.edges)
+    assert et_d == frozenset((f, 3 - c) for f, c in etheta)
     rep = verify_B_conditions(b, theta, etheta)
     rep_d = verify_B_conditions(d, theta, et_d)
     assert rep_d.ok
@@ -187,15 +186,15 @@ def test_face_lift_count_rule_matches_lift_connected(b_maniplex, bstar_result):
     assignment every lift connects; on one nontrivial colour-0 edge the
     faces through it connect and the vertices do not."""
     b = b_maniplex
-    single = VoltageAssignment.from_edges(b, [(0, 0)])
-    for z, want in ((bstar_result.assignment, True), (single, False)):
-        cover = double_cover(b, z).cover
+    single = voltage_edges(b, [(0, 0)])
+    for edges, want in ((bstar_result.e_theta, True), (single, False)):
+        cover = double_cover(b, edges)
         lifts = []
         for i in range(4):
             base_ids = face_table(b, i)
             over = Counter(base_ids[c // 2] for c in set(face_table(cover, i)))  # cover faces per base face
             for face in faces(b, i):
-                connected = lift_connected(b, z, face.flags, [c for c in range(4) if c != i])
+                connected = lift_connected(b, edges, face.flags, [c for c in range(4) if c != i])
                 assert over[face.canonical] == (1 if connected else 2), (i, face.canonical)
                 lifts.append(connected)
         assert _face_lifts_connected(cover, b) == all(lifts) == want
@@ -218,12 +217,12 @@ def test_projection_check_matches_halved_label_poset(bstar_result):
     b, bstar = bstar_result.b, bstar_result.bstar
     assert _projection_poset_iso(bstar, b)
     assert {(halve(a), halve(c)) for a, c in pos_of_by_labels(bstar).less} == pos_of_by_labels(b).less
-    split = double_cover(b, VoltageAssignment.from_edges(b, [(0, 0)])).cover
+    split = double_cover(b, voltage_edges(b, [(0, 0)]))
     assert not _projection_poset_iso(split, b)
 
 
 def test_bstar_equals_double_cover_of_b(bstar_result):
-    cover = double_cover(bstar_result.b, bstar_result.assignment).cover
+    cover = double_cover(bstar_result.b, bstar_result.e_theta)
     assert cover.perms == bstar_result.bstar.perms
 
 

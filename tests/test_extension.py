@@ -1,3 +1,4 @@
+import sys
 import time
 from collections import Counter
 
@@ -41,6 +42,8 @@ def test_extend_rejects_non_facets():
         extend(sq, fake)
     with pytest.raises(ValueError):
         extend(sq, Face(1, sq.flag_count + 3, real.flags))
+    with pytest.raises(ValueError):
+        extend(sq, Face(1, -1, ()))  # no flag has face id -1
 
 
 def test_old_colours_act_within_tags():
@@ -384,16 +387,17 @@ def test_tag_spans_match_fails_on_a_twisted_new_colour(monkeypatch):
 
 
 def test_verify_extension_groups_only_the_base_facets(bstar_result, monkeypatch):
-    # the checks read face ids; only the marked facet's lookup groups a
-    # face table into faces
+    # the checks, and the marked facet's lookup, read face ids; none groups
+    # a face table into faces
     m = Maniplex(bstar_result.bstar.perms)
     facet = faces(m, 3)[0]
     grouped = []
-    monkeypatch.setattr(extension, "faces", lambda mm, i: grouped.append((mm, i)) or faces(mm, i))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("maniplex") and getattr(module, "faces", None) is faces:
+            monkeypatch.setattr(module, "faces", lambda mm, i: grouped.append((mm, i)) or faces(mm, i))
     res = verify_extension(m, facet)
     assert res.ok
-    assert len(grouped) == 1
-    assert grouped[0][0] is m and grouped[0][1] == 3
+    assert grouped == []
 
 
 def test_ridge_check_names_a_ridge_under_one_facet(monkeypatch):

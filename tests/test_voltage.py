@@ -2,20 +2,10 @@ import pytest
 
 from maniplex.core import components, restrict, validate
 from maniplex.corpus import platonic, torus_44
-from maniplex.voltage import (
-    VoltageAssignment,
-    canonical_edge,
-    cover_is_maniplex,
-    double_cover,
-    lift_connected,
-    square_parities,
-    voltage_from_json_dict,
-)
-from oracles import cover_graph
+from maniplex.voltage import canonical_edge, double_cover, lift_connected
+from oracles import cover_graph, cover_is_maniplex, square_parities, voltage_edges
 
-
-def no_voltage(m):
-    return VoltageAssignment(m, frozenset())
+NO_VOLTAGE = frozenset()
 
 
 def test_canonical_edge():
@@ -25,87 +15,68 @@ def test_canonical_edge():
     assert canonical_edge(sq, f, 1) == canonical_edge(sq, g, 1) == (min(f, g), 1)
 
 
-def test_from_edges_validation():
+def test_double_cover_swaps_sheets_from_both_endpoints():
     sq = platonic("square")
-    with pytest.raises(ValueError):
-        VoltageAssignment.from_edges(sq, [(0, 5)])
-    with pytest.raises(ValueError):
-        VoltageAssignment.from_edges(sq, [(99, 0)])
-    z = VoltageAssignment.from_edges(sq, [(sq.perms[0][0], 0)])  # non-canonical endpoint
-    assert z.voltage(0, 0) == 1
-    assert z.voltage(sq.perms[0][0], 0) == 1
-
-
-def test_voltage_json_roundtrip():
-    sq = platonic("square")
-    z = VoltageAssignment.from_edges(sq, [(0, 0), (2, 1)])
-    doc = z.to_json_dict()
-    assert voltage_from_json_dict(sq, doc).nontrivial == z.nontrivial
-    with pytest.raises(ValueError):
-        voltage_from_json_dict(sq, {"edges": [[1, 2, 3]]})
-    with pytest.raises(ValueError):
-        voltage_from_json_dict(sq, [])
+    f, g = 0, sq.perms[0][0]
+    cover = double_cover(sq, frozenset({canonical_edge(sq, g, 0)}))
+    for s in (0, 1):
+        assert cover.perms[0][2 * f + s] == 2 * g + (1 - s)
+        assert cover.perms[0][2 * g + s] == 2 * f + (1 - s)
 
 
 def test_zero_voltage_gives_two_copies():
     m = platonic("hemicube")
-    cover = double_cover(m, no_voltage(m)).cover
+    cover = double_cover(m, NO_VOLTAGE)
     evens = [2 * f for f in range(m.flag_count)]
     odds = [2 * f + 1 for f in range(m.flag_count)]
     assert restrict(cover, evens, range(m.rank)).perms == m.perms
     assert restrict(cover, odds, range(m.rank)).perms == m.perms
     assert len(components(cover, range(m.rank))) == 2
-    report = cover_is_maniplex(m, no_voltage(m))
-    assert not report.is_maniplex
-    # the two-part criterion is vacuously happy here; the disagreement is flagged
-    assert report.lemma_not_cutset and report.lemma_squares_even
-    assert report.disagreement
+    # the two-part criterion is vacuously happy here, yet the cover splits
+    assert cover_is_maniplex(m, NO_VOLTAGE).holds
+    assert not validate(cover).ok
 
 
 def test_single_edge_on_polygon_connects_cover():
     sq = platonic("square")  # flag graph is an 8-cycle
-    z = VoltageAssignment.from_edges(sq, [(0, 0)])
-    report = cover_is_maniplex(sq, z)
-    assert report.is_maniplex
-    assert not report.disagreement
-    cover = double_cover(sq, z).cover
+    edges = voltage_edges(sq, [(0, 0)])
+    assert cover_is_maniplex(sq, edges).holds
+    cover = double_cover(sq, edges)
+    assert validate(cover).ok
     assert len(components(cover, range(2))) == 1
     assert cover.flag_count == 16
 
 
 def test_all_edges_on_polygon_disconnects_cover():
     sq = platonic("square")
-    edges = {canonical_edge(sq, f, c) for f in range(8) for c in range(2)}
-    z = VoltageAssignment(sq, frozenset(edges))
-    report = cover_is_maniplex(sq, z)
-    assert not report.is_maniplex  # bipartite base graph, fully twisted cover splits
+    edges = voltage_edges(sq, [(f, c) for f in range(8) for c in range(2)])
+    assert not cover_is_maniplex(sq, edges).holds
+    assert not validate(double_cover(sq, edges)).ok  # bipartite base graph, fully twisted cover splits
 
 
 def test_odd_square_breaks_cover():
     cube = platonic("cube")
     # exactly one nontrivial edge inside some (0, 2) square makes its lift an 8-cycle
-    sq = next(p for p in square_parities(cube, no_voltage(cube)) if p.colours == (0, 2))
-    z = VoltageAssignment.from_edges(cube, [(sq.canonical, 0)])
-    report = cover_is_maniplex(cube, z)
-    assert not report.is_maniplex
+    sq = next(p for p in square_parities(cube, NO_VOLTAGE) if p.colours == (0, 2))
+    edges = voltage_edges(cube, [(sq.canonical, 0)])
+    report = cover_is_maniplex(cube, edges)
+    assert not report.holds
     assert report.odd_square is not None
     assert report.odd_square.parity == 1
-    assert not report.disagreement
-    bad = validate(double_cover(cube, z).cover)
+    bad = validate(double_cover(cube, edges))
     assert any(v.axiom == "square" for v in bad.violations)
 
 
 def test_square_parities_counts():
     cube = platonic("cube")
-    parities = square_parities(cube, no_voltage(cube))
+    parities = square_parities(cube, NO_VOLTAGE)
     assert len(parities) == 12  # one (0,2) square per edge of the cube
     assert all(p.parity == 0 for p in parities)
 
 
 def test_sheet_swap_commutes():
     m = platonic("hemioctahedron")
-    z = VoltageAssignment.from_edges(m, [(0, 0), (1, 1), (4, 2)])
-    cover = double_cover(m, z).cover
+    cover = double_cover(m, voltage_edges(m, [(0, 0), (1, 1), (4, 2)]))
     swap = [v ^ 1 for v in range(cover.flag_count)]
     for row in cover.perms:
         assert all(row[swap[v]] == swap[row[v]] for v in range(cover.flag_count))
@@ -115,29 +86,27 @@ def test_projection_and_sheet():
     # cover flag 2f + s is flag f on sheet s: a trivial edge keeps the sheet,
     # a nontrivial one swaps it
     m = platonic("square")
-    z = VoltageAssignment.from_edges(m, [(0, 0)])
-    cover = double_cover(m, z).cover
+    edges = voltage_edges(m, [(0, 0)])
+    cover = double_cover(m, edges)
     for i, row in enumerate(cover.perms):
         for v in range(cover.flag_count):
             f, s = divmod(v, 2)
-            assert row[v] == 2 * m.perms[i][f] + (s ^ z.voltage(f, i))
+            assert row[v] == 2 * m.perms[i][f] + (s ^ (canonical_edge(m, f, i) in edges))
     assert cover.perms[0][0] == 2 * m.perms[0][0] + 1
 
 
 def test_lift_connected_validates_input():
     m = platonic("cube")
-    z = no_voltage(m)
     with pytest.raises(ValueError):
-        lift_connected(m, z, [], (0, 1))
+        lift_connected(m, NO_VOLTAGE, [], (0, 1))
     with pytest.raises(ValueError):
-        lift_connected(m, z, [0], (0,))  # not closed under colour 0
+        lift_connected(m, NO_VOLTAGE, [0], (0,))  # not closed under colour 0
     face0 = [f for f in range(m.flag_count)]
-    assert not lift_connected(m, z, face0, range(3))  # zero voltage never connects
+    assert not lift_connected(m, NO_VOLTAGE, face0, range(3))  # zero voltage never connects
 
 
 def test_lift_connected_positive(b_maniplex, etheta):
-    z = etheta.voltage(b_maniplex)
-    assert lift_connected(b_maniplex, z, range(b_maniplex.flag_count), range(4))
+    assert lift_connected(b_maniplex, etheta, range(b_maniplex.flag_count), range(4))
 
 
 def test_cover_graph_three_cycle():
@@ -162,7 +131,6 @@ def test_cover_graph_three_cycle():
 
 def test_double_cover_of_valid_base_is_involutive():
     m = torus_44(2, 1)
-    z = VoltageAssignment.from_edges(m, [(0, 0)])
-    cover = double_cover(m, z).cover
+    cover = double_cover(m, voltage_edges(m, [(0, 0)]))
     for row in cover.perms:
         assert all(row[row[v]] == v for v in range(cover.flag_count))
