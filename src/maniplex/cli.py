@@ -41,8 +41,8 @@ from .counterexample import (
     find_theta,
 )
 from .coxeter import schreier_correspondence, verdict as classify
-from .extension import YProfileUndefined, extend, verify_extension
-from .poset import DiamondError, pos_of, poset_to_dot, poset_to_json_dict
+from .extension import extend, verify_extension
+from .poset import pos_of, poset_to_dot, poset_to_json_dict
 
 
 def _sha256(data: bytes) -> str:
@@ -370,7 +370,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         rc = args.func(args)
-    except (BuildError, ThetaNotFound, EThetaOverlap, CosetCapExceeded, YProfileUndefined, DiamondError) as exc:
+    except (BuildError, ThetaNotFound, EThetaOverlap, CosetCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, OSError, ValueError) as exc:

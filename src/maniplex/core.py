@@ -332,10 +332,6 @@ def restrict(m: Maniplex, flags: Iterable[int], colours: Iterable[int]) -> Manip
 
 # ---------- serialization ----------
 
-def to_json_dict(m: Maniplex) -> dict:
-    return {"rank": m.rank, "flags": m.flag_count, "perms": [list(row) for row in m.perms]}
-
-
 def _checked_perms(doc: object) -> list:
     """The document's perms list, once its shape and entries are checked."""
     if not isinstance(doc, dict):
@@ -365,8 +361,9 @@ def dumps_json(obj: object) -> str:
 
 
 def maniplex_to_json(m: Maniplex) -> str:
-    """`dumps_json(to_json_dict(m))`, appended to one row at a time: the
-    generic encoder holds a string for every entry of every row at once.
+    """`dumps_json` of the document {"rank", "flags", "perms"} (the test
+    oracle `oracles.to_json_dict` builds it), appended to one row at a time:
+    the generic encoder holds a string for every entry of every row at once.
     Rows share one decimal string per flag, so an entry outside 0..flags-1
     raises FormatError instead of encoding as some other flag."""
     strs = list(map(str, range(m.flag_count)))

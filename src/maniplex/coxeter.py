@@ -34,35 +34,6 @@ def act(m: Maniplex, word: Sequence[int], flag: int) -> int:
     return flag
 
 
-def reduce_word(word: Sequence[int], rank: int) -> Word:
-    """Shorten a word using r_i^2 = 1 and commutation of distant letters.
-
-    The result acts identically on every rank-`rank` maniplex; it is a
-    convenient normal form, not a solution to the word problem.
-    """
-    letters = list(word)
-    for letter in letters:
-        if not 0 <= letter < rank:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
-    changed = True
-    while changed:
-        changed = False
-        k = 0
-        while k + 1 < len(letters):
-            a, b = letters[k], letters[k + 1]
-            if a == b:
-                del letters[k : k + 2]
-                changed = True
-                k = max(k - 1, 0)
-            elif a > b + 1:
-                letters[k], letters[k + 1] = b, a
-                changed = True
-                k += 1
-            else:
-                k += 1
-    return tuple(letters)
-
-
 def coset_words(m: Maniplex, base: int = 0) -> tuple[Word, ...]:
     """Shortest-lex word from `base` to every flag (breadth-first)."""
     if not 0 <= base < m.flag_count:

@@ -62,10 +62,6 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     return Maniplex(tuple(perms))
 
 
-class YProfileUndefined(ValueError):
-    """The face/facet configuration falls outside the three covered cases."""
-
-
 def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[int, int]] | None]:
     """Each i-face's tag span, keyed by canonical id, from the face sizes and
     the count of each face's flags in the marked facet; None for an i-face
@@ -82,24 +78,6 @@ def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[in
         else:
             spans[c] = _TAGS_EQUAL if size == len(facet.flags) else None
     return spans
-
-
-def y_profile(m: Maniplex, facet: Face, flag: int, i: int) -> frozenset[tuple[int, int]]:
-    """Tag span of the extension face over the i-face of the given flag.
-
-    Refuses when the i-face is properly contained in the marked facet, the
-    one configuration the case split does not cover (it cannot occur when
-    M is polytopal).
-    """
-    facet = _resolve_facet(m, facet)
-    if not 0 <= i < m.rank:
-        raise ValueError(f"face rank {i} out of range")
-    span = _tag_spans(m, facet, i)[face_table(m, i)[flag]]
-    if span is None:
-        raise YProfileUndefined(
-            f"{i}-face of flag {flag} is properly contained in the marked facet"
-        )
-    return span
 
 
 @dataclass

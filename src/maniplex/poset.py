@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import FormatError, Maniplex, face_table, validate
+from .core import FormatError, Maniplex, face_table
 
 ISO_FACE_LIMIT = 64  # brute-force poset matching is only vouched for below this
 
@@ -361,48 +361,6 @@ def is_polytopal(m: Maniplex) -> bool:
     return is_polytope(pos_of(m)).ok
 
 
-# ---------- poset -> flag graph ----------
-
-class DiamondError(ValueError):
-    def __init__(self, witness):
-        super().__init__(f"diamond condition fails, witness {witness!r}")
-        self.witness = witness
-
-
-def flag_graph_of(p: RankedPoset) -> Maniplex:
-    """Flag graph of a polytope: maximal chains, i-adjacent when they differ at rank i.
-
-    Refuses (DiamondError) when some chain lacks a unique partner at some
-    rank; raises ValueError when the result is not a valid maniplex.
-    """
-    if order_transitivity_witness(p) is not None or boundedness_witness(p) is not None:
-        raise ValueError("flag_graph_of needs a bounded partial order")
-    chains = maximal_chains(p)
-    n = p.rank
-    if any(len(chain) != n + 2 for chain in chains):
-        raise ValueError("flag_graph_of needs a graded poset (full-length chains)")
-    index = {chain: k for k, chain in enumerate(chains)}
-    perms = []
-    for i in range(n):
-        pos = i + 1
-        groups: dict[tuple, list[int]] = defaultdict(list)
-        for chain in chains:
-            groups[chain[:pos] + chain[pos + 1:]].append(index[chain])
-        row = [-1] * len(chains)
-        for key, members in groups.items():
-            if len(members) != 2:
-                witness = (chains[members[0]], i, len(members))
-                raise DiamondError(witness)
-            a, b = members
-            row[a], row[b] = b, a
-        perms.append(tuple(row))
-    result = Maniplex(tuple(perms))
-    report = validate(result)
-    if not report.ok:
-        raise ValueError(f"chains do not form a maniplex: {report.violations[0]}")
-    return result
-
-
 # ---------- poset isomorphism (small posets) ----------
 
 def _signatures(p: RankedPoset) -> dict[str, tuple]:
@@ -467,64 +425,6 @@ def poset_isomorphism(p: RankedPoset, q: RankedPoset) -> Optional[dict[str, str]
         return False
 
     return dict(mapping) if extend(0) else None
-
-
-# ---------- rank-3 structure theorems ----------
-
-@dataclass
-class Rank3Entry:
-    faithful: bool
-    polytopal: bool
-    pair0: Optional[tuple[int, int]]  # fiber pair {flag, flag^0}
-    pair2: Optional[tuple[int, int]]  # fiber pair {flag, flag^2}
-
-
-@dataclass
-class Rank3Report:
-    entries: list[Rank3Entry]
-    violations: list[tuple[int, str]]  # (index into corpus, what failed)
-
-
-def _fiber_pair(m: Maniplex, chains: list[tuple[int, ...]], colour: int) -> Optional[tuple[int, int]]:
-    """First {flag, flag^colour} inside one fiber, fibers taken in order of
-    their least flag and each fiber in flag order."""
-    first: dict[tuple[int, ...], int] = {}
-    for f, chain in enumerate(chains):
-        first.setdefault(chain, f)
-    row = m.perms[colour]
-    hits = [(first[chain], f) for f, chain in enumerate(chains) if chains[row[f]] == chain]
-    if not hits:
-        return None
-    f = min(hits)[1]
-    return (min(f, row[f]), max(f, row[f]))
-
-
-def rank3_theorems(corpus: list[Maniplex]) -> Rank3Report:
-    """Check the rank-3 structure facts on a corpus.
-
-    For every unfaithful 3-maniplex: it must not be polytopal, and some
-    fiber must contain a pair {flag, flag^0} and some fiber a pair
-    {flag, flag^2}.
-    """
-    entries: list[Rank3Entry] = []
-    violations: list[tuple[int, str]] = []
-    for idx, m in enumerate(corpus):
-        if m.rank != 3:
-            raise ValueError(f"corpus member {idx} has rank {m.rank}, expected 3")
-        chains = flag_function(m)
-        faithful = len(set(chains)) == len(chains)
-        polytopal = is_polytopal(m)
-        pair0 = pair2 = None
-        if not faithful:
-            pair0, pair2 = _fiber_pair(m, chains, 0), _fiber_pair(m, chains, 2)
-            if polytopal:
-                violations.append((idx, "unfaithful but polytopal"))
-            if pair0 is None:
-                violations.append((idx, "unfaithful with no {flag, flag^0} fiber pair"))
-            if pair2 is None:
-                violations.append((idx, "unfaithful with no {flag, flag^2} fiber pair"))
-        entries.append(Rank3Entry(faithful, polytopal, pair0, pair2))
-    return Rank3Report(entries, violations)
 
 
 # ---------- exports ----------

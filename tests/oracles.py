@@ -142,6 +142,27 @@ def chains_by_product(levels: list[list[str]], lt) -> list[tuple[str, ...]]:
     return sorted(out)
 
 
+def flag_graph_by_chains(faces, less) -> Perms:
+    """Flag graph of a poset given by label levels and order pairs: its
+    full-length chains, i-adjacent when they differ only at rank i.  Raises
+    ValueError when some chain lacks a unique partner at some rank, that is,
+    when the diamond condition fails."""
+    chains = chains_by_product(faces, lambda a, b: (a, b) in less)
+    perms = []
+    for i in range(len(faces) - 2):
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for k, chain in enumerate(chains):
+            groups.setdefault(chain[: i + 1] + chain[i + 2 :], []).append(k)
+        row = [0] * len(chains)
+        for members in groups.values():
+            if len(members) != 2:
+                raise ValueError(f"diamond condition fails at rank {i}: {len(members)} chains like {chains[members[0]]}")
+            a, b = members
+            row[a], row[b] = b, a
+        perms.append(tuple(row))
+    return tuple(perms)
+
+
 def shortest_lex_words_brute(perms: Perms, base: int, max_len: int) -> dict[int, tuple[int, ...]]:
     """First word in (length, lex) order reaching each flag, exhaustively."""
     rank = len(perms)
@@ -743,3 +764,9 @@ def cover_is_maniplex(m, nontrivial) -> CoverReport:
     """The two-part criterion over the canonical `nontrivial` edges."""
     odd = next((sq for sq in square_parities(m, nontrivial) if sq.parity), None)
     return CoverReport(_connected_avoiding(m, nontrivial), odd)
+
+
+def to_json_dict(m) -> dict:
+    """The maniplex document that `maniplex_to_json` must encode exactly as
+    the generic JSON encoder does."""
+    return {"rank": m.rank, "flags": m.flag_count, "perms": [list(row) for row in m.perms]}

@@ -5,6 +5,7 @@ the number of individual cases it exercised.
 """
 
 from maniplex.core import (
+    Maniplex,
     automorphism_count,
     components,
     isomorphic,
@@ -12,16 +13,15 @@ from maniplex.core import (
     validate,
 )
 from maniplex.corpus import torus_44
-from maniplex.coxeter import act, coset_words, reduce_word, verdict
+from maniplex.coxeter import act, coset_words, verdict
 from maniplex.poset import (
-    flag_graph_of,
     is_faithful,
     is_polytopal,
     maximal_chains,
     pos_of,
 )
 from maniplex.voltage import canonical_edge, double_cover
-from oracles import flag_function
+from oracles import flag_function, flag_graph_by_chains
 
 SEED = 20260825
 
@@ -107,25 +107,10 @@ def suite_poset_roundtrip(members):
     for m in members:
         if not (is_faithful(m).faithful and is_polytopal(m)):
             continue
-        assert isomorphic(flag_graph_of(pos_of(m)), m) is not None
+        p = pos_of(m)
+        assert isomorphic(Maniplex(flag_graph_by_chains(p.faces, p.less)), m) is not None
         cases += 1
     assert cases >= 5  # the corpus must exercise this path
-    return cases
-
-
-def suite_word_reduction(members, rng, trials=100):
-    """Word reduction shortens words without changing how they act."""
-    cases = 0
-    for m in members:
-        for _ in range(trials):
-            w = tuple(rng.randrange(m.rank) for _ in range(rng.randrange(13)))
-            r = reduce_word(w, m.rank)
-            assert len(r) <= len(w)
-            assert reduce_word(r, m.rank) == r
-            for _ in range(4):
-                f = rng.randrange(m.flag_count)
-                assert act(m, r, f) == act(m, w, f)
-            cases += 1
     return cases
 
 

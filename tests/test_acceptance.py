@@ -33,8 +33,8 @@ from maniplex.counterexample import (
 )
 from maniplex.coxeter import verdict
 from maniplex.extension import verify_extension
-from maniplex.poset import is_faithful, is_polytopal, rank3_theorems
-from oracles import shifted_flags
+from maniplex.poset import is_faithful, is_polytopal
+from oracles import fiber_pair_by_labels, shifted_flags
 
 
 @contextmanager
@@ -200,17 +200,14 @@ def test_criterion_5_rank3_corpus():
                     index[(b, c)] = len(corpus)
                     corpus.append(torus_44(b, c))
         assert len(corpus) == 3 + 12
-        report = rank3_theorems(corpus)
-        assert report.violations == []
-        for entry in report.entries:
-            if not entry.faithful:
-                assert not entry.polytopal
-                assert entry.pair0 is not None
-                assert entry.pair2 is not None
-        e10 = report.entries[index[(1, 0)]]
-        assert not e10.faithful and not e10.polytopal
-        e11 = report.entries[index[(1, 1)]]
-        assert e11.faithful and not e11.polytopal
+        for m in corpus:
+            if not is_faithful(m).faithful:
+                assert not is_polytopal(m)
+                assert fiber_pair_by_labels(m, 0) is not None
+                assert fiber_pair_by_labels(m, 2) is not None
+        t10, t11 = corpus[index[(1, 0)]], corpus[index[(1, 1)]]
+        assert not is_faithful(t10).faithful and not is_polytopal(t10)
+        assert is_faithful(t11).faithful and not is_polytopal(t11)
 
 
 def test_criterion_6_property_volume(named_corpus, b_maniplex, bstar_result):

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from maniplex import cli, extension, poset
+from maniplex import cli, poset
 from maniplex.cli import main
 from maniplex.core import maniplex_from_json
+from maniplex.counterexample import BuildError, EThetaOverlap
 from maniplex.voltage import double_cover
 
 # SHA-256 of build-bstar's certificate.json for this version; any change to
@@ -348,20 +349,14 @@ def test_verdict_base_out_of_range(tmp_path):
 
 
 def test_internal_failures_exit_1(tmp_path, monkeypatch, capsys):
-    # YProfileUndefined and DiamondError are ValueErrors, but they report a
-    # failure inside the package, not bad usage or IO
-    path = gen(tmp_path, "cube.json", "gen", "platonic", "--name", "cube")
-    capsys.readouterr()
+    # a failure inside the pipeline, not bad usage or IO
+    for failure in (BuildError("B fails its own checks"), EThetaOverlap("E_x and E_y share an edge")):
 
-    def refuse_spans(m, facet):
-        raise extension.YProfileUndefined("1-face of flag 0 is properly contained in the marked facet")
+        def fail():
+            raise failure
 
-    def refuse_diamond(m):
-        raise poset.DiamondError(("-1:0", "0:0"))
-
-    monkeypatch.setattr(cli, "verify_extension", refuse_spans)
-    assert main(["extend", "-i", path, "--verify", "-o", str(tmp_path / "ext")]) == 1
-    assert "error: 1-face of flag 0" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "pos_of", refuse_diamond)
-    assert main(["export", "--format", "json", "-i", path]) == 1
-    assert "error: diamond condition fails" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "build_B_star", fail)
+        assert main(["build-bstar", "-o", str(tmp_path / "bstar")]) == 1
+        assert f"error: {failure}" in capsys.readouterr().err
+        assert main(["counterexample", "--rank", "5", "-o", str(tmp_path / "rank5")]) == 1
+        assert f"error: {failure}" in capsys.readouterr().err

@@ -22,7 +22,6 @@ from maniplex.core import (
     restrict,
     structural_errors,
     to_dot,
-    to_json_dict,
     validate,
 )
 from maniplex.corpus import corpus_names, platonic, torus_44
@@ -36,6 +35,7 @@ from oracles import (
     faces_by_bfs,
     partition_by_merging,
     polygon_flag_graph,
+    to_json_dict,
 )
 
 # small deliberately broken structures, one per axiom

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from maniplex.core import dual, face_table, faces, isomorphic, restrict, validate
+from maniplex.core import Maniplex, dual, face_table, faces, isomorphic, restrict, validate
 from maniplex.corpus import platonic
 from maniplex.cosets import coset_enumerate
 from maniplex.counterexample import (
@@ -18,9 +18,9 @@ from maniplex.counterexample import (
     path_edges,
     verify_B_conditions,
 )
-from maniplex.poset import flag_graph_of, is_faithful, pos_of
+from maniplex.poset import is_faithful, pos_of
 from maniplex.voltage import double_cover, lift_connected
-from oracles import pos_of_by_labels, shifted_flags, voltage_edges
+from oracles import flag_graph_by_chains, pos_of_by_labels, shifted_flags, voltage_edges
 
 THETA_FROZEN = (0, 24, 25, 57, 74, 87)
 
@@ -202,7 +202,8 @@ def test_face_lift_count_rule_matches_lift_connected(b_maniplex, bstar_result):
 
 
 def test_bstar_poset_collapses_to_base(bstar_result):
-    rebuilt = flag_graph_of(pos_of(bstar_result.bstar))
+    p = pos_of(bstar_result.bstar)
+    rebuilt = Maniplex(flag_graph_by_chains(p.faces, p.less))
     assert isomorphic(rebuilt, bstar_result.b) is not None
     assert isomorphic(rebuilt, bstar_result.bstar) is None
 

@@ -8,7 +8,6 @@ from maniplex.coxeter import (
     SchreierReport,
     act,
     coset_words,
-    reduce_word,
     schreier_correspondence,
     verdict,
 )
@@ -47,28 +46,6 @@ def test_act_range_errors():
         act(sq, (-1,), 0)
     with pytest.raises(ValueError):
         act(sq, (), 8)
-
-
-def test_reduce_word_cases():
-    assert reduce_word((0, 0), 3) == ()
-    assert reduce_word((1, 0, 0, 1), 3) == ()
-    assert reduce_word((2, 0), 3) == (0, 2)
-    assert reduce_word((0, 2, 0), 3) == (2,)
-    assert reduce_word((1, 0, 2), 3) == (1, 0, 2)  # adjacent letters keep order
-    assert reduce_word((), 3) == ()
-    with pytest.raises(ValueError):
-        reduce_word((3,), 3)
-
-
-def test_reduce_word_preserves_action():
-    m = torus_44(2, 2)
-    rng = random.Random(11)
-    for _ in range(100):
-        w = tuple(rng.randrange(3) for _ in range(rng.randrange(12)))
-        r = reduce_word(w, 3)
-        assert len(r) <= len(w)
-        for f in range(0, m.flag_count, 7):
-            assert act(m, r, f) == act(m, w, f)
 
 
 def test_coset_words_against_brute_force():

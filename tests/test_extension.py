@@ -6,14 +6,13 @@ import pytest
 
 from maniplex import core, extension, poset
 from maniplex.certify import FAIL, PASS, SKIP
-from maniplex.core import Face, Maniplex, faces, isomorphic, restrict, validate
+from maniplex.core import Face, Maniplex, face_table, faces, isomorphic, restrict, validate
 from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.extension import (
     TAG_CODES,
-    YProfileUndefined,
+    _tag_spans,
     extend,
     verify_extension,
-    y_profile,
 )
 from maniplex.poset import RankedPoset, is_faithful, pos_of, section, poset_isomorphism
 from oracles import order_isomorphic_by_cover_search, section_by_filter, tag_spans_match_by_faces
@@ -85,29 +84,35 @@ def test_four_facets_copy_base():
         assert isomorphic(restrict(ext, fc.flags, range(3)), cube) is not None
 
 
+def span_over(m, facet, flag, i):
+    """The tag span of the extension face over the i-face of the flag; None
+    when that face is properly contained in the marked facet."""
+    return _tag_spans(m, facet, i)[face_table(m, i)[flag]]
+
+
 def test_y_profile_cases_on_cube():
     cube = platonic("cube")
     facet = faces(cube, 2)[0]
     in_facet = set(facet.flags)
 
     flag_on = facet.canonical
-    assert y_profile(cube, facet, flag_on, 2) == frozenset({(0, 0), (1, 1)})
+    assert span_over(cube, facet, flag_on, 2) == frozenset({(0, 0), (1, 1)})
 
     # distinct faces of the same rank never share a flag, so every other
     # 2-face reads as missing
     flag_off = next(
         face.canonical for face in faces(cube, 2) if not set(face.flags) & in_facet
     )
-    assert y_profile(cube, facet, flag_off, 2) == frozenset({(0, 0), (1, 0)})
+    assert span_over(cube, facet, flag_off, 2) == frozenset({(0, 0), (1, 0)})
 
     off_edge = next(
         face.canonical for face in faces(cube, 1) if not set(face.flags) & in_facet
     )
-    assert y_profile(cube, facet, off_edge, 1) == frozenset({(0, 0), (1, 0)})
+    assert span_over(cube, facet, off_edge, 1) == frozenset({(0, 0), (1, 0)})
 
     # edges and vertices on the facet boundary straddle it
-    assert y_profile(cube, facet, facet.canonical, 1) == frozenset(TAG_CODES)
-    assert y_profile(cube, facet, facet.canonical, 0) == frozenset(TAG_CODES)
+    assert span_over(cube, facet, facet.canonical, 1) == frozenset(TAG_CODES)
+    assert span_over(cube, facet, facet.canonical, 0) == frozenset(TAG_CODES)
 
 
 def test_y_profile_refuses_proper_containment():
@@ -115,10 +120,9 @@ def test_y_profile_refuses_proper_containment():
     facet = faces(m, 2)[0]  # all eight flags
     edge = faces(m, 1)[0]  # four of them
     assert set(edge.flags) < set(facet.flags)
-    with pytest.raises(YProfileUndefined):
-        y_profile(m, facet, edge.canonical, 1)
+    assert span_over(m, facet, edge.canonical, 1) is None
     with pytest.raises(ValueError):
-        y_profile(m, facet, 0, 5)
+        span_over(m, facet, 0, 5)
 
 
 def test_verify_extension_on_polytopal_base():

@@ -13,13 +13,11 @@ from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.coxeter import verdict
 from maniplex.extension import extend
 from maniplex.poset import (
-    DiamondError,
     ISO_FACE_LIMIT,
     RankedPoset,
     boundedness_witness,
     diamond_witness,
     flag_connectivity_witness,
-    flag_graph_of,
     gradedness_witness,
     is_faithful,
     is_polytopal,
@@ -30,7 +28,6 @@ from maniplex.poset import (
     poset_isomorphism,
     poset_to_dot,
     poset_to_json_dict,
-    rank3_theorems,
     section,
 )
 
@@ -41,6 +38,7 @@ from oracles import (
     fiber_pair_by_labels,
     flag_connectivity_by_sections,
     flag_function,
+    flag_graph_by_chains,
     polytope_report_by_label_sets,
     pos_of_by_labels,
     renumber,
@@ -165,7 +163,7 @@ def test_flag_function_matches_label_oracle(named_corpus, b_maniplex, bstar_resu
 
 
 def test_faithfulness_witness_under_renumbering(bstar_result):
-    """is_faithful, verdict and rank3_theorems against the label-string
+    """is_faithful and verdict against the label-string
     oracle on seeded flag renumberings.
 
     Flag 0's chain is all ids 0, first in any order, and in B*, torus (1,0)
@@ -193,12 +191,6 @@ def test_faithfulness_witness_under_renumbering(bstar_result):
             assert v.semisparse == (sparse and faithful)
             if sparse:
                 assert v.witness == witness
-            if m.rank == 3:
-                (entry,) = rank3_theorems([moved]).entries
-                assert entry.faithful == faithful
-                if not faithful:
-                    assert entry.pair0 == fiber_pair_by_labels(moved, 0)
-                    assert entry.pair2 == fiber_pair_by_labels(moved, 2)
             if not faithful:
                 table = flag_function(moved)
                 shared = [fiber for fiber in table.fibers.values() if len(fiber) > 1]
@@ -407,17 +399,16 @@ def test_is_polytope_builds_no_section(monkeypatch):
 
 def test_flag_graph_roundtrip():
     for m in (platonic("square"), platonic("cube"), platonic("hemicube"), torus_44(2, 1)):
-        rebuilt = flag_graph_of(pos_of(m))
+        p = pos_of(m)
+        rebuilt = Maniplex(flag_graph_by_chains(p.faces, p.less))
         assert isomorphic(rebuilt, m) is not None
 
 
-def test_flag_graph_of_rejects_diamond_failure():
-    with pytest.raises(DiamondError):
-        flag_graph_of(pos_of(torus_44(1, 1)))
-    with pytest.raises(ValueError):
-        flag_graph_of(NOT_TRANSITIVE)
-    with pytest.raises(ValueError):
-        flag_graph_of(RANK_SKIPPER)
+def test_flag_graph_by_chains_refuses_diamond_failure():
+    p = pos_of(torus_44(1, 1))
+    assert is_polytope(p).failed == "diamond"
+    with pytest.raises(ValueError, match="diamond condition fails"):
+        flag_graph_by_chains(p.faces, p.less)
 
 
 def test_poset_isomorphism():
@@ -440,26 +431,22 @@ def test_poset_isomorphism_size_guard():
 
 
 def test_rank3_theorems(named_corpus):
-    members = [m for m in named_corpus.values() if m.rank == 3]
-    report = rank3_theorems(members)
-    assert report.violations == []
-    assert len(report.entries) == len(members)
-    for entry in report.entries:
-        if not entry.faithful:
-            assert not entry.polytopal
-            assert entry.pair0 is not None and entry.pair2 is not None
-    with pytest.raises(ValueError):
-        rank3_theorems([platonic("square")])
+    """An unfaithful 3-maniplex is not polytopal, and some fiber holds a
+    pair {flag, flag^0} and some fiber a pair {flag, flag^2}."""
+    unfaithful = [m for m in named_corpus.values() if m.rank == 3 and not is_faithful(m).faithful]
+    assert unfaithful
+    for m in unfaithful:
+        assert not is_polytopal(m)
+        assert fiber_pair_by_labels(m, 0) is not None and fiber_pair_by_labels(m, 2) is not None
 
 
 def test_rank3_pair_shapes_on_torus10():
     m = torus_44(1, 0)
-    report = rank3_theorems([m])
-    (entry,) = report.entries
-    f0, g0 = entry.pair0
-    assert m.perms[0][f0] == g0
-    f2, g2 = entry.pair2
-    assert m.perms[2][f2] == g2
+    chains = poset.flag_function(m)
+    for colour in (0, 2):
+        f, g = fiber_pair_by_labels(m, colour)
+        assert m.perms[colour][f] == g
+        assert chains[f] == chains[g]
 
 
 def test_poset_json_shape():
