@@ -20,6 +20,7 @@ from .core import (
     to_dot,
     validate,
 )
+from .certify import Refusal
 from .corpus import corpus_names, platonic, torus_44
 from .cosets import CosetCapExceeded, Presentation, coset_enumerate, string_coxeter
 from .counterexample import (
@@ -62,6 +63,7 @@ __all__ = [
     "restrict",
     "to_dot",
     "validate",
+    "Refusal",
     "corpus_names",
     "platonic",
     "torus_44",

@@ -10,6 +10,10 @@ SKIP = "skip"
 INFO = "info"
 
 
+class Refusal(RuntimeError):
+    """The pipeline declines to go on, and says why: the CLI's exit code 1."""
+
+
 class Check(NamedTuple):
     name: str
     status: str  # pass | fail | skip | info

@@ -1,9 +1,9 @@
 """Command-line front end: generate, check, certify, and export.
 
-Exit codes: 0 success, 1 semantic failure (axiom or certification), a
-size limit refused or an internal failure, 2 I/O or parse failure.  All
-file output is byte-deterministic for a fixed input and version;
-wall-clock timings go to stderr only.
+Exit codes: 0 success, 1 a failed `check` or a `Refusal` (invalid input,
+failed certification, a size limit or an internal failure), 2 I/O, usage
+or parse failure.  All file output is byte-deterministic for a fixed
+input and version; wall-clock timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .certify import FAIL, PASS, Check, all_ok, checks_to_json
+from .certify import FAIL, INFO, Check, Refusal, all_ok, checks_to_json, passed
 from .core import (
-    FormatError,
     Maniplex,
     dumps_json,
     faces,
@@ -29,17 +28,7 @@ from .core import (
     validate,
 )
 from .corpus import corpus_names, platonic, torus_44
-from .cosets import CosetCapExceeded
-from .counterexample import (
-    BuildError,
-    EThetaOverlap,
-    ThetaNotFound,
-    BStarResult,
-    build_B,
-    build_B_star,
-    build_E_theta,
-    find_theta,
-)
+from .counterexample import BStarResult, build_B, build_B_star, build_E_theta, find_theta
 from .coxeter import schreier_correspondence, verdict as classify
 from .extension import extend, verify_extension
 from .poset import pos_of, poset_to_dot, poset_to_json_dict
@@ -80,6 +69,14 @@ def _load_maniplex(path: str) -> tuple[Maniplex, str]:
     return maniplex_from_json(data.decode("utf-8")), _sha256(data)
 
 
+def _load_valid(path: str) -> tuple[Maniplex, str]:
+    """`_load_maniplex`, refusing a file that fails the maniplex axioms."""
+    m, digest = _load_maniplex(path)
+    if not validate(m).ok:
+        raise Refusal("input is not a valid maniplex")
+    return m, digest
+
+
 def _certificate(digest: str, checks: list[Check], **extras: object) -> str:
     doc = {
         "version": __version__,
@@ -91,18 +88,21 @@ def _certificate(digest: str, checks: list[Check], **extras: object) -> str:
     return dumps_json(doc)
 
 
-def _check_detail(checks: list[Check], name: str) -> object:
-    for check in checks:
-        if check.name == name:
-            return check.detail
-    return None
+def _refuse_failed(checks: list[Check], where: str = "") -> None:
+    failed = [c.name for c in checks if c.status == FAIL]
+    if failed:
+        raise Refusal(f"certification failed at {where}{failed[0]}")
 
 
-def _first_failure(checks: list[Check]) -> Optional[str]:
-    for check in checks:
-        if check.status == FAIL:
-            return check.name
-    return None
+def _write_certified(
+    out: Path, name: str, cert_name: str, m: Maniplex, checks: list[Check], where: str = "", **extras: object
+) -> None:
+    """Write the maniplex and the certificate of its checks, whose digest is
+    of that file; then refuse at the first failed check."""
+    text = maniplex_to_json(m)
+    _write(out / name, text)
+    _write(out / cert_name, _certificate(_sha256(text.encode("utf-8")), checks, **extras))
+    _refuse_failed(checks, where)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -146,44 +146,27 @@ def _voltage_doc(digest: str, theta_flags, edges) -> str:
 
 
 def cmd_find_theta(args: argparse.Namespace) -> int:
-    m, digest = _load_maniplex(args.input)
-    report = validate(m)
-    if not report.ok:
-        print("error: input is not a valid maniplex", file=sys.stderr)
-        return 1
+    m, digest = _load_valid(args.input)
     theta = find_theta(m)
     _emit(_voltage_doc(digest, theta, build_E_theta(m, theta)), args.output)
     return 0
 
 
-def _check_passed(checks: list[Check], name: str) -> bool:
-    return any(c.name == name and c.status == PASS for c in checks)
-
-
-def _bstar_certificate(result: BStarResult, digest: str) -> str:
+def _write_bstar(out: Path, result: BStarResult, name: str, cert_name: str) -> None:
     v = result.verdict
-    return _certificate(
-        digest,
+    _write_certified(
+        out,
+        name,
+        cert_name,
+        result.bstar,
         result.checks,
         flags=result.bstar.flag_count,
         faithful=result.witness is None,
-        polytopal=_check_passed(result.checks, "cover-polytopal"),
+        polytopal=v.sparse,  # the cover-polytopal check
         witness=list(result.witness) if result.witness is not None else None,
-        poset_iso=_check_passed(result.checks, "poset-projects-isomorphically"),
+        poset_iso=passed("poset-projects-isomorphically", True) in result.checks,  # passed, no detail
         verdict={"sparse": v.sparse, "semisparse": v.semisparse},
     )
-
-
-def _write_bstar(out: Path, result: BStarResult, maniplex_name: str, certificate_name: str) -> int:
-    """Write B* and its certificate; rc 1, reported, when certification failed."""
-    bstar_text = maniplex_to_json(result.bstar)
-    _write(out / maniplex_name, bstar_text)
-    cert = _bstar_certificate(result, _sha256(bstar_text.encode("utf-8")))
-    _write(out / certificate_name, cert)
-    if not result.ok:
-        print(f"error: certification failed at {_first_failure(result.checks)}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def cmd_build_bstar(args: argparse.Namespace) -> int:
@@ -191,11 +174,9 @@ def cmd_build_bstar(args: argparse.Namespace) -> int:
     result = build_B_star()
     b_text = maniplex_to_json(result.b)
     _write(out / "b.json", b_text)
-    _write(
-        out / "voltage-theta.json",
-        _voltage_doc(_sha256(b_text.encode("utf-8")), result.theta, result.e_theta),
-    )
-    return _write_bstar(out, result, "bstar.json", "certificate.json")
+    _write(out / "voltage-theta.json", _voltage_doc(_sha256(b_text.encode("utf-8")), result.theta, result.e_theta))
+    _write_bstar(out, result, "bstar.json", "certificate.json")
+    return 0
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
@@ -203,50 +184,38 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         raise ValueError(f"rank must be at least 4, got {args.rank}")
     out = _outdir(args.output)
     result = build_B_star()
-    if _write_bstar(out, result, "maniplex-rank4.json", "certificate-rank4.json"):
-        return 1
+    _write_bstar(out, result, "maniplex-rank4.json", "certificate-rank4.json")
     m = result.bstar
     for rank in range(5, args.rank + 1):
-        facet = faces(m, m.rank - 1)[0]
-        res = verify_extension(m, facet)
-        text = maniplex_to_json(res.extension)
-        _write(out / f"maniplex-rank{rank}.json", text)
-        cert = _certificate(
-            _sha256(text.encode("utf-8")),
-            res.checks,
-            rank=rank,
-            flags=res.extension.flag_count,
-            faithful=_check_detail(res.checks, "extension-faithful-observed"),
-        )
-        _write(out / f"certificate-rank{rank}.json", cert)
-        if not res.ok:
-            print(
-                f"error: certification failed at rank {rank}: {_first_failure(res.checks)}",
-                file=sys.stderr,
-            )
-            return 1
+        res = verify_extension(m, faces(m, m.rank - 1)[0])
         m = res.extension
+        _write_certified(
+            out,
+            f"maniplex-rank{rank}.json",
+            f"certificate-rank{rank}.json",
+            m,
+            res.checks,
+            where=f"rank {rank}: ",
+            rank=rank,
+            flags=m.flag_count,
+            faithful=Check("extension-faithful-observed", INFO, True) in res.checks,
+        )
     return 0
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    m, _ = _load_maniplex(args.input)
-    if args.format == "dot":
-        text = to_dot(m)
+    if args.format == "dot":  # draws the rows as they are, so it claims nothing
+        text = to_dot(_load_maniplex(args.input)[0])
     elif args.format == "hasse-dot":
-        text = poset_to_dot(pos_of(m), include_extremes=not args.no_extremes)
+        text = poset_to_dot(pos_of(_load_valid(args.input)[0]), include_extremes=not args.no_extremes)
     else:
-        text = dumps_json(poset_to_json_dict(pos_of(m)))
+        text = dumps_json(poset_to_json_dict(pos_of(_load_valid(args.input)[0])))
     _emit(text, args.output)
     return 0
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    m, digest = _load_maniplex(args.input)
-    report = validate(m)
-    if not report.ok:
-        print("error: input is not a valid maniplex", file=sys.stderr)
-        return 1
+    m, digest = _load_valid(args.input)
     facet_list = faces(m, m.rank - 1)
     if not 0 <= args.facet < len(facet_list):
         raise ValueError(f"facet index {args.facet} out of range (0..{len(facet_list) - 1})")
@@ -256,7 +225,6 @@ def cmd_extend(args: argparse.Namespace) -> int:
         return 0
     out = _outdir(args.output) if args.output else None
     res = verify_extension(m, facet)
-    text = maniplex_to_json(res.extension)
     cert = _certificate(
         digest,
         res.checks,
@@ -267,20 +235,14 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if out is None:
         sys.stdout.write(cert)
     else:
-        _write(out / "extension.json", text)
+        _write(out / "extension.json", maniplex_to_json(res.extension))
         _write(out / "certificate.json", cert)
-    if not res.ok:
-        print(f"error: certification failed at {_first_failure(res.checks)}", file=sys.stderr)
-        return 1
+    _refuse_failed(res.checks)
     return 0
 
 
 def cmd_verdict(args: argparse.Namespace) -> int:
-    m, digest = _load_maniplex(args.input)
-    report = validate(m)
-    if not report.ok:
-        print("error: input is not a valid maniplex", file=sys.stderr)
-        return 1
+    m, digest = _load_valid(args.input)
     if not 0 <= args.base < m.flag_count:
         raise ValueError(f"base flag {args.base} out of range (0..{m.flag_count - 1})")
     v = classify(m)
@@ -370,10 +332,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         rc = args.func(args)
-    except (BuildError, ThetaNotFound, EThetaOverlap, CosetCapExceeded) as exc:
+    except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

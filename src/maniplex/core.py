@@ -244,7 +244,8 @@ def _propagate(src: Maniplex, dst: Maniplex, image: int) -> Optional[tuple[int, 
 
 
 def isomorphic(m1: Maniplex, m2: Maniplex) -> Optional[tuple[int, ...]]:
-    """A colour-preserving flag bijection m1 -> m2, or None."""
+    """A colour-preserving flag bijection m1 -> m2, or None.  ValueError when
+    m1 is disconnected and the component of its flag 0 maps into m2."""
     if m1.rank != m2.rank or m1.flag_count != m2.flag_count:
         return None
     if m1.flag_count == 0:
@@ -252,6 +253,8 @@ def isomorphic(m1: Maniplex, m2: Maniplex) -> Optional[tuple[int, ...]]:
     for image in range(m2.flag_count):
         phi = _propagate(m1, m2, image)
         if phi is not None:
+            if -1 in phi:
+                raise ValueError("m1 is disconnected: an isomorphism search needs a connected flag graph")
             return phi
     return None
 
@@ -340,9 +343,9 @@ def _checked_perms(doc: object) -> list:
         if key not in doc:
             raise FormatError(f"missing key {key!r}")
     rank, nflags, perms = doc["rank"], doc["flags"], doc["perms"]
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:  # a bool is an int, but not a rank
         raise FormatError("rank must be a positive integer")
-    if not isinstance(nflags, int) or nflags < 1:
+    if type(nflags) is not int or nflags < 1:
         raise FormatError("flags must be a positive integer")
     if not isinstance(perms, list) or len(perms) != rank:
         raise FormatError("perms must be a list with one row per colour")
@@ -394,7 +397,7 @@ def maniplex_from_json(text: str) -> Maniplex:
     its tuple in place, so that only one row is ever held twice."""
     try:
         doc = json.loads(text, parse_int=_Interned().__getitem__)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise FormatError(f"invalid JSON: {exc}") from exc
     perms = _checked_perms(doc)
     for i, row in enumerate(perms):

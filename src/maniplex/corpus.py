@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+from .certify import Refusal
 from .core import Maniplex, validate
 from .cosets import coset_enumerate, string_coxeter
 
@@ -91,7 +92,7 @@ def platonic(name: str) -> Maniplex:
     m = coset_enumerate(pres).to_maniplex()
     report = validate(m)
     if not report.ok:
-        raise RuntimeError(f"enumerated {name} is not a maniplex: {report.violations}")
+        raise Refusal(f"enumerated {name} is not a maniplex: {report.violations}")
     return m
 
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
+from .certify import Refusal
 from .core import Maniplex
 
 SENTINEL = -1
@@ -67,7 +68,7 @@ def default_cap() -> int:
     return cap
 
 
-class CosetCapExceeded(RuntimeError):
+class CosetCapExceeded(Refusal):
     pass
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import coxeter
-from .certify import Check, all_ok, passed
+from .certify import Check, Refusal, passed
 from .core import (
     Maniplex,
     automorphism_count,
@@ -46,7 +46,7 @@ B_FACE_VECTOR = (4, 6, 6, 4)
 B_PRESENTATION = string_coxeter([4, 3, 4]).extended((0, 1, 2) * 3, (1, 2, 3) * 3)
 
 
-class BuildError(RuntimeError):
+class BuildError(Refusal):
     """A post-check on a constructed object failed."""
 
 
@@ -82,7 +82,7 @@ def build_B() -> Maniplex:
 
 # ---------- the marked flag set ----------
 
-class ThetaNotFound(RuntimeError):
+class ThetaNotFound(Refusal):
     pass
 
 
@@ -180,7 +180,7 @@ def find_theta(b: Maniplex) -> tuple[int, ...]:
 
 # ---------- the voltage edge set ----------
 
-class EThetaOverlap(RuntimeError):
+class EThetaOverlap(Refusal):
     pass
 
 
@@ -284,10 +284,6 @@ class BStarResult:
     checks: list[Check]
     witness: Optional[tuple[int, int]]  # sheet pair in one fiber
     verdict: coxeter.Verdict
-
-    @property
-    def ok(self) -> bool:
-        return all_ok(self.checks)
 
 
 def _projection_poset_iso(bstar: Maniplex, b: Maniplex) -> bool:

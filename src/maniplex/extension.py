@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .certify import INFO, SKIP, Check, all_ok, passed
+from .certify import INFO, SKIP, Check, passed
 from .core import Face, Maniplex, face_table, validate
 from .poset import PolytopeReport, RankedPoset, is_faithful, is_polytope, pos_of
 
@@ -83,12 +83,7 @@ def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[in
 @dataclass
 class ExtensionResult:
     extension: Maniplex
-    facet: Face
     checks: list[Check]
-
-    @property
-    def ok(self) -> bool:
-        return all_ok(self.checks)
 
 
 def _graded_with_diamonds(report: PolytopeReport) -> bool:
@@ -169,7 +164,7 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         checks.append(passed("strong-flag-connectivity", poly.ok, conn))
         checks.append(passed("polytopal", poly.ok))
 
-    return ExtensionResult(ext, facet, checks)
+    return ExtensionResult(ext, checks)
 
 
 def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex) -> bool:

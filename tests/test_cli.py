@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from maniplex import cli, poset
+import maniplex
+from maniplex import cli, corpus, poset
+from maniplex.certify import FAIL, Refusal
 from maniplex.cli import main
-from maniplex.core import maniplex_from_json
-from maniplex.counterexample import BuildError, EThetaOverlap
+from maniplex.core import ValidationReport, maniplex_from_json
+from maniplex.cosets import CosetCapExceeded
+from maniplex.counterexample import BuildError, EThetaOverlap, ThetaNotFound
 from maniplex.voltage import double_cover
 
 # SHA-256 of build-bstar's certificate.json for this version; any change to
@@ -128,10 +131,12 @@ def test_missing_input_file(tmp_path):
     assert main(["check", "-i", str(tmp_path / "nope.json")]) == 2
 
 
-def test_non_json_input(tmp_path):
+def test_non_json_input(tmp_path, capsys):
     path = tmp_path / "garbage.json"
-    path.write_text("not json at all", encoding="utf-8")
-    assert main(["check", "-i", str(path)]) == 2
+    for text in ("not json at all", "[" * 200_000):
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "-i", str(path)]) == 2
+        assert "error: invalid JSON" in capsys.readouterr().err
 
 
 def test_gen_torus_rejects_bad_vectors(tmp_path):
@@ -283,6 +288,19 @@ def test_export_dot_edge(tmp_path, capsys):
     assert '0 -- 1 [color=red, label="0"];' in out
 
 
+def test_poset_exports_refuse_a_non_maniplex(tmp_path, capsys):
+    # three flags cannot carry a fixed-point-free involution: the rows can be
+    # drawn, but there is no face poset to export
+    path = write_json(tmp_path / "cycle.json", {"rank": 1, "flags": 3, "perms": [[1, 2, 0]]})
+    for fmt in ("json", "hasse-dot"):
+        assert main(["export", "--format", fmt, "-i", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: input is not a valid maniplex" in captured.err
+    assert main(["export", "--format", "dot", "-i", path]) == 0
+    assert capsys.readouterr().out.startswith("graph maniplex {")
+
+
 def test_export_poset_json(bstar_dir, tmp_path, capsys):
     assert main(["export", "--format", "json", "-i", str(bstar_dir / "b.json")]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -349,8 +367,15 @@ def test_verdict_base_out_of_range(tmp_path):
 
 
 def test_internal_failures_exit_1(tmp_path, monkeypatch, capsys):
-    # a failure inside the pipeline, not bad usage or IO
-    for failure in (BuildError("B fails its own checks"), EThetaOverlap("E_x and E_y share an edge")):
+    # a refusal raised inside the pipeline, not bad usage or IO
+    failures = (
+        BuildError("B fails its own checks"),
+        ThetaNotFound("no marked set"),
+        EThetaOverlap("E_x and E_y share an edge"),
+        CosetCapExceeded("allocated more than 10 cosets"),
+        Refusal("declined"),
+    )
+    for failure in failures:
 
         def fail():
             raise failure
@@ -360,3 +385,49 @@ def test_internal_failures_exit_1(tmp_path, monkeypatch, capsys):
         assert f"error: {failure}" in capsys.readouterr().err
         assert main(["counterexample", "--rank", "5", "-o", str(tmp_path / "rank5")]) == 1
         assert f"error: {failure}" in capsys.readouterr().err
+
+
+def test_every_runtime_error_is_a_refusal():
+    # the CLI's exit 1 catches Refusal alone, so no other runtime error may
+    # be defined in the package
+    defined = {
+        cls
+        for module in sys.modules.values()
+        if module.__name__.startswith("maniplex.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, RuntimeError) and cls.__module__ == module.__name__
+    }
+    assert {cls.__name__ for cls in defined} >= {"BuildError", "ThetaNotFound", "EThetaOverlap", "CosetCapExceeded"}
+    assert all(issubclass(cls, Refusal) for cls in defined)
+    assert maniplex.Refusal is Refusal
+
+
+def test_platonic_self_check_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(corpus, "validate", lambda m: ValidationReport(False, [], []))
+    assert main(["gen", "platonic", "--name", "cube"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: enumerated cube is not a maniplex" in captured.err
+
+
+def test_counterexample_failure_at_rank_5_writes_its_artifacts(tmp_path, monkeypatch, capsys):
+    verify = cli.verify_extension
+
+    def failing(m, facet):
+        res = verify(m, facet)
+        res.checks[1] = res.checks[1]._replace(status=FAIL)
+        return res
+
+    monkeypatch.setattr(cli, "verify_extension", failing)
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--rank", "6", "-o", str(out)]) == 1
+    assert "error: certification failed at rank 5: flag-count\n" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificate-rank4.json",
+        "certificate-rank5.json",
+        "maniplex-rank4.json",
+        "maniplex-rank5.json",
+    ]
+    cert = load(out / "certificate-rank5.json")
+    assert cert["ok"] is False
+    assert cert["input_digest"] == hashlib.sha256((out / "maniplex-rank5.json").read_bytes()).hexdigest()

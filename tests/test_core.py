@@ -183,6 +183,31 @@ def test_isomorphic_rank_mismatch():
     assert isomorphic(platonic("square"), torus_44(1, 0)) is None
 
 
+def disjoint_union(*parts):
+    """The flag graph whose components are the given flag graphs, in order."""
+    rows, offset = [(), ()], 0
+    for perms in parts:
+        rows = [row + tuple(f + offset for f in part) for row, part in zip(rows, perms)]
+        offset += len(perms[0])
+    return Maniplex(tuple(rows))
+
+
+def test_isomorphic_refuses_disconnected_m1(two_squares):
+    # propagation from flag 0 reaches only its own component, so a map
+    # found that way is partial; it is never returned
+    with pytest.raises(ValueError, match="disconnected"):
+        isomorphic(two_squares, two_squares)
+    square = polygon_flag_graph(4)
+    mixed = disjoint_union(square, polygon_flag_graph(6))
+    digons = disjoint_union(square, *[polygon_flag_graph(2)] * 3)
+    assert mixed.flag_count == digons.flag_count == 20
+    # not isomorphic: their components have different sizes
+    sizes = [sorted(len(c.flags) for c in components(m, (0, 1))) for m in (mixed, digons)]
+    assert sizes == [[8, 12], [4, 4, 4, 8]]
+    with pytest.raises(ValueError, match="disconnected"):
+        isomorphic(mixed, digons)
+
+
 def test_automorphism_count_against_brute_force():
     for m in (platonic("square"), torus_44(1, 0)):
         info = automorphism_count(m)
@@ -291,6 +316,9 @@ def test_decoded_maniplex_holds_one_int_per_value(bstar_result):
         '{"rank": 1, "flags": 2, "perms": [[true, false]]}',
         '{"rank": 2, "flags": 2, "perms": [[1, 0]]}',
         "not json at all",
+        '{"rank": true, "flags": 2, "perms": [[1, 0]]}',  # a JSON boolean decodes to an int
+        '{"rank": 1, "flags": true, "perms": [[0]]}',
+        pytest.param("[" * 200_000, id="200000 nested arrays"),  # too deep for the decoder's recursion
     ],
 )
 def test_from_json_rejects(doc):

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from maniplex.certify import all_ok
 from maniplex.core import Maniplex, dual, face_table, faces, isomorphic, restrict, validate
 from maniplex.corpus import platonic
 from maniplex.cosets import coset_enumerate
@@ -155,7 +156,7 @@ def test_b_conditions_under_duality(b_maniplex, theta, etheta):
 
 
 def test_bstar_checks_all_pass(bstar_result):
-    assert bstar_result.ok
+    assert all_ok(bstar_result.checks)
     names = [c.name for c in bstar_result.checks]
     assert len(names) == len(set(names))
     assert bstar_result.bstar.flag_count == 192

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from maniplex import core, extension, poset
-from maniplex.certify import FAIL, PASS, SKIP
+from maniplex.certify import FAIL, PASS, SKIP, all_ok
 from maniplex.core import Face, Maniplex, face_table, faces, isomorphic, restrict, validate
 from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.extension import (
@@ -128,7 +128,7 @@ def test_y_profile_refuses_proper_containment():
 def test_verify_extension_on_polytopal_base():
     cube = platonic("cube")
     res = verify_extension(cube, faces(cube, 2)[0])
-    assert res.ok
+    assert all_ok(res.checks)
     st = statuses(res)
     assert st["polytopal"] == PASS
     assert st["tag-spans-match"] == PASS
@@ -144,7 +144,7 @@ def test_verify_extension_on_single_facet_base():
     facet = faces(m, 2)[0]
     assert facet.flags == tuple(range(8))
     res = verify_extension(m, facet)
-    assert not res.ok
+    assert not all_ok(res.checks)
     st = statuses(res)
     assert st["extension-valid"] == FAIL
     rep = validate(res.extension)
@@ -163,7 +163,7 @@ def test_verify_extension_on_single_facet_base():
 def test_extension_facet_sections(bstar_result):
     m = bstar_result.bstar
     res = verify_extension(m, faces(m, 3)[0])
-    assert res.ok
+    assert all_ok(res.checks)
     assert statuses(res)["unfaithfulness-preserved"] == PASS
     ext = res.extension
     assert ext.flag_count == 768
@@ -400,7 +400,7 @@ def test_verify_extension_groups_only_the_base_facets(bstar_result, monkeypatch)
         if name.startswith("maniplex") and getattr(module, "faces", None) is faces:
             monkeypatch.setattr(module, "faces", lambda mm, i: grouped.append((mm, i)) or faces(mm, i))
     res = verify_extension(m, facet)
-    assert res.ok
+    assert all_ok(res.checks)
     assert grouped == []
 
 
@@ -441,7 +441,7 @@ def test_verify_extension_labels_each_rank_once(bstar_result, monkeypatch):
     monkeypatch.setattr(core, "_component_ids", counting)
     m = Maniplex(bstar_result.bstar.perms)
     res = verify_extension(m, faces(m, 3)[0])
-    assert res.ok
+    assert all_ok(res.checks)
     # one face-id search per (maniplex, rank), plus validate's one search
     # over all colours of the extension; only the base and the extension
     # are labelled
@@ -474,7 +474,7 @@ def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):
     counting("order_transitivity_witness")
     counting("flag_function")
     res = verify_extension(m, faces(m, 3)[0])
-    assert res.ok
+    assert all_ok(res.checks)
     assert calls == {
         ("order_transitivity_witness", 4): 1,
         ("order_transitivity_witness", 5): 1,
@@ -486,7 +486,7 @@ def test_second_extension_step(bstar_result):
     m = bstar_result.bstar
     ext5 = verify_extension(m, faces(m, 3)[0]).extension
     res = verify_extension(ext5, faces(ext5, 4)[0])
-    assert res.ok
+    assert all_ok(res.checks)
     assert res.extension.flag_count == 3072
     st = statuses(res)
     assert st["diamond"] == PASS
