@@ -13,14 +13,17 @@ import hashlib
 import os
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .certify import FAIL, INFO, Check, Refusal, all_ok, checks_to_json, passed
 from .core import (
+    Face,
     Maniplex,
     dumps_json,
+    face_table,
     faces,
     maniplex_from_json,
     maniplex_to_json,
@@ -179,6 +182,13 @@ def cmd_build_bstar(args: argparse.Namespace) -> int:
     return 0
 
 
+def _facet_of_flag_0(m: Maniplex) -> Face:
+    """The facet holding flag 0 (the first of `faces(m, n - 1)`), read off
+    the facet table in one pass."""
+    ids = face_table(m, m.rank - 1)
+    return Face(m.rank - 1, 0, tuple(compress(range(len(ids)), map((0).__eq__, ids))))
+
+
 def cmd_counterexample(args: argparse.Namespace) -> int:
     if args.rank < 4:
         raise ValueError(f"rank must be at least 4, got {args.rank}")
@@ -187,7 +197,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     _write_bstar(out, result, "maniplex-rank4.json", "certificate-rank4.json")
     m = result.bstar
     for rank in range(5, args.rank + 1):
-        res = verify_extension(m, faces(m, m.rank - 1)[0])
+        res = verify_extension(m, _facet_of_flag_0(m))
         m = res.extension
         _write_certified(
             out,

@@ -33,11 +33,13 @@ class FormatError(ValueError):
 class Maniplex:
     """Plain container for the edge-colouring permutations, plus a cache kept
     out of equality, hashing and repr: under key i, the face table of rank i,
-    each flag's face id as an `array('i')` (`face_table`); under "faithful",
-    the faithfulness result (`poset.is_faithful`)."""
+    each flag's face id as an `array('i')` (`face_table`); under "valid",
+    the `validate` report; under "faithful", the faithfulness result
+    (`poset.is_faithful`); under "poset", the face poset, where the
+    extension pipeline keeps it (`poset.pos_of` reads it, never writes it)."""
 
     perms: tuple[tuple[int, ...], ...]
-    _cache: dict[int | str, "array | FaithfulnessResult"] = field(
+    _cache: dict[int | str, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -61,11 +63,11 @@ class Violation(NamedTuple):
     witness: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    structural: list[str]
-    violations: list[Violation]
+    structural: tuple[str, ...]
+    violations: tuple[Violation, ...]
 
 
 class Component(NamedTuple):
@@ -110,10 +112,18 @@ def _bad_entry(row: list | tuple, size: int) -> Optional[int]:
 
 
 def validate(m: Maniplex) -> ValidationReport:
-    """Check the maniplex axioms, reporting one witness per violated axiom."""
+    """Check the maniplex axioms, reporting one witness per violated axiom;
+    computed once per maniplex and kept in its cache."""
+    report = m._cache.get("valid")
+    if report is None:
+        report = m._cache["valid"] = _validate(m)
+    return report
+
+
+def _validate(m: Maniplex) -> ValidationReport:
     structural = structural_errors(m)
     if structural:
-        return ValidationReport(False, structural, [])
+        return ValidationReport(False, tuple(structural), ())
 
     violations: list[Violation] = []  # each loop stops at its first witness
     perms = m.perms
@@ -146,7 +156,7 @@ def validate(m: Maniplex) -> ValidationReport:
                 if ri[rj[ri[rj[f]]]] != f:
                     violations.append(Violation(AXIOM_SQUARE, (i, j, f)))
                     break
-    return ValidationReport(not violations, [], violations)
+    return ValidationReport(not violations, (), tuple(violations))
 
 
 def _check_colours(m: Maniplex, colours: Iterable[int]) -> tuple[int, ...]:

@@ -35,7 +35,7 @@ from .core import (
 )
 from .corpus import platonic
 from .cosets import coset_enumerate, string_coxeter
-from .poset import flag_function, is_faithful, is_polytopal
+from .poset import flag_function, is_faithful, is_polytopal, pos_of
 from .voltage import Edge, canonical_edge, double_cover
 
 B_FLAGS = 96
@@ -336,6 +336,7 @@ def build_B_star() -> BStarResult:
         chains[v] == chains[v + 1] for v in range(0, len(chains), 2)
     )
     checks.append(passed("fibers-are-sheet-pairs", sheet_pairs))
+    bstar._cache["poset"] = pos_of(bstar)  # kept for the rank-5 extension
     v = coxeter.verdict(bstar)  # sparse is exactly polytopal
     checks.append(passed("cover-polytopal", v.sparse))
     checks.append(passed("verdict-sparse-not-semisparse", v.sparse and not v.semisparse))

@@ -12,18 +12,27 @@ all four tags when it meets F without being contained in it.  Each span
 comes from two counts over M's face ids, and it fixes the face id of every
 extension flag over the face, so the spans are certified by comparing one
 predicted id array per rank with the extension's face table.
+
+When the old colours copy a valid M tag by tag, the extension is read off
+M and the new colour's row, with no search over its flags: over each base
+i-face, the i-faces of the extension are the classes of the four tags
+joined by the new colour's patterns at the face's flags, so the face
+tables, the face poset and the axioms that involve the new colour are all
+computed from M's.  Otherwise the extension's own flags are searched.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import eq, sub
+from typing import Optional
 
 from .certify import INFO, SKIP, Check, passed
-from .core import Face, Maniplex, face_table, validate
-from .poset import PolytopeReport, RankedPoset, is_faithful, is_polytope, pos_of
+from .core import Face, Maniplex, ValidationReport, face_table, structural_errors, validate
+from .poset import PolytopeReport, RankedPoset, face_poset, is_faithful, is_polytope, pos_of
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _TAGS_MISSING = frozenset({(0, 0), (1, 0)})
@@ -39,7 +48,7 @@ def _resolve_facet(m: Maniplex, facet: Face) -> Face:
     if facet.rank != m.rank - 1:
         raise ValueError(f"marked face has rank {facet.rank}, need {m.rank - 1}")
     ids = face_table(m, m.rank - 1)
-    if not facet.flags or facet.flags != tuple(f for f, c in enumerate(ids) if c == facet.canonical):
+    if not facet.flags or facet.flags != tuple(compress(range(len(ids)), map(facet.canonical.__eq__, ids))):
         raise ValueError("marked face does not match any facet of this maniplex")
     return facet
 
@@ -68,7 +77,7 @@ def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[in
     properly contained in the facet."""
     ids = face_table(m, i)
     facet_ids = face_table(m, m.rank - 1)
-    inside = Counter(c for c, t in zip(ids, facet_ids) if t == facet.canonical)
+    inside = Counter(compress(ids, map(facet.canonical.__eq__, facet_ids)))
     spans: dict[int, frozenset[tuple[int, int]] | None] = {}
     for c, size in Counter(ids).items():
         if not inside[c]:
@@ -95,27 +104,29 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     """Extend and certify; polytopality claims are gated on the base's own status.
 
     Faithfulness of the extension is recorded, never asserted; only the
-    preservation of unfaithfulness is a hard check.
+    preservation of unfaithfulness is a hard check.  The posets of the base
+    and of the extension are kept in their caches, so the next rank up
+    starts from this one's.
     """
     ext = extend(m, facet)  # resolves the facet
+    base_faith = is_faithful(m)  # before the extension's face tables, so the two peaks do not add up
     n = m.rank
     checks: list[Check] = []
 
-    report = validate(ext)
+    copies = _rows_copy_base(m, ext)
+    quotient = _quotient(m, ext) if copies and validate(m).ok and not structural_errors(ext) else None
+    report = _validate_over_base(m, ext, quotient) if quotient else validate(ext)
     checks.append(passed("extension-valid", report.ok, report.violations or None))
     checks.append(passed("flag-count", ext.flag_count == 4 * m.flag_count, ext.flag_count))
 
     facet_ids = face_table(ext, n)
     count = len(set(facet_ids))
     checks.append(passed("four-facets", count == 4, count))
-    # facet t is the tag class {4g + t}, which the old colours keep, so colour i
-    # sends 4g + t to 4 m.perms[i][g] + t exactly when the flag parts agree
-    copies = facet_ids == array("i", range(4)) * m.flag_count and all(
-        [x >> 2 for x in row[t::4]] == list(base_row) for base_row, row in zip(m.perms, ext.perms) for t in range(4)
-    )
+    # the old colours carry m onto facet t, colour for colour, exactly when they
+    # copy it tag by tag and facet t is the tag class {4g + t}
+    copies = copies and facet_ids == array("i", range(4)) * m.flag_count
     checks.append(passed("facets-copy-base", copies))
 
-    base_faith = is_faithful(m)
     if base_faith.faithful:
         ext_faithful = is_faithful(ext).faithful
         preserved = Check("unfaithfulness-preserved", SKIP, "base is faithful")
@@ -128,8 +139,10 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks.append(Check("extension-faithful-observed", INFO, ext_faithful))
     checks.append(preserved)
 
-    p_base = pos_of(m)
-    p_ext = pos_of(ext)
+    p_base = m._cache["poset"] = pos_of(m)
+    if quotient:
+        ext._cache["poset"] = _poset_over_base(p_base, quotient)
+    p_ext = ext._cache["poset"] = pos_of(ext)
 
     # every ridge of the extension lies under exactly two of its facets
     facets = sum(1 << k for k, r in enumerate(p_ext.ranks) if r == n)
@@ -167,6 +180,120 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     return ExtensionResult(ext, checks)
 
 
+def _rows_copy_base(m: Maniplex, ext: Maniplex) -> bool:
+    """The row equation: every old colour i sends 4g + t to 4 m.perms[i][g] + t."""
+    size = m.flag_count
+    fours = range(0, 4 * size, 4)
+    for base_row, row in zip(m.perms, ext.perms):
+        head = row[0::4]
+        if len(head) != size or not all(map(eq, head, map(fours.__getitem__, base_row))):
+            return False
+        if any(list(map(sub, row[t::4], head)) != [t] * size for t in range(1, 4)):
+            return False
+    return True
+
+
+def _spread(over: dict[int, tuple[int, ...]], ids: array) -> array:
+    """An extension face table from the base's: flag 4g + t gets
+    over[ids[g]][t], copied from one packed 4-tuple per base face."""
+    packed = {c: array("i", quad).tobytes() for c, quad in over.items()}
+    return array("i", b"".join(map(packed.__getitem__, ids)))[:]  # the slice holds no spare room
+
+
+def _tag_classes(patterns) -> tuple[int, ...]:
+    """tag -> least tag of its class, for the classes of the four tags
+    joined by the given permutations of them."""
+    least = [0, 1, 2, 3]
+    for p in patterns:
+        for t, u in enumerate(p):
+            a, b = sorted((least[t], least[u]))
+            if a != b:
+                least = [a if x == b else x for x in least]
+    return tuple(least)
+
+
+def _quotient(m: Maniplex, ext: Maniplex) -> Optional[tuple]:
+    """Fill the extension's face tables from the base's, with no search
+    over its flags, and return (pattern_of, patterns, over): for each base
+    flag g, the new colour's pattern (the images of 4g, ..., 4g + 3, minus
+    4g) as an index into the distinct patterns, and per rank i < n, base
+    face id -> the ids of the extension faces over that face holding tags
+    0..3.  None when the new colour does not permute some quad.  Needs the
+    old colours to copy the valid (so connected) base tag by tag and the
+    rows to have the right shape.
+
+    Deleting colour i < n leaves the old colours moving g within its
+    i-face c with the tag fixed, and the new colour moving the tag by g's
+    pattern, so the extension i-faces over c are the classes of the tags
+    joined by the patterns at c's flags, and the least flag of the class
+    of tag t is 4c plus the least tag in it.  Deleting colour n leaves
+    four copies of the base, one per tag."""
+    n, size = m.rank, m.flag_count
+    row, quads = ext.perms[n], range(0, 4 * size, 4)
+    index: dict[tuple[int, ...], int] = {}
+    pattern_of = [index.setdefault(p, len(index)) for p in zip(*(map(sub, row[t::4], quads) for t in range(4)))]
+    patterns = list(index)
+    if any(sorted(p) != [0, 1, 2, 3] for p in patterns):
+        return None
+    over = []
+    for i in range(n):
+        ids = face_table(m, i)
+        joined = defaultdict(list)
+        for c, k in set(zip(ids, pattern_of)):
+            joined[c].append(patterns[k])
+        faces = {c: tuple(4 * c + t for t in _tag_classes(ps)) for c, ps in joined.items()}
+        ext._cache[i] = _spread(faces, ids)
+        over.append(faces)
+    ext._cache[n] = array("i", range(4)) * size
+    return pattern_of, patterns, over
+
+
+def _validate_over_base(m: Maniplex, ext: Maniplex, quotient: tuple) -> ValidationReport:
+    """`validate(ext)` when the old colours copy the valid base tag by tag.
+
+    The axioms among the old colours then hold as they do in the base, so
+    only those that involve the new colour n are checked, most of them on
+    its patterns.  Any failure runs the full `validate`, whose witnesses
+    are reported."""
+    n = m.rank
+    pattern_of, patterns, _ = quotient
+    rn = ext.perms[n]
+    ok = (
+        all(p[p[t]] == t != p[t] for p in patterns for t in range(4))  # colour n: involution, no fixed point
+        and not any(any(map(eq, row, rn)) for row in ext.perms[:n])  # proper colouring (i, n)
+        # square (i, n) for i <= n - 2: at 4g + t it closes exactly when the
+        # patterns at g and at its colour-i neighbour compose to the identity,
+        # that is, as patterns are involutions, when they are the same
+        and all(list(map(pattern_of.__getitem__, row)) == pattern_of for row in m.perms[: n - 1])
+        and _tag_classes(patterns) == (0, 0, 0, 0)  # connected: the base is, and the patterns join all tags
+    )
+    if not ok:
+        return validate(ext)
+    report = ext._cache["valid"] = ValidationReport(True, (), ())
+    return report
+
+
+def _poset_over_base(p_base: RankedPoset, quotient: tuple) -> RankedPoset:
+    """`pos_of(ext)` from `pos_of(m)`, in time linear in faces and order pairs.
+
+    A base order pair, faces c < d, gives for each tag t the pair of the
+    extension faces over c and over d that hold t (each flag 4g + t lies
+    in both), and an extension face lies under facet t exactly when its
+    class holds t."""
+    n = p_base.rank
+    _, _, over = quotient
+    at = [tuple(map(int, label.split(":"))) for label in p_base.labels]  # face number -> (rank, id)
+    incident: dict[tuple[int, int], set[tuple[int, int]]] = defaultdict(set)
+    for a, b in p_base.pairs:
+        (i, c), (j, d) = at[a], at[b]
+        if 0 <= i and j < n:
+            incident[i, j].update(zip(over[i][c], over[j][d]))
+    for i, faces in enumerate(over):
+        incident[i, n] = {(x, t) for ids in faces.values() for t, x in enumerate(ids)}
+    levels = [set(chain.from_iterable(faces.values())) for faces in over] + [range(4)]
+    return face_poset(n + 1, levels, incident.items())
+
+
 def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex) -> bool:
     """Every extension face over a base face spans exactly the predicted tags.
 
@@ -179,8 +306,8 @@ def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex) -> bool:
         spans = _tag_spans(m, facet, i)
         if None in spans.values():
             return False
-        predicted = array("i", [4 * c + off for c in face_table(m, i) for off in _TAG_OFFSETS[spans[c]]])
-        if predicted != face_table(ext, i):
+        over = {c: tuple(4 * c + off for off in _TAG_OFFSETS[span]) for c, span in spans.items()}
+        if _spread(over, face_table(m, i)) != face_table(ext, i):
             return False
     return True
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import FormatError, Maniplex, face_table
 
@@ -69,11 +69,24 @@ class RankedPoset:
             pairs.add((number[a], number[b]))
         self._set(rank, list(number), ranks, pairs)
 
-    def _set(self, rank: int, labels: list[str], ranks: list[int], pairs) -> None:
-        """Number the faces as listed and set their masks from the order pairs."""
-        bit = [1 << k for k in range(len(labels))]
-        up, down = [0] * len(labels), [0] * len(labels)
-        for i, j in pairs:
+    def _set(self, rank: int, labels: list[str], ranks: list[int], pairs, bounded: bool = False) -> None:
+        """Number the faces as listed and set their masks from the order
+        pairs.  When bounded, the pairs given are those between proper faces:
+        face 0 lies below and the last face above every other face, so their
+        pairs are added and their masks set as whole ranges of face numbers."""
+        count = len(labels)
+        bit = [1 << k for k in range(count)]
+        if bounded:
+            top = count - 1
+            up, down = [bit[top]] * count, [1] * count
+            up[0], down[0], up[top], down[top] = (1 << count) - 2, 0, 0, (1 << top) - 1
+            proper = pairs
+            pairs = [(0, k) for k in range(1, count)] + [(k, top) for k in range(1, top)]
+            pairs += proper
+        else:
+            up, down = [0] * count, [0] * count
+            proper = pairs
+        for i, j in proper:
             up[i] |= bit[j]
             down[j] |= bit[i]
         self.rank, self.labels, self.ranks = rank, tuple(labels), tuple(ranks)
@@ -126,25 +139,36 @@ class RankedPoset:
 def pos_of(m: Maniplex) -> RankedPoset:
     """The face poset, with labels 'rank:canonicalFlag' plus '-1:0' and 'n:0';
     faces of different ranks are incident when some flag lies in both.
-    Indexed straight from the face tables: per rank, canonical id -> face
-    number, and per pair of ranks, the number pairs of the flags' faces."""
+    Indexed straight from the face tables: per pair of ranks, the id pairs
+    of the flags' faces.  A poset kept in the maniplex's cache is returned
+    as it is."""
+    p = m._cache.get("poset")
+    if p is not None:
+        return p
     n = m.rank
     ids = [face_table(m, i) for i in range(n)]
+    incident = (((i, j), set(zip(ids[i], ids[j]))) for i in range(n) for j in range(i + 1, n))
+    return face_poset(n, [set(row) for row in ids], incident)
+
+
+def face_poset(n: int, levels: list, incident: Iterable) -> RankedPoset:
+    """The bounded rank-n poset whose rank-i faces are the ids in levels[i],
+    labelled 'i:c' and numbered by rank, then label, with '-1:0' below and
+    'n:0' above them all; incident yields, per pair of ranks (i, j), the id
+    pairs (a, b) with face a of rank i below face b of rank j."""
     labels, ranks = ["-1:0"], [-1]
     numbers: list[dict[int, int]] = []
-    for i, row in enumerate(ids):
-        level = sorted(set(row), key=str)
+    for i, level in enumerate(levels):
+        level = sorted(level, key=str)
         numbers.append({c: k for k, c in enumerate(level, start=len(labels))})
         labels += [f"{i}:{c}" for c in level]
         ranks += [i] * len(level)
-    top = len(labels)
-    pairs = [(0, k) for k in range(1, top + 1)] + [(k, top) for k in range(1, top)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lower, upper = numbers[i], numbers[j]
-            pairs += [(lower[a], upper[b]) for a, b in set(zip(ids[i], ids[j]))]
+    pairs = []
+    for (i, j), ab in incident:
+        lower, upper = numbers[i], numbers[j]
+        pairs += [(lower[a], upper[b]) for a, b in ab]
     p = RankedPoset.__new__(RankedPoset)  # numbered right, so skip the label checks
-    p._set(n, labels + [f"{n}:0"], ranks + [n], pairs)
+    p._set(n, labels + [f"{n}:0"], ranks + [n], pairs, bounded=True)
     return p
 
 

@@ -21,7 +21,7 @@ from maniplex.voltage import double_cover
 BSTAR_CERTIFICATE_SHA256 = "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937"
 
 # SHA-256 of the artifacts that read the face tables, the face poset and
-# the voltage edges: every file of `counterexample --rank 6` and of
+# the voltage edges: every file of `counterexample --rank 8` and of
 # `build-bstar`, `find-theta` on build-bstar's B, the poset exports of B and
 # of the cube, the failing extension certificate of torus (1,0) and the
 # verdict document of torus (1,1), whose witness is a face-poset diamond
@@ -31,12 +31,16 @@ ARTIFACT_SHA256 = {
     "bstar/certificate.json": "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937",
     "bstar/voltage-theta.json": "0b09b339667b9dfba765b5488e50108055ac78c85798c69e8763751f7e747c16",
     "find-theta.json": "0b09b339667b9dfba765b5488e50108055ac78c85798c69e8763751f7e747c16",
-    "rank6/certificate-rank4.json": "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937",
-    "rank6/certificate-rank5.json": "68218f62ba596970c05c0ce512eae26a4805be20134a75e7459c308afe86333c",
-    "rank6/certificate-rank6.json": "d3ab0a83e7d0a21061dd6aa0422cc6c8aca95ab1d6809ae9612a2a0b9c05bc4e",
-    "rank6/maniplex-rank4.json": "a27c1f6ad7d80f97518fc439e9431a59bba9203246008263cc88176ec2d774a7",
-    "rank6/maniplex-rank5.json": "afb0707a3a66056008e48a5874039e6c8823d394f906251acfcc45cf5684992c",
-    "rank6/maniplex-rank6.json": "4f380743be6b5652fe1358172e0d913c4ca205ab6637e227f4951915a97c65b4",
+    "rank8/certificate-rank4.json": "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937",
+    "rank8/certificate-rank5.json": "68218f62ba596970c05c0ce512eae26a4805be20134a75e7459c308afe86333c",
+    "rank8/certificate-rank6.json": "d3ab0a83e7d0a21061dd6aa0422cc6c8aca95ab1d6809ae9612a2a0b9c05bc4e",
+    "rank8/certificate-rank7.json": "c840cbbf392c0358202f718f294339d759e032b435255050466252a38a812da1",
+    "rank8/certificate-rank8.json": "4f51492f45ea28630a8ed03fd9d48ce731f332596db9fe3143145622caf1e6aa",
+    "rank8/maniplex-rank4.json": "a27c1f6ad7d80f97518fc439e9431a59bba9203246008263cc88176ec2d774a7",
+    "rank8/maniplex-rank5.json": "afb0707a3a66056008e48a5874039e6c8823d394f906251acfcc45cf5684992c",
+    "rank8/maniplex-rank6.json": "4f380743be6b5652fe1358172e0d913c4ca205ab6637e227f4951915a97c65b4",
+    "rank8/maniplex-rank7.json": "ced7a3a4ed6521f2170488a306cf9eb6b1795d0d08a59280856b4bd6a1c96090",
+    "rank8/maniplex-rank8.json": "ac43bb86a9c1a5501072f34fd852ceecf84aa85b282ce52dc9d90dbf3ec7f119",
     "b.poset.json": "6eb997d41c6bd4c3b56874f3d1bb05b451ad07905b3891c076e44dd36ce3dbae",
     "b.hasse.dot": "a14deb7a99338e855fcef6ecdd3031322a31f7761c75a0c0589ccc9f94d709f3",
     "cube.poset.json": "77d2bab7f47b80439212144b32e1574228b6063b542723bb3cb6629a6d8efb80",
@@ -226,10 +230,10 @@ def test_artifact_bytes_pinned(tmp_path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
     got = {}
-    rank6 = tmp_path / "rank6"
-    assert main(["counterexample", "--rank", "6", "-o", str(rank6)]) == 0
-    for path in rank6.iterdir():
-        got[f"rank6/{path.name}"] = digest(path)
+    rank8 = tmp_path / "rank8"
+    assert main(["counterexample", "--rank", "8", "-o", str(rank8)]) == 0
+    for path in rank8.iterdir():
+        got[f"rank8/{path.name}"] = digest(path)
     bstar = tmp_path / "bstar"
     assert main(["build-bstar", "-o", str(bstar)]) == 0
     for path in bstar.iterdir():

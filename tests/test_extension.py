@@ -427,28 +427,156 @@ def test_extension_rows_share_one_int_per_flag(bstar_result):
     assert held <= {id(v) for row in ext.perms for v in row}
 
 
-def test_verify_extension_labels_each_rank_once(bstar_result, monkeypatch):
+def counting_searches(monkeypatch):
+    """Patch the flag-graph search to count its calls by (maniplex, colours),
+    keeping every searched maniplex alive so that ids stay unique."""
     calls = Counter()
-    labelled = []  # keeps every labelled maniplex alive, so ids stay unique
+    searched = []
     component_ids = core._component_ids
 
     def counting(m, cols):
         cols = tuple(cols)
-        labelled.append(m)
+        searched.append(m)
         calls[id(m), cols] += 1
         return component_ids(m, cols)
 
     monkeypatch.setattr(core, "_component_ids", counting)
+    return calls
+
+
+def test_verify_extension_labels_each_rank_once(bstar_result, monkeypatch):
+    calls = counting_searches(monkeypatch)
     m = Maniplex(bstar_result.bstar.perms)
     res = verify_extension(m, faces(m, 3)[0])
     assert all_ok(res.checks)
-    # one face-id search per (maniplex, rank), plus validate's one search
-    # over all colours of the extension; only the base and the extension
-    # are labelled
-    assert calls and max(calls.values()) == 1
-    assert {id(x) for x in labelled} == {id(m), id(res.extension)}
-    ext_searches = sorted(cols for key, cols in calls if key == id(res.extension))
-    assert ext_searches == sorted([tuple(range(5))] + [tuple(c for c in range(5) if c != i) for i in range(5)])
+    # the base gets one search per rank plus validate's one over all colours;
+    # the extension, read off the base, gets none
+    assert sorted(calls.elements()) == sorted(
+        [(id(m), tuple(range(4)))] + [(id(m), tuple(c for c in range(4) if c != i)) for i in range(4)]
+    )
+    assert not any(who == id(res.extension) for who, _ in calls)
+
+
+def out_of_quad(ext: Maniplex) -> Maniplex:
+    """ext with the new colour's edges at flags 0 and 4 crossed: flag 0's
+    new-colour image leaves its quad {0, 1, 2, 3}."""
+    return crossed(ext, ext.rank - 1, 0, 4)
+
+
+MUTANTS = (
+    ("real", lambda ext: ext),
+    ("crossed", crossed),
+    ("crossed in tags 1, 2", lambda ext: crossed(ext, 0, 1, 2)),  # every tag-0 entry still copies the base
+    ("swapped", new_colour_swapped),
+    ("out of quad", out_of_quad),
+)
+
+
+def assert_read_off_base(m: Maniplex, ext: Maniplex) -> None:
+    """Every face table, the validation report and the face poset that
+    verify_extension left in ext's cache equal those computed from a fresh
+    copy's flags: a search per rank, the full validate and the flag-based
+    pos_of."""
+    fresh = Maniplex(ext.perms)
+    n = ext.rank
+    for i in range(n):
+        assert face_table(ext, i) == core._component_ids(fresh, [c for c in range(n) if c != i]), i
+    assert ext._cache["valid"] == validate(fresh)
+    got, want = ext._cache["poset"], pos_of(fresh)
+    assert (got.rank, got.labels, got.ranks) == (want.rank, want.labels, want.ranks)
+    assert set(got.pairs) == set(want.pairs) and len(got.pairs) == len(want.pairs)
+    assert got == want and got.down == want.down
+
+
+def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, monkeypatch):
+    # over every extension of the extension corpus and of a disconnected
+    # base, and over four mutants of each, the tables, report and poset
+    # that verify_extension keeps equal the flag-based ones.  The face
+    # tables are read off the base exactly when the old colours copy a
+    # valid base and every new-colour image stays inside its quad; the
+    # validation is then read off too unless an axiom fails, when the full
+    # validate runs for its witnesses
+    bases = extension_corpus(bstar_result.bstar)
+    bases["two squares"] = two_squares
+    real = extension.extend
+    calls = counting_searches(monkeypatch)
+    paths = Counter()
+    for name, m in bases.items():
+        for facet in faces(m, m.rank - 1):
+            for kind, mutate in MUTANTS:
+                monkeypatch.setattr(extension, "extend", lambda m, f: mutate(real(m, f)))
+                calls.clear()
+                ext = verify_extension(m, facet).extension
+                searches = [len(cols) for who, cols in calls if who == id(ext)]
+                paths[kind, name == "two squares", m.rank not in searches, m.rank + 1 not in searches] += 1
+                assert_read_off_base(m, ext)
+    # (mutant, disconnected base, tables read off, validation read off)
+    assert paths == {
+        ("real", False, True, True): 135,
+        ("real", False, True, False): 2,  # torus (1, 0) and (0, 1): the extension is disconnected
+        ("real", True, False, False): 8,
+        ("crossed", False, False, False): 137,  # the old colours do not copy the base
+        ("crossed", True, False, False): 8,
+        ("crossed in tags 1, 2", False, False, False): 137,
+        ("crossed in tags 1, 2", True, False, False): 8,
+        ("swapped", False, True, False): 137,  # the squares with the new colour fail
+        ("swapped", True, False, False): 8,
+        ("out of quad", False, False, False): 137,
+        ("out of quad", True, False, False): 8,
+    }
+
+
+def quad_0_fixed(m: Maniplex, ext: Maniplex) -> Maniplex:
+    """ext with the new colour fixing the flags 0..3 of quad 0."""
+    return Maniplex((*ext.perms[:-1], (0, 1, 2, 3) + ext.perms[-1][4:]))
+
+
+def fixed_tags_on_a_facet(m: Maniplex, ext: Maniplex) -> Maniplex:
+    """ext with the new colour swapping tags 0 and 2 and fixing tags 1 and
+    3 at every flag of m's last facet: the pattern is the same along every
+    edge of colour i <= n - 2, and with the other facets' patterns it still
+    joins all four tags, so only fixed-point freedom fails."""
+    ids = face_table(m, m.rank - 1)
+    row = list(ext.perms[-1])
+    for g in range(m.flag_count):
+        if ids[g] == max(ids):
+            row[4 * g : 4 * g + 4] = (4 * g + 2, 4 * g + 1, 4 * g, 4 * g + 3)
+    return Maniplex((*ext.perms[:-1], tuple(row)))
+
+
+def test_fast_validation_matches_full_on_mutants(monkeypatch):
+    # a read-off extension that fails an axiom reports the full validate's
+    # witnesses: the swapped new colour breaks a square, a new colour that
+    # fixes quad 0 breaks fixed-point freedom and the squares, and one with
+    # fixed tags on a whole facet breaks fixed-point freedom alone
+    real = extension.extend
+    cube = platonic("cube")
+    for mutate, axioms in (
+        (lambda m, ext: new_colour_swapped(ext), {"square"}),
+        (quad_0_fixed, {"fixed-point-free", "square"}),
+        (fixed_tags_on_a_facet, {"fixed-point-free"}),
+    ):
+        monkeypatch.setattr(extension, "extend", lambda m, f: mutate(m, real(m, f)))
+        res = verify_extension(cube, faces(cube, 2)[0])
+        rep = validate(res.extension)
+        assert rep == validate(Maniplex(res.extension.perms))
+        assert {v.axiom for v in rep.violations} == axioms
+        assert statuses(res)["extension-valid"] == FAIL
+
+
+def test_tower_read_off_base_matches_its_flags(bstar_result, monkeypatch):
+    # ranks 5 to 8, each over the facet of flag 0, each extension read off
+    # its base with no search over its own flags
+    calls = counting_searches(monkeypatch)
+    m = bstar_result.bstar
+    for rank in range(5, 9):
+        calls.clear()
+        res = verify_extension(m, faces(m, m.rank - 1)[0])
+        assert all_ok(res.checks), rank
+        assert not any(who == id(res.extension) for who, _ in calls), rank
+        assert_read_off_base(m, res.extension)
+        m = res.extension
+    assert m.flag_count == 49152
 
 
 def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):

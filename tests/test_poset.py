@@ -331,6 +331,8 @@ def test_pos_of_matches_label_oracle(oracle_members):
         assert list(p.rank_of) == list(want.rank_of)
         rebuilt = RankedPoset(want.rank, want.faces, want.less)
         assert rebuilt == p and hash(rebuilt) == hash(p)
+        # the bounded masks, set as whole ranges, and every pair kept
+        assert rebuilt.down == p.down and sorted(rebuilt.pairs) == sorted(p.pairs)
         assert RankedPoset(want.rank, want.faces, want.less - {min(want.less)}) != p
         assert tuple(is_faithful(m)) == faithfulness_by_labels(m), m
     for m in pool:
