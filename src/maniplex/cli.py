@@ -37,21 +37,28 @@ from .extension import extend, verify_extension
 from .poset import pos_of, poset_to_dot, poset_to_json_dict
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+_SLICE = 1 << 20  # characters encoded, written and hashed at a time
 
 
-def _write(path: Path | str, text: str) -> None:
-    """Write `text` to `<path>.tmp`, then rename it over `path`: an
-    interrupted write leaves no torn file under the final name."""
+def _write(path: Path | str, text: str) -> str:
+    """Write `text` as UTF-8 to `<path>.tmp`, then rename it over `path`:
+    an interrupted write leaves no torn file under the final name.  Returns
+    the SHA-256 of the bytes written.  The text is encoded one slice at a
+    time, so no whole encoded copy of it is ever held."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("wb") as out:
+            for start in range(0, len(text), _SLICE):
+                data = text[start:start + _SLICE].encode("utf-8")
+                out.write(data)
+                digest.update(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -69,7 +76,7 @@ def _outdir(path: str) -> Path:
 
 def _load_maniplex(path: str) -> tuple[Maniplex, str]:
     data = Path(path).read_bytes()
-    return maniplex_from_json(data.decode("utf-8")), _sha256(data)
+    return maniplex_from_json(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
 
 
 def _load_valid(path: str) -> tuple[Maniplex, str]:
@@ -102,9 +109,8 @@ def _write_certified(
 ) -> None:
     """Write the maniplex and the certificate of its checks, whose digest is
     of that file; then refuse at the first failed check."""
-    text = maniplex_to_json(m)
-    _write(out / name, text)
-    _write(out / cert_name, _certificate(_sha256(text.encode("utf-8")), checks, **extras))
+    digest = _write(out / name, maniplex_to_json(m))
+    _write(out / cert_name, _certificate(digest, checks, **extras))
     _refuse_failed(checks, where)
 
 
@@ -175,9 +181,8 @@ def _write_bstar(out: Path, result: BStarResult, name: str, cert_name: str) -> N
 def cmd_build_bstar(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     result = build_B_star()
-    b_text = maniplex_to_json(result.b)
-    _write(out / "b.json", b_text)
-    _write(out / "voltage-theta.json", _voltage_doc(_sha256(b_text.encode("utf-8")), result.theta, result.e_theta))
+    digest = _write(out / "b.json", maniplex_to_json(result.b))
+    _write(out / "voltage-theta.json", _voltage_doc(digest, result.theta, result.e_theta))
     _write_bstar(out, result, "bstar.json", "certificate.json")
     return 0
 

@@ -36,7 +36,9 @@ class Maniplex:
     each flag's face id as an `array('i')` (`face_table`); under "valid",
     the `validate` report; under "faithful", the faithfulness result
     (`poset.is_faithful`); under "poset", the face poset, where the
-    extension pipeline keeps it (`poset.pos_of` reads it, never writes it)."""
+    extension pipeline keeps it (`poset.pos_of` reads it, never writes it);
+    under "theta", the marked set of a rank-4 maniplex and the double cover
+    it gives (`counterexample.find_theta`)."""
 
     perms: tuple[tuple[int, ...], ...]
     _cache: dict[int | str, object] = field(

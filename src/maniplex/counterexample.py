@@ -8,11 +8,12 @@ result is re-verified afterwards; any failure raises.
 
 `find_theta` searches for a six-flag set meeting every 1-face and every
 2-face exactly once and satisfying the vertex/facet balance conditions
-(A.2)-(A.4); candidates are post-filtered so that the derived voltage
-assignment yields a connected maniplex double cover with all face lifts
-connected.  `build_B_star` assembles the cover and certifies that it is an
-unfaithful yet polytopal maniplex whose face poset projects isomorphically
-onto the one of B.
+(A.2)-(A.4), cutting every branch whose vertex or facet counts already
+exceed what those conditions allow; candidates are post-filtered so that
+the derived voltage assignment yields a connected maniplex double cover
+with all face lifts connected.  `build_B_star` takes the cover the filter
+accepted and certifies that it is an unfaithful yet polytopal maniplex
+whose face poset projects isomorphically onto the one of B.
 """
 
 from __future__ import annotations
@@ -123,59 +124,116 @@ def _face_lifts_connected(cover: Maniplex, b: Maniplex) -> bool:
     return all(len(set(face_table(cover, i))) == len(set(face_table(b, i))) for i in range(b.rank))
 
 
-def _cover_certified(b: Maniplex, theta: tuple[int, ...]) -> bool:
-    """Post-filter: the derived voltage cover is a maniplex and all face lifts connect."""
-    cover = double_cover(b, build_E_theta(b, tuple(sorted(theta))))
-    return validate(cover).ok and _face_lifts_connected(cover, b)
+def _cover_certified(b: Maniplex, theta: tuple[int, ...]) -> Optional[Maniplex]:
+    """Post-filter: the voltage cover derived from the sorted marked set,
+    when it is a maniplex and all face lifts connect, else None; its
+    validation report and face tables stay cached."""
+    cover = double_cover(b, build_E_theta(b, theta))
+    return cover if validate(cover).ok and _face_lifts_connected(cover, b) else None
+
+
+class _MarkCounts:
+    """The running counts of the marked-set search, per vertex (i = 0) and
+    per facet (i = 3): the marked flags in each face (members) and the
+    marked flags whose colour-i neighbour lands in it (shifts), together
+    with the 2-faces and the (vertex, facet) pairs already marked.
+
+    (A.2)-(A.4) force, at every leaf, one or two members and members plus
+    shifts equal to 3 in each such face, and two members of one vertex (of
+    one facet) in different facets (vertices); the two members of a face
+    already lie in different 1-faces and, marked here, 2-faces.  Marking a
+    flag only raises the counts, so a prefix that breaks one of these
+    bounds has no valid leaf below it."""
+
+    def __init__(self, b: Maniplex, maps) -> None:
+        self.b, self.maps = b, maps
+        self.members: Counter = Counter()
+        self.load: Counter = Counter()  # members plus shifts
+        self.twos: set[int] = set()
+        self.pairs: set[tuple[int, int]] = set()
+
+    def _keys(self, f: int) -> tuple:
+        """f's 2-face, its (vertex, facet) pair, the faces it is a member
+        of and the faces whose load it raises, as (i, face id)."""
+        maps, perms = self.maps, self.b.perms
+        vertex, facet = maps[0][f], maps[3][f]
+        members = ((0, vertex), (3, facet))
+        shifts = ((0, maps[0][perms[0][f]]), (3, maps[3][perms[3][f]]))
+        return maps[2][f], (vertex, facet), members, members + shifts
+
+    def push(self, f: int) -> bool:
+        """Mark f when the marked set stays within the bounds, and say whether it did."""
+        two, pair, members, load = self._keys(f)
+        if two in self.twos or pair in self.pairs:
+            return False
+        self.twos.add(two)
+        self.pairs.add(pair)
+        self.members.update(members)
+        self.load.update(load)
+        if all(self.members[k] <= 2 for k in members) and all(self.load[k] <= 3 for k in load):
+            return True
+        self.pop(f)
+        return False
+
+    def pop(self, f: int) -> None:
+        """Unmark f, the last flag marked."""
+        two, pair, members, load = self._keys(f)
+        self.twos.discard(two)
+        self.pairs.discard(pair)
+        self.members.subtract(members)
+        self.load.subtract(load)
 
 
 def find_theta(b: Maniplex) -> tuple[int, ...]:
     """Lexicographically least valid marked set under canonical flag order,
     as its sorted flags: one flag per 1-face and per 2-face.
 
-    Depth-first over the 1-faces in canonical order, choosing flags in
-    increasing order; the 2-face bijection and the <=2-per-vertex/facet
-    bounds prune, the full conditions and the cover certification filter.
+    Refused at once when the face counts rule a marked set out.  Otherwise
+    depth-first over the 1-faces in canonical order, choosing flags in
+    increasing order; a branch is cut as soon as its counts break a bound
+    that every valid leaf meets (`_MarkCounts`), so the order and the
+    answer are those of the search without the cuts.  The full conditions
+    and the cover certification filter the leaves.  Computed once per
+    maniplex and kept in its cache with the cover it certified, which is
+    B* when b is B.
     """
     if b.rank != 4:
         raise ValueError("find_theta expects a rank-4 maniplex")
+    found = b._cache.get("theta")
+    if found is not None:
+        return found[0]
     maps = [face_table(b, i) for i in range(4)]
     canonical = [set(ids) for ids in maps]
+    f0, f1, f2, f3 = map(len, canonical)
+    # one flag per 1-face and members plus shifts 3 in every vertex and facet
+    # give 2 f1 = 3 f0 = 3 f3; the 2-faces must be distinct, so f2 >= f1
+    if not (2 * f1 == 3 * f0 == 3 * f3 and f2 >= f1):
+        raise ThetaNotFound("no marked set satisfies the conditions")
     one_faces = faces(b, 1)
     chosen: list[int] = []
-    used_two: set[int] = set()
-    load: dict[tuple[int, int], int] = {}
+    counts = _MarkCounts(b, maps)
 
-    def dfs(level: int) -> Optional[tuple[int, ...]]:
+    def dfs(level: int) -> Optional[tuple[tuple[int, ...], Maniplex]]:
         if level == len(one_faces):
-            theta = tuple(chosen)
-            if _theta_conditions_hold(b, theta, maps, canonical) and _cover_certified(b, theta):
-                return theta
-            return None
+            theta = tuple(sorted(chosen))
+            cover = _cover_certified(b, theta) if _theta_conditions_hold(b, theta, maps, canonical) else None
+            return None if cover is None else (theta, cover)
         for f in one_faces[level].flags:
-            two = maps[2][f]
-            if two in used_two:
+            if not counts.push(f):
                 continue
-            v_key, t_key = (0, maps[0][f]), (3, maps[3][f])
-            if load.get(v_key, 0) >= 2 or load.get(t_key, 0) >= 2:
-                continue
-            used_two.add(two)
-            load[v_key] = load.get(v_key, 0) + 1
-            load[t_key] = load.get(t_key, 0) + 1
             chosen.append(f)
             found = dfs(level + 1)
             chosen.pop()
-            load[v_key] -= 1
-            load[t_key] -= 1
-            used_two.discard(two)
+            counts.pop(f)
             if found is not None:
                 return found
         return None
 
-    result = dfs(0)
-    if result is None:
+    found = dfs(0)
+    if found is None:
         raise ThetaNotFound("no marked set satisfies the conditions")
-    return tuple(sorted(result))
+    b._cache["theta"] = found
+    return found[0]
 
 
 # ---------- the voltage edge set ----------
@@ -314,9 +372,9 @@ def build_B_star() -> BStarResult:
     """Assemble and certify the unfaithful polytopal double cover of B."""
     b = build_B()
     theta = find_theta(b)
+    bstar = b._cache["theta"][1]  # the cover the search certified, with its report and face tables
     e_theta = build_E_theta(b, theta)
     conditions = verify_B_conditions(b, theta, e_theta)
-    bstar = double_cover(b, e_theta)
 
     checks = [
         passed("marked-set-conditions", conditions.ok, conditions.failures or None),

@@ -105,8 +105,9 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
 
     Faithfulness of the extension is recorded, never asserted; only the
     preservation of unfaithfulness is a hard check.  The posets of the base
-    and of the extension are kept in their caches, so the next rank up
-    starts from this one's.
+    and of the extension are kept in their caches, each with its polytope
+    report, so the next rank up starts from this one's and judges its base
+    no second time.
     """
     ext = extend(m, facet)  # resolves the facet
     base_faith = is_faithful(m)  # before the extension's face tables, so the two peaks do not add up

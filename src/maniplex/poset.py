@@ -15,7 +15,8 @@ for each face the faces above and below it as bits of a Python int.
 as label levels and label pairs is checked once and numbered the same way.
 Transitivity, covers and diamonds are one mask test per order pair, and
 connectivity a breadth-first search over masks.  The label views (`faces`,
-`less`, `rank_of`, `covers`) are derived only when read.
+`less`, `rank_of`, `covers`) are derived only when read, and the
+`is_polytope` report is computed once and kept on the poset.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class RankedPoset:
     up[k] (of down[k]) is set when face j lies above (below) face k; pairs
     are the order pairs as (k, j), and `less` is the strict order as label
     pairs.  Two posets are equal when they have the same rank, faces and
-    order."""
+    order.  A poset is not changed once numbered, so `is_polytope` keeps
+    its report on it."""
 
     def __init__(self, rank: int, faces, less) -> None:
         """Check and number a poset given as label levels, rank -1 first, and label pairs."""
@@ -91,6 +93,7 @@ class RankedPoset:
             down[j] |= bit[i]
         self.rank, self.labels, self.ranks = rank, tuple(labels), tuple(ranks)
         self.up, self.down, self.pairs = tuple(up), tuple(down), tuple(pairs)
+        self._report: Optional[PolytopeReport] = None  # kept by the first `is_polytope`
 
     # faces are numbered canonically, so equal faces and order mean equal integers
     def __eq__(self, other: object) -> bool:
@@ -207,7 +210,7 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
 
 # ---------- polytope axioms ----------
 
-@dataclass
+@dataclass(frozen=True)
 class PolytopeReport:
     ok: bool
     failed: Optional[str]  # first failed axiom
@@ -361,7 +364,14 @@ def is_polytope(p: RankedPoset) -> PolytopeReport:
     (bounded, every maximal chain of full length) the earlier checks
     establish; its witness is the first (lower, upper) section whose proper
     faces are disconnected under incidence (`flag_connectivity_witness`).
+    The report is computed once per poset and kept on it.
     """
+    if p._report is None:
+        p._report = _judge(p)
+    return p._report
+
+
+def _judge(p: RankedPoset) -> PolytopeReport:
     bad = order_transitivity_witness(p)
     if bad is not None:
         return PolytopeReport(False, None, bad, "order-not-transitive")

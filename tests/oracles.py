@@ -8,6 +8,7 @@ files were computed with these.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from typing import NamedTuple
@@ -770,3 +771,52 @@ def to_json_dict(m) -> dict:
     """The maniplex document that `maniplex_to_json` must encode exactly as
     the generic JSON encoder does."""
     return {"rank": m.rank, "flags": m.flag_count, "perms": [list(row) for row in m.perms]}
+
+
+def _balanced(perms: Perms, face_of, levels, theta) -> bool:
+    """(A.2)-(A.4) for a marked set, from every face's member list: in each
+    vertex (i = 0) and facet (i = 3), one or two marked flags, plus the
+    marked flags whose colour-i neighbour lands there, make three; two
+    members of one such face lie in different faces of every other rank;
+    levels[i] lists the i-faces."""
+    for i in (0, 3):
+        shifts = collections.Counter(face_of[i][perms[i][f]] for f in theta)
+        for face in levels[i]:
+            inside = [f for f in theta if face_of[i][f] == face]
+            if len(inside) not in (1, 2) or len(inside) + shifts[face] != 3:
+                return False
+            if len(inside) == 2 and any(face_of[j][inside[0]] == face_of[j][inside[1]] for j in range(4) if j != i):
+                return False
+    return True
+
+
+def theta_leaves_by_load(perms: Perms) -> list[tuple[int, ...]]:
+    """Every leaf of the rank-4 marked-set search that meets (A.2)-(A.4),
+    as its flags in search order: over the 1-faces by least flag, each
+    flag of the 1-face in increasing order, cut only where a 2-face is
+    taken twice or a vertex or facet would hold three marked flags."""
+    face_of = []  # rank -> flag -> least flag of its face
+    for i in range(4):
+        ids = [0] * len(perms[0])
+        for least, flags in faces_by_bfs(perms, i):
+            for f in flags:
+                ids[f] = least
+        face_of.append(ids)
+    levels = [sorted(set(ids)) for ids in face_of]
+    one_faces = [flags for _, flags in faces_by_bfs(perms, 1)]
+    leaves: list[tuple[int, ...]] = []
+
+    def walk(prefix: tuple[int, ...]) -> None:
+        if len(prefix) == len(one_faces):
+            if _balanced(perms, face_of, levels, prefix):
+                leaves.append(prefix)
+            return
+        for f in one_faces[len(prefix)]:
+            if face_of[2][f] in {face_of[2][g] for g in prefix}:
+                continue
+            if any(sum(1 for g in prefix if face_of[i][g] == face_of[i][f]) >= 2 for i in (0, 3)):
+                continue
+            walk(prefix + (f,))
+
+    walk(())
+    return leaves

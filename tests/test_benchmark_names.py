@@ -7,6 +7,7 @@ package may be kept for the tests alone."""
 
 import ast
 import json
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -23,6 +24,20 @@ def test_per_layer_function_names_are_defined():
         source = ROOT / "src" / "maniplex" / f"{module}.py"
         if not source.is_file() or f"def {func}(" not in source.read_text(encoding="utf-8"):
             missing.append(name)
+    assert missing == []
+
+
+def test_derived_metric_function_names_are_defined():
+    """`perfbench/run.py` derives some metrics from a function's counts with
+    a default of 0, such as `counterexample.theta_nodes` from
+    `counterexample.dfs.calls`; after a rename they would read 0 without
+    an error, so each function it reads must still be defined."""
+    read = re.findall(r'"(\w+)\.(\w+)\.(?:calls|s)"', (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    assert ("counterexample", "dfs") in read
+    missing = [
+        (module, func) for module, func in read
+        if f"def {func}(" not in (ROOT / "src" / "maniplex" / f"{module}.py").read_text(encoding="utf-8")
+    ]
     assert missing == []
 
 

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from maniplex.certify import all_ok
 from maniplex.core import Maniplex, dual, face_table, faces, isomorphic, restrict, validate
 from maniplex.corpus import platonic
-from maniplex.cosets import coset_enumerate
+from maniplex import counterexample
+from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.counterexample import (
     B_FACE_VECTOR,
     B_FLAGS,
@@ -13,6 +15,7 @@ from maniplex.counterexample import (
     EThetaOverlap,
     ThetaNotFound,
     _face_lifts_connected,
+    _MarkCounts,
     _projection_poset_iso,
     build_E_theta,
     find_theta,
@@ -21,7 +24,7 @@ from maniplex.counterexample import (
 )
 from maniplex.poset import is_faithful, pos_of
 from maniplex.voltage import double_cover, lift_connected
-from oracles import flag_graph_by_chains, pos_of_by_labels, shifted_flags, voltage_edges
+from oracles import flag_graph_by_chains, pos_of_by_labels, shifted_flags, theta_leaves_by_load, voltage_edges
 
 THETA_FROZEN = (0, 24, 25, 57, 74, 87)
 
@@ -98,6 +101,50 @@ def test_theta_not_found_on_hypercube_like_action():
     assert validate(xor4).ok
     with pytest.raises(ThetaNotFound):
         find_theta(xor4)
+
+
+@pytest.mark.parametrize("symbol", [(4, 3, 3), (3, 4, 3), (3, 3, 3)])
+def test_theta_refused_by_face_counts(symbol):
+    # the tesseract, the 24-cell and the 4-simplex break 2 f1 = 3 f0 = 3 f3,
+    # so the search is refused before it starts
+    m = coset_enumerate(string_coxeter(symbol)).to_maniplex()
+    start = time.perf_counter()
+    with pytest.raises(ThetaNotFound, match="^no marked set satisfies the conditions$"):
+        find_theta(m)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.fixture(scope="module")
+def balanced_leaves(b_maniplex):
+    return theta_leaves_by_load(b_maniplex.perms)
+
+
+def test_theta_is_first_balanced_leaf(balanced_leaves):
+    # the search cut only by 2-faces and at most two marked flags per vertex
+    # and facet meets (A.2)-(A.4) at 34 944 leaves; the first, sorted, is theta
+    assert len(balanced_leaves) == 34944
+    assert tuple(sorted(balanced_leaves[0])) == THETA_FROZEN
+
+
+def test_theta_pruning_keeps_every_balanced_leaf(b_maniplex, balanced_leaves):
+    # the search's cuts are exact: every prefix of a balanced leaf is within bounds
+    maps = [face_table(b_maniplex, i) for i in range(4)]
+    for leaf in balanced_leaves:
+        counts = _MarkCounts(b_maniplex, maps)
+        assert all(counts.push(f) for f in leaf), leaf
+
+
+def test_theta_search_checks_two_leaves(b_maniplex, monkeypatch):
+    # a fresh copy of B, as the fixture keeps its marked set in its cache;
+    # a second call reads it from there
+    b = Maniplex(b_maniplex.perms)
+    checked = []
+    inner = counterexample._theta_conditions_hold
+    monkeypatch.setattr(counterexample, "_theta_conditions_hold", lambda *args: checked.append(args[1]) or inner(*args))
+    assert find_theta(b) == THETA_FROZEN
+    assert len(checked) == 2
+    assert find_theta(b) == THETA_FROZEN
+    assert len(checked) == 2
 
 
 def test_path_edges_shape(b_maniplex, theta):
