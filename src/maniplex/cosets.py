@@ -24,6 +24,16 @@ union-find are left exactly as that scan leaves them, so every later scan,
 and with it the allocation order, is unchanged; and since nothing merges,
 alpha is still live after a closed walk.
 
+An involution relator (d, d) needs no walk: from a live coset it closes
+exactly when rows[d][alpha] is defined.  Between scans every arrow of a
+live coset c.d = x runs to a live coset x with x.d = c.  A definition and
+a deduction set both arrows, from live cosets to live or new ones.  A
+coincidence kills cosets, and `unify` handles each dead coset once: it
+clears the arrow back to it from its neighbour x, then either merges or
+sets both arrows between the live representatives, each undefined before.
+So when `unify` returns, no live coset's arrow leads to a dead one, and the
+walk c.d.d comes back to c whenever c.d is defined.
+
 Live cosets keep their labels, compacted in increasing order, and that is
 relator-trace order: coset 0, then each coset the first time it is reached
 by tracing the subgroup words from 0 and then every relator, in
@@ -215,22 +225,29 @@ def coset_enumerate(
 
     # rows are only appended to, so a word's rows stay valid throughout
     relators = [[rows[d] for d in rel] for rel in pres.relators]
+    # an involution relator (d, d) is checked by its row alone (see the module docstring)
+    plan = [(rel[0] if len(rel) == 2 and rel[0] is rel[1] else None, rel) for rel in relators]
     add_vertex()
     for word in subgroup_gens:
         scan_and_fill(0, [rows[d] for d in word])
     alpha = 0
     while alpha < len(parent):
         if parent[alpha] == alpha:
-            for rel in relators:
-                f = alpha
-                for row in rel:
-                    f = row[f]
-                    if f == SENTINEL:
-                        break
-                if f != alpha:  # not a closed cycle: scan it
-                    scan_and_fill(alpha, rel)
-                    if parent[alpha] != alpha:
-                        break
+            for involution, rel in plan:
+                if involution is not None:
+                    if involution[alpha] != SENTINEL:  # alpha.d.d = alpha
+                        continue
+                else:
+                    f = alpha
+                    for row in rel:
+                        f = row[f]
+                        if f == SENTINEL:
+                            break
+                    if f == alpha:  # a closed cycle: nothing to scan
+                        continue
+                scan_and_fill(alpha, rel)
+                if parent[alpha] != alpha:
+                    break
         alpha += 1
 
     # live labels are already in relator-trace order (see the module docstring);

@@ -17,6 +17,25 @@ Transitivity, covers and diamonds are one mask test per order pair, and
 connectivity a breadth-first search over masks.  The label views (`faces`,
 `less`, `rank_of`, `covers`) are derived only when read, and the
 `is_polytope` report is computed once and kept on the poset.
+
+`pos_of` and the extension's read-off poset mark what they build when the
+maniplex's memoised `validate` report is ok (`of_valid_maniplex`), and on
+such a poset `is_polytope` skips three facts its construction proves:
+
+(a) Gradedness.  Two faces are incident only when they share a flag, and
+    that flag's faces of every rank in between lie above the one and below
+    the other, so no cover skips a rank.  This needs no precondition.
+(b) Transitivity of the pairs with the least or greatest face.  Their
+    masks are set as whole ranges, so only the pairs of proper faces are
+    tested.  This needs only the bounded construction.
+(c) Connectivity of every section whose lower face is the least face or
+    whose upper face is the greatest, the whole poset included.  The flags
+    of a face are joined by steps of the other colours, and a colour-k step
+    changes only the k-face of a flag's chain, so the chains of the face's
+    flags, and with them its faces below (above) it, are connected under
+    incidence; the flag graph itself is connected.  This needs the face
+    tables to be true components, that is involutory rows, and a connected
+    flag graph: the valid report.
 """
 
 from __future__ import annotations
@@ -48,6 +67,9 @@ class RankedPoset:
     pairs.  Two posets are equal when they have the same rank, faces and
     order.  A poset is not changed once numbered, so `is_polytope` keeps
     its report on it."""
+
+    # the face poset of a valid maniplex, as its builders mark it (see the module docstring)
+    of_valid_maniplex = False
 
     def __init__(self, rank: int, faces, less) -> None:
         """Check and number a poset given as label levels, rank -1 first, and label pairs."""
@@ -143,22 +165,25 @@ def pos_of(m: Maniplex) -> RankedPoset:
     """The face poset, with labels 'rank:canonicalFlag' plus '-1:0' and 'n:0';
     faces of different ranks are incident when some flag lies in both.
     Indexed straight from the face tables: per pair of ranks, the id pairs
-    of the flags' faces.  A poset kept in the maniplex's cache is returned
-    as it is."""
+    of the flags' faces.  Marked when the maniplex's memoised `validate`
+    report is ok; no report is computed here.  A poset kept in the
+    maniplex's cache is returned as it is."""
     p = m._cache.get("poset")
     if p is not None:
         return p
     n = m.rank
     ids = [face_table(m, i) for i in range(n)]
     incident = (((i, j), set(zip(ids[i], ids[j]))) for i in range(n) for j in range(i + 1, n))
-    return face_poset(n, [set(row) for row in ids], incident)
+    report = m._cache.get("valid")
+    return face_poset(n, [set(row) for row in ids], incident, report is not None and report.ok)
 
 
-def face_poset(n: int, levels: list, incident: Iterable) -> RankedPoset:
+def face_poset(n: int, levels: list, incident: Iterable, valid: bool) -> RankedPoset:
     """The bounded rank-n poset whose rank-i faces are the ids in levels[i],
     labelled 'i:c' and numbered by rank, then label, with '-1:0' below and
     'n:0' above them all; incident yields, per pair of ranks (i, j), the id
-    pairs (a, b) with face a of rank i below face b of rank j."""
+    pairs (a, b) with face a of rank i below face b of rank j.  valid marks
+    it as the face poset of a maniplex whose `validate` report is ok."""
     labels, ranks = ["-1:0"], [-1]
     numbers: list[dict[int, int]] = []
     for i, level in enumerate(levels):
@@ -172,6 +197,7 @@ def face_poset(n: int, levels: list, incident: Iterable) -> RankedPoset:
         pairs += [(lower[a], upper[b]) for a, b in ab]
     p = RankedPoset.__new__(RankedPoset)  # numbered right, so skip the label checks
     p._set(n, labels + [f"{n}:0"], ranks + [n], pairs, bounded=True)
+    p.of_valid_maniplex = valid
     return p
 
 
@@ -192,7 +218,10 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
     """Faithful when no two flags share a chain.  Otherwise the witness is
     the two least flags of the first shared chain, with chains ordered by
     their 'i:c' labels, that is by the ids as strings; fibers are grouped
-    only then.  Computed once per maniplex and kept in its cache."""
+    only then.  The first chain is found rank by rank: keep the shared
+    chains whose id at rank i is the least of theirs as a string, a
+    choice among the under-100 faces of a rank.  Computed once per
+    maniplex and kept in its cache."""
     result = m._cache.get("faithful")
     if result is None:
         chains = flag_function(m)
@@ -202,8 +231,11 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
             fibers: dict[tuple[int, ...], list[int]] = defaultdict(list)
             for f, chain in enumerate(chains):
                 fibers[chain].append(f)
-            chain = min((c for c, fiber in fibers.items() if len(fiber) > 1), key=lambda c: tuple(map(str, c)))
-            result = FaithfulnessResult(False, tuple(fibers[chain][:2]))
+            shared = [c for c, fiber in fibers.items() if len(fiber) > 1]
+            for i in range(m.rank):
+                least = min({c[i] for c in shared}, key=str)
+                shared = [c for c in shared if c[i] == least]
+            result = FaithfulnessResult(False, tuple(fibers[shared[0]][:2]))
         m._cache["faithful"] = result
     return result
 
@@ -218,14 +250,23 @@ class PolytopeReport:
     malformed: Optional[str]  # distinct: structure is not even a graded poset
 
 
+def _judged_pairs(p: RankedPoset) -> tuple[tuple[int, int], ...]:
+    """The order pairs the axioms search: on a marked poset only those of
+    proper faces, which `_set` lists after the 2 * faces - 3 pairs with the
+    least or greatest face."""
+    return p.pairs[2 * len(p.labels) - 3 :] if p.of_valid_maniplex else p.pairs
+
+
 def order_transitivity_witness(p: RankedPoset) -> Optional[tuple[str, str, str]]:
     """The least (a, b, c) with a < b < c but not a < c, or None.
 
     Least means b first in `rank_of` order (by rank, then label), then a,
-    then c in label order, so the witness does not depend on hashing.
+    then c in label order, so the witness does not depend on hashing.  A
+    pair with the least face below or the greatest above never fails when
+    their masks are whole ranges, so a marked poset's are not tested.
     """
     labels, up = p.labels, p.up
-    bad = [(j, i) for i, j in p.pairs if up[j] & ~up[i]]
+    bad = [(j, i) for i, j in _judged_pairs(p) if up[j] & ~up[i]]
     if not bad:
         return None
     j = min(bad)[0]
@@ -335,12 +376,15 @@ def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
 
     Each search runs on the face masks: the section's proper faces are the
     mask up[lower] & down[upper], and each round adds every face above or
-    below one on the frontier.
+    below one on the frontier.  On a marked poset the sections whose lower
+    face is the least or whose upper face is the greatest are connected by
+    construction (fact (c) of the module docstring) and are not searched.
     """
     labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
-    near = [u | d for u, d in zip(up, down)]
     # faces are numbered by rank, then label, so (rank, label) of lower is its number
-    for i, upper, j in sorted((i, labels[j], j) for i, j in p.pairs if ranks[j] - ranks[i] > 2):
+    sections = sorted((i, labels[j], j) for i, j in _judged_pairs(p) if ranks[j] - ranks[i] > 2)
+    near = [u | d for u, d in zip(up, down)] if sections else []
+    for i, upper, j in sections:
         inside = up[i] & down[j]
         reached = frontier = inside & -inside
         while frontier:
@@ -364,7 +408,9 @@ def is_polytope(p: RankedPoset) -> PolytopeReport:
     (bounded, every maximal chain of full length) the earlier checks
     establish; its witness is the first (lower, upper) section whose proper
     faces are disconnected under incidence (`flag_connectivity_witness`).
-    The report is computed once per poset and kept on it.
+    The report is computed once per poset and kept on it.  On a poset
+    marked as a valid maniplex's, what the construction proves is skipped
+    (see the module docstring); the report is the same.
     """
     if p._report is None:
         p._report = _judge(p)
@@ -378,7 +424,8 @@ def _judge(p: RankedPoset) -> PolytopeReport:
     witness = boundedness_witness(p)
     if witness is not None:
         return PolytopeReport(False, "bounded", witness, None)
-    witness = gradedness_witness(p)
+    # a marked poset is graded by construction (fact (a) of the module docstring)
+    witness = None if p.of_valid_maniplex else gradedness_witness(p)
     if witness is not None:
         return PolytopeReport(False, "graded", witness, None)
     witness = diamond_witness(p)
@@ -417,7 +464,7 @@ def poset_isomorphism(p: RankedPoset, q: RankedPoset) -> Optional[dict[str, str]
 
     Only vouched for on posets with at most ISO_FACE_LIMIT proper faces.
     The package's own facet-section check no longer calls it (see
-    `extension._section_matches_base`); the tests keep it as the
+    `extension._sections_match_base`); the tests keep it as the
     brute-force oracle for that check.
     """
     if p.rank != q.rank:

@@ -227,6 +227,28 @@ def tag_spans_match_by_faces(base: Perms, facet_flags, ext: Perms) -> bool:
     return True
 
 
+def facet_section_matches_base_by_labels(p_base, ext_perms: Perms, p_ext, t: int) -> bool:
+    """One facet at a time, on labels: is the section of p_ext below facet
+    'n:t' the image of p_base under base face 'i:c' -> the extension i-face
+    holding flag 4c + t (faces by `faces_by_bfs`), bottom to bottom and top
+    to the facet?  The map must be a bijection onto the faces at or below
+    the facet that carries p_base's order exactly onto the section's."""
+    n = p_base.rank
+    face_of = []
+    for i in range(n):
+        face_of.append({f: c for c, members in faces_by_bfs(ext_perms, i) for f in members})
+    facet = f"{n}:{t}"
+    to = {p_base.level(-1)[0]: p_ext.level(-1)[0], p_base.level(n)[0]: facet}
+    for r in range(n):
+        for label in p_base.level(r):
+            c = int(label.split(":")[1])
+            to[label] = f"{r}:{face_of[r][4 * c + t]}"
+    inside = {a for a, b in p_ext.less if b == facet} | {facet}
+    if len(set(to.values())) != len(to) or set(to.values()) != inside:
+        return False
+    return {(to[a], to[b]) for a, b in p_base.less} == {(a, b) for a, b in p_ext.less if a in inside and b in inside}
+
+
 def section_by_filter(faces, less, lower: str, upper: str):
     """(faces per rank from lower up to upper, strict order) of a section,
     filtering every pair of the whole order."""

@@ -199,6 +199,29 @@ def test_live_cosets_are_in_relator_trace_order():
     assert coincided >= checked // 2
 
 
+def test_involution_relators_close_by_one_lookup():
+    # an involution relator (d, d) is decided by whether alpha.d is defined,
+    # with no walk: the tables still equal plain HLT's, which has no such
+    # shortcut, on seeded random presentations (the named cases are compared
+    # in test_coset_enumerate_matches_hlt_oracle), and every arrow has its
+    # partner, the invariant the shortcut rests on.  The allocation counts,
+    # the 5-cube's 4 598 among them, are pinned in
+    # test_coset_built_maniplexes_pin_their_allocations
+    cases = []
+    rng = random.Random(20261019)
+    while len(cases) < 200:
+        pres, subgroup = random_involutory_case(rng)
+        try:
+            coset_enumerate(pres, subgroup, cap=500)
+        except CosetCapExceeded:
+            continue
+        cases.append((pres, subgroup))
+    for pres, subgroup in cases:
+        perms = coset_enumerate(pres, subgroup).perms
+        assert perms == coset_enumerate_hlt(pres, subgroup), (pres, subgroup)
+        assert all(row[row[c]] == c for row in perms for c in range(len(row))), (pres, subgroup)
+
+
 def test_subgroup_letters_are_validated():
     pres = string_coxeter([4, 3])
     # -1 would otherwise index the last generator's row and act as generator 2

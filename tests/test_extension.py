@@ -15,7 +15,12 @@ from maniplex.extension import (
     verify_extension,
 )
 from maniplex.poset import RankedPoset, is_faithful, pos_of, section, poset_isomorphism
-from oracles import order_isomorphic_by_cover_search, section_by_filter, tag_spans_match_by_faces
+from oracles import (
+    facet_section_matches_base_by_labels,
+    order_isomorphic_by_cover_search,
+    section_by_filter,
+    tag_spans_match_by_faces,
+)
 
 
 def statuses(result):
@@ -258,23 +263,27 @@ def test_facet_section_check_fails_on_mutated_posets():
     p_base, p_ext = pos_of(cube), pos_of(ext)
     bottom, label = p_ext.level(-1)[0], "3:0"  # facet 0 is the tag class {4g}
     section_faces, section_less = section_by_filter(p_ext.faces, p_ext.less, bottom, label)
-    assert all(extension._section_matches_base(cube, p_base, ext, p_ext, t) for t in range(4))
+    assert extension._sections_match_base(cube, p_base, ext, p_ext)
+    assert all(facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, t) for t in range(4))
     assert order_isomorphic_by_cover_search(section_faces, section_less, p_base.faces, p_base.less)
 
     bad_base = moved_pair(p_base)
-    assert not extension._section_matches_base(cube, bad_base, ext, p_ext, 0)
+    assert not extension._sections_match_base(cube, bad_base, ext, p_ext)
+    assert not facet_section_matches_base_by_labels(bad_base, ext.perms, p_ext, 0)
     assert poset_isomorphism(section(p_ext, bottom, label), bad_base) is None
     assert not order_isomorphic_by_cover_search(section_faces, section_less, bad_base.faces, bad_base.less)
 
     bad_ext = moved_pair(p_ext)
-    assert not extension._section_matches_base(cube, p_base, ext, bad_ext, 0)
+    assert not extension._sections_match_base(cube, p_base, ext, bad_ext)
+    assert not facet_section_matches_base_by_labels(p_base, ext.perms, bad_ext, 0)
     assert poset_isomorphism(section(bad_ext, bottom, label), p_base) is None
 
     # facet 0 read through tag 1: its section is still a copy of the base,
     # but the faces at the flags 4c + 1 are not the faces below it
     misread = swapped_facets(p_ext, "3:0", "3:1")
     assert poset_isomorphism(section(misread, bottom, "3:1"), p_base) is not None
-    assert not extension._section_matches_base(cube, p_base, ext, misread, 1)
+    assert not extension._sections_match_base(cube, p_base, ext, misread)
+    assert not facet_section_matches_base_by_labels(p_base, ext.perms, misread, 1)
 
 
 def test_facet_section_check_needs_a_bijection():
@@ -300,8 +309,29 @@ def test_facet_section_check_needs_a_bijection():
     assert facet.flags == tuple(range(0, 32, 4))
     assert isomorphic(restrict(ext, facet.flags, range(3)), m) is not None
     p_base, p_ext = pos_of(m), pos_of(ext)
-    assert not extension._section_matches_base(m, p_base, ext, p_ext, 0)
+    assert not extension._sections_match_base(m, p_base, ext, p_ext)
+    assert not facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, 0)
     assert poset_isomorphism(section(p_ext, p_ext.level(-1)[0], "3:0"), p_base) is None
+
+
+def test_facet_sections_in_one_pass_match_each_facet(bstar_result):
+    # the one pass over the order pairs answers as the four per-facet
+    # checks do, on the tower's ranks 5-7 and on mutants of each whose
+    # facet-t section lost its pair with one ridge: only that facet fails
+    m = bstar_result.bstar
+    for rank in (5, 6, 7):
+        ext = extend(m, faces(m, rank - 2)[0])
+        p_base, p_ext = pos_of(m), pos_of(ext)
+        assert [facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, t) for t in range(4)] == [True] * 4
+        assert extension._sections_match_base(m, p_base, ext, p_ext)
+        for t in range(4):
+            facet = f"{rank - 1}:{t}"
+            ridge = min(a for a, b in p_ext.less if b == facet and p_ext.rank_of[a] == rank - 2)
+            mutant = RankedPoset(p_ext.rank, p_ext.faces, p_ext.less - {(ridge, facet)})
+            per_facet = [facet_section_matches_base_by_labels(p_base, ext.perms, mutant, u) for u in range(4)]
+            assert per_facet == [u != t for u in range(4)], (rank, t)
+            assert not extension._sections_match_base(m, p_base, ext, mutant), (rank, t)
+        m = ext
 
 
 def crossed(ext: Maniplex, colour: int = 0, x: int = 0, y: int = 1) -> Maniplex:
@@ -486,6 +516,7 @@ def assert_read_off_base(m: Maniplex, ext: Maniplex) -> None:
     assert (got.rank, got.labels, got.ranks) == (want.rank, want.labels, want.ranks)
     assert set(got.pairs) == set(want.pairs) and len(got.pairs) == len(want.pairs)
     assert got == want and got.down == want.down
+    assert got.of_valid_maniplex == want.of_valid_maniplex == ext._cache["valid"].ok
 
 
 def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, monkeypatch):

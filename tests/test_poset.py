@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -6,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from maniplex import coxeter, poset
-from maniplex.core import FormatError, Maniplex, dual, faces, isomorphic
+from maniplex import core, coxeter, poset
+from maniplex.certify import all_ok
+from maniplex.core import FormatError, Maniplex, dual, faces, isomorphic, validate
 from maniplex.corpus import platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.coxeter import verdict
-from maniplex.extension import extend
+from maniplex.extension import extend, verify_extension
 from maniplex.poset import (
     ISO_FACE_LIMIT,
     RankedPoset,
@@ -46,7 +48,11 @@ from oracles import (
     section_chains_connected,
 )
 import suites
-from test_extension import moved_pair
+from test_extension import crossed, moved_pair
+
+# the label-set oracle's report, computed once per poset (faces and order)
+# for the tests that compare the same posets with it
+label_set_report = functools.lru_cache(maxsize=None)(polytope_report_by_label_sets)
 
 # hand-built pathological posets
 NOT_TRANSITIVE = RankedPoset(
@@ -309,7 +315,7 @@ def test_is_polytope_matches_label_set_oracle(oracle_members):
     outcomes = set()
     for p in posets + mutants:
         report = is_polytope(p)
-        want = polytope_report_by_label_sets(p.faces, p.less)
+        want = label_set_report(p.faces, p.less)
         assert (report.ok, report.failed, report.witness, report.malformed) == want, p.faces
         outcomes.add(want[1] or want[3])
     axioms = {"order-not-transitive", "bounded", "graded", "diamond", "strong-flag-connectivity"}
@@ -339,7 +345,159 @@ def test_pos_of_matches_label_oracle(oracle_members):
         p = pos_of(m)
         report = is_polytope(p)
         got = (report.ok, report.failed, report.witness, report.malformed)
-        assert got == polytope_report_by_label_sets(p.faces, p.less), m
+        assert got == label_set_report(p.faces, p.less), m
+
+
+def report_of(p: RankedPoset) -> tuple:
+    report = is_polytope(p)
+    return (report.ok, report.failed, report.witness, report.malformed)
+
+
+def redirected(m: Maniplex) -> Maniplex:
+    """m with colour 0 at flag 0 sent where it goes at flag 1: a row that is
+    not a permutation."""
+    perms = [list(row) for row in m.perms]
+    perms[0][0] = perms[0][1]
+    return Maniplex(tuple(map(tuple, perms)))
+
+
+def test_marked_posets_judge_as_their_label_built_copies(oracle_members):
+    """The face poset of a validated maniplex is marked, and judged skipping
+    what its construction proves; its report, witness included, must equal
+    the label-set oracle's and the full judgement of its label-built copy,
+    on the oracle members (two disjoint squares among them), every census
+    pool map and mutants: crossed colour-0 edges (permutation rows that fail
+    the axioms), crossed colour-1 edges (another valid map at rank 3, rows
+    failing the square axiom at rank 6) and a redirected entry (a row that
+    is no permutation)."""
+    pool = [torus_44(b, c) for b, c in suites.TORUS_POOL]
+    mutants = []
+    for m in (platonic("cube"), platonic("hemicube"), torus_44(2, 1), torus_44(1, 1), oracle_members[-1]):
+        mutants += [crossed(m), crossed(m, 1, 0, 5), redirected(m)]
+    marked = unmarked = 0
+    for member in [*oracle_members, *pool, *mutants]:
+        m = Maniplex(member.perms)  # no poset cached from elsewhere
+        valid = validate(m).ok
+        p = pos_of(m)
+        assert p.of_valid_maniplex == valid, m
+        marked += valid
+        unmarked += not valid
+        copy = RankedPoset(p.rank, p.faces, p.less)
+        assert not copy.of_valid_maniplex and copy == p
+        got = report_of(p)
+        assert got == report_of(copy) == label_set_report(p.faces, p.less), m
+    assert (marked, unmarked) == (len(oracle_members) - 1 + len(pool) + 4, 1 + 11)
+
+
+def random_map(rng: random.Random, quads: int) -> Maniplex:
+    """A random rank-3 flag graph on 4 * quads flags: colours 0 and 2 are
+    the commuting matchings f ^ 1 and f ^ 2, colour 1 a random
+    fixed-point-free involution that differs from both at every flag.
+    Valid exactly when connected."""
+    size = 4 * quads
+    while True:
+        flags = rng.sample(range(size), size)
+        pairs = list(zip(flags[::2], flags[1::2]))
+        if all(a ^ b not in (1, 2) for a, b in pairs):
+            break
+    r1 = [0] * size
+    for a, b in pairs:
+        r1[a], r1[b] = b, a
+    return Maniplex((tuple(f ^ 1 for f in range(size)), tuple(r1), tuple(f ^ 2 for f in range(size))))
+
+
+def disconnected_boundary_section(p: RankedPoset):
+    """The first section, three or more ranks apart, with the least face
+    below or the greatest above, whose proper faces are not connected under
+    incidence, computed on labels; None when there is none."""
+    bottom, top = p.level(-1)[0], p.level(p.rank)[0]
+    near = {x: set() for x in p.rank_of}
+    for a, b in p.less:
+        near[a].add(b)
+        near[b].add(a)
+    for lower, upper in sorted(p.less):
+        if p.rank_of[upper] - p.rank_of[lower] <= 2 or (lower != bottom and upper != top):
+            continue
+        inside = near[lower] & near[upper] - {lower, upper}
+        start = min(inside)
+        seen, stack = {start}, [start]
+        while stack:
+            for y in near[stack.pop()] & inside - seen:
+                seen.add(y)
+                stack.append(y)
+        if seen != inside:
+            return (lower, upper)
+    return None
+
+
+def test_marked_posets_hold_the_construction_facts():
+    """On seeded random flag graphs: every marked poset (a valid maniplex's:
+    random maps and their rank-4 extensions) is graded and has every
+    section at the least or greatest face connected, and its report equals
+    its label-built copy's.  Rows that are no permutation are never marked,
+    and some of them do have a disconnected boundary section, so the mark
+    needs the valid report."""
+    rng = random.Random(20261019)
+    marked = disconnected = 0
+    for _ in range(150):
+        m = random_map(rng, rng.randint(2, 8))
+        members = [m]
+        if validate(m).ok:
+            members.append(extend(m, faces(m, 2)[rng.randrange(len(faces(m, 2)))]))
+        for m in members:
+            valid = validate(m).ok
+            p = pos_of(m)
+            assert p.of_valid_maniplex == valid
+            if valid:
+                marked += 1
+                assert gradedness_witness(p) is None
+                assert disconnected_boundary_section(p) is None
+                assert report_of(p) == report_of(RankedPoset(p.rank, p.faces, p.less))
+    for _ in range(300):
+        size, rank = 2 * rng.randint(2, 8), rng.randint(3, 4)
+        m = Maniplex(tuple(tuple(rng.randrange(size) for _ in range(size)) for _ in range(rank)))
+        validate(m)
+        p = pos_of(m)
+        assert not p.of_valid_maniplex
+        disconnected += disconnected_boundary_section(p) is not None
+    assert marked >= 150 and disconnected > 0
+
+
+def test_pipeline_operations_mark_posets_without_more_validation(bstar_result, monkeypatch):
+    """The benchmark's operations, replayed: a census map, a regular
+    polytope and three tower steps.  Each runs the `_validate` calls it ran
+    before posets were marked (one for the census and the regular
+    operation, none for a tower step, whose report is read off its base),
+    and judges one poset, once: a marked one."""
+    validated, judged = [], []
+    inner_validate, inner_judge = core._validate, poset.order_transitivity_witness
+    monkeypatch.setattr(core, "_validate", lambda m: validated.append(m) or inner_validate(m))
+    monkeypatch.setattr(poset, "order_transitivity_witness", lambda p: judged.append(p) or inner_judge(p))
+
+    def replay(operation):
+        validated.clear()
+        judged.clear()
+        operation()
+        assert all(p.of_valid_maniplex for p in judged)
+        return len(validated), [p.rank for p in judged]
+
+    def census():
+        m = torus_44(3, 2)
+        assert validate(m).ok and verdict(m).summary == "semisparse"
+
+    def regular():
+        m = coset_enumerate(string_coxeter([3, 4, 3])).to_maniplex()
+        assert validate(m).ok and verdict(m).summary == "semisparse"
+
+    assert replay(census) == (1, [3])
+    assert replay(regular) == (1, [4])
+    m = bstar_result.bstar  # its poset, judged, is kept in its cache for the first step
+    assert is_polytope(pos_of(m)).ok
+    for rank in (5, 6, 7):
+        result = []
+        assert replay(lambda: result.append(verify_extension(m, faces(m, rank - 2)[0]))) == (0, [rank])
+        assert all_ok(result[0].checks)
+        m = result[0].extension
 
 
 # a 3x3 poset whose only missing pairs end at the top: every y has four
