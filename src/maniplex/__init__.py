@@ -32,7 +32,7 @@ from .counterexample import (
     find_theta,
     verify_B_conditions,
 )
-from .coxeter import Verdict, act, coset_words, schreier_correspondence, verdict
+from .coxeter import Verdict, verdict
 from .extension import extend, verify_extension
 from .poset import (
     RankedPoset,
@@ -79,9 +79,6 @@ __all__ = [
     "find_theta",
     "verify_B_conditions",
     "Verdict",
-    "act",
-    "coset_words",
-    "schreier_correspondence",
     "verdict",
     "extend",
     "verify_extension",

@@ -32,7 +32,7 @@ from .core import (
 )
 from .corpus import corpus_names, platonic, torus_44
 from .counterexample import BStarResult, build_B, build_B_star, build_E_theta, find_theta
-from .coxeter import schreier_correspondence, verdict as classify
+from .coxeter import verdict as classify
 from .extension import extend, verify_extension
 from .poset import pos_of, poset_to_dot, poset_to_json_dict
 
@@ -261,7 +261,6 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     if not 0 <= args.base < m.flag_count:
         raise ValueError(f"base flag {args.base} out of range (0..{m.flag_count - 1})")
     v = classify(m)
-    schreier = schreier_correspondence(m, args.base)
     doc = {
         "version": __version__,
         "input_digest": digest,
@@ -270,7 +269,8 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         "semisparse": v.semisparse,
         "summary": v.summary,
         "witness": v.witness,
-        "schreier_ok": schreier.ok,
+        # holds on every valid maniplex and base flag: see the `coxeter` module docstring
+        "schreier_ok": True,
     }
     _emit(dumps_json(doc), args.output)
     return 0

@@ -284,7 +284,7 @@ def _poset_over_base(p_base: RankedPoset, quotient: tuple, valid: bool) -> Ranke
     class holds t."""
     n = p_base.rank
     _, _, over = quotient
-    at = [tuple(map(int, label.split(":"))) for label in p_base.labels]  # face number -> (rank, id)
+    at = list(zip(p_base.ranks, p_base.ids))  # face number -> (rank, id)
     incident: dict[tuple[int, int], set[tuple[int, int]]] = defaultdict(set)
     for a, b in p_base.pairs:
         (i, c), (j, d) = at[a], at[b]
@@ -328,14 +328,14 @@ def _sections_match_base(m: Maniplex, p_base: RankedPoset, ext: Maniplex, p_ext:
     pairs in all.
     """
     n = m.rank
-    number = {label: k for k, label in enumerate(p_ext.labels)}
+    number = {face: k for k, face in enumerate(zip(p_ext.ranks, p_ext.ids))}  # (rank, id) -> face number
     ids = [face_table(ext, i) for i in range(n)]
-    proper = [tuple(map(int, label.split(":"))) for label in p_base.labels[1:-1]]  # 'i:c' -> (i, c)
+    proper = list(zip(p_base.ranks[1:-1], p_base.ids[1:-1]))  # base face number - 1 -> (rank, id)
     member = [0] * len(p_ext.labels)  # extension face number -> bit t set when it lies in section t
     want = set()
     for t in range(4):
         # base face number -> extension face number; both bottoms are face 0
-        to = [0] + [number[f"{i}:{ids[i][4 * c + t]}"] for i, c in proper] + [number[f"{n}:{t}"]]
+        to = [0] + [number[i, ids[i][4 * c + t]] for i, c in proper] + [number[n, t]]
         inside = p_ext.down[to[-1]] | 1 << to[-1]
         if len(set(to)) != len(to) or sum(1 << k for k in to) != inside:
             return False

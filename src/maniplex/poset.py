@@ -40,7 +40,7 @@ such a poset `is_polytope` skips three facts its construction proves:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -61,7 +61,8 @@ def _labels_in(labels: tuple[str, ...], mask: int) -> list[str]:
 
 class RankedPoset:
     """A ranked poset held as integers.  Face k is labels[k], an opaque
-    string, of rank ranks[k], faces numbered by rank, then label.  Bit j of
+    string, of rank ranks[k], faces numbered by rank, then label; on a face
+    poset, ids[k] is its id in the face table of its rank.  Bit j of
     up[k] (of down[k]) is set when face j lies above (below) face k; pairs
     are the order pairs as (k, j), and `less` is the strict order as label
     pairs.  Two posets are equal when they have the same rank, faces and
@@ -141,6 +142,11 @@ class RankedPoset:
         return frozenset((labels[i], labels[j]) for i, j in self.pairs)
 
     @cached_property
+    def ids(self) -> tuple[int, ...]:
+        """Face number -> c of its label 'i:c'; `face_poset` sets them."""
+        return tuple(int(label.split(":")[1]) for label in self.labels)
+
+    @cached_property
     def rank_of(self) -> dict[str, int]:
         return dict(zip(self.labels, self.ranks))
 
@@ -184,19 +190,21 @@ def face_poset(n: int, levels: list, incident: Iterable, valid: bool) -> RankedP
     'n:0' above them all; incident yields, per pair of ranks (i, j), the id
     pairs (a, b) with face a of rank i below face b of rank j.  valid marks
     it as the face poset of a maniplex whose `validate` report is ok."""
-    labels, ranks = ["-1:0"], [-1]
+    ids, ranks = [0], [-1]
     numbers: list[dict[int, int]] = []
     for i, level in enumerate(levels):
         level = sorted(level, key=str)
-        numbers.append({c: k for k, c in enumerate(level, start=len(labels))})
-        labels += [f"{i}:{c}" for c in level]
+        numbers.append({c: k for k, c in enumerate(level, start=len(ids))})
+        ids += level
         ranks += [i] * len(level)
+    ids, ranks = ids + [0], ranks + [n]
     pairs = []
     for (i, j), ab in incident:
         lower, upper = numbers[i], numbers[j]
         pairs += [(lower[a], upper[b]) for a, b in ab]
     p = RankedPoset.__new__(RankedPoset)  # numbered right, so skip the label checks
-    p._set(n, labels + [f"{n}:0"], ranks + [n], pairs, bounded=True)
+    p._set(n, [f"{i}:{c}" for i, c in zip(ranks, ids)], ranks, pairs, bounded=True)
+    p.ids = tuple(ids)
     p.of_valid_maniplex = valid
     return p
 
@@ -217,7 +225,7 @@ class FaithfulnessResult(NamedTuple):
 def is_faithful(m: Maniplex) -> FaithfulnessResult:
     """Faithful when no two flags share a chain.  Otherwise the witness is
     the two least flags of the first shared chain, with chains ordered by
-    their 'i:c' labels, that is by the ids as strings; fibers are grouped
+    their 'i:c' labels, that is by the ids as strings; chains are counted
     only then.  The first chain is found rank by rank: keep the shared
     chains whose id at rank i is the least of theirs as a string, a
     choice among the under-100 faces of a rank.  Computed once per
@@ -228,14 +236,12 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
         if len(set(chains)) == m.flag_count:
             result = FaithfulnessResult(True, None)
         else:
-            fibers: dict[tuple[int, ...], list[int]] = defaultdict(list)
-            for f, chain in enumerate(chains):
-                fibers[chain].append(f)
-            shared = [c for c, fiber in fibers.items() if len(fiber) > 1]
+            shared = [c for c, count in Counter(chains).items() if count > 1]
             for i in range(m.rank):
                 least = min({c[i] for c in shared}, key=str)
                 shared = [c for c in shared if c[i] == least]
-            result = FaithfulnessResult(False, tuple(fibers[shared[0]][:2]))
+            first = chains.index(shared[0])
+            result = FaithfulnessResult(False, (first, chains.index(shared[0], first + 1)))
         m._cache["faithful"] = result
     return result
 

@@ -518,12 +518,63 @@ def cover_graph(
     return 2 * n_vertices, out
 
 
+def act(perms: Perms, word, flag: int) -> int:
+    """The flag a word carries `flag` to, rightmost letter first."""
+    for letter in reversed(word):
+        flag = perms[letter][flag]
+    return flag
+
+
 def in_stabilizer(perms: Perms, base: int, word) -> bool:
     """Does the word (rightmost letter first) fix the base flag?"""
-    f = base
-    for letter in reversed(word):
-        f = perms[letter][f]
-    return f == base
+    return act(perms, word, base) == base
+
+
+def coset_words_by_levels(perms: Perms, base: int) -> tuple[tuple[int, ...], ...]:
+    """Shortest-lex word from `base` to every flag.  Level by level, every
+    flag not yet named looks at its neighbours on the last level and takes
+    the least of the words (i,) + word(r_i g); ValueError when some flag is
+    never reached."""
+    size = len(perms[0])
+    words: dict[int, tuple[int, ...]] = {base: ()}
+    level = {base}
+    while level:
+        found = {}
+        for g in range(size):
+            if g in words:
+                continue
+            cands = [(i,) + words[row[g]] for i, row in enumerate(perms) if row[g] in level]
+            if cands:
+                found[g] = min(cands)
+        words.update(found)
+        level = set(found)
+    if len(words) != size:
+        raise ValueError("flag graph is not connected")
+    return tuple(words[f] for f in range(size))
+
+
+class SchreierReport(NamedTuple):
+    words: tuple[tuple[int, ...], ...]
+    acts_correctly: bool  # act(words[f], base) == f for every flag
+    single_letters_free: bool  # no generator fixes the base flag
+    letter_pairs_free: bool  # no word r_i r_j (i != j) fixes it
+
+    @property
+    def ok(self) -> bool:
+        return self.acts_correctly and self.single_letters_free and self.letter_pairs_free
+
+
+def schreier_report(perms: Perms, base: int) -> SchreierReport:
+    """The flag/coset dictionary of shortest-lex words from `base`, with
+    every word replayed and every word of one or two letters tried."""
+    words = coset_words_by_levels(perms, base)
+    rank = len(perms)
+    return SchreierReport(
+        words,
+        all(act(perms, w, base) == f for f, w in enumerate(words)),
+        not any(in_stabilizer(perms, base, (i,)) for i in range(rank)),
+        not any(in_stabilizer(perms, base, (i, j)) for i in range(rank) for j in range(rank) if i != j),
+    )
 
 
 def stabilizer_label(word, index: int) -> str:

@@ -13,7 +13,7 @@ from maniplex.core import (
     validate,
 )
 from maniplex.corpus import torus_44
-from maniplex.coxeter import act, coset_words, verdict
+from maniplex.coxeter import verdict
 from maniplex.poset import (
     is_faithful,
     is_polytopal,
@@ -21,7 +21,7 @@ from maniplex.poset import (
     pos_of,
 )
 from maniplex.voltage import canonical_edge, double_cover
-from oracles import flag_function, flag_graph_by_chains
+from oracles import act, flag_function, flag_graph_by_chains, schreier_report
 
 SEED = 20260825
 
@@ -121,7 +121,7 @@ def suite_quotient_commutes(base, cover, rng, trials=1000):
     for _ in range(trials):
         w = tuple(rng.randrange(base.rank) for _ in range(rng.randrange(21)))
         v = rng.randrange(cover.flag_count)
-        assert act(cover, w, v) // 2 == act(base, w, v // 2)
+        assert act(cover.perms, w, v) // 2 == act(base.perms, w, v // 2)
         cases += 1
     return cases
 
@@ -158,10 +158,10 @@ def suite_schreier_words(members):
     """Coset words are shortest-lex, reach their flags, and nest by prefix."""
     cases = 0
     for m in members:
-        words = coset_words(m)
+        words = schreier_report(m.perms, 0).words
         assert words[0] == ()
         for f, w in enumerate(words):
-            assert act(m, w, 0) == f
+            assert act(m.perms, w, 0) == f
             assert not w or w[1:] in words
             cases += 1
     return cases

@@ -11,7 +11,18 @@ import maniplex
 from maniplex import cli, corpus, poset
 from maniplex.certify import FAIL, Refusal
 from maniplex.cli import main
-from maniplex.core import ValidationReport, maniplex_from_json
+from maniplex.core import (
+    AXIOM_CONNECTED,
+    AXIOM_FIXED_POINT_FREE,
+    AXIOM_INVOLUTION,
+    AXIOM_PROPER,
+    Maniplex,
+    ValidationReport,
+    maniplex_from_json,
+    maniplex_to_json,
+    validate,
+)
+from maniplex.corpus import platonic
 from maniplex.cosets import CosetCapExceeded
 from maniplex.counterexample import BuildError, EThetaOverlap, ThetaNotFound
 from maniplex.voltage import double_cover
@@ -379,6 +390,53 @@ def test_verdict_document(tmp_path):
 def test_verdict_base_out_of_range(tmp_path):
     path = gen(tmp_path, "sq.json", "gen", "platonic", "--name", "square")
     assert main(["verdict", "-i", path, "--base", "8"]) == 2
+
+
+def test_verdict_writes_schreier_ok_on_valid_inputs(schreier_members, tmp_path):
+    for k, (m, bases) in enumerate(schreier_members):
+        path = tmp_path / f"member{k}.json"
+        path.write_text(maniplex_to_json(m), encoding="utf-8")
+        for base in bases:
+            out = tmp_path / f"member{k}.base{base}.verdict.json"
+            assert main(["verdict", "-i", str(path), "--base", str(base), "-o", str(out)]) == 0
+            doc = load(out)
+            assert (doc["base"], doc["schreier_ok"]) == (base, True)
+
+
+def test_verdict_refuses_what_schreier_ok_assumes(tmp_path, capsys, two_squares):
+    # schreier_ok rests on the axioms below (see the `coxeter` docstring), so
+    # a file that breaks any one of them is refused before anything is written
+    cube = platonic("cube").perms
+    mutants = {}
+
+    rows = [list(row) for row in cube]  # colour 0 sends flag 0 past its partner
+    rows[0][0] = min(set(range(48)) - {0, *(row[0] for row in cube)})
+    mutants[AXIOM_INVOLUTION] = rows
+
+    rows = [list(row) for row in cube]  # colour 0 fixes flag 0 and its partner
+    rows[0][cube[0][0]] = cube[0][0]
+    rows[0][0] = 0
+    mutants[AXIOM_FIXED_POINT_FREE] = rows
+
+    rows = [list(row) for row in cube]  # colours 0 and 1 agree at flag 0
+    a, p, q = cube[0][0], cube[1][0], cube[1][cube[0][0]]
+    rows[1][0], rows[1][a], rows[1][p], rows[1][q] = a, 0, q, p
+    mutants[AXIOM_PROPER] = rows
+
+    mutants[AXIOM_CONNECTED] = two_squares.perms
+
+    for axiom, rows in mutants.items():
+        report = validate(Maniplex(tuple(map(tuple, rows))))
+        assert axiom in {v.axiom for v in report.violations}, axiom
+        doc = {"rank": len(rows), "flags": len(rows[0]), "perms": [list(row) for row in rows]}
+        path = write_json(tmp_path / f"{axiom}.json", doc)
+        out = tmp_path / f"{axiom}.verdict.json"
+        assert main(["verdict", "-i", path, "-o", str(out)]) == 1, axiom
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: input is not a valid maniplex" in captured.err
+        assert not out.exists()
+        assert list(tmp_path.glob(f"{axiom}.verdict.json*")) == []
 
 
 def test_internal_failures_exit_1(tmp_path, monkeypatch, capsys):

@@ -278,20 +278,6 @@ def connectivity_against_oracle(p: RankedPoset):
     return want
 
 
-@pytest.fixture(scope="module")
-def oracle_members(named_corpus, b_maniplex, bstar_result, simplex5, two_squares):
-    """The named maps, B, B*, the tower's rank-5 and rank-6 extensions, the
-    24-cell, the 5-simplex, two squares and torus_44(b, c) for b, c <= 6."""
-    cell24 = coset_enumerate(string_coxeter([3, 4, 3])).to_maniplex()
-    members = [*named_corpus.values(), b_maniplex, bstar_result.bstar, cell24, simplex5, two_squares]
-    members += [torus_44(b, c) for b in range(7) for c in range(7) if b or c]
-    m = bstar_result.bstar
-    for _ in (5, 6):  # the tower's extensions
-        m = extend(m, faces(m, m.rank - 1)[0])
-        members.append(m)
-    return members
-
-
 def test_flag_connectivity_matches_section_oracle(oracle_members, two_squares):
     for m in oracle_members:
         p = pos_of(m)
