@@ -15,7 +15,7 @@ import sys
 import time
 from itertools import compress
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .certify import FAIL, INFO, Check, Refusal, all_ok, checks_to_json, passed
@@ -26,7 +26,7 @@ from .core import (
     face_table,
     faces,
     maniplex_from_json,
-    maniplex_to_json,
+    maniplex_json_chunks,
     to_dot,
     validate,
 )
@@ -37,21 +37,30 @@ from .extension import extend, verify_extension
 from .poset import pos_of, poset_to_dot, poset_to_json_dict
 
 
-_SLICE = 1 << 20  # characters encoded, written and hashed at a time
+_SLICE = 1 << 20  # characters of a string written at a time
 
 
-def _write(path: Path | str, text: str) -> str:
-    """Write `text` as UTF-8 to `<path>.tmp`, then rename it over `path`:
-    an interrupted write leaves no torn file under the final name.  Returns
-    the SHA-256 of the bytes written.  The text is encoded one slice at a
-    time, so no whole encoded copy of it is ever held."""
+def _chunks(text: str | Iterable[str]) -> Iterable[str]:
+    """The text in slices, or the chunks as given."""
+    if isinstance(text, str):
+        return (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
+    return text
+
+
+def _write(path: Path | str, text: str | Iterable[str]) -> str:
+    """Write a string, or its chunks (`maniplex_json_chunks`), as UTF-8 to
+    `<path>.tmp`, then rename it over `path`: an interrupted write, or a
+    chunk that raises, leaves no torn file under either name.  Returns the
+    SHA-256 of the bytes written.  Each chunk is encoded, written and
+    hashed in turn, so no whole copy of the text or of its bytes is ever
+    held."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
     try:
         with tmp.open("wb") as out:
-            for start in range(0, len(text), _SLICE):
-                data = text[start:start + _SLICE].encode("utf-8")
+            for chunk in _chunks(text):
+                data = chunk.encode("utf-8")
                 out.write(data)
                 digest.update(data)
         os.replace(tmp, path)
@@ -61,9 +70,9 @@ def _write(path: Path | str, text: str) -> str:
     return digest.hexdigest()
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(text: str | Iterable[str], path: Optional[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_chunks(text))
     else:
         _write(path, text)
 
@@ -75,8 +84,13 @@ def _outdir(path: str) -> Path:
 
 
 def _load_maniplex(path: str) -> tuple[Maniplex, str]:
+    """The maniplex in the file and the SHA-256 of its bytes.  The bytes are
+    hashed and decoded, then dropped before the text is parsed."""
     data = Path(path).read_bytes()
-    return maniplex_from_json(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    del data
+    return maniplex_from_json(text), digest
 
 
 def _load_valid(path: str) -> tuple[Maniplex, str]:
@@ -109,7 +123,7 @@ def _write_certified(
 ) -> None:
     """Write the maniplex and the certificate of its checks, whose digest is
     of that file; then refuse at the first failed check."""
-    digest = _write(out / name, maniplex_to_json(m))
+    digest = _write(out / name, maniplex_json_chunks(m))
     _write(out / cert_name, _certificate(digest, checks, **extras))
     _refuse_failed(checks, where)
 
@@ -133,13 +147,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         m = torus_44(args.b, args.c)
     else:
         m = platonic(args.name)
-    _emit(maniplex_to_json(m), args.output)
+    _emit(maniplex_json_chunks(m), args.output)
     return 0
 
 
 def cmd_build_b(args: argparse.Namespace) -> int:
     b = build_B()
-    _emit(maniplex_to_json(b), args.output)
+    _emit(maniplex_json_chunks(b), args.output)
     return 0
 
 
@@ -181,7 +195,7 @@ def _write_bstar(out: Path, result: BStarResult, name: str, cert_name: str) -> N
 def cmd_build_bstar(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     result = build_B_star()
-    digest = _write(out / "b.json", maniplex_to_json(result.b))
+    digest = _write(out / "b.json", maniplex_json_chunks(result.b))
     _write(out / "voltage-theta.json", _voltage_doc(digest, result.theta, result.e_theta))
     _write_bstar(out, result, "bstar.json", "certificate.json")
     return 0
@@ -236,7 +250,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         raise ValueError(f"facet index {args.facet} out of range (0..{len(facet_list) - 1})")
     facet = facet_list[args.facet]
     if not args.verify:
-        _emit(maniplex_to_json(extend(m, facet)), args.output)
+        _emit(maniplex_json_chunks(extend(m, facet)), args.output)
         return 0
     out = _outdir(args.output) if args.output else None
     res = verify_extension(m, facet)
@@ -250,7 +264,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if out is None:
         sys.stdout.write(cert)
     else:
-        _write(out / "extension.json", maniplex_to_json(res.extension))
+        _write(out / "extension.json", maniplex_json_chunks(res.extension))
         _write(out / "certificate.json", cert)
     _refuse_failed(res.checks)
     return 0

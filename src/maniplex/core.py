@@ -14,7 +14,7 @@ import json
 from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 DOT_PALETTE = ("red", "green", "blue", "orange")
 
@@ -81,6 +81,23 @@ class Face(NamedTuple):
     rank: int
     canonical: int
     flags: tuple[int, ...]
+
+
+_FLAG_INTS: list[int] = []
+
+
+def flag_ints(n: int) -> list[int]:
+    """The pool of flag ints, grown to hold at least 0..n-1: entry k is the
+    int object k.  Every maniplex that `extension.extend` builds,
+    `cosets.coset_enumerate` tabulates or `maniplex_from_json` decodes
+    takes its entries from the pool, and so does every `faces` list, so a
+    flag value is one int object across all of them.  The pool never
+    shrinks: it keeps the ints of the largest maniplex built, decoded or
+    grouped into faces in the process alive, about 40 bytes a flag (2 MB
+    at 49 152 flags)."""
+    if len(_FLAG_INTS) < n:
+        _FLAG_INTS.extend(range(len(_FLAG_INTS), n))
+    return _FLAG_INTS
 
 
 def structural_errors(m: Maniplex) -> list[str]:
@@ -210,14 +227,11 @@ def face_table(m: Maniplex, i: int) -> array:
 
 def faces(m: Maniplex, i: int) -> list[Face]:
     """The i-faces, in increasing canonical order, grouped from the face
-    table on each call.  Each flag is stored as the int object the colour-i
-    row already holds for it (row[row[f]] is f for an involution), so the
-    faces add no int objects of their own."""
-    ids, row = face_table(m, i), m.perms[i]
+    table on each call.  Each flag is stored as the pool's int for it
+    (`flag_ints`), so the faces add no int objects of their own."""
     groups: dict[int, list[int]] = defaultdict(list)
-    for f, c in enumerate(ids):
-        shared = row[row[f]]
-        groups[c].append(shared if shared == f else f)
+    for f, c in zip(flag_ints(m.flag_count), face_table(m, i)):
+        groups[c].append(f)
     return [Face(i, c, tuple(flags)) for c, flags in groups.items()]
 
 
@@ -375,40 +389,82 @@ def dumps_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def maniplex_to_json(m: Maniplex) -> str:
-    """`dumps_json` of the document {"rank", "flags", "perms"} (the test
-    oracle `oracles.to_json_dict` builds it), appended to one row at a time:
-    the generic encoder holds a string for every entry of every row at once.
-    Rows share one decimal string per flag, so an entry outside 0..flags-1
-    raises FormatError instead of encoding as some other flag."""
-    strs = list(map(str, range(m.flag_count)))
-    text = '{\n  "flags": %d,\n  "perms": [' % m.flag_count
+_SLICE_ENTRIES = 1024  # row entries formatted per chunk
+_ENTRY_SEP = ",\n      "
+_SLICE_FORMAT = _ENTRY_SEP.join(["%d"] * _SLICE_ENTRIES)
+
+
+def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
+    """The text of `maniplex_to_json`, generated in chunks of at most
+    `_SLICE_ENTRIES` row entries, each slice formatted by one "%d" format
+    string.  A row is first checked to hold only ints in 0..flags-1, unless
+    the cached `validate` report found no structural error, so an entry out
+    of range, a float or a bool raises FormatError before any of its row
+    is generated."""
+    size = m.flag_count
+    report = m._cache.get("valid")
+    checked = report is not None and not report.structural
+    yield '{\n  "flags": %d,\n  "perms": [' % size
     sep = "\n    "
     for i, row in enumerate(m.perms):
-        if row and min(row) < 0:  # strs would take it from the end
-            raise FormatError(f"perms[{i}] entry out of range: {min(row)!r}")
-        try:
-            text += sep + ("[\n      " + ",\n      ".join(map(strs.__getitem__, row)) + "\n    ]" if row else "[]")
-        except IndexError:
-            raise FormatError(f"perms[{i}] entry out of range: {max(row)!r}") from None
+        f = None if checked or not row else _bad_entry(row, size)
+        if f is not None:
+            raise FormatError(f"perms[{i}] entry out of range: {row[f]!r}")
+        if not row:
+            yield sep + "[]"
+        else:
+            head = sep + "[\n      "
+            cut = len(row) - len(row) % _SLICE_ENTRIES
+            for k in range(0, cut, _SLICE_ENTRIES):
+                yield head + _SLICE_FORMAT % row[k:k + _SLICE_ENTRIES]
+                head = _ENTRY_SEP
+            if cut < len(row):
+                yield head + _ENTRY_SEP.join(["%d"] * (len(row) - cut)) % row[cut:]
+            yield "\n    ]"
         sep = ",\n    "
-    text += ("\n  ]" if m.perms else "]") + ',\n  "rank": %d\n}\n' % m.rank
+    yield ("\n  ]" if m.perms else "]") + ',\n  "rank": %d\n}\n' % m.rank
+
+
+def maniplex_to_json(m: Maniplex) -> str:
+    """`dumps_json` of the document {"rank", "flags", "perms"} (the test
+    oracle `oracles.to_json_dict` builds it), appended to one string chunk
+    by chunk: the generic encoder holds a string for every entry of every
+    row at once, and joining a list of the chunks would hold the text
+    twice."""
+    text = ""
+    for chunk in maniplex_json_chunks(m):
+        text += chunk
     return text
 
 
 class _Interned(dict):
-    """Decimal text -> int, one int object per distinct value."""
+    """Decimal text -> int, one int object per distinct value.  The first
+    miss on a value v below `bound` maps the decimal text of each of 0..v
+    to the pool's int in one update; any other value is interned on its
+    own."""
+
+    def __init__(self, bound: int) -> None:
+        super().__init__()
+        self.bound = bound
 
     def __missing__(self, text: str) -> int:
-        value = self[text] = int(text)
-        return value
+        value = int(text)
+        if 0 <= value < self.bound:
+            self.bound = 0  # fill once
+            ints = flag_ints(value + 1)
+            self.update(zip(map(str, range(value + 1)), ints))
+            value = ints[value]
+        return self.setdefault(text, value)
 
 
 def maniplex_from_json(text: str) -> Maniplex:
     """Decode with one int object per distinct value, turning each row into
-    its tuple in place, so that only one row is ever held twice."""
+    its tuple in place, so that only one row is ever held twice.  A
+    canonical document's first number is its flag count, so one table fill
+    interns every flag onto the pool's ints; the fill is bounded by
+    len(text) // 2, above any legal entry, as each takes two characters."""
     try:
-        doc = json.loads(text, parse_int=_Interned().__getitem__)
+        doc = json.loads(text, parse_int=_Interned(len(text) // 2).__getitem__)
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise FormatError(f"invalid JSON: {exc}") from exc
     perms = _checked_perms(doc)

@@ -58,7 +58,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .certify import Refusal
-from .core import Maniplex
+from .core import Maniplex, flag_ints
 
 SENTINEL = -1
 DEFAULT_CAP = 100_000
@@ -250,11 +250,10 @@ def coset_enumerate(
                     break
         alpha += 1
 
-    # live labels are already in relator-trace order (see the module docstring);
-    # keeping p, not c, reuses the int objects parent holds instead of new ones
-    order = [p for c, p in enumerate(parent) if c == p]
+    # live labels are already in relator-trace order (see the module docstring)
+    order = [c for c, p in enumerate(parent) if c == p]
     number = [SENTINEL] * len(parent)
-    for k, c in enumerate(order):
+    for c, k in zip(order, flag_ints(len(order))):
         number[c] = k
     if len(order) == 1:  # itemgetter of one index returns the entry, not a tuple
         return CosetTable(tuple((number[row[0]],) for row in rows))

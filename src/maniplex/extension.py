@@ -31,7 +31,7 @@ from operator import eq, sub
 from typing import Optional
 
 from .certify import INFO, SKIP, Check, passed
-from .core import Face, Maniplex, ValidationReport, face_table, structural_errors, validate
+from .core import Face, Maniplex, ValidationReport, face_table, flag_ints, structural_errors, validate
 from .poset import PolytopeReport, RankedPoset, face_poset, is_faithful, is_polytope, pos_of
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -57,12 +57,13 @@ def _resolve_facet(m: Maniplex, facet: Face) -> Face:
 def extend(m: Maniplex, facet: Face) -> Maniplex:
     """The rank-(n+1) extension of M over the given facet.
 
-    Every row is indexed into one list of the flags 0..4m-1, so all rows
-    share one int object per flag.
+    Every row is indexed into the pool of flag ints (`core.flag_ints`), so
+    all rows, and every other maniplex built or decoded, share one int
+    object per flag.
     """
     facet = _resolve_facet(m, facet)
     size = m.flag_count
-    ints = list(range(4 * size))
+    ints = flag_ints(4 * size)
     quads = [tuple(ints[k:k + 4]) for k in range(0, 4 * size, 4)]  # flag f -> (4f, ..., 4f + 3)
     perms = [tuple(chain.from_iterable(map(quads.__getitem__, row))) for row in m.perms]
     new_colour = [(b, a, d, c) for a, b, c, d in quads]  # tag XOR 1 outside the facet

@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -16,15 +17,19 @@ from maniplex.core import (
     AXIOM_FIXED_POINT_FREE,
     AXIOM_INVOLUTION,
     AXIOM_PROPER,
+    FormatError,
     Maniplex,
     ValidationReport,
+    faces,
     maniplex_from_json,
+    maniplex_json_chunks,
     maniplex_to_json,
     validate,
 )
 from maniplex.corpus import platonic
 from maniplex.cosets import CosetCapExceeded
 from maniplex.counterexample import BuildError, EThetaOverlap, ThetaNotFound
+from maniplex.extension import extend
 from maniplex.voltage import double_cover
 
 # SHA-256 of build-bstar's certificate.json for this version; any change to
@@ -118,6 +123,33 @@ def test_interrupted_write_leaves_no_torn_file(tmp_path, monkeypatch):
     assert main(["build-bstar", "-o", str(tmp_path / "bstar")]) == 2
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bstar", "kept.json"]
 
+
+
+def test_write_failing_partway_leaves_no_torn_artifact(bstar_result, tmp_path):
+    m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
+    last = m.perms[-1][:-1] + (m.flag_count,)  # one past the last flag, in the last row
+    with pytest.raises(FormatError, match=rf"perms\[4\] entry out of range: {m.flag_count}"):
+        cli._write_certified(tmp_path, "maniplex.json", "certificate.json", Maniplex(m.perms[:-1] + (last,)), [])
+    with pytest.raises(FormatError, match=r"perms\[0\] entry out of range: 1\.0"):
+        cli._write(tmp_path / "float.json", maniplex_json_chunks(Maniplex(((1.0, 0),))))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_streamed_write_holds_no_whole_text(bstar_result, tmp_path):
+    m = bstar_result.bstar
+    while m.rank < 8:
+        m = extend(m, faces(m, m.rank - 1)[0])
+    path = tmp_path / "maniplex-rank8.json"
+    tracemalloc.start()
+    try:
+        digest = cli._write(path, maniplex_json_chunks(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = maniplex_to_json(m).encode("utf-8")
+    assert len(data) > 5_000_000 and peak < 2_000_000, peak
+    assert path.read_bytes() == data
+    assert digest == hashlib.sha256(data).hexdigest()
 
 def test_check_ok_document(tmp_path):
     path = gen(tmp_path, "t21.json", "gen", "torus", "--b", "2", "--c", "1")

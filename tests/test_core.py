@@ -16,6 +16,7 @@ from maniplex.core import (
     dumps_json,
     face_table,
     faces,
+    flag_ints,
     isomorphic,
     maniplex_from_json,
     maniplex_to_json,
@@ -303,6 +304,32 @@ def test_decoded_maniplex_holds_one_int_per_value(bstar_result):
     assert decoded == m
     assert all(type(row) is tuple for row in decoded.perms)
     assert len({id(v) for row in decoded.perms for v in row}) == decoded.flag_count
+
+
+@pytest.mark.parametrize(
+    "perms, message",
+    [
+        # "%d" would write 1.0 as 1 and True as 1
+        (((1.0, 0),), r"perms\[0\] entry out of range: 1\.0"),
+        (((1, 0), (True, False)), r"perms\[1\] entry out of range: True"),
+    ],
+)
+def test_maniplex_to_json_refuses_non_int_entries(perms, message):
+    with pytest.raises(FormatError, match=message):
+        maniplex_to_json(Maniplex(perms))
+
+
+def test_tower_and_decoded_copies_hold_the_pool_ints(bstar_result):
+    """The rank-5 and rank-6 extensions, their decoded copies and the next
+    extension hold each value as one and the same int object, the pool's."""
+    m, held = bstar_result.bstar, []
+    for _ in (5, 6):
+        m = extend(m, faces(m, m.rank - 1)[0])
+        held += [m, maniplex_from_json(maniplex_to_json(m))]
+    held.append(extend(held[-1], faces(held[-1], 5)[0]))
+    pool = flag_ints(held[-1].flag_count)
+    for m in held:
+        assert all(v is pool[v] for row in m.perms for v in row), m
 
 
 @pytest.mark.parametrize(
