@@ -397,29 +397,30 @@ _SLICE_FORMAT = _ENTRY_SEP.join(["%d"] * _SLICE_ENTRIES)
 def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
     """The text of `maniplex_to_json`, generated in chunks of at most
     `_SLICE_ENTRIES` row entries, each slice formatted by one "%d" format
-    string.  A row is first checked to hold only ints in 0..flags-1, unless
-    the cached `validate` report found no structural error, so an entry out
-    of range, a float or a bool raises FormatError before any of its row
-    is generated."""
+    string.  A slice is first checked to hold only ints in 0..flags-1, so
+    an entry out of range, a float or a bool raises FormatError before it
+    is generated.  The check is skipped when the cached `validate` report
+    found no structural error, which proves the same of every row: the
+    check adds about half to the write's time (at 3 145 728 flags, 4.6-5.2
+    s to 7.3-8.8 s, Python 3.11 on 2 vCPUs)."""
     size = m.flag_count
     report = m._cache.get("valid")
     checked = report is not None and not report.structural
     yield '{\n  "flags": %d,\n  "perms": [' % size
     sep = "\n    "
     for i, row in enumerate(m.perms):
-        f = None if checked or not row else _bad_entry(row, size)
-        if f is not None:
-            raise FormatError(f"perms[{i}] entry out of range: {row[f]!r}")
         if not row:
             yield sep + "[]"
         else:
             head = sep + "[\n      "
-            cut = len(row) - len(row) % _SLICE_ENTRIES
-            for k in range(0, cut, _SLICE_ENTRIES):
-                yield head + _SLICE_FORMAT % row[k:k + _SLICE_ENTRIES]
+            for k in range(0, len(row), _SLICE_ENTRIES):
+                part = row[k:k + _SLICE_ENTRIES]
+                f = None if checked else _bad_entry(part, size)
+                if f is not None:
+                    raise FormatError(f"perms[{i}] entry out of range: {part[f]!r}")
+                fmt = _SLICE_FORMAT if len(part) == _SLICE_ENTRIES else _ENTRY_SEP.join(["%d"] * len(part))
+                yield head + fmt % part
                 head = _ENTRY_SEP
-            if cut < len(row):
-                yield head + _ENTRY_SEP.join(["%d"] * (len(row) - cut)) % row[cut:]
             yield "\n    ]"
         sep = ",\n    "
     yield ("\n  ]" if m.perms else "]") + ',\n  "rank": %d\n}\n' % m.rank
@@ -461,10 +462,12 @@ def maniplex_from_json(text: str) -> Maniplex:
     """Decode with one int object per distinct value, turning each row into
     its tuple in place, so that only one row is ever held twice.  A
     canonical document's first number is its flag count, so one table fill
-    interns every flag onto the pool's ints; the fill is bounded by
-    len(text) // 2, above any legal entry, as each takes two characters."""
+    interns every flag onto the pool's ints.  The fill is bounded by the
+    text's commas plus one, above any legal entry, as a maniplex with F
+    flags has F entries in each row, so whitespace padding cannot make it
+    grow the pool."""
     try:
-        doc = json.loads(text, parse_int=_Interned(len(text) // 2).__getitem__)
+        doc = json.loads(text, parse_int=_Interned(text.count(",") + 1).__getitem__)
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise FormatError(f"invalid JSON: {exc}") from exc
     perms = _checked_perms(doc)

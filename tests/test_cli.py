@@ -124,7 +124,6 @@ def test_interrupted_write_leaves_no_torn_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bstar", "kept.json"]
 
 
-
 def test_write_failing_partway_leaves_no_torn_artifact(bstar_result, tmp_path):
     m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
     last = m.perms[-1][:-1] + (m.flag_count,)  # one past the last flag, in the last row
@@ -150,6 +149,7 @@ def test_streamed_write_holds_no_whole_text(bstar_result, tmp_path):
     assert len(data) > 5_000_000 and peak < 2_000_000, peak
     assert path.read_bytes() == data
     assert digest == hashlib.sha256(data).hexdigest()
+
 
 def test_check_ok_document(tmp_path):
     path = gen(tmp_path, "t21.json", "gen", "torus", "--b", "2", "--c", "1")

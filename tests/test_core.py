@@ -319,6 +319,16 @@ def test_maniplex_to_json_refuses_non_int_entries(perms, message):
         maniplex_to_json(Maniplex(perms))
 
 
+def test_maniplex_to_json_skips_the_row_check_only_on_a_structurally_sound_report(bstar_result):
+    bad = Maniplex(((1, 2),))
+    assert validate(bad).structural
+    with pytest.raises(FormatError, match=r"perms\[0\] entry out of range: 2"):
+        maniplex_to_json(bad)
+    m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
+    text = maniplex_to_json(Maniplex(m.perms))  # no cached report: every slice checked
+    assert validate(m).ok and maniplex_to_json(m) == text
+
+
 def test_tower_and_decoded_copies_hold_the_pool_ints(bstar_result):
     """The rank-5 and rank-6 extensions, their decoded copies and the next
     extension hold each value as one and the same int object, the pool's."""
@@ -330,6 +340,17 @@ def test_tower_and_decoded_copies_hold_the_pool_ints(bstar_result):
     pool = flag_ints(held[-1].flag_count)
     for m in held:
         assert all(v is pool[v] for row in m.perms for v in row), m
+
+
+def test_padded_document_does_not_grow_the_pool():
+    """Whitespace after a large flag count buys no table fill: the pool
+    keeps its size, and the document is refused for its short row."""
+    size = len(flag_ints(0))
+    flags = size + 100_000
+    text = '{"flags": %d, "perms": [[1, 0]], "rank": 1}' % flags + " " * (2 * flags)
+    with pytest.raises(FormatError, match=rf"perms\[0\] must be a list of length {flags}"):
+        maniplex_from_json(text)
+    assert len(flag_ints(0)) == size
 
 
 @pytest.mark.parametrize(
