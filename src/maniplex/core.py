@@ -38,7 +38,9 @@ class Maniplex:
     (`poset.is_faithful`); under "poset", the face poset, where the
     extension pipeline keeps it (`poset.pos_of` reads it, never writes it);
     under "theta", the marked set of a rank-4 maniplex and the double cover
-    it gives (`counterexample.find_theta`)."""
+    it gives (`counterexample.find_theta`); under "sound", True when
+    `maniplex_from_json` decoded it, having made every check of
+    `structural_errors`, so that `validate` and the encoder skip them."""
 
     perms: tuple[tuple[int, ...], ...]
     _cache: dict[int | str, object] = field(
@@ -140,7 +142,7 @@ def validate(m: Maniplex) -> ValidationReport:
 
 
 def _validate(m: Maniplex) -> ValidationReport:
-    structural = structural_errors(m)
+    structural = () if m._cache.get("sound") else structural_errors(m)
     if structural:
         return ValidationReport(False, tuple(structural), ())
 
@@ -376,9 +378,10 @@ def _checked_perms(doc: object) -> list:
     if not isinstance(perms, list) or len(perms) != rank:
         raise FormatError("perms must be a list with one row per colour")
     for i, row in enumerate(perms):
-        if not isinstance(row, list) or len(row) != nflags:
+        if not isinstance(row, (list, tuple)) or len(row) != nflags:
             raise FormatError(f"perms[{i}] must be a list of length {nflags}")
-        f = _bad_entry(row, nflags)
+        # a tuple is a row the reader checked at its own length, now nflags
+        f = None if type(row) is tuple else _bad_entry(row, nflags)
         if f is not None:
             raise FormatError(f"perms[{i}] entry out of range: {row[f]!r}")
     return perms
@@ -399,13 +402,14 @@ def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
     `_SLICE_ENTRIES` row entries, each slice formatted by one "%d" format
     string.  A slice is first checked to hold only ints in 0..flags-1, so
     an entry out of range, a float or a bool raises FormatError before it
-    is generated.  The check is skipped when the cached `validate` report
-    found no structural error, which proves the same of every row: the
-    check adds about half to the write's time (at 3 145 728 flags, 4.6-5.2
-    s to 7.3-8.8 s, Python 3.11 on 2 vCPUs)."""
+    is generated.  The check is skipped when the maniplex is known to
+    pass `structural_errors`, which proves the same of every row: it was
+    decoded, or its cached `validate` report found no structural error.
+    The check adds about half to the write's time (at 3 145 728 flags,
+    4.6-5.2 s to 7.3-8.8 s, Python 3.11 on 2 vCPUs)."""
     size = m.flag_count
     report = m._cache.get("valid")
-    checked = report is not None and not report.structural
+    checked = m._cache.get("sound") or (report is not None and not report.structural)
     yield '{\n  "flags": %d,\n  "perms": [' % size
     sep = "\n    "
     for i, row in enumerate(m.perms):
@@ -438,42 +442,86 @@ def maniplex_to_json(m: Maniplex) -> str:
     return text
 
 
-class _Interned(dict):
-    """Decimal text -> int, one int object per distinct value.  The first
-    miss on a value v below `bound` maps the decimal text of each of 0..v
-    to the pool's int in one update; any other value is interned on its
-    own."""
+_WHITESPACE = json.decoder.WHITESPACE.match
+_scanstring = json.decoder.scanstring
+_raw_decode = json.JSONDecoder().raw_decode
 
-    def __init__(self, bound: int) -> None:
-        super().__init__()
-        self.bound = bound
 
-    def __missing__(self, text: str) -> int:
-        value = int(text)
-        if 0 <= value < self.bound:
-            self.bound = 0  # fill once
-            ints = flag_ints(value + 1)
-            self.update(zip(map(str, range(value + 1)), ints))
-            value = ints[value]
-        return self.setdefault(text, value)
+def _read_object(text: str) -> Optional[dict]:
+    """The JSON object `text` holds, read member by member; None, or a
+    ValueError, where the text is not one object this reader follows.  Keys are read by
+    `scanstring`, values by `raw_decode` (the C scanner, its own int path),
+    except that a "perms" array is read one row at a time: once "flags"
+    has been read, a row of that many ints in 0..flags-1 is mapped onto
+    the pool of flag ints as a tuple before the next row is read, so only
+    one row's fresh ints are alive.  Any other row is kept as read."""
+    doc: dict = {}
+    end = _WHITESPACE(text, 0).end()
+    if text[end:end + 1] != "{":
+        return None
+    c = ","
+    while c == ",":
+        end = _WHITESPACE(text, end + 1).end()
+        if text[end:end + 1] != '"':
+            return None
+        key, end = _scanstring(text, end + 1)
+        end = _WHITESPACE(text, end).end()
+        if text[end:end + 1] != ":":
+            return None
+        end = _WHITESPACE(text, end + 1).end()
+        if key == "perms" and text[end:end + 1] == "[":
+            doc[key], end = _read_rows(text, end, doc.get("flags"))
+        else:
+            doc[key], end = _raw_decode(text, end)
+        end = _WHITESPACE(text, end).end()
+        c = text[end:end + 1]
+    if c != "}" or _WHITESPACE(text, end + 1).end() != len(text):
+        return None
+    return doc
+
+
+def _read_rows(text: str, end: int, size: object) -> tuple[list, int]:
+    """The rows of the array opened at text[end], and the offset past it;
+    see `_read_object`.  The pool grows only for a row of `size` entries
+    that passed its check, so padding cannot make it grow."""
+    rows = []
+    c = ","
+    while c == ",":
+        row, end = _raw_decode(text, _WHITESPACE(text, end + 1).end())
+        if type(row) is list and type(size) is int and 0 < len(row) == size and _bad_entry(row, size) is None:
+            row = tuple(map(flag_ints(size).__getitem__, row))
+        rows.append(row)
+        end = _WHITESPACE(text, end).end()
+        c = text[end:end + 1]
+    if c != "]":
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+    return rows, end + 1
 
 
 def maniplex_from_json(text: str) -> Maniplex:
-    """Decode with one int object per distinct value, turning each row into
-    its tuple in place, so that only one row is ever held twice.  A
-    canonical document's first number is its flag count, so one table fill
-    interns every flag onto the pool's ints.  The fill is bounded by the
-    text's commas plus one, above any legal entry, as a maniplex with F
-    flags has F entries in each row, so whitespace padding cannot make it
-    grow the pool."""
+    """Decode onto the pool of flag ints (`flag_ints`), row by row when
+    "flags" comes before "perms", as in every canonical document; the rows
+    of any other document are mapped onto the pool once all are checked.
+    Text the row reader does not follow, or that fails to decode, is left
+    to `json.loads`, which gives the same document or the same error.  The
+    maniplex caches that its rows passed `structural_errors`' checks."""
     try:
-        doc = json.loads(text, parse_int=_Interned(text.count(",") + 1).__getitem__)
-    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
-        raise FormatError(f"invalid JSON: {exc}") from exc
+        doc = _read_object(text)
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        doc = None
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
+            raise FormatError(f"invalid JSON: {exc}") from exc
     perms = _checked_perms(doc)
+    ints = flag_ints(doc["flags"])
     for i, row in enumerate(perms):
-        perms[i] = tuple(row)
-    return Maniplex(tuple(perms))
+        if type(row) is list:
+            perms[i] = tuple(map(ints.__getitem__, row))
+    m = Maniplex(tuple(perms))
+    m._cache["sound"] = True
+    return m
 
 
 def to_dot(m: Maniplex) -> str:

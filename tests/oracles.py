@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 import math
 from typing import NamedTuple
+
+from maniplex.core import FormatError
 
 Perms = tuple[tuple[int, ...], ...]
 
@@ -844,6 +847,36 @@ def to_json_dict(m) -> dict:
     """The maniplex document that `maniplex_to_json` must encode exactly as
     the generic JSON encoder does."""
     return {"rank": m.rank, "flags": m.flag_count, "perms": [list(row) for row in m.perms]}
+
+
+def maniplex_from_json_by_loads(text: str) -> Perms:
+    """The rows of a maniplex document, decoded by plain `json.loads` with
+    no pool, or the FormatError its first failed check gives: the JSON,
+    then the object, its keys, rank, flags, the rows' count, and each row
+    in turn, its length, then its entries one by one."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("maniplex document must be a JSON object")
+    for key in ("rank", "flags", "perms"):
+        if key not in doc:
+            raise FormatError(f"missing key {key!r}")
+    rank, flags, perms = doc["rank"], doc["flags"], doc["perms"]
+    if type(rank) is not int or rank < 1:
+        raise FormatError("rank must be a positive integer")
+    if type(flags) is not int or flags < 1:
+        raise FormatError("flags must be a positive integer")
+    if type(perms) is not list or len(perms) != rank:
+        raise FormatError("perms must be a list with one row per colour")
+    for i, row in enumerate(perms):
+        if type(row) is not list or len(row) != flags:
+            raise FormatError(f"perms[{i}] must be a list of length {flags}")
+        for v in row:
+            if type(v) is not int or not 0 <= v < flags:
+                raise FormatError(f"perms[{i}] entry out of range: {v!r}")
+    return tuple(map(tuple, perms))
 
 
 def _balanced(perms: Perms, face_of, levels, theta) -> bool:

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -34,8 +37,10 @@ from oracles import (
     automorphism_count_by_propagation,
     brute_isomorphisms,
     faces_by_bfs,
+    maniplex_from_json_by_loads,
     partition_by_merging,
     polygon_flag_graph,
+    renumber,
     to_json_dict,
 )
 
@@ -351,6 +356,107 @@ def test_padded_document_does_not_grow_the_pool():
     with pytest.raises(FormatError, match=rf"perms\[0\] must be a list of length {flags}"):
         maniplex_from_json(text)
     assert len(flag_ints(0)) == size
+
+
+def _layouts(m):
+    """The document of m laid out in every key order, compact, indented
+    and spaced, then with duplicate and extra keys and with "perms"
+    spelled through a unicode escape."""
+    items = list(to_json_dict(m).items())
+    styles = [{"separators": (",", ":")}, {"indent": 2}, {"indent": "\t", "separators": (" , ", " : ")}]
+    for order, style in itertools.product(itertools.permutations(items), styles):
+        yield json.dumps(dict(order), **style)
+    text = maniplex_to_json(m)
+    yield '{"perms": [[0]], "flags": 0, ' + text[1:]  # both overridden by the canonical values
+    yield text[:-2] + ', "flags": %d}' % m.flag_count  # flags again, after the rows
+    yield '{"note": {"perms": [[-1]], "flags": 1}, "version": "1.0", ' + text[1:]
+    yield text.replace('"perms"', '"\\u0070erms"')
+    yield text.replace('"perms"', '"\\u0070erms"').replace('"flags"', '"fl\\u0061gs"')
+
+
+def test_decoder_matches_plain_loads_in_every_layout(oracle_members):
+    """Seeded torus maps, flags renumbered, and the tower's rank-6
+    extension: every layout decodes to the oracle's rows, each entry the
+    pool's int for its value."""
+    rng = random.Random(suites.SEED)
+    members = [oracle_members[-1]]  # the tower's rank 6
+    for b, c in rng.sample(suites.TORUS_POOL, 4):
+        perms = torus_44(b, c).perms
+        sigma = list(range(len(perms[0])))
+        rng.shuffle(sigma)
+        members.append(Maniplex(renumber(perms, sigma)))
+    for m in members:
+        for text in _layouts(m):
+            decoded = maniplex_from_json(text)
+            assert decoded.perms == maniplex_from_json_by_loads(text) == m.perms, text[:80]
+            pool = flag_ints(0)
+            assert all(v is pool[v] for row in decoded.perms for v in row), text[:80]
+
+
+def _outcome(decode, text):
+    try:
+        return decode(text)
+    except ValueError as exc:  # FormatError is one
+        return type(exc), str(exc)
+
+
+def _parity_cases():
+    text = maniplex_to_json(platonic("square"))
+    yield from (text[:k] for k in range(len(text) + 1))
+    yield from (text + tail for tail in ("x", "{}", ",", "]", "}", "\n\n0"))
+    yield "\ufeff" + text
+    first = text.index("[", text.index("[", text.index('"perms"')) + 1)  # the first row
+    for entry in ("true", "1.0", "[1]", "-1", "8", "null", '"1"', "1e0", "NaN", "1" * 5000):
+        yield text[:first + 1] + entry + text[text.index(",", first):]
+    yield "[" * 200_000
+    yield '{"flags": 2, "perms": [' + "[" * 200_000
+    yield '{"rank": 1, "flags": 2, "perms": [[1, 0]], "flags": 3}'  # rows read at the flags since overridden
+    yield '{"perms": [[1, 0], 5], "rank": 2, "flags": 2}'
+    yield '{"rank": 1, "flags": 2, "perms": [[1, 0],]}'
+    yield '{"rank": 1, "flags": 2, "perms": [[1, 0]] "x": 1}'
+    yield '{"rank": 1, "flags": 2, "perms": []}'
+    yield '{"rank": 1, "flags": 2, "perms": [[1, 0]], }'
+    yield '{"rank": 1, "flags": 2 "perms": [[1, 0]]}'
+    yield "{}"
+    yield " \t\n{}\r"
+
+
+def test_decoder_errors_match_plain_loads():
+    """On every input the decoder raises the oracle's exception type and
+    message, or decodes the oracle's rows."""
+    for text in _parity_cases():
+        expected = _outcome(maniplex_from_json_by_loads, text)
+        got = _outcome(lambda t: maniplex_from_json(t).perms, text)
+        assert got == expected, text[:80]
+
+
+def test_decoded_rows_are_checked_once(monkeypatch):
+    """The decoder's row checks stand in for `validate`'s structural ones
+    and for the encoder's, on the rows it froze."""
+    text = maniplex_to_json(torus_44(2, 1))
+    checked = []
+    bad_entry = core._bad_entry
+    monkeypatch.setattr(core, "_bad_entry", lambda row, size: checked.append(len(row)) or bad_entry(row, size))
+    m = maniplex_from_json(text)
+    assert validate(m).ok and maniplex_to_json(m) == text
+    assert checked == [40, 40, 40]
+
+
+def test_decode_holds_one_row_of_fresh_ints(bstar_result):
+    """Decoding the rank-8 text peaks below 6 MB above it: its rows, each
+    read and pooled before the next, and no table of decimal strings."""
+    m = bstar_result.bstar
+    while m.rank < 8:
+        m = extend(m, faces(m, m.rank - 1)[0])
+    text = maniplex_to_json(m)
+    tracemalloc.start()
+    try:
+        decoded = maniplex_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 5_000_000 and peak < 6_000_000, peak
+    assert decoded == m
 
 
 @pytest.mark.parametrize(
