@@ -40,7 +40,11 @@ class Maniplex:
     under "theta", the marked set of a rank-4 maniplex and the double cover
     it gives (`counterexample.find_theta`); under "sound", True when
     `maniplex_from_json` decoded it, having made every check of
-    `structural_errors`, so that `validate` and the encoder skip them."""
+    `structural_errors`, or `extension.extend` built it from such a
+    maniplex, so that `validate` and the encoder skip them (`known_sound`).
+    A face-table entry may also be a zero-argument callable that builds
+    the table, as the extension pipeline leaves one; `face_table` calls it
+    on the first read."""
 
     perms: tuple[tuple[int, ...], ...]
     _cache: dict[int | str, object] = field(
@@ -122,6 +126,13 @@ def structural_errors(m: Maniplex) -> list[str]:
     return errors
 
 
+def known_sound(m: Maniplex) -> bool:
+    """True when m is known to pass `structural_errors`: its cache says
+    "sound", or holds a `validate` report with no structural error."""
+    report = m._cache.get("valid")
+    return bool(m._cache.get("sound")) or (report is not None and not report.structural)
+
+
 def _bad_entry(row: list | tuple, size: int) -> Optional[int]:
     """Index of the first entry of the row that is not an int in 0..size-1
     (bools excluded), or None.  A row of plain ints is settled by its
@@ -142,7 +153,7 @@ def validate(m: Maniplex) -> ValidationReport:
 
 
 def _validate(m: Maniplex) -> ValidationReport:
-    structural = () if m._cache.get("sound") else structural_errors(m)
+    structural = () if known_sound(m) else structural_errors(m)
     if structural:
         return ValidationReport(False, tuple(structural), ())
 
@@ -218,12 +229,15 @@ def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
 
 def face_table(m: Maniplex, i: int) -> array:
     """flag -> canonical id (least flag) of its i-face, the component after
-    deleting the colour-i edges; computed once per maniplex and rank."""
+    deleting the colour-i edges; computed once per maniplex and rank, or
+    built by the callable the cache holds for it, on the first read."""
     if not 0 <= i < m.rank:
         raise ValueError(f"face rank {i} out of range for rank {m.rank}")
     ids = m._cache.get(i)
     if ids is None:
         ids = m._cache[i] = _component_ids(m, [c for c in range(m.rank) if c != i])
+    elif callable(ids):
+        ids = m._cache[i] = ids()
     return ids
 
 
@@ -403,13 +417,12 @@ def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
     string.  A slice is first checked to hold only ints in 0..flags-1, so
     an entry out of range, a float or a bool raises FormatError before it
     is generated.  The check is skipped when the maniplex is known to
-    pass `structural_errors`, which proves the same of every row: it was
-    decoded, or its cached `validate` report found no structural error.
+    pass `structural_errors` (`known_sound`), which proves the same of
+    every row.
     The check adds about half to the write's time (at 3 145 728 flags,
     4.6-5.2 s to 7.3-8.8 s, Python 3.11 on 2 vCPUs)."""
     size = m.flag_count
-    report = m._cache.get("valid")
-    checked = m._cache.get("sound") or (report is not None and not report.structural)
+    checked = known_sound(m)
     yield '{\n  "flags": %d,\n  "perms": [' % size
     sep = "\n    "
     for i, row in enumerate(m.perms):
@@ -503,8 +516,9 @@ def maniplex_from_json(text: str) -> Maniplex:
     "flags" comes before "perms", as in every canonical document; the rows
     of any other document are mapped onto the pool once all are checked.
     Text the row reader does not follow, or that fails to decode, is left
-    to `json.loads`, which gives the same document or the same error.  The
-    maniplex caches that its rows passed `structural_errors`' checks."""
+    to `json.loads`, which gives the same document or the same error, as
+    a FormatError.  The maniplex caches that its rows passed
+    `structural_errors`' checks."""
     try:
         doc = _read_object(text)
     except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
@@ -512,7 +526,7 @@ def maniplex_from_json(text: str) -> Maniplex:
     if doc is None:
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
+        except (ValueError, RecursionError) as exc:  # an int literal over the digit limit, nesting too deep
             raise FormatError(f"invalid JSON: {exc}") from exc
     perms = _checked_perms(doc)
     ints = flag_ints(doc["flags"])

@@ -10,15 +10,18 @@ face structure over any face of M is governed by its tag span:
 {(0,0),(1,0)} when the face misses F, {(0,0),(1,1)} when it equals F, and
 all four tags when it meets F without being contained in it.  Each span
 comes from two counts over M's face ids, and it fixes the face id of every
-extension flag over the face, so the spans are certified by comparing one
-predicted id array per rank with the extension's face table.
+extension flag over the face, so the spans are certified by comparing the
+predicted ids over each base face with the extension's.
 
 When the old colours copy a valid M tag by tag, the extension is read off
 M and the new colour's row, with no search over its flags: over each base
 i-face, the i-faces of the extension are the classes of the four tags
-joined by the new colour's patterns at the face's flags, so the face
-tables, the face poset and the axioms that involve the new colour are all
-computed from M's.  Otherwise the extension's own flags are searched.
+joined by the new colour's patterns at the face's flags, so the map from
+each base face to the four extension faces over it, the face poset and
+the axioms that involve the new colour are all computed from M's, and the
+checks read that map; the extension's flag-sized face tables are built
+from it only when first read.  Otherwise the extension's own flags are
+searched.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress
 from operator import eq, sub
 from typing import Optional
 
 from .certify import INFO, SKIP, Check, passed
-from .core import Face, Maniplex, ValidationReport, face_table, flag_ints, structural_errors, validate
-from .poset import PolytopeReport, RankedPoset, face_poset, is_faithful, is_polytope, pos_of
+from .core import Face, Maniplex, ValidationReport, face_table, flag_ints, known_sound, structural_errors, validate
+from .poset import FaithfulnessResult, PolytopeReport, RankedPoset, face_poset, is_faithful, is_polytope, pos_of
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _TAGS_MISSING = frozenset({(0, 0), (1, 0)})
@@ -59,7 +63,9 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
 
     Every row is indexed into the pool of flag ints (`core.flag_ints`), so
     all rows, and every other maniplex built or decoded, share one int
-    object per flag.
+    object per flag.  When M is known to be structurally sound, so is the
+    extension, whose entries are then the ints 4v + t for the entries v of
+    M's rows, and its cache says so.
     """
     facet = _resolve_facet(m, facet)
     size = m.flag_count
@@ -70,7 +76,10 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     for f in facet.flags:
         new_colour[f] = quads[f][::-1]  # tag XOR 3 inside it
     perms.append(tuple(chain.from_iterable(new_colour)))
-    return Maniplex(tuple(perms))
+    ext = Maniplex(tuple(perms))
+    if known_sound(m):
+        ext._cache["sound"] = True
+    return ext
 
 
 def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[int, int]] | None]:
@@ -110,6 +119,18 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     and of the extension are kept in their caches, each with its polytope
     report, so the next rank up starts from this one's and judges its base
     no second time.
+
+    When the extension is read off the base (`_quotient`), its checks read
+    the map over each base face instead of its face tables, and its
+    faithfulness result is carried up from a base witness (0, w), with no
+    chain listed per flag.  Flag 0 is the least flag of each of its faces,
+    so its chain is all zeros, and "0" is the least label, so when that
+    chain is shared it is the one `is_faithful` picks: w is the least other
+    flag with the all-zero chain.  In the extension, flag 4g + t has facet
+    id t, and its i-face for i < n has id 4c plus the least tag of the
+    class of t over g's base i-face c; tag 0 is the least of its class.
+    So the flags with the all-zero chain are exactly 4g for the base flags
+    g with it, and the extension's result is (False, (0, 4w)).
     """
     ext = extend(m, facet)  # resolves the facet
     base_faith = is_faithful(m)  # before the extension's face tables, so the two peaks do not add up
@@ -117,7 +138,9 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks: list[Check] = []
 
     copies = _rows_copy_base(m, ext)
-    quotient = _quotient(m, ext) if copies and validate(m).ok and not structural_errors(ext) else None
+    read_off = copies and validate(m).ok and (known_sound(ext) or not structural_errors(ext))
+    quotient = _quotient(m, ext) if read_off else None
+    over = quotient[2] if quotient else None
     report = _validate_over_base(m, ext, quotient) if quotient else validate(ext)
     checks.append(passed("extension-valid", report.ok, report.violations or None))
     checks.append(passed("flag-count", ext.flag_count == 4 * m.flag_count, ext.flag_count))
@@ -135,7 +158,9 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         preserved = Check("unfaithfulness-preserved", SKIP, "base is faithful")
     else:
         w1, w2 = base_faith.witness
-        lifted = all(face_table(ext, i)[4 * w1] == face_table(ext, i)[4 * w2] for i in range(n + 1))
+        lifted = all(_face_id(m, ext, over, i, 4 * w1) == _face_id(m, ext, over, i, 4 * w2) for i in range(n + 1))
+        if over and w1 == 0:  # carried up, see the docstring
+            ext._cache["faithful"] = FaithfulnessResult(False, (0, 4 * w2))
         # two flags with the same faces already make the extension unfaithful
         ext_faithful = False if lifted else is_faithful(ext).faithful
         preserved = passed("unfaithfulness-preserved", lifted and not ext_faithful, (4 * w1, 4 * w2))
@@ -161,8 +186,8 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         if not copies:
             checks.append(Check("facet-sections-match-base", SKIP, "a facet is not a copy of the base"))
         else:
-            checks.append(passed("facet-sections-match-base", _sections_match_base(m, p_base, ext, p_ext)))
-        checks.append(passed("tag-spans-match", _tag_spans_match(m, facet, ext)))
+            checks.append(passed("facet-sections-match-base", _sections_match_base(m, p_base, ext, p_ext, over)))
+        checks.append(passed("tag-spans-match", _tag_spans_match(m, facet, ext, over)))
 
     if not base.ok:
         checks.append(Check("diamond", SKIP, "base is not polytopal"))
@@ -180,6 +205,15 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         checks.append(passed("polytopal", poly.ok))
 
     return ExtensionResult(ext, checks)
+
+
+def _face_id(m: Maniplex, ext: Maniplex, over: Optional[list], i: int, f: int) -> int:
+    """The id of the i-face of extension flag f: read off the map over its
+    base face, when there is one (`_quotient`) and i < n, else off the
+    extension's face table."""
+    if over is not None and i < m.rank:
+        return over[i][face_table(m, i)[f >> 2]][f & 3]
+    return face_table(ext, i)[f]
 
 
 def _rows_copy_base(m: Maniplex, ext: Maniplex) -> bool:
@@ -215,12 +249,14 @@ def _tag_classes(patterns) -> tuple[int, ...]:
 
 
 def _quotient(m: Maniplex, ext: Maniplex) -> Optional[tuple]:
-    """Fill the extension's face tables from the base's, with no search
-    over its flags, and return (pattern_of, patterns, over): for each base
-    flag g, the new colour's pattern (the images of 4g, ..., 4g + 3, minus
-    4g) as an index into the distinct patterns, and per rank i < n, base
-    face id -> the ids of the extension faces over that face holding tags
-    0..3.  None when the new colour does not permute some quad.  Needs the
+    """Read the extension's faces off the base's, with no search over its
+    flags, and return (pattern_of, patterns, over): for each base flag g,
+    the new colour's pattern (the images of 4g, ..., 4g + 3, minus 4g) as
+    an index into the distinct patterns, and per rank i < n, base face id
+    -> the ids of the extension faces over that face holding tags 0..3.
+    The extension's cache gets its facet table and, per rank i < n, a
+    callable that spreads `over` onto its flags when the table is first
+    read.  None when the new colour does not permute some quad.  Needs the
     old colours to copy the valid (so connected) base tag by tag and the
     rows to have the right shape.
 
@@ -244,7 +280,7 @@ def _quotient(m: Maniplex, ext: Maniplex) -> Optional[tuple]:
         for c, k in set(zip(ids, pattern_of)):
             joined[c].append(patterns[k])
         faces = {c: tuple(4 * c + t for t in _tag_classes(ps)) for c, ps in joined.items()}
-        ext._cache[i] = _spread(faces, ids)
+        ext._cache[i] = partial(_spread, faces, ids)
         over.append(faces)
     ext._cache[n] = array("i", range(4)) * size
     return pattern_of, patterns, over
@@ -297,25 +333,31 @@ def _poset_over_base(p_base: RankedPoset, quotient: tuple, valid: bool) -> Ranke
     return face_poset(n + 1, levels, incident.items(), valid)
 
 
-def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex) -> bool:
+def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex, over: Optional[list] = None) -> bool:
     """Every extension face over a base face spans exactly the predicted tags.
 
     Over a base i-face with least flag c, the face holding tag 0 has id 4c
     and the face holding the other tags, if any, has as id its least flag.
     So the spans predict every flag's face id, and a rank matches when the
-    prediction equals the extension's face table flag for flag.
+    prediction equals the extension's face table flag for flag.  Given the
+    map of a read-off extension (`_quotient`), whose tables are that map
+    spread over the base's, a rank matches when the predicted map equals
+    it: every base face id occurs in the base's table.
     """
     for i in range(m.rank):
         spans = _tag_spans(m, facet, i)
         if None in spans.values():
             return False
-        over = {c: tuple(4 * c + off for off in _TAG_OFFSETS[span]) for c, span in spans.items()}
-        if _spread(over, face_table(m, i)) != face_table(ext, i):
+        predicted = {c: tuple(4 * c + off for off in _TAG_OFFSETS[span]) for c, span in spans.items()}
+        matches = predicted == over[i] if over else _spread(predicted, face_table(m, i)) == face_table(ext, i)
+        if not matches:
             return False
     return True
 
 
-def _sections_match_base(m: Maniplex, p_base: RankedPoset, ext: Maniplex, p_ext: RankedPoset) -> bool:
+def _sections_match_base(
+    m: Maniplex, p_base: RankedPoset, ext: Maniplex, p_ext: RankedPoset, over: Optional[list] = None
+) -> bool:
     """The section of pos(ext) below each of the four facets is isomorphic to pos(m).
 
     Facet t must be the tag class {4g + t}, carried from M by g -> 4g + t.
@@ -326,17 +368,21 @@ def _sections_match_base(m: Maniplex, p_base: RankedPoset, ext: Maniplex, p_ext:
     onto the section's, it is an order isomorphism.  One pass over the
     extension's order pairs sorts each into the sections that hold both of
     its faces, so the four checks cost linear time in flags plus order
-    pairs in all.
+    pairs in all.  The extension's face at flag 4c + t is read off the map
+    over base face c when given (`_quotient`), else off its face table.
     """
     n = m.rank
     number = {face: k for k, face in enumerate(zip(p_ext.ranks, p_ext.ids))}  # (rank, id) -> face number
-    ids = [face_table(ext, i) for i in range(n)]
     proper = list(zip(p_base.ranks[1:-1], p_base.ids[1:-1]))  # base face number - 1 -> (rank, id)
+    if over is None:  # the faces at flags 4c, ..., 4c + 3
+        over = [{} for _ in range(n)]
+        for i, c in proper:
+            over[i][c] = face_table(ext, i)[4 * c : 4 * c + 4]
     member = [0] * len(p_ext.labels)  # extension face number -> bit t set when it lies in section t
     want = set()
     for t in range(4):
         # base face number -> extension face number; both bottoms are face 0
-        to = [0] + [number[i, ids[i][4 * c + t]] for i, c in proper] + [number[n, t]]
+        to = [0] + [number[i, over[i][c][t]] for i, c in proper] + [number[n, t]]
         inside = p_ext.down[to[-1]] | 1 << to[-1]
         if len(set(to)) != len(to) or sum(1 << k for k in to) != inside:
             return False

@@ -856,7 +856,7 @@ def maniplex_from_json_by_loads(text: str) -> Perms:
     in turn, its length, then its entries one by one."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # an int literal over the digit limit is a ValueError
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("maniplex document must be a JSON object")

@@ -307,8 +307,9 @@ def test_counterexample_size_refusal_exits_1(monkeypatch, tmp_path, capsys):
 def test_counterexample_one_flag_function_pass_per_maniplex(tmp_path, monkeypatch):
     # B once; B* twice (faithfulness, then the sheet-pair check), its later
     # faithfulness reads (verdict, the rank-5 step) memoised; the rank-5
-    # extension once, as the rank-6 step's base; the rank-6 extension none,
-    # because the lifted base pair already proves it unfaithful
+    # extension none, as the rank-6 step's base, because its step carried
+    # B*'s witness (0, 1) up to (0, 4); the rank-6 extension none, because
+    # the lifted base pair already proves it unfaithful
     inner = poset.flag_function
     calls = Counter()
 
@@ -320,7 +321,7 @@ def test_counterexample_one_flag_function_pass_per_maniplex(tmp_path, monkeypatc
         if name.startswith("maniplex") and getattr(module, "flag_function", None) is inner:
             monkeypatch.setattr(module, "flag_function", counting)
     assert main(["counterexample", "--rank", "6", "-o", str(tmp_path / "ce")]) == 0
-    assert calls == {(4, 96): 1, (4, 192): 2, (5, 768): 1}
+    assert calls == {(4, 96): 1, (4, 192): 2}
 
 
 def test_counterexample_judges_each_poset_once(tmp_path, monkeypatch):

@@ -423,11 +423,14 @@ def _parity_cases():
 
 def test_decoder_errors_match_plain_loads():
     """On every input the decoder raises the oracle's exception type and
-    message, or decodes the oracle's rows."""
+    message, or decodes the oracle's rows.  An int literal over Python's
+    digit limit is a FormatError too, not a bare ValueError."""
     for text in _parity_cases():
         expected = _outcome(maniplex_from_json_by_loads, text)
         got = _outcome(lambda t: maniplex_from_json(t).perms, text)
         assert got == expected, text[:80]
+    digits = next(text for text in _parity_cases() if "1" * 5000 in text)
+    assert _outcome(maniplex_from_json, digits)[0] is FormatError
 
 
 def test_decoded_rows_are_checked_once(monkeypatch):

@@ -1,12 +1,24 @@
 import sys
 import time
+from array import array
 from collections import Counter
 
 import pytest
 
 from maniplex import core, extension, poset
 from maniplex.certify import FAIL, PASS, SKIP, all_ok
-from maniplex.core import Face, Maniplex, face_table, faces, isomorphic, restrict, validate
+from maniplex.core import (
+    Face,
+    FormatError,
+    Maniplex,
+    face_table,
+    faces,
+    isomorphic,
+    maniplex_from_json,
+    maniplex_to_json,
+    restrict,
+    validate,
+)
 from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.extension import (
     TAG_CODES,
@@ -17,6 +29,7 @@ from maniplex.extension import (
 from maniplex.poset import RankedPoset, is_faithful, pos_of, section, poset_isomorphism
 from oracles import (
     facet_section_matches_base_by_labels,
+    faithfulness_by_labels,
     order_isomorphic_by_cover_search,
     section_by_filter,
     tag_spans_match_by_faces,
@@ -608,6 +621,75 @@ def test_tower_read_off_base_matches_its_flags(bstar_result, monkeypatch):
         assert_read_off_base(m, res.extension)
         m = res.extension
     assert m.flag_count == 49152
+
+
+def test_tower_tables_on_demand_and_faithfulness_carried_over_every_facet(bstar_result):
+    # ranks 5 to 8, over each of the base's four facets, the base being the
+    # facet-0 extension one rank down: verify_extension leaves no flag-sized
+    # face table below rank n until one is read; each table, then built
+    # from the map over the base, equals the search over a fresh copy's
+    # flags; and the faithfulness result carried up from the base's
+    # witness (0, w) equals a fresh is_faithful and the label-string oracle
+    m = bstar_result.bstar
+    for rank in range(5, 9):
+        n = m.rank
+        for facet in faces(m, n - 1):
+            ext = verify_extension(m, facet).extension
+            where = rank, facet.canonical
+            assert not any(isinstance(ext._cache.get(i), array) for i in range(n)), where
+            fresh = Maniplex(ext.perms)
+            carried = ext._cache["faithful"]
+            assert carried == is_faithful(fresh) == (False, (0, 4 ** (rank - 4))), where
+            assert tuple(carried) == faithfulness_by_labels(fresh), where
+            for i in range(n):
+                assert face_table(ext, i) == face_table(fresh, i), (*where, i)  # the fresh copy's is a search
+            if facet.canonical == 0:
+                base = ext
+        m = base
+    assert m.flag_count == 49152
+
+
+# a map of 16 flags (4 edges) whose flags 0..7 have chains of their own;
+# its witness (14, 15) does not start at flag 0
+_MIXED_MAP = (
+    (3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12),
+    (5, 14, 9, 6, 11, 0, 3, 12, 13, 2, 15, 4, 7, 8, 1, 10),
+    (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14),
+)
+
+
+def test_base_witness_off_flag_0_carries_nothing():
+    # the base pair lifts, but the lifted pair is not the extension's witness,
+    # so no faithfulness result is carried up
+    m = Maniplex(_MIXED_MAP)
+    assert validate(m).ok and is_faithful(m) == (False, (14, 15))
+    for facet in faces(m, 2):
+        res = verify_extension(m, facet)
+        assert statuses(res)["unfaithfulness-preserved"] == PASS
+        assert "faithful" not in res.extension._cache
+        assert is_faithful(res.extension) == faithfulness_by_labels(res.extension) == (False, (40, 44))
+
+
+def test_extend_of_a_decoded_base_is_sound(bstar_result, monkeypatch):
+    # extend records that its rows, built from a sound base, pass the
+    # structural checks: neither the encoder nor verify_extension checks
+    # them again; a maniplex built from edited rows is still refused
+    text = maniplex_to_json(extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0]))
+    m = maniplex_from_json(text)
+    checked = []
+    bad_entry = core._bad_entry
+    monkeypatch.setattr(core, "_bad_entry", lambda row, size: checked.append(len(row)) or bad_entry(row, size))
+    facet = faces(m, 4)[0]
+    ext = extend(m, facet)
+    written = maniplex_to_json(ext)
+    res = verify_extension(m, facet)
+    maniplex_to_json(res.extension)
+    assert all_ok(res.checks) and checked == []
+    assert maniplex_from_json(written) == ext
+    last = ext.perms[-1][:-1] + (ext.flag_count,)
+    with pytest.raises(FormatError, match=rf"perms\[5\] entry out of range: {ext.flag_count}"):
+        maniplex_to_json(Maniplex(ext.perms[:-1] + (last,)))
+    assert checked
 
 
 def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):
