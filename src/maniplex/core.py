@@ -35,8 +35,8 @@ class Maniplex:
     out of equality, hashing and repr: under key i, the face table of rank i,
     each flag's face id as an `array('i')` (`face_table`); under "valid",
     the `validate` report; under "faithful", the faithfulness result
-    (`poset.is_faithful`); under "poset", the face poset, where the
-    extension pipeline keeps it (`poset.pos_of` reads it, never writes it);
+    (`poset.is_faithful`); under "poset", the face poset (`poset.pos_of`,
+    or the extension pipeline's poset read off the base);
     under "theta", the marked set of a rank-4 maniplex and the double cover
     it gives (`counterexample.find_theta`); under "sound", True when
     `maniplex_from_json` decoded it, having made every check of

@@ -8,12 +8,13 @@ result is re-verified afterwards; any failure raises.
 
 `find_theta` searches for a six-flag set meeting every 1-face and every
 2-face exactly once and satisfying the vertex/facet balance conditions
-(A.2)-(A.4), cutting every branch whose vertex or facet counts already
-exceed what those conditions allow; candidates are post-filtered so that
-the derived voltage assignment yields a connected maniplex double cover
-with all face lifts connected.  `build_B_star` takes the cover the filter
-accepted and certifies that it is an unfaithful yet polytopal maniplex
-whose face poset projects isomorphically onto the one of B.
+(A.2)-(A.4); the search is cut by its vertex and facet counts, so a leaf
+meets them when it marks every vertex and facet.  Candidates are
+post-filtered so that the derived voltage assignment yields a connected
+maniplex double cover with all face lifts connected.  `build_B_star`
+takes the cover the filter accepted and certifies that it is an
+unfaithful yet polytopal maniplex whose face poset projects
+isomorphically onto the one of B.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
 )
 from .corpus import platonic
 from .cosets import coset_enumerate, string_coxeter
-from .poset import flag_function, is_faithful, is_polytopal, pos_of
+from .poset import flag_function, is_faithful, is_polytopal
 from .voltage import Edge, canonical_edge, double_cover
 
 B_FLAGS = 96
@@ -87,35 +88,6 @@ class ThetaNotFound(Refusal):
     pass
 
 
-def _theta_conditions_hold(b: Maniplex, theta: tuple[int, ...], maps, canonical) -> bool:
-    """(A.2)-(A.4) for the vertex (i=0) and facet (i=3) directions, over the
-    face ids `maps` and each rank's canonical ids `canonical`."""
-    for i in (0, 3):
-        here = maps[i]
-        shifted = [b.perms[i][f] for f in theta]
-        members: dict[int, list[int]] = {}
-        for f in theta:
-            members.setdefault(here[f], []).append(f)
-        shift_count: dict[int, int] = {}
-        for g in shifted:
-            shift_count[here[g]] = shift_count.get(here[g], 0) + 1
-        for c in canonical[i]:
-            inside = members.get(c, [])
-            if len(inside) not in (1, 2):
-                return False
-            if len(inside) == 2:
-                f1, f2 = inside
-                for j in range(4):
-                    if j != i and maps[j][f1] == maps[j][f2]:
-                        return False
-                if shift_count.get(c, 0) != 1:
-                    return False
-            else:
-                if shift_count.get(c, 0) != 2:
-                    return False
-    return True
-
-
 def _face_lifts_connected(cover: Maniplex, b: Maniplex) -> bool:
     """Does every face of b lift to one connected face of its double cover?
 
@@ -143,7 +115,16 @@ class _MarkCounts:
     one facet) in different facets (vertices); the two members of a face
     already lie in different 1-faces and, marked here, 2-faces.  Marking a
     flag only raises the counts, so a prefix that breaks one of these
-    bounds has no valid leaf below it."""
+    bounds has no valid leaf below it.
+
+    At a leaf the bounds leave one of (A.2)-(A.4) open: that every vertex
+    and facet has a member.  A leaf marks one flag per 1-face, f1 flags;
+    each is a member of one vertex and its colour-0 neighbour lies in one,
+    so the vertex loads sum to 2 f1, which the gate of `find_theta` makes
+    3 f0.  No load exceeds 3, so each is 3, and a vertex with a member has
+    one member and two shifts or two members and one.  Two members of a
+    vertex differ in 1-face, in 2-face and, as the (vertex, facet) pairs
+    are distinct, in facet.  The facets go likewise, with colour 3 and f3."""
 
     def __init__(self, b: Maniplex, maps) -> None:
         self.b, self.maps = b, maps
@@ -192,10 +173,10 @@ def find_theta(b: Maniplex) -> tuple[int, ...]:
     depth-first over the 1-faces in canonical order, choosing flags in
     increasing order; a branch is cut as soon as its counts break a bound
     that every valid leaf meets (`_MarkCounts`), so the order and the
-    answer are those of the search without the cuts.  The full conditions
-    and the cover certification filter the leaves.  Computed once per
-    maniplex and kept in its cache with the cover it certified, which is
-    B* when b is B.
+    answer are those of the search without the cuts.  A leaf that marks
+    every vertex and facet meets (A.2)-(A.4) (`_MarkCounts`); the cover
+    certification filters those leaves.  Computed once per maniplex and
+    kept in its cache with the cover it certified, which is B* when b is B.
     """
     if b.rank != 4:
         raise ValueError("find_theta expects a rank-4 maniplex")
@@ -216,7 +197,8 @@ def find_theta(b: Maniplex) -> tuple[int, ...]:
     def dfs(level: int) -> Optional[tuple[tuple[int, ...], Maniplex]]:
         if level == len(one_faces):
             theta = tuple(sorted(chosen))
-            cover = _cover_certified(b, theta) if _theta_conditions_hold(b, theta, maps, canonical) else None
+            marked = all(counts.members[i, c] for i in (0, 3) for c in canonical[i])
+            cover = _cover_certified(b, theta) if marked else None
             return None if cover is None else (theta, cover)
         for f in one_faces[level].flags:
             if not counts.push(f):
@@ -394,7 +376,6 @@ def build_B_star() -> BStarResult:
         chains[v] == chains[v + 1] for v in range(0, len(chains), 2)
     )
     checks.append(passed("fibers-are-sheet-pairs", sheet_pairs))
-    bstar._cache["poset"] = pos_of(bstar)  # kept for the rank-5 extension
     v = coxeter.verdict(bstar)  # sparse is exactly polytopal
     checks.append(passed("cover-polytopal", v.sparse))
     checks.append(passed("verdict-sparse-not-semisparse", v.sparse and not v.semisparse))

@@ -87,8 +87,7 @@ def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[in
     the count of each face's flags in the marked facet; None for an i-face
     properly contained in the facet."""
     ids = face_table(m, i)
-    facet_ids = face_table(m, m.rank - 1)
-    inside = Counter(compress(ids, map(facet.canonical.__eq__, facet_ids)))
+    inside = Counter(map(ids.__getitem__, facet.flags))
     spans: dict[int, frozenset[tuple[int, int]] | None] = {}
     for c, size in Counter(ids).items():
         if not inside[c]:
@@ -167,10 +166,10 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks.append(Check("extension-faithful-observed", INFO, ext_faithful))
     checks.append(preserved)
 
-    p_base = m._cache["poset"] = pos_of(m)
+    p_base = pos_of(m)
     if quotient:
         ext._cache["poset"] = _poset_over_base(p_base, quotient, report.ok)
-    p_ext = ext._cache["poset"] = pos_of(ext)
+    p_ext = pos_of(ext)
 
     # every ridge of the extension lies under exactly two of its facets
     facets = sum(1 << k for k, r in enumerate(p_ext.ranks) if r == n)

@@ -171,17 +171,17 @@ def pos_of(m: Maniplex) -> RankedPoset:
     """The face poset, with labels 'rank:canonicalFlag' plus '-1:0' and 'n:0';
     faces of different ranks are incident when some flag lies in both.
     Indexed straight from the face tables: per pair of ranks, the id pairs
-    of the flags' faces.  Marked when the maniplex's memoised `validate`
-    report is ok; no report is computed here.  A poset kept in the
-    maniplex's cache is returned as it is."""
+    of the flags' faces.  Built once per maniplex and kept in its cache,
+    marked when the maniplex's memoised `validate` report is then ok; no
+    report is computed here."""
     p = m._cache.get("poset")
-    if p is not None:
-        return p
-    n = m.rank
-    ids = [face_table(m, i) for i in range(n)]
-    incident = (((i, j), set(zip(ids[i], ids[j]))) for i in range(n) for j in range(i + 1, n))
-    report = m._cache.get("valid")
-    return face_poset(n, [set(row) for row in ids], incident, report is not None and report.ok)
+    if p is None:
+        n = m.rank
+        ids = [face_table(m, i) for i in range(n)]
+        incident = (((i, j), set(zip(ids[i], ids[j]))) for i in range(n) for j in range(i + 1, n))
+        valid = m._cache.get("valid")
+        p = m._cache["poset"] = face_poset(n, [set(row) for row in ids], incident, valid is not None and valid.ok)
+    return p
 
 
 def face_poset(n: int, levels: list, incident: Iterable, valid: bool) -> RankedPoset:

@@ -134,17 +134,77 @@ def test_theta_pruning_keeps_every_balanced_leaf(b_maniplex, balanced_leaves):
         assert all(counts.push(f) for f in leaf), leaf
 
 
+def leaves_past_cuts(m: Maniplex) -> list[tuple[tuple[int, ...], bool]]:
+    """Every leaf of the marked-set search that the cuts of `_MarkCounts`
+    let through, as its flags in search order, with whether its counts
+    mark every vertex and every facet."""
+    maps = [face_table(m, i) for i in range(4)]
+    vertices_and_facets = [(i, c) for i in (0, 3) for c in set(maps[i])]
+    one_faces = faces(m, 1)
+    counts = _MarkCounts(m, maps)
+    chosen: list[int] = []
+    leaves = []
+
+    def walk(level: int) -> None:
+        if level == len(one_faces):
+            leaves.append((tuple(chosen), all(counts.members[k] for k in vertices_and_facets)))
+            return
+        for f in one_faces[level].flags:
+            if counts.push(f):
+                chosen.append(f)
+                walk(level + 1)
+                chosen.pop()
+                counts.pop(f)
+
+    walk(0)
+    return leaves
+
+
+def test_leaf_rule_matches_balance_oracle_on_b(b_maniplex, balanced_leaves):
+    # past the cuts, the leaves whose counts mark every vertex and facet are
+    # exactly those that meet (A.2)-(A.4), checked from scratch
+    leaves = leaves_past_cuts(b_maniplex)
+    assert len(leaves) == 58496
+    assert [leaf for leaf, marked in leaves if marked] == balanced_leaves
+
+
+@pytest.mark.parametrize(
+    "m, leaf_count",
+    [
+        (coset_enumerate(string_coxeter([2, 3, 2])).to_maniplex(), 48),
+        (coset_enumerate(string_coxeter([6, 3, 6]).extended((0, 1, 2, 3) * 2)).to_maniplex(), 1152),
+    ],
+    ids=["2-3-2", "6-3-6-0123x2"],
+)
+def test_leaf_rule_matches_balance_oracle(m, leaf_count):
+    leaves = leaves_past_cuts(m)
+    assert len(leaves) == leaf_count
+    assert [leaf for leaf, marked in leaves if marked] == theta_leaves_by_load(m.perms)
+
+
 def test_theta_search_checks_two_leaves(b_maniplex, monkeypatch):
     # a fresh copy of B, as the fixture keeps its marked set in its cache;
-    # a second call reads it from there
+    # a second call reads it from there and searches nothing
     b = Maniplex(b_maniplex.perms)
-    checked = []
-    inner = counterexample._theta_conditions_hold
-    monkeypatch.setattr(counterexample, "_theta_conditions_hold", lambda *args: checked.append(args[1]) or inner(*args))
+    vertices_and_facets = [(i, c) for i in (0, 3) for c in set(face_table(b, i))]
+    one_face_count = len(faces(b, 1))
+    leaves, certified = [], []
+
+    class Counted(_MarkCounts):
+        def push(self, f):
+            pushed = super().push(f)
+            if pushed and len(self.twos) == one_face_count:  # a flag marked on every 1-face
+                leaves.append(all(self.members[k] for k in vertices_and_facets))
+            return pushed
+
+    inner = counterexample._cover_certified
+    monkeypatch.setattr(counterexample, "_MarkCounts", Counted)
+    monkeypatch.setattr(counterexample, "_cover_certified", lambda *args: certified.append(args[1]) or inner(*args))
     assert find_theta(b) == THETA_FROZEN
-    assert len(checked) == 2
+    # the first leaf leaves a vertex or facet unmarked; the second is certified
+    assert leaves == [False, True] and certified == [THETA_FROZEN]
     assert find_theta(b) == THETA_FROZEN
-    assert len(checked) == 2
+    assert len(leaves) == 2 and len(certified) == 1
 
 
 def test_path_edges_shape(b_maniplex, theta):
