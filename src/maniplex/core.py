@@ -40,19 +40,33 @@ class Maniplex:
     under "theta", the marked set of a rank-4 maniplex and the double cover
     it gives (`counterexample.find_theta`); under "sound", True when
     `maniplex_from_json` decoded it, having made every check of
-    `structural_errors`, or `extension.extend` built it from such a
-    maniplex, so that `validate` and the encoder skip them (`known_sound`).
+    `structural_errors`, or `extension.extend` built it, so that `validate`
+    and the encoder skip them (`known_sound`); under "walk", its rows as
+    tuples (`walk_rows`).
     A face-table entry may also be a zero-argument callable that builds
     the table, as the extension pipeline leaves one; `face_table` calls it
-    on the first read."""
+    on the first read.
 
-    perms: tuple[tuple[int, ...], ...]
+    Each row of `perms` is an `array('i')`, 4 bytes an entry: an
+    `array('i')` row is kept as given, without a copy, and a row of plain
+    ints is packed.  Any other row (one holding a bool, a float or an int
+    of 2**31 or more) is kept as a tuple, so that `structural_errors` and
+    the encoder can name the entry.  When no row is given as an array,
+    the given rows, as tuples, are kept as the walk view."""
+
+    perms: tuple[array | tuple, ...]
     _cache: dict[int | str, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "perms", tuple(tuple(row) for row in self.perms))
+        given = tuple(row if type(row) is array and row.typecode == "i" else tuple(row) for row in self.perms)
+        object.__setattr__(self, "perms", tuple(map(_packed, given)))
+        if not any(type(row) is array for row in given):
+            self._cache["walk"] = given
+
+    def __hash__(self) -> int:
+        return hash(tuple(row.tobytes() if type(row) is array else row for row in self.perms))
 
     @property
     def rank(self) -> int:
@@ -64,6 +78,44 @@ class Maniplex:
 
     def __repr__(self) -> str:
         return f"Maniplex(rank={self.rank}, flags={self.flag_count})"
+
+
+def _packed(row: array | tuple) -> array | tuple:
+    """The row as an `array('i')` when it holds plain ints that fit, else as given."""
+    if type(row) is array or not set(map(type, row)) <= {int}:
+        return row
+    try:
+        return array("i", row)
+    except OverflowError:
+        return row
+
+
+def from_int_rows(rows: Iterable[Iterable[int]]) -> Maniplex:
+    """The maniplex on rows of plain ints that fit an `array('i')`, as the
+    package's builders make them: packed with no type pass, and the rows,
+    as tuples, kept as its walk view (`walk_rows`)."""
+    view = tuple(map(tuple, rows))
+    m = Maniplex(tuple(array("i", row) for row in view))
+    m._cache["walk"] = view
+    return m
+
+
+def walk_rows(m: Maniplex) -> tuple[tuple[int, ...], ...]:
+    """The rows as tuples of int objects, for the loops that read them
+    entry by entry (`_validate`, `_component_ids`, `_propagate`,
+    `restrict`): reading an `array('i')` entry above 256 boxes a fresh int,
+    and indexing a tuple is about twice as fast.  Built once per maniplex,
+    on the first call, from the pool of flag ints (`flag_ints`), 8 bytes
+    an entry; a row out of range is copied as it is.  A maniplex whose
+    rows are never walked, such as an extension read off its base, never
+    builds it."""
+    view = m._cache.get("walk")
+    if view is None:
+        pool = flag_ints(m.flag_count).__getitem__ if known_sound(m) or not structural_errors(m) else None
+        view = m._cache["walk"] = tuple(
+            row if type(row) is tuple else tuple(map(pool, row)) if pool else tuple(row) for row in m.perms
+        )
+    return view
 
 
 class Violation(NamedTuple):
@@ -94,13 +146,12 @@ _FLAG_INTS: list[int] = []
 
 def flag_ints(n: int) -> list[int]:
     """The pool of flag ints, grown to hold at least 0..n-1: entry k is the
-    int object k.  Every maniplex that `extension.extend` builds,
-    `cosets.coset_enumerate` tabulates or `maniplex_from_json` decodes
-    takes its entries from the pool, and so does every `faces` list, so a
-    flag value is one int object across all of them.  The pool never
-    shrinks: it keeps the ints of the largest maniplex built, decoded or
-    grouped into faces in the process alive, about 40 bytes a flag (2 MB
-    at 49 152 flags)."""
+    int object k.  Every walk view (`walk_rows`), every table that
+    `cosets.coset_enumerate` builds and every `faces` list takes its
+    entries from the pool, so a flag value is one int object across all
+    of them.  The pool never shrinks: it keeps the ints of the largest
+    maniplex walked, tabulated or grouped into faces in the process alive,
+    about 40 bytes a flag (2 MB at 49 152 flags)."""
     if len(_FLAG_INTS) < n:
         _FLAG_INTS.extend(range(len(_FLAG_INTS), n))
     return _FLAG_INTS
@@ -133,11 +184,12 @@ def known_sound(m: Maniplex) -> bool:
     return bool(m._cache.get("sound")) or (report is not None and not report.structural)
 
 
-def _bad_entry(row: list | tuple, size: int) -> Optional[int]:
+def _bad_entry(row: array | list | tuple, size: int) -> Optional[int]:
     """Index of the first entry of the row that is not an int in 0..size-1
-    (bools excluded), or None.  A row of plain ints is settled by its
-    min and max; any other row is scanned entry by entry."""
-    if set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < size:
+    (bools excluded), or None.  An `array('i')` row holds ints, so its
+    min and max settle it; any other row takes a pass over its entries'
+    types first.  A row that fails is scanned entry by entry."""
+    if (type(row) is array or set(map(type, row)) <= {int}) and 0 <= min(row) and max(row) < size:
         return None
     bad = (f for f, v in enumerate(row) if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size)
     return next(bad, None)
@@ -158,7 +210,7 @@ def _validate(m: Maniplex) -> ValidationReport:
         return ValidationReport(False, tuple(structural), ())
 
     violations: list[Violation] = []  # each loop stops at its first witness
-    perms = m.perms
+    perms = walk_rows(m)
     n, size = m.rank, m.flag_count
     for i, row in enumerate(perms):
         for f in range(size):
@@ -210,7 +262,8 @@ def components(m: Maniplex, colours: Iterable[int]) -> list[Component]:
 def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
     """flag -> least flag of its component under the given colours, from
     one search over the flag graph."""
-    rows = [m.perms[c] for c in cols]
+    view = walk_rows(m)
+    rows = [view[c] for c in cols]
     ids = [-1] * m.flag_count
     for start in range(m.flag_count):
         if ids[start] >= 0:
@@ -252,8 +305,13 @@ def faces(m: Maniplex, i: int) -> list[Face]:
 
 
 def dual(m: Maniplex) -> Maniplex:
-    """Reverse the colours: colour i becomes colour n-1-i."""
-    return Maniplex(tuple(reversed(m.perms)))
+    """Reverse the colours: colour i becomes colour n-1-i.  The rows are
+    shared, and so is the walk view, reversed, when m has one."""
+    d = Maniplex(tuple(reversed(m.perms)))
+    view = m._cache.get("walk")
+    if view is not None:
+        d._cache["walk"] = view[::-1]
+    return d
 
 
 def _propagate(src: Maniplex, dst: Maniplex, image: int) -> Optional[tuple[int, ...]]:
@@ -262,7 +320,7 @@ def _propagate(src: Maniplex, dst: Maniplex, image: int) -> Optional[tuple[int, 
     The proper colouring forces the whole map once one image is chosen, so
     this is a single BFS with consistency checks.
     """
-    rows = tuple(zip(src.perms, dst.perms))
+    rows = tuple(zip(walk_rows(src), walk_rows(dst)))
     size = src.flag_count
     phi = [-1] * size
     used = [False] * size
@@ -363,16 +421,17 @@ def restrict(m: Maniplex, flags: Iterable[int], colours: Iterable[int]) -> Manip
     cols = _check_colours(m, colours)
     flag_list = sorted(set(flags))
     index = {f: k for k, f in enumerate(flag_list)}
+    view = walk_rows(m)
     perms = []
     for c in cols:
         row = []
         for f in flag_list:
-            g = m.perms[c][f]
+            g = view[c][f]
             if g not in index:
                 raise ValueError(f"flag set not closed under colour {c} at flag {f}")
             row.append(index[g])
-        perms.append(tuple(row))
-    return Maniplex(tuple(perms))
+        perms.append(row)
+    return from_int_rows(perms)
 
 
 # ---------- serialization ----------
@@ -392,10 +451,10 @@ def _checked_perms(doc: object) -> list:
     if not isinstance(perms, list) or len(perms) != rank:
         raise FormatError("perms must be a list with one row per colour")
     for i, row in enumerate(perms):
-        if not isinstance(row, (list, tuple)) or len(row) != nflags:
+        if not isinstance(row, (list, array)) or len(row) != nflags:
             raise FormatError(f"perms[{i}] must be a list of length {nflags}")
-        # a tuple is a row the reader checked at its own length, now nflags
-        f = None if type(row) is tuple else _bad_entry(row, nflags)
+        # an array is a row the reader checked at its own length, now nflags
+        f = None if type(row) is array else _bad_entry(row, nflags)
         if f is not None:
             raise FormatError(f"perms[{i}] entry out of range: {row[f]!r}")
     return perms
@@ -414,18 +473,19 @@ _SLICE_FORMAT = _ENTRY_SEP.join(["%d"] * _SLICE_ENTRIES)
 def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
     """The text of `maniplex_to_json`, generated in chunks of at most
     `_SLICE_ENTRIES` row entries, each slice formatted by one "%d" format
-    string.  A slice is first checked to hold only ints in 0..flags-1, so
-    an entry out of range, a float or a bool raises FormatError before it
-    is generated.  The check is skipped when the maniplex is known to
-    pass `structural_errors` (`known_sound`), which proves the same of
-    every row.
+    string, read off the walk view when m has one (`walk_rows`).  A slice
+    is first checked to hold only ints in 0..flags-1, so an entry out of
+    range, a float or a bool raises FormatError before it is generated.
+    The check is skipped when the maniplex is known to pass
+    `structural_errors` (`known_sound`), which proves the same of every
+    row.
     The check adds about half to the write's time (at 3 145 728 flags,
     4.6-5.2 s to 7.3-8.8 s, Python 3.11 on 2 vCPUs)."""
     size = m.flag_count
     checked = known_sound(m)
     yield '{\n  "flags": %d,\n  "perms": [' % size
     sep = "\n    "
-    for i, row in enumerate(m.perms):
+    for i, row in enumerate(m._cache.get("walk") or m.perms):
         if not row:
             yield sep + "[]"
         else:
@@ -436,7 +496,7 @@ def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
                 if f is not None:
                     raise FormatError(f"perms[{i}] entry out of range: {part[f]!r}")
                 fmt = _SLICE_FORMAT if len(part) == _SLICE_ENTRIES else _ENTRY_SEP.join(["%d"] * len(part))
-                yield head + fmt % part
+                yield head + fmt % tuple(part)
                 head = _ENTRY_SEP
             yield "\n    ]"
         sep = ",\n    "
@@ -495,14 +555,13 @@ def _read_object(text: str) -> Optional[dict]:
 
 def _read_rows(text: str, end: int, size: object) -> tuple[list, int]:
     """The rows of the array opened at text[end], and the offset past it;
-    see `_read_object`.  The pool grows only for a row of `size` entries
-    that passed its check, so padding cannot make it grow."""
+    see `_read_object`."""
     rows = []
     c = ","
     while c == ",":
         row, end = _raw_decode(text, _WHITESPACE(text, end + 1).end())
         if type(row) is list and type(size) is int and 0 < len(row) == size and _bad_entry(row, size) is None:
-            row = tuple(map(flag_ints(size).__getitem__, row))
+            row = array("i", row)
         rows.append(row)
         end = _WHITESPACE(text, end).end()
         c = text[end:end + 1]
@@ -512,9 +571,9 @@ def _read_rows(text: str, end: int, size: object) -> tuple[list, int]:
 
 
 def maniplex_from_json(text: str) -> Maniplex:
-    """Decode onto the pool of flag ints (`flag_ints`), row by row when
-    "flags" comes before "perms", as in every canonical document; the rows
-    of any other document are mapped onto the pool once all are checked.
+    """Decode into `array('i')` rows, row by row when "flags" comes before
+    "perms", as in every canonical document; the rows of any other
+    document are packed once all are checked.
     Text the row reader does not follow, or that fails to decode, is left
     to `json.loads`, which gives the same document or the same error, as
     a FormatError.  The maniplex caches that its rows passed
@@ -529,11 +588,7 @@ def maniplex_from_json(text: str) -> Maniplex:
         except (ValueError, RecursionError) as exc:  # an int literal over the digit limit, nesting too deep
             raise FormatError(f"invalid JSON: {exc}") from exc
     perms = _checked_perms(doc)
-    ints = flag_ints(doc["flags"])
-    for i, row in enumerate(perms):
-        if type(row) is list:
-            perms[i] = tuple(map(ints.__getitem__, row))
-    m = Maniplex(tuple(perms))
+    m = Maniplex(tuple(row if type(row) is array else array("i", row) for row in perms))
     m._cache["sound"] = True
     return m
 

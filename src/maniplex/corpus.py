@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .certify import Refusal
-from .core import Maniplex, validate
+from .core import Maniplex, from_int_rows, validate
 from .cosets import coset_enumerate, string_coxeter
 
 # Corner k of cell (x, y) is (x, y) + ((0, 0), (1, 0), (1, 1), (0, 1))[k];
@@ -70,7 +70,7 @@ def torus_44(b: int, c: int) -> Maniplex:
             r0 += [base + k for k in _R0]
             across = [8 * (cx * g + ct) for cx, ct in (canon(x + dx, t + dy) for dx, dy in _ACROSS)]
             r2 += [across[j] + k for j, k in _R2]
-    return Maniplex((tuple(r0), tuple(f ^ 1 for f in range(8 * n)), tuple(r2)))
+    return from_int_rows((r0, [f ^ 1 for f in range(8 * n)], r2))
 
 
 _PETRIE_CUBE = ((0, 1, 2) * 3,)

@@ -58,7 +58,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .certify import Refusal
-from .core import Maniplex, flag_ints
+from .core import Maniplex, flag_ints, from_int_rows
 
 SENTINEL = -1
 DEFAULT_CAP = 100_000
@@ -133,7 +133,7 @@ class CosetTable:
         return len(self.perms[0]) if self.perms else 0
 
     def to_maniplex(self) -> Maniplex:
-        return Maniplex(self.perms)
+        return from_int_rows(self.perms)
 
 
 def coset_enumerate(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .core import Maniplex
+from .core import Maniplex, from_int_rows
 
 Edge = tuple[int, int]  # (lower endpoint flag, colour)
 
@@ -33,8 +33,8 @@ def double_cover(m: Maniplex, edges: frozenset[Edge]) -> Maniplex:
             g = base_row[f]
             row[2 * f] = 2 * g + flip
             row[2 * f + 1] = 2 * g + (1 ^ flip)
-        perms.append(tuple(row))
-    return Maniplex(tuple(perms))
+        perms.append(row)
+    return from_int_rows(perms)
 
 
 def lift_connected(m: Maniplex, edges: frozenset[Edge], flags: Iterable[int], colours: Iterable[int]) -> bool:

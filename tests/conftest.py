@@ -53,7 +53,7 @@ def simplex5():
 def two_squares():
     """Two disjoint copies of the square: a flag graph that is not connected."""
     sq = platonic("square")
-    return Maniplex(tuple(row + tuple(f + 8 for f in row) for row in sq.perms))
+    return Maniplex(tuple(tuple(row) + tuple(f + 8 for f in row) for row in sq.perms))
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +79,6 @@ def schreier_members(oracle_members, two_squares):
     m = oracle_members[-1]  # the tower's rank 6
     tower7 = extend(m, faces(m, m.rank - 1)[0])
     pool = [torus_44(b, c) for b, c in TORUS_POOL]
-    members = {m.perms: m for m in [*oracle_members, *pool, tower7] if m is not two_squares}
+    members = {m: m for m in [*oracle_members, *pool, tower7] if m is not two_squares}
     rng = random.Random(SEED)
     return [(m, (0, rng.randrange(m.flag_count))) for m in members.values()]

@@ -204,6 +204,17 @@ def faces_by_bfs(perms: Perms, i: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+def extension_by_entries(base: Perms, facet_flags) -> Perms:
+    """The rows of the extension over a facet, entry by entry: an old
+    colour sends flag 4g + t to 4 base[i][g] + t, and the new colour sends
+    it to 4g + (t XOR 1), or to 4g + (t XOR 3) when g lies in the facet."""
+    size = len(base[0])
+    inside = set(facet_flags)
+    rows = [tuple(4 * row[g] + t for g in range(size) for t in range(4)) for row in base]
+    rows.append(tuple(4 * g + (t ^ (3 if g in inside else 1)) for g in range(size) for t in range(4)))
+    return tuple(rows)
+
+
 def tag_spans_match_by_faces(base: Perms, facet_flags, ext: Perms) -> bool:
     """Over every base i-face below the top rank, the extension faces are
     the predicted tag spans, checked face by face.  With k of the face's

@@ -126,7 +126,7 @@ def test_interrupted_write_leaves_no_torn_file(tmp_path, monkeypatch):
 
 def test_write_failing_partway_leaves_no_torn_artifact(bstar_result, tmp_path):
     m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
-    last = m.perms[-1][:-1] + (m.flag_count,)  # one past the last flag, in the last row
+    last = tuple(m.perms[-1][:-1]) + (m.flag_count,)  # one past the last flag, in the last row
     with pytest.raises(FormatError, match=rf"perms\[4\] entry out of range: {m.flag_count}"):
         cli._write_certified(tmp_path, "maniplex.json", "certificate.json", Maniplex(m.perms[:-1] + (last,)), [])
     with pytest.raises(FormatError, match=r"perms\[0\] entry out of range: 1\.0"):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -20,6 +21,7 @@ from maniplex.core import (
     face_table,
     faces,
     flag_ints,
+    from_int_rows,
     isomorphic,
     maniplex_from_json,
     maniplex_to_json,
@@ -27,6 +29,7 @@ from maniplex.core import (
     structural_errors,
     to_dot,
     validate,
+    walk_rows,
 )
 from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
@@ -151,6 +154,60 @@ def test_face_table_matches_bfs_oracle(named_corpus, b_maniplex, bstar_result):
         assert fresh == Maniplex(m.perms) and hash(fresh) == hash(Maniplex(m.perms))
         assert repr(fresh) == repr(Maniplex(m.perms))
         assert to_json_dict(fresh) == to_json_dict(Maniplex(m.perms))
+
+
+def test_row_forms_are_equal_and_hash_alike(bstar_result):
+    """A maniplex built from tuple rows, list rows, array('i') rows or by
+    `from_int_rows` holds array('i') rows, equals the others and hashes as
+    they do; given tuple rows are kept as the walk view, an array('i') row
+    is kept without a copy, and the dual of the dual is the maniplex, with
+    its walk view carried both ways."""
+    bstar = bstar_result.bstar
+    for m in (platonic("cube"), torus_44(2, 1), bstar, extend(bstar, faces(bstar, 3)[0])):
+        rows = tuple(map(tuple, m.perms))
+        forms = [
+            Maniplex(rows),
+            Maniplex([list(row) for row in rows]),
+            Maniplex(tuple(array("i", row) for row in rows)),
+            Maniplex(tuple(array("l", row) for row in rows)),
+            from_int_rows(rows),
+        ]
+        for x in forms:
+            assert x == m and hash(x) == hash(m), m
+            assert all(type(row) is array and row.typecode == "i" for row in x.perms), m
+        assert len({*forms, m}) == 1
+        for x in (forms[0], forms[4]):  # the given tuple rows serve as the walk view
+            assert all(a is b for a, b in zip(walk_rows(x), rows))
+        packed = tuple(array("i", row) for row in rows)
+        assert all(a is b for a, b in zip(Maniplex(packed).perms, packed))
+        for x in (m, forms[0]):
+            twice = dual(dual(x))
+            assert twice == x and hash(twice) == hash(x)
+            assert twice._cache.get("walk") == x._cache.get("walk")
+        assert walk_rows(dual(forms[2])) == walk_rows(forms[0])[::-1] == walk_rows(dual(forms[0]))
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, 2**31, -(2**31) - 1])
+def test_foreign_rows_are_kept_and_reported(entry):
+    """A row holding a bool, a float or an int that no array('i') holds is
+    kept as a tuple of what it was given, so the checks can name the entry;
+    the other rows are packed."""
+    m = Maniplex(((1, 0), (entry, 0)))
+    assert type(m.perms[0]) is array and m.perms[1] == (entry, 0) and type(m.perms[1][0]) is type(entry)
+    assert structural_errors(m) == [f"permutation 1 entry 0 out of range: {entry!r}"]
+    assert not validate(m).ok
+    with pytest.raises(FormatError, match=r"perms\[1\] entry out of range"):
+        maniplex_to_json(m)
+    if entry == 1:  # the same values, in another form
+        assert m != Maniplex(((1, 0), (1, 0)))
+
+
+def test_walk_view_of_unsound_rows_is_their_values():
+    """An array row out of range is walked as its values, not through the
+    pool of flag ints."""
+    for rows in (((1, 2),), ((-1, 0),)):
+        m = Maniplex(tuple(array("i", row) for row in rows))
+        assert walk_rows(m) == rows
 
 
 def test_automorphism_count_unchanged_by_face_table(named_corpus, b_maniplex):
@@ -304,11 +361,15 @@ def test_maniplex_to_json_refuses_out_of_range_entries(perms, message):
 
 
 def test_decoded_maniplex_holds_one_int_per_value(bstar_result):
+    """The decoded copy holds each entry as one 4-byte C int, and its walk
+    view, built on the first walk, holds one int object per flag value."""
     m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
     decoded = maniplex_from_json(maniplex_to_json(m))
     assert decoded == m
-    assert all(type(row) is tuple for row in decoded.perms)
-    assert len({id(v) for row in decoded.perms for v in row}) == decoded.flag_count
+    assert all(type(row) is array and row.typecode == "i" and row.itemsize == 4 for row in decoded.perms)
+    view = walk_rows(decoded)
+    assert view == tuple(map(tuple, decoded.perms))
+    assert len({id(v) for row in view for v in row}) == decoded.flag_count
 
 
 @pytest.mark.parametrize(
@@ -336,15 +397,17 @@ def test_maniplex_to_json_skips_the_row_check_only_on_a_structurally_sound_repor
 
 def test_tower_and_decoded_copies_hold_the_pool_ints(bstar_result):
     """The rank-5 and rank-6 extensions, their decoded copies and the next
-    extension hold each value as one and the same int object, the pool's."""
+    extension, once walked, hold each value as one and the same int
+    object, the pool's."""
     m, held = bstar_result.bstar, []
     for _ in (5, 6):
         m = extend(m, faces(m, m.rank - 1)[0])
         held += [m, maniplex_from_json(maniplex_to_json(m))]
     held.append(extend(held[-1], faces(held[-1], 5)[0]))
+    views = [walk_rows(m) for m in held]
     pool = flag_ints(held[-1].flag_count)
-    for m in held:
-        assert all(v is pool[v] for row in m.perms for v in row), m
+    for m, view in zip(held, views):
+        assert all(v is pool[v] for row in view for v in row), m
 
 
 def test_padded_document_does_not_grow_the_pool():
@@ -376,8 +439,8 @@ def _layouts(m):
 
 def test_decoder_matches_plain_loads_in_every_layout(oracle_members):
     """Seeded torus maps, flags renumbered, and the tower's rank-6
-    extension: every layout decodes to the oracle's rows, each entry the
-    pool's int for its value."""
+    extension: every layout decodes to the oracle's rows, each packed into
+    an array('i')."""
     rng = random.Random(suites.SEED)
     members = [oracle_members[-1]]  # the tower's rank 6
     for b, c in rng.sample(suites.TORUS_POOL, 4):
@@ -388,9 +451,8 @@ def test_decoder_matches_plain_loads_in_every_layout(oracle_members):
     for m in members:
         for text in _layouts(m):
             decoded = maniplex_from_json(text)
-            assert decoded.perms == maniplex_from_json_by_loads(text) == m.perms, text[:80]
-            pool = flag_ints(0)
-            assert all(v is pool[v] for row in decoded.perms for v in row), text[:80]
+            assert tuple(map(tuple, decoded.perms)) == maniplex_from_json_by_loads(text), text[:80]
+            assert decoded.perms == m.perms and all(type(row) is array for row in decoded.perms), text[:80]
 
 
 def _outcome(decode, text):
@@ -427,7 +489,7 @@ def test_decoder_errors_match_plain_loads():
     digit limit is a FormatError too, not a bare ValueError."""
     for text in _parity_cases():
         expected = _outcome(maniplex_from_json_by_loads, text)
-        got = _outcome(lambda t: maniplex_from_json(t).perms, text)
+        got = _outcome(lambda t: tuple(map(tuple, maniplex_from_json(t).perms)), text)
         assert got == expected, text[:80]
     digits = next(text for text in _parity_cases() if "1" * 5000 in text)
     assert _outcome(maniplex_from_json, digits)[0] is FormatError

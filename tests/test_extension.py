@@ -18,16 +18,19 @@ from maniplex.core import (
     maniplex_to_json,
     restrict,
     validate,
+    walk_rows,
 )
 from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.extension import (
     TAG_CODES,
+    _rows_copy_base,
     _tag_spans,
     extend,
     verify_extension,
 )
 from maniplex.poset import RankedPoset, is_faithful, pos_of, section, poset_isomorphism
 from oracles import (
+    extension_by_entries,
     facet_section_matches_base_by_labels,
     faithfulness_by_labels,
     order_isomorphic_by_cover_search,
@@ -461,13 +464,76 @@ def test_ridge_check_names_a_ridge_under_one_facet(monkeypatch):
     assert (check.status, check.detail) == (FAIL, (ridge, 1))
 
 
+def test_extend_matches_the_entry_by_entry_oracle(bstar_result):
+    """Over every facet of B*, the cube, the hemicube, tori (1,0), (1,1)
+    and (2,1) and the tower's ranks 5 to 7, the lanes give the oracle's
+    rows, and the row equation holds."""
+    bases = [bstar_result.bstar, platonic("cube"), platonic("hemicube"), torus_44(1, 0), torus_44(1, 1), torus_44(2, 1)]
+    m = bstar_result.bstar
+    for _ in (5, 6, 7):
+        m = extend(m, faces(m, m.rank - 1)[0])
+        bases.append(m)
+    for m in bases:
+        for facet in faces(m, m.rank - 1):
+            ext = extend(m, facet)
+            assert tuple(map(tuple, ext.perms)) == extension_by_entries(m.perms, facet.flags), (m, facet.canonical)
+            assert all(type(row) is array for row in ext.perms)
+            assert _rows_copy_base(m, ext)
+
+
+def row_mutants(ext: Maniplex):
+    """ext with its first row changed: one entry plus 1 in each lane t, two
+    entries swapped, one entry short, and the same values as a tuple row
+    (one entry 1 written as True, which the constructor keeps as given)."""
+    first = ext.perms[0]
+    for t in range(4):
+        bumped = array("i", first)
+        bumped[8 + t] += 1
+        yield f"+1 in lane {t}", bumped
+    swapped = array("i", first)
+    swapped[4], swapped[9] = swapped[9], swapped[4]
+    yield "swapped", swapped
+    yield "short", first[:-1]
+    k = list(first).index(1)
+    yield "tuple", tuple(True if f == k else v for f, v in enumerate(first))
+
+
+def test_row_equation_fails_on_every_row_mutant(bstar_result):
+    m = bstar_result.bstar
+    ext = extend(m, faces(m, 3)[0])
+    seen = []
+    for name, row in row_mutants(ext):
+        mutant = Maniplex((row, *ext.perms[1:]))
+        assert type(mutant.perms[0]) is (tuple if name == "tuple" else array), name
+        assert not _rows_copy_base(m, mutant), name
+        seen.append(name)
+    assert len(seen) == 7
+
+
 def test_extension_rows_share_one_int_per_flag(bstar_result):
     m = bstar_result.bstar
     ext = extend(m, faces(m, 3)[0])
-    assert len({id(v) for row in ext.perms for v in row}) == ext.flag_count
-    # the faces hold the rows' int objects too
+    view = walk_rows(ext)
+    assert len({id(v) for row in view for v in row}) == ext.flag_count
+    # the faces hold the walk view's int objects too
     held = {id(f) for face in faces(ext, 4) for f in face.flags}
-    assert held <= {id(v) for row in ext.perms for v in row}
+    assert held <= {id(v) for row in view for v in row}
+
+
+def test_tower_rows_are_packed_and_never_walked(bstar_result):
+    """The tower's extensions, certified and round-tripped as the tower
+    is, hold array('i') rows and build no walk view; so do their decoded
+    copies, which equal them and hash as they do."""
+    m = bstar_result.bstar
+    for rank in (5, 6, 7):
+        res = verify_extension(m, faces(m, rank - 2)[0])
+        assert all_ok(res.checks)
+        m = res.extension
+        decoded = maniplex_from_json(maniplex_to_json(m))
+        assert decoded == m and hash(decoded) == hash(m)
+        for held in (m, decoded):
+            assert all(type(row) is array and row.typecode == "i" for row in held.perms), rank
+            assert "walk" not in held._cache, rank
 
 
 def counting_searches(monkeypatch):
@@ -506,12 +572,22 @@ def out_of_quad(ext: Maniplex) -> Maniplex:
     return crossed(ext, ext.rank - 1, 0, 4)
 
 
+def image_moved_up(ext: Maniplex) -> Maniplex:
+    """ext with flag 3's new-colour image moved up one quad, from p(3) to
+    4 + p(3): the new colour is no longer an involution, yet the moved
+    image still names tag p(3) modulo 4, and no other image moves."""
+    row = list(ext.perms[-1])
+    row[3] += 4
+    return Maniplex((*ext.perms[:-1], tuple(row)))
+
+
 MUTANTS = (
     ("real", lambda ext: ext),
     ("crossed", crossed),
     ("crossed in tags 1, 2", lambda ext: crossed(ext, 0, 1, 2)),  # every tag-0 entry still copies the base
     ("swapped", new_colour_swapped),
     ("out of quad", out_of_quad),
+    ("image moved up", image_moved_up),
 )
 
 
@@ -567,12 +643,14 @@ def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, mo
         ("swapped", True, False, False): 8,
         ("out of quad", False, False, False): 137,
         ("out of quad", True, False, False): 8,
+        ("image moved up", False, False, False): 137,
+        ("image moved up", True, False, False): 8,
     }
 
 
 def quad_0_fixed(m: Maniplex, ext: Maniplex) -> Maniplex:
     """ext with the new colour fixing the flags 0..3 of quad 0."""
-    return Maniplex((*ext.perms[:-1], (0, 1, 2, 3) + ext.perms[-1][4:]))
+    return Maniplex((*ext.perms[:-1], (0, 1, 2, 3) + tuple(ext.perms[-1][4:])))
 
 
 def fixed_tags_on_a_facet(m: Maniplex, ext: Maniplex) -> Maniplex:
@@ -686,7 +764,7 @@ def test_extend_of_a_decoded_base_is_sound(bstar_result, monkeypatch):
     maniplex_to_json(res.extension)
     assert all_ok(res.checks) and checked == []
     assert maniplex_from_json(written) == ext
-    last = ext.perms[-1][:-1] + (ext.flag_count,)
+    last = tuple(ext.perms[-1][:-1]) + (ext.flag_count,)
     with pytest.raises(FormatError, match=rf"perms\[5\] entry out of range: {ext.flag_count}"):
         maniplex_to_json(Maniplex(ext.perms[:-1] + (last,)))
     assert checked

@@ -180,7 +180,7 @@ def test_faithfulness_witness_under_renumbering(bstar_result):
     """
     bstar = bstar_result.bstar
     cube, t10 = platonic("cube"), torus_44(1, 0)
-    beside = Maniplex(tuple(a + tuple(f + 48 for f in b) for a, b in zip(cube.perms, t10.perms)))
+    beside = Maniplex(tuple(tuple(a) + tuple(f + 48 for f in b) for a, b in zip(cube.perms, t10.perms)))
     members = [bstar, t10, torus_44(1, 1), extend(bstar, faces(bstar, 3)[0]), beside]
     rng = random.Random(20261018)
     string_order_differs = 0
@@ -520,7 +520,7 @@ def test_flag_connectivity_fails_on_proper_sections(two_squares):
     # squares or cubes
     cube = platonic("cube")
     squares = pos_of(two_squares)
-    cubes = pos_of(Maniplex(tuple(row + tuple(f + 48 for f in row) for row in cube.perms)))
+    cubes = pos_of(Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms)))
     broken = [pyramid(squares, "^"), pyramid(cubes, "^"), pyramid(pyramid(squares, "^"), "*")]
     broken += [dual_poset(p) for p in broken]
     for p in broken:
