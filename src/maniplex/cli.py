@@ -9,10 +9,11 @@ input and version; wall-clock timings go to stderr only.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import codecs
 import os
 import sys
 import time
+from functools import partial
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Optional
@@ -38,6 +39,7 @@ from .poset import pos_of, poset_to_dot, poset_to_json_dict
 
 
 _SLICE = 1 << 20  # characters of a string written at a time
+_READ = 1 << 20  # bytes of a file read at a time
 
 
 def _chunks(text: str | Iterable[str]) -> Iterable[str]:
@@ -54,6 +56,8 @@ def _write(path: Path | str, text: str | Iterable[str]) -> str:
     SHA-256 of the bytes written.  Each chunk is encoded, written and
     hashed in turn, so no whole copy of the text or of its bytes is ever
     held."""
+    import hashlib  # loads OpenSSL, which a command that writes only to stdout never needs
+
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
@@ -84,13 +88,29 @@ def _outdir(path: str) -> Path:
 
 
 def _load_maniplex(path: str) -> tuple[Maniplex, str]:
-    """The maniplex in the file and the SHA-256 of its bytes.  The bytes are
-    hashed and decoded, then dropped before the text is parsed."""
-    data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    text = data.decode("utf-8")
-    del data
-    return maniplex_from_json(text), digest
+    """The maniplex in the file and the SHA-256 of its bytes.  The file is
+    read `_READ` bytes at a time, each slice hashed and decoded in turn
+    onto one string grown in place, so its bytes are never held whole
+    beside the text.  Text that is not UTF-8 is decoded once more, whole,
+    for the error to name its offset in the file."""
+    import hashlib  # loads OpenSSL, which a command that reads no file never needs
+
+    digest = hashlib.sha256()
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    text = ""
+    try:
+        with open(path, "rb") as src:
+            # a for loop, not `while`: CPython 3.11 specializes `+=` into an
+            # in-place append only in a loop closed by an unconditional jump
+            for data in iter(partial(src.read, _READ), b""):
+                digest.update(data)
+                text += decode(data)
+        text += decode(b"", final=True)
+    except UnicodeDecodeError:
+        del text
+        Path(path).read_bytes().decode("utf-8")
+        raise
+    return maniplex_from_json(text), digest.hexdigest()
 
 
 def _load_valid(path: str) -> tuple[Maniplex, str]:

@@ -11,10 +11,13 @@ structures can be represented and reported on.
 from __future__ import annotations
 
 import json
+import sys
 from array import array
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from itertools import compress, count, islice
+from operator import itemgetter, ne
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 DOT_PALETTE = ("red", "green", "blue", "orange")
 
@@ -42,7 +45,9 @@ class Maniplex:
     `maniplex_from_json` decoded it, having made every check of
     `structural_errors`, or `extension.extend` built it, so that `validate`
     and the encoder skip them (`known_sound`); under "walk", its rows as
-    tuples (`walk_rows`).
+    tuples (`walk_rows`); under "tree", the spanning tree that
+    `isomorphic` and `automorphism_count` carry a map along
+    (`_spanning_tree`).
     A face-table entry may also be a zero-argument callable that builds
     the table, as the extension pipeline leaves one; `face_table` calls it
     on the first read.
@@ -205,42 +210,90 @@ def validate(m: Maniplex) -> ValidationReport:
 
 
 def _validate(m: Maniplex) -> ValidationReport:
+    """Each axiom is decided over whole rows in C, and its witness, the
+    least failing flag, read off the same rows: involutions and squares
+    by composing rows (`_compose`), fixed points and improper colouring
+    by the lanes of the packed rows (`_zero_lane`)."""
     structural = () if known_sound(m) else structural_errors(m)
     if structural:
         return ValidationReport(False, tuple(structural), ())
 
-    violations: list[Violation] = []  # each loop stops at its first witness
+    violations: list[Violation] = []  # one witness per failing row or colour pair
     perms = walk_rows(m)
     n, size = m.rank, m.flag_count
+    ident = _identity(size)
+    ones, ident_lanes = lane_ones(size), row_lanes(array("i", range(size)))
     for i, row in enumerate(perms):
-        for f in range(size):
-            if row[row[f]] != f:
-                violations.append(Violation(AXIOM_INVOLUTION, (i, f)))
-                break
-        for f in range(size):
-            if row[f] == f:
-                violations.append(Violation(AXIOM_FIXED_POINT_FREE, (i, f)))
-                break
+        f = _first_difference(_compose(row, row), ident)
+        if f is not None:
+            violations.append(Violation(AXIOM_INVOLUTION, (i, f)))
+        f = _zero_lane(row_lanes(m.perms[i]) ^ ident_lanes, ones)  # a sound row is an array('i')
+        if f is not None:
+            violations.append(Violation(AXIOM_FIXED_POINT_FREE, (i, f)))
     for i in range(n):
+        lanes = row_lanes(m.perms[i])  # one row's lanes at a time: at rank 10, 3 MB each
         for j in range(i + 1, n):
-            ri, rj = perms[i], perms[j]
-            for f in range(size):
-                if ri[f] == rj[f]:
-                    violations.append(Violation(AXIOM_PROPER, (i, j, f)))
-                    break
+            f = _zero_lane(lanes ^ row_lanes(m.perms[j]), ones)
+            if f is not None:
+                violations.append(Violation(AXIOM_PROPER, (i, j, f)))
     # connectivity: the least nonzero id is the least flag not reached from flag 0
     ids = _component_ids(m, range(n))
     if any(ids):
         violations.append(Violation(AXIOM_CONNECTED, (min(set(ids) - {0}),)))
-    # colours at distance > 1 must generate 4-cycles
+    # colours at distance > 1 must generate 4-cycles: (r_i r_j)^2 is the identity
     for i in range(n):
         for j in range(i + 2, n):
-            ri, rj = perms[i], perms[j]
-            for f in range(size):
-                if ri[rj[ri[rj[f]]]] != f:
-                    violations.append(Violation(AXIOM_SQUARE, (i, j, f)))
-                    break
+            rirj = _compose(perms[i], perms[j])
+            f = _first_difference(_compose(rirj, rirj), ident)
+            if f is not None:
+                violations.append(Violation(AXIOM_SQUARE, (i, j, f)))
     return ValidationReport(not violations, (), tuple(violations))
+
+
+def _identity(size: int) -> tuple[int, ...]:
+    """The row f -> f on size flags, as the pool's ints (`flag_ints`)."""
+    return tuple(islice(flag_ints(size), size))
+
+
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """row -> the tuple of row[k] for k in indices, read in C by one
+    `itemgetter`."""
+    if len(indices) == 1:  # a one-item itemgetter returns the item, not a tuple
+        k = indices[0]
+        return lambda row: (row[k],)
+    return itemgetter(*indices)
+
+
+def _compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
+    """The row f -> outer[inner[f]]."""
+    return _getter(inner)(outer)
+
+
+def _first_difference(row: tuple, other: tuple) -> Optional[int]:
+    """Least index where the rows differ, or None when they are equal; the
+    equality test is one C comparison of the two tuples."""
+    return None if row == other else next(compress(count(), map(ne, row, other)))
+
+
+def row_lanes(row: array) -> int:
+    """The row's entries as the 32-bit lanes of one int, one lane an entry."""
+    return int.from_bytes(row.tobytes(), sys.byteorder)
+
+
+def lane_ones(size: int) -> int:
+    """The int with a 1 in each of `size` 32-bit lanes."""
+    return row_lanes(array("i", [1]) * size)
+
+
+def _zero_lane(x: int, ones: int) -> Optional[int]:
+    """The lowest 32-bit lane of x that is 0, or None, for x whose lanes
+    are all below 2**31 and ones with a 1 in each of them.  A lane v sets
+    its top bit in (x - ones) & ~x only when v - 1, less a borrow from the
+    lane below, wraps; a borrow comes only from a lane that wrapped, so
+    the lowest top bit set is that of the lowest lane 0 (SIMD within a
+    register)."""
+    hits = (x - ones) & ~x & ones << 31
+    return (hits & -hits).bit_length() - 1 >> 5 if hits else None
 
 
 def _check_colours(m: Maniplex, colours: Iterable[int]) -> tuple[int, ...]:
@@ -260,12 +313,65 @@ def components(m: Maniplex, colours: Iterable[int]) -> list[Component]:
 
 
 def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
-    """flag -> least flag of its component under the given colours, from
-    one search over the flag graph."""
+    """flag -> least flag of its component under the given colours.
+
+    When the first two colours r_a, r_b are involutions, each orbit of
+    <r_a, r_b> is one alternating cycle f, r_a f, r_b r_a f, ..., back to
+    f (McMullen & Schulte, Abstract Regular Polytopes, 2B), walked with no
+    stack; only the other colours' neighbours are queued, each at most
+    once.  On a maniplex whose cached `validate` report is ok, a colour
+    two or more away from both commutes with r_a and r_b, so it carries
+    the whole cycle onto one cycle: only its image of the cycle's first
+    flag is looked at.  Otherwise, or for fewer than two colours, one
+    search over every colour's edges."""
+    cols = tuple(cols)
     view = walk_rows(m)
-    rows = [view[c] for c in cols]
-    ids = [-1] * m.flag_count
-    for start in range(m.flag_count):
+    if len(cols) < 2 or not _involutions(m, cols[:2]):
+        return _component_ids_by_search([view[c] for c in cols], m.flag_count)
+    a, b, others = view[cols[0]], view[cols[1]], cols[2:]
+    report = m._cache.get("valid")
+    far = {c for c in others if abs(c - cols[0]) > 1 and abs(c - cols[1]) > 1} if report and report.ok else set()
+    near_rows = [view[c] for c in others if c not in far]
+    far_rows = [view[c] for c in others if c in far]
+    ids = [-1] * m.flag_count  # -1 unreached, -2 queued, else the least flag of the component
+    start = 0
+    while True:  # start is the least unreached flag, so the least of its component
+        queue = [start]
+        for f in queue:
+            if ids[f] >= 0:  # its cycle is walked
+                continue
+            g = f
+            while True:
+                h = a[g]
+                ids[g] = ids[h] = start
+                for row in near_rows:
+                    x = row[g]
+                    if ids[x] == -1:
+                        ids[x] = -2
+                        queue.append(x)
+                    x = row[h]
+                    if ids[x] == -1:
+                        ids[x] = -2
+                        queue.append(x)
+                g = b[h]
+                if g == f:
+                    break
+            for row in far_rows:
+                x = row[f]
+                if ids[x] == -1:
+                    ids[x] = -2
+                    queue.append(x)
+        try:
+            start = ids.index(-1, start + 1)
+        except ValueError:
+            return array("i", ids)
+
+
+def _component_ids_by_search(rows: list, size: int) -> array:
+    """`_component_ids` by one search along every row's edges, for rows
+    that need not be involutions."""
+    ids = [-1] * size
+    for start in range(size):
         if ids[start] >= 0:
             continue
         ids[start] = start
@@ -278,6 +384,23 @@ def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
                     ids[g] = start
                     stack.append(g)
     return array("i", ids)
+
+
+def _involutions(m: Maniplex, cols: Iterable[int]) -> bool:
+    """Whether each given colour's row is an involution of the flags: read
+    off the cached `validate` report when there is one, else decided by
+    one whole-row comparison per colour.  A row holding an entry outside
+    0..flags-1, or one that is no int, is none; a bool reads as 0 or 1,
+    as the search reads it."""
+    report = m._cache.get("valid")
+    if report is not None and not report.structural:
+        bad = {v.witness[0] for v in report.violations if v.axiom == AXIOM_INVOLUTION}
+        return bad.isdisjoint(cols)
+    view, ident = walk_rows(m), _identity(m.flag_count)
+    try:
+        return all(_compose(view[c], view[c]) == ident for c in cols)
+    except (IndexError, TypeError):
+        return False
 
 
 def face_table(m: Maniplex, i: int) -> array:
@@ -317,30 +440,56 @@ def dual(m: Maniplex) -> Maniplex:
 def _propagate(src: Maniplex, dst: Maniplex, image: int) -> Optional[tuple[int, ...]]:
     """Extend flag 0 -> image to a colour-preserving isomorphism, or fail.
 
-    The proper colouring forces the whole map once one image is chosen, so
-    this is a single BFS with consistency checks.
+    The proper colouring forces the whole map once one image is chosen: it
+    is carried down the spanning tree of src (`_spanning_tree`), one
+    assignment per flag, then checked on the flags reached, in C, for
+    injectivity and, colour by colour, as phi . r_i = r_i' . phi.  Flags
+    the tree does not reach (src is disconnected) are left at -1.
     """
-    rows = tuple(zip(walk_rows(src), walk_rows(dst)))
-    size = src.flag_count
-    phi = [-1] * size
-    used = [False] * size
+    children, parent, colour, reached, neighbours = _spanning_tree(src)
+    rows = walk_rows(dst)
+    phi = [-1] * src.flag_count
     phi[0] = image
-    used[image] = True
-    queue = deque([0])
-    while queue:
-        f = queue.popleft()
-        for src_row, dst_row in rows:
-            g = src_row[f]
-            h = dst_row[phi[f]]
-            if phi[g] < 0:
-                if used[h]:
-                    return None
-                phi[g] = h
-                used[h] = True
-                queue.append(g)
-            elif phi[g] != h:
-                return None
+    for g in children:
+        phi[g] = rows[colour[g]][phi[parent[g]]]
+    mapped = reached(phi)
+    if len(set(mapped)) < len(mapped):
+        return None
+    at_mapped = _getter(mapped)
+    for near, row in zip(neighbours, rows):
+        if near(phi) != at_mapped(row):
+            return None
     return tuple(phi)
+
+
+def _spanning_tree(m: Maniplex) -> tuple[list[int], list[int], list[int], Callable, tuple[Callable, ...]]:
+    """The breadth-first spanning tree of flag 0's component, colours
+    tried in order, computed once per maniplex and kept in its cache under
+    "tree": the flags after flag 0 in the order reached; each flag's
+    parent and the colour of the edge from it; a getter of the reached
+    flags' entries and, per colour, one of their neighbours' entries
+    (`_getter`).  When the tree reaches every flag, these read the rows
+    in flag order: the first is `tuple`, the others the rows' getters."""
+    tree = m._cache.get("tree")
+    if tree is None:
+        rows = walk_rows(m)
+        coloured = tuple(enumerate(rows))
+        parent, colour = [-1] * m.flag_count, [0] * m.flag_count
+        parent[0] = 0
+        order = [0]
+        for f in order:
+            for c, row in coloured:
+                g = row[f]
+                if parent[g] < 0:
+                    parent[g] = f
+                    colour[g] = c
+                    order.append(g)
+        if len(order) == m.flag_count:  # the rows are read in flag order
+            reached, neighbours = tuple, tuple(map(_getter, rows))
+        else:
+            reached, neighbours = _getter(order), tuple(_getter(_compose(row, order)) for row in rows)
+        tree = m._cache["tree"] = (order[1:], parent, colour, reached, neighbours)
+    return tree
 
 
 def isomorphic(m1: Maniplex, m2: Maniplex) -> Optional[tuple[int, ...]]:
@@ -394,7 +543,7 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
             valid[image] = True
         else:
             gens.append(phi)
-            _close_orbit(valid, gens, [f for f in range(size) if valid[f]], True)
+            _close_orbit(valid, gens, list(compress(range(size), valid)), True)
     count = valid.count(True)
     return AutomorphismInfo(count, count == size)
 
@@ -525,9 +674,9 @@ def _read_object(text: str) -> Optional[dict]:
     ValueError, where the text is not one object this reader follows.  Keys are read by
     `scanstring`, values by `raw_decode` (the C scanner, its own int path),
     except that a "perms" array is read one row at a time: once "flags"
-    has been read, a row of that many ints in 0..flags-1 is mapped onto
-    the pool of flag ints as a tuple before the next row is read, so only
-    one row's fresh ints are alive.  Any other row is kept as read."""
+    has been read, a row of that many ints in 0..flags-1 is packed into an
+    `array('i')` before the next row is read, so only one row's fresh
+    ints are alive.  Any other row is kept as read."""
     doc: dict = {}
     end = _WHITESPACE(text, 0).end()
     if text[end:end + 1] != "{":
@@ -559,9 +708,17 @@ def _read_rows(text: str, end: int, size: object) -> tuple[list, int]:
     rows = []
     c = ","
     while c == ",":
-        row, end = _raw_decode(text, _WHITESPACE(text, end + 1).end())
-        if type(row) is list and type(size) is int and 0 < len(row) == size and _bad_entry(row, size) is None:
-            row = array("i", row)
+        start = _WHITESPACE(text, end + 1).end()
+        row, end = _raw_decode(text, start)
+        if type(row) is list and type(size) is int and 0 < len(row) == size:
+            try:  # refuses a float, a string, null, a list and an int outside 32 bits
+                packed = array("i", row)
+            except (TypeError, OverflowError):
+                packed = None
+            # but takes a bool as 0 or 1: of all a packed row can hold, only
+            # `true` and `false` spell an "e"
+            if packed is not None and text.find("e", start, end) < 0 and _bad_entry(packed, size) is None:
+                row = packed
         rows.append(row)
         end = _WHITESPACE(text, end).end()
         c = text[end:end + 1]

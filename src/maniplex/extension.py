@@ -35,7 +35,17 @@ from itertools import chain, compress
 from typing import Optional
 
 from .certify import INFO, SKIP, Check, passed
-from .core import Face, Maniplex, ValidationReport, face_table, known_sound, structural_errors, validate
+from .core import (
+    Face,
+    Maniplex,
+    ValidationReport,
+    face_table,
+    known_sound,
+    lane_ones,
+    row_lanes,
+    structural_errors,
+    validate,
+)
 from .poset import FaithfulnessResult, PolytopeReport, RankedPoset, face_poset, is_faithful, is_polytope, pos_of
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -79,25 +89,15 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     size = m.flag_count
     if 4 * size > 1 << 31:
         raise ValueError(f"an extension of {4 * size} flags does not fit an array('i')")
-    ones = _ones(size)
+    ones = lane_ones(size)
     twist = array("i", [1]) * size  # the new colour moves the tag by XOR 1 outside the facet
     for f in facet.flags:
         twist[f] = 3  # and by XOR 3 inside it
-    perms = [_tagged(_lanes(row) << 2, ones, 0, size) for row in m.perms]
-    perms.append(_tagged(_lanes(array("i", range(0, 4 * size, 4))), ones, _lanes(twist), size))
+    perms = [_tagged(row_lanes(row) << 2, ones, 0, size) for row in m.perms]
+    perms.append(_tagged(row_lanes(array("i", range(0, 4 * size, 4))), ones, row_lanes(twist), size))
     ext = Maniplex(tuple(perms))
     ext._cache["sound"] = True
     return ext
-
-
-def _lanes(row: array) -> int:
-    """The row's entries as the 32-bit lanes of one int, one lane an entry."""
-    return int.from_bytes(row.tobytes(), sys.byteorder)
-
-
-def _ones(size: int) -> int:
-    """The int with a 1 in each of `size` 32-bit lanes."""
-    return _lanes(array("i", [1]) * size)
 
 
 def _tagged(base: int, ones: int, twist: int, size: int) -> array:
@@ -248,11 +248,11 @@ def _rows_copy_base(m: Maniplex, ext: Maniplex) -> bool:
     For each tag t, the entries 4g + t of the extension's row, as bytes,
     must be the lanes of m's row shifted left by 2, plus t (see `extend`)."""
     size = m.flag_count
-    ones = _ones(size)
+    ones = lane_ones(size)
     for base_row, row in zip(m.perms, ext.perms):
         if type(row) is not array or len(row) != 4 * size:
             return False
-        lanes = _lanes(base_row) << 2
+        lanes = row_lanes(base_row) << 2
         if any(row[t::4].tobytes() != (lanes + t * ones).to_bytes(4 * size, sys.byteorder) for t in range(4)):
             return False
     return True
@@ -297,11 +297,11 @@ def _quotient(m: Maniplex, ext: Maniplex) -> Optional[tuple]:
     of tag t is 4c plus the least tag in it.  Deleting colour n leaves
     four copies of the base, one per tag."""
     n, size = m.rank, m.flag_count
-    row, starts = ext.perms[n], _lanes(array("i", range(0, 4 * size, 4)))
-    spare = ~(3 * _ones(size))  # every bit but the two lowest of each lane
+    row, starts = ext.perms[n], row_lanes(array("i", range(0, 4 * size, 4)))
+    spare = ~(3 * lane_ones(size))  # every bit but the two lowest of each lane
     codes = 0
     for t in range(4):
-        offsets = _lanes(row[t::4]) - starts  # lane g: the image of 4g + t, minus 4g
+        offsets = row_lanes(row[t::4]) - starts  # lane g: the image of 4g + t, minus 4g
         if offsets < 0 or offsets & spare:  # some lane is outside 0..3, so an image leaves its quad
             return None
         codes |= offsets << 2 * t

@@ -20,27 +20,122 @@ Perms = tuple[tuple[int, ...], ...]
 
 
 def partition_by_merging(perms: Perms, colours, size: int) -> list[tuple[int, ...]]:
-    """Orbit partition by repeatedly merging blocks joined by an edge."""
-    blocks: list[set[int]] = [{f} for f in range(size)]
-
-    def block_of(f: int) -> set[int]:
-        for b in blocks:
-            if f in b:
-                return b
-        raise AssertionError
-
+    """Orbit partition by repeatedly merging blocks joined by an edge, each
+    flag mapped to the set object of its block, the smaller block poured
+    into the larger."""
+    block = {f: {f} for f in range(size)}
     changed = True
     while changed:
         changed = False
         for c in colours:
             row = perms[c]
             for f in range(size):
-                bf, bg = block_of(f), block_of(row[f])
+                bf, bg = block[f], block[row[f]]
                 if bf is not bg:
+                    if len(bf) < len(bg):
+                        bf, bg = bg, bf
                     bf |= bg
-                    blocks.remove(bg)
+                    for g in bg:
+                        block[g] = bf
                     changed = True
-    return sorted(tuple(sorted(b)) for b in blocks)
+    return sorted(tuple(sorted(b)) for b in {id(b): b for b in block.values()}.values())
+
+
+def component_ids_by_search(perms: Perms, colours, size: int) -> list[int]:
+    """flag -> the flag a breadth-first search first reached it from, the
+    searches started, in increasing order, at each flag no earlier search
+    reached, along the edges f -> row[f] of the given colours and through
+    flags not yet reached.  On involutions these are the orbits, each
+    labelled by its least flag; on any rows, what one search per unreached
+    flag labels."""
+    label: list = [None] * size
+    for start in range(size):
+        if label[start] is not None:
+            continue
+        label[start] = start
+        queue = collections.deque([start])
+        while queue:
+            f = queue.popleft()
+            for c in colours:
+                g = perms[c][f]
+                if label[g] is None:
+                    label[g] = start
+                    queue.append(g)
+    return label
+
+
+def propagate_by_bfs(src: Perms, dst: Perms, image: int):
+    """Extend flag 0 -> image to a colour-preserving map, by one
+    breadth-first search over src that checks every edge as it goes and
+    refuses a second flag with the same image; None on a clash, else the
+    map as a tuple, with -1 at every flag the search did not reach (src is
+    disconnected)."""
+    rows = tuple(zip(src, dst))
+    size = len(src[0])
+    phi = [-1] * size
+    used = [False] * size
+    phi[0] = image
+    used[image] = True
+    queue = collections.deque([0])
+    while queue:
+        f = queue.popleft()
+        for src_row, dst_row in rows:
+            g = src_row[f]
+            h = dst_row[phi[f]]
+            if phi[g] < 0:
+                if used[h]:
+                    return None
+                phi[g] = h
+                used[h] = True
+                queue.append(g)
+            elif phi[g] != h:
+                return None
+    return tuple(phi)
+
+
+def isomorphism_by_propagation(p1: Perms, p2: Perms):
+    """What `isomorphic` answers, from `propagate_by_bfs`: the map of the
+    least image of flag 0 that propagates, None when none does, and
+    ValueError when that map is partial."""
+    if len(p1) != len(p2) or len(p1[0]) != len(p2[0]):
+        return None
+    for image in range(len(p2[0])):
+        phi = propagate_by_bfs(p1, p2, image)
+        if phi is not None:
+            if -1 in phi:
+                raise ValueError("disconnected")
+            return phi
+    return None
+
+
+def violations_by_scan(perms: Perms) -> list[tuple[str, tuple]]:
+    """The (axiom, witness) pairs `validate` reports on rows that pass the
+    structural checks, each witness the least failing flag of a scan over
+    every flag: per colour, a flag f with r[r[f]] != f, then a fixed
+    point; per colour pair i < j, a flag where the rows agree; the least
+    flag `component_ids_by_search` does not reach from flag 0; per pair
+    j >= i + 2, a flag f with (r_i r_j)^2 f != f."""
+    n, size = len(perms), len(perms[0])
+    out = []
+    for i, row in enumerate(perms):
+        for axiom, bad in (("involution", lambda f: row[row[f]] != f), ("fixed-point-free", lambda f: row[f] == f)):
+            f = next((f for f in range(size) if bad(f)), None)
+            if f is not None:
+                out.append((axiom, (i, f)))
+    for i, j in itertools.combinations(range(n), 2):
+        f = next((f for f in range(size) if perms[i][f] == perms[j][f]), None)
+        if f is not None:
+            out.append(("proper-colouring", (i, j, f)))
+    label = component_ids_by_search(perms, range(n), size)
+    if any(label):
+        out.append(("connected", (next(f for f, x in enumerate(label) if x),)))
+    for i in range(n):
+        for j in range(i + 2, n):
+            ri, rj = perms[i], perms[j]
+            f = next((f for f in range(size) if ri[rj[ri[rj[f]]]] != f), None)
+            if f is not None:
+                out.append(("square", (i, j, f)))
+    return out
 
 
 def brute_isomorphisms(p1: Perms, p2: Perms) -> list[tuple[int, ...]]:

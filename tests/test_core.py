@@ -410,15 +410,25 @@ def test_tower_and_decoded_copies_hold_the_pool_ints(bstar_result):
         assert all(v is pool[v] for row in view for v in row), m
 
 
-def test_padded_document_does_not_grow_the_pool():
-    """Whitespace after a large flag count buys no table fill: the pool
-    keeps its size, and the document is refused for its short row."""
-    size = len(flag_ints(0))
-    flags = size + 100_000
+def test_padded_document_is_refused_in_constant_memory():
+    """A document that claims 10**6 flags but holds a two-entry row, then
+    2 * 10**6 spaces, is refused for its short row, and the decoder's
+    traced peak stays under a bound that does not grow with the flag
+    count: nothing of the claimed size is allocated."""
+    flags = 10**6
     text = '{"flags": %d, "perms": [[1, 0]], "rank": 1}' % flags + " " * (2 * flags)
-    with pytest.raises(FormatError, match=rf"perms\[0\] must be a list of length {flags}"):
-        maniplex_from_json(text)
-    assert len(flag_ints(0)) == size
+    error = None
+    tracemalloc.start()
+    try:
+        try:
+            maniplex_from_json(text)
+        except FormatError as exc:
+            error = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(error) == f"perms[0] must be a list of length {flags}"
+    assert peak < 64 * 1024, peak
 
 
 def _layouts(m):
