@@ -43,11 +43,11 @@ class Maniplex:
     under "theta", the marked set of a rank-4 maniplex and the double cover
     it gives (`counterexample.find_theta`); under "sound", True when
     `maniplex_from_json` decoded it, having made every check of
-    `structural_errors`, or `extension.extend` built it, so that `validate`
-    and the encoder skip them (`known_sound`); under "walk", its rows as
-    tuples (`walk_rows`); under "tree", the spanning tree that
-    `isomorphic` and `automorphism_count` carry a map along
-    (`_spanning_tree`).
+    `structural_errors`, or `extension.extend` or `voltage.double_cover`
+    built it, so that `validate` and the encoder skip them (`known_sound`);
+    under "walk", its rows as tuples (`walk_rows`); under "tree", the
+    spanning tree that `isomorphic` and `automorphism_count` carry a map
+    along (`_spanning_tree`).
     A face-table entry may also be a zero-argument callable that builds
     the table, as the extension pipeline leaves one; `face_table` calls it
     on the first read.
@@ -192,9 +192,14 @@ def known_sound(m: Maniplex) -> bool:
 def _bad_entry(row: array | list | tuple, size: int) -> Optional[int]:
     """Index of the first entry of the row that is not an int in 0..size-1
     (bools excluded), or None.  An `array('i')` row holds ints, so its
-    min and max settle it; any other row takes a pass over its entries'
-    types first.  A row that fails is scanned entry by entry."""
-    if (type(row) is array or set(map(type, row)) <= {int}) and 0 <= min(row) and max(row) < size:
+    lanes settle it (`_lanes_in_range`); any other row takes a pass over
+    its entries' types first, then its min and max.  A row that fails is
+    scanned entry by entry."""
+    if type(row) is array:
+        in_range = _lanes_in_range(row, size)
+    else:
+        in_range = set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < size
+    if in_range:
         return None
     bad = (f for f, v in enumerate(row) if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size)
     return next(bad, None)
@@ -236,8 +241,10 @@ def _validate(m: Maniplex) -> ValidationReport:
             f = _zero_lane(lanes ^ row_lanes(m.perms[j]), ones)
             if f is not None:
                 violations.append(Violation(AXIOM_PROPER, (i, j, f)))
-    # connectivity: the least nonzero id is the least flag not reached from flag 0
-    ids = _component_ids(m, range(n))
+    # connectivity: the least nonzero id is the least flag not reached from
+    # flag 0, by the walk when rows 0 and 1 are involutions, as just decided
+    paired = not any(v.axiom == AXIOM_INVOLUTION and v.witness[0] < 2 for v in violations)
+    ids = _component_ids(m, range(n), paired)
     if any(ids):
         violations.append(Violation(AXIOM_CONNECTED, (min(set(ids) - {0}),)))
     # colours at distance > 1 must generate 4-cycles: (r_i r_j)^2 is the identity
@@ -285,6 +292,17 @@ def lane_ones(size: int) -> int:
     return row_lanes(array("i", [1]) * size)
 
 
+def tagged_row(base: int, ones: int, twist: int, size: int, tags: int) -> array:
+    """The row of tags * size entries whose entry tags * g + t is lane g
+    of base plus t XOR lane g of twist, for lanes whose sums stay below
+    2**31; ones has a 1 in each of the size lanes.  One extended slice
+    assignment per tag writes it, with no Python step per entry."""
+    row = array("i", [0]) * (tags * size)
+    for t in range(tags):
+        row[t::tags] = array("i", (base + (t * ones ^ twist)).to_bytes(4 * size, sys.byteorder))
+    return row
+
+
 def _zero_lane(x: int, ones: int) -> Optional[int]:
     """The lowest 32-bit lane of x that is 0, or None, for x whose lanes
     are all below 2**31 and ones with a 1 in each of them.  A lane v sets
@@ -294,6 +312,31 @@ def _zero_lane(x: int, ones: int) -> Optional[int]:
     register)."""
     hits = (x - ones) & ~x & ones << 31
     return (hits & -hits).bit_length() - 1 >> 5 if hits else None
+
+
+_RANGE_LANES = 4096  # lanes per range test, so that each of its ints is 16 KB
+_RANGE_ONES = lane_ones(_RANGE_LANES)
+
+
+def _lanes_in_range(row: array, size: int) -> bool:
+    """Whether every entry of the `array('i')` row is in 0..size-1, decided
+    on the 32-bit lanes x of each slice of `_RANGE_LANES` entries, with no
+    int per entry, by the top bits of x and of x plus 2**31 - size in each
+    lane.  A negative entry is a lane with its top bit set.  Once none is,
+    a lane v stays below 2**31, and v plus 2**31 - size sets the top bit
+    exactly when v >= size, while the sum stays below 2**32, so no carry
+    reaches the next lane.  A negative lane's sum may carry, but its own
+    top bit has already failed the slice.  A short last slice lacks lanes,
+    which read as 0 and pass whenever size >= 1; for a smaller size every
+    entry is out of range, and 0 + 2**31 fails."""
+    below = min(max((1 << 31) - size, 0), 1 << 31)
+    ones = _RANGE_ONES >> 32 * max(_RANGE_LANES - len(row), 0)  # one lane per entry of the first slice
+    adds, tops = below * ones, ones << 31
+    for k in range(0, len(row), _RANGE_LANES):
+        x = row_lanes(row[k : k + _RANGE_LANES])
+        if (x | x + adds) & tops:
+            return False
+    return True
 
 
 def _check_colours(m: Maniplex, colours: Iterable[int]) -> tuple[int, ...]:
@@ -312,7 +355,7 @@ def components(m: Maniplex, colours: Iterable[int]) -> list[Component]:
     return [Component(c, tuple(flags)) for c, flags in groups.items()]
 
 
-def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
+def _component_ids(m: Maniplex, cols: Iterable[int], paired: Optional[bool] = None) -> array:
     """flag -> least flag of its component under the given colours.
 
     When the first two colours r_a, r_b are involutions, each orbit of
@@ -323,10 +366,12 @@ def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
     two or more away from both commutes with r_a and r_b, so it carries
     the whole cycle onto one cycle: only its image of the cycle's first
     flag is looked at.  Otherwise, or for fewer than two colours, one
-    search over every colour's edges."""
+    search over every colour's edges.  paired says whether the first two
+    colours' rows are involutions, when the caller has decided it, as
+    `_validate` has; else `_involutions` decides it."""
     cols = tuple(cols)
     view = walk_rows(m)
-    if len(cols) < 2 or not _involutions(m, cols[:2]):
+    if len(cols) < 2 or not (_involutions(m, cols[:2]) if paired is None else paired):
         return _component_ids_by_search([view[c] for c in cols], m.flag_count)
     a, b, others = view[cols[0]], view[cols[1]], cols[2:]
     report = m._cache.get("valid")

@@ -44,6 +44,7 @@ from .core import (
     lane_ones,
     row_lanes,
     structural_errors,
+    tagged_row,
     validate,
 )
 from .poset import FaithfulnessResult, PolytopeReport, RankedPoset, face_poset, is_faithful, is_polytope, pos_of
@@ -54,7 +55,6 @@ _TAGS_EQUAL = frozenset({(0, 0), (1, 1)})
 _TAGS_ALL = frozenset(TAG_CODES)
 # span -> for tag codes 0..3, the id of the extension face holding that tag over base face c, minus 4c
 _TAG_OFFSETS = {_TAGS_MISSING: (0, 0, 2, 2), _TAGS_EQUAL: (0, 1, 1, 0), _TAGS_ALL: (0, 0, 0, 0)}
-_BITS = tuple(tuple(t for t in range(4) if mask >> t & 1) for mask in range(16))  # a set of facets -> its members
 
 
 def _resolve_facet(m: Maniplex, facet: Face) -> Face:
@@ -78,7 +78,7 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     a base row's entries v, read as the 32-bit lanes of one int and
     shifted left by 2, are the lanes 4v, and adding t to every lane gives
     the entries 4v + t of flags 4g + t, which one extended slice
-    assignment writes.  The new colour is built the same way from the
+    assignment writes (`tagged_row`).  The new colour is built the same way from the
     lanes 4g, with t XOR 1, or t XOR 3 at the facet's flags.  No lane
     carries into the next while 4 * flags < 2**31, so the extension must
     fit an `array('i')`.
@@ -93,21 +93,11 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     twist = array("i", [1]) * size  # the new colour moves the tag by XOR 1 outside the facet
     for f in facet.flags:
         twist[f] = 3  # and by XOR 3 inside it
-    perms = [_tagged(row_lanes(row) << 2, ones, 0, size) for row in m.perms]
-    perms.append(_tagged(row_lanes(array("i", range(0, 4 * size, 4))), ones, row_lanes(twist), size))
+    perms = [tagged_row(row_lanes(row) << 2, ones, 0, size, 4) for row in m.perms]
+    perms.append(tagged_row(row_lanes(array("i", range(0, 4 * size, 4))), ones, row_lanes(twist), size, 4))
     ext = Maniplex(tuple(perms))
     ext._cache["sound"] = True
     return ext
-
-
-def _tagged(base: int, ones: int, twist: int, size: int) -> array:
-    """The row of 4 * size entries whose entry 4g + t is lane g of base
-    plus t XOR lane g of twist, for lanes whose sums stay below 2**31;
-    ones has a 1 in each of the size lanes."""
-    row = array("i", [0]) * (4 * size)
-    for t in range(4):
-        row[t::4] = array("i", (base + (t * ones ^ twist)).to_bytes(4 * size, sys.byteorder))
-    return row
 
 
 def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[int, int]] | None]:
@@ -402,9 +392,12 @@ def _sections_match_base(
     at flag 4c + t, the bottom to the bottom and the top to the facet,
     whose id is its least flag t.  When that map is a bijection onto the
     faces at or below the facet and carries the base's order pairs exactly
-    onto the section's, it is an order isomorphism.  One pass over the
-    extension's order pairs sorts each into the sections that hold both of
-    its faces, so the four checks cost linear time in flags plus order
+    onto the section's, it is an order isomorphism.  Once it is a
+    bijection, it carries the pairs exactly when each base pair (a, b) goes
+    to a pair, bit to[b] of up[to[a]] set, and the section has as many
+    pairs as the base: the images are distinct pairs of the section, so
+    they are all of them.  The section's pairs are counted off the masks
+    of its faces, so the four checks cost linear time in flags plus order
     pairs in all.  The extension's face at flag 4c + t is read off the map
     over base face c when given (`_quotient`), else off its face table.
     """
@@ -415,16 +408,16 @@ def _sections_match_base(
         over = [{} for _ in range(n)]
         for i, c in proper:
             over[i][c] = face_table(ext, i)[4 * c : 4 * c + 4]
-    member = [0] * len(p_ext.labels)  # extension face number -> bit t set when it lies in section t
-    want = set()
+    pair_count = sum(map(int.bit_count, p_base.up))
     for t in range(4):
         # base face number -> extension face number; both bottoms are face 0
         to = [0] + [number[i, over[i][c][t]] for i, c in proper] + [number[n, t]]
         inside = p_ext.down[to[-1]] | 1 << to[-1]
         if len(set(to)) != len(to) or sum(1 << k for k in to) != inside:
             return False
-        for k in to:
-            member[k] |= 1 << t
-        want.update((t, to[i], to[j]) for i, j in p_base.pairs)
-    got = {(t, i, j) for i, j in p_ext.pairs for t in _BITS[member[i] & member[j]]}
-    return got == want
+        up = [p_ext.up[k] for k in to]  # base face number -> the extension faces above its image
+        if sum((mask & inside).bit_count() for mask in up) != pair_count:
+            return False
+        if not all(up[a] >> to[b] & 1 for a, b in p_base.pairs):
+            return False
+    return True

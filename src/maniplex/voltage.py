@@ -9,10 +9,11 @@ cover is again a maniplex is decided by validating it directly.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Iterable
 
-from .core import Maniplex, from_int_rows
+from .core import Maniplex, known_sound, lane_ones, row_lanes, structural_errors, tagged_row
 
 Edge = tuple[int, int]  # (lower endpoint flag, colour)
 
@@ -23,18 +24,30 @@ def canonical_edge(m: Maniplex, flag: int, colour: int) -> Edge:
 
 def double_cover(m: Maniplex, edges: frozenset[Edge]) -> Maniplex:
     """The cover over the nontrivial `edges`, which must be in canonical
-    form; flags (f, s) -> 2f + s, and the result may fail the axioms."""
-    perms = []
-    for i in range(m.rank):
-        row = [0] * (2 * m.flag_count)
-        base_row = m.perms[i]
-        for f in range(m.flag_count):
-            flip = canonical_edge(m, f, i) in edges
-            g = base_row[f]
-            row[2 * f] = 2 * g + flip
-            row[2 * f + 1] = 2 * g + (1 ^ flip)
-        perms.append(row)
-    return from_int_rows(perms)
+    form; flags (f, s) -> 2f + s, and the result may fail the axioms.  m
+    must be structurally sound (ValueError otherwise); so is the cover, and
+    its cache says so.
+
+    The sheet swaps are marked from `edges` alone: a listed (f, i) with
+    f <= r_i f swaps the sheets at f and at r_i f.  Any other pair names no
+    edge of a maniplex and is ignored; where the rows are involutions, the
+    swaps are exactly those at the flags whose `canonical_edge` is listed.
+    Each row is then built by lane arithmetic, as `extension.extend`
+    builds its rows (`tagged_row`): entry 2g + s is lane g of the base
+    row, doubled, plus s XOR the swap at g."""
+    if not known_sound(m) and structural_errors(m):
+        raise ValueError("cannot cover a maniplex that is not structurally sound")
+    n, size = m.rank, m.flag_count
+    if 2 * size > 1 << 31:
+        raise ValueError(f"a cover of {2 * size} flags does not fit an array('i')")
+    swaps = [array("i", [0]) * size for _ in range(n)]
+    for f, i in edges:
+        if 0 <= i < n and 0 <= f < size and f <= m.perms[i][f]:
+            swaps[i][f] = swaps[i][m.perms[i][f]] = 1
+    ones = lane_ones(size)
+    cover = Maniplex(tuple(tagged_row(row_lanes(r) << 1, ones, row_lanes(s), size, 2) for r, s in zip(m.perms, swaps)))
+    cover._cache["sound"] = True
+    return cover
 
 
 def lift_connected(m: Maniplex, edges: frozenset[Edge], flags: Iterable[int], colours: Iterable[int]) -> bool:

@@ -358,6 +358,34 @@ def facet_section_matches_base_by_labels(p_base, ext_perms: Perms, p_ext, t: int
     return {(to[a], to[b]) for a, b in p_base.less} == {(a, b) for a, b in p_ext.less if a in inside and b in inside}
 
 
+def sections_match_base_by_triples(p_base, ext_perms: Perms, p_ext, over=None) -> bool:
+    """All four facet sections at once, as sets of (t, a, b) triples: each
+    base order pair carried into section t by base face 'i:c' -> the
+    extension i-face at flag 4c + t (faces by `faces_by_bfs`, unless the
+    map over each base face is given, as tag -> face id), against every
+    extension order pair sorted into each section that holds both of its
+    faces.  The map must first be a bijection onto the faces at or below
+    facet t, whose id is t."""
+    n = p_base.rank
+    number = {face: k for k, face in enumerate(zip(p_ext.ranks, p_ext.ids))}
+    proper = list(zip(p_base.ranks[1:-1], p_base.ids[1:-1]))
+    if over is None:
+        face_of = [{f: c for c, members in faces_by_bfs(ext_perms, i) for f in members} for i in range(n)]
+        over = [{c: tuple(face_of[i][4 * c + t] for t in range(4)) for j, c in proper if j == i} for i in range(n)]
+    member = [set() for _ in p_ext.labels]  # extension face number -> the sections holding it
+    want = set()
+    for t in range(4):
+        to = [0] + [number[i, over[i][c][t]] for i, c in proper] + [number[n, t]]
+        inside = {a for a, b in p_ext.pairs if b == to[-1]} | {to[-1]}
+        if len(set(to)) != len(to) or set(to) != inside:
+            return False
+        for k in to:
+            member[k].add(t)
+        want.update((t, to[a], to[b]) for a, b in p_base.pairs)
+    got = {(t, a, b) for a, b in p_ext.pairs for t in member[a] & member[b]}
+    return got == want
+
+
 def section_by_filter(faces, less, lower: str, upper: str):
     """(faces per rank from lower up to upper, strict order) of a section,
     filtering every pair of the whole order."""
@@ -887,6 +915,29 @@ def shifted_flags(b, flags, colours) -> tuple[int, ...]:
             f = b.perms[c][f]
         out.append(f)
     return tuple(sorted(out))
+
+
+def double_cover_by_flags(perms: Perms, edges) -> Perms:
+    """The rows of the double cover, flag by flag: flag (f, s) = 2f + s
+    crosses its colour-i edge to sheet s, or to the other sheet when the
+    edge's canonical form (min(f, r_i f), i) is listed."""
+    rows = []
+    for i, base in enumerate(perms):
+        row = []
+        for f, g in enumerate(base):
+            swap = (min(f, g), i) in edges
+            row += [2 * g + swap, 2 * g + (1 - swap)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def bad_entry_by_scan(row, size: int):
+    """Index of the first entry that is not an int in 0..size-1 (bools
+    excluded), by one test per entry; None when every entry passes."""
+    for f, v in enumerate(row):
+        if type(v) is not int or not 0 <= v < size:
+            return f
+    return None
 
 
 def voltage_edges(m, pairs) -> frozenset[tuple[int, int]]:

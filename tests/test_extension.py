@@ -23,6 +23,7 @@ from maniplex.core import (
 from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.extension import (
     TAG_CODES,
+    _quotient,
     _rows_copy_base,
     _tag_spans,
     extend,
@@ -35,8 +36,10 @@ from oracles import (
     faithfulness_by_labels,
     order_isomorphic_by_cover_search,
     section_by_filter,
+    sections_match_base_by_triples,
     tag_spans_match_by_faces,
 )
+from suites import TORUS_POOL
 
 
 def statuses(result):
@@ -280,17 +283,20 @@ def test_facet_section_check_fails_on_mutated_posets():
     bottom, label = p_ext.level(-1)[0], "3:0"  # facet 0 is the tag class {4g}
     section_faces, section_less = section_by_filter(p_ext.faces, p_ext.less, bottom, label)
     assert extension._sections_match_base(cube, p_base, ext, p_ext)
+    assert sections_match_base_by_triples(p_base, ext.perms, p_ext)
     assert all(facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, t) for t in range(4))
     assert order_isomorphic_by_cover_search(section_faces, section_less, p_base.faces, p_base.less)
 
     bad_base = moved_pair(p_base)
     assert not extension._sections_match_base(cube, bad_base, ext, p_ext)
+    assert not sections_match_base_by_triples(bad_base, ext.perms, p_ext)
     assert not facet_section_matches_base_by_labels(bad_base, ext.perms, p_ext, 0)
     assert poset_isomorphism(section(p_ext, bottom, label), bad_base) is None
     assert not order_isomorphic_by_cover_search(section_faces, section_less, bad_base.faces, bad_base.less)
 
     bad_ext = moved_pair(p_ext)
     assert not extension._sections_match_base(cube, p_base, ext, bad_ext)
+    assert not sections_match_base_by_triples(p_base, ext.perms, bad_ext)
     assert not facet_section_matches_base_by_labels(p_base, ext.perms, bad_ext, 0)
     assert poset_isomorphism(section(bad_ext, bottom, label), p_base) is None
 
@@ -299,6 +305,7 @@ def test_facet_section_check_fails_on_mutated_posets():
     misread = swapped_facets(p_ext, "3:0", "3:1")
     assert poset_isomorphism(section(misread, bottom, "3:1"), p_base) is not None
     assert not extension._sections_match_base(cube, p_base, ext, misread)
+    assert not sections_match_base_by_triples(p_base, ext.perms, misread)
     assert not facet_section_matches_base_by_labels(p_base, ext.perms, misread, 1)
 
 
@@ -326,6 +333,7 @@ def test_facet_section_check_needs_a_bijection():
     assert isomorphic(restrict(ext, facet.flags, range(3)), m) is not None
     p_base, p_ext = pos_of(m), pos_of(ext)
     assert not extension._sections_match_base(m, p_base, ext, p_ext)
+    assert not sections_match_base_by_triples(p_base, ext.perms, p_ext)
     assert not facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, 0)
     assert poset_isomorphism(section(p_ext, p_ext.level(-1)[0], "3:0"), p_base) is None
 
@@ -347,7 +355,81 @@ def test_facet_sections_in_one_pass_match_each_facet(bstar_result):
             per_facet = [facet_section_matches_base_by_labels(p_base, ext.perms, mutant, u) for u in range(4)]
             assert per_facet == [u != t for u in range(4)], (rank, t)
             assert not extension._sections_match_base(m, p_base, ext, mutant), (rank, t)
+            assert not sections_match_base_by_triples(p_base, ext.perms, mutant), (rank, t)
         m = ext
+
+
+def section_pairs(p: RankedPoset, t: int) -> tuple[tuple[str, ...], frozenset]:
+    """The faces strictly inside facet t's section of p, and its order
+    pairs, as labels."""
+    facet = f"{p.rank - 1}:{t}"
+    below = {a for a, b in p.less if b == facet}
+    held = below | {facet}
+    return tuple(sorted(below - set(p.level(-1)))), frozenset((a, b) for a, b in p.less if a in held and b in held)
+
+
+def section_mutants(p: RankedPoset, t: int) -> list[RankedPoset]:
+    """Two mutants of p, or none when facet t's section has no faces a < b
+    and c, of b's rank, not above a: with the pair (a, c) added, and with
+    the pair (a, b) moved to (a, c), which keeps the section's faces and
+    its count of pairs."""
+    inside, _ = section_pairs(p, t)
+    rank_of, less = p.rank_of, p.less
+    found = (
+        (a, b, c)
+        for a in inside
+        for c in inside
+        if rank_of[a] < rank_of[c] and (a, c) not in less
+        for b in inside
+        if rank_of[b] == rank_of[c] and (a, b) in less
+    )
+    a, b, c = next(found, (None, None, None))
+    if a is None:
+        return []
+    return [RankedPoset(p.rank, p.faces, less | {(a, c)}), RankedPoset(p.rank, p.faces, (less - {(a, b)}) | {(a, c)})]
+
+
+def section_bases(bstar):
+    """name -> base: the tower's ranks 4-6 (B* and its first facet's
+    extensions), the cube and every census torus-pool map."""
+    bases = {"cube": platonic("cube")}
+    bases.update({f"torus_44{bc}": torus_44(*bc) for bc in TORUS_POOL})
+    m = bstar
+    for rank in (5, 6, 7):
+        bases[f"tower{rank - 1}"] = m
+        m = extend(m, faces(m, m.rank - 1)[0])
+    return bases
+
+
+def test_facet_sections_match_the_triple_sets(bstar_result):
+    # the bit tests and pair counts answer as the sets of (t, a, b) triples
+    # do, with the map over each base face and without, on the extensions
+    # of the tower's ranks 5-7, of the cube and of the torus pool, and on
+    # their mutants: a section with one extra pair, and one with a pair
+    # moved, whose count of pairs the bit tests alone tell apart
+    tested = 0
+    for name, m in section_bases(bstar_result.bstar).items():
+        ext = extend(m, faces(m, m.rank - 1)[0])
+        over = _quotient(m, ext)[2]
+        p_base, p_ext = pos_of(m), pos_of(ext)
+        want = sections_match_base_by_triples(p_base, ext.perms, p_ext)
+        assert want == sections_match_base_by_triples(p_base, ext.perms, p_ext, over), name
+        assert extension._sections_match_base(m, p_base, ext, p_ext) == want, name
+        assert extension._sections_match_base(m, p_base, ext, p_ext, over) == want, name
+        if not want:
+            continue
+        for t in range(4):
+            mutants = section_mutants(p_ext, t)
+            for mutant in mutants:
+                assert not sections_match_base_by_triples(p_base, ext.perms, mutant, over), (name, t)
+                assert not extension._sections_match_base(m, p_base, ext, mutant, over), (name, t)
+            if mutants:
+                extra, moved = mutants
+                assert len(section_pairs(extra, t)[1]) == len(p_base.less) + 1, (name, t)
+                assert section_pairs(moved, t)[0] == section_pairs(p_ext, t)[0], (name, t)
+                assert len(section_pairs(moved, t)[1]) == len(p_base.less), (name, t)
+                tested += 1
+    assert tested >= 4 * 5, tested  # every facet of the tower's ranks 5-7 and the cube, and more
 
 
 def crossed(ext: Maniplex, colour: int = 0, x: int = 0, y: int = 1) -> Maniplex:
@@ -543,11 +625,11 @@ def counting_searches(monkeypatch):
     searched = []
     component_ids = core._component_ids
 
-    def counting(m, cols):
+    def counting(m, cols, *paired):
         cols = tuple(cols)
         searched.append(m)
         calls[id(m), cols] += 1
-        return component_ids(m, cols)
+        return component_ids(m, cols, *paired)
 
     monkeypatch.setattr(core, "_component_ids", counting)
     return calls

@@ -1,11 +1,12 @@
 """The flag-sized kernels of `maniplex.core` against the oracles: face
 labelling (`_component_ids`), isomorphism and automorphism counting
-(`_propagate`), `validate`'s reports and the row decoder, on seeded random
-row sets (involutions, permutations and arbitrary maps), on mutants and on
-the package's own maniplexes."""
+(`_propagate`), `validate`'s reports, the row decoder and its range check
+(`_bad_entry`), on seeded random row sets (involutions, permutations and
+arbitrary maps), on mutants and on the package's own maniplexes."""
 
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -28,6 +29,7 @@ from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.extension import extend
 from oracles import (
     automorphism_count_by_propagation,
+    bad_entry_by_scan,
     brute_isomorphisms,
     component_ids_by_search,
     isomorphism_by_propagation,
@@ -308,3 +310,60 @@ def decoded_or_error(decode, text):
         return decode(text)
     except ValueError as exc:  # FormatError is one
         return type(exc), str(exc)
+
+
+RANGE_LENGTHS = (1, 4095, 4096, 4097, 3 * 4096 + 1)  # around the range test's 4 096-lane slices
+
+
+def range_specials(size):
+    """The entries at and beyond the ends of 0..size-1 and of array('i')."""
+    return [v for v in (-(2**31), -1, 0, size - 1, size, 2**31 - 1) if -(2**31) <= v < 2**31]
+
+
+def assert_range_check_as_scan(row, size):
+    """`_bad_entry` on the array('i') row finds the scan's first bad entry,
+    and, for a row of size entries, `structural_errors` and the decoder
+    give the scan's message and the plain decoder's FormatError."""
+    f = bad_entry_by_scan(row.tolist(), size)
+    assert core._bad_entry(row, size) == f, (len(row), size)
+    if len(row) != size:
+        return
+    m = Maniplex((row,))
+    assert structural_errors(m) == ([] if f is None else [f"permutation 0 entry {f} out of range: {row[f]!r}"])
+    text = '{"flags": %d, "perms": [[%s]], "rank": 1}' % (size, ", ".join(map(str, row)))
+    want = decoded_or_error(maniplex_from_json_by_loads, text)
+    assert decoded_or_error(lambda t: tuple(map(tuple, maniplex_from_json(t).perms)), text) == want
+    assert (f is None) == (want[0] is not FormatError)
+
+
+def test_lane_range_check_matches_scan():
+    """On seeded random rows of lengths around the lane slice, in range or
+    holding the entries just out of range or at the ends of array('i') at
+    random places, and for sizes of the row's length, near 2**31 and 0."""
+    rng = random.Random(suites.SEED + 7)
+    cases = 0
+    for n in RANGE_LENGTHS:
+        for size in (n, n + 1, 2**31 - 1, 2**31, 2**31 + 1, 0):
+            for trial in range(6):
+                row = array("i", [rng.randrange(min(size, 2**31)) if size else 0 for _ in range(n)])
+                places = [0, n - 1, min(4095, n - 1), min(4096, n - 1)] + [rng.randrange(n) for _ in range(3)]
+                for _ in range(trial % 3):
+                    row[rng.choice(places)] = rng.choice(range_specials(size))
+                assert_range_check_as_scan(row, size)
+                cases += 1
+    assert cases == len(RANGE_LENGTHS) * 6 * 6
+
+
+def test_lane_range_check_on_census_rows():
+    """Every row of every census torus-pool map is in range, and stays
+    as the scan finds it with one entry set to each special value."""
+    rng = random.Random(suites.SEED + 8)
+    for bc in suites.TORUS_POOL:
+        m = torus_44(*bc)
+        size = m.flag_count
+        for row in m.perms:
+            assert_range_check_as_scan(row, size)
+            for v in range_specials(size):
+                bad = array("i", row)
+                bad[rng.randrange(size)] = v
+                assert_range_check_as_scan(bad, size)

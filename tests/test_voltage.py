@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
-from maniplex.core import components, restrict, validate
+from maniplex.core import Maniplex, components, from_int_rows, restrict, validate, walk_rows
 from maniplex.corpus import platonic, torus_44
 from maniplex.voltage import canonical_edge, double_cover, lift_connected
-from oracles import cover_graph, cover_is_maniplex, square_parities, voltage_edges
+from oracles import cover_graph, cover_is_maniplex, double_cover_by_flags, square_parities, voltage_edges
+from suites import SEED
 
 NO_VOLTAGE = frozenset()
 
@@ -134,3 +137,51 @@ def test_double_cover_of_valid_base_is_involutive():
     cover = double_cover(m, voltage_edges(m, [(0, 0)]))
     for row in cover.perms:
         assert all(row[row[v]] == v for v in range(cover.flag_count))
+
+
+def involution_rows(rng, size, rank):
+    """rank random involutions of size flags, some with fixed points."""
+    rows = []
+    for _ in range(rank):
+        flags = list(range(size))
+        rng.shuffle(flags)
+        row = list(range(size))
+        for k in range(rng.randint(0, size // 2)):
+            f, g = flags[2 * k], flags[2 * k + 1]
+            row[f], row[g] = g, f
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_double_cover_matches_flag_by_flag_oracle(b_maniplex, etheta):
+    """The lane-built cover has the oracle's rows and walk view, and the
+    same `validate` report, on B over E_theta and on seeded random edge
+    sets over B, the cube, a torus map and random involutions with fixed
+    points.  The random sets hold canonical edges, the same edges keyed
+    by their upper endpoints, and pairs whose flag or colour is out of
+    range; all but the canonical edges are ignored."""
+    rng = random.Random(SEED)
+    bases = [b_maniplex, platonic("cube"), torus_44(2, 1)]
+    bases += [Maniplex(involution_rows(rng, rng.randint(1, 40), rng.randint(1, 4))) for _ in range(20)]
+    cases = [(b_maniplex, etheta)]
+    for m in bases:
+        size, n = m.flag_count, m.rank
+        stray = [(-1, 0), (size, 0), (size + 3, n - 1), (0, n), (0, -1), (size - 1, n + 2), (-size, n)]
+        for _ in range(10):
+            pairs = [(f, c) for f in range(size) for c in range(n) if rng.random() < 0.2]
+            pairs += rng.sample(stray, rng.randint(0, len(stray)))
+            cases.append((m, frozenset(pairs)))
+    upper = 0
+    for m, edges in cases:
+        upper += any(f > m.perms[c][f] for f, c in edges if 0 <= c < m.rank and 0 <= f < m.flag_count)
+        cover = double_cover(m, edges)
+        want = double_cover_by_flags(tuple(map(tuple, m.perms)), edges)
+        assert tuple(map(tuple, cover.perms)) == want
+        assert walk_rows(cover) == want
+        assert validate(cover) == validate(from_int_rows(want))
+    assert upper >= len(cases) // 2, upper
+
+
+def test_double_cover_refuses_an_unsound_base():
+    with pytest.raises(ValueError):
+        double_cover(Maniplex(((1, 2),)), frozenset())
