@@ -41,13 +41,12 @@ class Maniplex:
     (`poset.is_faithful`); under "poset", the face poset (`poset.pos_of`,
     or the extension pipeline's poset read off the base);
     under "theta", the marked set of a rank-4 maniplex and the double cover
-    it gives (`counterexample.find_theta`); under "sound", True when
-    `maniplex_from_json` decoded it, having made every check of
-    `structural_errors`, or `extension.extend` or `voltage.double_cover`
-    built it, so that `validate` and the encoder skip them (`known_sound`);
-    under "walk", its rows as tuples (`walk_rows`); under "tree", the
-    spanning tree that `isomorphic` and `automorphism_count` carry a map
-    along (`_spanning_tree`).
+    it gives (`counterexample.find_theta`); under "structural", the
+    `structural_errors` verdict, which `maniplex_from_json`,
+    `extension.extend` and `voltage.double_cover` record as () for the
+    rows they build; under "walk", its rows as tuples (`walk_rows`);
+    under "tree", the spanning tree that `isomorphic` and
+    `automorphism_count` carry a map along (`_spanning_tree`).
     A face-table entry may also be a zero-argument callable that builds
     the table, as the extension pipeline leaves one; `face_table` calls it
     on the first read.
@@ -116,7 +115,7 @@ def walk_rows(m: Maniplex) -> tuple[tuple[int, ...], ...]:
     builds it."""
     view = m._cache.get("walk")
     if view is None:
-        pool = flag_ints(m.flag_count).__getitem__ if known_sound(m) or not structural_errors(m) else None
+        pool = None if structural_errors(m) else flag_ints(m.flag_count).__getitem__
         view = m._cache["walk"] = tuple(
             row if type(row) is tuple else tuple(map(pool, row)) if pool else tuple(row) for row in m.perms
         )
@@ -163,30 +162,29 @@ def flag_ints(n: int) -> list[int]:
 
 
 def structural_errors(m: Maniplex) -> list[str]:
-    """Problems that make the permutation table meaningless (not axiom failures)."""
-    errors = []
+    """Problems that make the permutation table meaningless (not axiom
+    failures); decided once per maniplex and kept in its cache."""
+    errors = m._cache.get("structural")
+    if errors is None:
+        errors = m._cache["structural"] = tuple(_structural_errors(m))
+    return list(errors)
+
+
+def _structural_errors(m: Maniplex) -> Iterator[str]:
     if m.rank < 1:
-        errors.append("rank must be at least 1")
-        return errors
+        yield "rank must be at least 1"
+        return
     size = len(m.perms[0])
     if size < 1:
-        errors.append("flag set must be nonempty")
-        return errors
+        yield "flag set must be nonempty"
+        return
     for i, row in enumerate(m.perms):
         if len(row) != size:
-            errors.append(f"permutation {i} has length {len(row)}, expected {size}")
+            yield f"permutation {i} has length {len(row)}, expected {size}"
             continue
         f = _bad_entry(row, size)
         if f is not None:
-            errors.append(f"permutation {i} entry {f} out of range: {row[f]!r}")
-    return errors
-
-
-def known_sound(m: Maniplex) -> bool:
-    """True when m is known to pass `structural_errors`: its cache says
-    "sound", or holds a `validate` report with no structural error."""
-    report = m._cache.get("valid")
-    return bool(m._cache.get("sound")) or (report is not None and not report.structural)
+            yield f"permutation {i} entry {f} out of range: {row[f]!r}"
 
 
 def _bad_entry(row: array | list | tuple, size: int) -> Optional[int]:
@@ -219,7 +217,7 @@ def _validate(m: Maniplex) -> ValidationReport:
     least failing flag, read off the same rows: involutions and squares
     by composing rows (`_compose`), fixed points and improper colouring
     by the lanes of the packed rows (`_zero_lane`)."""
-    structural = () if known_sound(m) else structural_errors(m)
+    structural = structural_errors(m)
     if structural:
         return ValidationReport(False, tuple(structural), ())
 
@@ -434,18 +432,16 @@ def _component_ids_by_search(rows: list, size: int) -> array:
 def _involutions(m: Maniplex, cols: Iterable[int]) -> bool:
     """Whether each given colour's row is an involution of the flags: read
     off the cached `validate` report when there is one, else decided by
-    one whole-row comparison per colour.  A row holding an entry outside
-    0..flags-1, or one that is no int, is none; a bool reads as 0 or 1,
-    as the search reads it."""
+    one whole-row comparison per colour.  The rows of a maniplex with a
+    structural error are none (`structural_errors`)."""
+    if structural_errors(m):
+        return False
     report = m._cache.get("valid")
-    if report is not None and not report.structural:
+    if report is not None:
         bad = {v.witness[0] for v in report.violations if v.axiom == AXIOM_INVOLUTION}
         return bad.isdisjoint(cols)
     view, ident = walk_rows(m), _identity(m.flag_count)
-    try:
-        return all(_compose(view[c], view[c]) == ident for c in cols)
-    except (IndexError, TypeError):
-        return False
+    return all(_compose(view[c], view[c]) == ident for c in cols)
 
 
 def face_table(m: Maniplex, i: int) -> array:
@@ -631,7 +627,9 @@ def restrict(m: Maniplex, flags: Iterable[int], colours: Iterable[int]) -> Manip
 # ---------- serialization ----------
 
 def _checked_perms(doc: object) -> list:
-    """The document's perms list, once its shape and entries are checked."""
+    """The document's perms list, once its shape and entries are checked:
+    each row, a list, a tuple or a packed `array('i')`, the last by its
+    lanes (`_bad_entry`)."""
     if not isinstance(doc, dict):
         raise FormatError("maniplex document must be a JSON object")
     for key in ("rank", "flags", "perms"):
@@ -645,10 +643,9 @@ def _checked_perms(doc: object) -> list:
     if not isinstance(perms, list) or len(perms) != rank:
         raise FormatError("perms must be a list with one row per colour")
     for i, row in enumerate(perms):
-        if not isinstance(row, (list, array)) or len(row) != nflags:
+        if not isinstance(row, (list, tuple, array)) or len(row) != nflags:
             raise FormatError(f"perms[{i}] must be a list of length {nflags}")
-        # an array is a row the reader checked at its own length, now nflags
-        f = None if type(row) is array else _bad_entry(row, nflags)
+        f = _bad_entry(row, nflags)
         if f is not None:
             raise FormatError(f"perms[{i}] entry out of range: {row[f]!r}")
     return perms
@@ -667,34 +664,25 @@ _SLICE_FORMAT = _ENTRY_SEP.join(["%d"] * _SLICE_ENTRIES)
 def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
     """The text of `maniplex_to_json`, generated in chunks of at most
     `_SLICE_ENTRIES` row entries, each slice formatted by one "%d" format
-    string, read off the walk view when m has one (`walk_rows`).  A slice
-    is first checked to hold only ints in 0..flags-1, so an entry out of
-    range, a float or a bool raises FormatError before it is generated.
-    The check is skipped when the maniplex is known to pass
-    `structural_errors` (`known_sound`), which proves the same of every
-    row.
-    The check adds about half to the write's time (at 3 145 728 flags,
-    4.6-5.2 s to 7.3-8.8 s, Python 3.11 on 2 vCPUs)."""
-    size = m.flag_count
-    checked = known_sound(m)
-    yield '{\n  "flags": %d,\n  "perms": [' % size
+    string, read off the walk view when m has one (`walk_rows`).  A
+    maniplex with a structural error (`structural_errors`) raises, before
+    any text is generated, the FormatError that `maniplex_from_json`
+    raises on its document, so the encoder writes only what the decoder
+    reads."""
+    if structural_errors(m):
+        _checked_perms({"rank": m.rank, "flags": m.flag_count, "perms": list(m.perms)})
+    yield '{\n  "flags": %d,\n  "perms": [' % m.flag_count
     sep = "\n    "
-    for i, row in enumerate(m._cache.get("walk") or m.perms):
-        if not row:
-            yield sep + "[]"
-        else:
-            head = sep + "[\n      "
-            for k in range(0, len(row), _SLICE_ENTRIES):
-                part = row[k:k + _SLICE_ENTRIES]
-                f = None if checked else _bad_entry(part, size)
-                if f is not None:
-                    raise FormatError(f"perms[{i}] entry out of range: {part[f]!r}")
-                fmt = _SLICE_FORMAT if len(part) == _SLICE_ENTRIES else _ENTRY_SEP.join(["%d"] * len(part))
-                yield head + fmt % tuple(part)
-                head = _ENTRY_SEP
-            yield "\n    ]"
+    for row in m._cache.get("walk") or m.perms:
+        head = sep + "[\n      "
+        for k in range(0, len(row), _SLICE_ENTRIES):
+            part = row[k:k + _SLICE_ENTRIES]
+            fmt = _SLICE_FORMAT if len(part) == _SLICE_ENTRIES else _ENTRY_SEP.join(["%d"] * len(part))
+            yield head + fmt % tuple(part)
+            head = _ENTRY_SEP
+        yield "\n    ]"
         sep = ",\n    "
-    yield ("\n  ]" if m.perms else "]") + ',\n  "rank": %d\n}\n' % m.rank
+    yield '\n  ],\n  "rank": %d\n}\n' % m.rank
 
 
 def maniplex_to_json(m: Maniplex) -> str:
@@ -719,9 +707,10 @@ def _read_object(text: str) -> Optional[dict]:
     ValueError, where the text is not one object this reader follows.  Keys are read by
     `scanstring`, values by `raw_decode` (the C scanner, its own int path),
     except that a "perms" array is read one row at a time: once "flags"
-    has been read, a row of that many ints in 0..flags-1 is packed into an
+    has been read, a row of that many ints that fit is packed into an
     `array('i')` before the next row is read, so only one row's fresh
-    ints are alive.  Any other row is kept as read."""
+    ints are alive; `_checked_perms` then checks its range.  Any other
+    row is kept as read."""
     doc: dict = {}
     end = _WHITESPACE(text, 0).end()
     if text[end:end + 1] != "{":
@@ -762,7 +751,7 @@ def _read_rows(text: str, end: int, size: object) -> tuple[list, int]:
                 packed = None
             # but takes a bool as 0 or 1: of all a packed row can hold, only
             # `true` and `false` spell an "e"
-            if packed is not None and text.find("e", start, end) < 0 and _bad_entry(packed, size) is None:
+            if packed is not None and text.find("e", start, end) < 0:
                 row = packed
         rows.append(row)
         end = _WHITESPACE(text, end).end()
@@ -778,8 +767,8 @@ def maniplex_from_json(text: str) -> Maniplex:
     document are packed once all are checked.
     Text the row reader does not follow, or that fails to decode, is left
     to `json.loads`, which gives the same document or the same error, as
-    a FormatError.  The maniplex caches that its rows passed
-    `structural_errors`' checks."""
+    a FormatError.  The maniplex caches that its rows passed the checks
+    of `structural_errors`."""
     try:
         doc = _read_object(text)
     except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
@@ -791,7 +780,7 @@ def maniplex_from_json(text: str) -> Maniplex:
             raise FormatError(f"invalid JSON: {exc}") from exc
     perms = _checked_perms(doc)
     m = Maniplex(tuple(row if type(row) is array else array("i", row) for row in perms))
-    m._cache["sound"] = True
+    m._cache["structural"] = ()
     return m
 
 

@@ -40,7 +40,6 @@ from .core import (
     Maniplex,
     ValidationReport,
     face_table,
-    known_sound,
     lane_ones,
     row_lanes,
     structural_errors,
@@ -83,7 +82,7 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     carries into the next while 4 * flags < 2**31, so the extension must
     fit an `array('i')`.
     """
-    if not known_sound(m) and structural_errors(m):
+    if structural_errors(m):
         raise ValueError("cannot extend a maniplex that is not structurally sound")
     facet = _resolve_facet(m, facet)
     size = m.flag_count
@@ -96,7 +95,7 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     perms = [tagged_row(row_lanes(row) << 2, ones, 0, size, 4) for row in m.perms]
     perms.append(tagged_row(row_lanes(array("i", range(0, 4 * size, 4))), ones, row_lanes(twist), size, 4))
     ext = Maniplex(tuple(perms))
-    ext._cache["sound"] = True
+    ext._cache["structural"] = ()
     return ext
 
 
@@ -155,7 +154,7 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks: list[Check] = []
 
     copies = _rows_copy_base(m, ext)
-    read_off = copies and validate(m).ok and (known_sound(ext) or not structural_errors(ext))
+    read_off = copies and validate(m).ok and not structural_errors(ext)
     quotient = _quotient(m, ext) if read_off else None
     over = quotient[2] if quotient else None
     report = _validate_over_base(m, ext, quotient) if quotient else validate(ext)

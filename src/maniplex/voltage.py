@@ -13,7 +13,7 @@ from array import array
 from collections import deque
 from typing import Iterable
 
-from .core import Maniplex, known_sound, lane_ones, row_lanes, structural_errors, tagged_row
+from .core import Maniplex, lane_ones, row_lanes, structural_errors, tagged_row
 
 Edge = tuple[int, int]  # (lower endpoint flag, colour)
 
@@ -35,7 +35,7 @@ def double_cover(m: Maniplex, edges: frozenset[Edge]) -> Maniplex:
     Each row is then built by lane arithmetic, as `extension.extend`
     builds its rows (`tagged_row`): entry 2g + s is lane g of the base
     row, doubled, plus s XOR the swap at g."""
-    if not known_sound(m) and structural_errors(m):
+    if structural_errors(m):
         raise ValueError("cannot cover a maniplex that is not structurally sound")
     n, size = m.rank, m.flag_count
     if 2 * size > 1 << 31:
@@ -46,7 +46,7 @@ def double_cover(m: Maniplex, edges: frozenset[Edge]) -> Maniplex:
             swaps[i][f] = swaps[i][m.perms[i][f]] = 1
     ones = lane_ones(size)
     cover = Maniplex(tuple(tagged_row(row_lanes(r) << 1, ones, row_lanes(s), size, 2) for r, s in zip(m.perms, swaps)))
-    cover._cache["sound"] = True
+    cover._cache["structural"] = ()
     return cover
 
 

@@ -24,6 +24,7 @@ from maniplex.core import (
     from_int_rows,
     isomorphic,
     maniplex_from_json,
+    maniplex_json_chunks,
     maniplex_to_json,
     restrict,
     structural_errors,
@@ -35,6 +36,7 @@ from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.extension import extend
 from maniplex.poset import is_faithful
+from maniplex.voltage import double_cover
 
 from oracles import (
     automorphism_count_by_propagation,
@@ -358,6 +360,64 @@ def test_maniplex_to_json_matches_generic_encoder(named_corpus, b_maniplex, bsta
 def test_maniplex_to_json_refuses_out_of_range_entries(perms, message):
     with pytest.raises(FormatError, match=message):
         maniplex_to_json(Maniplex(perms))
+
+
+def _encoder_parity_members():
+    """Maniplexes with a structural error (no colour, no flag, a short and
+    a long row, each foreign entry), and each torus-pool map followed by a
+    copy with one seeded bad entry."""
+    yield Maniplex(())
+    yield Maniplex(((),))
+    yield Maniplex(((1, 0, 3, 2), (2, 3, 0)))
+    yield Maniplex(((1, 0, 3, 2), (2, 3, 0, 1, 0)))
+    for entry in (-1, 4, True, 1.0, 2**31):
+        yield Maniplex(((1, 0, 3, 2), (2, entry, 0, 1)))
+    rng = random.Random(suites.SEED + 29)
+    for b, c in suites.TORUS_POOL:
+        m = torus_44(b, c)
+        yield m
+        rows = [list(row) for row in m.perms]
+        size = m.flag_count
+        rows[rng.randrange(m.rank)][rng.randrange(size)] = rng.choice(
+            (-1, -rng.randrange(1, 2**31), size, rng.randrange(size, 2**31), 2**31, True, False, 1.0)
+        )
+        yield Maniplex(rows)
+
+
+def test_encoder_refuses_what_the_decoder_refuses():
+    """The encoder raises, before it yields any text, the FormatError the
+    decoder raises on the maniplex's document; it encodes a sound one."""
+    sound = 0
+    for m in _encoder_parity_members():
+        text = dumps_json(to_json_dict(m))
+        if not structural_errors(m):
+            assert maniplex_to_json(m) == text and maniplex_from_json(text) == m
+            sound += 1
+            continue
+        want = _outcome(maniplex_from_json, text)
+        assert want[0] is FormatError, m
+        assert _outcome(maniplex_to_json, m) == want, m
+        with pytest.raises(FormatError):
+            next(maniplex_json_chunks(m))
+    assert sound == len(suites.TORUS_POOL)
+
+
+def test_array_rows_are_range_checked_once(b_maniplex, monkeypatch):
+    """A maniplex built from array('i') rows, with no walk view, has each
+    row range-checked once: every reader after the first takes the cached
+    `structural_errors` verdict."""
+    m = Maniplex(tuple(array("i", row) for row in b_maniplex.perms))
+    text = maniplex_to_json(b_maniplex)
+    checked = []
+    bad_entry = core._bad_entry
+    monkeypatch.setattr(core, "_bad_entry", lambda row, size: checked.append(len(row)) or bad_entry(row, size))
+    walk_rows(m)
+    assert validate(m).ok
+    face_table(m, 0)
+    assert maniplex_to_json(m) == text
+    extend(m, faces(m, m.rank - 1)[0])
+    double_cover(m, frozenset())
+    assert checked == [m.flag_count] * m.rank
 
 
 def test_decoded_maniplex_holds_one_int_per_value(bstar_result):
