@@ -1,7 +1,7 @@
 """Maniplexes: flag graphs, their face posets, voltage double covers,
 rank-raising extensions, and the sparse/semisparse classification."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     Face,

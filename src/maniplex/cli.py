@@ -9,11 +9,9 @@ input and version; wall-clock timings go to stderr only.
 from __future__ import annotations
 
 import argparse
-import codecs
 import os
 import sys
 import time
-from functools import partial
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Optional
@@ -39,7 +37,6 @@ from .poset import pos_of, poset_to_dot, poset_to_json_dict
 
 
 _SLICE = 1 << 20  # characters of a string written at a time
-_READ = 1 << 20  # bytes of a file read at a time
 
 
 def _chunks(text: str | Iterable[str]) -> Iterable[str]:
@@ -88,29 +85,17 @@ def _outdir(path: str) -> Path:
 
 
 def _load_maniplex(path: str) -> tuple[Maniplex, str]:
-    """The maniplex in the file and the SHA-256 of its bytes.  The file is
-    read `_READ` bytes at a time, each slice hashed and decoded in turn
-    onto one string grown in place, so its bytes are never held whole
-    beside the text.  Text that is not UTF-8 is decoded once more, whole,
-    for the error to name its offset in the file."""
+    """The maniplex in the file and the SHA-256 of its bytes.  The bytes
+    are read, hashed and decoded as UTF-8 whole, then dropped before the
+    text is parsed; text that is not UTF-8 raises the decoder's error,
+    which names its offset in the file."""
     import hashlib  # loads OpenSSL, which a command that reads no file never needs
 
-    digest = hashlib.sha256()
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    text = ""
-    try:
-        with open(path, "rb") as src:
-            # a for loop, not `while`: CPython 3.11 specializes `+=` into an
-            # in-place append only in a loop closed by an unconditional jump
-            for data in iter(partial(src.read, _READ), b""):
-                digest.update(data)
-                text += decode(data)
-        text += decode(b"", final=True)
-    except UnicodeDecodeError:
-        del text
-        Path(path).read_bytes().decode("utf-8")
-        raise
-    return maniplex_from_json(text), digest.hexdigest()
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    del data
+    return maniplex_from_json(text), digest
 
 
 def _load_valid(path: str) -> tuple[Maniplex, str]:
@@ -292,18 +277,15 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_verdict(args: argparse.Namespace) -> int:
     m, digest = _load_valid(args.input)
-    if not 0 <= args.base < m.flag_count:
-        raise ValueError(f"base flag {args.base} out of range (0..{m.flag_count - 1})")
     v = classify(m)
     doc = {
         "version": __version__,
         "input_digest": digest,
-        "base": args.base,
         "sparse": v.sparse,
         "semisparse": v.semisparse,
         "summary": v.summary,
         "witness": v.witness,
-        # holds on every valid maniplex and base flag: see the `coxeter` module docstring
+        # holds on every valid maniplex, from every base flag: see the `coxeter` module docstring
         "schreier_ok": True,
     }
     _emit(dumps_json(doc), args.output)
@@ -370,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verdict", help="classify a maniplex as sparse / semisparse")
     add_io(p)
-    p.add_argument("--base", type=int, default=0, help="base flag for the coset picture")
     p.set_defaults(func=cmd_verdict)
 
     return parser

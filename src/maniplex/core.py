@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
+from binascii import a2b_base64, b2a_base64
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, count, islice
@@ -626,12 +627,22 @@ def restrict(m: Maniplex, flags: Iterable[int], colours: Iterable[int]) -> Manip
 
 # ---------- serialization ----------
 
+_FORMAT = 2  # the "format" of the documents `maniplex_json_chunks` writes
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def _checked_perms(doc: object) -> list:
     """The document's perms list, once its shape and entries are checked:
-    each row, a list, a tuple or a packed `array('i')`, the last by its
-    lanes (`_bad_entry`)."""
+    each row a list, a tuple or a packed `array('i')`, the last by its
+    lanes (`_bad_entry`).  In a format-2 document each row is a string,
+    decoded in place into an `array('i')` before its checks
+    (`_unpacked`); a document with no "format" key is format 1, its rows
+    lists of ints."""
     if not isinstance(doc, dict):
         raise FormatError("maniplex document must be a JSON object")
+    packed = "format" in doc
+    if packed and (type(doc["format"]) is not int or doc["format"] != _FORMAT):
+        raise FormatError(f'unknown format {doc["format"]!r}: format 2 is read, and format 1 has no "format" key')
     for key in ("rank", "flags", "perms"):
         if key not in doc:
             raise FormatError(f"missing key {key!r}")
@@ -643,6 +654,8 @@ def _checked_perms(doc: object) -> list:
     if not isinstance(perms, list) or len(perms) != rank:
         raise FormatError("perms must be a list with one row per colour")
     for i, row in enumerate(perms):
+        if packed:
+            row = perms[i] = _unpacked(row, i, nflags)
         if not isinstance(row, (list, tuple, array)) or len(row) != nflags:
             raise FormatError(f"perms[{i}] must be a list of length {nflags}")
         f = _bad_entry(row, nflags)
@@ -651,133 +664,87 @@ def _checked_perms(doc: object) -> list:
     return perms
 
 
+def _unpacked(text: object, i: int, nflags: int) -> array:
+    """The `array('i')` row that format-2 row i spells: the canonical
+    base64 (RFC 4648 section 4: padded, no line breaks) of its entries'
+    bytes as little-endian int32.  The text must be the one encoding of
+    its bytes, so each row has one spelling, on every Python version."""
+    try:
+        data = a2b_base64(text)
+        canonical = b2a_base64(data, newline=False) == text.encode()
+    except (TypeError, ValueError):  # not a string, not ASCII, or not base64 (binascii.Error)
+        canonical = False
+    if not canonical:
+        raise FormatError(f"perms[{i}] must be a string of canonical base64")
+    if len(data) != 4 * nflags:
+        raise FormatError(f"perms[{i}] must decode to {4 * nflags} bytes, 4 per flag, not {len(data)}")
+    row = array("i", data)
+    if _BIG_ENDIAN:
+        row.byteswap()
+    return row
+
+
+def _base64(row: array) -> str:
+    """The canonical base64 text of the row's entries as little-endian int32."""
+    if _BIG_ENDIAN:
+        row = array("i", row)
+        row.byteswap()
+    return b2a_base64(row, newline=False).decode("ascii")
+
+
 def dumps_json(obj: object) -> str:
     """Canonical JSON used for every artifact this package writes."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-_SLICE_ENTRIES = 1024  # row entries formatted per chunk
-_ENTRY_SEP = ",\n      "
-_SLICE_FORMAT = _ENTRY_SEP.join(["%d"] * _SLICE_ENTRIES)
+_SLICE_ENTRIES = 3 << 12  # row entries encoded per chunk: 49 152 bytes, 64 KiB of base64
 
 
 def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
-    """The text of `maniplex_to_json`, generated in chunks of at most
-    `_SLICE_ENTRIES` row entries, each slice formatted by one "%d" format
-    string, read off the walk view when m has one (`walk_rows`).  A
-    maniplex with a structural error (`structural_errors`) raises, before
-    any text is generated, the FormatError that `maniplex_from_json`
-    raises on its document, so the encoder writes only what the decoder
-    reads."""
+    """The text of `maniplex_to_json`, generated in chunks: each row's
+    base64 in slices of `_SLICE_ENTRIES` entries, a multiple of 3 bytes,
+    so that the slices' texts join into the row's and no whole row's text
+    is held.  A maniplex with a structural error (`structural_errors`)
+    raises, before any text is generated, the FormatError that
+    `maniplex_from_json` raises on its document (format 2 when every row
+    is an `array('i')`, else format 1, which spells any entry), so the
+    encoder writes only what the decoder reads."""
     if structural_errors(m):
-        _checked_perms({"rank": m.rank, "flags": m.flag_count, "perms": list(m.perms)})
-    yield '{\n  "flags": %d,\n  "perms": [' % m.flag_count
-    sep = "\n    "
-    for row in m._cache.get("walk") or m.perms:
-        head = sep + "[\n      "
+        rows = list(m.perms)
+        doc = {"rank": m.rank, "flags": m.flag_count, "perms": rows}
+        if all(type(row) is array for row in rows):
+            doc.update(format=_FORMAT, perms=list(map(_base64, rows)))
+        _checked_perms(doc)
+    yield '{\n  "flags": %d,\n  "format": %d,\n  "perms": [' % (m.flag_count, _FORMAT)
+    sep = '\n    "'
+    for row in m.perms:  # each an array('i'), as the maniplex is sound
+        yield sep
         for k in range(0, len(row), _SLICE_ENTRIES):
-            part = row[k:k + _SLICE_ENTRIES]
-            fmt = _SLICE_FORMAT if len(part) == _SLICE_ENTRIES else _ENTRY_SEP.join(["%d"] * len(part))
-            yield head + fmt % tuple(part)
-            head = _ENTRY_SEP
-        yield "\n    ]"
-        sep = ",\n    "
-    yield '\n  ],\n  "rank": %d\n}\n' % m.rank
+            yield _base64(row[k:k + _SLICE_ENTRIES])
+        sep = '",\n    "'
+    yield '"\n  ],\n  "rank": %d\n}\n' % m.rank
 
 
 def maniplex_to_json(m: Maniplex) -> str:
-    """`dumps_json` of the document {"rank", "flags", "perms"} (the test
-    oracle `oracles.to_json_dict` builds it), appended to one string chunk
-    by chunk: the generic encoder holds a string for every entry of every
-    row at once, and joining a list of the chunks would hold the text
-    twice."""
+    """`dumps_json` of the document {"rank", "flags", "format", "perms"}
+    (the test oracle `oracles.to_json_dict_v2` builds it), appended to one
+    string chunk by chunk: joining a list of the chunks would hold the
+    text twice."""
     text = ""
     for chunk in maniplex_json_chunks(m):
         text += chunk
     return text
 
 
-_WHITESPACE = json.decoder.WHITESPACE.match
-_scanstring = json.decoder.scanstring
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _read_object(text: str) -> Optional[dict]:
-    """The JSON object `text` holds, read member by member; None, or a
-    ValueError, where the text is not one object this reader follows.  Keys are read by
-    `scanstring`, values by `raw_decode` (the C scanner, its own int path),
-    except that a "perms" array is read one row at a time: once "flags"
-    has been read, a row of that many ints that fit is packed into an
-    `array('i')` before the next row is read, so only one row's fresh
-    ints are alive; `_checked_perms` then checks its range.  Any other
-    row is kept as read."""
-    doc: dict = {}
-    end = _WHITESPACE(text, 0).end()
-    if text[end:end + 1] != "{":
-        return None
-    c = ","
-    while c == ",":
-        end = _WHITESPACE(text, end + 1).end()
-        if text[end:end + 1] != '"':
-            return None
-        key, end = _scanstring(text, end + 1)
-        end = _WHITESPACE(text, end).end()
-        if text[end:end + 1] != ":":
-            return None
-        end = _WHITESPACE(text, end + 1).end()
-        if key == "perms" and text[end:end + 1] == "[":
-            doc[key], end = _read_rows(text, end, doc.get("flags"))
-        else:
-            doc[key], end = _raw_decode(text, end)
-        end = _WHITESPACE(text, end).end()
-        c = text[end:end + 1]
-    if c != "}" or _WHITESPACE(text, end + 1).end() != len(text):
-        return None
-    return doc
-
-
-def _read_rows(text: str, end: int, size: object) -> tuple[list, int]:
-    """The rows of the array opened at text[end], and the offset past it;
-    see `_read_object`."""
-    rows = []
-    c = ","
-    while c == ",":
-        start = _WHITESPACE(text, end + 1).end()
-        row, end = _raw_decode(text, start)
-        if type(row) is list and type(size) is int and 0 < len(row) == size:
-            try:  # refuses a float, a string, null, a list and an int outside 32 bits
-                packed = array("i", row)
-            except (TypeError, OverflowError):
-                packed = None
-            # but takes a bool as 0 or 1: of all a packed row can hold, only
-            # `true` and `false` spell an "e"
-            if packed is not None and text.find("e", start, end) < 0:
-                row = packed
-        rows.append(row)
-        end = _WHITESPACE(text, end).end()
-        c = text[end:end + 1]
-    if c != "]":
-        raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
-    return rows, end + 1
-
-
 def maniplex_from_json(text: str) -> Maniplex:
-    """Decode into `array('i')` rows, row by row when "flags" comes before
-    "perms", as in every canonical document; the rows of any other
-    document are packed once all are checked.
-    Text the row reader does not follow, or that fails to decode, is left
-    to `json.loads`, which gives the same document or the same error, as
-    a FormatError.  The maniplex caches that its rows passed the checks
-    of `structural_errors`."""
+    """Decode a document of format 2, or of format 1, by one `json.loads`
+    and `_checked_perms`, into `array('i')` rows; text that fails to
+    decode is a FormatError.  The maniplex caches that its rows passed the
+    checks of `structural_errors`."""
     try:
-        doc = _read_object(text)
-    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
-        doc = None
-    if doc is None:
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # an int literal over the digit limit, nesting too deep
-            raise FormatError(f"invalid JSON: {exc}") from exc
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # an int literal over the digit limit, nesting too deep
+        raise FormatError(f"invalid JSON: {exc}") from exc
     perms = _checked_perms(doc)
     m = Maniplex(tuple(row if type(row) is array else array("i", row) for row in perms))
     m._cache["structural"] = ()

@@ -5,8 +5,8 @@ n involutory generators r_0 .. r_{n-1}.  It is sparse when its face poset
 is an abstract polytope, and semisparse when it is also faithful.
 
 The CLI's `verdict` writes `schreier_ok` without building a word, since
-on its inputs, valid maniplexes with a base flag Φ in range, the
-Schreier correspondence always holds (`tests/oracles.py` computes the
+on its inputs, valid maniplexes, the Schreier correspondence holds from
+every base flag Φ (`tests/oracles.py` computes the
 full report as `schreier_report`):
 
 - Shortest-lex words reach every flag: the search from Φ sets

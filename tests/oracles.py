@@ -8,10 +8,12 @@ files were computed with these.
 
 from __future__ import annotations
 
+import base64
 import collections
 import itertools
 import json
 import math
+import struct
 from typing import NamedTuple
 
 from maniplex.core import FormatError
@@ -1000,23 +1002,37 @@ def cover_is_maniplex(m, nontrivial) -> CoverReport:
     return CoverReport(_connected_avoiding(m, nontrivial), odd)
 
 
-def to_json_dict(m) -> dict:
-    """The maniplex document that `maniplex_to_json` must encode exactly as
-    the generic JSON encoder does."""
+def to_json_dict_v1(m) -> dict:
+    """The format-1 maniplex document: each row a list of ints.  Written
+    by `dumps_json`, it is the text the package wrote up to version 0.1.0,
+    and the package still reads it."""
     return {"rank": m.rank, "flags": m.flag_count, "perms": [list(row) for row in m.perms]}
+
+
+def to_json_dict_v2(m) -> dict:
+    """The format-2 maniplex document that `maniplex_to_json` must encode
+    exactly as the generic JSON encoder does: each row the padded base64
+    of its entries packed by `struct` as little-endian int32."""
+    perms = [base64.b64encode(struct.pack("<%di" % len(row), *row)).decode("ascii") for row in m.perms]
+    return {"rank": m.rank, "flags": m.flag_count, "format": 2, "perms": perms}
 
 
 def maniplex_from_json_by_loads(text: str) -> Perms:
     """The rows of a maniplex document, decoded by plain `json.loads` with
     no pool, or the FormatError its first failed check gives: the JSON,
-    then the object, its keys, rank, flags, the rows' count, and each row
-    in turn, its length, then its entries one by one."""
+    then the object, its format, its keys, rank, flags, the rows' count,
+    and each row in turn: in format 2 its base64 (refused unless it is
+    the one padded spelling of its bytes) and its byte count, unpacked by
+    `struct`; then its length, then its entries one by one."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # an int literal over the digit limit is a ValueError
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("maniplex document must be a JSON object")
+    fmt = doc.get("format")
+    if "format" in doc and (type(fmt) is not int or fmt != 2):
+        raise FormatError(f'unknown format {fmt!r}: format 2 is read, and format 1 has no "format" key')
     for key in ("rank", "flags", "perms"):
         if key not in doc:
             raise FormatError(f"missing key {key!r}")
@@ -1028,12 +1044,27 @@ def maniplex_from_json_by_loads(text: str) -> Perms:
     if type(perms) is not list or len(perms) != rank:
         raise FormatError("perms must be a list with one row per colour")
     for i, row in enumerate(perms):
+        if "format" in doc:
+            row = perms[i] = _row_by_struct(row, i, flags)
         if type(row) is not list or len(row) != flags:
             raise FormatError(f"perms[{i}] must be a list of length {flags}")
         for v in row:
             if type(v) is not int or not 0 <= v < flags:
                 raise FormatError(f"perms[{i}] entry out of range: {v!r}")
     return tuple(map(tuple, perms))
+
+
+def _row_by_struct(text, i: int, flags: int) -> list[int]:
+    try:
+        data = base64.b64decode(text, validate=True)
+        canonical = base64.b64encode(data).decode("ascii") == text
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        canonical = False
+    if not canonical:
+        raise FormatError(f"perms[{i}] must be a string of canonical base64")
+    if len(data) != 4 * flags:
+        raise FormatError(f"perms[{i}] must decode to {4 * flags} bytes, 4 per flag, not {len(data)}")
+    return list(struct.unpack("<%di" % flags, data))
 
 
 def _balanced(perms: Perms, face_of, levels, theta) -> bool:

@@ -20,6 +20,7 @@ from maniplex.core import (
     FormatError,
     Maniplex,
     ValidationReport,
+    dumps_json,
     faces,
     maniplex_from_json,
     maniplex_json_chunks,
@@ -32,16 +33,23 @@ from maniplex.counterexample import BuildError, EThetaOverlap, ThetaNotFound
 from maniplex.extension import extend
 from maniplex.voltage import double_cover
 
+from oracles import maniplex_from_json_by_loads, to_json_dict_v1, to_json_dict_v2
+
 # SHA-256 of build-bstar's certificate.json for this version; any change to
-# the certificate's bytes must be deliberate
-BSTAR_CERTIFICATE_SHA256 = "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937"
+# the certificate's bytes must be deliberate (version 0.1.0's is in
+# ARTIFACT_SHA256_V1)
+BSTAR_CERTIFICATE_SHA256 = "67d86c5531cc6588d36d64035346c00a27cdac385590e2051823e2122abf9e38"
 
 # SHA-256 of the artifacts that read the face tables, the face poset and
 # the voltage edges: every file of `counterexample --rank 8` and of
 # `build-bstar`, `find-theta` on build-bstar's B, the poset exports of B and
 # of the cube, the failing extension certificate of torus (1,0) and the
-# verdict document of torus (1,1), whose witness is a face-poset diamond
-ARTIFACT_SHA256 = {
+# verdict document of torus (1,1), whose witness is a face-poset diamond.
+# These are the bytes version 0.1.0 wrote, pinned before format 2: each
+# artifact of this version, turned back into them by `v1_bytes`, must still
+# give them, so its rows, checks, statuses, details and witnesses are
+# unchanged
+ARTIFACT_SHA256_V1 = {
     "bstar/b.json": "436810899bae0a76ff199b3e153f5984ba28677a665290f98524a073a9a88050",
     "bstar/bstar.json": "a27c1f6ad7d80f97518fc439e9431a59bba9203246008263cc88176ec2d774a7",
     "bstar/certificate.json": "4cb82e2de94fa39989800a7c676826585430e1c0c246ec6197829835d8e13937",
@@ -63,6 +71,31 @@ ARTIFACT_SHA256 = {
     "cube.hasse.dot": "89c56074605ef22876c919d560f423f7e80f3266e45a0e1f8128df4404ca5b44",
     "torus10.extension-certificate.json": "4cc8de8ccece56808e28861c1683f5fb6ebfb48fe57af0396fb225d9ecebc419",
     "torus11.verdict.json": "40595a85d4ee93b897cbdebcd35ac71aa94cc2eee63eab37d49d625e3f92ee4d",
+}
+
+# SHA-256 of the same artifacts as this version writes them
+ARTIFACT_SHA256 = {
+    "b.hasse.dot": "a14deb7a99338e855fcef6ecdd3031322a31f7761c75a0c0589ccc9f94d709f3",
+    "b.poset.json": "6eb997d41c6bd4c3b56874f3d1bb05b451ad07905b3891c076e44dd36ce3dbae",
+    "bstar/b.json": "0d7d9dda51bc951ca854cf7429a5b9988287fe0cc9a0ac4ef13af3152b0afcbc",
+    "bstar/bstar.json": "38c0b45ebf52788b605d9d86d2bf24eb4948a144fe61046b53292e862a653328",
+    "bstar/certificate.json": "67d86c5531cc6588d36d64035346c00a27cdac385590e2051823e2122abf9e38",
+    "bstar/voltage-theta.json": "770544cf9946b27f3c02cea1bd136a389d0616fc6f1f168b939cda6a532af4fb",
+    "cube.hasse.dot": "89c56074605ef22876c919d560f423f7e80f3266e45a0e1f8128df4404ca5b44",
+    "cube.poset.json": "77d2bab7f47b80439212144b32e1574228b6063b542723bb3cb6629a6d8efb80",
+    "find-theta.json": "770544cf9946b27f3c02cea1bd136a389d0616fc6f1f168b939cda6a532af4fb",
+    "rank8/certificate-rank4.json": "67d86c5531cc6588d36d64035346c00a27cdac385590e2051823e2122abf9e38",
+    "rank8/certificate-rank5.json": "8091401bd56968a059ac26341ba3f64149d28191b067c33c103b7abe52b89921",
+    "rank8/certificate-rank6.json": "3d4868dafad511fbd1cf767c492cfd6cb5bd5d73dc121992aaf0acc6083ea28a",
+    "rank8/certificate-rank7.json": "ed95e7207c35caac75113eefe451abfe4ffdeb87384b142fd828d99ba08af9ec",
+    "rank8/certificate-rank8.json": "7178a83289a27b164fd993df66fbd662da15b6eb2f713e0866913eb775169917",
+    "rank8/maniplex-rank4.json": "38c0b45ebf52788b605d9d86d2bf24eb4948a144fe61046b53292e862a653328",
+    "rank8/maniplex-rank5.json": "d42069f6465353d20d4fc6407dd499e9bc14083dd4fa43d74d41b26fa87bca26",
+    "rank8/maniplex-rank6.json": "3051e6c2216a77ccdb58a1083604c95e1e865e59da126dc20ffb4f8ce16e0df6",
+    "rank8/maniplex-rank7.json": "16786e98951e7fcd18b39105f8d4d3667375c768c478a1e47ba12bfdc02771db",
+    "rank8/maniplex-rank8.json": "d1ba247a840424072c3c7fed66ef98e76465c5dd0576c74e4523fbd69b6275bc",
+    "torus10.extension-certificate.json": "2925182a1905123e3dba14b7698a304c643743f8f9e2b4b95f361462b160d5d1",
+    "torus11.verdict.json": "247ebe4ff94296793485360fdf59418d088d94d8a71f95bf37a0cf881a1c9916",
 }
 
 XOR4_DOC = {
@@ -146,7 +179,7 @@ def test_streamed_write_holds_no_whole_text(bstar_result, tmp_path):
     finally:
         tracemalloc.stop()
     data = maniplex_to_json(m).encode("utf-8")
-    assert len(data) > 5_000_000 and peak < 2_000_000, peak
+    assert len(data) > 2_000_000 and peak < 1_000_000, peak
     assert path.read_bytes() == data
     assert digest == hashlib.sha256(data).hexdigest()
 
@@ -165,13 +198,14 @@ def test_check_ok_document(tmp_path):
 
 def test_check_flags_corruption(tmp_path, capsys):
     path = gen(tmp_path, "t11.json", "gen", "torus", "--b", "1", "--c", "1")
-    doc = load(path)
-    doc["perms"][0][0] = 0  # fixed point, and the row is no longer a bijection
-    broken = write_json(tmp_path / "broken.json", doc)
-    assert main(["check", "-i", broken]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is False
-    assert out["structural"] or out["violations"]
+    rows = [list(row) for row in maniplex_from_json_by_loads(Path(path).read_text())]
+    rows[0][0] = 0  # fixed point, and the row is no longer a bijection
+    for to_json_dict in (to_json_dict_v1, to_json_dict_v2):
+        broken = write_json(tmp_path / "broken.json", to_json_dict(Maniplex(rows)))
+        assert main(["check", "-i", broken]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False
+        assert out["structural"] or out["violations"]
 
 
 def test_missing_input_file(tmp_path):
@@ -268,30 +302,54 @@ def test_counterexample_rank4_matches_bstar(bstar_dir, tmp_path):
     assert filecmp.cmp(out / "certificate-rank4.json", bstar_dir / "certificate.json", shallow=False)
 
 
-def test_artifact_bytes_pinned(tmp_path):
-    def digest(path):
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+def v1_bytes(data: bytes, v1_digests: dict[str, str]) -> bytes:
+    """The bytes version 0.1.0 wrote for an artifact this version wrote: a
+    maniplex in format 1 (`to_json_dict_v1`); a document with an input
+    digest with version 0.1.0, the digest its input had in format 1 (from
+    v1_digests) and, for a verdict, the base flag 0 it carried; any other
+    file as it is."""
+    try:
+        doc = json.loads(data)
+    except ValueError:  # a DOT file
+        return data
+    if "perms" in doc:
+        return dumps_json(to_json_dict_v1(maniplex_from_json(data.decode()))).encode()
+    if "input_digest" in doc:
+        doc.update(version="0.1.0", input_digest=v1_digests[doc["input_digest"]])
+        if "schreier_ok" in doc:
+            doc["base"] = 0
+        return dumps_json(doc).encode()
+    return data
 
-    got = {}
+
+def test_artifact_bytes_pinned(tmp_path):
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    paths = {}
     rank8 = tmp_path / "rank8"
     assert main(["counterexample", "--rank", "8", "-o", str(rank8)]) == 0
     for path in rank8.iterdir():
-        got[f"rank8/{path.name}"] = digest(path)
+        paths[f"rank8/{path.name}"] = path
     bstar = tmp_path / "bstar"
     assert main(["build-bstar", "-o", str(bstar)]) == 0
     for path in bstar.iterdir():
-        got[f"bstar/{path.name}"] = digest(path)
-    got["find-theta.json"] = digest(Path(gen(tmp_path, "find-theta.json", "find-theta", "-i", str(bstar / "b.json"))))
+        paths[f"bstar/{path.name}"] = path
+    paths["find-theta.json"] = Path(gen(tmp_path, "find-theta.json", "find-theta", "-i", str(bstar / "b.json")))
     for name, argv in (("b", ["build-b"]), ("cube", ["gen", "platonic", "--name", "cube"])):
         src = gen(tmp_path, f"{name}.json", *argv)
         for fmt, suffix in (("json", "poset.json"), ("hasse-dot", "hasse.dot")):
-            got[f"{name}.{suffix}"] = digest(Path(gen(tmp_path, f"{name}.{suffix}", "export", "--format", fmt, "-i", src)))
+            paths[f"{name}.{suffix}"] = Path(gen(tmp_path, f"{name}.{suffix}", "export", "--format", fmt, "-i", src))
     torus10 = gen(tmp_path, "torus10.json", "gen", "torus", "--b", "1", "--c", "0")
     assert main(["extend", "--verify", "-i", torus10, "-o", str(tmp_path / "ext")]) == 1
-    got["torus10.extension-certificate.json"] = digest(tmp_path / "ext" / "certificate.json")
+    paths["torus10.extension-certificate.json"] = tmp_path / "ext" / "certificate.json"
     torus11 = gen(tmp_path, "torus11.json", "gen", "torus", "--b", "1", "--c", "1")
-    got["torus11.verdict.json"] = digest(Path(gen(tmp_path, "torus11.verdict.json", "verdict", "-i", torus11)))
-    assert got == ARTIFACT_SHA256
+    paths["torus11.verdict.json"] = Path(gen(tmp_path, "torus11.verdict.json", "verdict", "-i", torus11))
+    files = {name: path.read_bytes() for name, path in paths.items()}
+    assert {name: digest(data) for name, data in files.items()} == ARTIFACT_SHA256
+    inputs = [*files.values(), Path(torus10).read_bytes(), Path(torus11).read_bytes()]
+    v1_digests = {digest(data): digest(v1_bytes(data, {})) for data in inputs if b'"perms"' in data}
+    assert {name: digest(v1_bytes(data, v1_digests)) for name, data in files.items()} == ARTIFACT_SHA256_V1
 
 
 def test_counterexample_size_refusal_exits_1(monkeypatch, tmp_path, capsys):
@@ -417,23 +475,29 @@ def test_verdict_document(tmp_path):
     assert doc["summary"] == "semisparse"
     assert doc["witness"] is None
     assert doc["schreier_ok"] is True
-    assert doc["base"] == 0
+    assert set(doc) == {"version", "input_digest", "sparse", "semisparse", "summary", "witness", "schreier_ok"}
 
 
 def test_verdict_base_out_of_range(tmp_path):
+    # version 0.2.0 dropped `--base`, which no computation read: every base
+    # flag, in range or not, is now a usage error
     path = gen(tmp_path, "sq.json", "gen", "platonic", "--name", "square")
-    assert main(["verdict", "-i", path, "--base", "8"]) == 2
+    for base in ("0", "8"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verdict", "-i", path, "--base", base])
+        assert exc.value.code == 2
 
 
 def test_verdict_writes_schreier_ok_on_valid_inputs(schreier_members, tmp_path):
-    for k, (m, bases) in enumerate(schreier_members):
+    # `schreier_ok` holds from every base flag (`tests/test_coxeter.py`
+    # checks the full report from two of each member's flags)
+    for k, (m, _) in enumerate(schreier_members):
         path = tmp_path / f"member{k}.json"
         path.write_text(maniplex_to_json(m), encoding="utf-8")
-        for base in bases:
-            out = tmp_path / f"member{k}.base{base}.verdict.json"
-            assert main(["verdict", "-i", str(path), "--base", str(base), "-o", str(out)]) == 0
-            doc = load(out)
-            assert (doc["base"], doc["schreier_ok"]) == (base, True)
+        out = tmp_path / f"member{k}.verdict.json"
+        assert main(["verdict", "-i", str(path), "-o", str(out)]) == 0
+        doc = load(out)
+        assert doc["schreier_ok"] is True and "base" not in doc
 
 
 def test_verdict_refuses_what_schreier_ok_assumes(tmp_path, capsys, two_squares):

@@ -46,7 +46,8 @@ from oracles import (
     partition_by_merging,
     polygon_flag_graph,
     renumber,
-    to_json_dict,
+    to_json_dict_v1,
+    to_json_dict_v2,
 )
 
 # small deliberately broken structures, one per axiom
@@ -155,7 +156,7 @@ def test_face_table_matches_bfs_oracle(named_corpus, b_maniplex, bstar_result):
         # equality, hashing, repr and JSON
         assert fresh == Maniplex(m.perms) and hash(fresh) == hash(Maniplex(m.perms))
         assert repr(fresh) == repr(Maniplex(m.perms))
-        assert to_json_dict(fresh) == to_json_dict(Maniplex(m.perms))
+        assert maniplex_to_json(fresh) == maniplex_to_json(Maniplex(m.perms))
 
 
 def test_row_forms_are_equal_and_hash_alike(bstar_result):
@@ -327,16 +328,95 @@ def test_json_roundtrip():
     text = maniplex_to_json(m)
     assert maniplex_from_json(text).perms == m.perms
     assert text.endswith("\n")
-    assert json.loads(text) == {"rank": 3, "flags": 40, "perms": [list(r) for r in m.perms]}
+    assert json.loads(text) == to_json_dict_v2(m)
+    assert maniplex_from_json_by_loads(text) == tuple(map(tuple, m.perms))
     # canonical form: serialization is stable
     assert maniplex_to_json(maniplex_from_json(text)) == text
 
 
-def test_maniplex_to_json_matches_generic_encoder(named_corpus, b_maniplex, bstar_result):
-    tower = [bstar_result.bstar]
-    while tower[-1].rank < 6:
+def _tower(bstar, top):
+    """B* and its extensions over the facet of flag 0, up to rank top."""
+    tower = [bstar]
+    while tower[-1].rank < top:
         m = tower[-1]
         tower.append(extend(m, faces(m, m.rank - 1)[0]))
+    return tower
+
+
+def test_format_2_round_trip(b_maniplex, bstar_result):
+    """The census pool, B, B* and the tower's ranks 5-8 decode from their
+    format-2 text to equal rows that hash alike, and from their format-1
+    text (the oracle's, as version 0.1.0 wrote it) to the same maniplex."""
+    members = [torus_44(b, c) for b, c in suites.TORUS_POOL] + [b_maniplex, *_tower(bstar_result.bstar, 8)]
+    for m in members:
+        for text in (maniplex_to_json(m), dumps_json(to_json_dict_v1(m))):
+            decoded = maniplex_from_json(text)
+            assert decoded.perms == m.perms and decoded == m and hash(decoded) == hash(m), m
+            assert all(type(row) is array and row.typecode == "i" for row in decoded.perms), m
+    assert members[-1].flag_count == 49152
+
+
+def test_format_2_rows_are_little_endian_int32():
+    """Hand-written rows, so the byte order is fixed whatever the host:
+    1 is the bytes 01 00 00 00, and 2**24 + 2 is 02 00 00 01."""
+    edge = '{\n  "flags": 2,\n  "format": 2,\n  "perms": [\n    "AQAAAAAAAAA="\n  ],\n  "rank": 1\n}\n'
+    assert list(maniplex_from_json(edge).perms[0]) == [1, 0]
+    assert maniplex_to_json(Maniplex(((1, 0),))) == edge
+    t10 = torus_44(1, 0)  # row 0 is (3, 6, 5, 0, 7, 2, 1, 4)
+    row = "AwAAAAYAAAAFAAAAAAAAAAcAAAACAAAAAQAAAAQAAAA="
+    assert '\n    "%s",\n' % row in maniplex_to_json(t10)
+    assert tuple(maniplex_from_json(maniplex_to_json(t10)).perms[0]) == (3, 6, 5, 0, 7, 2, 1, 4)
+    text = json.dumps({"flags": 1, "format": 2, "perms": ["AgAAAQ=="], "rank": 1})
+    with pytest.raises(FormatError, match=rf"perms\[0\] entry out of range: {2**24 + 2}$"):
+        maniplex_from_json(text)
+
+
+# torus (1, 0): 8 flags, so a row is 32 bytes, 44 characters of base64
+_T10_ROW0 = to_json_dict_v2(torus_44(1, 0))["perms"][0]
+
+
+def _t10_doc(row0, **changes):
+    doc = dict(to_json_dict_v2(torus_44(1, 0)), **changes)
+    doc["perms"] = [row0, *doc["perms"][1:]]
+    return json.dumps(doc)
+
+
+def _packed_row(*entries):
+    return to_json_dict_v2(Maniplex((entries,)))["perms"][0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(_t10_doc("!" + _T10_ROW0[1:]), r"perms\[0\] must be a string of canonical base64", id="bad base64"),
+        pytest.param(_t10_doc(_T10_ROW0[:-1]), r"perms\[0\] must be a string of canonical base64", id="truncated row"),
+        pytest.param(_t10_doc(_T10_ROW0[:20] + "\n" + _T10_ROW0[20:]), r"canonical base64", id="line break"),
+        pytest.param(_t10_doc(_T10_ROW0[:-2] + "B="), r"canonical base64", id="padding bits set"),
+        pytest.param(_t10_doc(_T10_ROW0[:-1] + "=="), r"canonical base64", id="extra padding"),
+        pytest.param(_t10_doc([3, 6, 5, 0, 7, 2, 1, 4]), r"perms\[0\] must be a string of canonical base64", id="list row"),
+        pytest.param(_t10_doc(_T10_ROW0[:-4]), r"perms\[0\] must decode to 32 bytes, 4 per flag, not 30$", id="truncated quad"),
+        pytest.param(_t10_doc(_packed_row(3, 6, 5, 0, 7, 2, 1, 4)[:-8] + "AAA="), r"not 29$", id="bytes not a multiple of 4"),
+        pytest.param(_t10_doc(_packed_row(3, 6, 5, 0, 7, 2, 1)), r"must decode to 32 bytes, 4 per flag, not 28$", id="short row"),
+        pytest.param(_t10_doc(_packed_row(3, 6, 5, 0, 7, 2, 1, 4, 0)), r"not 36$", id="long row"),
+        pytest.param(_t10_doc(_packed_row(3, 6, 5, 0, 7, 2, 1, 8)), r"perms\[0\] entry out of range: 8$", id="lane = flags"),
+        pytest.param(_t10_doc(_packed_row(3, -1, 5, 0, 7, 2, 1, 4)), r"perms\[0\] entry out of range: -1$", id="negative lane"),
+        pytest.param(_t10_doc(_packed_row(3, 6, 5, -(2**31), 7, 2, 1, 4)), r"entry out of range: -2147483648$", id="int32 min"),
+        pytest.param(_t10_doc(_T10_ROW0, format=3), r"unknown format 3: format 2 is read", id="format 3"),
+        pytest.param(_t10_doc(_T10_ROW0, format="2"), r"unknown format '2'", id="format string"),
+        pytest.param(_t10_doc(_T10_ROW0, format=True), r"unknown format True", id="format bool"),
+        pytest.param(_t10_doc(_T10_ROW0, format=1), r"unknown format 1", id="format 1 spelled out"),
+    ],
+)
+def test_format_2_refusals(text, message):
+    """Each fault gives its own FormatError, the one the oracle decoder
+    (base64 and struct) gives."""
+    with pytest.raises(FormatError, match=message):
+        maniplex_from_json(text)
+    assert _outcome(maniplex_from_json, text) == _outcome(maniplex_from_json_by_loads, text)
+
+
+def test_maniplex_to_json_matches_generic_encoder(named_corpus, b_maniplex, bstar_result):
+    tower = _tower(bstar_result.bstar, 6)
     members = [
         *named_corpus.values(),
         *(platonic(name) for name in corpus_names()),
@@ -345,7 +425,7 @@ def test_maniplex_to_json_matches_generic_encoder(named_corpus, b_maniplex, bsta
         Maniplex(((1, 0),)),  # rank 1
     ]
     for m in members:
-        assert maniplex_to_json(m) == dumps_json(to_json_dict(m)), m
+        assert maniplex_to_json(m) == dumps_json(to_json_dict_v2(m)), m
 
 
 @pytest.mark.parametrize(
@@ -386,20 +466,31 @@ def _encoder_parity_members():
 
 def test_encoder_refuses_what_the_decoder_refuses():
     """The encoder raises, before it yields any text, the FormatError the
-    decoder raises on the maniplex's document; it encodes a sound one."""
-    sound = 0
+    decoder raises on the maniplex's document: its format-2 document when
+    every row is an array('i'), else its format-1 one, which spells a
+    bool, a float or an int past 32 bits.  It encodes a sound one, whose
+    format-1 document decodes to it too."""
+    sound = packed = 0
     for m in _encoder_parity_members():
-        text = dumps_json(to_json_dict(m))
+        v1 = dumps_json(to_json_dict_v1(m))
         if not structural_errors(m):
-            assert maniplex_to_json(m) == text and maniplex_from_json(text) == m
+            text = dumps_json(to_json_dict_v2(m))
+            assert maniplex_to_json(m) == text and maniplex_from_json(text) == m == maniplex_from_json(v1)
             sound += 1
             continue
+        if all(type(row) is array for row in m.perms):
+            text = dumps_json(to_json_dict_v2(m))
+            packed += 1
+        else:
+            text = v1
         want = _outcome(maniplex_from_json, text)
         assert want[0] is FormatError, m
+        assert want == _outcome(maniplex_from_json_by_loads, text), m
         assert _outcome(maniplex_to_json, m) == want, m
         with pytest.raises(FormatError):
             next(maniplex_json_chunks(m))
     assert sound == len(suites.TORUS_POOL)
+    assert packed >= len(suites.TORUS_POOL) // 2, packed
 
 
 def test_array_rows_are_range_checked_once(b_maniplex, monkeypatch):
@@ -472,36 +563,42 @@ def test_tower_and_decoded_copies_hold_the_pool_ints(bstar_result):
 
 def test_padded_document_is_refused_in_constant_memory():
     """A document that claims 10**6 flags but holds a two-entry row, then
-    2 * 10**6 spaces, is refused for its short row, and the decoder's
-    traced peak stays under a bound that does not grow with the flag
-    count: nothing of the claimed size is allocated."""
+    2 * 10**6 spaces, is refused for its short row, in format 1 and in
+    format 2, and the decoder's traced peak stays under a bound that does
+    not grow with the flag count: nothing of the claimed size is
+    allocated."""
     flags = 10**6
-    text = '{"flags": %d, "perms": [[1, 0]], "rank": 1}' % flags + " " * (2 * flags)
-    error = None
-    tracemalloc.start()
-    try:
+    cases = (
+        ('{"flags": %d, "perms": [[1, 0]], "rank": 1}', f"perms[0] must be a list of length {flags}"),
+        ('{"flags": %d, "format": 2, "perms": ["AQAAAAAAAAA="], "rank": 1}', f"perms[0] must decode to {4 * flags} bytes, 4 per flag, not 8"),
+    )
+    for doc, message in cases:
+        text = doc % flags + " " * (2 * flags)
+        error = None
+        tracemalloc.start()
         try:
-            maniplex_from_json(text)
-        except FormatError as exc:
-            error = exc
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(error) == f"perms[0] must be a list of length {flags}"
-    assert peak < 64 * 1024, peak
+            try:
+                maniplex_from_json(text)
+            except FormatError as exc:
+                error = exc
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(error) == message
+        assert peak < 64 * 1024, peak
 
 
-def _layouts(m):
-    """The document of m laid out in every key order, compact, indented
-    and spaced, then with duplicate and extra keys and with "perms"
-    spelled through a unicode escape."""
-    items = list(to_json_dict(m).items())
+def _layouts(doc):
+    """The document laid out in every key order, compact, indented and
+    spaced, then with duplicate and extra keys and with "perms" spelled
+    through a unicode escape."""
+    items = list(doc.items())
     styles = [{"separators": (",", ":")}, {"indent": 2}, {"indent": "\t", "separators": (" , ", " : ")}]
     for order, style in itertools.product(itertools.permutations(items), styles):
         yield json.dumps(dict(order), **style)
-    text = maniplex_to_json(m)
+    text = dumps_json(doc)
     yield '{"perms": [[0]], "flags": 0, ' + text[1:]  # both overridden by the canonical values
-    yield text[:-2] + ', "flags": %d}' % m.flag_count  # flags again, after the rows
+    yield text[:-2] + ', "flags": %d}' % doc["flags"]  # flags again, after the rows
     yield '{"note": {"perms": [[-1]], "flags": 1}, "version": "1.0", ' + text[1:]
     yield text.replace('"perms"', '"\\u0070erms"')
     yield text.replace('"perms"', '"\\u0070erms"').replace('"flags"', '"fl\\u0061gs"')
@@ -509,8 +606,8 @@ def _layouts(m):
 
 def test_decoder_matches_plain_loads_in_every_layout(oracle_members):
     """Seeded torus maps, flags renumbered, and the tower's rank-6
-    extension: every layout decodes to the oracle's rows, each packed into
-    an array('i')."""
+    extension: every layout of its format-1 and format-2 documents
+    decodes to the oracle's rows, each packed into an array('i')."""
     rng = random.Random(suites.SEED)
     members = [oracle_members[-1]]  # the tower's rank 6
     for b, c in rng.sample(suites.TORUS_POOL, 4):
@@ -519,7 +616,7 @@ def test_decoder_matches_plain_loads_in_every_layout(oracle_members):
         rng.shuffle(sigma)
         members.append(Maniplex(renumber(perms, sigma)))
     for m in members:
-        for text in _layouts(m):
+        for text in [*_layouts(to_json_dict_v1(m)), *_layouts(to_json_dict_v2(m))]:
             decoded = maniplex_from_json(text)
             assert tuple(map(tuple, decoded.perms)) == maniplex_from_json_by_loads(text), text[:80]
             assert decoded.perms == m.perms and all(type(row) is array for row in decoded.perms), text[:80]
@@ -533,13 +630,25 @@ def _outcome(decode, text):
 
 
 def _parity_cases():
-    text = maniplex_to_json(platonic("square"))
-    yield from (text[:k] for k in range(len(text) + 1))
-    yield from (text + tail for tail in ("x", "{}", ",", "]", "}", "\n\n0"))
-    yield "\ufeff" + text
+    """Faults in the square's format-1 text (as version 0.1.0 wrote it)
+    and in its format-2 text, and in small hand-written documents."""
+    square = platonic("square")
+    for text in (dumps_json(to_json_dict_v1(square)), maniplex_to_json(square)):
+        yield from (text[:k] for k in range(len(text) + 1))
+        yield from (text + tail for tail in ("x", "{}", ",", "]", "}", "\n\n0"))
+        yield "\ufeff" + text
+    text = dumps_json(to_json_dict_v1(square))
     first = text.index("[", text.index("[", text.index('"perms"')) + 1)  # the first row
     for entry in ("true", "1.0", "[1]", "-1", "8", "null", '"1"', "1e0", "NaN", "1" * 5000):
         yield text[:first + 1] + entry + text[text.index(",", first):]
+    text = maniplex_to_json(square)
+    first = text.index('"', text.index("[", text.index('"perms"')))  # the first row's opening quote
+    last = text.index('"', first + 1)
+    row = text[first + 1:last]
+    for entry in ("[1, 0]", "null", "1", '""', '"%s"' % row[:-4], '"%s"' % row[1:], '"\u00e9%s"' % row[1:], '"%s"' % row.lower()):
+        yield text[:first] + entry + text[last + 1:]
+    for fmt in ("1", "3", "2.0", "true", '"2"', "null"):
+        yield text.replace('"format": 2', '"format": ' + fmt)
     yield "[" * 200_000
     yield '{"flags": 2, "perms": [' + "[" * 200_000
     yield '{"rank": 1, "flags": 2, "perms": [[1, 0]], "flags": 3}'  # rows read at the flags since overridden
@@ -578,8 +687,9 @@ def test_decoded_rows_are_checked_once(monkeypatch):
 
 
 def test_decode_holds_one_row_of_fresh_ints(bstar_result):
-    """Decoding the rank-8 text peaks below 6 MB above it: its rows, each
-    read and pooled before the next, and no table of decimal strings."""
+    """Decoding the rank-8 text peaks below 6 MB above it: the rows' base64
+    strings, each decoded into its packed row in turn, and no int object
+    per entry."""
     m = bstar_result.bstar
     while m.rank < 8:
         m = extend(m, faces(m, m.rank - 1)[0])
@@ -590,7 +700,7 @@ def test_decode_holds_one_row_of_fresh_ints(bstar_result):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(text) > 5_000_000 and peak < 6_000_000, peak
+    assert len(text) > 2_000_000 and peak < 6_000_000, peak
     assert decoded == m
 
 
@@ -617,8 +727,8 @@ def test_from_json_rejects(doc):
 
 def test_to_json_dict_shape():
     m = platonic("square")
-    doc = to_json_dict(m)
-    assert maniplex_from_json(json.dumps(doc)).perms == m.perms
+    for doc in (to_json_dict_v1(m), to_json_dict_v2(m)):
+        assert maniplex_from_json(json.dumps(doc)).perms == m.perms
 
 
 def test_to_dot():

@@ -6,6 +6,7 @@ from maniplex.core import (
     Maniplex,
     automorphism_count,
     dual,
+    dumps_json,
     faces,
     isomorphic,
     maniplex_to_json,
@@ -14,7 +15,7 @@ from maniplex.core import (
 from maniplex.corpus import corpus_names, platonic, torus_44
 
 import suites
-from oracles import antipodal_quotient, geometric_cube_flags, polygon_flag_graph, torus_44_by_lattice
+from oracles import antipodal_quotient, geometric_cube_flags, polygon_flag_graph, to_json_dict_v1, torus_44_by_lattice
 
 # hand-derived flag graph of the one-cell torus map, frozen
 TORUS_1_0_PERMS = (
@@ -23,10 +24,11 @@ TORUS_1_0_PERMS = (
     (7, 2, 1, 4, 3, 6, 5, 0),
 )
 
-# SHA-256 of maniplex_to_json(torus_44(b, c)) for the census pool (every
-# (b, c) with b, c >= 0 and 1 <= b^2 + c^2 <= 64, so each map's mirror
-# (c, b) too), computed with the flag-by-flag lattice construction
-TORUS_POOL_SHA256 = {
+# SHA-256 of the format-1 text, `dumps_json(to_json_dict_v1(torus_44(b, c)))`,
+# for the census pool (every (b, c) with b, c >= 0 and 1 <= b^2 + c^2 <= 64,
+# so each map's mirror (c, b) too), computed with the flag-by-flag lattice
+# construction: the bytes version 0.1.0 wrote, so the rows are unchanged
+TORUS_POOL_SHA256_V1 = {
     (0, 1): "ee2b48fc4debaf46992c59deb04bde76b030dbefa13914497fade8645a79cbd8",
     (0, 2): "79ef90815f0c3e94c6c1d7f0e109757dcafe532a0395224c4a508c703b7f2160",
     (0, 3): "6cdfeb3464793dec5cfc65689cb1efea0038b7cd68c801372a28233553759ed8",
@@ -84,6 +86,68 @@ TORUS_POOL_SHA256 = {
     (7, 2): "0ea07c1b9ea18c7ed09e7bab74334834d09c86dc4f61319161d5668b4676ce30",
     (7, 3): "8bd6ccfc5b8efcd30d80242a834379a06ae8df29bdc1ec8c08a69e24cda7f456",
     (8, 0): "44f1284d8d9a91c419a76ed2c662cee83db59bb58a565fb2ebded3718713ef09",
+}
+
+# SHA-256 of maniplex_to_json(torus_44(b, c)), the format-2 text, for the
+# same pool, computed from the lattice construction by `to_json_dict_v2`
+TORUS_POOL_SHA256 = {
+    (0, 1): "6921bdab5164408b4687cc0024829b43d5fc7a1aef88ee4afa36e4ba348e89b0",
+    (0, 2): "d4a68b479bd88c9bca2993a7ae3d901b1565efc9a4c94f29701f07d1a96afc16",
+    (0, 3): "cce63503868f64e7577ba296906ee042a245bb5dd336eb5d1ec860e7c8b50cb6",
+    (0, 4): "51b4b5281ac3265ac05b09fad325d3b5d20af612f155d191ff4b87e60898b7e8",
+    (0, 5): "a5bcc19abafe43004965fff41cf743aeafebaba3e401e55c245c0f55ddab6b62",
+    (0, 6): "c1271eb64521dea49bff5e6af54d609d771a6fbfa918001caddd88c3f2f442e2",
+    (0, 7): "fdf31cb4aac417ba8b2034e8fdb9c89e7d97b4459ae60bccb033d64a2a096210",
+    (0, 8): "783bf86acd5197410c58e0bb0f3ef5694c3753f1ffad719388f1f2a26e9ad3d9",
+    (1, 0): "6921bdab5164408b4687cc0024829b43d5fc7a1aef88ee4afa36e4ba348e89b0",
+    (1, 1): "d91bfea8b779bf432c1aafb1b8a6b4f698a7673a1332fbc5bb3c99bb52e60b7a",
+    (1, 2): "fd648d48736a343146f22c2879d6258b27e6cf6a69c2d927ed65f6441dca0bdd",
+    (1, 3): "ffbdf285be97305b606f3d6beb8e91fb745505bea970b5fc94a69af410732fbc",
+    (1, 4): "13587a448dbc815879f7e25099ea57168a68d05bca1a960442248a585f457b38",
+    (1, 5): "418fe39649c663a72cfc0f940a3f7656b896cb30f1f69f59ec310293b681b025",
+    (1, 6): "df47408df013217f87670ff6ceb5f05da9d210025ec13a5652af5d4293809aae",
+    (1, 7): "2e9b05f5857555a26dc3f7793ee967e2bcd302b4c3a5adc596896336f2d9e8a8",
+    (2, 0): "d4a68b479bd88c9bca2993a7ae3d901b1565efc9a4c94f29701f07d1a96afc16",
+    (2, 1): "5e8a986ae028c0505850100c700a4248dbf9e440a05779b0575e66e792b1828d",
+    (2, 2): "c4490adeefe2706190a28a160e5af816c1a1ab0f7ca6e806f0625e39788594fb",
+    (2, 3): "f3392a60f462f54c54b4c6fed3bce5a8ddb3a2daedeea3d870d093a728d5a663",
+    (2, 4): "8c65824260da61ea220f7776ce90f2bf123e82925197f521adb27182780bfe77",
+    (2, 5): "2d0851ac23009ce14e3097e3ed97dd595e8f1133b52ca7e02948f7cccde6c8c0",
+    (2, 6): "e295136781d78318f701b94acb5083f3ca8cf7854f25cf0374b9e9862902bb47",
+    (2, 7): "9c429bec85320e80a7e14690d82d99da5146790cbbff28f4cd8f3aa20580f98c",
+    (3, 0): "cce63503868f64e7577ba296906ee042a245bb5dd336eb5d1ec860e7c8b50cb6",
+    (3, 1): "3d00cf44605c9f3b3af1a132a8e821b2f9cce9a388fb4a1b4e554e1fe4b16399",
+    (3, 2): "479b3280e57135a35c2232ba669bc6972ad485205dd208008c4f2f999580fc7e",
+    (3, 3): "92b567a39022deb6b8961e8cf05225ceb31c2f2d05a9f9f0e8abd831c279c163",
+    (3, 4): "bb31573ac1c206faa9ae6e8e4bb1ce4f39e90536669ac45120f1f3597c01a76d",
+    (3, 5): "3eff914f69f5b19bb0ce7f66d76b7749d1441b6a31bed9b849460f2750a600a7",
+    (3, 6): "62f056616e6d9d33231b5bade0531f415032ec369da7b7388b4a958125ab730b",
+    (3, 7): "63d25c2128f72cc52eb4825b8b7296372fe46df0ad3165c1c318976a7fd35ecf",
+    (4, 0): "51b4b5281ac3265ac05b09fad325d3b5d20af612f155d191ff4b87e60898b7e8",
+    (4, 1): "606d0aba1813da62ed7eaed81eb7b738998c77a618079c51270d279559481044",
+    (4, 2): "b19fa93a28e2731711fa4e2e58f7c9e495d387678a5b059a63c05390f1dd00a1",
+    (4, 3): "9554f2c78f59aa94e61797391588119d46817bf946fa6417032bb68e4bb7a1d8",
+    (4, 4): "a27e2a4c1fc175d0cfee1aec5f56b5e94df65bb033f198c8d8eadbdd0f2d9823",
+    (4, 5): "bbbdf76c51eb73865f8f47222bb6dd9320a11ec3ca9677bf82c7ace4e7874346",
+    (4, 6): "59a0fde777f4f72035c2dfe54bb604f1a7dbc7dbc3e6b40730d9a57bcb98c075",
+    (5, 0): "a5bcc19abafe43004965fff41cf743aeafebaba3e401e55c245c0f55ddab6b62",
+    (5, 1): "81bd5469cedf2e192d0ab8a71fe6c966f4e7473af480f56b8ae163148999b884",
+    (5, 2): "3d51e6284a0721fbb2db2afa896c831e5dd6ae97a67b78c15ec4d1cb335bc35e",
+    (5, 3): "d022f018cd3cb3d50b1a46cf9980b454b13dec920cba53ee3db053bfe3e97c3d",
+    (5, 4): "2990db42da792d81aaeb081d3579e0a1a8d5ccaed5d0699472ded2956c8584f7",
+    (5, 5): "1b84397d3f4c4ee3c1ea33434084681dd4bfec8cd0491eada15f5a91a0bc897f",
+    (5, 6): "70e4775bc50112f74780781bac20dce994a84490925a699df92d75afb31f59fc",
+    (6, 0): "c1271eb64521dea49bff5e6af54d609d771a6fbfa918001caddd88c3f2f442e2",
+    (6, 1): "132014de94fae3c3dbc60e4d423456dde1a3472dc1e84acc2907392114a791c5",
+    (6, 2): "d2a7cf51db3735e1734eb0a81f399d364eca23d48536a62838d7d27a08fa7c65",
+    (6, 3): "cf04637a5494dc6684b258371c24726d5dcec7dd88f4e2cb49bc7a028410af8b",
+    (6, 4): "87a3ed17672742fcca6693f6746f1ecb00bb6d33a0e3ed950c8b786643d29e40",
+    (6, 5): "6efc47d3e3fb7e6f9e28f1f9ee87d13ecca631fbd99c9e0fc9f48bfaa96fd12a",
+    (7, 0): "fdf31cb4aac417ba8b2034e8fdb9c89e7d97b4459ae60bccb033d64a2a096210",
+    (7, 1): "c8a8c320c579954881c70efa22c0d6077818589a942f5f066fa92f80dfa17b9b",
+    (7, 2): "e97b6831cc9461d5e5e8e151cfc43fa4820529d3d1445a33f8997b2c89b4b65e",
+    (7, 3): "4f3cda5dfd81f36ec3385b037c00a98720ef56d901b96fa6e9f3e80474f73a98",
+    (8, 0): "783bf86acd5197410c58e0bb0f3ef5694c3753f1ffad719388f1f2a26e9ad3d9",
 }
 
 
@@ -185,7 +249,9 @@ def test_torus_matches_flag_by_flag_lattice_oracle():
 
 
 def test_torus_pool_is_byte_pinned():
-    digests = {
-        (b, c): hashlib.sha256(maniplex_to_json(torus_44(b, c)).encode()).hexdigest() for b, c in suites.TORUS_POOL
-    }
-    assert digests == TORUS_POOL_SHA256
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    maps = {(b, c): torus_44(b, c) for b, c in suites.TORUS_POOL}
+    assert {bc: digest(maniplex_to_json(m)) for bc, m in maps.items()} == TORUS_POOL_SHA256
+    assert {bc: digest(dumps_json(to_json_dict_v1(m))) for bc, m in maps.items()} == TORUS_POOL_SHA256_V1

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from maniplex.core import dual, faces, isomorphic, maniplex_to_json, validate
+from maniplex.core import dual, dumps_json, faces, isomorphic, maniplex_to_json, validate
 from maniplex.corpus import platonic
 from maniplex.counterexample import B_PRESENTATION
 from maniplex.cosets import (
@@ -14,7 +14,7 @@ from maniplex.cosets import (
     default_cap,
     string_coxeter,
 )
-from oracles import coset_enumerate_hlt, relator_trace_order
+from oracles import coset_enumerate_hlt, relator_trace_order, to_json_dict_v1
 
 PETRIE_CUBE = (0, 1, 2) * 3
 
@@ -39,9 +39,10 @@ NAMED_CASES = [(string_coxeter(s), ()) for s in NAMED_SYMBOLS] + [
     (string_coxeter([4, 3]).extended((0, 1) * 2), ()),
 ]
 
-# SHA-256 of maniplex_to_json for every maniplex the package builds by
-# coset enumeration; any drift in the numbering changes these bytes
-COSET_BUILT_SHA256 = {
+# SHA-256 of the format-1 text (`dumps_json(to_json_dict_v1(m))`, the bytes
+# version 0.1.0 wrote) for every maniplex the package builds by coset
+# enumeration; any drift in the numbering changes these bytes
+COSET_BUILT_SHA256_V1 = {
     "B": "436810899bae0a76ff199b3e153f5984ba28677a665290f98524a073a9a88050",
     "square": "ab4d42725ac20a91cca232944a6853ede58789b8bad41fa9f15b68fd4eb908a7",
     "cube": "2374f5d30fa718930f8cdf6c6cf61330069bebd6e79af018197c8e52ae201e1b",
@@ -51,6 +52,19 @@ COSET_BUILT_SHA256 = {
     "5simplex": "43588f667b7bea371c196995e1c1f7896e784c7634909c59cc2fb2fa9a1b5042",
     "5cube": "0b03d73fa1939476acd807def90d3a0cee6ad6e4949781f77c1f8f05a941c4dc",
     "5orthoplex": "7bcbce85fa39b10bbe16c166cbb59ab30ac14a934da039713e65f395a3da8b52",
+}
+
+# SHA-256 of maniplex_to_json, the format-2 text, for the same maniplexes
+COSET_BUILT_SHA256 = {
+    "B": "0d7d9dda51bc951ca854cf7429a5b9988287fe0cc9a0ac4ef13af3152b0afcbc",
+    "square": "3e8bc019234a127c1a714be1a21921b94ce79b6e8946af35e7582aab3d7708f0",
+    "cube": "c01e1e4e30424df611100fd4caafe351fab9419b3737904275201b90301cb7a8",
+    "hemicube": "b5f710ae10e01cb6ae1b70f38fbe5cb277a3fb46d595cad236e2b02a85bbef7e",
+    "hemioctahedron": "557beb14efcd0b040c79e51ae71a62c18ae682d0279d054d85c5a4436f15bc9b",
+    "24cell": "eb681d864568c422df41bb91f7934e8bfd5fa75b657f488e9d4a7d486e124352",
+    "5simplex": "89d3e0a6ad085ec55621c3fdaa5df8cb2353c064f22b6d707c229c1b2d78acf9",
+    "5cube": "b1d6109ca268998175f68132a179395d975cf3693ad8c7594f707f075f7cb91e",
+    "5orthoplex": "129c2314f86003360c1f3b01d0892b0055a3351f2022b65216790892ae8965b0",
 }
 REGULAR_SYMBOLS = {"24cell": [3, 4, 3], "5simplex": [3, 3, 3, 3], "5cube": [4, 3, 3, 3], "5orthoplex": [3, 3, 3, 4]}
 
@@ -240,6 +254,8 @@ def test_coset_built_maniplexes_are_byte_pinned():
         built[name] = coset_enumerate(string_coxeter(symbol)).to_maniplex()
     digests = {name: hashlib.sha256(maniplex_to_json(m).encode()).hexdigest() for name, m in built.items()}
     assert digests == COSET_BUILT_SHA256
+    v1 = {name: hashlib.sha256(dumps_json(to_json_dict_v1(m)).encode()).hexdigest() for name, m in built.items()}
+    assert v1 == COSET_BUILT_SHA256_V1
 
 
 def test_coset_built_maniplexes_pin_their_allocations():

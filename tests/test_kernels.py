@@ -38,6 +38,7 @@ from oracles import (
     polygon_flag_graph,
     propagate_by_bfs,
     renumber,
+    to_json_dict_v2,
     violations_by_scan,
 )
 
@@ -323,17 +324,21 @@ def range_specials(size):
 def assert_range_check_as_scan(row, size):
     """`_bad_entry` on the array('i') row finds the scan's first bad entry,
     and, for a row of size entries, `structural_errors` and the decoder
-    give the scan's message and the plain decoder's FormatError."""
+    give the scan's message and the plain decoder's FormatError, on the
+    row as format-1 text and as format-2 base64."""
     f = bad_entry_by_scan(row.tolist(), size)
     assert core._bad_entry(row, size) == f, (len(row), size)
     if len(row) != size:
         return
     m = Maniplex((row,))
     assert structural_errors(m) == ([] if f is None else [f"permutation 0 entry {f} out of range: {row[f]!r}"])
-    text = '{"flags": %d, "perms": [[%s]], "rank": 1}' % (size, ", ".join(map(str, row)))
-    want = decoded_or_error(maniplex_from_json_by_loads, text)
-    assert decoded_or_error(lambda t: tuple(map(tuple, maniplex_from_json(t).perms)), text) == want
-    assert (f is None) == (want[0] is not FormatError)
+    for text in (
+        '{"flags": %d, "perms": [[%s]], "rank": 1}' % (size, ", ".join(map(str, row))),
+        '{"flags": %d, "format": 2, "perms": ["%s"], "rank": 1}' % (size, to_json_dict_v2(m)["perms"][0]),
+    ):
+        want = decoded_or_error(maniplex_from_json_by_loads, text)
+        assert decoded_or_error(lambda t: tuple(map(tuple, maniplex_from_json(t).perms)), text) == want
+        assert (f is None) == (want[0] is not FormatError)
 
 
 def test_lane_range_check_matches_scan():
