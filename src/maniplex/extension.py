@@ -9,9 +9,10 @@ XOR 1 or XOR 3.  When M is connected, the four facets are the tag classes
 face structure over any face of M is governed by its tag span:
 {(0,0),(1,0)} when the face misses F, {(0,0),(1,1)} when it equals F, and
 all four tags when it meets F without being contained in it.  Each span
-comes from two counts over M's face ids, and it fixes the face id of every
-extension flag over the face, so the spans are certified by comparing the
-predicted ids over each base face with the extension's.
+is read off M's face poset, from the face's incidence with F (`_tag_spans`),
+and it fixes the face id of every extension flag over the face, so the
+spans are certified by comparing the predicted ids over each base face
+with the extension's.
 
 When the old colours copy a valid M tag by tag, the extension is read off
 M and the new colour's row, with no search over its flags: over each base
@@ -22,13 +23,27 @@ the axioms that involve the new colour are all computed from M's, and the
 checks read that map; the extension's flag-sized face tables are built
 from it only when first read.  Otherwise the extension's own flags are
 searched.
+
+The extension is polytopal, with no search of its poset, by amalgamation
+(McMullen & Schulte, Abstract Regular Polytopes, 2002, section 2A) when
+four premises hold: M's report is ok; the section below each facet is
+order-isomorphic to M's poset (`facet-sections-match-base`); every ridge
+lies in two facets (`ridges-in-two-facets`); and the extension's
+`validate` report is ok, so its poset is marked, and so bounded, graded
+and connected in each section at the least or greatest face (facts (a) to
+(c) of the `poset` module docstring).  Every other section, every triple
+a < b < c of proper faces and every pair two ranks apart below the
+greatest face lie at or below a facet, where the order is M's, so their
+transitivity, diamonds and connectivity are M's; a pair two ranks apart
+at the greatest face is a ridge, with its two facets between.  When a
+premise fails, `is_polytope` searches the poset as before.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
@@ -46,7 +61,16 @@ from .core import (
     tagged_row,
     validate,
 )
-from .poset import FaithfulnessResult, PolytopeReport, RankedPoset, face_poset, is_faithful, is_polytope, pos_of
+from .poset import (
+    FaithfulnessResult,
+    PolytopeReport,
+    RankedPoset,
+    face_poset,
+    is_faithful,
+    is_polytope,
+    pos_of,
+    proper_pairs,
+)
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _TAGS_MISSING = frozenset({(0, 0), (1, 0)})
@@ -54,6 +78,7 @@ _TAGS_EQUAL = frozenset({(0, 0), (1, 1)})
 _TAGS_ALL = frozenset(TAG_CODES)
 # span -> for tag codes 0..3, the id of the extension face holding that tag over base face c, minus 4c
 _TAG_OFFSETS = {_TAGS_MISSING: (0, 0, 2, 2), _TAGS_EQUAL: (0, 1, 1, 0), _TAGS_ALL: (0, 0, 0, 0)}
+_KEY_FLAGS = 4096  # base flags per slice of `_quotient`'s keys, so that each slice holds 32 KB of them
 
 
 def _resolve_facet(m: Maniplex, facet: Face) -> Face:
@@ -100,19 +125,28 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
 
 
 def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[int, int]] | None]:
-    """Each i-face's tag span, keyed by canonical id, from the face sizes and
-    the count of each face's flags in the marked facet; None for an i-face
-    properly contained in the facet."""
-    ids = face_table(m, i)
-    inside = Counter(map(ids.__getitem__, facet.flags))
+    """Each i-face's tag span, keyed by canonical id, from the base poset's
+    incidence with the marked facet F; None for an i-face properly
+    contained in F.  Two faces are incident exactly when they share a flag,
+    and faces of one rank share none, so a face not below F misses it, and
+    one below F and another facet meets F without lying in it.  Each flag
+    of a face lies in a facet above it, so a face whose one facet is F lies
+    in F, and equals it when it has as many flags, counted in its table."""
+    p, n = pos_of(m), m.rank
+    facets = sum(1 << k for k, r in enumerate(p.ranks) if r == n - 1)
+    marked = 1 << p.labels.index(f"{n - 1}:{facet.canonical}")
     spans: dict[int, frozenset[tuple[int, int]] | None] = {}
-    for c, size in Counter(ids).items():
-        if not inside[c]:
+    for k, (r, c, up) in enumerate(zip(p.ranks, p.ids, p.up)):
+        if r != i:
+            continue
+        if 1 << k == marked:
+            spans[c] = _TAGS_EQUAL
+        elif not up & marked:
             spans[c] = _TAGS_MISSING
-        elif inside[c] < size:
+        elif up & facets != marked:
             spans[c] = _TAGS_ALL
         else:
-            spans[c] = _TAGS_EQUAL if size == len(facet.flags) else None
+            spans[c] = _TAGS_EQUAL if face_table(m, i).count(c) == len(facet.flags) else None
     return spans
 
 
@@ -195,6 +229,7 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks.append(passed("ridges-in-two-facets", witness is None, witness))
 
     base = is_polytope(p_base)
+    sections = False
     if not _graded_with_diamonds(base):
         checks.append(Check("facet-sections-match-base", SKIP, "base fails the diamond condition"))
         checks.append(Check("tag-spans-match", SKIP, "base fails the diamond condition"))
@@ -202,7 +237,8 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         if not copies:
             checks.append(Check("facet-sections-match-base", SKIP, "a facet is not a copy of the base"))
         else:
-            checks.append(passed("facet-sections-match-base", _sections_match_base(m, p_base, ext, p_ext, over)))
+            sections = _sections_match_base(m, p_base, ext, p_ext, over)
+            checks.append(passed("facet-sections-match-base", sections))
         checks.append(passed("tag-spans-match", _tag_spans_match(m, facet, ext, over)))
 
     if not base.ok:
@@ -210,6 +246,8 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         checks.append(Check("strong-flag-connectivity", SKIP, "base is not polytopal"))
         checks.append(Check("polytopal", SKIP, "base is not polytopal"))
     else:
+        if sections and witness is None and p_ext.of_valid_maniplex:
+            p_ext._report = PolytopeReport(True, None, None, None)  # by amalgamation, see the module docstring
         poly = is_polytope(p_ext)
         if _graded_with_diamonds(poly):
             dia, conn = None, poly.witness
@@ -266,11 +304,27 @@ def _tag_classes(patterns) -> tuple[int, ...]:
     return tuple(least)
 
 
+def _pattern_codes(row: array, size: int) -> Optional[array]:
+    """Base flag g -> the code of the new colour's pattern at g, from its
+    row: the images of 4g, ..., 4g + 3, minus 4g, two bits each, read off
+    lanes as in `extend`; None when an image leaves its quad.  The lane
+    ints, each as large as a base row, are freed on return, before
+    `_quotient` builds the base's face tables."""
+    starts = row_lanes(array("i", range(0, 4 * size, 4)))
+    spare = ~(3 * lane_ones(size))  # every bit but the two lowest of each lane
+    codes = 0
+    for t in range(4):
+        offsets = row_lanes(row[t::4]) - starts  # lane g: the image of 4g + t, minus 4g
+        if offsets < 0 or offsets & spare:  # some lane is outside 0..3, so an image leaves its quad
+            return None
+        codes |= offsets << 2 * t
+    return array("i", codes.to_bytes(4 * size, sys.byteorder))
+
+
 def _quotient(m: Maniplex, ext: Maniplex) -> Optional[tuple]:
     """Read the extension's faces off the base's, with no search over its
     flags, and return (pattern_of, patterns, over): for each base flag g,
-    the code of the new colour's pattern (the images of 4g, ..., 4g + 3,
-    minus 4g, two bits each, read off lanes as in `extend`), each code's
+    the code of the new colour's pattern (`_pattern_codes`), each code's
     pattern, and per rank i < n, base face id -> the ids of the
     extension faces over that face holding tags 0..3.
     The extension's cache gets its facet table and, per rank i < n, a
@@ -286,24 +340,27 @@ def _quotient(m: Maniplex, ext: Maniplex) -> Optional[tuple]:
     of tag t is 4c plus the least tag in it.  Deleting colour n leaves
     four copies of the base, one per tag."""
     n, size = m.rank, m.flag_count
-    row, starts = ext.perms[n], row_lanes(array("i", range(0, 4 * size, 4)))
-    spare = ~(3 * lane_ones(size))  # every bit but the two lowest of each lane
-    codes = 0
-    for t in range(4):
-        offsets = row_lanes(row[t::4]) - starts  # lane g: the image of 4g + t, minus 4g
-        if offsets < 0 or offsets & spare:  # some lane is outside 0..3, so an image leaves its quad
-            return None
-        codes |= offsets << 2 * t
-    pattern_of = array("i", codes.to_bytes(4 * size, sys.byteorder))  # flag g -> its pattern's code
-    patterns = {k: tuple(k >> 2 * t & 3 for t in range(4)) for k in set(pattern_of)}
+    pattern_of = _pattern_codes(ext.perms[n], size)
+    if pattern_of is None:
+        return None
+    # per rank, the distinct keys k << 32 | c of a flag's face id c and pattern
+    # code k: the 64-bit lanes of each slice's ids and codes interleaved
+    tables, keys = [face_table(m, i) for i in range(n)], [set() for _ in range(n)]
+    low = sys.byteorder == "big"  # which int32 of a lane is its low half
+    for g in range(0, size, _KEY_FLAGS):
+        lanes = array("i", bytes(8 * min(_KEY_FLAGS, size - g)))
+        lanes[1 - low :: 2] = pattern_of[g : g + _KEY_FLAGS]
+        for ids, seen in zip(tables, keys):
+            lanes[low::2] = ids[g : g + _KEY_FLAGS]
+            seen.update(array("q", lanes.tobytes()))
+    patterns = {k: tuple(k >> 2 * t & 3 for t in range(4)) for k in {key >> 32 for key in keys[0]}}
     if any(sorted(p) != [0, 1, 2, 3] for p in patterns.values()):
         return None
     over = []
-    for i in range(n):
-        ids = face_table(m, i)
+    for i, (ids, seen) in enumerate(zip(tables, keys)):
         joined = defaultdict(list)
-        for c, k in set(zip(ids, pattern_of)):
-            joined[c].append(patterns[k])
+        for key in seen:
+            joined[key & 0xFFFFFFFF].append(patterns[key >> 32])
         faces = {c: tuple(4 * c + t for t in _tag_classes(ps)) for c, ps in joined.items()}
         ext._cache[i] = partial(_spread, faces, ids)
         over.append(faces)
@@ -349,10 +406,9 @@ def _poset_over_base(p_base: RankedPoset, quotient: tuple, valid: bool) -> Ranke
     _, _, over = quotient
     at = list(zip(p_base.ranks, p_base.ids))  # face number -> (rank, id)
     incident: dict[tuple[int, int], set[tuple[int, int]]] = defaultdict(set)
-    for a, b in p_base.pairs:
+    for a, b in proper_pairs(p_base):
         (i, c), (j, d) = at[a], at[b]
-        if 0 <= i and j < n:
-            incident[i, j].update(zip(over[i][c], over[j][d]))
+        incident[i, j].update(zip(over[i][c], over[j][d]))
     for i, faces in enumerate(over):
         incident[i, n] = {(x, t) for ids in faces.values() for t, x in enumerate(ids)}
     levels = [set(chain.from_iterable(faces.values())) for faces in over] + [range(4)]

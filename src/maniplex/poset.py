@@ -256,11 +256,17 @@ class PolytopeReport:
     malformed: Optional[str]  # distinct: structure is not even a graded poset
 
 
+def proper_pairs(p: RankedPoset) -> tuple[tuple[int, int], ...]:
+    """The order pairs of proper faces of a poset `face_poset` built, which
+    `_set` lists after the 2 * faces - 3 pairs with the least or greatest
+    face."""
+    return p.pairs[2 * len(p.labels) - 3 :]
+
+
 def _judged_pairs(p: RankedPoset) -> tuple[tuple[int, int], ...]:
     """The order pairs the axioms search: on a marked poset only those of
-    proper faces, which `_set` lists after the 2 * faces - 3 pairs with the
-    least or greatest face."""
-    return p.pairs[2 * len(p.labels) - 3 :] if p.of_valid_maniplex else p.pairs
+    proper faces."""
+    return proper_pairs(p) if p.of_valid_maniplex else p.pairs
 
 
 def order_transitivity_witness(p: RankedPoset) -> Optional[tuple[str, str, str]]:

@@ -312,6 +312,64 @@ def extension_by_entries(base: Perms, facet_flags) -> Perms:
     return tuple(rows)
 
 
+_SPAN_MISSING = frozenset({(0, 0), (1, 0)})
+_SPAN_EQUAL = frozenset({(0, 0), (1, 1)})
+_SPAN_ALL = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+
+
+def tag_spans_by_counts(ids, facet_flags) -> dict:
+    """Each face's tag span, keyed by its id in the face table ids, from
+    the face sizes and the count of each face's flags in the marked facet:
+    tags {(0, 0), (1, 0)} when none lies in it, all four when some but not
+    all do, {(0, 0), (1, 1)} when the face's flags are the facet's, and
+    None for a face properly inside the facet."""
+    inside = collections.Counter(ids[f] for f in facet_flags)
+    spans = {}
+    for c, size in collections.Counter(ids).items():
+        if not inside[c]:
+            spans[c] = _SPAN_MISSING
+        elif inside[c] < size:
+            spans[c] = _SPAN_ALL
+        else:
+            spans[c] = _SPAN_EQUAL if size == len(facet_flags) else None
+    return spans
+
+
+def quotient_by_pairs(tables, new_row):
+    """A read-off extension's (pattern_of, over), entry by entry, or None
+    when some new-colour image leaves its quad {4g, ..., 4g + 3} or some
+    pattern is not a permutation of the tags.  Base flag g's pattern code
+    holds the images of 4g + t, minus 4g, two bits per tag t; over each
+    face of a base face table, the tags are joined, by a union-find, under
+    the patterns of the (face id, code) pairs of its flags, and tag t's
+    extension face is 4c plus the least tag of its class."""
+    size = len(tables[0])
+    offsets = [[new_row[4 * g + t] - 4 * g for t in range(4)] for g in range(size)]
+    if any(sorted(p) != [0, 1, 2, 3] for p in offsets):
+        return None
+    pattern_of = [sum(u << 2 * t for t, u in enumerate(p)) for p in offsets]
+    over = []
+    for ids in tables:
+        codes = collections.defaultdict(set)
+        for c, k in set(zip(ids, pattern_of)):
+            codes[c].add(k)
+        faces = {}
+        for c, ks in codes.items():
+            parent = list(range(4))
+
+            def root(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for k in ks:
+                for t in range(4):
+                    parent[root(t)] = root(k >> 2 * t & 3)
+            faces[c] = tuple(4 * c + min(u for u in range(4) if root(u) == root(t)) for t in range(4))
+        over.append(faces)
+    return pattern_of, over
+
+
 def tag_spans_match_by_faces(base: Perms, facet_flags, ext: Perms) -> bool:
     """Over every base i-face below the top rank, the extension faces are
     the predicted tag spans, checked face by face.  With k of the face's

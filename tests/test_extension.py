@@ -1,7 +1,7 @@
 import sys
 import time
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -35,8 +35,10 @@ from oracles import (
     facet_section_matches_base_by_labels,
     faithfulness_by_labels,
     order_isomorphic_by_cover_search,
+    quotient_by_pairs,
     section_by_filter,
     sections_match_base_by_triples,
+    tag_spans_by_counts,
     tag_spans_match_by_faces,
 )
 from suites import TORUS_POOL
@@ -518,6 +520,59 @@ def test_tag_spans_match_fails_on_a_twisted_new_colour(monkeypatch):
     assert st["facet-sections-match-base"] == PASS  # the old colours still copy the base
 
 
+def test_tag_spans_from_the_base_poset_match_the_counts(b_maniplex, bstar_result):
+    # over every facet of B, of the tower's ranks 4-8 and of the extension
+    # corpus (its tori have b, c < 4), at every rank below the top, the
+    # spans read off the base poset's incidence with the marked facet are
+    # those counted over the face table; torus (1, 0) and (0, 1) reach the
+    # count for a lower face whose one facet is the marked one
+    bases = {"B": b_maniplex, **extension_corpus(bstar_result.bstar)}
+    m = bases["rank5"]
+    for rank in (6, 7, 8):
+        m = extend(m, faces(m, m.rank - 1)[0])
+        bases[f"tower{rank}"] = m
+    counted = Counter()
+    for name, m in bases.items():
+        for facet in faces(m, m.rank - 1):
+            for i in range(m.rank):
+                spans = _tag_spans(m, facet, i)
+                assert spans == tag_spans_by_counts(face_table(m, i), facet.flags), (name, facet.canonical, i)
+                counted["triples"] += 1
+                equal = list(spans.values()).count(frozenset({(0, 0), (1, 1)}))
+                counted["lower faces equal to the facet" if i < m.rank - 1 else "facets"] += equal
+                counted["lower faces inside the facet"] += list(spans.values()).count(None)
+    assert counted == {
+        "triples": 519,
+        "facets": 153,  # each marked facet
+        "lower faces equal to the facet": 2,  # the one vertex of torus (1, 0) and of (0, 1)
+        "lower faces inside the facet": 4,  # their two edges
+    }
+
+
+def test_quotient_reads_the_pair_sets_slice_by_slice(bstar_result, monkeypatch):
+    # pattern_of and the map over each base face equal the oracle's, built
+    # entry by entry with a set of (face id, code) pairs: on the tower's
+    # ranks 5-9, whose bases of 12 288 and 49 152 flags span 3 and 12
+    # slices of keys, then, in slices of 7 flags, the last one short, on
+    # every extension of the extension corpus and two mutants of each
+    def agree(m, ext, where):
+        got = _quotient(m, ext)
+        want = quotient_by_pairs([face_table(m, i) for i in range(m.rank)], ext.perms[m.rank])
+        assert (got and (got[0].tolist(), got[2])) == want, where
+
+    m = bstar_result.bstar
+    for rank in range(5, 10):
+        ext = extend(m, faces(m, m.rank - 1)[0])
+        agree(m, ext, rank)
+        m = ext
+    monkeypatch.setattr(extension, "_KEY_FLAGS", 7)
+    for name, m in extension_corpus(bstar_result.bstar).items():
+        for facet in faces(m, m.rank - 1):
+            ext = extend(m, facet)
+            for kind, built in (("real", ext), ("crossed", crossed(ext)), ("swapped", new_colour_swapped(ext))):
+                agree(m, built, (name, facet.canonical, kind))
+
+
 def test_verify_extension_groups_only_the_base_facets(bstar_result, monkeypatch):
     # the checks, and the marked facet's lookup, read face ids; none groups
     # a face table into faces
@@ -853,7 +908,8 @@ def test_extend_of_a_decoded_base_is_sound(bstar_result, monkeypatch):
 
 
 def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):
-    # one polytope report per poset and at most one flag-function pass per
+    # one polytope search, the base's: the extension's report follows from
+    # its facets by amalgamation; and at most one flag-function pass per
     # maniplex: the base's; the lifted base pair proves the extension
     # unfaithful without one.  The fixture's B* already holds its
     # faithfulness result, so use a fresh copy
@@ -878,9 +934,123 @@ def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):
     assert all_ok(res.checks)
     assert calls == {
         ("order_transitivity_witness", 4): 1,
-        ("order_transitivity_witness", 5): 1,
         ("flag_function", 4): 1,
     }
+
+
+def counting_judgements(monkeypatch) -> list:
+    """Patch the first axiom search to record each poset it judges."""
+    judged = []
+    inner = poset.order_transitivity_witness
+    monkeypatch.setattr(poset, "order_transitivity_witness", lambda p: judged.append(p) or inner(p))
+    return judged
+
+
+def test_amalgamated_reports_equal_a_fresh_search(bstar_result, monkeypatch):
+    # on the tower's ranks 5-8 over each of the base's four facets, and on
+    # every extension of the extension corpus: the report a step left on
+    # the extension's poset equals a fresh search of that poset and of its
+    # label-built copy, and the step searched it exactly when a premise of
+    # the amalgamation failed; with a base that is not polytopal it left
+    # no report at all
+    judged = counting_judgements(monkeypatch)
+    paths = Counter()
+
+    def step(name, m, facet):
+        judged.clear()
+        res = verify_extension(m, facet)
+        p, st = pos_of(res.extension), statuses(res)
+        if st["polytopal"] == SKIP:
+            assert p._report is None, (name, facet.canonical)
+            paths["base not polytopal"] += 1
+            return res.extension
+        premises = ("facet-sections-match-base", "ridges-in-two-facets", "extension-valid")
+        amalgamated = all(st[check] == PASS for check in premises)
+        assert any(q is p for q in judged) != amalgamated, (name, facet.canonical)
+        assert p._report == poset._judge(p) == poset._judge(RankedPoset(p.rank, p.faces, p.less)), name
+        paths["amalgamated" if amalgamated else "searched"] += 1
+        return res.extension
+
+    m = bstar_result.bstar
+    for rank in range(5, 9):
+        exts = [step(f"tower{rank}", m, facet) for facet in faces(m, m.rank - 1)]
+        m = exts[0]
+    assert paths == {"amalgamated": 16}
+    paths.clear()
+    for name, m in extension_corpus(bstar_result.bstar).items():
+        for facet in faces(m, m.rank - 1):
+            step(name, m, facet)
+    # torus (1, 0), (0, 1) and (1, 1) fail the diamond condition; every
+    # other base's extension meets all four premises
+    assert paths == {"amalgamated": 133, "base not polytopal": 4}
+
+
+def marked_without(p: RankedPoset, a: int, b: int) -> RankedPoset:
+    """The face poset p, rebuilt by `face_poset` and marked, without the
+    order pair (a, b) of proper faces, given by face numbers."""
+    levels = [set() for _ in range(p.rank)]
+    for r, c in zip(p.ranks[1:-1], p.ids[1:-1]):
+        levels[r].add(c)
+    incident = defaultdict(set)
+    top = len(p.labels) - 1
+    for x, y in p.pairs:
+        if 0 < x and y < top and (x, y) != (a, b):
+            incident[p.ranks[x], p.ranks[y]].add((p.ids[x], p.ids[y]))
+    return poset.face_poset(p.rank, levels, incident.items(), True)
+
+
+def test_each_failed_premise_falls_back_to_the_search(monkeypatch):
+    # the cube's extension, with each premise of the amalgamation made to
+    # fail in turn: the step searches the extension's poset and reports
+    # what the search finds, or, over a base that is not polytopal, skips
+    # the polytope checks and leaves no report
+    judged = counting_judgements(monkeypatch)
+    cube = platonic("cube")
+    facet = faces(cube, 2)[0]
+    real_pos_of = extension.pos_of
+
+    def step(base=cube):
+        judged.clear()
+        res = verify_extension(base, facet)
+        p = extension.pos_of(res.extension)  # the poset the step read
+        return statuses(res), p, any(q is p for q in judged)
+
+    st, p, searched = step()
+    assert all(st[c] == PASS for c in ("facet-sections-match-base", "ridges-in-two-facets", "polytopal"))
+    assert not searched and p._report == poset._judge(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extension, "_sections_match_base", lambda *args: False)
+        st, p, searched = step()
+        assert searched and p._report == poset._judge(p) and p._report.ok
+        assert (st["facet-sections-match-base"], st["polytopal"]) == (FAIL, PASS)
+
+    with monkeypatch.context() as patch:
+        # one ridge-facet pair dropped from a marked poset: the ridge lies
+        # in one facet, and the sections are made to match
+        whole = real_pos_of(extend(cube, facet))
+        ridge = whole.ranks.index(2)
+        dropped = marked_without(whole, ridge, next(k for k in range(len(whole.labels)) if whole.up[ridge] >> k & 1))
+        patch.setattr(extension, "pos_of", lambda m: dropped if m.rank == 4 else real_pos_of(m))
+        patch.setattr(extension, "_sections_match_base", lambda *args: True)
+        st, p, searched = step()
+        assert p is dropped and dropped.of_valid_maniplex
+        assert searched and p._report == poset._judge(p) and not p._report.ok
+        assert (st["facet-sections-match-base"], st["ridges-in-two-facets"], st["polytopal"]) == (PASS, FAIL, FAIL)
+
+    base = Maniplex(cube.perms)
+    validate(base)
+    pos_of(base)._report = poset.PolytopeReport(False, "strong-flag-connectivity", ("-1:0", "2:0"), None)
+    st, p, searched = step(base)
+    assert not searched and p._report is None
+    assert (st["facet-sections-match-base"], st["polytopal"]) == (PASS, SKIP)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extension, "_validate_over_base", lambda m, ext, quotient: core.ValidationReport(False, (), ()))
+        st, p, searched = step()
+        assert not p.of_valid_maniplex
+        assert searched and p._report == poset._judge(p) and p._report.ok
+        assert (st["extension-valid"], st["facet-sections-match-base"], st["polytopal"]) == (FAIL, PASS, PASS)
 
 
 def test_second_extension_step(bstar_result):
