@@ -1,11 +1,13 @@
 """Maniplexes as properly n-edge-coloured flag graphs.
 
 A rank-n maniplex on m flags is stored as n involutions of {0, ..., m-1}:
-``perms[i][f]`` is the flag joined to f by its colour-i edge.  The axioms
-(fixed-point-free involutions, proper colouring, connectivity, and the
-square condition for colours at distance > 1) are checked by `validate`,
-not by the constructor, so partially built or deliberately broken
-structures can be represented and reported on.
+``perms[i][f]`` is the flag joined to f by its colour-i edge.  The
+constructor holds the table to n >= 1 maps of m >= 1 flags into
+themselves, the rows the decoder reads; the axioms (fixed-point-free
+involutions, proper colouring, connectivity, and the square condition for
+colours at distance > 1) are checked by `validate`, not by the
+constructor, so deliberately broken maniplexes can be represented and
+reported on.
 """
 
 from __future__ import annotations
@@ -42,36 +44,38 @@ class Maniplex:
     (`poset.is_faithful`); under "poset", the face poset (`poset.pos_of`,
     or the extension pipeline's poset read off the base);
     under "theta", the marked set of a rank-4 maniplex and the double cover
-    it gives (`counterexample.find_theta`); under "structural", the
-    `structural_errors` verdict, which `maniplex_from_json`,
-    `extension.extend` and `voltage.double_cover` record as () for the
-    rows they build; under "walk", its rows as tuples (`walk_rows`);
-    under "tree", the spanning tree that `isomorphic` and
-    `automorphism_count` carry a map along (`_spanning_tree`).
+    it gives (`counterexample.find_theta`); under "walk", its rows as
+    tuples (`walk_rows`); under "tree", the spanning tree that `isomorphic`
+    and `automorphism_count` carry a map along (`_spanning_tree`).
     A face-table entry may also be a zero-argument callable that builds
     the table, as the extension pipeline leaves one; `face_table` calls it
     on the first read.
 
-    Each row of `perms` is an `array('i')`, 4 bytes an entry: an
-    `array('i')` row is kept as given, without a copy, and a row of plain
-    ints is packed.  Any other row (one holding a bool, a float or an int
-    of 2**31 or more) is kept as a tuple, so that `structural_errors` and
-    the encoder can name the entry.  When no row is given as an array,
-    the given rows, as tuples, are kept as the walk view."""
+    The table must be sound: at least one row, each a list, a tuple or an
+    array of m >= 1 plain ints in 0..m-1 (bools excluded), m the length of
+    the first row.  Any other table raises the FormatError that
+    `maniplex_from_json` raises on its format-1 document (`_checked_row`).
+    Each row is kept as an `array('i')`, 4 bytes an entry: an
+    `array('i')` row as given, without a copy, and any other packed.  The
+    package's builders, whose rows are sound by construction, skip the
+    checks (`from_sound_rows`)."""
 
-    perms: tuple[array | tuple, ...]
+    perms: tuple[array, ...]
     _cache: dict[int | str, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        given = tuple(row if type(row) is array and row.typecode == "i" else tuple(row) for row in self.perms)
-        object.__setattr__(self, "perms", tuple(map(_packed, given)))
-        if not any(type(row) is array for row in given):
-            self._cache["walk"] = given
+        rows = tuple(self.perms)
+        if not rows:
+            raise FormatError("rank must be a positive integer")
+        size = len(rows[0])
+        if size < 1:
+            raise FormatError("flags must be a positive integer")
+        object.__setattr__(self, "perms", tuple(_checked_row(row, i, size) for i, row in enumerate(rows)))
 
     def __hash__(self) -> int:
-        return hash(tuple(row.tobytes() if type(row) is array else row for row in self.perms))
+        return hash(tuple(row.tobytes() for row in self.perms))
 
     @property
     def rank(self) -> int:
@@ -79,28 +83,29 @@ class Maniplex:
 
     @property
     def flag_count(self) -> int:
-        return len(self.perms[0]) if self.perms else 0
+        return len(self.perms[0])
 
     def __repr__(self) -> str:
         return f"Maniplex(rank={self.rank}, flags={self.flag_count})"
 
 
-def _packed(row: array | tuple) -> array | tuple:
-    """The row as an `array('i')` when it holds plain ints that fit, else as given."""
-    if type(row) is array or not set(map(type, row)) <= {int}:
-        return row
-    try:
-        return array("i", row)
-    except OverflowError:
-        return row
+def from_sound_rows(perms: tuple[array, ...]) -> Maniplex:
+    """The maniplex on rows the caller has made sound: at least one, each
+    an `array('i')` of one length, at least one, with every entry in
+    range.  The rows are kept as given, with none of the constructor's
+    checks."""
+    m = object.__new__(Maniplex)
+    object.__setattr__(m, "perms", perms)
+    object.__setattr__(m, "_cache", {})
+    return m
 
 
 def from_int_rows(rows: Iterable[Iterable[int]]) -> Maniplex:
-    """The maniplex on rows of plain ints that fit an `array('i')`, as the
-    package's builders make them: packed with no type pass, and the rows,
-    as tuples, kept as its walk view (`walk_rows`)."""
+    """The maniplex on rows of plain ints in range, as the package's
+    builders make them: packed with no check, and the rows, as tuples,
+    kept as its walk view (`walk_rows`)."""
     view = tuple(map(tuple, rows))
-    m = Maniplex(tuple(array("i", row) for row in view))
+    m = from_sound_rows(tuple(array("i", row) for row in view))
     m._cache["walk"] = view
     return m
 
@@ -111,15 +116,12 @@ def walk_rows(m: Maniplex) -> tuple[tuple[int, ...], ...]:
     `restrict`): reading an `array('i')` entry above 256 boxes a fresh int,
     and indexing a tuple is about twice as fast.  Built once per maniplex,
     on the first call, from the pool of flag ints (`flag_ints`), 8 bytes
-    an entry; a row out of range is copied as it is.  A maniplex whose
-    rows are never walked, such as an extension read off its base, never
-    builds it."""
+    an entry.  A maniplex whose rows are never walked, such as an
+    extension read off its base, never builds it."""
     view = m._cache.get("walk")
     if view is None:
-        pool = None if structural_errors(m) else flag_ints(m.flag_count).__getitem__
-        view = m._cache["walk"] = tuple(
-            row if type(row) is tuple else tuple(map(pool, row)) if pool else tuple(row) for row in m.perms
-        )
+        pool = flag_ints(m.flag_count).__getitem__
+        view = m._cache["walk"] = tuple(tuple(map(pool, row)) for row in m.perms)
     return view
 
 
@@ -131,7 +133,6 @@ class Violation(NamedTuple):
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    structural: tuple[str, ...]
     violations: tuple[Violation, ...]
 
 
@@ -162,48 +163,6 @@ def flag_ints(n: int) -> list[int]:
     return _FLAG_INTS
 
 
-def structural_errors(m: Maniplex) -> list[str]:
-    """Problems that make the permutation table meaningless (not axiom
-    failures); decided once per maniplex and kept in its cache."""
-    errors = m._cache.get("structural")
-    if errors is None:
-        errors = m._cache["structural"] = tuple(_structural_errors(m))
-    return list(errors)
-
-
-def _structural_errors(m: Maniplex) -> Iterator[str]:
-    if m.rank < 1:
-        yield "rank must be at least 1"
-        return
-    size = len(m.perms[0])
-    if size < 1:
-        yield "flag set must be nonempty"
-        return
-    for i, row in enumerate(m.perms):
-        if len(row) != size:
-            yield f"permutation {i} has length {len(row)}, expected {size}"
-            continue
-        f = _bad_entry(row, size)
-        if f is not None:
-            yield f"permutation {i} entry {f} out of range: {row[f]!r}"
-
-
-def _bad_entry(row: array | list | tuple, size: int) -> Optional[int]:
-    """Index of the first entry of the row that is not an int in 0..size-1
-    (bools excluded), or None.  An `array('i')` row holds ints, so its
-    lanes settle it (`_lanes_in_range`); any other row takes a pass over
-    its entries' types first, then its min and max.  A row that fails is
-    scanned entry by entry."""
-    if type(row) is array:
-        in_range = _lanes_in_range(row, size)
-    else:
-        in_range = set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < size
-    if in_range:
-        return None
-    bad = (f for f, v in enumerate(row) if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size)
-    return next(bad, None)
-
-
 def validate(m: Maniplex) -> ValidationReport:
     """Check the maniplex axioms, reporting one witness per violated axiom;
     computed once per maniplex and kept in its cache."""
@@ -218,10 +177,6 @@ def _validate(m: Maniplex) -> ValidationReport:
     least failing flag, read off the same rows: involutions and squares
     by composing rows (`_compose`), fixed points and improper colouring
     by the lanes of the packed rows (`_zero_lane`)."""
-    structural = structural_errors(m)
-    if structural:
-        return ValidationReport(False, tuple(structural), ())
-
     violations: list[Violation] = []  # one witness per failing row or colour pair
     perms = walk_rows(m)
     n, size = m.rank, m.flag_count
@@ -231,7 +186,7 @@ def _validate(m: Maniplex) -> ValidationReport:
         f = _first_difference(_compose(row, row), ident)
         if f is not None:
             violations.append(Violation(AXIOM_INVOLUTION, (i, f)))
-        f = _zero_lane(row_lanes(m.perms[i]) ^ ident_lanes, ones)  # a sound row is an array('i')
+        f = _zero_lane(row_lanes(m.perms[i]) ^ ident_lanes, ones)
         if f is not None:
             violations.append(Violation(AXIOM_FIXED_POINT_FREE, (i, f)))
     for i in range(n):
@@ -253,7 +208,7 @@ def _validate(m: Maniplex) -> ValidationReport:
             f = _first_difference(_compose(rirj, rirj), ident)
             if f is not None:
                 violations.append(Violation(AXIOM_SQUARE, (i, j, f)))
-    return ValidationReport(not violations, (), tuple(violations))
+    return ValidationReport(not violations, tuple(violations))
 
 
 def _identity(size: int) -> tuple[int, ...]:
@@ -433,10 +388,7 @@ def _component_ids_by_search(rows: list, size: int) -> array:
 def _involutions(m: Maniplex, cols: Iterable[int]) -> bool:
     """Whether each given colour's row is an involution of the flags: read
     off the cached `validate` report when there is one, else decided by
-    one whole-row comparison per colour.  The rows of a maniplex with a
-    structural error are none (`structural_errors`)."""
-    if structural_errors(m):
-        return False
+    one whole-row comparison per colour."""
     report = m._cache.get("valid")
     if report is not None:
         bad = {v.witness[0] for v in report.violations if v.axiom == AXIOM_INVOLUTION}
@@ -472,7 +424,7 @@ def faces(m: Maniplex, i: int) -> list[Face]:
 def dual(m: Maniplex) -> Maniplex:
     """Reverse the colours: colour i becomes colour n-1-i.  The rows are
     shared, and so is the walk view, reversed, when m has one."""
-    d = Maniplex(tuple(reversed(m.perms)))
+    d = from_sound_rows(tuple(reversed(m.perms)))
     view = m._cache.get("walk")
     if view is not None:
         d._cache["walk"] = view[::-1]
@@ -539,8 +491,6 @@ def isomorphic(m1: Maniplex, m2: Maniplex) -> Optional[tuple[int, ...]]:
     m1 is disconnected and the component of its flag 0 maps into m2."""
     if m1.rank != m2.rank or m1.flag_count != m2.flag_count:
         return None
-    if m1.flag_count == 0:
-        return ()
     for image in range(m2.flag_count):
         phi = _propagate(m1, m2, image)
         if phi is not None:
@@ -572,8 +522,7 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
     """
     size = m.flag_count
     valid = [None] * size  # None: not yet decided
-    if size:
-        valid[0] = True  # the identity
+    valid[0] = True  # the identity
     gens: list[tuple[int, ...]] = []
     for image in range(1, size):
         if valid[image] is not None:
@@ -608,9 +557,12 @@ def restrict(m: Maniplex, flags: Iterable[int], colours: Iterable[int]) -> Manip
     """Sub-maniplex on a flag set closed under the given colours.
 
     Colours are relabelled in increasing order, flags in increasing order.
+    Both sets must be nonempty (ValueError otherwise).
     """
     cols = _check_colours(m, colours)
     flag_list = sorted(set(flags))
+    if not cols or not flag_list:
+        raise ValueError("a sub-maniplex needs at least one flag and one colour")
     index = {f: k for k, f in enumerate(flag_list)}
     view = walk_rows(m)
     perms = []
@@ -631,13 +583,32 @@ _FORMAT = 2  # the "format" of the documents `maniplex_json_chunks` writes
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _checked_perms(doc: object) -> list:
-    """The document's perms list, once its shape and entries are checked:
-    each row a list, a tuple or a packed `array('i')`, the last by its
-    lanes (`_bad_entry`).  In a format-2 document each row is a string,
-    decoded in place into an `array('i')` before its checks
-    (`_unpacked`); a document with no "format" key is format 1, its rows
-    lists of ints."""
+def _checked_row(row: object, i: int, size: int) -> array:
+    """Row i of a table on size >= 1 flags as an `array('i')`, once it is
+    checked to be a list, a tuple or an array of size plain ints in
+    0..size-1 (bools excluded); else the FormatError that names the row
+    or its first bad entry.  An `array('i')` row is kept, without a copy,
+    once its lanes settle its range (`_lanes_in_range`); any other row
+    takes a pass over its entries' types, then its min and max, and is
+    packed.  A row that fails is scanned entry by entry."""
+    if not isinstance(row, (list, tuple, array)) or len(row) != size:
+        raise FormatError(f"perms[{i}] must be a list of length {size}")
+    if type(row) is array and row.typecode == "i":
+        if _lanes_in_range(row, size):
+            return row
+    elif set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < size:
+        return array("i", row)
+    bad = next(v for v in row if type(v) is not int or not 0 <= v < size)
+    raise FormatError(f"perms[{i}] entry out of range: {bad!r}")
+
+
+def _checked_perms(doc: object) -> list[array]:
+    """The document's rows, once its shape is checked, each as the
+    `array('i')` that `_checked_row` makes of it, in place, so that a row
+    of format 1, a list of ints, is dropped once it is packed.  In a
+    format-2 document each row is a string, decoded into an `array('i')`
+    before its checks (`_unpacked`); a document with no "format" key is
+    format 1."""
     if not isinstance(doc, dict):
         raise FormatError("maniplex document must be a JSON object")
     packed = "format" in doc
@@ -654,13 +625,7 @@ def _checked_perms(doc: object) -> list:
     if not isinstance(perms, list) or len(perms) != rank:
         raise FormatError("perms must be a list with one row per colour")
     for i, row in enumerate(perms):
-        if packed:
-            row = perms[i] = _unpacked(row, i, nflags)
-        if not isinstance(row, (list, tuple, array)) or len(row) != nflags:
-            raise FormatError(f"perms[{i}] must be a list of length {nflags}")
-        f = _bad_entry(row, nflags)
-        if f is not None:
-            raise FormatError(f"perms[{i}] entry out of range: {row[f]!r}")
+        perms[i] = _checked_row(_unpacked(row, i, nflags) if packed else row, i, nflags)
     return perms
 
 
@@ -704,20 +669,11 @@ def maniplex_json_chunks(m: Maniplex) -> Iterator[str]:
     """The text of `maniplex_to_json`, generated in chunks: each row's
     base64 in slices of `_SLICE_ENTRIES` entries, a multiple of 3 bytes,
     so that the slices' texts join into the row's and no whole row's text
-    is held.  A maniplex with a structural error (`structural_errors`)
-    raises, before any text is generated, the FormatError that
-    `maniplex_from_json` raises on its document (format 2 when every row
-    is an `array('i')`, else format 1, which spells any entry), so the
-    encoder writes only what the decoder reads."""
-    if structural_errors(m):
-        rows = list(m.perms)
-        doc = {"rank": m.rank, "flags": m.flag_count, "perms": rows}
-        if all(type(row) is array for row in rows):
-            doc.update(format=_FORMAT, perms=list(map(_base64, rows)))
-        _checked_perms(doc)
+    is held.  Every maniplex holds rows the decoder reads (`Maniplex`), so
+    the text decodes to it."""
     yield '{\n  "flags": %d,\n  "format": %d,\n  "perms": [' % (m.flag_count, _FORMAT)
     sep = '\n    "'
-    for row in m.perms:  # each an array('i'), as the maniplex is sound
+    for row in m.perms:
         yield sep
         for k in range(0, len(row), _SLICE_ENTRIES):
             yield _base64(row[k:k + _SLICE_ENTRIES])
@@ -738,17 +694,13 @@ def maniplex_to_json(m: Maniplex) -> str:
 
 def maniplex_from_json(text: str) -> Maniplex:
     """Decode a document of format 2, or of format 1, by one `json.loads`
-    and `_checked_perms`, into `array('i')` rows; text that fails to
-    decode is a FormatError.  The maniplex caches that its rows passed the
-    checks of `structural_errors`."""
+    and `_checked_perms`, into `array('i')` rows, which the maniplex keeps
+    with no second check; text that fails to decode is a FormatError."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # an int literal over the digit limit, nesting too deep
         raise FormatError(f"invalid JSON: {exc}") from exc
-    perms = _checked_perms(doc)
-    m = Maniplex(tuple(row if type(row) is array else array("i", row) for row in perms))
-    m._cache["structural"] = ()
-    return m
+    return from_sound_rows(tuple(_checked_perms(doc)))
 
 
 def to_dot(m: Maniplex) -> str:

@@ -55,9 +55,9 @@ from .core import (
     Maniplex,
     ValidationReport,
     face_table,
+    from_sound_rows,
     lane_ones,
     row_lanes,
-    structural_errors,
     tagged_row,
     validate,
 )
@@ -93,9 +93,9 @@ def _resolve_facet(m: Maniplex, facet: Face) -> Face:
 
 
 def extend(m: Maniplex, facet: Face) -> Maniplex:
-    """The rank-(n+1) extension of M over the given facet, which must be
-    structurally sound (ValueError otherwise); so is the extension, and
-    its cache says so.
+    """The rank-(n+1) extension of M over the given facet.  Its rows are
+    in range by construction, so the maniplex is made with no check of
+    them.
 
     Each row is built by lane arithmetic on Python ints (SIMD within a
     register, Fisher & Dietz, LCPC 1998), with no Python step per entry:
@@ -107,8 +107,6 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     carries into the next while 4 * flags < 2**31, so the extension must
     fit an `array('i')`.
     """
-    if structural_errors(m):
-        raise ValueError("cannot extend a maniplex that is not structurally sound")
     facet = _resolve_facet(m, facet)
     size = m.flag_count
     if 4 * size > 1 << 31:
@@ -119,9 +117,7 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
         twist[f] = 3  # and by XOR 3 inside it
     perms = [tagged_row(row_lanes(row) << 2, ones, 0, size, 4) for row in m.perms]
     perms.append(tagged_row(row_lanes(array("i", range(0, 4 * size, 4))), ones, row_lanes(twist), size, 4))
-    ext = Maniplex(tuple(perms))
-    ext._cache["structural"] = ()
-    return ext
+    return from_sound_rows(tuple(perms))
 
 
 def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[int, int]] | None]:
@@ -188,7 +184,7 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks: list[Check] = []
 
     copies = _rows_copy_base(m, ext)
-    read_off = copies and validate(m).ok and not structural_errors(ext)
+    read_off = copies and validate(m).ok
     quotient = _quotient(m, ext) if read_off else None
     over = quotient[2] if quotient else None
     report = _validate_over_base(m, ext, quotient) if quotient else validate(ext)
@@ -275,10 +271,10 @@ def _rows_copy_base(m: Maniplex, ext: Maniplex) -> bool:
     For each tag t, the entries 4g + t of the extension's row, as bytes,
     must be the lanes of m's row shifted left by 2, plus t (see `extend`)."""
     size = m.flag_count
+    if ext.flag_count != 4 * size:
+        return False
     ones = lane_ones(size)
     for base_row, row in zip(m.perms, ext.perms):
-        if type(row) is not array or len(row) != 4 * size:
-            return False
         lanes = row_lanes(base_row) << 2
         if any(row[t::4].tobytes() != (lanes + t * ones).to_bytes(4 * size, sys.byteorder) for t in range(4)):
             return False
@@ -390,7 +386,7 @@ def _validate_over_base(m: Maniplex, ext: Maniplex, quotient: tuple) -> Validati
     )
     if not ok:
         return validate(ext)
-    report = ext._cache["valid"] = ValidationReport(True, (), ())
+    report = ext._cache["valid"] = ValidationReport(True, ())
     return report
 
 

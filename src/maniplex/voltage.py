@@ -13,7 +13,7 @@ from array import array
 from collections import deque
 from typing import Iterable
 
-from .core import Maniplex, lane_ones, row_lanes, structural_errors, tagged_row
+from .core import Maniplex, from_sound_rows, lane_ones, row_lanes, tagged_row
 
 Edge = tuple[int, int]  # (lower endpoint flag, colour)
 
@@ -24,9 +24,9 @@ def canonical_edge(m: Maniplex, flag: int, colour: int) -> Edge:
 
 def double_cover(m: Maniplex, edges: frozenset[Edge]) -> Maniplex:
     """The cover over the nontrivial `edges`, which must be in canonical
-    form; flags (f, s) -> 2f + s, and the result may fail the axioms.  m
-    must be structurally sound (ValueError otherwise); so is the cover, and
-    its cache says so.
+    form; flags (f, s) -> 2f + s, and the result may fail the axioms.  Its
+    rows are in range by construction, so the maniplex is made with no
+    check of them.
 
     The sheet swaps are marked from `edges` alone: a listed (f, i) with
     f <= r_i f swaps the sheets at f and at r_i f.  Any other pair names no
@@ -35,8 +35,6 @@ def double_cover(m: Maniplex, edges: frozenset[Edge]) -> Maniplex:
     Each row is then built by lane arithmetic, as `extension.extend`
     builds its rows (`tagged_row`): entry 2g + s is lane g of the base
     row, doubled, plus s XOR the swap at g."""
-    if structural_errors(m):
-        raise ValueError("cannot cover a maniplex that is not structurally sound")
     n, size = m.rank, m.flag_count
     if 2 * size > 1 << 31:
         raise ValueError(f"a cover of {2 * size} flags does not fit an array('i')")
@@ -45,9 +43,9 @@ def double_cover(m: Maniplex, edges: frozenset[Edge]) -> Maniplex:
         if 0 <= i < n and 0 <= f < size and f <= m.perms[i][f]:
             swaps[i][f] = swaps[i][m.perms[i][f]] = 1
     ones = lane_ones(size)
-    cover = Maniplex(tuple(tagged_row(row_lanes(r) << 1, ones, row_lanes(s), size, 2) for r, s in zip(m.perms, swaps)))
-    cover._cache["structural"] = ()
-    return cover
+    return from_sound_rows(
+        tuple(tagged_row(row_lanes(r) << 1, ones, row_lanes(s), size, 2) for r, s in zip(m.perms, swaps))
+    )
 
 
 def lift_connected(m: Maniplex, edges: frozenset[Edge], flags: Iterable[int], colours: Iterable[int]) -> bool:

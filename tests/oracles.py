@@ -1067,12 +1067,16 @@ def to_json_dict_v1(m) -> dict:
     return {"rank": m.rank, "flags": m.flag_count, "perms": [list(row) for row in m.perms]}
 
 
+def base64_row(row) -> str:
+    """The padded base64 of the row's entries packed by `struct` as
+    little-endian int32."""
+    return base64.b64encode(struct.pack("<%di" % len(row), *row)).decode("ascii")
+
+
 def to_json_dict_v2(m) -> dict:
     """The format-2 maniplex document that `maniplex_to_json` must encode
-    exactly as the generic JSON encoder does: each row the padded base64
-    of its entries packed by `struct` as little-endian int32."""
-    perms = [base64.b64encode(struct.pack("<%di" % len(row), *row)).decode("ascii") for row in m.perms]
-    return {"rank": m.rank, "flags": m.flag_count, "format": 2, "perms": perms}
+    exactly as the generic JSON encoder does: each row its `base64_row`."""
+    return {"rank": m.rank, "flags": m.flag_count, "format": 2, "perms": list(map(base64_row, m.perms))}
 
 
 def maniplex_from_json_by_loads(text: str) -> Perms:

@@ -17,7 +17,6 @@ from maniplex.core import (
     AXIOM_FIXED_POINT_FREE,
     AXIOM_INVOLUTION,
     AXIOM_PROPER,
-    FormatError,
     Maniplex,
     ValidationReport,
     dumps_json,
@@ -157,13 +156,27 @@ def test_interrupted_write_leaves_no_torn_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bstar", "kept.json"]
 
 
-def test_write_failing_partway_leaves_no_torn_artifact(bstar_result, tmp_path):
-    m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
-    last = tuple(m.perms[-1][:-1]) + (m.flag_count,)  # one past the last flag, in the last row
-    with pytest.raises(FormatError, match=rf"perms\[4\] entry out of range: {m.flag_count}"):
-        cli._write_certified(tmp_path, "maniplex.json", "certificate.json", Maniplex(m.perms[:-1] + (last,)), [])
-    with pytest.raises(FormatError, match=r"perms\[0\] entry out of range: 1\.0"):
-        cli._write(tmp_path / "float.json", maniplex_json_chunks(Maniplex(((1.0, 0),))))
+def test_write_failing_partway_leaves_no_torn_artifact(bstar_result, tmp_path, monkeypatch):
+    """Chunks that raise after the first is written, to `_write` or to
+    `_write_certified`, leave neither the file nor its .tmp."""
+
+    class Interrupted(Exception):
+        pass
+
+    held = []
+
+    def failing(chunks):
+        yield next(iter(chunks))
+        held.append(sorted(p.name for p in tmp_path.iterdir()))  # the first chunk is in the .tmp file
+        raise Interrupted
+
+    m = bstar_result.bstar
+    with pytest.raises(Interrupted):
+        cli._write(tmp_path / "bstar.json", failing(maniplex_json_chunks(m)))
+    monkeypatch.setattr(cli, "maniplex_json_chunks", lambda m: failing(maniplex_json_chunks(m)))
+    with pytest.raises(Interrupted):
+        cli._write_certified(tmp_path, "maniplex.json", "certificate.json", m, [])
+    assert held == [["bstar.json.tmp"], ["maniplex.json.tmp"]]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -574,7 +587,7 @@ def test_every_runtime_error_is_a_refusal():
 
 
 def test_platonic_self_check_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(corpus, "validate", lambda m: ValidationReport(False, [], []))
+    monkeypatch.setattr(corpus, "validate", lambda m: ValidationReport(False, []))
     assert main(["gen", "platonic", "--name", "cube"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

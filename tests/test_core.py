@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from array import array
 
@@ -24,10 +25,8 @@ from maniplex.core import (
     from_int_rows,
     isomorphic,
     maniplex_from_json,
-    maniplex_json_chunks,
     maniplex_to_json,
     restrict,
-    structural_errors,
     to_dot,
     validate,
     walk_rows,
@@ -40,6 +39,7 @@ from maniplex.voltage import double_cover
 
 from oracles import (
     automorphism_count_by_propagation,
+    base64_row,
     brute_isomorphisms,
     faces_by_bfs,
     maniplex_from_json_by_loads,
@@ -79,10 +79,28 @@ def test_accessors():
 
 
 def test_structural_errors():
-    assert structural_errors(Maniplex(((1, 0), (1,)))) != []
-    assert structural_errors(Maniplex(((1, 5),))) != []
-    assert structural_errors(Maniplex(((True, False),))) != []
-    assert structural_errors(platonic("cube")) == []
+    """A table that is not n >= 1 maps of m >= 1 flags into themselves is
+    refused by the constructor, with the decoder's format-1 text; an
+    array('i') row out of range is refused as any other, and a sound
+    table is kept."""
+    for perms, message in (
+        ((), "rank must be a positive integer"),
+        (((),), "flags must be a positive integer"),
+        (((1, 0), (1,)), "perms[1] must be a list of length 2"),
+        ((array("i", [1, 0]), array("i", [1])), "perms[1] must be a list of length 2"),
+        (((1, 0), 5), "perms[1] must be a list of length 2"),
+        (((1, 5),), "perms[0] entry out of range: 5"),
+        (((True, 0),), "perms[0] entry out of range: True"),
+        (((1.0, 0),), "perms[0] entry out of range: 1.0"),
+        ((array("d", [1, 0]),), "perms[0] entry out of range: 1.0"),
+        ((array("i", [1, 2]),), "perms[0] entry out of range: 2"),
+        ((array("i", [-1, 0]),), "perms[0] entry out of range: -1"),
+    ):
+        with pytest.raises(FormatError) as refusal:
+            Maniplex(perms)
+        assert str(refusal.value) == message, perms
+    cube = platonic("cube")
+    assert Maniplex(cube.perms) == cube
 
 
 def test_validate_happy_path(named_corpus):
@@ -162,9 +180,10 @@ def test_face_table_matches_bfs_oracle(named_corpus, b_maniplex, bstar_result):
 def test_row_forms_are_equal_and_hash_alike(bstar_result):
     """A maniplex built from tuple rows, list rows, array('i') rows or by
     `from_int_rows` holds array('i') rows, equals the others and hashes as
-    they do; given tuple rows are kept as the walk view, an array('i') row
-    is kept without a copy, and the dual of the dual is the maniplex, with
-    its walk view carried both ways."""
+    they do; the rows given to `from_int_rows` are kept as the walk view,
+    and any other form's view is built from the pool of flag ints; an
+    array('i') row is kept without a copy, and the dual of the dual is the
+    maniplex, with its walk view carried both ways."""
     bstar = bstar_result.bstar
     for m in (platonic("cube"), torus_44(2, 1), bstar, extend(bstar, faces(bstar, 3)[0])):
         rows = tuple(map(tuple, m.perms))
@@ -179,8 +198,9 @@ def test_row_forms_are_equal_and_hash_alike(bstar_result):
             assert x == m and hash(x) == hash(m), m
             assert all(type(row) is array and row.typecode == "i" for row in x.perms), m
         assert len({*forms, m}) == 1
-        for x in (forms[0], forms[4]):  # the given tuple rows serve as the walk view
-            assert all(a is b for a, b in zip(walk_rows(x), rows))
+        assert all(a is b for a, b in zip(walk_rows(forms[4]), rows))  # the given rows serve as the walk view
+        pool = flag_ints(m.flag_count)
+        assert walk_rows(forms[0]) == rows and all(v is pool[v] for row in walk_rows(forms[0]) for v in row)
         packed = tuple(array("i", row) for row in rows)
         assert all(a is b for a, b in zip(Maniplex(packed).perms, packed))
         for x in (m, forms[0]):
@@ -191,26 +211,11 @@ def test_row_forms_are_equal_and_hash_alike(bstar_result):
 
 
 @pytest.mark.parametrize("entry", [True, 1.0, 2**31, -(2**31) - 1])
-def test_foreign_rows_are_kept_and_reported(entry):
+def test_foreign_rows_are_refused(entry):
     """A row holding a bool, a float or an int that no array('i') holds is
-    kept as a tuple of what it was given, so the checks can name the entry;
-    the other rows are packed."""
-    m = Maniplex(((1, 0), (entry, 0)))
-    assert type(m.perms[0]) is array and m.perms[1] == (entry, 0) and type(m.perms[1][0]) is type(entry)
-    assert structural_errors(m) == [f"permutation 1 entry 0 out of range: {entry!r}"]
-    assert not validate(m).ok
-    with pytest.raises(FormatError, match=r"perms\[1\] entry out of range"):
-        maniplex_to_json(m)
-    if entry == 1:  # the same values, in another form
-        assert m != Maniplex(((1, 0), (1, 0)))
-
-
-def test_walk_view_of_unsound_rows_is_their_values():
-    """An array row out of range is walked as its values, not through the
-    pool of flag ints."""
-    for rows in (((1, 2),), ((-1, 0),)):
-        m = Maniplex(tuple(array("i", row) for row in rows))
-        assert walk_rows(m) == rows
+    refused, with the entry named as the decoder names it."""
+    with pytest.raises(FormatError, match=rf"^perms\[1\] entry out of range: {re.escape(repr(entry))}$"):
+        Maniplex(((1, 0), (entry, 0)))
 
 
 def test_automorphism_count_unchanged_by_face_table(named_corpus, b_maniplex):
@@ -321,6 +326,10 @@ def test_restrict():
     assert isomorphic(side, platonic("square")) is not None
     with pytest.raises(ValueError):
         restrict(cube, facet.flags[:3], (0, 1))
+    with pytest.raises(ValueError, match="at least one flag and one colour"):
+        restrict(cube, [], [0])
+    with pytest.raises(ValueError, match="at least one flag and one colour"):
+        restrict(cube, range(48), [])
 
 
 def test_json_roundtrip():
@@ -382,7 +391,7 @@ def _t10_doc(row0, **changes):
 
 
 def _packed_row(*entries):
-    return to_json_dict_v2(Maniplex((entries,)))["perms"][0]
+    return base64_row(entries)
 
 
 @pytest.mark.parametrize(
@@ -438,76 +447,71 @@ def test_maniplex_to_json_matches_generic_encoder(named_corpus, b_maniplex, bsta
     ],
 )
 def test_maniplex_to_json_refuses_out_of_range_entries(perms, message):
+    """No such table reaches the encoder: the constructor refuses it."""
     with pytest.raises(FormatError, match=message):
-        maniplex_to_json(Maniplex(perms))
+        Maniplex(perms)
 
 
-def _encoder_parity_members():
-    """Maniplexes with a structural error (no colour, no flag, a short and
-    a long row, each foreign entry), and each torus-pool map followed by a
-    copy with one seeded bad entry."""
-    yield Maniplex(())
-    yield Maniplex(((),))
-    yield Maniplex(((1, 0, 3, 2), (2, 3, 0)))
-    yield Maniplex(((1, 0, 3, 2), (2, 3, 0, 1, 0)))
+def _parity_tables():
+    """Tables with a structural error (no colour, no flag, a short and a
+    long row, each foreign entry), and each torus-pool map's rows followed
+    by a copy with one seeded bad entry."""
+    yield ()
+    yield ((),)
+    yield ((1, 0, 3, 2), (2, 3, 0))
+    yield ((1, 0, 3, 2), (2, 3, 0, 1, 0))
     for entry in (-1, 4, True, 1.0, 2**31):
-        yield Maniplex(((1, 0, 3, 2), (2, entry, 0, 1)))
+        yield ((1, 0, 3, 2), (2, entry, 0, 1))
     rng = random.Random(suites.SEED + 29)
     for b, c in suites.TORUS_POOL:
         m = torus_44(b, c)
-        yield m
+        yield tuple(map(tuple, m.perms))
         rows = [list(row) for row in m.perms]
         size = m.flag_count
         rows[rng.randrange(m.rank)][rng.randrange(size)] = rng.choice(
             (-1, -rng.randrange(1, 2**31), size, rng.randrange(size, 2**31), 2**31, True, False, 1.0)
         )
-        yield Maniplex(rows)
+        yield rows
 
 
-def test_encoder_refuses_what_the_decoder_refuses():
-    """The encoder raises, before it yields any text, the FormatError the
-    decoder raises on the maniplex's document: its format-2 document when
-    every row is an array('i'), else its format-1 one, which spells a
-    bool, a float or an int past 32 bits.  It encodes a sound one, whose
-    format-1 document decodes to it too."""
-    sound = packed = 0
-    for m in _encoder_parity_members():
-        v1 = dumps_json(to_json_dict_v1(m))
-        if not structural_errors(m):
-            text = dumps_json(to_json_dict_v2(m))
-            assert maniplex_to_json(m) == text and maniplex_from_json(text) == m == maniplex_from_json(v1)
-            sound += 1
+def test_constructor_refuses_what_the_decoder_refuses():
+    """`Maniplex(rows)` raises exactly the FormatError that the decoder and
+    the oracle decoder raise on the rows' format-1 document, which spells
+    a bool, a float or an int past 32 bits; a sound table makes the
+    maniplex that both documents decode to."""
+    sound = 0
+    for rows in _parity_tables():
+        v1 = dumps_json({"rank": len(rows), "flags": len(rows[0]) if rows else 0, "perms": [list(row) for row in rows]})
+        want = _outcome(maniplex_from_json_by_loads, v1)
+        if type(want) is tuple and want[0] is FormatError:
+            assert _outcome(Maniplex, rows) == _outcome(maniplex_from_json, v1) == want, rows
             continue
-        if all(type(row) is array for row in m.perms):
-            text = dumps_json(to_json_dict_v2(m))
-            packed += 1
-        else:
-            text = v1
-        want = _outcome(maniplex_from_json, text)
-        assert want[0] is FormatError, m
-        assert want == _outcome(maniplex_from_json_by_loads, text), m
-        assert _outcome(maniplex_to_json, m) == want, m
-        with pytest.raises(FormatError):
-            next(maniplex_json_chunks(m))
+        m = Maniplex(rows)
+        text = maniplex_to_json(m)
+        assert text == dumps_json(to_json_dict_v2(m)) and want == tuple(map(tuple, rows))
+        assert maniplex_from_json(text) == m == maniplex_from_json(v1)
+        sound += 1
     assert sound == len(suites.TORUS_POOL)
-    assert packed >= len(suites.TORUS_POOL) // 2, packed
 
 
 def test_array_rows_are_range_checked_once(b_maniplex, monkeypatch):
-    """A maniplex built from array('i') rows, with no walk view, has each
-    row range-checked once: every reader after the first takes the cached
-    `structural_errors` verdict."""
-    m = Maniplex(tuple(array("i", row) for row in b_maniplex.perms))
+    """A maniplex built from array('i') rows has each row range-checked
+    once, by the constructor, and kept without a copy: no reader after it
+    checks a row again."""
+    rows = tuple(array("i", row) for row in b_maniplex.perms)
     text = maniplex_to_json(b_maniplex)
     checked = []
-    bad_entry = core._bad_entry
-    monkeypatch.setattr(core, "_bad_entry", lambda row, size: checked.append(len(row)) or bad_entry(row, size))
+    checked_row = core._checked_row
+    monkeypatch.setattr(core, "_checked_row", lambda row, i, size: checked.append(len(row)) or checked_row(row, i, size))
+    m = Maniplex(rows)
+    assert all(a is b for a, b in zip(m.perms, rows))
     walk_rows(m)
     assert validate(m).ok
     face_table(m, 0)
     assert maniplex_to_json(m) == text
     extend(m, faces(m, m.rank - 1)[0])
     double_cover(m, frozenset())
+    dual(m)
     assert checked == [m.flag_count] * m.rank
 
 
@@ -532,18 +536,9 @@ def test_decoded_maniplex_holds_one_int_per_value(bstar_result):
     ],
 )
 def test_maniplex_to_json_refuses_non_int_entries(perms, message):
+    """No such table reaches the encoder: the constructor refuses it."""
     with pytest.raises(FormatError, match=message):
-        maniplex_to_json(Maniplex(perms))
-
-
-def test_maniplex_to_json_skips_the_row_check_only_on_a_structurally_sound_report(bstar_result):
-    bad = Maniplex(((1, 2),))
-    assert validate(bad).structural
-    with pytest.raises(FormatError, match=r"perms\[0\] entry out of range: 2"):
-        maniplex_to_json(bad)
-    m = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
-    text = maniplex_to_json(Maniplex(m.perms))  # no cached report: every slice checked
-    assert validate(m).ok and maniplex_to_json(m) == text
+        Maniplex(perms)
 
 
 def test_tower_and_decoded_copies_hold_the_pool_ints(bstar_result):
@@ -675,12 +670,12 @@ def test_decoder_errors_match_plain_loads():
 
 
 def test_decoded_rows_are_checked_once(monkeypatch):
-    """The decoder's row checks stand in for `validate`'s structural ones
-    and for the encoder's, on the rows it froze."""
+    """The decoder checks each row once, with the constructor's check, and
+    nothing after it checks the rows it froze again."""
     text = maniplex_to_json(torus_44(2, 1))
     checked = []
-    bad_entry = core._bad_entry
-    monkeypatch.setattr(core, "_bad_entry", lambda row, size: checked.append(len(row)) or bad_entry(row, size))
+    checked_row = core._checked_row
+    monkeypatch.setattr(core, "_checked_row", lambda row, i, size: checked.append(len(row)) or checked_row(row, i, size))
     m = maniplex_from_json(text)
     assert validate(m).ok and maniplex_to_json(m) == text
     assert checked == [40, 40, 40]

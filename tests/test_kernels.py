@@ -1,10 +1,11 @@
 """The flag-sized kernels of `maniplex.core` against the oracles: face
 labelling (`_component_ids`), isomorphism and automorphism counting
-(`_propagate`), `validate`'s reports, the row decoder and its range check
-(`_bad_entry`), on seeded random row sets (involutions, permutations and
+(`_propagate`), `validate`'s reports, the row decoder and the
+constructor's range check (`_lanes_in_range`), on seeded random row sets (involutions, permutations and
 arbitrary maps), on mutants and on the package's own maniplexes."""
 
 import itertools
+import json
 import random
 from array import array
 
@@ -15,13 +16,11 @@ from maniplex import core
 from maniplex.core import (
     FormatError,
     Maniplex,
-    ValidationReport,
     automorphism_count,
     dual,
     faces,
     isomorphic,
     maniplex_from_json,
-    structural_errors,
     validate,
 )
 from maniplex.corpus import torus_44
@@ -30,6 +29,7 @@ from maniplex.extension import extend
 from oracles import (
     automorphism_count_by_propagation,
     bad_entry_by_scan,
+    base64_row,
     brute_isomorphisms,
     component_ids_by_search,
     isomorphism_by_propagation,
@@ -38,7 +38,6 @@ from oracles import (
     polygon_flag_graph,
     propagate_by_bfs,
     renumber,
-    to_json_dict_v2,
     violations_by_scan,
 )
 
@@ -258,8 +257,9 @@ def test_disconnected_source_gives_partial_maps(two_squares):
 def test_validate_reports_match_scan_on_mutants(kernel_members):
     """On every member and random row set, and on their single-swap,
     colour-swap and truncated-row mutants, `validate` reports the oracle's
-    violations and witnesses in its order, or the structural errors of
-    rows of unequal length."""
+    violations and witnesses in its order; the constructor refuses a
+    truncated-row mutant, as the decoder refuses its document, when its
+    rows differ in length or hold an entry past the shortened flags."""
     rng = random.Random(suites.SEED + 3)
     cases = [tuple(map(tuple, m.perms)) for m in kernel_members.values()]
     cases += [random_rows(rng, 9) for _ in range(RANDOM_SETS // 5)]
@@ -267,15 +267,16 @@ def test_validate_reports_match_scan_on_mutants(kernel_members):
     for rows in cases:
         for mutate in (None, single_swap, colour_swap, truncated):
             perms = rows if mutate is None else mutate(rows, rng)
-            report = validate(Maniplex(perms))
-            structural = tuple(structural_errors(Maniplex(perms)))
-            if structural:
-                assert report == ValidationReport(False, structural, ()) and mutate is truncated
+            m = decoded_or_error(Maniplex, perms)
+            if not isinstance(m, Maniplex):
+                text = json.dumps({"rank": len(perms), "flags": len(perms[0]), "perms": perms})
+                assert m == decoded_or_error(maniplex_from_json_by_loads, text) and mutate is truncated
                 ragged += 1
                 continue
+            report = validate(m)
             want = violations_by_scan(perms)
             assert [(v.axiom, v.witness) for v in report.violations] == want, perms[:2]
-            assert report.ok == (not want) and not report.structural
+            assert report.ok == (not want)
     assert ragged >= len(cases) // 2, ragged
 
 
@@ -322,23 +323,23 @@ def range_specials(size):
 
 
 def assert_range_check_as_scan(row, size):
-    """`_bad_entry` on the array('i') row finds the scan's first bad entry,
-    and, for a row of size entries, `structural_errors` and the decoder
-    give the scan's message and the plain decoder's FormatError, on the
-    row as format-1 text and as format-2 base64."""
+    """The lanes of the array('i') row (`_lanes_in_range`) pass exactly
+    when the scan finds no bad entry, and, for a row of size entries, the
+    constructor keeps the row, or refuses it naming the scan's first bad
+    entry, as the decoder and the plain decoder do on the row as format-1
+    text and as format-2 base64."""
     f = bad_entry_by_scan(row.tolist(), size)
-    assert core._bad_entry(row, size) == f, (len(row), size)
+    assert core._lanes_in_range(row, size) == (f is None), (len(row), size)
     if len(row) != size:
         return
-    m = Maniplex((row,))
-    assert structural_errors(m) == ([] if f is None else [f"permutation 0 entry {f} out of range: {row[f]!r}"])
+    got = decoded_or_error(lambda rows: tuple(map(tuple, Maniplex(rows).perms)), (row,))
+    assert got == ((tuple(row),) if f is None else (FormatError, f"perms[0] entry out of range: {row[f]}"))
     for text in (
         '{"flags": %d, "perms": [[%s]], "rank": 1}' % (size, ", ".join(map(str, row))),
-        '{"flags": %d, "format": 2, "perms": ["%s"], "rank": 1}' % (size, to_json_dict_v2(m)["perms"][0]),
+        '{"flags": %d, "format": 2, "perms": ["%s"], "rank": 1}' % (size, base64_row(row)),
     ):
-        want = decoded_or_error(maniplex_from_json_by_loads, text)
-        assert decoded_or_error(lambda t: tuple(map(tuple, maniplex_from_json(t).perms)), text) == want
-        assert (f is None) == (want[0] is not FormatError)
+        assert decoded_or_error(lambda t: tuple(map(tuple, maniplex_from_json(t).perms)), text) == got
+        assert decoded_or_error(maniplex_from_json_by_loads, text) == got
 
 
 def test_lane_range_check_matches_scan():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from maniplex.core import Maniplex, components, from_int_rows, restrict, validate, walk_rows
+from maniplex.core import FormatError, Maniplex, components, from_int_rows, restrict, validate, walk_rows
 from maniplex.corpus import platonic, torus_44
 from maniplex.voltage import canonical_edge, double_cover, lift_connected
 from oracles import cover_graph, cover_is_maniplex, double_cover_by_flags, square_parities, voltage_edges
@@ -183,5 +183,7 @@ def test_double_cover_matches_flag_by_flag_oracle(b_maniplex, etheta):
 
 
 def test_double_cover_refuses_an_unsound_base():
-    with pytest.raises(ValueError):
+    """An unsound base never reaches `double_cover`: the constructor
+    refuses it."""
+    with pytest.raises(FormatError, match=r"^perms\[0\] entry out of range: 2$"):
         double_cover(Maniplex(((1, 2),)), frozenset())
