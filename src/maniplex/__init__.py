@@ -40,6 +40,7 @@ from .poset import (
     is_faithful,
     is_polytopal,
     is_polytope,
+    polytope_report,
     pos_of,
     poset_isomorphism,
     section,
@@ -87,6 +88,7 @@ __all__ = [
     "is_faithful",
     "is_polytopal",
     "is_polytope",
+    "polytope_report",
     "pos_of",
     "poset_isomorphism",
     "section",

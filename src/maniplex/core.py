@@ -42,7 +42,8 @@ class Maniplex:
     each flag's face id as an `array('i')` (`face_table`); under "valid",
     the `validate` report; under "faithful", the faithfulness result
     (`poset.is_faithful`); under "poset", the face poset (`poset.pos_of`,
-    or the extension pipeline's poset read off the base);
+    or the extension pipeline's poset read off the base); under
+    "polytope", the polytope report (`poset.polytope_report`);
     under "theta", the marked set of a rank-4 maniplex and the double cover
     it gives (`counterexample.find_theta`); under "walk", its rows as
     tuples (`walk_rows`); under "tree", the spanning tree that `isomorphic`
@@ -55,10 +56,11 @@ class Maniplex:
     array of m >= 1 plain ints in 0..m-1 (bools excluded), m the length of
     the first row.  Any other table raises the FormatError that
     `maniplex_from_json` raises on its format-1 document (`_checked_row`).
-    Each row is kept as an `array('i')`, 4 bytes an entry: an
-    `array('i')` row as given, without a copy, and any other packed.  The
+    Each row is kept as an `array('i')` of its own, 4 bytes an entry: an
+    `array('i')` row is copied, so that the caller's later writes to it
+    do not reach the maniplex, and any other row is packed.  The
     package's builders, whose rows are sound by construction, skip the
-    checks (`from_sound_rows`)."""
+    checks and the copy (`from_sound_rows`)."""
 
     perms: tuple[array, ...]
     _cache: dict[int | str, object] = field(
@@ -72,7 +74,11 @@ class Maniplex:
         size = len(rows[0])
         if size < 1:
             raise FormatError("flags must be a positive integer")
-        object.__setattr__(self, "perms", tuple(_checked_row(row, i, size) for i, row in enumerate(rows)))
+        perms = []
+        for i, row in enumerate(rows):
+            checked = _checked_row(row, i, size)
+            perms.append(checked[:] if checked is row else checked)
+        object.__setattr__(self, "perms", tuple(perms))
 
     def __hash__(self) -> int:
         return hash(tuple(row.tobytes() for row in self.perms))

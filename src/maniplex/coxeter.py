@@ -2,7 +2,10 @@
 
 A rank-n maniplex is a transitive action of the universal string group on
 n involutory generators r_0 .. r_{n-1}.  It is sparse when its face poset
-is an abstract polytope, and semisparse when it is also faithful.
+is an abstract polytope, and semisparse when it is also faithful.  The
+polytope report is `poset.polytope_report`'s: a valid maniplex of rank
+<= 3 is judged from its flags' face triples, with no face poset built,
+and any other from its face poset.
 
 The CLI's `verdict` writes `schreier_ok` without building a word, since
 on its inputs, valid maniplexes, the Schreier correspondence holds from
@@ -25,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import Maniplex
-from .poset import is_faithful, is_polytope, pos_of
+from .poset import is_faithful, polytope_report
 
 
 class Verdict(NamedTuple):
@@ -44,7 +47,7 @@ class Verdict(NamedTuple):
 
 def verdict(m: Maniplex) -> Verdict:
     """Classify the maniplex: sparse iff polytopal, semisparse iff also faithful."""
-    poly = is_polytope(pos_of(m))
+    poly = polytope_report(m)
     faith = is_faithful(m)
     sparse = poly.ok
     semisparse = sparse and faith.faithful

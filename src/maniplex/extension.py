@@ -195,8 +195,9 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     count = len(set(facet_ids))
     checks.append(passed("four-facets", count == 4, count))
     # the old colours carry m onto facet t, colour for colour, exactly when they
-    # copy it tag by tag and facet t is the tag class {4g + t}
-    copies = copies and facet_ids == array("i", range(4)) * m.flag_count
+    # copy it tag by tag and facet t is the tag class {4g + t}; the row
+    # equation has already fixed the table's length at 4 entries a base flag
+    copies = copies and _tags_in_order(facet_ids)
     checks.append(passed("facets-copy-base", copies))
 
     if base_faith.faithful:
@@ -277,6 +278,21 @@ def _rows_copy_base(m: Maniplex, ext: Maniplex) -> bool:
     for base_row, row in zip(m.perms, ext.perms):
         lanes = row_lanes(base_row) << 2
         if any(row[t::4].tobytes() != (lanes + t * ones).to_bytes(4 * size, sys.byteorder) for t in range(4)):
+            return False
+    return True
+
+
+_TAGS = array("i", range(4)) * 1024  # entry k is k % 4, for 1 024 flags of the base
+
+
+def _tags_in_order(ids: array) -> bool:
+    """Whether entry k of ids is k % 4 for every k: each slice of at most
+    len(_TAGS) entries is compared with as long a prefix of _TAGS, so that
+    no second table of the ids' length is built."""
+    step = len(_TAGS)
+    for k in range(0, len(ids), step):
+        part = ids[k : k + step]
+        if part != _TAGS[: len(part)]:
             return False
     return True
 

@@ -20,14 +20,14 @@ connectivity a breadth-first search over masks.  The label views (`faces`,
 
 `pos_of` and the extension's read-off poset mark what they build when the
 maniplex's memoised `validate` report is ok (`of_valid_maniplex`), and on
-such a poset `is_polytope` skips three facts its construction proves:
+such a poset `is_polytope` skips four facts its construction proves:
 
 (a) Gradedness.  Two faces are incident only when they share a flag, and
     that flag's faces of every rank in between lie above the one and below
     the other, so no cover skips a rank.  This needs no precondition.
 (b) Transitivity of the pairs with the least or greatest face.  Their
-    masks are set as whole ranges, so only the pairs of proper faces are
-    tested.  This needs only the bounded construction.
+    masks are set as whole ranges.  This needs only the bounded
+    construction.
 (c) Connectivity of every section whose lower face is the least face or
     whose upper face is the greatest, the whole poset included.  The flags
     of a face are joined by steps of the other colours, and a colour-k step
@@ -36,6 +36,27 @@ such a poset `is_polytope` skips three facts its construction proves:
     incidence; the flag graph itself is connected.  This needs the face
     tables to be true components, that is involutory rows, and a connected
     flag graph: the valid report.
+(d) Transitivity of the pairs of proper faces, and more: proper faces
+    F_1, ..., F_m of increasing rank, each incident with the next, all lie
+    in one flag.  Colours below rank k commute with colours above it, by
+    the square axiom, so a word in the colours other than k splits as
+    u v, with u in the colours below k and v in those above.  By
+    induction, take a flag Φ in F_1, ..., F_{m-1} and a flag Ψ in F_{m-1}
+    and F_m, with k the rank of F_{m-1}: both lie in F_{m-1}, so
+    Ψ = u v Φ.  Then v Φ stays in F_1, ..., F_{m-1}, whose ranks are at
+    most k, and Ψ = u (v Φ) puts it in F_m, whose rank is above k.  This
+    needs the valid report, as (c) does, and with (b) it makes a marked
+    poset transitive, so `_judge` does not call
+    `order_transitivity_witness` on one.
+
+By (d), the faces strictly between incident faces of ranks i - 1 and
+i + 1 are the i-faces of the flags through both, so the diamond condition
+is a count over the flags' face triples (F_{i-1}, F_i, F_{i+1}), with the
+least and greatest faces as constant columns.  At rank n <= 3 no section
+between proper faces is three ranks deep, so (c) settles connectivity and
+a valid maniplex is polytopal exactly when that count passes:
+`polytope_report` judges such a maniplex from its face tables, with no
+poset built.
 """
 
 from __future__ import annotations
@@ -43,6 +64,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .core import FormatError, Maniplex, face_table
@@ -263,22 +286,16 @@ def proper_pairs(p: RankedPoset) -> tuple[tuple[int, int], ...]:
     return p.pairs[2 * len(p.labels) - 3 :]
 
 
-def _judged_pairs(p: RankedPoset) -> tuple[tuple[int, int], ...]:
-    """The order pairs the axioms search: on a marked poset only those of
-    proper faces."""
-    return proper_pairs(p) if p.of_valid_maniplex else p.pairs
-
-
 def order_transitivity_witness(p: RankedPoset) -> Optional[tuple[str, str, str]]:
     """The least (a, b, c) with a < b < c but not a < c, or None.
 
     Least means b first in `rank_of` order (by rank, then label), then a,
-    then c in label order, so the witness does not depend on hashing.  A
-    pair with the least face below or the greatest above never fails when
-    their masks are whole ranges, so a marked poset's are not tested.
+    then c in label order, so the witness does not depend on hashing.
+    Every pair is tested; `_judge` does not call it on a marked poset,
+    which is transitive by construction (fact (d) of the module docstring).
     """
     labels, up = p.labels, p.up
-    bad = [(j, i) for i, j in _judged_pairs(p) if up[j] & ~up[i]]
+    bad = [(j, i) for i, j in p.pairs if up[j] & ~up[i]]
     if not bad:
         return None
     j = min(bad)[0]
@@ -394,7 +411,8 @@ def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
     """
     labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
     # faces are numbered by rank, then label, so (rank, label) of lower is its number
-    sections = sorted((i, labels[j], j) for i, j in _judged_pairs(p) if ranks[j] - ranks[i] > 2)
+    pairs = proper_pairs(p) if p.of_valid_maniplex else p.pairs
+    sections = sorted((i, labels[j], j) for i, j in pairs if ranks[j] - ranks[i] > 2)
     near = [u | d for u, d in zip(up, down)] if sections else []
     for i, upper, j in sections:
         inside = up[i] & down[j]
@@ -430,7 +448,8 @@ def is_polytope(p: RankedPoset) -> PolytopeReport:
 
 
 def _judge(p: RankedPoset) -> PolytopeReport:
-    bad = order_transitivity_witness(p)
+    # a marked poset is transitive by construction (fact (d) of the module docstring)
+    bad = None if p.of_valid_maniplex else order_transitivity_witness(p)
     if bad is not None:
         return PolytopeReport(False, None, bad, "order-not-transitive")
     witness = boundedness_witness(p)
@@ -449,9 +468,51 @@ def _judge(p: RankedPoset) -> PolytopeReport:
     return PolytopeReport(True, None, None, None)
 
 
+def polytope_report(m: Maniplex) -> PolytopeReport:
+    """The report `is_polytope(pos_of(m))` gives, computed once per
+    maniplex and kept in its cache.  A maniplex of rank <= 3 whose cached
+    `validate` report is ok, and whose poset is not built, is judged from
+    its face tables (`_report_from_flags`), with no poset; any other
+    maniplex's poset is built, or read from its cache, and searched, since
+    at rank >= 4 the sections between proper faces need the search."""
+    report = m._cache.get("polytope")
+    if report is None:
+        valid = m._cache.get("valid")
+        if m.rank <= 3 and "poset" not in m._cache and valid is not None and valid.ok:
+            report = _report_from_flags(m)
+        else:
+            report = is_polytope(pos_of(m))
+        m._cache["polytope"] = report
+    return report
+
+
+def _report_from_flags(m: Maniplex) -> PolytopeReport:
+    """The `is_polytope` report of a valid maniplex of rank n <= 3, from the
+    distinct triples (F_{i-1}, F_i, F_{i+1}) of its flags' faces: a pair
+    (F_{i-1}, F_{i+1}) with other than two triples fails the diamond
+    condition, and every other axiom holds (see the module docstring).
+    The least face is the constant id 0 at rank -1, the greatest the
+    constant id 0 at rank n, as `pos_of` labels them.  The witness is the
+    failing pair least by labels, with its middle faces' labels sorted,
+    as `diamond_witness` names it."""
+    n = m.rank
+    tables = [repeat(0), *(face_table(m, i) for i in range(n)), repeat(0)]
+    ends = itemgetter(0, 2)
+    triples, bad = [], []
+    for i in range(n):
+        triples.append(set(zip(tables[i], tables[i + 1], tables[i + 2])))
+        counts = Counter(map(ends, triples[i]))
+        bad += [(f"{i - 1}:{a}", f"{i + 1}:{c}", i, a, c) for (a, c), k in counts.items() if k != 2]
+    if not bad:
+        return PolytopeReport(True, None, None, None)
+    low, high, i, a, c = min(bad)  # the labels differ, so the ints are never compared
+    middles = sorted(f"{i}:{b}" for x, b, y in triples[i] if x == a and y == c)
+    return PolytopeReport(False, "diamond", (low, high, tuple(middles)), None)
+
+
 def is_polytopal(m: Maniplex) -> bool:
     """Does the maniplex have polytopal face structure?"""
-    return is_polytope(pos_of(m)).ok
+    return polytope_report(m).ok
 
 
 # ---------- poset isomorphism (small posets) ----------

@@ -400,8 +400,8 @@ def test_counterexample_judges_each_poset_once(tmp_path, monkeypatch):
     # by amalgamation with no search, and each step's base reuses the report
     # the step below kept on its poset
     judged = []
-    inner = poset.order_transitivity_witness
-    monkeypatch.setattr(poset, "order_transitivity_witness", lambda p: judged.append(p) or inner(p))
+    inner = poset._judge
+    monkeypatch.setattr(poset, "_judge", lambda p: judged.append(p) or inner(p))
     assert main(["counterexample", "--rank", "6", "-o", str(tmp_path / "ce")]) == 0
     assert [p.rank for p in judged] == [4, 4]
     assert len(set(judged)) == len(judged)

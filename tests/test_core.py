@@ -182,8 +182,8 @@ def test_row_forms_are_equal_and_hash_alike(bstar_result):
     `from_int_rows` holds array('i') rows, equals the others and hashes as
     they do; the rows given to `from_int_rows` are kept as the walk view,
     and any other form's view is built from the pool of flag ints; an
-    array('i') row is kept without a copy, and the dual of the dual is the
-    maniplex, with its walk view carried both ways."""
+    array('i') row is copied, and the dual of the dual is the maniplex,
+    with its walk view carried both ways."""
     bstar = bstar_result.bstar
     for m in (platonic("cube"), torus_44(2, 1), bstar, extend(bstar, faces(bstar, 3)[0])):
         rows = tuple(map(tuple, m.perms))
@@ -202,7 +202,7 @@ def test_row_forms_are_equal_and_hash_alike(bstar_result):
         pool = flag_ints(m.flag_count)
         assert walk_rows(forms[0]) == rows and all(v is pool[v] for row in walk_rows(forms[0]) for v in row)
         packed = tuple(array("i", row) for row in rows)
-        assert all(a is b for a, b in zip(Maniplex(packed).perms, packed))
+        assert all(a is not b and a == b for a, b in zip(Maniplex(packed).perms, packed))
         for x in (m, forms[0]):
             twice = dual(dual(x))
             assert twice == x and hash(twice) == hash(x)
@@ -496,7 +496,7 @@ def test_constructor_refuses_what_the_decoder_refuses():
 
 def test_array_rows_are_range_checked_once(b_maniplex, monkeypatch):
     """A maniplex built from array('i') rows has each row range-checked
-    once, by the constructor, and kept without a copy: no reader after it
+    once, by the constructor, which keeps a copy: no reader after it
     checks a row again."""
     rows = tuple(array("i", row) for row in b_maniplex.perms)
     text = maniplex_to_json(b_maniplex)
@@ -504,7 +504,7 @@ def test_array_rows_are_range_checked_once(b_maniplex, monkeypatch):
     checked_row = core._checked_row
     monkeypatch.setattr(core, "_checked_row", lambda row, i, size: checked.append(len(row)) or checked_row(row, i, size))
     m = Maniplex(rows)
-    assert all(a is b for a, b in zip(m.perms, rows))
+    assert all(a is not b and a == b for a, b in zip(m.perms, rows))
     walk_rows(m)
     assert validate(m).ok
     face_table(m, 0)
@@ -513,6 +513,19 @@ def test_array_rows_are_range_checked_once(b_maniplex, monkeypatch):
     double_cover(m, frozenset())
     dual(m)
     assert checked == [m.flag_count] * m.rank
+
+
+def test_given_array_row_is_copied():
+    """Writing to an array('i') row after building a maniplex from it
+    leaves the maniplex as built: it validates, and its document decodes
+    to it.  Kept without a copy, the row once made `validate` raise
+    IndexError and the encoder write a document the decoder refuses."""
+    row = array("i", [1, 0])
+    m = Maniplex((row,))
+    row[0] = 7
+    assert m.perms == (array("i", [1, 0]),)
+    assert validate(m).ok
+    assert maniplex_from_json(maniplex_to_json(m)) == m
 
 
 def test_decoded_maniplex_holds_one_int_per_value(bstar_result):

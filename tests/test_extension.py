@@ -490,6 +490,22 @@ def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, 
     assert checked == 145
 
 
+def test_tags_in_order_reads_every_slice():
+    """`facets-copy-base`'s slice-by-slice test of a facet table against
+    the whole-table comparison it replaced, on tables of one to four slices
+    of `_TAGS`, whole or with a short last one, each with one entry changed
+    at the first and last entry, at the edges of a slice and in the
+    middle."""
+    step = len(extension._TAGS)
+    for flags in (1, 256, step // 4, step // 4 + 1, step, 3 * step // 4 + 2):
+        ids = array("i", range(4)) * flags
+        assert extension._tags_in_order(ids)
+        for k in {0, len(ids) - 1, step - 1, step, len(ids) // 2} & set(range(len(ids))):
+            bad = array("i", ids)
+            bad[k] = (bad[k] + 1) % 4
+            assert not extension._tags_in_order(bad) and bad != array("i", range(4)) * flags, (flags, k)
+
+
 def test_tag_spans_match_agrees_with_face_search(bstar_result):
     # over every extension of the extension corpus, a tag-crossing mutant
     # of each and a new-colour mutant of each, the predicted face ids and
@@ -932,21 +948,21 @@ def test_verify_extension_one_pass_per_poset(bstar_result, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
 
-    counting("order_transitivity_witness")
+    counting("_judge")
     counting("flag_function")
     res = verify_extension(m, faces(m, 3)[0])
     assert all_ok(res.checks)
     assert calls == {
-        ("order_transitivity_witness", 4): 1,
+        ("_judge", 4): 1,
         ("flag_function", 4): 1,
     }
 
 
 def counting_judgements(monkeypatch) -> list:
-    """Patch the first axiom search to record each poset it judges."""
+    """Patch the axiom search to record each poset it judges."""
     judged = []
-    inner = poset.order_transitivity_witness
-    monkeypatch.setattr(poset, "order_transitivity_witness", lambda p: judged.append(p) or inner(p))
+    inner = poset._judge
+    monkeypatch.setattr(poset, "_judge", lambda p: judged.append(p) or inner(p))
     return judged
 
 

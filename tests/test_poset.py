@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from maniplex import core, coxeter, poset
+from maniplex import core, poset
 from maniplex.certify import all_ok
 from maniplex.core import FormatError, Maniplex, dual, faces, isomorphic, validate
 from maniplex.corpus import platonic, torus_44
@@ -436,6 +436,7 @@ def test_marked_posets_hold_the_construction_facts():
             assert p.of_valid_maniplex == valid
             if valid:
                 marked += 1
+                assert order_transitivity_witness(p) is None
                 assert gradedness_witness(p) is None
                 assert disconnected_boundary_section(p) is None
                 assert report_of(p) == report_of(RankedPoset(p.rank, p.faces, p.less))
@@ -449,18 +450,84 @@ def test_marked_posets_hold_the_construction_facts():
     assert marked >= 150 and disconnected > 0
 
 
+def test_polytope_report_matches_the_poset_search(named_corpus, two_squares):
+    """`polytope_report` of a validated copy of each member against the
+    search of the member's poset and the label-set oracle: every census
+    pool map (the pool holds each map's mirror too), the named maps, the
+    tori that fail the diamond condition, rank-1 and rank-2 maniplexes,
+    seeded random rank-3 maps and their duals, valid or not, and two
+    disjoint squares and cubes, which only the poset search refuses.  A
+    valid copy of rank <= 3 is judged from its flags, with no poset
+    built."""
+    rng = random.Random(20261020)
+    members = [torus_44(b, c) for b, c in suites.TORUS_POOL] + list(named_corpus.values())
+    members += [torus_44(b, c) for b, c in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))]
+    members += [Maniplex(([1, 0],)), Maniplex(([1, 0, 3, 2], [3, 2, 1, 0]))]
+    members += [coset_enumerate(string_coxeter([k])).to_maniplex() for k in (3, 5)]
+    randoms = [random_map(rng, rng.randint(2, 8)) for _ in range(100)]
+    members += randoms + [dual(m) for m in randoms]
+    cube = named_corpus["cube"]
+    members += [two_squares, Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms))]
+    failed, flag_judged = set(), 0
+    for m in members:
+        copy = Maniplex(m.perms)
+        valid = validate(copy).ok
+        report = poset.polytope_report(copy)
+        assert poset.polytope_report(copy) is report
+        if valid:
+            assert "poset" not in copy._cache, m
+            flag_judged += 1
+        p = pos_of(m)
+        assert report == is_polytope(p), m
+        assert (report.ok, report.failed, report.witness, report.malformed) == label_set_report(p.faces, p.less), m
+        assert is_polytopal(copy) == report.ok
+        if not report.ok:
+            failed.add((report.failed, report.witness[0] == "-1:0", report.witness[1] == f"{m.rank}:0"))
+    assert flag_judged >= len(suites.TORUS_POOL) + 20
+    # witnesses at the least face, at the greatest and between proper faces
+    assert {w[1:] for w in failed} >= {(True, False), (False, True), (False, False)}
+    assert {w[0] for w in failed} == {"diamond", "strong-flag-connectivity"}
+
+
+def test_marked_posets_are_transitive(oracle_members, b_maniplex, bstar_result):
+    """Fact (d) of the `poset` module docstring, which lets `_judge` skip
+    the transitivity search on a marked poset, against that search: every
+    marked poset of the oracle members, the census pool maps, the regular
+    polytopes of the benchmark, B, B* and the tower's ranks 5 to 7 is
+    transitive."""
+    members = [*oracle_members, *(torus_44(b, c) for b, c in suites.TORUS_POOL)]
+    members += [coset_enumerate(string_coxeter(symbol)).to_maniplex() for symbol in ([3, 4, 3], [3, 3, 3, 3])]
+    members += [b_maniplex, bstar_result.bstar]
+    posets = []
+    for m in members:
+        copy = Maniplex(m.perms)
+        p = pos_of(copy) if validate(copy).ok else None
+        assert p is None or p.of_valid_maniplex, m
+        posets += [p] if p is not None else []
+    m = bstar_result.bstar
+    for rank in (5, 6, 7):
+        res = verify_extension(m, faces(m, rank - 2)[0])
+        m = res.extension
+        posets.append(pos_of(m))  # read off its base
+        assert posets[-1].of_valid_maniplex and posets[-1].rank == rank
+    assert len(posets) >= len(members) - 1
+    for p in posets:
+        assert order_transitivity_witness(p) is None, p
+
+
 def test_pipeline_operations_mark_posets_without_more_validation(bstar_result, monkeypatch):
     """The benchmark's operations, replayed: a census map, a regular
     polytope and three tower steps.  Each runs the `_validate` calls it ran
     before posets were marked (one for the census and the regular
     operation, none for a tower step, whose report is read off its base).
-    The census and the regular operation judge one poset, once: a marked
-    one; a tower step judges none, as its polytope report follows from its
-    facets by amalgamation."""
+    The regular operation judges one poset, once: a marked one; the census
+    map, of rank 3, is judged from its flags with no poset; a tower step
+    judges none, as its polytope report follows from its facets by
+    amalgamation."""
     validated, judged = [], []
-    inner_validate, inner_judge = core._validate, poset.order_transitivity_witness
+    inner_validate, inner_judge = core._validate, poset._judge
     monkeypatch.setattr(core, "_validate", lambda m: validated.append(m) or inner_validate(m))
-    monkeypatch.setattr(poset, "order_transitivity_witness", lambda p: judged.append(p) or inner_judge(p))
+    monkeypatch.setattr(poset, "_judge", lambda p: judged.append(p) or inner_judge(p))
 
     def replay(operation):
         validated.clear()
@@ -477,7 +544,7 @@ def test_pipeline_operations_mark_posets_without_more_validation(bstar_result, m
         m = coset_enumerate(string_coxeter([3, 4, 3])).to_maniplex()
         assert validate(m).ok and verdict(m).summary == "semisparse"
 
-    assert replay(census) == (1, [3])
+    assert replay(census) == (1, [])
     assert replay(regular) == (1, [4])
     m = bstar_result.bstar  # its poset, judged, is kept in its cache for the first step
     assert is_polytope(pos_of(m)).ok
@@ -509,9 +576,15 @@ def test_transitivity_witness_ignores_hash_seed():
 
 
 def test_verdict_builds_no_label_sets(monkeypatch):
+    """A valid rank-3 map's verdict builds no poset; a rank-4 polytope's
+    builds one, and none of its label views."""
     built = []
-    monkeypatch.setattr(coxeter, "pos_of", lambda m: built.append(pos_of(m)) or built[-1])
-    assert verdict(torus_44(3, 2)).summary == "semisparse"
+    monkeypatch.setattr(poset, "pos_of", lambda m: built.append(pos_of(m)) or built[-1])
+    m = torus_44(3, 2)
+    assert validate(m).ok and verdict(m).summary == "semisparse"
+    assert built == [] and "poset" not in m._cache
+    m = coset_enumerate(string_coxeter([3, 3, 3])).to_maniplex()
+    assert validate(m).ok and verdict(m).summary == "semisparse"
     (p,) = built
     assert not {"faces", "less", "rank_of", "covers"} & vars(p).keys()
 
