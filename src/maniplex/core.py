@@ -41,9 +41,11 @@ class Maniplex:
     out of equality, hashing and repr: under key i, the face table of rank i,
     each flag's face id as an `array('i')` (`face_table`); under "valid",
     the `validate` report; under "faithful", the faithfulness result
-    (`poset.is_faithful`); under "poset", the face poset (`poset.pos_of`,
-    or the extension pipeline's poset read off the base); under
-    "polytope", the polytope report (`poset.polytope_report`);
+    (`poset.is_faithful`, or `poset.polytope_report` when its whole-row
+    test finds a valid rank-3 map's chains all distinct); under "poset",
+    the face poset (`poset.pos_of`, or the extension pipeline's poset read
+    off the base); under "polytope", the polytope report
+    (`poset.polytope_report`);
     under "theta", the marked set of a rank-4 maniplex and the double cover
     it gives (`counterexample.find_theta`); under "walk", its rows as
     tuples (`walk_rows`); under "tree", the spanning tree that `isomorphic`

@@ -7,8 +7,12 @@ and g = gcd(b, c), the Hermite form of the lattice makes the cells (x, t)
 with x < N/g and t < g one representative per class, so cell (x, t) is
 numbered x*g + t outright.  r0 and r1 stay inside a cell and r2 crosses into
 a neighbouring one, so only each cell's four neighbours are reduced modulo
-the lattice.  platonic(name) builds flag graphs of a few classical maps by
-coset enumeration over their standard presentations.
+the lattice: one list per side, in cell order, where a step in x is g cells
+mod N and a step in t wraps past 0 or g - 1 by the lattice's shear.  Flag
+8k + l is local flag l of cell k, so r0 and r2 are written as eight slices
+[l::8] each, and r1 as two, with no Python step per flag.  platonic(name)
+builds flag graphs of a few classical maps by coset enumeration over their
+standard presentations.
 """
 
 from __future__ import annotations
@@ -20,34 +24,13 @@ from .core import Maniplex, from_int_rows, validate
 from .cosets import coset_enumerate, string_coxeter
 
 # Corner k of cell (x, y) is (x, y) + ((0, 0), (1, 0), (1, 1), (0, 1))[k];
-# side j joins corners j and j + 1, and across it lies cell (x, y) + _ACROSS[j].
-# Local flag l = 2k + s is at corner k on side k - s.  r1 takes it to l ^ 1,
-# r0 to _R0[l] (the side's other corner), and r2 to local flag _R2[l][1] of
-# the cell across side _R2[l][0] (the same corner and side).
-_ACROSS = ((0, -1), (1, 0), (0, 1), (-1, 0))
+# side j joins corners j and j + 1, and across it lies cell
+# (x, y) + ((0, -1), (1, 0), (0, 1), (-1, 0))[j].  Local flag l = 2k + s is
+# at corner k on side k - s.  r1 takes it to l ^ 1, r0 to _R0[l] (the side's
+# other corner), and r2 to local flag _R2[l][1] of the cell across side
+# _R2[l][0] (the same corner and side).
 _R0 = (3, 6, 5, 0, 7, 2, 1, 4)
 _R2 = ((0, 7), (3, 2), (1, 1), (0, 4), (2, 3), (1, 6), (3, 5), (2, 0))
-
-
-def _lattice_reducer(b: int, c: int):
-    """Canonical representative map for Z^2 modulo <(b, c), (-c, b)>.
-
-    Uses the Hermite form of the lattice: x-axis period N/g and a shear
-    (k, g) with g = gcd(b, c), so reduction is y mod g, then x mod N/g.
-    """
-    n = b * b + c * c
-    g = math.gcd(b, c)
-    # solve p*c + q*b = g, giving the lattice point (p*b - q*c, g)
-    q, p = _bezout(b, c)
-    shear = (p * b - q * c) % (n // g)
-
-    def canon(x: int, y: int) -> tuple[int, int]:
-        t = y % g
-        steps = (y - t) // g
-        x = (x - steps * shear) % (n // g)
-        return (x, t)
-
-    return canon, n, g
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -62,15 +45,28 @@ def torus_44(b: int, c: int) -> Maniplex:
     """Flag graph of the {4,4} torus map with translation lattice <(b,c), (-c,b)>."""
     if b < 0 or c < 0 or (b == 0 and c == 0):
         raise ValueError("need b, c >= 0 and not both zero")
-    canon, n, g = _lattice_reducer(b, c)
-    r0, r2 = [], []
-    for x in range(n // g):
-        for t in range(g):
-            base = 8 * (x * g + t)
-            r0 += [base + k for k in _R0]
-            across = [8 * (cx * g + ct) for cx, ct in (canon(x + dx, t + dy) for dx, dy in _ACROSS)]
-            r2 += [across[j] + k for j, k in _R2]
-    return from_int_rows((r0, [f ^ 1 for f in range(8 * n)], r2))
+    n, g = b * b + c * c, math.gcd(b, c)
+    period = n // g
+    # solve p*c + q*b = g, giving the lattice point (p*b - q*c, g): stepping
+    # past t = g - 1 (below t = 0) wraps to t = 0 (g - 1), x shifted by -shear (+shear)
+    q, p = _bezout(b, c)
+    shear = (p * b - q * c) % period
+    cells = range(n)
+    # across[j][k]: 8 times the number of the cell across side j of cell k
+    across = (
+        [8 * (k - 1 if k % g else (k // g + shear) % period * g + g - 1) for k in cells],
+        [8 * ((k + g) % n) for k in cells],
+        [8 * (k + 1 if (k + 1) % g else (k // g - shear) % period * g) for k in cells],
+        [8 * ((k - g) % n) for k in cells],
+    )
+    size = 8 * n
+    r0, r1, r2 = [0] * size, [0] * size, [0] * size
+    r1[0::2], r1[1::2] = range(1, size, 2), range(0, size, 2)
+    for l in range(8):
+        r0[l::8] = range(_R0[l], size, 8)
+        side, image = _R2[l]
+        r2[l::8] = [a + image for a in across[side]]
+    return from_int_rows((r0, r1, r2))
 
 
 _PETRIE_CUBE = ((0, 1, 2) * 3,)

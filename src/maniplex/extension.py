@@ -192,12 +192,14 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks.append(passed("flag-count", ext.flag_count == 4 * m.flag_count, ext.flag_count))
 
     facet_ids = face_table(ext, n)
-    count = len(set(facet_ids))
+    in_order = _tags_in_order(facet_ids)
+    # ids running 0, 1, 2, 3 in turn over four or more entries are exactly those four
+    count = 4 if in_order and len(facet_ids) >= 4 else len(set(facet_ids))
     checks.append(passed("four-facets", count == 4, count))
     # the old colours carry m onto facet t, colour for colour, exactly when they
     # copy it tag by tag and facet t is the tag class {4g + t}; the row
     # equation has already fixed the table's length at 4 entries a base flag
-    copies = copies and _tags_in_order(facet_ids)
+    copies = copies and in_order
     checks.append(passed("facets-copy-base", copies))
 
     if base_faith.faithful:

@@ -57,6 +57,28 @@ between proper faces is three ranks deep, so (c) settles connectivity and
 a valid maniplex is polytopal exactly when that count passes:
 `polytope_report` judges such a maniplex from its face tables, with no
 poset built.
+
+(e) The count by whole rows.  On a valid maniplex of rank n <= 3, with
+    face tables F_0, ..., F_{n-1} and constant columns F_{-1} = F_n = 0,
+    r_i changes no face of rank j != i, as j-faces are orbits of the
+    colours other than j, so f and r_i f share (F_{i-1}, F_{i+1}).  When
+    F_i[f] != F_i[r_i f] for every flag f, each (F_{i-1}, F_{i+1}) pair
+    of the flags therefore has at least two i-faces between, and exactly
+    two at every pair iff the flags' distinct triples
+    (F_{i-1}, F_i, F_{i+1}) are twice as many as their distinct pairs
+    (F_{i-1}, F_{i+1}).  At the end ranks the count is not needed: a
+    1-face is an orbit of r_0 and the colours >= 2, which fix the 0-face
+    and commute with r_0, so its 0-faces are at most F_0[f] and
+    F_0[r_0 f]; the same holds, mirrored, at rank n - 1.  So the diamond
+    condition holds when the comparison passes at every rank and, at
+    n = 3, the middle count passes, and there the middle triples are the
+    flags' chains: when they are as many as the flags, the maniplex is
+    faithful.  `_report_from_flags` accepts a map by this test and
+    records its faithfulness; a map it refuses, whose chains repeat or
+    whose diamonds fail, is judged by the count per pair, which names the
+    witness.  In a polytopal, faithful map f and r_i f are distinct flags
+    with distinct chains sharing every face but the i-face, so the test
+    accepts every such map.
 """
 
 from __future__ import annotations
@@ -65,10 +87,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .core import FormatError, Maniplex, face_table
+from .core import FormatError, Maniplex, face_table, walk_rows
 
 ISO_FACE_LIMIT = 64  # brute-force poset matching is only vouched for below this
 
@@ -487,16 +509,47 @@ def polytope_report(m: Maniplex) -> PolytopeReport:
 
 
 def _report_from_flags(m: Maniplex) -> PolytopeReport:
-    """The `is_polytope` report of a valid maniplex of rank n <= 3, from the
-    distinct triples (F_{i-1}, F_i, F_{i+1}) of its flags' faces: a pair
-    (F_{i-1}, F_{i+1}) with other than two triples fails the diamond
-    condition, and every other axiom holds (see the module docstring).
-    The least face is the constant id 0 at rank -1, the greatest the
-    constant id 0 at rank n, as `pos_of` labels them.  The witness is the
-    failing pair least by labels, with its middle faces' labels sorted,
-    as `diamond_witness` names it."""
+    """The `is_polytope` report of a valid maniplex of rank n <= 3, from
+    its face tables: accepted by whole rows when `_diamonds_by_rows`
+    passes, else counted per pair by `_diamond_report`.  The least face is
+    the constant id 0 at rank -1, the greatest the constant id 0 at rank
+    n, as `pos_of` labels them."""
     n = m.rank
     tables = [repeat(0), *(face_table(m, i) for i in range(n)), repeat(0)]
+    if _diamonds_by_rows(m, tables):
+        return PolytopeReport(True, None, None, None)
+    return _diamond_report(n, tables)
+
+
+def _diamonds_by_rows(m: Maniplex, tables: list) -> bool:
+    """Whether fact (e) of the module docstring accepts the map: no flag
+    shares its i-face with its i-neighbour, each comparison one pass in C
+    over the row composed with the face table, and at rank 3 the flags'
+    distinct chains are twice their distinct (F_0, F_2) pairs.  When the
+    chains are then as many as the flags, the faithful result is kept in
+    the maniplex's cache, as `is_faithful` would compute it."""
+    n, view = m.rank, walk_rows(m)
+    for i in range(n):
+        ids = tables[i + 1]
+        # a fixed-point-free row has two or more entries, so the getter returns a tuple
+        if any(map(eq, ids, itemgetter(*view[i])(ids))):
+            return False
+    if n == 3:  # the one middle rank
+        chains = len(set(zip(tables[1], tables[2], tables[3])))
+        if chains != 2 * len(set(zip(tables[1], tables[3]))):
+            return False
+        if chains == m.flag_count:
+            m._cache["faithful"] = FaithfulnessResult(True, None)
+    return True
+
+
+def _diamond_report(n: int, tables: list) -> PolytopeReport:
+    """The report from the distinct triples (F_{i-1}, F_i, F_{i+1}) of the
+    flags' faces, tables holding the constant columns at both ends: a pair
+    (F_{i-1}, F_{i+1}) with other than two triples fails the diamond
+    condition, and every other axiom holds (see the module docstring).
+    The witness is the failing pair least by labels, with its middle
+    faces' labels sorted, as `diamond_witness` names it."""
     ends = itemgetter(0, 2)
     triples, bad = [], []
     for i in range(n):

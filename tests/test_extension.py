@@ -474,11 +474,12 @@ def facets_copy_base_by_search(ext: Maniplex, m: Maniplex) -> bool:
 def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, monkeypatch):
     # over every extension of the extension corpus and of a disconnected
     # base, and over a tag-crossing mutant of each, the tag arithmetic and
-    # the per-facet isomorphism search agree
+    # the per-facet isomorphism search agree, and `four-facets` reports the
+    # facet table's distinct ids, read off `_tags_in_order` when it passes
     bases = extension_corpus(bstar_result.bstar)
     bases["two squares"] = two_squares
     real = extension.extend
-    checked = 0
+    checked, counts = 0, set()
     for name, m in bases.items():
         for facet in faces(m, m.rank - 1):
             for build, expected in ((real, name != "two squares"), (lambda m, f: crossed(real(m, f)), False)):
@@ -486,8 +487,13 @@ def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, 
                 res = verify_extension(m, facet)
                 copies = statuses(res)["facets-copy-base"] == PASS
                 assert copies == facets_copy_base_by_search(res.extension, m) == expected, (name, facet.canonical)
+                count = next(c for c in res.checks if c.name == "four-facets")
+                assert count.detail == len(set(core.face_table(res.extension, m.rank))), (name, facet.canonical)
+                assert (count.status == PASS) == (count.detail == 4)
+                counts.add(count.detail)
             checked += 1
     assert checked == 145
+    assert 4 in counts and len(counts) > 1  # the count both read off and counted
 
 
 def test_tags_in_order_reads_every_slice():

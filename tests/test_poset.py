@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -450,15 +451,11 @@ def test_marked_posets_hold_the_construction_facts():
     assert marked >= 150 and disconnected > 0
 
 
-def test_polytope_report_matches_the_poset_search(named_corpus, two_squares):
-    """`polytope_report` of a validated copy of each member against the
-    search of the member's poset and the label-set oracle: every census
-    pool map (the pool holds each map's mirror too), the named maps, the
-    tori that fail the diamond condition, rank-1 and rank-2 maniplexes,
-    seeded random rank-3 maps and their duals, valid or not, and two
-    disjoint squares and cubes, which only the poset search refuses.  A
-    valid copy of rank <= 3 is judged from its flags, with no poset
-    built."""
+def report_members(named_corpus, two_squares) -> list[Maniplex]:
+    """Every census pool map (the pool holds each map's mirror too), the
+    named maps, the tori that fail the diamond condition, rank-1 and rank-2
+    maniplexes, seeded random rank-3 maps and their duals, valid or not,
+    and two disjoint squares and cubes."""
     rng = random.Random(20261020)
     members = [torus_44(b, c) for b, c in suites.TORUS_POOL] + list(named_corpus.values())
     members += [torus_44(b, c) for b, c in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))]
@@ -467,16 +464,34 @@ def test_polytope_report_matches_the_poset_search(named_corpus, two_squares):
     randoms = [random_map(rng, rng.randint(2, 8)) for _ in range(100)]
     members += randoms + [dual(m) for m in randoms]
     cube = named_corpus["cube"]
-    members += [two_squares, Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms))]
-    failed, flag_judged = set(), 0
-    for m in members:
+    return members + [two_squares, Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms))]
+
+
+def test_polytope_report_matches_the_poset_search(named_corpus, two_squares, monkeypatch):
+    """`polytope_report` of a validated copy of each report member against
+    the search of the member's poset and the label-set oracle; the two
+    disjoint squares and cubes only the poset search refuses.  A valid copy
+    of rank <= 3 is judged from its flags, with no poset built, and by
+    fact (e) of the `poset` module docstring a polytopal, faithful one is
+    accepted by whole rows, with no call to the per-pair count.  Tori (1,0)
+    and (0,1) are refused by the end-rank comparison, and torus (1,1) by
+    the middle count, 16 chains over 4 (vertex, face) pairs."""
+    counted = []
+    real = poset._diamond_report
+    monkeypatch.setattr(poset, "_diamond_report", lambda n, tables: counted.append(n) or real(n, tables))
+    failed, flag_judged, accepted = set(), 0, 0
+    for m in report_members(named_corpus, two_squares):
         copy = Maniplex(m.perms)
         valid = validate(copy).ok
+        before = len(counted)
         report = poset.polytope_report(copy)
         assert poset.polytope_report(copy) is report
         if valid:
             assert "poset" not in copy._cache, m
             flag_judged += 1
+            if report.ok and is_faithful(m).faithful:
+                assert len(counted) == before, m
+                accepted += 1
         p = pos_of(m)
         assert report == is_polytope(p), m
         assert (report.ok, report.failed, report.witness, report.malformed) == label_set_report(p.faces, p.less), m
@@ -484,9 +499,46 @@ def test_polytope_report_matches_the_poset_search(named_corpus, two_squares):
         if not report.ok:
             failed.add((report.failed, report.witness[0] == "-1:0", report.witness[1] == f"{m.rank}:0"))
     assert flag_judged >= len(suites.TORUS_POOL) + 20
+    assert accepted >= len(suites.TORUS_POOL)
     # witnesses at the least face, at the greatest and between proper faces
     assert {w[1:] for w in failed} >= {(True, False), (False, True), (False, False)}
     assert {w[0] for w in failed} == {"diamond", "strong-flag-connectivity"}
+
+    def refusal(m: Maniplex) -> tuple:
+        """The ranks i with a flag f sharing its i-face with r_i f, else the
+        numbers of distinct chains and of distinct (F_0, F_2) pairs,
+        computed flag by flag."""
+        tables = [core.face_table(m, i) for i in range(m.rank)]
+        shared = tuple(i for i, ids in enumerate(tables) if any(ids[f] == ids[g] for f, g in enumerate(m.perms[i])))
+        chains = set(zip(*tables))
+        return shared or (len(chains), len({(a, c) for a, b, c in chains}))
+
+    for (b, c), why in (((1, 0), (0, 2)), ((0, 1), (0, 2)), ((1, 1), (16, 4))):
+        m = torus_44(b, c)
+        validate(m)
+        assert refusal(m) == why, (b, c)
+        assert not poset._diamonds_by_rows(m, [repeat(0), *(core.face_table(m, i) for i in range(3)), repeat(0)])
+        before = len(counted)
+        assert not poset.polytope_report(m).ok and len(counted) == before + 1
+
+
+def test_polytope_report_shares_faithfulness(named_corpus, two_squares):
+    """`is_faithful` read after `polytope_report` equals `is_faithful` on a
+    fresh copy, witness included, on the report members; the report leaves
+    the faithful result in the cache exactly when it accepts a valid
+    rank-3 map whose chains are all distinct."""
+    kept = unfaithful = 0
+    for m in report_members(named_corpus, two_squares):
+        copy = Maniplex(m.perms)
+        valid = validate(copy).ok
+        report = poset.polytope_report(copy)
+        distinct = len(set(poset.flag_function(m))) == m.flag_count
+        set_by_report = "faithful" in copy._cache
+        assert set_by_report == (valid and m.rank == 3 and report.ok and distinct), m
+        assert is_faithful(copy) == is_faithful(Maniplex(m.perms)), m
+        kept += set_by_report
+        unfaithful += not distinct
+    assert kept >= len(suites.TORUS_POOL) - 3 and unfaithful >= 3
 
 
 def test_marked_posets_are_transitive(oracle_members, b_maniplex, bstar_result):
