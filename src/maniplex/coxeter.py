@@ -46,13 +46,14 @@ class Verdict(NamedTuple):
 
 
 def verdict(m: Maniplex) -> Verdict:
-    """Classify the maniplex: sparse iff polytopal, semisparse iff also faithful."""
+    """Classify the maniplex: sparse iff polytopal, semisparse iff also
+    faithful; ValueError when it is not a valid maniplex."""
     poly = polytope_report(m)
     faith = is_faithful(m)
     sparse = poly.ok
     semisparse = sparse and faith.faithful
     if not sparse:
-        witness: object = (poly.malformed or poly.failed, poly.witness)
+        witness: object = (poly.failed, poly.witness)
     elif not faith.faithful:
         witness = faith.witness
     else:

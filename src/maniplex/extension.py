@@ -36,7 +36,10 @@ a < b < c of proper faces and every pair two ranks apart below the
 greatest face lie at or below a facet, where the order is M's, so their
 transitivity, diamonds and connectivity are M's; a pair two ranks apart
 at the greatest face is a ridge, with its two facets between.  When a
-premise fails, `is_polytope` searches the poset as before.
+facet or ridge premise fails, `is_polytope` searches the poset; when the
+extension is not valid, its poset is not judged, and its polytope checks
+are skipped.  The extension of a valid, polytopal base over a facet is
+always valid, so only a faulty `extend` can reach that case.
 """
 
 from __future__ import annotations
@@ -152,13 +155,9 @@ class ExtensionResult:
     checks: list[Check]
 
 
-def _graded_with_diamonds(report: PolytopeReport) -> bool:
-    """A partial order that is bounded, graded and meets the diamond condition."""
-    return report.ok or report.failed == "strong-flag-connectivity"
-
-
 def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
-    """Extend and certify; polytopality claims are gated on the base's own status.
+    """Extend and certify; polytopality claims are gated on the base's own
+    status.  ValueError when the base is not a valid maniplex.
 
     Faithfulness of the extension is recorded, never asserted; only the
     preservation of unfaithfulness is a hard check.  The posets of the base
@@ -178,14 +177,15 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     So the flags with the all-zero chain are exactly 4g for the base flags
     g with it, and the extension's result is (False, (0, 4w)).
     """
+    if not validate(m).ok:
+        raise ValueError("base is not a valid maniplex")
     ext = extend(m, facet)  # resolves the facet
     base_faith = is_faithful(m)  # before the extension's face tables, so the two peaks do not add up
     n = m.rank
     checks: list[Check] = []
 
     copies = _rows_copy_base(m, ext)
-    read_off = copies and validate(m).ok
-    quotient = _quotient(m, ext) if read_off else None
+    quotient = _quotient(m, ext) if copies else None
     over = quotient[2] if quotient else None
     report = _validate_over_base(m, ext, quotient) if quotient else validate(ext)
     checks.append(passed("extension-valid", report.ok, report.violations or None))
@@ -229,7 +229,7 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
 
     base = is_polytope(p_base)
     sections = False
-    if not _graded_with_diamonds(base):
+    if base.failed == "diamond":
         checks.append(Check("facet-sections-match-base", SKIP, "base fails the diamond condition"))
         checks.append(Check("tag-spans-match", SKIP, "base fails the diamond condition"))
     else:
@@ -240,21 +240,21 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
             checks.append(passed("facet-sections-match-base", sections))
         checks.append(passed("tag-spans-match", _tag_spans_match(m, facet, ext, over)))
 
+    skip = None
     if not base.ok:
-        checks.append(Check("diamond", SKIP, "base is not polytopal"))
-        checks.append(Check("strong-flag-connectivity", SKIP, "base is not polytopal"))
-        checks.append(Check("polytopal", SKIP, "base is not polytopal"))
+        skip = "base is not polytopal"
+    elif not report.ok:  # its poset is not marked, so not judged
+        skip = "extension is not a valid maniplex"
+    if skip:
+        for name in ("diamond", "strong-flag-connectivity", "polytopal"):
+            checks.append(Check(name, SKIP, skip))
     else:
-        if sections and witness is None and p_ext.of_valid_maniplex:
-            p_ext._report = PolytopeReport(True, None, None, None)  # by amalgamation, see the module docstring
+        if sections and witness is None:
+            p_ext._report = PolytopeReport(True, None, None)  # by amalgamation, see the module docstring
         poly = is_polytope(p_ext)
-        if _graded_with_diamonds(poly):
-            dia, conn = None, poly.witness
-        else:
-            dia = poly.witness if poly.failed == "diamond" else ("poset not graded",)
-            conn = ("earlier failure",)
-        checks.append(passed("diamond", dia is None, dia))
-        checks.append(passed("strong-flag-connectivity", poly.ok, conn))
+        diamond = poly.failed == "diamond"
+        checks.append(passed("diamond", not diamond, poly.witness if diamond else None))
+        checks.append(passed("strong-flag-connectivity", poly.ok, ("earlier failure",) if diamond else poly.witness))
         checks.append(passed("polytopal", poly.ok))
 
     return ExtensionResult(ext, checks)

@@ -3,31 +3,34 @@
 The i-faces of a maniplex are the connected components after deleting the
 colour-i edges; two faces of different ranks are incident exactly when
 their flag sets intersect.  A least face (rank -1) and greatest face
-(rank n) are adjoined.  `is_polytope` checks, in order: the incidence
-relation is actually a partial order (transitive), boundedness, gradedness
-(every maximal chain has one face per rank), the diamond condition, and
-strong flag connectivity, decided as connectivity of every section's
-proper faces under incidence (see `flag_connectivity_witness`).
+(rank n) are adjoined.  Only the face poset of a valid maniplex is
+judged: its construction proves it a bounded, graded partial order
+(facts (a), (b) and (d) below), so `is_polytope` checks the diamond
+condition and strong flag connectivity, decided as connectivity of every
+section's proper faces under incidence (see `flag_connectivity_witness`).
 
 A `RankedPoset` is its integers: faces numbered by rank, then label, and
 for each face the faces above and below it as bits of a Python int.
-`pos_of` builds them straight from the face tables; a poset given by hand
-as label levels and label pairs is checked once and numbered the same way.
-Transitivity, covers and diamonds are one mask test per order pair, and
-connectivity a breadth-first search over masks.  The label views (`faces`,
-`less`, `rank_of`, `covers`) are derived only when read, and the
-`is_polytope` report is computed once and kept on the poset.
+`pos_of` builds them straight from the face tables, and `section` slices
+a poset's masks with the same numbering.  Covers and diamonds are one
+mask test per order pair, and connectivity a breadth-first search over
+masks.  The label views (`faces`, `less`, `rank_of`, `covers`) are
+derived only when read, and the `is_polytope` report is computed once and
+kept on the poset.
 
-`pos_of` and the extension's read-off poset mark what they build when the
-maniplex's memoised `validate` report is ok (`of_valid_maniplex`), and on
-such a poset `is_polytope` skips four facts its construction proves:
+`pos_of` marks what it builds (`of_valid_maniplex`) by the maniplex's
+memoised `validate` report, which it reads itself, and the extension's
+read-off poset is marked by the extension's report.  Facts (a) to (d) are
+the invariant of a marked poset, and `is_polytope` refuses any other with
+ValueError:
 
 (a) Gradedness.  Two faces are incident only when they share a flag, and
     that flag's faces of every rank in between lie above the one and below
     the other, so no cover skips a rank.  This needs no precondition.
-(b) Transitivity of the pairs with the least or greatest face.  Their
-    masks are set as whole ranges.  This needs only the bounded
-    construction.
+(b) Boundedness, and transitivity of the pairs with the least or
+    greatest face.  `face_poset` sets their masks as whole ranges: the
+    least face lies below, and the greatest above, every other face.  This
+    needs no precondition.
 (c) Connectivity of every section whose lower face is the least face or
     whose upper face is the greatest, the whole poset included.  The flags
     of a face are joined by steps of the other colours, and a colour-k step
@@ -46,8 +49,7 @@ such a poset `is_polytope` skips four facts its construction proves:
     Ψ = u v Φ.  Then v Φ stays in F_1, ..., F_{m-1}, whose ranks are at
     most k, and Ψ = u (v Φ) puts it in F_m, whose rank is above k.  This
     needs the valid report, as (c) does, and with (b) it makes a marked
-    poset transitive, so `_judge` does not call
-    `order_transitivity_witness` on one.
+    poset transitive.
 
 By (d), the faces strictly between incident faces of ranks i - 1 and
 i + 1 are the i-faces of the flags through both, so the diamond condition
@@ -90,7 +92,7 @@ from itertools import repeat
 from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .core import FormatError, Maniplex, face_table, walk_rows
+from .core import Maniplex, face_table, validate, walk_rows
 
 ISO_FACE_LIMIT = 64  # brute-force poset matching is only vouched for below this
 
@@ -105,57 +107,30 @@ def _labels_in(labels: tuple[str, ...], mask: int) -> list[str]:
 
 
 class RankedPoset:
-    """A ranked poset held as integers.  Face k is labels[k], an opaque
-    string, of rank ranks[k], faces numbered by rank, then label; on a face
-    poset, ids[k] is its id in the face table of its rank.  Bit j of
+    """A bounded ranked poset held as integers.  Face k is labels[k], an
+    opaque string, of rank ranks[k], faces numbered by rank, then label; on
+    a face poset, ids[k] is its id in the face table of its rank.  Bit j of
     up[k] (of down[k]) is set when face j lies above (below) face k; pairs
     are the order pairs as (k, j), and `less` is the strict order as label
     pairs.  Two posets are equal when they have the same rank, faces and
     order.  A poset is not changed once numbered, so `is_polytope` keeps
-    its report on it."""
+    its report on it.  `face_poset` and `section` build one."""
 
     # the face poset of a valid maniplex, as its builders mark it (see the module docstring)
     of_valid_maniplex = False
 
-    def __init__(self, rank: int, faces, less) -> None:
-        """Check and number a poset given as label levels, rank -1 first, and label pairs."""
-        faces = tuple(tuple(sorted(level)) for level in faces)
-        if len(faces) != rank + 2:
-            raise FormatError("need one face level per rank -1..n")
-        number: dict[str, int] = {}
-        ranks: list[int] = []
-        for r, level in enumerate(faces, start=-1):
-            for label in level:
-                if label in number:
-                    raise FormatError(f"duplicate face label {label!r}")
-                number[label] = len(ranks)
-                ranks.append(r)
-        pairs = set()
-        for a, b in less:
-            if a not in number or b not in number:
-                raise FormatError(f"order pair ({a!r}, {b!r}) uses unknown labels")
-            if ranks[number[a]] >= ranks[number[b]]:
-                raise FormatError(f"order pair ({a!r}, {b!r}) does not increase rank")
-            pairs.add((number[a], number[b]))
-        self._set(rank, list(number), ranks, pairs)
-
-    def _set(self, rank: int, labels: list[str], ranks: list[int], pairs, bounded: bool = False) -> None:
+    def _set(self, rank: int, labels: list[str], ranks: list[int], proper) -> None:
         """Number the faces as listed and set their masks from the order
-        pairs.  When bounded, the pairs given are those between proper faces:
-        face 0 lies below and the last face above every other face, so their
-        pairs are added and their masks set as whole ranges of face numbers."""
+        pairs between proper faces, given as proper: face 0 lies below and
+        the last face above every other face, so their pairs are added and
+        their masks set as whole ranges of face numbers."""
         count = len(labels)
         bit = [1 << k for k in range(count)]
-        if bounded:
-            top = count - 1
-            up, down = [bit[top]] * count, [1] * count
-            up[0], down[0], up[top], down[top] = (1 << count) - 2, 0, 0, (1 << top) - 1
-            proper = pairs
-            pairs = [(0, k) for k in range(1, count)] + [(k, top) for k in range(1, top)]
-            pairs += proper
-        else:
-            up, down = [0] * count, [0] * count
-            proper = pairs
+        top = count - 1
+        up, down = [bit[top]] * count, [1] * count
+        up[0], down[0], up[top], down[top] = (1 << count) - 2, 0, 0, (1 << top) - 1
+        pairs = [(0, k) for k in range(1, count)] + [(k, top) for k in range(1, top)]
+        pairs += proper
         for i, j in proper:
             up[i] |= bit[j]
             down[j] |= bit[i]
@@ -217,15 +192,14 @@ def pos_of(m: Maniplex) -> RankedPoset:
     faces of different ranks are incident when some flag lies in both.
     Indexed straight from the face tables: per pair of ranks, the id pairs
     of the flags' faces.  Built once per maniplex and kept in its cache,
-    marked when the maniplex's memoised `validate` report is then ok; no
+    marked when the maniplex's memoised `validate` report is ok; no polytope
     report is computed here."""
     p = m._cache.get("poset")
     if p is None:
-        n = m.rank
+        n, valid = m.rank, validate(m).ok
         ids = [face_table(m, i) for i in range(n)]
         incident = (((i, j), set(zip(ids[i], ids[j]))) for i in range(n) for j in range(i + 1, n))
-        valid = m._cache.get("valid")
-        p = m._cache["poset"] = face_poset(n, [set(row) for row in ids], incident, valid is not None and valid.ok)
+        p = m._cache["poset"] = face_poset(n, [set(row) for row in ids], incident, valid)
     return p
 
 
@@ -247,8 +221,8 @@ def face_poset(n: int, levels: list, incident: Iterable, valid: bool) -> RankedP
     for (i, j), ab in incident:
         lower, upper = numbers[i], numbers[j]
         pairs += [(lower[a], upper[b]) for a, b in ab]
-    p = RankedPoset.__new__(RankedPoset)  # numbered right, so skip the label checks
-    p._set(n, [f"{i}:{c}" for i, c in zip(ranks, ids)], ranks, pairs, bounded=True)
+    p = RankedPoset.__new__(RankedPoset)
+    p._set(n, [f"{i}:{c}" for i, c in zip(ranks, ids)], ranks, pairs)
     p.ids = tuple(ids)
     p.of_valid_maniplex = valid
     return p
@@ -296,64 +270,14 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
 @dataclass(frozen=True)
 class PolytopeReport:
     ok: bool
-    failed: Optional[str]  # first failed axiom
+    failed: Optional[str]  # first failed axiom: "diamond" or "strong-flag-connectivity"
     witness: object
-    malformed: Optional[str]  # distinct: structure is not even a graded poset
 
 
 def proper_pairs(p: RankedPoset) -> tuple[tuple[int, int], ...]:
-    """The order pairs of proper faces of a poset `face_poset` built, which
-    `_set` lists after the 2 * faces - 3 pairs with the least or greatest
-    face."""
+    """The order pairs of proper faces, which `_set` lists after the
+    2 * faces - 3 pairs with the least or greatest face."""
     return p.pairs[2 * len(p.labels) - 3 :]
-
-
-def order_transitivity_witness(p: RankedPoset) -> Optional[tuple[str, str, str]]:
-    """The least (a, b, c) with a < b < c but not a < c, or None.
-
-    Least means b first in `rank_of` order (by rank, then label), then a,
-    then c in label order, so the witness does not depend on hashing.
-    Every pair is tested; `_judge` does not call it on a marked poset,
-    which is transitive by construction (fact (d) of the module docstring).
-    """
-    labels, up = p.labels, p.up
-    bad = [(j, i) for i, j in p.pairs if up[j] & ~up[i]]
-    if not bad:
-        return None
-    j = min(bad)[0]
-    a, i = min((labels[i], i) for k, i in bad if k == j)
-    return (a, labels[j], min(_labels_in(labels, up[j] & ~up[i])))
-
-
-def boundedness_witness(p: RankedPoset) -> Optional[tuple]:
-    """The first failure of: one least face, one greatest face, then per
-    face, by rank and label, lying above the least and below the greatest."""
-    labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
-    if ranks.count(-1) != 1:
-        return ("minimum", p.level(-1))
-    if ranks.count(p.rank) != 1:
-        return ("maximum", p.level(p.rank))
-    # faces are numbered by rank, so the least face is the first and the greatest the last
-    top = len(labels) - 1
-    not_over_min = ((1 << top + 1) - 2) & ~up[0]
-    not_under_max = ((1 << top) - 1) & ~down[top]
-    missed = not_over_min | not_under_max
-    if not missed:
-        return None
-    k = (missed & -missed).bit_length() - 1
-    return ("minimum-not-below" if not_over_min >> k & 1 else "maximum-not-above", labels[k])
-
-
-def gradedness_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
-    """The least cover pair, in label order, skipping a rank, if any.
-
-    With transitivity and boundedness in hand, every maximal chain is a
-    bottom-to-top cover path, so 'all maximal chains have n+2 elements'
-    is exactly 'every cover raises rank by one'.
-    """
-    labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
-    bad = [(labels[i], labels[j]) for i, j in p.pairs if ranks[j] - ranks[i] > 1 and not up[i] & down[j]]
-    return min(bad, default=None)
 
 
 def diamond_witness(p: RankedPoset) -> Optional[tuple[str, str, tuple[str, ...]]]:
@@ -372,12 +296,7 @@ def diamond_witness(p: RankedPoset) -> Optional[tuple[str, str, tuple[str, ...]]
 
 
 def maximal_chains(p: RankedPoset) -> list[tuple[str, ...]]:
-    """All maximal chains, as cover paths from the least to the greatest face.
-
-    Assumes a transitive, bounded order.
-    """
-    if len(p.level(-1)) != 1 or len(p.level(p.rank)) != 1:
-        raise ValueError("maximal_chains needs unique least and greatest faces")
+    """All maximal chains, as cover paths from the least to the greatest face."""
     cover_up: dict[str, list[str]] = defaultdict(list)
     for a, b in p.covers:  # sorted, so each face's covers are too
         cover_up[a].append(b)
@@ -396,18 +315,24 @@ def maximal_chains(p: RankedPoset) -> list[tuple[str, ...]]:
 
 
 def section(p: RankedPoset, lower: str, upper: str) -> RankedPoset:
-    """The section upper/lower, re-ranked so lower sits at rank -1."""
+    """The section upper/lower, re-ranked so lower sits at rank -1: the
+    faces between them, with both ends, keep p's labels and numbering
+    order.  It is not built from a maniplex's face tables, so it is not
+    marked.  Public API that nothing in the package calls: `is_polytope`
+    searches the parent's masks and builds no section."""
     if lower not in p.rank_of or upper not in p.rank_of:
         raise ValueError("section endpoints must be faces of the poset")
     if not p.lt(lower, upper):
         raise ValueError(f"section endpoints must be comparable: {lower!r}, {upper!r}")
-    low, high = p.rank_of[lower], p.rank_of[upper]
     i, j = p.labels.index(lower), p.labels.index(upper)
-    inside = p.up[i] & p.down[j] | 1 << i | 1 << j
-    keep = set(_labels_in(p.labels, inside))
-    levels = [[label for label in level if label in keep] for level in p.faces[low + 1 : high + 2]]
-    less = frozenset((a, b) for a, up in zip(p.labels, p.up) if a in keep for b in _labels_in(p.labels, up & inside))
-    return RankedPoset(high - low - 1, levels, less)
+    inside = p.up[i] & p.down[j]
+    keep = [i, *(k for k in range(i + 1, j) if inside >> k & 1), j]
+    number = {k: x for x, k in enumerate(keep)}
+    pairs = [(number[a], number[b]) for a in keep[1:-1] for b in keep[1:-1] if p.up[a] >> b & 1]
+    low = p.ranks[i] + 1
+    s = RankedPoset.__new__(RankedPoset)
+    s._set(p.ranks[j] - low, [p.labels[k] for k in keep], [p.ranks[k] - low for k in keep], pairs)
+    return s
 
 
 def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
@@ -418,23 +343,23 @@ def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
     poset with least and greatest faces whose maximal chains all have
     rank + 2 faces (P1, P2) is strongly flag-connected iff it is strongly
     connected, i.e. every section of rank >= 2, itself included, has its
-    proper faces connected under incidence.  So this assumes transitivity,
-    boundedness and gradedness already verified.  Pairs go in (rank of
-    lower, pair) order, three or more ranks apart (a section of rank <= 1 is
-    connected by definition).  The named section's chain graph is
-    disconnected too, but a search over chain graphs may stop at an earlier
-    pair whose proper faces are connected while a subsection's are not.
+    proper faces connected under incidence.  A marked poset is such a
+    poset by construction (facts (a), (b) and (d) of the module
+    docstring).  Pairs go in (rank of lower, pair) order, three or more
+    ranks apart (a section of rank <= 1 is connected by definition).  The
+    named section's chain graph is disconnected too, but a search over
+    chain graphs may stop at an earlier pair whose proper faces are
+    connected while a subsection's are not.
 
     Each search runs on the face masks: the section's proper faces are the
     mask up[lower] & down[upper], and each round adds every face above or
-    below one on the frontier.  On a marked poset the sections whose lower
-    face is the least or whose upper face is the greatest are connected by
-    construction (fact (c) of the module docstring) and are not searched.
+    below one on the frontier.  The sections whose lower face is the least
+    or whose upper face is the greatest are connected by construction
+    (fact (c) of the module docstring) and are not searched.
     """
     labels, ranks, up, down = p.labels, p.ranks, p.up, p.down
     # faces are numbered by rank, then label, so (rank, label) of lower is its number
-    pairs = proper_pairs(p) if p.of_valid_maniplex else p.pairs
-    sections = sorted((i, labels[j], j) for i, j in pairs if ranks[j] - ranks[i] > 2)
+    sections = sorted((i, labels[j], j) for i, j in proper_pairs(p) if ranks[j] - ranks[i] > 2)
     near = [u | d for u, d in zip(up, down)] if sections else []
     for i, upper, j in sections:
         inside = up[i] & down[j]
@@ -453,57 +378,45 @@ def flag_connectivity_witness(p: RankedPoset) -> Optional[tuple[str, str]]:
 
 
 def is_polytope(p: RankedPoset) -> PolytopeReport:
-    """Abstract-polytope test with first-failure reporting.
+    """Abstract-polytope test of a marked poset with first-failure
+    reporting; ValueError on any other poset.
 
-    Each axiom relies on those checked before it.  Strong flag connectivity
-    is decided by McMullen-Schulte's Proposition 2A1, whose precondition
-    (bounded, every maximal chain of full length) the earlier checks
-    establish; its witness is the first (lower, upper) section whose proper
-    faces are disconnected under incidence (`flag_connectivity_witness`).
-    The report is computed once per poset and kept on it.  On a poset
-    marked as a valid maniplex's, what the construction proves is skipped
-    (see the module docstring); the report is the same.
+    The construction proves a bounded, graded partial order (see the module
+    docstring), so the diamond condition is checked, then strong flag
+    connectivity, decided by McMullen-Schulte's Proposition 2A1; its witness
+    is the first (lower, upper) section whose proper faces are disconnected
+    under incidence (`flag_connectivity_witness`).  The report is computed
+    once per poset and kept on it.
     """
+    if not p.of_valid_maniplex:
+        raise ValueError("only the face poset of a valid maniplex is judged")
     if p._report is None:
         p._report = _judge(p)
     return p._report
 
 
 def _judge(p: RankedPoset) -> PolytopeReport:
-    # a marked poset is transitive by construction (fact (d) of the module docstring)
-    bad = None if p.of_valid_maniplex else order_transitivity_witness(p)
-    if bad is not None:
-        return PolytopeReport(False, None, bad, "order-not-transitive")
-    witness = boundedness_witness(p)
-    if witness is not None:
-        return PolytopeReport(False, "bounded", witness, None)
-    # a marked poset is graded by construction (fact (a) of the module docstring)
-    witness = None if p.of_valid_maniplex else gradedness_witness(p)
-    if witness is not None:
-        return PolytopeReport(False, "graded", witness, None)
     witness = diamond_witness(p)
     if witness is not None:
-        return PolytopeReport(False, "diamond", witness, None)
+        return PolytopeReport(False, "diamond", witness)
     witness = flag_connectivity_witness(p)
     if witness is not None:
-        return PolytopeReport(False, "strong-flag-connectivity", witness, None)
-    return PolytopeReport(True, None, None, None)
+        return PolytopeReport(False, "strong-flag-connectivity", witness)
+    return PolytopeReport(True, None, None)
 
 
 def polytope_report(m: Maniplex) -> PolytopeReport:
     """The report `is_polytope(pos_of(m))` gives, computed once per
-    maniplex and kept in its cache.  A maniplex of rank <= 3 whose cached
-    `validate` report is ok, and whose poset is not built, is judged from
-    its face tables (`_report_from_flags`), with no poset; any other
-    maniplex's poset is built, or read from its cache, and searched, since
-    at rank >= 4 the sections between proper faces need the search."""
+    maniplex and kept in its cache; ValueError when m's `validate` report
+    fails.  A maniplex of rank <= 3 is judged from its face tables
+    (`_report_from_flags`), with no poset; any other maniplex's poset is
+    built, or read from its cache, and searched, since at rank >= 4 the
+    sections between proper faces need the search."""
     report = m._cache.get("polytope")
     if report is None:
-        valid = m._cache.get("valid")
-        if m.rank <= 3 and "poset" not in m._cache and valid is not None and valid.ok:
-            report = _report_from_flags(m)
-        else:
-            report = is_polytope(pos_of(m))
+        if not validate(m).ok:
+            raise ValueError("only a valid maniplex is judged")
+        report = _report_from_flags(m) if m.rank <= 3 else is_polytope(pos_of(m))
         m._cache["polytope"] = report
     return report
 
@@ -517,7 +430,7 @@ def _report_from_flags(m: Maniplex) -> PolytopeReport:
     n = m.rank
     tables = [repeat(0), *(face_table(m, i) for i in range(n)), repeat(0)]
     if _diamonds_by_rows(m, tables):
-        return PolytopeReport(True, None, None, None)
+        return PolytopeReport(True, None, None)
     return _diamond_report(n, tables)
 
 
@@ -557,10 +470,10 @@ def _diamond_report(n: int, tables: list) -> PolytopeReport:
         counts = Counter(map(ends, triples[i]))
         bad += [(f"{i - 1}:{a}", f"{i + 1}:{c}", i, a, c) for (a, c), k in counts.items() if k != 2]
     if not bad:
-        return PolytopeReport(True, None, None, None)
+        return PolytopeReport(True, None, None)
     low, high, i, a, c = min(bad)  # the labels differ, so the ints are never compared
     middles = sorted(f"{i}:{b}" for x, b, y in triples[i] if x == a and y == c)
-    return PolytopeReport(False, "diamond", (low, high, tuple(middles)), None)
+    return PolytopeReport(False, "diamond", (low, high, tuple(middles)))
 
 
 def is_polytopal(m: Maniplex) -> bool:

@@ -57,6 +57,17 @@ def two_squares():
 
 
 @pytest.fixture(scope="session")
+def section_failure():
+    """A valid, faithful rank-4 maniplex of 192 flags with face vector
+    (4, 12, 12, 4), a quotient of the cubic honeycomb {4,3,4}, whose face
+    poset meets the diamond condition and is connected at its least and
+    greatest faces, but whose section between vertex '0:0' and facet '3:0'
+    is not connected: it fails strong flag connectivity only between
+    proper faces."""
+    return coset_enumerate(string_coxeter([4, 3, 4]).extended((0, 1, 2, 3) * 3)).to_maniplex()
+
+
+@pytest.fixture(scope="session")
 def oracle_members(named_corpus, b_maniplex, bstar_result, simplex5, two_squares):
     """The named maps, B, B*, the tower's rank-5 and rank-6 extensions, the
     24-cell, the 5-simplex, two squares and torus_44(b, c) for b, c <= 6."""

@@ -47,7 +47,10 @@ BSTAR_CERTIFICATE_SHA256 = "67d86c5531cc6588d36d64035346c00a27cdac385590e2051823
 # These are the bytes version 0.1.0 wrote, pinned before format 2: each
 # artifact of this version, turned back into them by `v1_bytes`, must still
 # give them, so its rows, checks, statuses, details and witnesses are
-# unchanged
+# unchanged.  The extension of the cube and its passing certificate, the
+# verdict of B (a rank-4 poset search) and of torus (3,2) (judged from its
+# flags) were pinned later, at version 0.2.0, each with the bytes
+# `v1_bytes` gives for it
 ARTIFACT_SHA256_V1 = {
     "bstar/b.json": "436810899bae0a76ff199b3e153f5984ba28677a665290f98524a073a9a88050",
     "bstar/bstar.json": "a27c1f6ad7d80f97518fc439e9431a59bba9203246008263cc88176ec2d774a7",
@@ -70,16 +73,23 @@ ARTIFACT_SHA256_V1 = {
     "cube.hasse.dot": "89c56074605ef22876c919d560f423f7e80f3266e45a0e1f8128df4404ca5b44",
     "torus10.extension-certificate.json": "4cc8de8ccece56808e28861c1683f5fb6ebfb48fe57af0396fb225d9ecebc419",
     "torus11.verdict.json": "40595a85d4ee93b897cbdebcd35ac71aa94cc2eee63eab37d49d625e3f92ee4d",
+    "b.verdict.json": "f1aa789f31c5afc7ca6973f40b90317de9b00c7d4f0b9bc4bef3c63e74fa5f2e",
+    "cube.extension-certificate.json": "ef20d305ffdb533082ad6ebc932ca27326fd02a8870050de3e9e906a3abc5157",
+    "cube.extension-extension.json": "748808e154d20e7eafaee0d1103fdb7cbca68196657a3c7c0c6ddb119173050e",
+    "torus32.verdict.json": "6b3c672e4089d1bd8d86c575a792bd9d51319908fa9de9907eba2012f118246f",
 }
 
 # SHA-256 of the same artifacts as this version writes them
 ARTIFACT_SHA256 = {
     "b.hasse.dot": "a14deb7a99338e855fcef6ecdd3031322a31f7761c75a0c0589ccc9f94d709f3",
     "b.poset.json": "6eb997d41c6bd4c3b56874f3d1bb05b451ad07905b3891c076e44dd36ce3dbae",
+    "b.verdict.json": "d28cc5d45c6e9b68ce13ccc8c46180cc61bef41d92b54f183ef884e5e8e36474",
     "bstar/b.json": "0d7d9dda51bc951ca854cf7429a5b9988287fe0cc9a0ac4ef13af3152b0afcbc",
     "bstar/bstar.json": "38c0b45ebf52788b605d9d86d2bf24eb4948a144fe61046b53292e862a653328",
     "bstar/certificate.json": "67d86c5531cc6588d36d64035346c00a27cdac385590e2051823e2122abf9e38",
     "bstar/voltage-theta.json": "770544cf9946b27f3c02cea1bd136a389d0616fc6f1f168b939cda6a532af4fb",
+    "cube.extension-certificate.json": "c3ddd6e59d79200fe2e450897aaac4bc6cb67138ae741f8c485aae1d0d036c78",
+    "cube.extension-extension.json": "df6a329eecf069f046b7e1d996b6d9f7a3bf3be15cace6dc68fe595dd7a4f0e3",
     "cube.hasse.dot": "89c56074605ef22876c919d560f423f7e80f3266e45a0e1f8128df4404ca5b44",
     "cube.poset.json": "77d2bab7f47b80439212144b32e1574228b6063b542723bb3cb6629a6d8efb80",
     "find-theta.json": "770544cf9946b27f3c02cea1bd136a389d0616fc6f1f168b939cda6a532af4fb",
@@ -95,6 +105,7 @@ ARTIFACT_SHA256 = {
     "rank8/maniplex-rank8.json": "d1ba247a840424072c3c7fed66ef98e76465c5dd0576c74e4523fbd69b6275bc",
     "torus10.extension-certificate.json": "2925182a1905123e3dba14b7698a304c643743f8f9e2b4b95f361462b160d5d1",
     "torus11.verdict.json": "247ebe4ff94296793485360fdf59418d088d94d8a71f95bf37a0cf881a1c9916",
+    "torus32.verdict.json": "8a5c83502f50d68a38aa8ecee75f4ae53b32a364b265919c8306da756a970abc",
 }
 
 XOR4_DOC = {
@@ -349,18 +360,24 @@ def test_artifact_bytes_pinned(tmp_path):
     for path in bstar.iterdir():
         paths[f"bstar/{path.name}"] = path
     paths["find-theta.json"] = Path(gen(tmp_path, "find-theta.json", "find-theta", "-i", str(bstar / "b.json")))
+    srcs = {}
     for name, argv in (("b", ["build-b"]), ("cube", ["gen", "platonic", "--name", "cube"])):
-        src = gen(tmp_path, f"{name}.json", *argv)
+        src = srcs[name] = gen(tmp_path, f"{name}.json", *argv)
         for fmt, suffix in (("json", "poset.json"), ("hasse-dot", "hasse.dot")):
             paths[f"{name}.{suffix}"] = Path(gen(tmp_path, f"{name}.{suffix}", "export", "--format", fmt, "-i", src))
-    torus10 = gen(tmp_path, "torus10.json", "gen", "torus", "--b", "1", "--c", "0")
-    assert main(["extend", "--verify", "-i", torus10, "-o", str(tmp_path / "ext")]) == 1
+    paths["b.verdict.json"] = Path(gen(tmp_path, "b.verdict.json", "verdict", "-i", srcs["b"]))
+    assert main(["extend", "--verify", "-i", srcs["cube"], "-o", str(tmp_path / "cube-ext")]) == 0
+    for name in ("extension.json", "certificate.json"):
+        paths[f"cube.extension-{name}"] = tmp_path / "cube-ext" / name
+    for b, c in ((1, 0), (1, 1), (3, 2)):
+        srcs[f"torus{b}{c}"] = gen(tmp_path, f"torus{b}{c}.json", "gen", "torus", "--b", str(b), "--c", str(c))
+    assert main(["extend", "--verify", "-i", srcs["torus10"], "-o", str(tmp_path / "ext")]) == 1
     paths["torus10.extension-certificate.json"] = tmp_path / "ext" / "certificate.json"
-    torus11 = gen(tmp_path, "torus11.json", "gen", "torus", "--b", "1", "--c", "1")
-    paths["torus11.verdict.json"] = Path(gen(tmp_path, "torus11.verdict.json", "verdict", "-i", torus11))
+    for name in ("torus11", "torus32"):
+        paths[f"{name}.verdict.json"] = Path(gen(tmp_path, f"{name}.verdict.json", "verdict", "-i", srcs[name]))
     files = {name: path.read_bytes() for name, path in paths.items()}
     assert {name: digest(data) for name, data in files.items()} == ARTIFACT_SHA256
-    inputs = [*files.values(), Path(torus10).read_bytes(), Path(torus11).read_bytes()]
+    inputs = [*files.values(), *(Path(src).read_bytes() for src in srcs.values())]
     v1_digests = {digest(data): digest(v1_bytes(data, {})) for data in inputs if b'"perms"' in data}
     assert {name: digest(v1_bytes(data, v1_digests)) for name, data in files.items()} == ARTIFACT_SHA256_V1
 

@@ -135,6 +135,17 @@ def test_verdict_on_tori():
     assert v10.summary == "not sparse"
 
 
+def test_verdict_of_a_proper_section_failure_and_of_an_invalid_map(section_failure, two_squares):
+    # faithful, but not sparse: the witness is the section between proper
+    # faces that the poset search names; a maniplex that is not valid has
+    # no verdict
+    v = verdict(section_failure)
+    assert (v.sparse, v.semisparse, v.summary) == (False, False, "not sparse")
+    assert v.witness == ("strong-flag-connectivity", ("0:0", "3:0"))
+    with pytest.raises(ValueError, match="valid maniplex"):
+        verdict(Maniplex(two_squares.perms))
+
+
 def test_verdict_is_base_independent(b_maniplex):
     # renumber the flags so that flag 17 becomes the base flag 0
     swap = list(range(b_maniplex.flag_count))

@@ -35,6 +35,8 @@ from oracles import (
     facet_section_matches_base_by_labels,
     faithfulness_by_labels,
     order_isomorphic_by_cover_search,
+    polytope_report_by_masks,
+    poset_by_labels,
     quotient_by_pairs,
     section_by_filter,
     sections_match_base_by_triples,
@@ -186,6 +188,23 @@ def test_verify_extension_on_single_facet_base():
     assert detail == (0, 12)
 
 
+def test_verify_extension_over_a_proper_section_failure(section_failure):
+    # a valid, faithful base that fails strong flag connectivity between
+    # proper faces: the extension is valid and its facets copy the base,
+    # and its polytope checks are skipped, as the base is not polytopal
+    m = section_failure
+    res = verify_extension(m, faces(m, 3)[0])
+    st = statuses(res)
+    for name in ("extension-valid", "four-facets", "facets-copy-base", "ridges-in-two-facets"):
+        assert st[name] == PASS, name
+    assert (st["facet-sections-match-base"], st["tag-spans-match"]) == (PASS, PASS)
+    assert st["unfaithfulness-preserved"] == SKIP  # the base is faithful
+    for name in ("diamond", "strong-flag-connectivity", "polytopal"):
+        check = next(c for c in res.checks if c.name == name)
+        assert (check.status, check.detail) == (SKIP, "base is not polytopal")
+    assert all_ok(res.checks)
+
+
 def test_extension_facet_sections(bstar_result):
     m = bstar_result.bstar
     res = verify_extension(m, faces(m, 3)[0])
@@ -269,13 +288,13 @@ def moved_pair(p: RankedPoset) -> RankedPoset:
     structure."""
     a, b = min((a, b) for a, b in p.less if p.rank_of[a] == 0 and p.rank_of[b] == 1)
     c = min(x for x in p.level(1) if (a, x) not in p.less)
-    return RankedPoset(p.rank, p.faces, (p.less - {(a, b)}) | {(a, c)})
+    return poset_by_labels(p.rank, p.faces, (p.less - {(a, b)}) | {(a, c)})
 
 
 def swapped_facets(p: RankedPoset, a: str, b: str) -> RankedPoset:
     """p with the faces labelled a and b trading labels."""
     name = {a: b, b: a}
-    return RankedPoset(p.rank, p.faces, {(name.get(x, x), name.get(y, y)) for x, y in p.less})
+    return poset_by_labels(p.rank, p.faces, {(name.get(x, x), name.get(y, y)) for x, y in p.less})
 
 
 def test_facet_section_check_fails_on_mutated_posets():
@@ -353,7 +372,7 @@ def test_facet_sections_in_one_pass_match_each_facet(bstar_result):
         for t in range(4):
             facet = f"{rank - 1}:{t}"
             ridge = min(a for a, b in p_ext.less if b == facet and p_ext.rank_of[a] == rank - 2)
-            mutant = RankedPoset(p_ext.rank, p_ext.faces, p_ext.less - {(ridge, facet)})
+            mutant = poset_by_labels(p_ext.rank, p_ext.faces, p_ext.less - {(ridge, facet)})
             per_facet = [facet_section_matches_base_by_labels(p_base, ext.perms, mutant, u) for u in range(4)]
             assert per_facet == [u != t for u in range(4)], (rank, t)
             assert not extension._sections_match_base(m, p_base, ext, mutant), (rank, t)
@@ -388,7 +407,7 @@ def section_mutants(p: RankedPoset, t: int) -> list[RankedPoset]:
     a, b, c = next(found, (None, None, None))
     if a is None:
         return []
-    return [RankedPoset(p.rank, p.faces, less | {(a, c)}), RankedPoset(p.rank, p.faces, (less - {(a, b)}) | {(a, c)})]
+    return [poset_by_labels(p.rank, p.faces, less | {(a, c)}), poset_by_labels(p.rank, p.faces, (less - {(a, b)}) | {(a, c)})]
 
 
 def section_bases(bstar):
@@ -472,17 +491,23 @@ def facets_copy_base_by_search(ext: Maniplex, m: Maniplex) -> bool:
 
 
 def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, monkeypatch):
-    # over every extension of the extension corpus and of a disconnected
-    # base, and over a tag-crossing mutant of each, the tag arithmetic and
-    # the per-facet isomorphism search agree, and `four-facets` reports the
-    # facet table's distinct ids, read off `_tags_in_order` when it passes
-    bases = extension_corpus(bstar_result.bstar)
-    bases["two squares"] = two_squares
+    # over every extension of the extension corpus, and over a
+    # tag-crossing mutant of each, the tag arithmetic and the per-facet
+    # isomorphism search agree, and `four-facets` reports the facet table's
+    # distinct ids, read off `_tags_in_order` when it passes; over a
+    # disconnected base, which `verify_extension` refuses, the tag
+    # arithmetic alone and the search agree that no facet is a copy
     real = extension.extend
+    for facet in faces(two_squares, 1):
+        with pytest.raises(ValueError, match="base is not a valid maniplex"):
+            verify_extension(two_squares, facet)
+        ext = real(two_squares, facet)
+        assert _rows_copy_base(two_squares, ext) and not extension._tags_in_order(face_table(ext, 2))
+        assert not facets_copy_base_by_search(ext, two_squares)
     checked, counts = 0, set()
-    for name, m in bases.items():
+    for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
-            for build, expected in ((real, name != "two squares"), (lambda m, f: crossed(real(m, f)), False)):
+            for build, expected in ((real, True), (lambda m, f: crossed(real(m, f)), False)):
                 monkeypatch.setattr(extension, "extend", build)
                 res = verify_extension(m, facet)
                 copies = statuses(res)["facets-copy-base"] == PASS
@@ -492,7 +517,7 @@ def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, 
                 assert (count.status == PASS) == (count.detail == 4)
                 counts.add(count.detail)
             checked += 1
-    assert checked == 145
+    assert checked == 137
     assert 4 in counts and len(counts) > 1  # the count both read off and counted
 
 
@@ -610,13 +635,13 @@ def test_verify_extension_groups_only_the_base_facets(bstar_result, monkeypatch)
 
 
 def test_ridge_check_names_a_ridge_under_one_facet(monkeypatch):
-    # drop one ridge-facet pair from the extension's poset: that ridge is
-    # then under one facet, and the check names it with the count
+    # drop one ridge-facet pair from the extension's marked poset: that
+    # ridge is then under one facet, and the check names it with the count
     cube = platonic("cube")
     ext_poset = pos_of(extend(cube, faces(cube, 2)[0]))
     ridge = ext_poset.level(2)[0]
     facet = min(x for x in ext_poset.level(3) if (ridge, x) in ext_poset.less)
-    dropped = RankedPoset(ext_poset.rank, ext_poset.faces, ext_poset.less - {(ridge, facet)})
+    dropped = marked_without(ext_poset, ext_poset.labels.index(ridge), ext_poset.labels.index(facet))
     monkeypatch.setattr(extension, "pos_of", lambda m: dropped if m.rank == 4 else pos_of(m))
     res = verify_extension(cube, faces(cube, 2)[0])
     check = next(c for c in res.checks if c.name == "ridges-in-two-facets")
@@ -771,43 +796,38 @@ def assert_read_off_base(m: Maniplex, ext: Maniplex) -> None:
 
 
 def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, monkeypatch):
-    # over every extension of the extension corpus and of a disconnected
-    # base, and over four mutants of each, the tables, report and poset
-    # that verify_extension keeps equal the flag-based ones.  The face
-    # tables are read off the base exactly when the old colours copy a
-    # valid base and every new-colour image stays inside its quad; the
-    # validation is then read off too unless an axiom fails, when the full
-    # validate runs for its witnesses
-    bases = extension_corpus(bstar_result.bstar)
-    bases["two squares"] = two_squares
+    # over every extension of the extension corpus, and over five mutants
+    # of each, the tables, report and poset that verify_extension keeps
+    # equal the flag-based ones.  The face tables are read off the base
+    # exactly when the old colours copy it and every new-colour image
+    # stays inside its quad; the validation is then read off too unless an
+    # axiom fails, when the full validate runs for its witnesses.  A
+    # disconnected base is refused before any of it
     real = extension.extend
     calls = counting_searches(monkeypatch)
     paths = Counter()
-    for name, m in bases.items():
+    for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
             for kind, mutate in MUTANTS:
                 monkeypatch.setattr(extension, "extend", lambda m, f: mutate(real(m, f)))
                 calls.clear()
                 ext = verify_extension(m, facet).extension
                 searches = [len(cols) for who, cols in calls if who == id(ext)]
-                paths[kind, name == "two squares", m.rank not in searches, m.rank + 1 not in searches] += 1
+                paths[kind, m.rank not in searches, m.rank + 1 not in searches] += 1
                 assert_read_off_base(m, ext)
-    # (mutant, disconnected base, tables read off, validation read off)
+    # (mutant, tables read off, validation read off)
     assert paths == {
-        ("real", False, True, True): 135,
-        ("real", False, True, False): 2,  # torus (1, 0) and (0, 1): the extension is disconnected
-        ("real", True, False, False): 8,
-        ("crossed", False, False, False): 137,  # the old colours do not copy the base
-        ("crossed", True, False, False): 8,
-        ("crossed in tags 1, 2", False, False, False): 137,
-        ("crossed in tags 1, 2", True, False, False): 8,
-        ("swapped", False, True, False): 137,  # the squares with the new colour fail
-        ("swapped", True, False, False): 8,
-        ("out of quad", False, False, False): 137,
-        ("out of quad", True, False, False): 8,
-        ("image moved up", False, False, False): 137,
-        ("image moved up", True, False, False): 8,
+        ("real", True, True): 135,
+        ("real", True, False): 2,  # torus (1, 0) and (0, 1): the extension is disconnected
+        ("crossed", False, False): 137,  # the old colours do not copy the base
+        ("crossed in tags 1, 2", False, False): 137,
+        ("swapped", True, False): 137,  # the squares with the new colour fail
+        ("out of quad", False, False): 137,
+        ("image moved up", False, False): 137,
     }
+    for facet in faces(two_squares, 1):
+        with pytest.raises(ValueError, match="base is not a valid maniplex"):
+            verify_extension(two_squares, facet)
 
 
 def quad_0_fixed(m: Maniplex, ext: Maniplex) -> Maniplex:
@@ -975,10 +995,12 @@ def counting_judgements(monkeypatch) -> list:
 def test_amalgamated_reports_equal_a_fresh_search(bstar_result, monkeypatch):
     # on the tower's ranks 5-8 over each of the base's four facets, and on
     # every extension of the extension corpus: the report a step left on
-    # the extension's poset equals a fresh search of that poset and of its
-    # label-built copy, and the step searched it exactly when a premise of
-    # the amalgamation failed; with a base that is not polytopal it left
-    # no report at all
+    # the extension's poset equals a fresh search of that poset and the
+    # mask reference's full test of it, which checks transitivity,
+    # boundedness, gradedness and the sections at the least and greatest
+    # faces too, and the step searched it exactly when a premise of the
+    # amalgamation failed; with a base that is not polytopal it left no
+    # report at all
     judged = counting_judgements(monkeypatch)
     paths = Counter()
 
@@ -993,7 +1015,9 @@ def test_amalgamated_reports_equal_a_fresh_search(bstar_result, monkeypatch):
         premises = ("facet-sections-match-base", "ridges-in-two-facets", "extension-valid")
         amalgamated = all(st[check] == PASS for check in premises)
         assert any(q is p for q in judged) != amalgamated, (name, facet.canonical)
-        assert p._report == poset._judge(p) == poset._judge(RankedPoset(p.rank, p.faces, p.less)), name
+        report = p._report
+        assert report == poset._judge(p), name
+        assert (report.ok, report.failed, report.witness) == polytope_report_by_masks(p), name
         paths["amalgamated" if amalgamated else "searched"] += 1
         return res.extension
 
@@ -1028,8 +1052,9 @@ def marked_without(p: RankedPoset, a: int, b: int) -> RankedPoset:
 def test_each_failed_premise_falls_back_to_the_search(monkeypatch):
     # the cube's extension, with each premise of the amalgamation made to
     # fail in turn: the step searches the extension's poset and reports
-    # what the search finds, or, over a base that is not polytopal, skips
-    # the polytope checks and leaves no report
+    # what the search finds, or, over a base that is not polytopal or with
+    # an extension that is not valid, skips the polytope checks and leaves
+    # no report
     judged = counting_judgements(monkeypatch)
     cube = platonic("cube")
     facet = faces(cube, 2)[0]
@@ -1066,17 +1091,24 @@ def test_each_failed_premise_falls_back_to_the_search(monkeypatch):
 
     base = Maniplex(cube.perms)
     validate(base)
-    pos_of(base)._report = poset.PolytopeReport(False, "strong-flag-connectivity", ("-1:0", "2:0"), None)
+    pos_of(base)._report = poset.PolytopeReport(False, "strong-flag-connectivity", ("0:0", "3:0"))
     st, p, searched = step(base)
     assert not searched and p._report is None
     assert (st["facet-sections-match-base"], st["polytopal"]) == (PASS, SKIP)
 
     with monkeypatch.context() as patch:
+        # an extension whose own report fails has an unmarked poset, which
+        # is not judged: its polytope checks are skipped with the reason
         patch.setattr(extension, "_validate_over_base", lambda m, ext, quotient: core.ValidationReport(False, ()))
-        st, p, searched = step()
-        assert not p.of_valid_maniplex
-        assert searched and p._report == poset._judge(p) and p._report.ok
-        assert (st["extension-valid"], st["facet-sections-match-base"], st["polytopal"]) == (FAIL, PASS, PASS)
+        res = verify_extension(cube, facet)
+        st, p = statuses(res), extension.pos_of(res.extension)
+        assert not p.of_valid_maniplex and p._report is None
+        with pytest.raises(ValueError, match="valid maniplex"):
+            poset.is_polytope(p)
+        assert (st["extension-valid"], st["facet-sections-match-base"]) == (FAIL, PASS)
+        for name in ("diamond", "strong-flag-connectivity", "polytopal"):
+            check = next(c for c in res.checks if c.name == name)
+            assert (check.status, check.detail) == (SKIP, "extension is not a valid maniplex")
 
 
 def test_second_extension_step(bstar_result):

@@ -18,15 +18,12 @@ from maniplex.extension import extend, verify_extension
 from maniplex.poset import (
     ISO_FACE_LIMIT,
     RankedPoset,
-    boundedness_witness,
     diamond_witness,
     flag_connectivity_witness,
-    gradedness_witness,
     is_faithful,
     is_polytopal,
     is_polytope,
     maximal_chains,
-    order_transitivity_witness,
     pos_of,
     poset_isomorphism,
     poset_to_dot,
@@ -43,10 +40,16 @@ from oracles import (
     flag_function,
     flag_graph_by_chains,
     polytope_report_by_label_sets,
+    boundedness_witness_by_masks,
+    gradedness_witness_by_masks,
+    polytope_report_by_masks,
     pos_of_by_labels,
+    poset_by_labels,
     renumber,
     section_by_filter,
     section_chains_connected,
+    transitivity_witness_by_label_sets,
+    transitivity_witness_by_masks,
 )
 import suites
 from test_extension import crossed, moved_pair
@@ -55,18 +58,18 @@ from test_extension import crossed, moved_pair
 # for the tests that compare the same posets with it
 label_set_report = functools.lru_cache(maxsize=None)(polytope_report_by_label_sets)
 
-# hand-built pathological posets
-NOT_TRANSITIVE = RankedPoset(
+# hand-built pathological posets, which the package does not judge
+NOT_TRANSITIVE = poset_by_labels(
     2,
     (("b",), ("x",), ("y",), ("t",)),
     {("b", "x"), ("x", "y"), ("y", "t"), ("b", "y"), ("x", "t")},  # (b, t) missing
 )
-TWO_MINIMA = RankedPoset(
+TWO_MINIMA = poset_by_labels(
     1,
     (("b1", "b2"), ("x",), ("t",)),
     {("b1", "x"), ("b2", "x"), ("x", "t"), ("b1", "t"), ("b2", "t")},
 )
-RANK_SKIPPER = RankedPoset(
+RANK_SKIPPER = poset_by_labels(
     2,
     (("b",), ("v", "w"), ("e",), ("t",)),
     {("b", "v"), ("b", "w"), ("b", "e"), ("b", "t"), ("v", "e"), ("v", "t"), ("w", "t"), ("e", "t")},
@@ -74,14 +77,18 @@ RANK_SKIPPER = RankedPoset(
 
 
 def test_ranked_poset_validation():
+    """The tests' label-built posets are checked as they are numbered; the
+    package builds posets only from face tables, with no label constructor."""
     with pytest.raises(FormatError):
-        RankedPoset(1, (("a",), ("a",), ("t",)), set())
+        poset_by_labels(1, (("a",), ("a",), ("t",)), set())
     with pytest.raises(FormatError):
-        RankedPoset(1, (("a",), ("t",)), set())
+        poset_by_labels(1, (("a",), ("t",)), set())
     with pytest.raises(FormatError):
-        RankedPoset(1, (("a",), ("x",), ("t",)), {("x", "a")})
+        poset_by_labels(1, (("a",), ("x",), ("t",)), {("x", "a")})
     with pytest.raises(FormatError):
-        RankedPoset(1, (("a",), ("x",), ("t",)), {("a", "ghost")})
+        poset_by_labels(1, (("a",), ("x",), ("t",)), {("a", "ghost")})
+    with pytest.raises(TypeError):
+        RankedPoset(1, (("a",), ("x",), ("t",)), {("a", "x"), ("x", "t"), ("a", "t")})
 
 
 def test_pos_of_square_structure():
@@ -104,33 +111,47 @@ def test_covers_of_square():
 
 
 def test_axiom_witnesses_on_pathologies():
-    assert order_transitivity_witness(NOT_TRANSITIVE) == ("b", "x", "t")
-    report = is_polytope(NOT_TRANSITIVE)
-    assert not report.ok and report.malformed == "order-not-transitive"
-
-    assert boundedness_witness(TWO_MINIMA) == ("minimum", ("b1", "b2"))
-    assert is_polytope(TWO_MINIMA).failed == "bounded"
-
-    assert order_transitivity_witness(RANK_SKIPPER) is None
-    assert boundedness_witness(RANK_SKIPPER) is None
-    assert gradedness_witness(RANK_SKIPPER) == ("w", "t")
-    assert is_polytope(RANK_SKIPPER).failed == "graded"
+    """The mask and label-set references name the axiom each pathology
+    fails, with the same witness; the package refuses to judge any of
+    them, as none is the face poset of a valid maniplex."""
+    assert transitivity_witness_by_masks(NOT_TRANSITIVE) == ("b", "x", "t")
+    assert transitivity_witness_by_label_sets(NOT_TRANSITIVE.faces, NOT_TRANSITIVE.less) == ("b", "x", "t")
+    assert label_set_report(NOT_TRANSITIVE.faces, NOT_TRANSITIVE.less) == (False, "order-not-transitive", ("b", "x", "t"))
+    assert boundedness_witness_by_masks(TWO_MINIMA) == ("minimum", ("b1", "b2"))
+    assert label_set_report(TWO_MINIMA.faces, TWO_MINIMA.less) == (False, "bounded", ("minimum", ("b1", "b2")))
+    assert transitivity_witness_by_masks(RANK_SKIPPER) is None
+    assert transitivity_witness_by_label_sets(RANK_SKIPPER.faces, RANK_SKIPPER.less) is None
+    assert boundedness_witness_by_masks(RANK_SKIPPER) is None
+    assert gradedness_witness_by_masks(RANK_SKIPPER) == ("w", "t")
+    assert label_set_report(RANK_SKIPPER.faces, RANK_SKIPPER.less) == (False, "graded", ("w", "t"))
+    for p in (NOT_TRANSITIVE, TWO_MINIMA, RANK_SKIPPER):
+        assert polytope_report_by_masks(p) == label_set_report(p.faces, p.less)
+        with pytest.raises(ValueError, match="valid maniplex"):
+            is_polytope(p)
 
 
 def test_boundedness_witness_takes_faces_in_order():
-    # y is neither above the least face nor below the greatest: the least-face
-    # test comes first; z, later in label order, only misses the greatest;
-    # without (b, t) the least face itself comes first
+    # the boundedness witness on masks: y is neither above the least face
+    # nor below the greatest, and the least-face test comes first; z, later
+    # in label order, only misses the greatest; without (b, t), or with no
+    # pair at the greatest face, the least face itself comes first.  The
+    # whole reports of the two references agree: a bounded failure with
+    # that witness, but for the poset without (b, t), which fails
+    # transitivity first
     levels = (("b",), ("x", "y", "z"), ("t",))
     less = {("b", "x"), ("b", "z"), ("b", "t"), ("x", "t")}
-    assert boundedness_witness(RankedPoset(1, levels, less)) == ("minimum-not-below", "y")
-    assert boundedness_witness(RankedPoset(1, levels, less | {("b", "y")})) == ("maximum-not-above", "y")
-    assert boundedness_witness(RankedPoset(1, levels, less | {("b", "y"), ("y", "t")})) == ("maximum-not-above", "z")
-    assert boundedness_witness(RankedPoset(1, levels, less - {("b", "t")})) == ("maximum-not-above", "b")
-    for case in (less, less | {("b", "y")}, less - {("b", "t")}):
-        report = is_polytope(RankedPoset(1, levels, case))
-        got = (report.ok, report.failed, report.witness, report.malformed)
-        assert got == polytope_report_by_label_sets(levels, case)
+    bounded = "bounded"
+    for case, witness, failed in (
+        (less, ("minimum-not-below", "y"), bounded),
+        (less | {("b", "y")}, ("maximum-not-above", "y"), bounded),
+        (less | {("b", "y"), ("y", "t")}, ("maximum-not-above", "z"), bounded),
+        (less - {("b", "t")}, ("maximum-not-above", "b"), ("order-not-transitive", ("b", "x", "t"))),
+        ({("b", "x"), ("b", "y"), ("b", "z")}, ("maximum-not-above", "b"), bounded),
+    ):
+        p = poset_by_labels(1, levels, case)
+        assert boundedness_witness_by_masks(p) == witness
+        want = (False, "bounded", witness) if failed is bounded else (False, *failed)
+        assert polytope_report_by_label_sets(levels, case) == polytope_report_by_masks(p) == want
 
 
 def test_diamond_witness_torus11():
@@ -171,7 +192,8 @@ def test_flag_function_matches_label_oracle(named_corpus, b_maniplex, bstar_resu
 
 def test_faithfulness_witness_under_renumbering(bstar_result):
     """is_faithful and verdict against the label-string
-    oracle on seeded flag renumberings.
+    oracle on seeded flag renumberings; verdict refuses the cube beside
+    torus (1,0), which is not a valid maniplex.
 
     Flag 0's chain is all ids 0, first in any order, and in B*, torus (1,0)
     and the rank-5 extension it is shared, so their witnesses start at flag
@@ -186,18 +208,22 @@ def test_faithfulness_witness_under_renumbering(bstar_result):
     rng = random.Random(20261018)
     string_order_differs = 0
     for m in members:
-        sparse = verdict(m).sparse
+        sparse = verdict(m).sparse if m is not beside else None
         for _ in range(4):
             sigma = list(range(m.flag_count))
             rng.shuffle(sigma)
             moved = Maniplex(renumber(m.perms, sigma))
             faithful, witness = faithfulness_by_labels(moved)
             assert tuple(is_faithful(moved)) == (faithful, witness)
-            v = verdict(moved)
-            assert v.sparse == sparse
-            assert v.semisparse == (sparse and faithful)
-            if sparse:
-                assert v.witness == witness
+            if m is beside:
+                with pytest.raises(ValueError, match="valid maniplex"):
+                    verdict(moved)
+            else:
+                v = verdict(moved)
+                assert v.sparse == sparse
+                assert v.semisparse == (sparse and faithful)
+                if sparse:
+                    assert v.witness == witness
             if not faithful:
                 table = flag_function(moved)
                 shared = [fiber for fiber in table.fibers.values() if len(fiber) > 1]
@@ -260,53 +286,80 @@ def pyramid(p: RankedPoset, mark: str) -> RankedPoset:
     levels.append((apex[p.level(p.rank)[0]],))
     less = {*p.less, *((apex[a], apex[b]) for a, b in p.less), *((a, apex[b]) for a, b in p.less)}
     less |= {(a, apex[a]) for a in p.rank_of}
-    return RankedPoset(p.rank + 1, tuple(levels), less)
+    return poset_by_labels(p.rank + 1, tuple(levels), less)
 
 
 def dual_poset(p: RankedPoset) -> RankedPoset:
-    return RankedPoset(p.rank, tuple(reversed(p.faces)), {(b, a) for a, b in p.less})
+    return poset_by_labels(p.rank, tuple(reversed(p.faces)), {(b, a) for a, b in p.less})
 
 
-def connectivity_against_oracle(p: RankedPoset):
-    """The oracle's first failing section; is_polytope must fail on strong
-    flag connectivity exactly when there is one, naming a section whose
-    chain graph the oracle finds disconnected."""
+def connectivity_against_oracle(p: RankedPoset, report: tuple):
+    """The oracle's first failing section; the report (ok, failed,
+    witness) of p must fail on strong flag connectivity exactly when there
+    is one, naming a section whose chain graph the oracle finds
+    disconnected."""
     want = flag_connectivity_by_sections(p.faces, p.less)
-    report = is_polytope(p)
-    assert (report.failed == "strong-flag-connectivity") == (want is not None), (report, want)
+    assert (report[1] == "strong-flag-connectivity") == (want is not None), (report, want)
     if want is not None:
-        assert not section_chains_connected(p.faces, p.less, *report.witness)
+        assert not section_chains_connected(p.faces, p.less, *report[2])
     return want
 
 
-def test_flag_connectivity_matches_section_oracle(oracle_members, two_squares):
-    for m in oracle_members:
-        p = pos_of(m)
-        assert flag_connectivity_witness(p) == connectivity_against_oracle(p), m
-    assert flag_connectivity_witness(pos_of(two_squares)) == ("-1:0", "2:0")
+def test_flag_connectivity_matches_section_oracle(oracle_members, two_squares, section_failure):
+    """On the valid oracle members and a map failing at a proper section,
+    the package's search; on two squares, not connected, the mask
+    reference fails at the whole poset, as the oracle does, and the
+    package refuses to judge them."""
+    for m in [*oracle_members, section_failure]:
+        if m is not two_squares:
+            p = pos_of(m)
+            assert flag_connectivity_witness(p) == connectivity_against_oracle(p, report_of(p)), m
+    p = pos_of(two_squares)
+    report = polytope_report_by_masks(p)
+    assert connectivity_against_oracle(p, report) == report[2] == ("-1:0", "2:0")
+    with pytest.raises(ValueError, match="valid maniplex"):
+        is_polytope(p)
 
 
-def test_is_polytope_matches_label_set_oracle(oracle_members):
+def test_is_polytope_matches_label_set_oracle(oracle_members, section_failure):
     """The whole report, witness included, against the label-set oracle on
-    the oracle members' posets, the pathologies, and each of them with one
-    order pair dropped and, where there is one to move, one pair moved."""
-    posets = [pos_of(m) for m in oracle_members] + [NOT_TRANSITIVE, TWO_MINIMA, RANK_SKIPPER]
-    rng = random.Random(20261018)
-    mutants = []
+    the valid oracle members' posets and a map failing at a proper section.
+    The posets of the other oracle member (two squares), the pathologies,
+    and each of these posets with one order pair dropped and, where there
+    is one to move, one pair moved, are no valid maniplex's face posets:
+    the package refuses to judge them, the mask reference's report equals
+    the oracle's, which finds every axiom failed among them, and where
+    the oracle finds the order a bounded, graded partial order, the
+    package's diamond witness is the oracle's."""
+    posets = [pos_of(m) for m in [*oracle_members, section_failure]]
+    outcomes = set()
     for p in posets:
-        mutants.append(RankedPoset(p.rank, p.faces, p.less - {rng.choice(sorted(p.less))}))
+        if p.of_valid_maniplex:
+            want = label_set_report(p.faces, p.less)
+            assert report_of(p) == polytope_report_by_masks(p) == want, p.faces
+            outcomes.add(want[1])
+    assert outcomes == {None, "diamond", "strong-flag-connectivity"}
+    rng = random.Random(20261018)
+    pathologies = [NOT_TRANSITIVE, TWO_MINIMA, RANK_SKIPPER]
+    unmarked = [p for p in posets if not p.of_valid_maniplex] + pathologies
+    for p in posets + pathologies:
+        unmarked.append(poset_by_labels(p.rank, p.faces, p.less - {rng.choice(sorted(p.less))}))
         try:
-            mutants.append(moved_pair(p))
+            unmarked.append(moved_pair(p))
         except ValueError:  # no pair to move: every rank-1 face lies above that vertex
             pass
-    outcomes = set()
-    for p in posets + mutants:
-        report = is_polytope(p)
+    outcomes, diamonds = set(), 0
+    for p in unmarked:
+        with pytest.raises(ValueError, match="valid maniplex"):
+            is_polytope(p)
         want = label_set_report(p.faces, p.less)
-        assert (report.ok, report.failed, report.witness, report.malformed) == want, p.faces
-        outcomes.add(want[1] or want[3])
-    axioms = {"order-not-transitive", "bounded", "graded", "diamond", "strong-flag-connectivity"}
-    assert outcomes == axioms | {None}
+        assert polytope_report_by_masks(p) == want, p.faces
+        outcomes.add(want[1])
+        if want[1] in (None, "diamond", "strong-flag-connectivity"):
+            assert diamond_witness(p) == (want[2] if want[1] == "diamond" else None), p.faces
+            diamonds += want[1] == "diamond"
+    assert outcomes == {"order-not-transitive", "bounded", "graded", "diamond", "strong-flag-connectivity"}
+    assert diamonds > 0
 
 
 def test_pos_of_matches_label_oracle(oracle_members):
@@ -322,22 +375,20 @@ def test_pos_of_matches_label_oracle(oracle_members):
         p, want = pos_of(m), pos_of_by_labels(m)
         assert (p.rank, p.faces, p.less, p.covers, p.rank_of) == want, m
         assert list(p.rank_of) == list(want.rank_of)
-        rebuilt = RankedPoset(want.rank, want.faces, want.less)
+        rebuilt = poset_by_labels(want.rank, want.faces, want.less)
         assert rebuilt == p and hash(rebuilt) == hash(p)
         # the bounded masks, set as whole ranges, and every pair kept
         assert rebuilt.down == p.down and sorted(rebuilt.pairs) == sorted(p.pairs)
-        assert RankedPoset(want.rank, want.faces, want.less - {min(want.less)}) != p
+        assert poset_by_labels(want.rank, want.faces, want.less - {min(want.less)}) != p
         assert tuple(is_faithful(m)) == faithfulness_by_labels(m), m
     for m in pool:
         p = pos_of(m)
-        report = is_polytope(p)
-        got = (report.ok, report.failed, report.witness, report.malformed)
-        assert got == label_set_report(p.faces, p.less), m
+        assert report_of(p) == label_set_report(p.faces, p.less), m
 
 
 def report_of(p: RankedPoset) -> tuple:
     report = is_polytope(p)
-    return (report.ok, report.failed, report.witness, report.malformed)
+    return (report.ok, report.failed, report.witness)
 
 
 def redirected(m: Maniplex) -> Maniplex:
@@ -349,30 +400,40 @@ def redirected(m: Maniplex) -> Maniplex:
 
 
 def test_marked_posets_judge_as_their_label_built_copies(oracle_members):
-    """The face poset of a validated maniplex is marked, and judged skipping
-    what its construction proves; its report, witness included, must equal
-    the label-set oracle's and the full judgement of its label-built copy,
-    on the oracle members (two disjoint squares among them), every census
-    pool map and mutants: crossed colour-0 edges (permutation rows that fail
-    the axioms), crossed colour-1 edges (another valid map at rank 3, rows
-    failing the square axiom at rank 6) and a redirected entry (a row that
-    is no permutation)."""
+    """The face poset of a maniplex is marked exactly when the maniplex is
+    valid, whether or not it was validated before `pos_of` ran.  A marked
+    poset is judged skipping what its construction proves, and its report,
+    witness included, must equal the label-set oracle's on its label sets;
+    an unmarked one is not judged, and neither `polytope_report` nor
+    `verdict` judges its maniplex, while the mask reference's report of it
+    equals the oracle's.  On the oracle members (two disjoint
+    squares among them), every census pool map and mutants: crossed
+    colour-0 edges (permutation rows that fail the axioms), crossed
+    colour-1 edges (another valid map at rank 3, rows failing the square
+    axiom at rank 6) and a redirected entry (a row that is no
+    permutation)."""
     pool = [torus_44(b, c) for b, c in suites.TORUS_POOL]
     mutants = []
     for m in (platonic("cube"), platonic("hemicube"), torus_44(2, 1), torus_44(1, 1), oracle_members[-1]):
         mutants += [crossed(m), crossed(m, 1, 0, 5), redirected(m)]
     marked = unmarked = 0
     for member in [*oracle_members, *pool, *mutants]:
-        m = Maniplex(member.perms)  # no poset cached from elsewhere
-        valid = validate(m).ok
-        p = pos_of(m)
-        assert p.of_valid_maniplex == valid, m
+        for validated_first in (True, False):
+            m = Maniplex(member.perms)  # nothing cached from elsewhere
+            if validated_first:
+                validate(m)
+            p = pos_of(m)
+            valid = validate(m).ok
+            assert p.of_valid_maniplex == valid, m
+            if valid:
+                assert report_of(p) == label_set_report(p.faces, p.less), m
+            else:
+                assert polytope_report_by_masks(p) == label_set_report(p.faces, p.less), m
+                for judge in (is_polytope, poset.polytope_report, verdict):
+                    with pytest.raises(ValueError, match="valid maniplex"):
+                        judge(p if judge is is_polytope else m)
         marked += valid
         unmarked += not valid
-        copy = RankedPoset(p.rank, p.faces, p.less)
-        assert not copy.of_valid_maniplex and copy == p
-        got = report_of(p)
-        assert got == report_of(copy) == label_set_report(p.faces, p.less), m
     assert (marked, unmarked) == (len(oracle_members) - 1 + len(pool) + 4, 1 + 11)
 
 
@@ -419,11 +480,12 @@ def disconnected_boundary_section(p: RankedPoset):
 
 def test_marked_posets_hold_the_construction_facts():
     """On seeded random flag graphs: every marked poset (a valid maniplex's:
-    random maps and their rank-4 extensions) is graded and has every
-    section at the least or greatest face connected, and its report equals
-    its label-built copy's.  Rows that are no permutation are never marked,
-    and some of them do have a disconnected boundary section, so the mark
-    needs the valid report."""
+    random maps and their rank-4 extensions) is a bounded, graded partial
+    order, as the label-set oracle finds, with every section at the least
+    or greatest face connected, and its report equals the oracle's, which
+    checks all of that first.  Rows that are no permutation are never
+    marked, and some of them do have a disconnected boundary section, so
+    the mark needs the valid report."""
     rng = random.Random(20261019)
     marked = disconnected = 0
     for _ in range(150):
@@ -437,69 +499,77 @@ def test_marked_posets_hold_the_construction_facts():
             assert p.of_valid_maniplex == valid
             if valid:
                 marked += 1
-                assert order_transitivity_witness(p) is None
-                assert gradedness_witness(p) is None
                 assert disconnected_boundary_section(p) is None
-                assert report_of(p) == report_of(RankedPoset(p.rank, p.faces, p.less))
+                want = polytope_report_by_label_sets(p.faces, p.less)
+                assert want[1] not in ("order-not-transitive", "bounded", "graded")
+                assert report_of(p) == want
     for _ in range(300):
         size, rank = 2 * rng.randint(2, 8), rng.randint(3, 4)
         m = Maniplex(tuple(tuple(rng.randrange(size) for _ in range(size)) for _ in range(rank)))
-        validate(m)
         p = pos_of(m)
         assert not p.of_valid_maniplex
         disconnected += disconnected_boundary_section(p) is not None
     assert marked >= 150 and disconnected > 0
 
 
-def report_members(named_corpus, two_squares) -> list[Maniplex]:
+def report_members(named_corpus, two_squares, section_failure) -> list[Maniplex]:
     """Every census pool map (the pool holds each map's mirror too), the
     named maps, the tori that fail the diamond condition, rank-1 and rank-2
     maniplexes, seeded random rank-3 maps and their duals, valid or not,
-    and two disjoint squares and cubes."""
+    a rank-4 map failing at a proper section, and two disjoint squares and
+    cubes."""
     rng = random.Random(20261020)
     members = [torus_44(b, c) for b, c in suites.TORUS_POOL] + list(named_corpus.values())
     members += [torus_44(b, c) for b, c in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))]
     members += [Maniplex(([1, 0],)), Maniplex(([1, 0, 3, 2], [3, 2, 1, 0]))]
     members += [coset_enumerate(string_coxeter([k])).to_maniplex() for k in (3, 5)]
     randoms = [random_map(rng, rng.randint(2, 8)) for _ in range(100)]
-    members += randoms + [dual(m) for m in randoms]
+    members += randoms + [dual(m) for m in randoms] + [section_failure]
     cube = named_corpus["cube"]
     return members + [two_squares, Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms))]
 
 
-def test_polytope_report_matches_the_poset_search(named_corpus, two_squares, monkeypatch):
-    """`polytope_report` of a validated copy of each report member against
-    the search of the member's poset and the label-set oracle; the two
-    disjoint squares and cubes only the poset search refuses.  A valid copy
-    of rank <= 3 is judged from its flags, with no poset built, and by
-    fact (e) of the `poset` module docstring a polytopal, faithful one is
-    accepted by whole rows, with no call to the per-pair count.  Tori (1,0)
-    and (0,1) are refused by the end-rank comparison, and torus (1,1) by
-    the middle count, 16 chains over 4 (vertex, face) pairs."""
+def test_polytope_report_matches_the_poset_search(named_corpus, two_squares, section_failure, monkeypatch):
+    """`polytope_report` of a copy of each valid report member against the
+    search of the member's poset and the label-set oracle; it refuses the
+    others, among them the two disjoint squares and cubes.  A copy of rank
+    <= 3 is judged from its flags, with no poset built, and so is a copy
+    whose poset was built first; by fact (e) of the `poset` module
+    docstring a polytopal, faithful one is accepted by whole rows, with no
+    call to the per-pair count.  Tori (1,0) and (0,1) are refused by the
+    end-rank comparison, and torus (1,1) by the middle count, 16 chains
+    over 4 (vertex, face) pairs."""
     counted = []
     real = poset._diamond_report
     monkeypatch.setattr(poset, "_diamond_report", lambda n, tables: counted.append(n) or real(n, tables))
-    failed, flag_judged, accepted = set(), 0, 0
-    for m in report_members(named_corpus, two_squares):
-        copy = Maniplex(m.perms)
-        valid = validate(copy).ok
+    failed, flag_judged, accepted, refused = set(), 0, 0, 0
+    for m in report_members(named_corpus, two_squares, section_failure):
+        copy, built_first = Maniplex(m.perms), Maniplex(m.perms)
+        if not validate(copy).ok:
+            with pytest.raises(ValueError, match="valid maniplex"):
+                poset.polytope_report(copy)
+            refused += 1
+            continue
         before = len(counted)
         report = poset.polytope_report(copy)
         assert poset.polytope_report(copy) is report
-        if valid:
-            assert "poset" not in copy._cache, m
+        p_first = pos_of(built_first)
+        assert poset.polytope_report(built_first) == report, m
+        if m.rank <= 3:
+            assert "poset" not in copy._cache and p_first._report is None, m
             flag_judged += 1
             if report.ok and is_faithful(m).faithful:
                 assert len(counted) == before, m
                 accepted += 1
         p = pos_of(m)
         assert report == is_polytope(p), m
-        assert (report.ok, report.failed, report.witness, report.malformed) == label_set_report(p.faces, p.less), m
+        assert (report.ok, report.failed, report.witness) == label_set_report(p.faces, p.less), m
         assert is_polytopal(copy) == report.ok
         if not report.ok:
             failed.add((report.failed, report.witness[0] == "-1:0", report.witness[1] == f"{m.rank}:0"))
     assert flag_judged >= len(suites.TORUS_POOL) + 20
     assert accepted >= len(suites.TORUS_POOL)
+    assert refused >= 3
     # witnesses at the least face, at the greatest and between proper faces
     assert {w[1:] for w in failed} >= {(True, False), (False, True), (False, False)}
     assert {w[0] for w in failed} == {"diamond", "strong-flag-connectivity"}
@@ -522,19 +592,21 @@ def test_polytope_report_matches_the_poset_search(named_corpus, two_squares, mon
         assert not poset.polytope_report(m).ok and len(counted) == before + 1
 
 
-def test_polytope_report_shares_faithfulness(named_corpus, two_squares):
+def test_polytope_report_shares_faithfulness(named_corpus, two_squares, section_failure):
     """`is_faithful` read after `polytope_report` equals `is_faithful` on a
-    fresh copy, witness included, on the report members; the report leaves
-    the faithful result in the cache exactly when it accepts a valid
-    rank-3 map whose chains are all distinct."""
+    fresh copy, witness included, on the valid report members (the report
+    refuses the others); the report leaves the faithful result in the
+    cache exactly when it accepts a rank-3 map whose chains are all
+    distinct."""
     kept = unfaithful = 0
-    for m in report_members(named_corpus, two_squares):
+    for m in report_members(named_corpus, two_squares, section_failure):
         copy = Maniplex(m.perms)
-        valid = validate(copy).ok
+        if not validate(copy).ok:
+            continue
         report = poset.polytope_report(copy)
         distinct = len(set(poset.flag_function(m))) == m.flag_count
         set_by_report = "faithful" in copy._cache
-        assert set_by_report == (valid and m.rank == 3 and report.ok and distinct), m
+        assert set_by_report == (m.rank == 3 and report.ok and distinct), m
         assert is_faithful(copy) == is_faithful(Maniplex(m.perms)), m
         kept += set_by_report
         unfaithful += not distinct
@@ -543,10 +615,10 @@ def test_polytope_report_shares_faithfulness(named_corpus, two_squares):
 
 def test_marked_posets_are_transitive(oracle_members, b_maniplex, bstar_result):
     """Fact (d) of the `poset` module docstring, which lets `_judge` skip
-    the transitivity search on a marked poset, against that search: every
-    marked poset of the oracle members, the census pool maps, the regular
-    polytopes of the benchmark, B, B* and the tower's ranks 5 to 7 is
-    transitive."""
+    the transitivity search on a marked poset, against the label-set
+    search: every marked poset of the oracle members, the census pool maps,
+    the regular polytopes of the benchmark, B, B* and the tower's ranks 5
+    to 7 is transitive."""
     members = [*oracle_members, *(torus_44(b, c) for b, c in suites.TORUS_POOL)]
     members += [coset_enumerate(string_coxeter(symbol)).to_maniplex() for symbol in ([3, 4, 3], [3, 3, 3, 3])]
     members += [b_maniplex, bstar_result.bstar]
@@ -564,7 +636,7 @@ def test_marked_posets_are_transitive(oracle_members, b_maniplex, bstar_result):
         assert posets[-1].of_valid_maniplex and posets[-1].rank == rank
     assert len(posets) >= len(members) - 1
     for p in posets:
-        assert order_transitivity_witness(p) is None, p
+        assert transitivity_witness_by_label_sets(p.faces, p.less) is None, p
 
 
 def test_pipeline_operations_mark_posets_without_more_validation(bstar_result, monkeypatch):
@@ -610,18 +682,20 @@ def test_pipeline_operations_mark_posets_without_more_validation(bstar_result, m
 # a 3x3 poset whose only missing pairs end at the top: every y has four
 # transitivity failures beneath it
 TRANSITIVITY_BY_HASH_SEED = """
-from maniplex.poset import RankedPoset, order_transitivity_witness
+from oracles import transitivity_witness_by_label_sets
 xs, ys = ("x1", "x2", "x3"), ("y1", "y2", "y3")
 less = {("b", x) for x in xs} | {("b", y) for y in ys} | {(x, y) for x in xs for y in ys}
-print(order_transitivity_witness(RankedPoset(2, (("b",), xs, ys, ("t",)), less | {(y, "t") for y in ys})))
+print(transitivity_witness_by_label_sets((("b",), xs, ys, ("t",)), less | {(y, "t") for y in ys}))
 """
 
 
 def test_transitivity_witness_ignores_hash_seed():
-    src = str(Path(poset.__file__).resolve().parents[1])
+    """The label-set oracle's transitivity witness, which the tests compare
+    with, over string-keyed sets under four hash seeds."""
+    path = os.pathsep.join([str(Path(poset.__file__).resolve().parents[1]), str(Path(__file__).parent)])
     seen = set()
     for seed in range(4):
-        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
         command = [sys.executable, "-c", TRANSITIVITY_BY_HASH_SEED]
         seen.add(subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout)
     assert seen == {"('b', 'y1', 't')\n"}
@@ -641,26 +715,43 @@ def test_verdict_builds_no_label_sets(monkeypatch):
     assert not {"faces", "less", "rank_of", "covers"} & vars(p).keys()
 
 
-def test_flag_connectivity_fails_on_proper_sections(two_squares):
-    # prepolytopes connected under incidence as a whole (through the apex)
-    # whose base facet, or in the duals a vertex figure, is two disjoint
-    # squares or cubes
+def test_flag_connectivity_fails_on_proper_sections(two_squares, section_failure):
+    """The package's search on a marked poset: a valid, faithful map whose
+    diamonds hold, and whose sections at the least and greatest faces are
+    connected, fails between vertex '0:0' and facet '3:0', as the oracle
+    finds, and that section's chain graph is disconnected too.
+
+    The mask reference on hand-built prepolytopes, connected under
+    incidence as a whole (through the apex), whose base facet, or in the
+    duals a vertex figure, is two disjoint squares or cubes: it names a
+    section short of the whole poset whose chain graph the oracle finds
+    disconnected, and the pyramids over a square and a cube pass."""
+    p = pos_of(section_failure)
+    assert p.of_valid_maniplex and is_faithful(section_failure).faithful
+    assert [len(level) for level in p.faces] == [1, 4, 12, 12, 4, 1]
+    assert diamond_witness(p) is None
+    assert disconnected_boundary_section(p) is None
+    assert is_polytope(p) == poset.PolytopeReport(False, "strong-flag-connectivity", ("0:0", "3:0"))
+    assert connectivity_against_oracle(p, report_of(p)) == ("0:0", "3:0")
     cube = platonic("cube")
     squares = pos_of(two_squares)
     cubes = pos_of(Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms)))
     broken = [pyramid(squares, "^"), pyramid(cubes, "^"), pyramid(pyramid(squares, "^"), "*")]
     broken += [dual_poset(p) for p in broken]
     for p in broken:
-        assert connectivity_against_oracle(p) is not None
-        lower, upper = is_polytope(p).witness
-        assert (lower, upper) != (p.level(-1)[0], p.level(p.rank)[0])
-    assert is_polytope(broken[2]).witness == ("-1:0", "2:0")  # two ranks below the top
+        report = polytope_report_by_masks(p)
+        assert connectivity_against_oracle(p, report) is not None
+        assert report[2] != (p.level(-1)[0], p.level(p.rank)[0])
+        witness = flag_connectivity_by_sections(p.faces, p.less)
+        assert label_set_report(p.faces, p.less) == (False, "strong-flag-connectivity", witness)
+    assert polytope_report_by_masks(broken[2])[2] == ("-1:0", "2:0")  # two ranks below the top
     # the whole dual pyramid's chain graph is disconnected too, so the oracle
-    # stops there; the package names the vertex figure
+    # stops there; the mask reference names the vertex figure
     assert flag_connectivity_by_sections(broken[3].faces, broken[3].less) == ("2:0^", "-1:0")
-    assert is_polytope(broken[3]).witness == ("2:0^", "-1:0^")
+    assert polytope_report_by_masks(broken[3])[2] == ("2:0^", "-1:0^")
     for p in (pos_of(platonic("square")), pos_of(cube)):  # the construction itself is sound
-        assert is_polytope(pyramid(p, "^")).ok and is_polytope(dual_poset(pyramid(p, "^"))).ok
+        for q in (pyramid(p, "^"), dual_poset(pyramid(p, "^"))):
+            assert polytope_report_by_masks(q) == label_set_report(q.faces, q.less) == (True, None, None)
 
 
 def test_is_polytope_builds_no_section(monkeypatch):
