@@ -48,8 +48,11 @@ class Maniplex:
     (`poset.polytope_report`);
     under "theta", the marked set of a rank-4 maniplex and the double cover
     it gives (`counterexample.find_theta`); under "walk", its rows as
-    tuples (`walk_rows`); under "tree", the spanning tree that `isomorphic`
-    and `automorphism_count` carry a map along (`_spanning_tree`).
+    tuples (`walk_rows`); under "tree", the spanning tree of flag 0's
+    component, recorded by whichever of `validate` and the first
+    propagation walks it first, that `validate` reads connectivity off and
+    `isomorphic` and `automorphism_count` carry a map along
+    (`_spanning_tree`).
     A face-table entry may also be a zero-argument callable that builds
     the table, as the extension pipeline leaves one; `face_table` calls it
     on the first read.
@@ -120,12 +123,12 @@ def from_int_rows(rows: Iterable[Iterable[int]]) -> Maniplex:
 
 def walk_rows(m: Maniplex) -> tuple[tuple[int, ...], ...]:
     """The rows as tuples of int objects, for the loops that read them
-    entry by entry (`_validate`, `_component_ids`, `_propagate`,
-    `restrict`): reading an `array('i')` entry above 256 boxes a fresh int,
-    and indexing a tuple is about twice as fast.  Built once per maniplex,
-    on the first call, from the pool of flag ints (`flag_ints`), 8 bytes
-    an entry.  A maniplex whose rows are never walked, such as an
-    extension read off its base, never builds it."""
+    entry by entry (`_validate`, `_component_ids`, `_spanning_tree`,
+    `_propagate`, `restrict`): reading an `array('i')` entry above 256
+    boxes a fresh int, and indexing a tuple is about twice as fast.  Built
+    once per maniplex, on the first call, from the pool of flag ints
+    (`flag_ints`), 8 bytes an entry.  A maniplex whose rows are never
+    walked, such as an extension read off its base, never builds it."""
     view = m._cache.get("walk")
     if view is None:
         pool = flag_ints(m.flag_count).__getitem__
@@ -203,12 +206,11 @@ def _validate(m: Maniplex) -> ValidationReport:
             f = _zero_lane(lanes ^ row_lanes(m.perms[j]), ones)
             if f is not None:
                 violations.append(Violation(AXIOM_PROPER, (i, j, f)))
-    # connectivity: the least nonzero id is the least flag not reached from
-    # flag 0, by the walk when rows 0 and 1 are involutions, as just decided
-    paired = not any(v.axiom == AXIOM_INVOLUTION and v.witness[0] < 2 for v in violations)
-    ids = _component_ids(m, range(n), paired)
-    if any(ids):
-        violations.append(Violation(AXIOM_CONNECTED, (min(set(ids) - {0}),)))
+    # connectivity: the witness is the least flag that the walk from flag 0
+    # does not reach, the walk that `_propagate` carries maps along
+    missing = _spanning_tree(m, not violations)[3]
+    if missing is not None:
+        violations.append(Violation(AXIOM_CONNECTED, (missing,)))
     # colours at distance > 1 must generate 4-cycles: (r_i r_j)^2 is the identity
     for i in range(n):
         for j in range(i + 2, n):
@@ -317,7 +319,7 @@ def components(m: Maniplex, colours: Iterable[int]) -> list[Component]:
     return [Component(c, tuple(flags)) for c, flags in groups.items()]
 
 
-def _component_ids(m: Maniplex, cols: Iterable[int], paired: Optional[bool] = None) -> array:
+def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
     """flag -> least flag of its component under the given colours.
 
     When the first two colours r_a, r_b are involutions, each orbit of
@@ -328,12 +330,10 @@ def _component_ids(m: Maniplex, cols: Iterable[int], paired: Optional[bool] = No
     two or more away from both commutes with r_a and r_b, so it carries
     the whole cycle onto one cycle: only its image of the cycle's first
     flag is looked at.  Otherwise, or for fewer than two colours, one
-    search over every colour's edges.  paired says whether the first two
-    colours' rows are involutions, when the caller has decided it, as
-    `_validate` has; else `_involutions` decides it."""
+    search over every colour's edges."""
     cols = tuple(cols)
     view = walk_rows(m)
-    if len(cols) < 2 or not (_involutions(m, cols[:2]) if paired is None else paired):
+    if len(cols) < 2 or not _involutions(m, cols[:2]):
         return _component_ids_by_search([view[c] for c in cols], m.flag_count)
     a, b, others = view[cols[0]], view[cols[1]], cols[2:]
     report = m._cache.get("valid")
@@ -431,11 +431,15 @@ def faces(m: Maniplex, i: int) -> list[Face]:
 
 def dual(m: Maniplex) -> Maniplex:
     """Reverse the colours: colour i becomes colour n-1-i.  The rows are
-    shared, and so is the walk view, reversed, when m has one."""
+    shared, and so is the walk view, reversed, when m has one.  The axioms
+    read the same with the colours reversed, so an ok `validate` report is
+    shared too."""
     d = from_sound_rows(tuple(reversed(m.perms)))
-    view = m._cache.get("walk")
+    view, report = m._cache.get("walk"), m._cache.get("valid")
     if view is not None:
         d._cache["walk"] = view[::-1]
+    if report is not None and report.ok:
+        d._cache["valid"] = report
     return d
 
 
@@ -444,54 +448,150 @@ def _propagate(src: Maniplex, dst: Maniplex, image: int) -> Optional[tuple[int, 
 
     The proper colouring forces the whole map once one image is chosen: it
     is carried down the spanning tree of src (`_spanning_tree`), one
-    assignment per flag, then checked on the flags reached, in C, for
+    assignment per flag, phi(g) = r_c'(phi(p)) for the flag p that g is
+    reached from by its colour-c edge: along each alternating cycle of
+    colours 0 and 1 in step with its image, whose closing colour-1 edge is
+    checked as the cycle ends, or flag by flag from the parents the search
+    recorded.  The map is then checked on the flags reached, in C, for
     injectivity and, colour by colour, as phi . r_i = r_i' . phi.  Flags
     the tree does not reach (src is disconnected) are left at -1.
+
+    Along the cycles onto a dst whose ok `validate` report is cached, only
+    the colours past 1 are checked: every colour-0 edge and every colour-1
+    edge but the closing ones is a tree edge, and r_0', r_1' are
+    involutions.  Nor is injectivity: a map that commutes with every
+    colour on flag 0's component carries it onto a union of components of
+    dst, so onto the connected dst.  As dst has as many flags as src, the
+    component is all of src, and the map is one to one.
     """
-    children, parent, colour, reached, neighbours = _spanning_tree(src)
-    rows = walk_rows(dst)
+    flags, colours, parent, missing = _spanning_tree(src)
+    view, rows = walk_rows(src), walk_rows(dst)
     phi = [-1] * src.flag_count
     phi[0] = image
-    for g in children:
-        phi[g] = rows[colour[g]][phi[parent[g]]]
-    mapped = reached(phi)
-    if len(set(mapped)) < len(mapped):
+    trusted = False
+    if parent is None:  # flags are the cycles' first flags (`_cycle_walk`)
+        a, b, a2, b2 = view[0], view[1], rows[0], rows[1]
+        for f, c in zip(flags, colours):
+            x = phi[f] = rows[c][phi[view[c][f]]] if f else image
+            g = f
+            while True:
+                h = a[g]
+                x = phi[h] = a2[x]
+                g = b[h]
+                if g == f:
+                    break
+                x = phi[g] = b2[x]
+            if b2[x] != phi[f]:  # the cycle's closing edge
+                return None
+        report = dst._cache.get("valid")
+        trusted = report is not None and report.ok
+    else:
+        for g, c in zip(flags, colours):
+            phi[g] = rows[c][phi[parent[g]]]
+    if missing is None:  # the rows are read in flag order
+        mapped, near = phi, view
+    else:
+        reached = [f for f, x in enumerate(phi) if x >= 0]
+        mapped, near = _getter(reached)(phi), [_compose(row, reached) for row in view]
+    if not trusted and len(set(mapped)) < len(mapped):
         return None
     at_mapped = _getter(mapped)
-    for near, row in zip(neighbours, rows):
-        if near(phi) != at_mapped(row):
+    for i in range(2 if trusted else 0, src.rank):
+        if _getter(near[i])(phi) != at_mapped(rows[i]):
             return None
     return tuple(phi)
 
 
-def _spanning_tree(m: Maniplex) -> tuple[list[int], list[int], list[int], Callable, tuple[Callable, ...]]:
-    """The breadth-first spanning tree of flag 0's component, colours
-    tried in order, computed once per maniplex and kept in its cache under
-    "tree": the flags after flag 0 in the order reached; each flag's
-    parent and the colour of the edge from it; a getter of the reached
-    flags' entries and, per colour, one of their neighbours' entries
-    (`_getter`).  When the tree reaches every flag, these read the rows
-    in flag order: the first is `tuple`, the others the rows' getters."""
+def _spanning_tree(
+    m: Maniplex, sound: Optional[bool] = None
+) -> tuple[Sequence[int], array, Optional[list[int]], Optional[int]]:
+    """The spanning tree of flag 0's component, walked once per maniplex,
+    by `validate` or by the first propagation, whichever comes first, and
+    kept in its cache under "tree", with the least flag it does not reach,
+    or None.  sound says that every row is a fixed-point-free involution
+    and the colouring is proper, as `_validate` decides before it asks.
+    Then the walk runs along the alternating cycles of colours 0 and 1
+    (`_cycle_walk`): the tree is each cycle's first flag f, in the order
+    walked, and the colour c of the edge it is reached by, from the flag
+    r_c(f) walked before it, one byte each while the rank is at most 256;
+    the cycle's other flags follow from f, edge by edge.  Otherwise
+    one breadth-first search along every colour's edges (`_search`): each
+    flag after flag 0 in the order reached, the colour it is reached by
+    and its parent, in a list indexed by flag."""
     tree = m._cache.get("tree")
     if tree is None:
-        rows = walk_rows(m)
-        coloured = tuple(enumerate(rows))
-        parent, colour = [-1] * m.flag_count, [0] * m.flag_count
-        parent[0] = 0
-        order = [0]
-        for f in order:
-            for c, row in coloured:
-                g = row[f]
-                if parent[g] < 0:
-                    parent[g] = f
-                    colour[g] = c
-                    order.append(g)
-        if len(order) == m.flag_count:  # the rows are read in flag order
-            reached, neighbours = tuple, tuple(map(_getter, rows))
-        else:
-            reached, neighbours = _getter(order), tuple(_getter(_compose(row, order)) for row in rows)
-        tree = m._cache["tree"] = (order[1:], parent, colour, reached, neighbours)
+        if sound is None:
+            report = m._cache.get("valid")
+            sound = report is not None and report.ok
+        view, size = walk_rows(m), m.flag_count
+        tree = m._cache["tree"] = _cycle_walk(view, size) if sound and m.rank > 1 else _search(view, size)
     return tree
+
+
+def _colour_array(rank: int) -> array:
+    """An empty array for colours 0..rank-1, one byte each while rank <= 256."""
+    return array("B" if rank <= 256 else "i")
+
+
+def _cycle_walk(view: tuple[tuple[int, ...], ...], size: int) -> tuple[array, array, None, Optional[int]]:
+    """The tree of `_spanning_tree` for rows that are fixed-point-free
+    involutions, properly coloured: flag 0's component walked as
+    `_component_ids` walks it, along the alternating cycles of colours 0
+    and 1, with the other colours' neighbours queued once each.  A cycle's
+    first flag, other than flag 0, is reached from its neighbour already
+    walked by the least such colour."""
+    a, b, near = view[0], view[1], view[2:]
+    seen = bytearray(size)  # 0 unreached, 1 queued, 2 walked
+    starts, colours = array("i"), _colour_array(len(view))
+    seen[0] = 1
+    queue = [0]
+    for f in queue:
+        if seen[f] == 2:  # its cycle is walked
+            continue
+        c = 0
+        if f:
+            c = 2
+            while seen[view[c][f]] != 2:
+                c += 1
+        starts.append(f)
+        colours.append(c)
+        g = f
+        while True:
+            h = a[g]
+            seen[g] = seen[h] = 2
+            for row in near:
+                x = row[g]
+                if not seen[x]:
+                    seen[x] = 1
+                    queue.append(x)
+                x = row[h]
+                if not seen[x]:
+                    seen[x] = 1
+                    queue.append(x)
+            g = b[h]
+            if g == f:
+                break
+    missing = seen.find(0)
+    return starts, colours, None, None if missing < 0 else missing
+
+
+def _search(rows: Sequence[Sequence[int]], size: int) -> tuple[list[int], array, list[int], Optional[int]]:
+    """The tree of `_spanning_tree` by one breadth-first search from flag 0,
+    colours tried in order, for rows that need not be involutions: each
+    flag's parent is recorded."""
+    parent = [-1] * size
+    parent[0] = 0
+    queue, colours = [0], _colour_array(len(rows))
+    coloured = tuple(enumerate(rows))
+    for f in queue:
+        for c, row in coloured:
+            g = row[f]
+            if parent[g] < 0:
+                parent[g] = f
+                queue.append(g)
+                colours.append(c)
+    missing = None if len(queue) == size else parent.index(-1)
+    return queue[1:], colours, parent, missing
 
 
 def isomorphic(m1: Maniplex, m2: Maniplex) -> Optional[tuple[int, ...]]:
@@ -520,18 +620,52 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
     the count equals the number of valid images of flag 0 and divides the
     flag count; equality is reflexibility.
 
-    Only one image per orbit is propagated.  The valid images are the
-    Aut-orbit of flag 0, so for the subgroup K generated by the
-    automorphisms found so far, the valid images and the invalid ones are
-    both unions of K-orbits: each success closes the valid set under the
-    new generator (at least doubling K, by Lagrange), and each failure
-    marks its flag's whole K-orbit invalid.  A partial map (the flag graph
-    is disconnected) counts its own image only.
+    On a maniplex whose `validate` report is ok, the images r_i(0) of
+    every colour i are propagated first.  If all n extend (lemma A), the
+    maniplex is reflexible: if phi(0) = f and rho_i(0) = r_i(0), then
+    phi . rho_i sends 0 to phi(r_i 0) = r_i f, so the valid images are
+    closed under every colour, and the flag graph is connected (McMullen
+    & Schulte, Abstract Regular Polytopes, 2B).  If none extends, the
+    images r_j r_0 (0), j = 1..n-1, are propagated.  If all of those
+    extend (lemma B), the maniplex is chiral, with half as many
+    automorphisms as flags (Hubard, Two-orbit polyhedra from groups, 2010):
+    with sigma_j(0) = r_j r_0 (0), sigma_j^-1 sends 0 to r_0 r_j (0), so the
+    valid images are closed under the even words r_j r_0 and r_0 r_j, and
+    hold every flag at even distance from 0; they omit r_0(0).  A flag
+    g = w(0) for an odd word w that were a valid image phi(0) would give
+    r_0(0) = (r_0 w^-1)(g) = phi((r_0 w^-1)(0)), the image under phi of an
+    even flag, itself a valid image, so r_0(0) would be valid.  So no odd
+    flag is a valid image, no flag is both even and odd, the graph is
+    bipartite, and the valid images are its even half: the maniplex is in
+    the two-orbit class in which no flag shares an orbit with a neighbour.
+
+    Otherwise, and on any other maniplex, one image per orbit is
+    propagated.  The valid images are the Aut-orbit of flag 0, so for the
+    subgroup K generated by the automorphisms found so far, the valid
+    images and the invalid ones are both unions of K-orbits: the images
+    already tried seed the two sets, each closed once under K; then each
+    success closes the valid set under the new generator (at least
+    doubling K, by Lagrange), and each failure marks its flag's whole
+    K-orbit invalid.  A partial map (the flag graph is disconnected)
+    counts its own image only.
     """
     size = m.flag_count
     valid = [None] * size  # None: not yet decided
     valid[0] = True  # the identity
     gens: list[tuple[int, ...]] = []
+    if validate(m).ok:
+        rows = walk_rows(m)
+        gens, failed = _images_extending(m, [row[0] for row in rows])
+        if not failed:
+            return AutomorphismInfo(size, True)
+        if not gens:
+            r0 = rows[0][0]
+            gens, failed_even = _images_extending(m, [row[r0] for row in rows[1:]])
+            if not failed_even:
+                return AutomorphismInfo(size // 2, False)
+            failed += failed_even
+        _close_orbit(valid, gens, [0], True)
+        _close_orbit(valid, gens, failed, False)
     for image in range(1, size):
         if valid[image] is not None:
             continue
@@ -545,6 +679,19 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
             _close_orbit(valid, gens, list(compress(range(size), valid)), True)
     count = valid.count(True)
     return AutomorphismInfo(count, count == size)
+
+
+def _images_extending(m: Maniplex, images: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(the automorphisms that send flag 0 to the images that extend, the
+    images that do not), for a maniplex whose flag graph is connected."""
+    found, failed = [], []
+    for image in images:
+        phi = _propagate(m, m, image)
+        if phi is None:
+            failed.append(image)
+        else:
+            found.append(phi)
+    return found, failed
 
 
 def _close_orbit(valid: list, gens: list[tuple[int, ...]], seeds: list[int], status: bool) -> None:

@@ -14,15 +14,21 @@ different cosets start a coincidence, merged through a union-find in which
 the smaller label survives.  Enumeration either completes below the coset
 cap or fails loudly - no partial tables.
 
+Slot 0 of the working table is a sink, not a coset: every generator maps
+it to itself, and an undefined entry holds 0, so it points at the sink.
+The cosets take slots 1 up, the subgroup's coset in slot 1, and the
+finished table numbers the live ones from 0, as the text below does.
+
 Most relator scans from a coset meet a cycle that deductions have already
 closed.  So the main loop first walks each relator forward from alpha and
-scans it only if the walk stops at an undefined entry or ends on a coset
-other than alpha.  A closed walk is not a scan: the scan it replaces would
-run its forward end all the way round to alpha and stop, allocating
-nothing, deducing nothing and finding no coincidence.  The table and the
-union-find are left exactly as that scan leaves them, so every later scan,
-and with it the allocation order, is unchanged; and since nothing merges,
-alpha is still live after a closed walk.
+scans it only if the walk ends on a coset other than alpha.  A walk that
+meets an undefined entry falls into the sink and stays there, so the walk
+tests no letter on its way.  A closed walk is not a scan: the scan it
+replaces would run its forward end all the way round to alpha and stop,
+allocating nothing, deducing nothing and finding no coincidence.  The
+table and the union-find are left exactly as that scan leaves them, so
+every later scan, and with it the allocation order, is unchanged; and
+since nothing merges, alpha is still live after a closed walk.
 
 An involution relator (d, d) needs no walk: from a live coset it closes
 exactly when rows[d][alpha] is defined.  Between scans every arrow of a
@@ -60,7 +66,7 @@ from typing import Sequence
 from .certify import Refusal
 from .core import Maniplex, flag_ints, from_int_rows
 
-SENTINEL = -1
+SINK = 0  # the slot every undefined entry points at (see the module docstring)
 DEFAULT_CAP = 100_000
 CAP_ENV_VAR = "MANIPLEX_COSET_CAP"
 
@@ -144,7 +150,7 @@ def coset_enumerate(
     """Enumerate cosets of the subgroup generated by the given words.
 
     Raises CosetCapExceeded once more than `cap` cosets have been allocated
-    (live or since merged).
+    (live or since merged); the sink is not one.
     """
     for word in subgroup_gens:
         for letter in word:
@@ -152,16 +158,16 @@ def coset_enumerate(
                 raise ValueError(f"subgroup letter {letter} out of range")
     if cap is None:
         cap = default_cap()
-    rows: list[list[int]] = [[] for _ in range(pres.ngens)]  # rows[d][c] = c.d
-    parent: list[int] = []
+    rows: list[list[int]] = [[SINK] for _ in range(pres.ngens)]  # rows[d][c] = c.d
+    parent: list[int] = [SINK]
 
     def add_vertex() -> int:
-        if len(parent) >= cap:
+        if len(parent) > cap:
             raise CosetCapExceeded(f"allocated more than {cap} cosets")
         c = len(parent)
         parent.append(c)
         for row in rows:
-            row.append(SENTINEL)
+            row.append(SINK)
         return c
 
     def find(c: int) -> int:
@@ -188,13 +194,13 @@ def coset_enumerate(
         for gone in dead:  # grows while it is walked
             for row in rows:
                 x = row[gone]
-                if x == SENTINEL:
+                if x == SINK:
                     continue
-                row[x] = SENTINEL
+                row[x] = SINK
                 mu, nu = find(gone), find(x)
-                if row[mu] != SENTINEL:
+                if row[mu] != SINK:
                     merge(nu, row[mu])
-                elif row[nu] != SENTINEL:
+                elif row[nu] != SINK:
                     merge(mu, row[nu])
                 else:
                     row[mu], row[nu] = nu, mu
@@ -203,19 +209,19 @@ def coset_enumerate(
         """Scan a relator given as its generators' rows."""
         f, i, b, j = alpha, 0, alpha, len(word) - 1
         while True:
-            while i <= j and (x := word[i][f]) != SENTINEL:
+            while i <= j and (x := word[i][f]) != SINK:
                 f = x
                 i += 1
             if i > j:
                 if f != b:
                     unify(f, b)
                 return
-            while j > i and (x := word[j][b]) != SENTINEL:
+            while j > i and (x := word[j][b]) != SINK:
                 b = x
                 j -= 1
             row = word[i]
             if j == i:  # one letter left: deduce it, both arrows
-                if row[b] == SENTINEL:
+                if row[b] == SINK:
                     row[f], row[b] = b, f
                 else:
                     unify(f, row[b])
@@ -227,22 +233,20 @@ def coset_enumerate(
     relators = [[rows[d] for d in rel] for rel in pres.relators]
     # an involution relator (d, d) is checked by its row alone (see the module docstring)
     plan = [(rel[0] if len(rel) == 2 and rel[0] is rel[1] else None, rel) for rel in relators]
-    add_vertex()
+    first = add_vertex()
     for word in subgroup_gens:
-        scan_and_fill(0, [rows[d] for d in word])
-    alpha = 0
+        scan_and_fill(first, [rows[d] for d in word])
+    alpha = first
     while alpha < len(parent):
         if parent[alpha] == alpha:
             for involution, rel in plan:
                 if involution is not None:
-                    if involution[alpha] != SENTINEL:  # alpha.d.d = alpha
+                    if involution[alpha] != SINK:  # alpha.d.d = alpha
                         continue
                 else:
                     f = alpha
                     for row in rel:
                         f = row[f]
-                        if f == SENTINEL:
-                            break
                     if f == alpha:  # a closed cycle: nothing to scan
                         continue
                 scan_and_fill(alpha, rel)
@@ -251,8 +255,8 @@ def coset_enumerate(
         alpha += 1
 
     # live labels are already in relator-trace order (see the module docstring)
-    order = [c for c, p in enumerate(parent) if c == p]
-    number = [SENTINEL] * len(parent)
+    order = [c for c, p in enumerate(parent) if c == p and c != SINK]
+    number = [SINK] * len(parent)
     for c, k in zip(order, flag_ints(len(order))):
         number[c] = k
     if len(order) == 1:  # itemgetter of one index returns the entry, not a tuple

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import random
 import re
 import tracemalloc
@@ -32,6 +31,7 @@ from maniplex.core import (
     walk_rows,
 )
 from maniplex.corpus import corpus_names, platonic, torus_44
+from maniplex.coxeter import verdict
 from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.extension import extend
 from maniplex.poset import is_faithful
@@ -233,6 +233,16 @@ def test_dual():
     assert isomorphic(dual(platonic("hemicube")), platonic("hemioctahedron")) is not None
 
 
+def test_dual_shares_only_an_ok_report(named_corpus, two_squares):
+    """The dual of a validated maniplex holds the report that its own
+    `validate` gives: an ok one shared, any other computed afresh."""
+    broken = [FIXED_POINT, NOT_INVOLUTION, IMPROPER, SQUARE_BREAKER, two_squares]
+    for m in [*named_corpus.values(), *broken]:
+        m = Maniplex(m.perms)
+        validate(m)
+        assert validate(dual(m)) == validate(Maniplex(dual(m).perms)), m
+
+
 def test_isomorphic_against_brute_force():
     sq = platonic("square")
     gon = Maniplex(polygon_flag_graph(4))
@@ -307,6 +317,8 @@ def test_automorphism_count_matches_propagation_oracle(
 
 
 def test_automorphism_count_propagates_once_per_orbit(monkeypatch):
+    """A reflexible maniplex propagates the images r_i(0) of its n colours
+    and nothing else; a chiral one those and the n - 1 images r_j r_0 (0)."""
     calls = []
     real = core._propagate
     monkeypatch.setattr(core, "_propagate", lambda *args: calls.append(args[2]) or real(*args))
@@ -315,8 +327,122 @@ def test_automorphism_count_propagates_once_per_orbit(monkeypatch):
     cases += [(torus_44(b, c), suites.torus_automorphisms(b, c)) for b, c in suites.TORUS_POOL]
     for m, want in cases:
         calls.clear()
-        assert automorphism_count(m).count == want
-        assert len(calls) <= 2 * math.ceil(math.log2(m.flag_count)), (m, calls)
+        info = automorphism_count(m)
+        assert info.count == want
+        assert len(calls) == (m.rank if info.is_reflexible else 2 * m.rank - 1), (m, calls)
+
+
+def automorphism_paths(monkeypatch):
+    """Spy on `automorphism_count`: path(m) is its result, checked against
+    the oracle, and the path it took: "reflexible" (lemma A: only the
+    images r_i(0) propagated), "chiral" (lemma B: those and the images
+    r_j r_0 (0)), "fallback" (those tried first, then the orbit loop) or
+    "loop" (the orbit loop alone, which tries image 1 first)."""
+    images, closures = [], []
+    propagate, close = core._propagate, core._close_orbit
+    monkeypatch.setattr(core, "_propagate", lambda *args: images.append(args[2]) or propagate(*args))
+    monkeypatch.setattr(core, "_close_orbit", lambda *args: closures.append(args[3]) or close(*args))
+
+    def path(m):
+        images.clear()
+        closures.clear()
+        info = automorphism_count(m)
+        assert info.count == automorphism_count_by_propagation(m.perms), m
+        firsts = [row[0] for row in m.perms]
+        evens = [row[firsts[0]] for row in m.perms[1:]]
+        if images == firsts and not closures:
+            return info, "reflexible"
+        if images == firsts + evens and not closures:
+            return info, "chiral"
+        if images[: m.rank] == firsts and closures:
+            return info, "fallback"
+        assert images[0] == 1, (m, images)
+        return info, "loop"
+
+    return path, images
+
+
+def test_automorphism_count_paths(b_maniplex, bstar_result, two_squares, monkeypatch):
+    """Each case takes the path the lemmas give it (`automorphism_count`),
+    and counts what the oracle counts."""
+    path, images = automorphism_paths(monkeypatch)
+    for m in [b_maniplex, *(platonic(name) for name in corpus_names())]:
+        assert path(m) == ((m.flag_count, True), "reflexible"), m
+    for b, c in suites.TORUS_POOL:
+        m = torus_44(b, c)
+        want = suites.torus_automorphisms(b, c)
+        reflexible = want == m.flag_count
+        assert path(m) == ((want, reflexible), "reflexible" if reflexible else "chiral"), (b, c)
+    tower = _tower(bstar_result.bstar, 7)
+    assert [path(m) for m in tower] == [((2, False), "fallback")] + [((8, False), "fallback")] * 3
+    # the torus maps' extensions over the facet of flag 0: those of torus
+    # (1, 1) are reflexible, the rest take the fallback
+    for b, c in itertools.product(range(4), repeat=2):
+        if b or c:
+            torus = torus_44(b, c)
+            m = extend(torus, faces(torus, 2)[0])
+            if validate(m).ok:
+                assert path(m)[1] == ("reflexible" if (b, c) == (1, 1) else "fallback"), (b, c)
+    # not maniplexes, so the orbit loop alone, as before: a disconnected
+    # flag graph's partial maps leave every image to try
+    mixed = disjoint_union(polygon_flag_graph(4), polygon_flag_graph(6), polygon_flag_graph(4))
+    assert path(two_squares) == ((16, True), "loop") and images == list(range(1, 16))
+    assert path(mixed) == ((16, False), "loop") and images == list(range(1, 28))
+    # rank 1: one image, as before
+    assert path(Maniplex(((1, 0),))) == ((2, True), "reflexible") and images == [1]
+
+
+def counting_walks(monkeypatch):
+    """Patch the two walks of flag 0's component (`_spanning_tree`) to
+    count their calls."""
+    walks = []
+    for name in ("_cycle_walk", "_search"):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, real=real, name=name: walks.append(name) or real(*args))
+    return walks
+
+
+@pytest.mark.parametrize("first", ["validate", "verdict", "automorphism_count", "isomorphic"])
+def test_one_walk_per_maniplex(first, monkeypatch):
+    """On a fresh torus, whichever of `validate`, `verdict`,
+    `automorphism_count` and `isomorphic(m, dual(m))` comes first, flag
+    0's component is walked once, and no search over every colour runs."""
+    walks = counting_walks(monkeypatch)
+    searched = []
+    component_ids = core._component_ids
+    monkeypatch.setattr(core, "_component_ids", lambda m, cols: searched.append(tuple(cols)) or component_ids(m, cols))
+    m = torus_44(3, 2)
+    steps = {
+        "validate": lambda: validate(m).ok,
+        "verdict": lambda: verdict(m).summary == "semisparse",
+        "automorphism_count": lambda: automorphism_count(m) == (52, False),
+        "isomorphic": lambda: isomorphic(m, dual(m)) is not None,
+    }
+    for name in [first, *(name for name in steps if name != first)]:
+        assert steps[name](), name
+    assert len(walks) == 1 and (0, 1, 2) not in searched, (walks, searched)
+
+
+@pytest.mark.parametrize("first", ["validate", "isomorphic"])
+def test_one_walk_of_a_disconnected_input(first, two_squares, monkeypatch):
+    """A disconnected input is walked once too, and keeps `validate`'s
+    witness, the least flag not reached from flag 0, and `isomorphic`'s
+    ValueError."""
+    walks = counting_walks(monkeypatch)
+    m = Maniplex(two_squares.perms)
+
+    def refused():
+        with pytest.raises(ValueError, match="disconnected"):
+            isomorphic(m, two_squares)
+        return True
+
+    steps = {
+        "validate": lambda: validate(m).violations == (core.Violation(core.AXIOM_CONNECTED, (8,)),),
+        "isomorphic": refused,
+    }
+    for name in [first, *(name for name in steps if name != first)]:
+        assert steps[name](), name
+    assert len(walks) == 1, walks
 
 
 def test_restrict():

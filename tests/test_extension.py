@@ -730,11 +730,11 @@ def counting_searches(monkeypatch):
     searched = []
     component_ids = core._component_ids
 
-    def counting(m, cols, *paired):
+    def counting(m, cols):
         cols = tuple(cols)
         searched.append(m)
         calls[id(m), cols] += 1
-        return component_ids(m, cols, *paired)
+        return component_ids(m, cols)
 
     monkeypatch.setattr(core, "_component_ids", counting)
     return calls
@@ -745,11 +745,10 @@ def test_verify_extension_labels_each_rank_once(bstar_result, monkeypatch):
     m = Maniplex(bstar_result.bstar.perms)
     res = verify_extension(m, faces(m, 3)[0])
     assert all_ok(res.checks)
-    # the base gets one search per rank plus validate's one over all colours;
-    # the extension, read off the base, gets none
-    assert sorted(calls.elements()) == sorted(
-        [(id(m), tuple(range(4)))] + [(id(m), tuple(c for c in range(4) if c != i)) for i in range(4)]
-    )
+    # the base gets one search per rank, and validate walks its spanning tree
+    # (`_spanning_tree`), not a search; the extension, read off the base, gets none
+    assert sorted(calls.elements()) == sorted([(id(m), tuple(c for c in range(4) if c != i)) for i in range(4)])
+    assert "tree" in m._cache
     assert not any(who == id(res.extension) for who, _ in calls)
 
 
@@ -813,7 +812,7 @@ def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, mo
                 calls.clear()
                 ext = verify_extension(m, facet).extension
                 searches = [len(cols) for who, cols in calls if who == id(ext)]
-                paths[kind, m.rank not in searches, m.rank + 1 not in searches] += 1
+                paths[kind, m.rank not in searches, "tree" not in ext._cache] += 1  # the full validate walks the tree
                 assert_read_off_base(m, ext)
     # (mutant, tables read off, validation read off)
     assert paths == {

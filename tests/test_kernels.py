@@ -4,6 +4,7 @@ labelling (`_component_ids`), isomorphism and automorphism counting
 constructor's range check (`_lanes_in_range`), on seeded random row sets (involutions, permutations and
 arbitrary maps), on mutants and on the package's own maniplexes."""
 
+import collections
 import itertools
 import json
 import random
@@ -23,7 +24,7 @@ from maniplex.core import (
     maniplex_from_json,
     validate,
 )
-from maniplex.corpus import torus_44
+from maniplex.corpus import platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.extension import extend
 from oracles import (
@@ -234,6 +235,73 @@ def test_isomorphic_and_automorphisms_on_members_and_mutants(kernel_members):
                     want = result_or_value_error(isomorphism_by_propagation, a, b)
                     assert result_or_value_error(isomorphic, Maniplex(a), Maniplex(b)) == want, name
                 assert automorphism_count(Maniplex(mutant)).count == automorphism_count_by_propagation(mutant)
+
+
+def edge_switch(rows, rng):
+    """One row with two of its 2-cycles (f, r f) and (g, r g) exchanged for
+    (f, g) and (r f, r g): an involution stays one, fixed-point-free when
+    it was."""
+    i = rng.randrange(len(rows))
+    row = list(rows[i])
+    f, g = rng.sample(range(len(row)), 2)
+    rf, rg = row[f], row[g]
+    if len({f, g, rf, rg}) == 4:
+        row[f], row[g], row[rf], row[rg] = g, f, rg, rf
+    return (*rows[:i], tuple(row), *rows[i + 1:])
+
+
+def test_isomorphic_along_cycles(kernel_members):
+    """From a source walked along its cycles, onto a target whose ok
+    `validate` report is cached, `_propagate` checks only the colours past
+    1 and makes no one-to-one test; onto any other target, every check.
+    Each member of up to 1 152 flags, and up to 200 flags three
+    edge-switched mutants of it, all validated first, against a
+    renumbering of the member, its dual, every other member of its rank
+    and size, and up to 200 flags a single-swap, a colour-swap and an
+    edge-switched mutant of it, agree with the oracle propagation."""
+    rng = random.Random(suites.SEED + 3)
+    members = [m for m in kernel_members.values() if m.flag_count <= 1152]
+    paths = collections.Counter()
+    for m in members:
+        rows = tuple(map(tuple, m.perms))
+        small = m.flag_count <= 200
+        sigma = list(range(m.flag_count))
+        rng.shuffle(sigma)
+        others = [x for x in members if x is not m and (x.rank, x.flag_count) == (m.rank, m.flag_count)]
+        targets = [renumber(rows, sigma), *(tuple(map(tuple, x.perms)) for x in (dual(m), *others))]
+        targets += [mutate(rows, rng) for mutate in (single_swap, colour_swap, edge_switch)] if small else []
+        sources = [rows] + ([edge_switch(rows, rng) for _ in range(3)] if small else [])
+        for target in targets:
+            dst = Maniplex(target)
+            trusted = validate(dst).ok
+            for source in sources:
+                src = Maniplex(source)
+                validate(src)
+                want = result_or_value_error(isomorphism_by_propagation, source, target)
+                assert result_or_value_error(isomorphic, src, dst) == want, m
+                paths[core._spanning_tree(src)[2] is None, trusted] += 1
+    assert paths[True, True] >= 800 and paths[True, False] >= 400, paths
+
+
+def test_closing_edges_are_checked():
+    """The cube with the face of flag 0 halved is valid, and agrees with the
+    cube on every edge but the closing colour-1 edges of its two halves,
+    the cycles y_0, ..., y_3 and y_4, ..., y_7 of the face's cycle
+    y_0 = 0, y_1 = r_0 y_0, y_2 = r_1 y_1, ...; its walk enters the second
+    half at y_4 or y_7.  So the identity passes every check but those
+    edges', and no image extends onto the validated cube, as the oracle
+    finds."""
+    cube = platonic("cube")
+    r0, r1 = cube.perms[0], list(cube.perms[1])
+    y = [0]
+    while len(y) < 8:
+        y.append((r0 if len(y) % 2 else r1)[y[-1]])
+    r1[y[0]], r1[y[3]], r1[y[4]], r1[y[7]] = y[3], y[0], y[7], y[4]
+    halved = Maniplex((r0, r1, cube.perms[2]))
+    assert validate(cube).ok and validate(halved).ok
+    assert next(f for f in core._spanning_tree(halved)[0] if f in y[4:]) in (y[4], y[7])
+    assert isomorphic(halved, cube) is None
+    assert isomorphism_by_propagation(tuple(map(tuple, halved.perms)), tuple(map(tuple, cube.perms))) is None
 
 
 def test_disconnected_source_gives_partial_maps(two_squares):
