@@ -16,7 +16,7 @@ import json
 import sys
 from array import array
 from binascii import a2b_base64, b2a_base64
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, count, islice
 from operator import itemgetter, ne
@@ -40,9 +40,13 @@ class Maniplex:
     """Plain container for the edge-colouring permutations, plus a cache kept
     out of equality, hashing and repr: under key i, the face table of rank i,
     each flag's face id as an `array('i')` (`face_table`); under "valid",
-    the `validate` report; under "faithful", the faithfulness result
-    (`poset.is_faithful`, or `poset.polytope_report` when its whole-row
-    test finds a valid rank-3 map's chains all distinct); under "poset",
+    the `validate` report; under "orbits", the flag orbits of a valid
+    maniplex's automorphisms, as the lemmas decide them, with the
+    automorphisms and failed images they tried (`flag_orbits`); under
+    "automorphisms", the `automorphism_count` result; under "faithful",
+    the faithfulness result (`poset.is_faithful`, or
+    `poset.polytope_report` when its whole-row test finds a valid rank-3
+    map's chains all distinct); under "poset",
     the face poset (`poset.pos_of`, or the extension pipeline's poset read
     off the base); under "polytope", the polytope report
     (`poset.polytope_report`);
@@ -613,61 +617,123 @@ class AutomorphismInfo(NamedTuple):
     is_reflexible: bool
 
 
-def automorphism_count(m: Maniplex) -> AutomorphismInfo:
-    """Number of colour-preserving automorphisms.
+class FlagOrbits(NamedTuple):
+    """The lemma stage of `automorphism_count` (see `flag_orbits`)."""
 
-    The action on flags is free (connectivity plus forced propagation), so
-    the count equals the number of valid images of flag 0 and divides the
-    flag count; equality is reflexibility.
+    representatives: tuple[int, ...]  # one flag per orbit: (0,), (0, r_0(0)), or () when undecided
+    automorphisms: tuple[tuple[int, ...], ...]  # those the tried images give, kept when no representatives
+    failed: tuple[int, ...]  # the images that do not extend
 
-    On a maniplex whose `validate` report is ok, the images r_i(0) of
-    every colour i are propagated first.  If all n extend (lemma A), the
-    maniplex is reflexible: if phi(0) = f and rho_i(0) = r_i(0), then
-    phi . rho_i sends 0 to phi(r_i 0) = r_i f, so the valid images are
-    closed under every colour, and the flag graph is connected (McMullen
-    & Schulte, Abstract Regular Polytopes, 2B).  If none extends, the
-    images r_j r_0 (0), j = 1..n-1, are propagated.  If all of those
-    extend (lemma B), the maniplex is chiral, with half as many
-    automorphisms as flags (Hubard, Two-orbit polyhedra from groups, 2010):
-    with sigma_j(0) = r_j r_0 (0), sigma_j^-1 sends 0 to r_0 r_j (0), so the
-    valid images are closed under the even words r_j r_0 and r_0 r_j, and
-    hold every flag at even distance from 0; they omit r_0(0).  A flag
-    g = w(0) for an odd word w that were a valid image phi(0) would give
+
+def flag_orbits(m: Maniplex) -> FlagOrbits:
+    """The orbits of the automorphism group on the flags of a valid
+    maniplex, when two lemmas decide them from a few images of flag 0;
+    ValueError on any other maniplex.  Computed once per maniplex and kept
+    in its cache under "orbits".
+
+    The group acts freely (connectivity plus forced propagation), so its
+    orbit of flag 0 is the set of valid images, the images of flag 0 that
+    extend to an automorphism.  The image r_0(0) is propagated first.
+
+    Lemma A.  If r_0(0) and then every image r_i(0) extend, the maniplex
+    is reflexible, one orbit, represented by flag 0: if phi(0) = f and
+    rho_i(0) = r_i(0), then phi . rho_i sends 0 to phi(r_i 0) = r_i f, so
+    the valid images are closed under every colour, and the flag graph is
+    connected (McMullen & Schulte, Abstract Regular Polytopes, 2B).
+
+    Lemma B.  If r_0(0) does not extend, but every image r_j r_0 (0),
+    j = 1..n-1, does, the maniplex is chiral, two orbits, represented by
+    flags 0 and r_0(0) (Hubard, Two-orbit polyhedra from groups, 2010).
+    With sigma_j(0) = r_j r_0 (0), sigma_j^-1 sends 0 to r_0 r_j (0), so
+    the valid images are closed under the even words r_j r_0 and r_0 r_j,
+    and hold every flag at even distance from 0.  A flag g = w(0) for an
+    odd word w that were a valid image phi(0) would give
     r_0(0) = (r_0 w^-1)(g) = phi((r_0 w^-1)(0)), the image under phi of an
     even flag, itself a valid image, so r_0(0) would be valid.  So no odd
     flag is a valid image, no flag is both even and odd, the graph is
-    bipartite, and the valid images are its even half: the maniplex is in
-    the two-orbit class in which no flag shares an orbit with a neighbour.
+    bipartite, and the valid images are its even half: no flag shares an
+    orbit with a neighbour, and r_0(0) represents the odd half.
+
+    Each lemma stops at its first image that does not extend; the record
+    then has no representatives, and keeps the automorphisms found, which
+    it drops otherwise, and the images that failed, for
+    `automorphism_count`'s orbit loop.  So a
+    maniplex pays n propagations when a lemma decides it, and at most two
+    that fail when neither does."""
+    record = m._cache.get("orbits")
+    if record is None:
+        if not validate(m).ok:
+            raise ValueError("only a valid maniplex has its flag orbits decided")
+        rows = walk_rows(m)
+        r0 = rows[0][0]
+        first = _propagate(m, m, r0)
+        if first is not None:
+            reps, found, failed, images = (0,), [first], [], [row[0] for row in rows[1:]]
+        else:
+            reps, found, failed, images = (0, r0), [], [r0], [row[r0] for row in rows[1:]]
+        for image in images:
+            phi = _propagate(m, m, image)
+            if phi is None:
+                reps = ()
+                failed.append(image)
+                break
+            found.append(phi)
+        record = m._cache["orbits"] = FlagOrbits(reps, () if reps else tuple(found), tuple(failed))
+    return record
+
+
+def automorphism_count(m: Maniplex) -> AutomorphismInfo:
+    """Number of colour-preserving automorphisms, computed once per
+    maniplex and kept in its cache under "automorphisms".
+
+    The action on flags is free (connectivity plus forced propagation), so
+    the count equals the number of valid images of flag 0 and divides the
+    flag count; equality is reflexibility.  On a valid maniplex whose flag
+    orbits the lemmas decide (`flag_orbits`), the count is the flags over
+    the number of orbits, with no further propagation.
 
     Otherwise, and on any other maniplex, one image per orbit is
     propagated.  The valid images are the Aut-orbit of flag 0, so for the
     subgroup K generated by the automorphisms found so far, the valid
     images and the invalid ones are both unions of K-orbits: the images
-    already tried seed the two sets, each closed once under K; then each
-    success closes the valid set under the new generator (at least
+    the lemmas tried seed the two sets, each closed once under K; then
+    each success closes the valid set under the new generator (at least
     doubling K, by Lagrange), and each failure marks its flag's whole
     K-orbit invalid.  A partial map (the flag graph is disconnected)
     counts its own image only.
+
+    When every row is an involution, an image is marked invalid with no
+    propagation when its face-size signature, the flag count of its
+    i-face for each i, differs from flag 0's: an automorphism, or a
+    partial map on a disconnected input, is colour-preserving and one to
+    one, so it carries each face of flag 0, an orbit of the colours but
+    one, onto the same-rank face of its image (`_alike_flag_0`).
     """
+    info = m._cache.get("automorphisms")
+    if info is None:
+        info = m._cache["automorphisms"] = _automorphism_count(m)
+    return info
+
+
+def _automorphism_count(m: Maniplex) -> AutomorphismInfo:
     size = m.flag_count
     valid = [None] * size  # None: not yet decided
     valid[0] = True  # the identity
     gens: list[tuple[int, ...]] = []
     if validate(m).ok:
-        rows = walk_rows(m)
-        gens, failed = _images_extending(m, [row[0] for row in rows])
-        if not failed:
-            return AutomorphismInfo(size, True)
-        if not gens:
-            r0 = rows[0][0]
-            gens, failed_even = _images_extending(m, [row[r0] for row in rows[1:]])
-            if not failed_even:
-                return AutomorphismInfo(size // 2, False)
-            failed += failed_even
+        orbits = flag_orbits(m)
+        reps = len(orbits.representatives)
+        if reps:
+            return AutomorphismInfo(size // reps, reps == 1)
+        gens = list(orbits.automorphisms)
         _close_orbit(valid, gens, [0], True)
-        _close_orbit(valid, gens, failed, False)
+        _close_orbit(valid, gens, list(orbits.failed), False)
+    alike = _alike_flag_0(m) if _involutions(m, range(m.rank)) else None
     for image in range(1, size):
         if valid[image] is not None:
+            continue
+        if alike is not None and not alike(image):
+            valid[image] = False
             continue
         phi = _propagate(m, m, image)
         if phi is None:
@@ -681,17 +747,19 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
     return AutomorphismInfo(count, count == size)
 
 
-def _images_extending(m: Maniplex, images: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(the automorphisms that send flag 0 to the images that extend, the
-    images that do not), for a maniplex whose flag graph is connected."""
-    found, failed = [], []
-    for image in images:
-        phi = _propagate(m, m, image)
-        if phi is None:
-            failed.append(image)
-        else:
-            found.append(phi)
-    return found, failed
+def _alike_flag_0(m: Maniplex) -> Callable[[int], bool]:
+    """flag -> whether each of its faces has as many flags as flag 0's
+    face of the same rank, read off the face tables: only the ranks whose
+    faces differ in size are looked at."""
+    checks = []
+    for i in range(m.rank):
+        table = face_table(m, i)
+        sizes = Counter(table)
+        want = sizes[table[0]]
+        alike = {c for c, k in sizes.items() if k == want}
+        if len(alike) < len(sizes):
+            checks.append((table, alike))
+    return lambda f: all(table[f] in alike for table, alike in checks)
 
 
 def _close_orbit(valid: list, gens: list[tuple[int, ...]], seeds: list[int], status: bool) -> None:

@@ -3,9 +3,15 @@
 A rank-n maniplex is a transitive action of the universal string group on
 n involutory generators r_0 .. r_{n-1}.  It is sparse when its face poset
 is an abstract polytope, and semisparse when it is also faithful.  The
-polytope report is `poset.polytope_report`'s: a valid maniplex of rank
-<= 3 is judged from its flags' face triples, with no face poset built,
-and any other from its face poset.
+polytope report is `poset.polytope_report`'s: a valid maniplex whose
+automorphisms have one flag orbit, or two with no flag sharing an orbit
+with a neighbour (`core.flag_orbits`), is judged at one flag per orbit
+(fact (f) of the `poset` module docstring), with no face poset and no
+chain set, and so is its faithfulness.  Any other, or one that fails
+there, is judged as before: at rank <= 3 from its flags' face triples,
+with no face poset built, and at any other rank from its face poset.
+The orbits are kept in the maniplex's cache, so `automorphism_count`
+after `verdict` propagates nothing more.
 
 The CLI's `verdict` writes `schreier_ok` without building a word, since
 on its inputs, valid maniplexes, the Schreier correspondence holds from

@@ -81,6 +81,45 @@ poset built.
     witness.  In a polytopal, faithful map f and r_i f are distinct flags
     with distinct chains sharing every face but the i-face, so the test
     accepts every such map.
+
+(f) Judging at one flag per automorphism orbit.  On a valid maniplex of
+    any rank whose flag orbits `core.flag_orbits` decides, each flag is
+    the image under an automorphism of a representative: flag 0 when the
+    maniplex is reflexible, flag 0 or r_0(0) when it is chiral.  An
+    automorphism commutes with every r_k, so it carries each i-face, an
+    orbit of the colours other than i, onto an i-face, and keeps
+    incidence: it is an automorphism of the face poset.  By (d), each
+    chain, incident pair and section between proper faces lies in a flag,
+    and that flag is the image of a representative, so each is carried
+    onto one at a representative.  The maniplex is polytopal when, at
+    every representative R:
+    - R does not share its i-face with r_i R, for every rank i.  At the
+      end ranks this is the diamond condition, by the argument in (e);
+    - for 1 <= i <= n - 2, the flags of R's (i-1)-face that lie in its
+      (i+1)-face hold exactly two i-faces: by (d) these are the i-faces
+      between R's (i-1)-face and (i+1)-face;
+    - for proper ranks i, j with j - i >= 3, the orbit of R under the
+      colours other than i and j is every flag that shares R's i-face and
+      j-face.  Two such flags then differ by a word in those colours.
+      Colours below i, between i and j, and above j are two or more
+      apart across blocks, so by the square axiom the word splits as
+      w_low w_mid w_high with the three blocks commuting.  w_low and
+      w_high change no face strictly between ranks i and j, and each
+      letter of w_mid changes one, so the chains of the section between
+      the two faces, each the middle of such a flag by (d), are joined by
+      steps that change one face: the section is flag-connected, and so
+      its proper faces are connected under incidence.
+    The diamond condition then holds everywhere, (c) covers the sections
+    at the least and greatest faces, and the construction gives a
+    bounded, graded partial order, so McMullen-Schulte 2A1 makes the
+    poset a polytope.  `polytope_report` accepts a maniplex by this test
+    (`_polytopal_at`), with no poset and no chain set; a maniplex it
+    refuses, or one without representatives, is judged by (e) or the
+    poset search, which names the witness.  Likewise, when two flags
+    share a chain, an automorphism carries the one onto a representative
+    and the other onto another flag with the representative's chain,
+    which lies in its 0-face: the maniplex is faithful when no other flag
+    of a representative's 0-face has its chain (`_faithful_at`).
 """
 
 from __future__ import annotations
@@ -88,11 +127,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .core import Maniplex, face_table, validate, walk_rows
+from .core import Maniplex, face_table, flag_orbits, validate, walk_rows
 
 ISO_FACE_LIMIT = 64  # brute-force poset matching is only vouched for below this
 
@@ -247,22 +286,50 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
     their 'i:c' labels, that is by the ids as strings; chains are counted
     only then.  The first chain is found rank by rank: keep the shared
     chains whose id at rank i is the least of theirs as a string, a
-    choice among the under-100 faces of a rank.  Computed once per
+    choice among the under-100 faces of a rank.  When the maniplex's flag
+    orbits are already in its cache with representatives
+    (`core.flag_orbits`), a faithful maniplex is accepted at them
+    (`_faithful_at`), with no chain listed per flag.  Computed once per
     maniplex and kept in its cache."""
     result = m._cache.get("faithful")
     if result is None:
-        chains = flag_function(m)
-        if len(set(chains)) == m.flag_count:
+        orbits = m._cache.get("orbits")
+        if orbits is not None and orbits.representatives and _faithful_at(m, orbits.representatives):
             result = FaithfulnessResult(True, None)
         else:
-            shared = [c for c, count in Counter(chains).items() if count > 1]
-            for i in range(m.rank):
-                least = min({c[i] for c in shared}, key=str)
-                shared = [c for c in shared if c[i] == least]
-            first = chains.index(shared[0])
-            result = FaithfulnessResult(False, (first, chains.index(shared[0], first + 1)))
+            result = _faithfulness(m)
         m._cache["faithful"] = result
     return result
+
+
+def _faithfulness(m: Maniplex) -> FaithfulnessResult:
+    """`is_faithful` from every flag's chain."""
+    chains = flag_function(m)
+    if len(set(chains)) == m.flag_count:
+        return FaithfulnessResult(True, None)
+    shared = [c for c, count in Counter(chains).items() if count > 1]
+    for i in range(m.rank):
+        least = min({c[i] for c in shared}, key=str)
+        shared = [c for c in shared if c[i] == least]
+    first = chains.index(shared[0])
+    return FaithfulnessResult(False, (first, chains.index(shared[0], first + 1)))
+
+
+def _faithful_at(m: Maniplex, reps: tuple[int, ...]) -> bool:
+    """Whether no other flag has the chain of a representative of the
+    flag orbits: every flag is an automorphic image of one, and an
+    automorphism carries chains onto chains, so the maniplex is then
+    faithful.  A flag with the same chain shares the 0-face, so only the
+    0-face's flags are looked at, and kept rank by rank."""
+    tables = [face_table(m, i) for i in range(m.rank)]
+    for rep in reps:
+        same = [f for f in _face_flags(tables[0], tables[0][rep]) if f != rep]
+        for ids in tables[1:]:
+            face = ids[rep]
+            same = [f for f in same if ids[f] == face]
+        if same:
+            return False
+    return True
 
 
 # ---------- polytope axioms ----------
@@ -408,17 +475,68 @@ def _judge(p: RankedPoset) -> PolytopeReport:
 def polytope_report(m: Maniplex) -> PolytopeReport:
     """The report `is_polytope(pos_of(m))` gives, computed once per
     maniplex and kept in its cache; ValueError when m's `validate` report
-    fails.  A maniplex of rank <= 3 is judged from its face tables
-    (`_report_from_flags`), with no poset; any other maniplex's poset is
-    built, or read from its cache, and searched, since at rank >= 4 the
+    fails.  A maniplex whose flag orbits `flag_orbits` decides is accepted
+    at its representatives when fact (f) of the module docstring passes
+    there (`_polytopal_at`), with no poset.  Any other, or one that fails
+    there, is judged as before, which names the witness: at rank <= 3 from
+    its face tables (`_report_from_flags`), with no poset; else its poset
+    is built, or read from its cache, and searched, since at rank >= 4 the
     sections between proper faces need the search."""
     report = m._cache.get("polytope")
     if report is None:
         if not validate(m).ok:
             raise ValueError("only a valid maniplex is judged")
-        report = _report_from_flags(m) if m.rank <= 3 else is_polytope(pos_of(m))
+        reps = flag_orbits(m).representatives
+        if reps and _polytopal_at(m, reps):
+            report = PolytopeReport(True, None, None)
+        else:
+            report = _report_from_flags(m) if m.rank <= 3 else is_polytope(pos_of(m))
         m._cache["polytope"] = report
     return report
+
+
+def _face_flags(table, face: int) -> list[int]:
+    """The flags whose entry in the face table is face, by one pass in C."""
+    return list(compress(range(len(table)), map(face.__eq__, table)))
+
+
+def _orbit_size(view: tuple, flag: int, colours: Iterable[int]) -> int:
+    """The number of flags reached from flag by steps of the given colours."""
+    rows = [view[c] for c in colours]
+    queue, seen = [flag], {flag}
+    for f in queue:
+        for row in rows:
+            g = row[f]
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+    return len(queue)
+
+
+def _polytopal_at(m: Maniplex, reps: tuple[int, ...]) -> bool:
+    """Whether fact (f) of the module docstring accepts the valid maniplex
+    at its orbit representatives, tested in its order.  The orbit under
+    the colours other than i and j lies in the flags that share the
+    representative's i-face and j-face, so it is all of them when it is
+    as many."""
+    n, view = m.rank, walk_rows(m)
+    tables = [face_table(m, i) for i in range(n)]
+    for rep in reps:
+        if any(ids[rep] == ids[row[rep]] for ids, row in zip(tables, view)):
+            return False
+        for i in range(1, n - 1):
+            low, mid, high = tables[i - 1 : i + 2]
+            top = high[rep]
+            if len({mid[f] for f in _face_flags(low, low[rep]) if high[f] == top}) != 2:
+                return False
+        for i in range(n - 3):
+            flags = _face_flags(tables[i], tables[i][rep])
+            for j in range(i + 3, n):
+                ids, face = tables[j], tables[j][rep]
+                shared = sum(ids[f] == face for f in flags)
+                if _orbit_size(view, rep, (c for c in range(n) if c != i and c != j)) != shared:
+                    return False
+    return True
 
 
 def _report_from_flags(m: Maniplex) -> PolytopeReport:

@@ -393,7 +393,9 @@ def test_counterexample_size_refusal_exits_1(monkeypatch, tmp_path, capsys):
 
 
 def test_counterexample_one_flag_function_pass_per_maniplex(tmp_path, monkeypatch):
-    # B once; B* twice (faithfulness, then the sheet-pair check), its later
+    # B none, as it is judged faithful at flag 0 from the flag orbits
+    # `automorphism_count` found; B* twice (faithfulness, then the
+    # sheet-pair check), its later
     # faithfulness reads (verdict, the rank-5 step) memoised; the rank-5
     # extension none, as the rank-6 step's base, because its step carried
     # B*'s witness (0, 1) up to (0, 4); the rank-6 extension none, because
@@ -409,18 +411,19 @@ def test_counterexample_one_flag_function_pass_per_maniplex(tmp_path, monkeypatc
         if name.startswith("maniplex") and getattr(module, "flag_function", None) is inner:
             monkeypatch.setattr(module, "flag_function", counting)
     assert main(["counterexample", "--rank", "6", "-o", str(tmp_path / "ce")]) == 0
-    assert calls == {(4, 96): 1, (4, 192): 2}
+    assert calls == {(4, 192): 2}
 
 
 def test_counterexample_judges_each_poset_once(tmp_path, monkeypatch):
-    # B and B* are searched; the rank-5 and rank-6 extensions are certified
+    # B* is searched, and B, reflexible, is judged at flag 0 with no poset;
+    # the rank-5 and rank-6 extensions are certified
     # by amalgamation with no search, and each step's base reuses the report
     # the step below kept on its poset
     judged = []
     inner = poset._judge
     monkeypatch.setattr(poset, "_judge", lambda p: judged.append(p) or inner(p))
     assert main(["counterexample", "--rank", "6", "-o", str(tmp_path / "ce")]) == 0
-    assert [p.rank for p in judged] == [4, 4]
+    assert [p.rank for p in judged] == [4]
     assert len(set(judged)) == len(judged)
 
 

@@ -318,43 +318,57 @@ def test_automorphism_count_matches_propagation_oracle(
 
 def test_automorphism_count_propagates_once_per_orbit(monkeypatch):
     """A reflexible maniplex propagates the images r_i(0) of its n colours
-    and nothing else; a chiral one those and the n - 1 images r_j r_0 (0)."""
+    and nothing else; a chiral one r_0(0), which fails, and the n - 1
+    images r_j r_0 (0): n propagations either way.  The count is kept in
+    the maniplex's cache, so a second call propagates nothing."""
     calls = []
     real = core._propagate
     monkeypatch.setattr(core, "_propagate", lambda *args: calls.append(args[2]) or real(*args))
     cell24 = coset_enumerate(string_coxeter([3, 4, 3])).to_maniplex()
     cases = [(cell24, 1152)]
     cases += [(torus_44(b, c), suites.torus_automorphisms(b, c)) for b, c in suites.TORUS_POOL]
+    chiral = 0
     for m, want in cases:
         calls.clear()
         info = automorphism_count(m)
         assert info.count == want
-        assert len(calls) == (m.rank if info.is_reflexible else 2 * m.rank - 1), (m, calls)
+        assert len(calls) == m.rank, (m, calls)
+        assert automorphism_count(m) is info and len(calls) == m.rank
+        chiral += not info.is_reflexible
+    assert chiral >= 20
 
 
 def automorphism_paths(monkeypatch):
-    """Spy on `automorphism_count`: path(m) is its result, checked against
-    the oracle, and the path it took: "reflexible" (lemma A: only the
-    images r_i(0) propagated), "chiral" (lemma B: those and the images
-    r_j r_0 (0)), "fallback" (those tried first, then the orbit loop) or
-    "loop" (the orbit loop alone, which tries image 1 first)."""
+    """Spy on `automorphism_count`: path(m) is its result on a fresh copy
+    of m, checked against the oracle, and the path it took: "reflexible"
+    (lemma A: only the images r_i(0) propagated), "chiral" (lemma B:
+    r_0(0), which fails, and the images r_j r_0 (0)), "fallback" (the
+    lemma that r_0(0) picks, up to its first failure, then the orbit loop)
+    or "loop" (the orbit loop alone, which tries image 1 first)."""
     images, closures = [], []
     propagate, close = core._propagate, core._close_orbit
     monkeypatch.setattr(core, "_propagate", lambda *args: images.append(args[2]) or propagate(*args))
     monkeypatch.setattr(core, "_close_orbit", lambda *args: closures.append(args[3]) or close(*args))
 
     def path(m):
+        m = Maniplex(m.perms)
         images.clear()
         closures.clear()
         info = automorphism_count(m)
         assert info.count == automorphism_count_by_propagation(m.perms), m
         firsts = [row[0] for row in m.perms]
-        evens = [row[firsts[0]] for row in m.perms[1:]]
+        chiral = firsts[:1] + [row[firsts[0]] for row in m.perms[1:]]
         if images == firsts and not closures:
             return info, "reflexible"
-        if images == firsts + evens and not closures:
+        if images == chiral and not closures:
             return info, "chiral"
-        if images[: m.rank] == firsts and closures:
+        if closures and validate(m).ok:
+            tried = core.flag_orbits(m)
+            lemma = chiral if tried.failed[0] == firsts[0] else firsts
+            k = len(tried.automorphisms) + len(tried.failed)
+            # the lemma stops at its first failure, having paid at most two
+            assert images[:k] == lemma[:k] and tried.failed[-1] == lemma[k - 1], (m, images)
+            assert not tried.representatives and 1 <= len(tried.failed) <= 2, (m, tried.failed)
             return info, "fallback"
         assert images[0] == 1, (m, images)
         return info, "loop"
@@ -363,8 +377,11 @@ def automorphism_paths(monkeypatch):
 
 
 def test_automorphism_count_paths(b_maniplex, bstar_result, two_squares, monkeypatch):
-    """Each case takes the path the lemmas give it (`automorphism_count`),
-    and counts what the oracle counts."""
+    """Each case takes the path the lemmas give it (`flag_orbits`), and
+    counts what the oracle counts.  The orbit loop skips the images whose
+    face sizes differ from flag 0's: on the tower it propagates 98, 52,
+    101 and 199 images at ranks 4 to 7, against 98, 100, 391 and 1 555
+    with no such skip."""
     path, images = automorphism_paths(monkeypatch)
     for m in [b_maniplex, *(platonic(name) for name in corpus_names())]:
         assert path(m) == ((m.flag_count, True), "reflexible"), m
@@ -373,8 +390,12 @@ def test_automorphism_count_paths(b_maniplex, bstar_result, two_squares, monkeyp
         want = suites.torus_automorphisms(b, c)
         reflexible = want == m.flag_count
         assert path(m) == ((want, reflexible), "reflexible" if reflexible else "chiral"), (b, c)
-    tower = _tower(bstar_result.bstar, 7)
-    assert [path(m) for m in tower] == [((2, False), "fallback")] + [((8, False), "fallback")] * 3
+    propagated = []
+    for m in _tower(bstar_result.bstar, 7):
+        propagated.append((path(m), len(images)))
+    assert propagated == [(((2, False), "fallback"), 98)] + [
+        (((8, False), "fallback"), k) for k in (52, 101, 199)
+    ]
     # the torus maps' extensions over the facet of flag 0: those of torus
     # (1, 1) are reflexible, the rest take the fallback
     for b, c in itertools.product(range(4), repeat=2):
@@ -384,7 +405,8 @@ def test_automorphism_count_paths(b_maniplex, bstar_result, two_squares, monkeyp
             if validate(m).ok:
                 assert path(m)[1] == ("reflexible" if (b, c) == (1, 1) else "fallback"), (b, c)
     # not maniplexes, so the orbit loop alone, as before: a disconnected
-    # flag graph's partial maps leave every image to try
+    # flag graph's partial maps leave every image to try, as every flag's
+    # faces have the same sizes
     mixed = disjoint_union(polygon_flag_graph(4), polygon_flag_graph(6), polygon_flag_graph(4))
     assert path(two_squares) == ((16, True), "loop") and images == list(range(1, 16))
     assert path(mixed) == ((16, False), "loop") and images == list(range(1, 28))

@@ -1,0 +1,198 @@
+"""The flag orbits of a valid maniplex (`core.flag_orbits`) and the judges
+that read them: `poset.polytope_report` at the orbit representatives (fact
+(f) of the `poset` module docstring), `poset.is_faithful` at them, and
+`core.automorphism_count`."""
+
+import itertools
+
+import pytest
+
+import suites
+from maniplex import core, poset
+from maniplex.core import FlagOrbits, Maniplex, automorphism_count, faces, flag_orbits, validate
+from maniplex.corpus import torus_44
+from maniplex.cosets import coset_enumerate, string_coxeter
+from maniplex.coxeter import verdict
+from maniplex.extension import extend
+from maniplex.poset import is_faithful, polytope_report, pos_of
+
+from oracles import automorphism_count_by_propagation, polytope_report_by_masks
+from test_poset import rectangular_torus
+
+REGULAR = ([3, 4, 3], [3, 3, 3, 3], [4, 3, 3, 3], [3, 3, 3, 4])
+
+
+@pytest.fixture(scope="module")
+def regular():
+    """The 24-cell, the 5-simplex, the 5-cube and the 5-orthoplex."""
+    return [coset_enumerate(string_coxeter(symbol)).to_maniplex() for symbol in REGULAR]
+
+
+@pytest.fixture(scope="module")
+def judged(regular, named_corpus, b_maniplex, bstar_result, section_failure):
+    """Every maniplex the judges are compared on, with the number of its
+    flag orbits' representatives (0 when the lemmas do not decide them):
+    the regular polytopes, the named maps (tori (1,0), (0,1) and (1,1)
+    among them), every census pool torus, B, B*, the tower's ranks 5 to
+    7, the valid extensions of the tori b, c <= 3 over their first three
+    facets, rectangular tori, a rank-4 map failing at a proper section
+    and two rank-4 quotients of {4,4,4} failing the diamond condition."""
+    members = [(m, 1) for m in regular]
+    for m in named_corpus.values():
+        members.append((m, 1 if automorphism_count_by_propagation(m.perms) == m.flag_count else 2))
+    for b, c in suites.TORUS_POOL:
+        members.append((torus_44(b, c), 1 if b * c * (b - c) == 0 else 2))
+    members += [(b_maniplex, 1), (bstar_result.bstar, 0)]
+    m = bstar_result.bstar
+    for _ in (5, 6, 7):
+        m = extend(m, faces(m, m.rank - 1)[0])
+        members.append((m, 0))
+    for b, c in itertools.product(range(4), repeat=2):
+        torus = torus_44(b, c) if b or c else None
+        for facet in faces(torus, 2)[:3] if torus else ():
+            ext = extend(torus, facet)
+            if validate(Maniplex(ext.perms)).ok:
+                members.append((ext, 1 if (b, c) == (1, 1) else 0))
+    members += [(rectangular_torus(a, b), 0) for a, b in ((3, 4), (4, 6))]
+    members.append((section_failure, 1))
+    for extra in ((0, 1, 2, 3) * 2, (0, 1, 2, 1) * 2 + (1, 2, 3, 2) * 2):
+        members.append((coset_enumerate(string_coxeter([4, 4, 4]).extended(extra), cap=20000).to_maniplex(), 1))
+    return members
+
+
+def forced_fallback(m: Maniplex) -> Maniplex:
+    """A copy of m whose cache holds flag orbits with no representatives,
+    so that every judge takes the path it takes on such a maniplex: the
+    poset search, or the face tables at rank <= 3, and every flag's chain."""
+    copy = Maniplex(m.perms)
+    assert validate(copy).ok
+    copy._cache["orbits"] = FlagOrbits((), (), ())
+    return copy
+
+
+def test_judging_by_representatives_equals_the_poset_search(judged):
+    """On a fresh copy of each member, the flag orbits have the
+    representatives the member is listed with, and `polytope_report`,
+    `is_faithful` and `verdict` give what they give on a copy forced onto
+    the other path, and the report is the masks oracle's on the face
+    poset.  A member with representatives that is polytopal is judged with
+    no poset built; every case of fact (f) fails on some member."""
+    fast = refused = 0
+    failed = set()
+    for m, want in judged:
+        fresh, slow = Maniplex(m.perms), forced_fallback(m)
+        assert validate(fresh).ok, m
+        reps = flag_orbits(fresh).representatives
+        assert reps == ((), (0,), (0, m.perms[0][0]))[want], (m, reps)
+        report = polytope_report(fresh)
+        assert report == polytope_report(slow), m
+        assert (report.ok, report.failed, report.witness) == polytope_report_by_masks(pos_of(Maniplex(m.perms))), m
+        assert verdict(fresh) == verdict(slow), m
+        assert is_faithful(fresh) == is_faithful(slow) == is_faithful(Maniplex(m.perms)), m
+        if reps and report.ok:
+            assert "poset" not in fresh._cache, m
+            fast += 1
+        if reps and not report.ok:
+            refused += 1
+            failed.add(report.failed)
+    assert fast >= len(suites.TORUS_POOL) + len(REGULAR) + 1
+    assert refused >= 5 and failed == {"diamond", "strong-flag-connectivity"}
+
+
+@pytest.mark.parametrize("b, c", [(1, 0), (1, 1)])
+def test_reflexible_tori_that_are_not_sparse_fail_at_flag_0(b, c):
+    """Tori (1,0) and (1,1) are reflexible but not sparse: fact (f) refuses
+    them at flag 0, and the verdict names the witness the face tables
+    give, as before."""
+    m = torus_44(b, c)
+    assert validate(m).ok and flag_orbits(m).representatives == (0,)
+    assert not poset._polytopal_at(m, (0,))
+    slow = forced_fallback(m)
+    assert verdict(m) == verdict(slow) and not verdict(m).sparse
+    assert polytope_report(m).witness == poset._report_from_flags(slow).witness
+
+
+def test_faithfulness_at_representatives_only_when_the_orbits_are_cached(regular, monkeypatch):
+    """`is_faithful` on a fresh maniplex propagates nothing and lists every
+    flag's chain; once `flag_orbits` is cached it lists none."""
+    calls, chains = [], []
+    propagate, flag_function = core._propagate, poset.flag_function
+    monkeypatch.setattr(core, "_propagate", lambda *args: calls.append(args[2]) or propagate(*args))
+    monkeypatch.setattr(poset, "flag_function", lambda m: chains.append(m) or flag_function(m))
+    for m in [regular[0], torus_44(3, 2)]:
+        fresh = Maniplex(m.perms)
+        assert validate(fresh).ok and is_faithful(fresh).faithful
+        assert calls == [] and len(chains) == 1
+        chains.clear()
+        cached = Maniplex(m.perms)
+        flag_orbits(cached)
+        calls.clear()
+        assert is_faithful(cached).faithful and calls == [] and chains == []
+
+
+def test_verdict_builds_no_poset_on_regular_polytopes_or_b(regular, b_maniplex, monkeypatch):
+    """`verdict` on the regular polytopes and on B decides them at flag 0:
+    no poset is built, and no section searched."""
+    built, searched = [], []
+    monkeypatch.setattr(poset, "pos_of", lambda m: built.append(m) or pos_of(m))
+    monkeypatch.setattr(poset, "flag_connectivity_witness", lambda p: searched.append(p))
+    for m in [*regular, b_maniplex]:
+        copy = Maniplex(m.perms)
+        assert validate(copy).ok and verdict(copy).summary == "semisparse"
+        assert "poset" not in copy._cache
+    assert built == [] and searched == []
+
+
+def test_verdict_then_automorphism_count_propagate_n_times(regular, b_maniplex, monkeypatch):
+    """On a reflexible maniplex and on a chiral one, `verdict` and then
+    `automorphism_count` propagate n images of flag 0 in all, and
+    `automorphism_count` none of them: it reads the count off the record
+    `verdict` left."""
+    calls = []
+    propagate = core._propagate
+    monkeypatch.setattr(core, "_propagate", lambda *args: calls.append(args[2]) or propagate(*args))
+    cases = [(regular[0], 1152, True), (b_maniplex, 96, True), (torus_44(3, 2), 52, False)]
+    cases += [(torus_44(1, 4), 68, False)]
+    for m, count, reflexible in cases:
+        copy = Maniplex(m.perms)
+        calls.clear()
+        assert validate(copy).ok and verdict(copy).summary == "semisparse"
+        assert len(calls) == m.rank, (m, calls)
+        assert automorphism_count(copy) == (count, reflexible)
+        assert len(calls) == m.rank, (m, calls)
+
+
+def test_no_representatives_cost_at_most_two_failed_propagations(judged, monkeypatch):
+    """A maniplex whose flag orbits the lemmas do not decide is told so
+    after at most two images that fail, the last image propagated; the
+    record keeps the automorphisms found and the failed images, which
+    seed `automorphism_count`'s orbit loop, and its count is the
+    oracle's."""
+    outcomes = []
+    propagate = core._propagate
+
+    def spy(*args):
+        phi = propagate(*args)
+        outcomes.append(phi is not None)
+        return phi
+
+    monkeypatch.setattr(core, "_propagate", spy)
+    undecided = 0
+    for m, want in judged:
+        if want or m.flag_count > 3072:
+            continue
+        copy = Maniplex(m.perms)
+        outcomes.clear()
+        assert validate(copy).ok
+        record = flag_orbits(copy)
+        assert record.representatives == () and not outcomes[-1], m
+        assert outcomes.count(False) == len(record.failed) <= 2, (m, outcomes)
+        assert len(record.automorphisms) == outcomes.count(True)
+        assert automorphism_count(copy).count == automorphism_count_by_propagation(m.perms), m
+        undecided += 1
+    assert undecided >= 10
+
+
+def test_flag_orbits_refuses_an_invalid_maniplex(two_squares):
+    with pytest.raises(ValueError, match="valid maniplex"):
+        flag_orbits(Maniplex(two_squares.perms))

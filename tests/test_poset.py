@@ -512,12 +512,35 @@ def test_marked_posets_hold_the_construction_facts():
     assert marked >= 150 and disconnected > 0
 
 
+def rectangular_torus(a: int, b: int) -> Maniplex:
+    """The map of a x b squares on the torus, a, b >= 3, from its face
+    poset by the chain oracle: polytopal and faithful, and for a != b it
+    has no automorphism swapping the two directions, so r_1(0) is no image
+    of flag 0 under an automorphism, while r_0(0) is: its flag orbits are
+    not decided by the lemmas of `core.flag_orbits`."""
+    v = {(i, j): f"v{i}.{j}" for i in range(a) for j in range(b)}
+    square_faces = {}
+    for i, j in v:
+        x, y = (i + 1) % a, (j + 1) % b
+        edges = (f"h{i}.{j}", f"h{i}.{y}", f"e{i}.{j}", f"e{x}.{j}")
+        square_faces[f"s{i}.{j}"] = (edges, (v[i, j], v[x, j], v[i, y], v[x, y]))
+    ends = {f"h{i}.{j}": (v[i, j], v[(i + 1) % a, j]) for i, j in v}
+    ends.update({f"e{i}.{j}": (v[i, j], v[i, (j + 1) % b]) for i, j in v})
+    less = {(x, e) for e, pair in ends.items() for x in pair}
+    for s, (edges, corners) in square_faces.items():
+        less |= {(e, s) for e in edges} | {(x, s) for x in corners}
+    proper = [*v.values(), *ends, *square_faces]
+    less |= {("b", x) for x in proper} | {(x, "t") for x in proper} | {("b", "t")}
+    levels = [("b",), tuple(v.values()), tuple(ends), tuple(square_faces), ("t",)]
+    return Maniplex(flag_graph_by_chains(levels, less))
+
+
 def report_members(named_corpus, two_squares, section_failure) -> list[Maniplex]:
     """Every census pool map (the pool holds each map's mirror too), the
     named maps, the tori that fail the diamond condition, rank-1 and rank-2
     maniplexes, seeded random rank-3 maps and their duals, valid or not,
-    a rank-4 map failing at a proper section, and two disjoint squares and
-    cubes."""
+    a rank-4 map failing at a proper section, five rectangular tori, and
+    two disjoint squares and cubes."""
     rng = random.Random(20261020)
     members = [torus_44(b, c) for b, c in suites.TORUS_POOL] + list(named_corpus.values())
     members += [torus_44(b, c) for b, c in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))]
@@ -525,6 +548,7 @@ def report_members(named_corpus, two_squares, section_failure) -> list[Maniplex]
     members += [coset_enumerate(string_coxeter([k])).to_maniplex() for k in (3, 5)]
     randoms = [random_map(rng, rng.randint(2, 8)) for _ in range(100)]
     members += randoms + [dual(m) for m in randoms] + [section_failure]
+    members += [rectangular_torus(a, b) for a, b in ((3, 4), (3, 5), (4, 3), (4, 6), (5, 3))]
     cube = named_corpus["cube"]
     return members + [two_squares, Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms))]
 
@@ -595,22 +619,26 @@ def test_polytope_report_matches_the_poset_search(named_corpus, two_squares, sec
 def test_polytope_report_shares_faithfulness(named_corpus, two_squares, section_failure):
     """`is_faithful` read after `polytope_report` equals `is_faithful` on a
     fresh copy, witness included, on the valid report members (the report
-    refuses the others); the report leaves the faithful result in the
-    cache exactly when it accepts a rank-3 map whose chains are all
-    distinct."""
-    kept = unfaithful = 0
+    refuses the others).  The report leaves the faithful result in the
+    cache exactly when it accepts, by the whole-row test, a rank-3 map
+    whose chains are all distinct and whose flag orbits have no
+    representatives; a map with representatives is decided by
+    `is_faithful` at them, from the orbits the report leaves cached."""
+    kept = unfaithful = at_reps = 0
     for m in report_members(named_corpus, two_squares, section_failure):
         copy = Maniplex(m.perms)
         if not validate(copy).ok:
             continue
         report = poset.polytope_report(copy)
+        reps = core.flag_orbits(copy).representatives
         distinct = len(set(poset.flag_function(m))) == m.flag_count
         set_by_report = "faithful" in copy._cache
-        assert set_by_report == (m.rank == 3 and report.ok and distinct), m
+        assert set_by_report == (m.rank == 3 and report.ok and distinct and not reps), m
         assert is_faithful(copy) == is_faithful(Maniplex(m.perms)), m
         kept += set_by_report
         unfaithful += not distinct
-    assert kept >= len(suites.TORUS_POOL) - 3 and unfaithful >= 3
+        at_reps += bool(reps)
+    assert kept >= 5 and unfaithful >= 3 and at_reps >= len(suites.TORUS_POOL)
 
 
 def test_marked_posets_are_transitive(oracle_members, b_maniplex, bstar_result):
@@ -644,10 +672,9 @@ def test_pipeline_operations_mark_posets_without_more_validation(bstar_result, m
     polytope and three tower steps.  Each runs the `_validate` calls it ran
     before posets were marked (one for the census and the regular
     operation, none for a tower step, whose report is read off its base).
-    The regular operation judges one poset, once: a marked one; the census
-    map, of rank 3, is judged from its flags with no poset; a tower step
-    judges none, as its polytope report follows from its facets by
-    amalgamation."""
+    None judges a poset: the census map and the regular polytope are
+    judged at their flag orbits' representatives, and a tower step's
+    polytope report follows from its facets by amalgamation."""
     validated, judged = [], []
     inner_validate, inner_judge = core._validate, poset._judge
     monkeypatch.setattr(core, "_validate", lambda m: validated.append(m) or inner_validate(m))
@@ -669,7 +696,7 @@ def test_pipeline_operations_mark_posets_without_more_validation(bstar_result, m
         assert validate(m).ok and verdict(m).summary == "semisparse"
 
     assert replay(census) == (1, [])
-    assert replay(regular) == (1, [4])
+    assert replay(regular) == (1, [])
     m = bstar_result.bstar  # its poset, judged, is kept in its cache for the first step
     assert is_polytope(pos_of(m)).ok
     for rank in (5, 6, 7):
@@ -701,16 +728,17 @@ def test_transitivity_witness_ignores_hash_seed():
     assert seen == {"('b', 'y1', 't')\n"}
 
 
-def test_verdict_builds_no_label_sets(monkeypatch):
-    """A valid rank-3 map's verdict builds no poset; a rank-4 polytope's
-    builds one, and none of its label views."""
+def test_verdict_builds_no_label_sets(bstar_result, monkeypatch):
+    """A valid rank-3 map's verdict builds no poset, nor does a regular
+    rank-4 polytope's, judged at flag 0; B*'s, whose flag orbits have no
+    representatives, builds one, and none of its label views."""
     built = []
     monkeypatch.setattr(poset, "pos_of", lambda m: built.append(pos_of(m)) or built[-1])
-    m = torus_44(3, 2)
-    assert validate(m).ok and verdict(m).summary == "semisparse"
-    assert built == [] and "poset" not in m._cache
-    m = coset_enumerate(string_coxeter([3, 3, 3])).to_maniplex()
-    assert validate(m).ok and verdict(m).summary == "semisparse"
+    for m in (torus_44(3, 2), coset_enumerate(string_coxeter([3, 3, 3])).to_maniplex()):
+        assert validate(m).ok and verdict(m).summary == "semisparse"
+        assert built == [] and "poset" not in m._cache
+    m = Maniplex(bstar_result.bstar.perms)
+    assert validate(m).ok and verdict(m).summary == "sparse, not semisparse"
     (p,) = built
     assert not {"faces", "less", "rank_of", "covers"} & vars(p).keys()
 
