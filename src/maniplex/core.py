@@ -46,7 +46,10 @@ class Maniplex:
     "automorphisms", the `automorphism_count` result; under "faithful",
     the faithfulness result (`poset.is_faithful`, or
     `poset.polytope_report` when its whole-row test finds a valid rank-3
-    map's chains all distinct); under "poset",
+    map's chains all distinct); under "faces at", a dict from an orbit
+    representative to the flag sets of its n faces, which
+    `poset.polytope_report` and `poset.is_faithful` read
+    (`poset._faces_at`); under "poset",
     the face poset (`poset.pos_of`, or the extension pipeline's poset read
     off the base); under "polytope", the polytope report
     (`poset.polytope_report`);

@@ -6,10 +6,11 @@ is an abstract polytope, and semisparse when it is also faithful.  The
 polytope report is `poset.polytope_report`'s: a valid maniplex whose
 automorphisms have one flag orbit, or two with no flag sharing an orbit
 with a neighbour (`core.flag_orbits`), is judged at one flag per orbit
-(fact (f) of the `poset` module docstring), with no face poset and no
-chain set, and so is its faithfulness.  Any other, or one that fails
-there, is judged as before: at rank <= 3 from its flags' face triples,
-with no face poset built, and at any other rank from its face poset.
+(fact (f) of the `poset` module docstring), and so is its faithfulness,
+from the representatives' own faces: no face poset, no chain set, no
+face table.  Any other, or one that fails there, is judged as before: at
+rank <= 3 from its flags' face triples, with no face poset built, and at
+any other rank from its face poset.
 The orbits are kept in the maniplex's cache, so `automorphism_count`
 after `verdict` propagates nothing more.
 

@@ -91,18 +91,24 @@ poset built.
     incidence: it is an automorphism of the face poset.  By (d), each
     chain, incident pair and section between proper faces lies in a flag,
     and that flag is the image of a representative, so each is carried
-    onto one at a representative.  The maniplex is polytopal when, at
-    every representative R:
-    - R does not share its i-face with r_i R, for every rank i.  At the
-      end ranks this is the diamond condition, by the argument in (e);
-    - for 1 <= i <= n - 2, the flags of R's (i-1)-face that lie in its
-      (i+1)-face hold exactly two i-faces: by (d) these are the i-faces
-      between R's (i-1)-face and (i+1)-face;
+    onto one at a representative.  Each test reads only the
+    representative R's own faces F_k(R), its orbit under the colours
+    other than k, each found by a search of its own size (`_faces_at`).
+    The maniplex is polytopal when, at every representative R:
+    - r_i R is not in F_i(R), for every rank i.  At the end ranks this is
+      the diamond condition, by the argument in (e);
+    - for 1 <= i <= n - 2, F_{i-1}(R) & F_{i+1}(R) lies in
+      F_i(R) | F_i(r_i R).  By (d), the i-faces between R's (i-1)-face
+      and (i+1)-face are those of the flags in that intersection.  R and
+      r_i R both lie in it, as r_i changes only the i-face, and the first
+      test makes their i-faces distinct, so it holds exactly two i-faces
+      iff each of its flags lies in one of those two;
     - for proper ranks i, j with j - i >= 3, the orbit of R under the
-      colours other than i and j is every flag that shares R's i-face and
-      j-face.  Two such flags then differ by a word in those colours.
-      Colours below i, between i and j, and above j are two or more
-      apart across blocks, so by the square axiom the word splits as
+      colours other than i and j is all of F_i(R) & F_j(R); it lies in
+      that intersection, so it is all of it when it is as many.  Two such
+      flags then differ by a word in those colours.  Colours below i,
+      between i and j, and above j are two or more apart across blocks,
+      so by the square axiom the word splits as
       w_low w_mid w_high with the three blocks commuting.  w_low and
       w_high change no face strictly between ranks i and j, and each
       letter of w_mid changes one, so the chains of the section between
@@ -113,13 +119,14 @@ poset built.
     at the least and greatest faces, and the construction gives a
     bounded, graded partial order, so McMullen-Schulte 2A1 makes the
     poset a polytope.  `polytope_report` accepts a maniplex by this test
-    (`_polytopal_at`), with no poset and no chain set; a maniplex it
-    refuses, or one without representatives, is judged by (e) or the
-    poset search, which names the witness.  Likewise, when two flags
-    share a chain, an automorphism carries the one onto a representative
-    and the other onto another flag with the representative's chain,
-    which lies in its 0-face: the maniplex is faithful when no other flag
-    of a representative's 0-face has its chain (`_faithful_at`).
+    (`_polytopal_at`), with no face poset, no chain set and no face
+    table; a maniplex it refuses, or one without representatives, is
+    judged by (e) or the poset search, which names the witness.
+    Likewise, when two flags share a chain, an automorphism carries the
+    one onto a representative and the other onto another flag with the
+    representative's chain, a flag of every face of the representative:
+    the maniplex is faithful when F_0(R) & ... & F_{n-1}(R) is {R} at
+    each representative R (`_faithful_at`).
 """
 
 from __future__ import annotations
@@ -127,7 +134,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -288,9 +295,9 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
     chains whose id at rank i is the least of theirs as a string, a
     choice among the under-100 faces of a rank.  When the maniplex's flag
     orbits are already in its cache with representatives
-    (`core.flag_orbits`), a faithful maniplex is accepted at them
-    (`_faithful_at`), with no chain listed per flag.  Computed once per
-    maniplex and kept in its cache."""
+    (`core.flag_orbits`), a faithful maniplex is accepted at them from
+    their own faces (`_faithful_at`): no face poset, no chain set, no
+    face table.  Computed once per maniplex and kept in its cache."""
     result = m._cache.get("faithful")
     if result is None:
         orbits = m._cache.get("orbits")
@@ -319,17 +326,10 @@ def _faithful_at(m: Maniplex, reps: tuple[int, ...]) -> bool:
     """Whether no other flag has the chain of a representative of the
     flag orbits: every flag is an automorphic image of one, and an
     automorphism carries chains onto chains, so the maniplex is then
-    faithful.  A flag with the same chain shares the 0-face, so only the
-    0-face's flags are looked at, and kept rank by rank."""
-    tables = [face_table(m, i) for i in range(m.rank)]
-    for rep in reps:
-        same = [f for f in _face_flags(tables[0], tables[0][rep]) if f != rep]
-        for ids in tables[1:]:
-            face = ids[rep]
-            same = [f for f in same if ids[f] == face]
-        if same:
-            return False
-    return True
+    faithful.  The flags with a representative's chain are those in all
+    of its faces, read off its own faces (`_faces_at`), with no face
+    table."""
+    return all(len(set.intersection(*_faces_at(m, rep))) == 1 for rep in reps)
 
 
 # ---------- polytope axioms ----------
@@ -477,8 +477,9 @@ def polytope_report(m: Maniplex) -> PolytopeReport:
     maniplex and kept in its cache; ValueError when m's `validate` report
     fails.  A maniplex whose flag orbits `flag_orbits` decides is accepted
     at its representatives when fact (f) of the module docstring passes
-    there (`_polytopal_at`), with no poset.  Any other, or one that fails
-    there, is judged as before, which names the witness: at rank <= 3 from
+    there (`_polytopal_at`), from their own faces: no face poset, no
+    chain set, no face table.  Any other, or one that fails there, is
+    judged as before, which names the witness: at rank <= 3 from
     its face tables (`_report_from_flags`), with no poset; else its poset
     is built, or read from its cache, and searched, since at rank >= 4 the
     sections between proper faces need the search."""
@@ -495,13 +496,8 @@ def polytope_report(m: Maniplex) -> PolytopeReport:
     return report
 
 
-def _face_flags(table, face: int) -> list[int]:
-    """The flags whose entry in the face table is face, by one pass in C."""
-    return list(compress(range(len(table)), map(face.__eq__, table)))
-
-
-def _orbit_size(view: tuple, flag: int, colours: Iterable[int]) -> int:
-    """The number of flags reached from flag by steps of the given colours."""
+def _orbit(view: tuple, flag: int, colours: Iterable[int]) -> set[int]:
+    """The flags reached from flag by steps of the given colours."""
     rows = [view[c] for c in colours]
     queue, seen = [flag], {flag}
     for f in queue:
@@ -510,31 +506,38 @@ def _orbit_size(view: tuple, flag: int, colours: Iterable[int]) -> int:
             if g not in seen:
                 seen.add(g)
                 queue.append(g)
-    return len(queue)
+    return seen
+
+
+def _faces_at(m: Maniplex, flag: int) -> tuple[set[int], ...]:
+    """The flag sets of the flag's faces F_0, ..., F_{n-1}, F_k its orbit
+    under the colours other than k, each found by a search of its own
+    size; searched once per maniplex and flag, and kept in its cache."""
+    found = m._cache.setdefault("faces at", {})
+    faces = found.get(flag)
+    if faces is None:
+        n, view = m.rank, walk_rows(m)
+        faces = found[flag] = tuple(_orbit(view, flag, (c for c in range(n) if c != k)) for k in range(n))
+    return faces
 
 
 def _polytopal_at(m: Maniplex, reps: tuple[int, ...]) -> bool:
     """Whether fact (f) of the module docstring accepts the valid maniplex
-    at its orbit representatives, tested in its order.  The orbit under
-    the colours other than i and j lies in the flags that share the
-    representative's i-face and j-face, so it is all of them when it is
-    as many."""
+    at its orbit representatives, tested in its order on the
+    representatives' own faces (`_faces_at`), with no face table."""
     n, view = m.rank, walk_rows(m)
-    tables = [face_table(m, i) for i in range(n)]
     for rep in reps:
-        if any(ids[rep] == ids[row[rep]] for ids, row in zip(tables, view)):
+        faces = _faces_at(m, rep)
+        if any(row[rep] in face for face, row in zip(faces, view)):
             return False
         for i in range(1, n - 1):
-            low, mid, high = tables[i - 1 : i + 2]
-            top = high[rep]
-            if len({mid[f] for f in _face_flags(low, low[rep]) if high[f] == top}) != 2:
+            other = _orbit(view, view[i][rep], (c for c in range(n) if c != i))
+            if not (faces[i - 1] & faces[i + 1]) - faces[i] <= other:
                 return False
         for i in range(n - 3):
-            flags = _face_flags(tables[i], tables[i][rep])
             for j in range(i + 3, n):
-                ids, face = tables[j], tables[j][rep]
-                shared = sum(ids[f] == face for f in flags)
-                if _orbit_size(view, rep, (c for c in range(n) if c != i and c != j)) != shared:
+                shared = len(faces[i] & faces[j])
+                if len(_orbit(view, rep, (c for c in range(n) if c != i and c != j))) != shared:
                     return False
     return True
 

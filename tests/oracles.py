@@ -16,7 +16,7 @@ import math
 import struct
 from typing import NamedTuple
 
-from maniplex.core import FormatError
+from maniplex.core import FormatError, face_table, walk_rows
 from maniplex.poset import RankedPoset
 
 Perms = tuple[tuple[int, ...], ...]
@@ -1318,3 +1318,66 @@ def theta_leaves_by_load(perms: Perms) -> list[tuple[int, ...]]:
 
     walk(())
     return leaves
+
+
+# The orbit-representative judges as they read the whole face tables, kept
+# as the reference the local face searches of `poset._polytopal_at` and
+# `poset._faithful_at` are compared with.
+
+def _face_flags(table, face: int) -> list[int]:
+    """The flags whose entry in the face table is face, by one pass in C."""
+    return list(itertools.compress(range(len(table)), map(face.__eq__, table)))
+
+
+def _orbit_size(view: tuple, flag: int, colours) -> int:
+    """The number of flags reached from flag by steps of the given colours."""
+    rows = [view[c] for c in colours]
+    queue, seen = [flag], {flag}
+    for f in queue:
+        for row in rows:
+            g = row[f]
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+    return len(queue)
+
+
+def polytopal_at_by_tables(m, reps: tuple[int, ...]) -> bool:
+    """Whether fact (f) of the `poset` module docstring accepts the valid
+    maniplex at the given flags, read off its whole face tables.  The orbit
+    under the colours other than i and j lies in the flags that share the
+    representative's i-face and j-face, so it is all of them when it is
+    as many."""
+    n, view = m.rank, walk_rows(m)
+    tables = [face_table(m, i) for i in range(n)]
+    for rep in reps:
+        if any(ids[rep] == ids[row[rep]] for ids, row in zip(tables, view)):
+            return False
+        for i in range(1, n - 1):
+            low, mid, high = tables[i - 1 : i + 2]
+            top = high[rep]
+            if len({mid[f] for f in _face_flags(low, low[rep]) if high[f] == top}) != 2:
+                return False
+        for i in range(n - 3):
+            flags = _face_flags(tables[i], tables[i][rep])
+            for j in range(i + 3, n):
+                ids, face = tables[j], tables[j][rep]
+                shared = sum(ids[f] == face for f in flags)
+                if _orbit_size(view, rep, (c for c in range(n) if c != i and c != j)) != shared:
+                    return False
+    return True
+
+
+def faithful_at_by_tables(m, reps: tuple[int, ...]) -> bool:
+    """Whether no other flag has the chain of one of the given flags, read
+    off the whole face tables: only the flags of its 0-face are looked at,
+    and kept rank by rank."""
+    tables = [face_table(m, i) for i in range(m.rank)]
+    for rep in reps:
+        same = [f for f in _face_flags(tables[0], tables[0][rep]) if f != rep]
+        for ids in tables[1:]:
+            face = ids[rep]
+            same = [f for f in same if ids[f] == face]
+        if same:
+            return False
+    return True

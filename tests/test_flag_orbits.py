@@ -4,20 +4,37 @@ that read them: `poset.polytope_report` at the orbit representatives (fact
 `core.automorphism_count`."""
 
 import itertools
+import random
 
 import pytest
 
 import suites
 from maniplex import core, poset
-from maniplex.core import FlagOrbits, Maniplex, automorphism_count, faces, flag_orbits, validate
+from maniplex.core import (
+    FlagOrbits,
+    Maniplex,
+    automorphism_count,
+    dual,
+    faces,
+    flag_orbits,
+    isomorphic,
+    maniplex_from_json,
+    maniplex_to_json,
+    validate,
+)
 from maniplex.corpus import torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.coxeter import verdict
 from maniplex.extension import extend
 from maniplex.poset import is_faithful, polytope_report, pos_of
 
-from oracles import automorphism_count_by_propagation, polytope_report_by_masks
-from test_poset import rectangular_torus
+from oracles import (
+    automorphism_count_by_propagation,
+    faithful_at_by_tables,
+    polytopal_at_by_tables,
+    polytope_report_by_masks,
+)
+from test_poset import random_map, rectangular_torus
 
 REGULAR = ([3, 4, 3], [3, 3, 3, 3], [4, 3, 3, 3], [3, 3, 3, 4])
 
@@ -97,6 +114,68 @@ def test_judging_by_representatives_equals_the_poset_search(judged):
             failed.add(report.failed)
     assert fast >= len(suites.TORUS_POOL) + len(REGULAR) + 1
     assert refused >= 5 and failed == {"diamond", "strong-flag-connectivity"}
+
+
+def test_local_judges_equal_the_face_table_judges(judged):
+    """`poset._polytopal_at` and `poset._faithful_at`, which search the
+    flag's own faces, give what the judges over the whole face tables give
+    (`oracles.polytopal_at_by_tables`, `oracles.faithful_at_by_tables`) on
+    every member: at its representatives, and at flag 0, r_0(0), r_1(0)
+    and three seeded flags, where fact (f)'s predicate is defined too.
+    They agree as well at every flag of seeded random valid maps and their
+    duals, some of whose flags fail only at the top rank, as no member's
+    do.  Both answers occur for each judge."""
+    rng = random.Random(39)
+    cases = []
+    for m, _ in judged:
+        fresh = Maniplex(m.perms)
+        assert validate(fresh).ok
+        flags = [0, m.perms[0][0], m.perms[1][0], *(rng.randrange(m.flag_count) for _ in range(3))]
+        cases += [(fresh, at) for at in (flag_orbits(fresh).representatives, *((f,) for f in flags)) if at]
+    maps = [random_map(rng, rng.randint(2, 8)) for _ in range(40)]
+    for m in maps + [dual(m) for m in maps]:
+        fresh = Maniplex(m.perms)
+        if validate(fresh).ok:
+            cases += [(fresh, (f,)) for f in range(m.flag_count)]
+    seen = set()
+    for m, at in cases:
+        polytopal, faithful = poset._polytopal_at(m, at), poset._faithful_at(m, at)
+        assert polytopal == polytopal_at_by_tables(m, at), (m, at)
+        assert faithful == faithful_at_by_tables(m, at), (m, at)
+        seen |= {("polytopal", polytopal), ("faithful", faithful)}
+    assert seen == {(judge, answer) for judge in ("polytopal", "faithful") for answer in (True, False)}
+
+
+def test_census_and_regular_verdicts_build_no_face_table(regular, monkeypatch):
+    """The census benchmark's calls after `torus_44` (`validate`,
+    `verdict`, `automorphism_count`, `isomorphic(m, dual(m))`, the JSON
+    round trip) on every pool torus that fact (f) accepts, and
+    `verdict` on the regular polytopes built fresh, leave no face table in
+    the cache and label no component.  Tori (1,0), (0,1) and (1,1), which
+    it refuses at flag 0, are judged from their face tables, as before."""
+    labelled = []
+    component_ids = core._component_ids
+    monkeypatch.setattr(core, "_component_ids", lambda *args: labelled.append(args) or component_ids(*args))
+    refused = {(1, 0), (0, 1), (1, 1)}
+    for b, c in suites.TORUS_POOL:
+        m = torus_44(b, c)
+        labelled.clear()
+        assert validate(m).ok
+        verdict(m)
+        automorphism_count(m)
+        assert isomorphic(m, dual(m)) is not None
+        assert maniplex_from_json(maniplex_to_json(m)) == m
+        assert flag_orbits(m).representatives, (b, c)
+        tables = sorted(key for key in m._cache if isinstance(key, int))
+        if (b, c) in refused:
+            assert not verdict(m).sparse and tables == [0, 1, 2] and len(labelled) == 3, (b, c)
+        else:
+            assert verdict(m).sparse and tables == [] and labelled == [], (b, c)
+    for symbol in REGULAR:
+        m = coset_enumerate(string_coxeter(symbol)).to_maniplex()
+        labelled.clear()
+        assert verdict(m).summary == "semisparse"
+        assert not any(isinstance(key, int) for key in m._cache) and labelled == [], symbol
 
 
 @pytest.mark.parametrize("b, c", [(1, 0), (1, 1)])
