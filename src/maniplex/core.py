@@ -44,9 +44,9 @@ class Maniplex:
     maniplex's automorphisms, as the lemmas decide them, with the
     automorphisms and failed images they tried (`flag_orbits`); under
     "automorphisms", the `automorphism_count` result; under "faithful",
-    the faithfulness result (`poset.is_faithful`, or
-    `poset.polytope_report` when its whole-row test finds a valid rank-3
-    map's chains all distinct); under "faces at", a dict from an orbit
+    the faithfulness result (`poset.is_faithful`, or the witness
+    `extension.verify_extension` carries to an unfaithful extension);
+    under "faces at", a dict from an orbit
     representative to the flag sets of its n faces, which
     `poset.polytope_report` and `poset.is_faithful` read
     (`poset._faces_at`); under "poset",

@@ -8,9 +8,8 @@ automorphisms have one flag orbit, or two with no flag sharing an orbit
 with a neighbour (`core.flag_orbits`), is judged at one flag per orbit
 (fact (f) of the `poset` module docstring), and so is its faithfulness,
 from the representatives' own faces: no face poset, no chain set, no
-face table.  Any other, or one that fails there, is judged as before: at
-rank <= 3 from its flags' face triples, with no face poset built, and at
-any other rank from its face poset.
+face table.  Any other, or one that fails there, is judged from its face
+poset, whose search names the witness.
 The orbits are kept in the maniplex's cache, so `automorphism_count`
 after `verdict` propagates nothing more.
 

@@ -51,37 +51,6 @@ ValueError:
     needs the valid report, as (c) does, and with (b) it makes a marked
     poset transitive.
 
-By (d), the faces strictly between incident faces of ranks i - 1 and
-i + 1 are the i-faces of the flags through both, so the diamond condition
-is a count over the flags' face triples (F_{i-1}, F_i, F_{i+1}), with the
-least and greatest faces as constant columns.  At rank n <= 3 no section
-between proper faces is three ranks deep, so (c) settles connectivity and
-a valid maniplex is polytopal exactly when that count passes:
-`polytope_report` judges such a maniplex from its face tables, with no
-poset built.
-
-(e) The count by whole rows.  On a valid maniplex of rank n <= 3, with
-    face tables F_0, ..., F_{n-1} and constant columns F_{-1} = F_n = 0,
-    r_i changes no face of rank j != i, as j-faces are orbits of the
-    colours other than j, so f and r_i f share (F_{i-1}, F_{i+1}).  When
-    F_i[f] != F_i[r_i f] for every flag f, each (F_{i-1}, F_{i+1}) pair
-    of the flags therefore has at least two i-faces between, and exactly
-    two at every pair iff the flags' distinct triples
-    (F_{i-1}, F_i, F_{i+1}) are twice as many as their distinct pairs
-    (F_{i-1}, F_{i+1}).  At the end ranks the count is not needed: a
-    1-face is an orbit of r_0 and the colours >= 2, which fix the 0-face
-    and commute with r_0, so its 0-faces are at most F_0[f] and
-    F_0[r_0 f]; the same holds, mirrored, at rank n - 1.  So the diamond
-    condition holds when the comparison passes at every rank and, at
-    n = 3, the middle count passes, and there the middle triples are the
-    flags' chains: when they are as many as the flags, the maniplex is
-    faithful.  `_report_from_flags` accepts a map by this test and
-    records its faithfulness; a map it refuses, whose chains repeat or
-    whose diamonds fail, is judged by the count per pair, which names the
-    witness.  In a polytopal, faithful map f and r_i f are distinct flags
-    with distinct chains sharing every face but the i-face, so the test
-    accepts every such map.
-
 (f) Judging at one flag per automorphism orbit.  On a valid maniplex of
     any rank whose flag orbits `core.flag_orbits` decides, each flag is
     the image under an automorphism of a representative: flag 0 when the
@@ -96,7 +65,10 @@ poset built.
     other than k, each found by a search of its own size (`_faces_at`).
     The maniplex is polytopal when, at every representative R:
     - r_i R is not in F_i(R), for every rank i.  At the end ranks this is
-      the diamond condition, by the argument in (e);
+      the diamond condition: a 1-face is an orbit of r_0 and the colours
+      >= 2, which fix the 0-face and commute with r_0, so it has at most
+      the 0-faces of f and r_0 f, for any flag f in it; mirrored at rank
+      n - 1;
     - for 1 <= i <= n - 2, F_{i-1}(R) & F_{i+1}(R) lies in
       F_i(R) | F_i(r_i R).  By (d), the i-faces between R's (i-1)-face
       and (i+1)-face are those of the flags in that intersection.  R and
@@ -121,7 +93,7 @@ poset built.
     poset a polytope.  `polytope_report` accepts a maniplex by this test
     (`_polytopal_at`), with no face poset, no chain set and no face
     table; a maniplex it refuses, or one without representatives, is
-    judged by (e) or the poset search, which names the witness.
+    judged by the poset search, which names the witness.
     Likewise, when two flags share a chain, an automorphism carries the
     one onto a representative and the other onto another flag with the
     representative's chain, a flag of every face of the representative:
@@ -134,8 +106,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .core import Maniplex, face_table, flag_orbits, validate, walk_rows
@@ -297,7 +267,9 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
     orbits are already in its cache with representatives
     (`core.flag_orbits`), a faithful maniplex is accepted at them from
     their own faces (`_faithful_at`): no face poset, no chain set, no
-    face table.  Computed once per maniplex and kept in its cache."""
+    face table; any other is judged from every flag's chain.  Computed
+    once per maniplex and kept in its cache, which only this and
+    `extension.verify_extension`'s carried witness write."""
     result = m._cache.get("faithful")
     if result is None:
         orbits = m._cache.get("orbits")
@@ -478,11 +450,9 @@ def polytope_report(m: Maniplex) -> PolytopeReport:
     fails.  A maniplex whose flag orbits `flag_orbits` decides is accepted
     at its representatives when fact (f) of the module docstring passes
     there (`_polytopal_at`), from their own faces: no face poset, no
-    chain set, no face table.  Any other, or one that fails there, is
-    judged as before, which names the witness: at rank <= 3 from
-    its face tables (`_report_from_flags`), with no poset; else its poset
-    is built, or read from its cache, and searched, since at rank >= 4 the
-    sections between proper faces need the search."""
+    chain set, no face table.  Any other, or one that fails there, has
+    its poset built, or read from its cache, and searched, which names
+    the witness."""
     report = m._cache.get("polytope")
     if report is None:
         if not validate(m).ok:
@@ -491,7 +461,7 @@ def polytope_report(m: Maniplex) -> PolytopeReport:
         if reps and _polytopal_at(m, reps):
             report = PolytopeReport(True, None, None)
         else:
-            report = _report_from_flags(m) if m.rank <= 3 else is_polytope(pos_of(m))
+            report = is_polytope(pos_of(m))
         m._cache["polytope"] = report
     return report
 
@@ -540,61 +510,6 @@ def _polytopal_at(m: Maniplex, reps: tuple[int, ...]) -> bool:
                 if len(_orbit(view, rep, (c for c in range(n) if c != i and c != j))) != shared:
                     return False
     return True
-
-
-def _report_from_flags(m: Maniplex) -> PolytopeReport:
-    """The `is_polytope` report of a valid maniplex of rank n <= 3, from
-    its face tables: accepted by whole rows when `_diamonds_by_rows`
-    passes, else counted per pair by `_diamond_report`.  The least face is
-    the constant id 0 at rank -1, the greatest the constant id 0 at rank
-    n, as `pos_of` labels them."""
-    n = m.rank
-    tables = [repeat(0), *(face_table(m, i) for i in range(n)), repeat(0)]
-    if _diamonds_by_rows(m, tables):
-        return PolytopeReport(True, None, None)
-    return _diamond_report(n, tables)
-
-
-def _diamonds_by_rows(m: Maniplex, tables: list) -> bool:
-    """Whether fact (e) of the module docstring accepts the map: no flag
-    shares its i-face with its i-neighbour, each comparison one pass in C
-    over the row composed with the face table, and at rank 3 the flags'
-    distinct chains are twice their distinct (F_0, F_2) pairs.  When the
-    chains are then as many as the flags, the faithful result is kept in
-    the maniplex's cache, as `is_faithful` would compute it."""
-    n, view = m.rank, walk_rows(m)
-    for i in range(n):
-        ids = tables[i + 1]
-        # a fixed-point-free row has two or more entries, so the getter returns a tuple
-        if any(map(eq, ids, itemgetter(*view[i])(ids))):
-            return False
-    if n == 3:  # the one middle rank
-        chains = len(set(zip(tables[1], tables[2], tables[3])))
-        if chains != 2 * len(set(zip(tables[1], tables[3]))):
-            return False
-        if chains == m.flag_count:
-            m._cache["faithful"] = FaithfulnessResult(True, None)
-    return True
-
-
-def _diamond_report(n: int, tables: list) -> PolytopeReport:
-    """The report from the distinct triples (F_{i-1}, F_i, F_{i+1}) of the
-    flags' faces, tables holding the constant columns at both ends: a pair
-    (F_{i-1}, F_{i+1}) with other than two triples fails the diamond
-    condition, and every other axiom holds (see the module docstring).
-    The witness is the failing pair least by labels, with its middle
-    faces' labels sorted, as `diamond_witness` names it."""
-    ends = itemgetter(0, 2)
-    triples, bad = [], []
-    for i in range(n):
-        triples.append(set(zip(tables[i], tables[i + 1], tables[i + 2])))
-        counts = Counter(map(ends, triples[i]))
-        bad += [(f"{i - 1}:{a}", f"{i + 1}:{c}", i, a, c) for (a, c), k in counts.items() if k != 2]
-    if not bad:
-        return PolytopeReport(True, None, None)
-    low, high, i, a, c = min(bad)  # the labels differ, so the ints are never compared
-    middles = sorted(f"{i}:{b}" for x, b, y in triples[i] if x == a and y == c)
-    return PolytopeReport(False, "diamond", (low, high, tuple(middles)))
 
 
 def is_polytopal(m: Maniplex) -> bool:

@@ -80,7 +80,7 @@ def judged(regular, named_corpus, b_maniplex, bstar_result, section_failure):
 def forced_fallback(m: Maniplex) -> Maniplex:
     """A copy of m whose cache holds flag orbits with no representatives,
     so that every judge takes the path it takes on such a maniplex: the
-    poset search, or the face tables at rank <= 3, and every flag's chain."""
+    poset search and every flag's chain."""
     copy = Maniplex(m.perms)
     assert validate(copy).ok
     copy._cache["orbits"] = FlagOrbits((), (), ())
@@ -152,7 +152,8 @@ def test_census_and_regular_verdicts_build_no_face_table(regular, monkeypatch):
     round trip) on every pool torus that fact (f) accepts, and
     `verdict` on the regular polytopes built fresh, leave no face table in
     the cache and label no component.  Tori (1,0), (0,1) and (1,1), which
-    it refuses at flag 0, are judged from their face tables, as before."""
+    it refuses at flag 0, are judged by the poset search, which builds
+    their face tables."""
     labelled = []
     component_ids = core._component_ids
     monkeypatch.setattr(core, "_component_ids", lambda *args: labelled.append(args) or component_ids(*args))
@@ -181,14 +182,15 @@ def test_census_and_regular_verdicts_build_no_face_table(regular, monkeypatch):
 @pytest.mark.parametrize("b, c", [(1, 0), (1, 1)])
 def test_reflexible_tori_that_are_not_sparse_fail_at_flag_0(b, c):
     """Tori (1,0) and (1,1) are reflexible but not sparse: fact (f) refuses
-    them at flag 0, and the verdict names the witness the face tables
-    give, as before."""
+    them at flag 0, and the verdict names the witness the masks oracle
+    gives on the face poset."""
     m = torus_44(b, c)
     assert validate(m).ok and flag_orbits(m).representatives == (0,)
     assert not poset._polytopal_at(m, (0,))
     slow = forced_fallback(m)
     assert verdict(m) == verdict(slow) and not verdict(m).sparse
-    assert polytope_report(m).witness == poset._report_from_flags(slow).witness
+    report = polytope_report(m)
+    assert (report.ok, report.failed, report.witness) == polytope_report_by_masks(pos_of(slow))
 
 
 def test_faithfulness_at_representatives_only_when_the_orbits_are_cached(regular, monkeypatch):
