@@ -7,7 +7,9 @@ themselves, the rows the decoder reads; the axioms (fixed-point-free
 involutions, proper colouring, connectivity, and the square condition for
 colours at distance > 1) are checked by `validate`, not by the
 constructor, so deliberately broken maniplexes can be represented and
-reported on.
+reported on.  The isomorphism and automorphism kernels take valid
+maniplexes only, and so carry a map along one path: the alternating
+cycles of colours 0 and 1.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ class Maniplex:
     it gives (`counterexample.find_theta`); under "walk", its rows as
     tuples (`walk_rows`); under "tree", the spanning tree of flag 0's
     component, recorded by whichever of `validate` and the first
-    propagation walks it first, that `validate` reads connectivity off and
-    `isomorphic` and `automorphism_count` carry a map along
-    (`_spanning_tree`).
+    propagation walks it first, on rows that pass the row axioms, that
+    `validate` reads connectivity off and `isomorphic` and
+    `automorphism_count` carry a map along (`_spanning_tree`).
     A face-table entry may also be a zero-argument callable that builds
     the table, as the extension pipeline leaves one; `face_table` calls it
     on the first read.
@@ -213,9 +215,10 @@ def _validate(m: Maniplex) -> ValidationReport:
             f = _zero_lane(lanes ^ row_lanes(m.perms[j]), ones)
             if f is not None:
                 violations.append(Violation(AXIOM_PROPER, (i, j, f)))
-    # connectivity: the witness is the least flag that the walk from flag 0
-    # does not reach, the walk that `_propagate` carries maps along
-    missing = _spanning_tree(m, not violations)[3]
+    # connectivity: the witness is the least flag not reached from flag 0,
+    # on rows that pass the axioms above by the walk that `_propagate`
+    # carries maps along
+    missing = _unreached(perms, size) if violations else _spanning_tree(m)[2]
     if missing is not None:
         violations.append(Violation(AXIOM_CONNECTED, (missing,)))
     # colours at distance > 1 must generate 4-cycles: (r_i r_j)^2 is the identity
@@ -329,22 +332,21 @@ def components(m: Maniplex, colours: Iterable[int]) -> list[Component]:
 def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
     """flag -> least flag of its component under the given colours.
 
-    When the first two colours r_a, r_b are involutions, each orbit of
-    <r_a, r_b> is one alternating cycle f, r_a f, r_b r_a f, ..., back to
-    f (McMullen & Schulte, Abstract Regular Polytopes, 2B), walked with no
-    stack; only the other colours' neighbours are queued, each at most
-    once.  On a maniplex whose cached `validate` report is ok, a colour
-    two or more away from both commutes with r_a and r_b, so it carries
-    the whole cycle onto one cycle: only its image of the cycle's first
-    flag is looked at.  Otherwise, or for fewer than two colours, one
-    search over every colour's edges."""
+    On a valid maniplex, each orbit of <r_a, r_b>, for the first two
+    colours, or the one colour taken twice, is one alternating cycle f,
+    r_a f, r_b r_a f, ..., back to f (McMullen & Schulte, Abstract Regular
+    Polytopes, 2B), walked with no stack; only the other colours'
+    neighbours are queued, each at most once.  A colour two or more away
+    from both commutes with r_a and r_b, so it carries the whole cycle
+    onto one cycle: only its image of the cycle's first flag is looked
+    at.  On any other rows, or for no colour, one search over every
+    colour's edges."""
     cols = tuple(cols)
     view = walk_rows(m)
-    if len(cols) < 2 or not _involutions(m, cols[:2]):
+    if not cols or not validate(m).ok:
         return _component_ids_by_search([view[c] for c in cols], m.flag_count)
-    a, b, others = view[cols[0]], view[cols[1]], cols[2:]
-    report = m._cache.get("valid")
-    far = {c for c in others if abs(c - cols[0]) > 1 and abs(c - cols[1]) > 1} if report and report.ok else set()
+    a, b, others = view[cols[0]], view[cols[min(len(cols), 2) - 1]], cols[2:]
+    far = {c for c in others if abs(c - cols[0]) > 1 and abs(c - cols[1]) > 1}
     near_rows = [view[c] for c in others if c not in far]
     far_rows = [view[c] for c in others if c in far]
     ids = [-1] * m.flag_count  # -1 unreached, -2 queued, else the least flag of the component
@@ -400,18 +402,6 @@ def _component_ids_by_search(rows: list, size: int) -> array:
     return array("i", ids)
 
 
-def _involutions(m: Maniplex, cols: Iterable[int]) -> bool:
-    """Whether each given colour's row is an involution of the flags: read
-    off the cached `validate` report when there is one, else decided by
-    one whole-row comparison per colour."""
-    report = m._cache.get("valid")
-    if report is not None:
-        bad = {v.witness[0] for v in report.violations if v.axiom == AXIOM_INVOLUTION}
-        return bad.isdisjoint(cols)
-    view, ident = walk_rows(m), _identity(m.flag_count)
-    return all(_compose(view[c], view[c]) == ident for c in cols)
-
-
 def face_table(m: Maniplex, i: int) -> array:
     """flag -> canonical id (least flag) of its i-face, the component after
     deleting the colour-i edges; computed once per maniplex and rank, or
@@ -451,105 +441,71 @@ def dual(m: Maniplex) -> Maniplex:
 
 
 def _propagate(src: Maniplex, dst: Maniplex, image: int) -> Optional[tuple[int, ...]]:
-    """Extend flag 0 -> image to a colour-preserving isomorphism, or fail.
+    """Extend flag 0 -> image to a colour-preserving isomorphism between
+    valid maniplexes of one rank and size, or fail.
 
     The proper colouring forces the whole map once one image is chosen: it
     is carried down the spanning tree of src (`_spanning_tree`), one
     assignment per flag, phi(g) = r_c'(phi(p)) for the flag p that g is
-    reached from by its colour-c edge: along each alternating cycle of
+    reached from by its colour-c edge, along each alternating cycle of
     colours 0 and 1 in step with its image, whose closing colour-1 edge is
-    checked as the cycle ends, or flag by flag from the parents the search
-    recorded.  The map is then checked on the flags reached, in C, for
-    injectivity and, colour by colour, as phi . r_i = r_i' . phi.  Flags
-    the tree does not reach (src is disconnected) are left at -1.
-
-    Along the cycles onto a dst whose ok `validate` report is cached, only
-    the colours past 1 are checked: every colour-0 edge and every colour-1
+    checked as the cycle ends.  Every colour-0 edge and every colour-1
     edge but the closing ones is a tree edge, and r_0', r_1' are
-    involutions.  Nor is injectivity: a map that commutes with every
-    colour on flag 0's component carries it onto a union of components of
-    dst, so onto the connected dst.  As dst has as many flags as src, the
-    component is all of src, and the map is one to one.
+    involutions, so only the colours past 1 are then checked, in C, as
+    phi . r_i = r_i' . phi.  Nor is injectivity: a map that commutes with
+    every colour on the connected src carries it onto a union of
+    components of dst, so onto the connected dst, which has as many flags.
     """
-    flags, colours, parent, missing = _spanning_tree(src)
+    starts, colours, _ = _spanning_tree(src)
     view, rows = walk_rows(src), walk_rows(dst)
+    k = min(src.rank, 2) - 1  # at rank 1, colour 0 closes its own cycles
+    a, b, a2, b2 = view[0], view[k], rows[0], rows[k]
     phi = [-1] * src.flag_count
-    phi[0] = image
-    trusted = False
-    if parent is None:  # flags are the cycles' first flags (`_cycle_walk`)
-        a, b, a2, b2 = view[0], view[1], rows[0], rows[1]
-        for f, c in zip(flags, colours):
-            x = phi[f] = rows[c][phi[view[c][f]]] if f else image
-            g = f
-            while True:
-                h = a[g]
-                x = phi[h] = a2[x]
-                g = b[h]
-                if g == f:
-                    break
-                x = phi[g] = b2[x]
-            if b2[x] != phi[f]:  # the cycle's closing edge
-                return None
-        report = dst._cache.get("valid")
-        trusted = report is not None and report.ok
-    else:
-        for g, c in zip(flags, colours):
-            phi[g] = rows[c][phi[parent[g]]]
-    if missing is None:  # the rows are read in flag order
-        mapped, near = phi, view
-    else:
-        reached = [f for f, x in enumerate(phi) if x >= 0]
-        mapped, near = _getter(reached)(phi), [_compose(row, reached) for row in view]
-    if not trusted and len(set(mapped)) < len(mapped):
-        return None
-    at_mapped = _getter(mapped)
-    for i in range(2 if trusted else 0, src.rank):
-        if _getter(near[i])(phi) != at_mapped(rows[i]):
+    for f, c in zip(starts, colours):
+        x = phi[f] = rows[c][phi[view[c][f]]] if f else image
+        g = f
+        while True:
+            h = a[g]
+            x = phi[h] = a2[x]
+            g = b[h]
+            if g == f:
+                break
+            x = phi[g] = b2[x]
+        if b2[x] != phi[f]:  # the cycle's closing edge
+            return None
+    at_phi = _getter(phi)
+    for i in range(2, src.rank):
+        if _getter(view[i])(phi) != at_phi(rows[i]):
             return None
     return tuple(phi)
 
 
-def _spanning_tree(
-    m: Maniplex, sound: Optional[bool] = None
-) -> tuple[Sequence[int], array, Optional[list[int]], Optional[int]]:
-    """The spanning tree of flag 0's component, walked once per maniplex,
-    by `validate` or by the first propagation, whichever comes first, and
-    kept in its cache under "tree", with the least flag it does not reach,
-    or None.  sound says that every row is a fixed-point-free involution
-    and the colouring is proper, as `_validate` decides before it asks.
-    Then the walk runs along the alternating cycles of colours 0 and 1
-    (`_cycle_walk`): the tree is each cycle's first flag f, in the order
-    walked, and the colour c of the edge it is reached by, from the flag
-    r_c(f) walked before it, one byte each while the rank is at most 256;
-    the cycle's other flags follow from f, edge by edge.  Otherwise
-    one breadth-first search along every colour's edges (`_search`): each
-    flag after flag 0 in the order reached, the colour it is reached by
-    and its parent, in a list indexed by flag."""
+def _spanning_tree(m: Maniplex) -> tuple[array, array, Optional[int]]:
+    """The spanning tree of flag 0's component, for rows that are
+    fixed-point-free involutions, properly coloured, walked once per
+    maniplex, by `validate` or by the first propagation, whichever comes
+    first, and kept in its cache under "tree", with the least flag it does
+    not reach, or None.  The walk runs along the alternating cycles of
+    colours 0 and 1, colour 0 taken twice at rank 1 (`_cycle_walk`): the
+    tree is each cycle's first flag f, in the order walked, and the colour
+    c of the edge it is reached by, from the flag r_c(f) walked before it,
+    one byte each while the rank is at most 256; the cycle's other flags
+    follow from f, edge by edge."""
     tree = m._cache.get("tree")
     if tree is None:
-        if sound is None:
-            report = m._cache.get("valid")
-            sound = report is not None and report.ok
-        view, size = walk_rows(m), m.flag_count
-        tree = m._cache["tree"] = _cycle_walk(view, size) if sound and m.rank > 1 else _search(view, size)
+        tree = m._cache["tree"] = _cycle_walk(walk_rows(m), m.flag_count)
     return tree
 
 
-def _colour_array(rank: int) -> array:
-    """An empty array for colours 0..rank-1, one byte each while rank <= 256."""
-    return array("B" if rank <= 256 else "i")
-
-
-def _cycle_walk(view: tuple[tuple[int, ...], ...], size: int) -> tuple[array, array, None, Optional[int]]:
-    """The tree of `_spanning_tree` for rows that are fixed-point-free
-    involutions, properly coloured: flag 0's component walked as
+def _cycle_walk(view: tuple[tuple[int, ...], ...], size: int) -> tuple[array, array, Optional[int]]:
+    """The tree of `_spanning_tree`: flag 0's component walked as
     `_component_ids` walks it, along the alternating cycles of colours 0
     and 1, with the other colours' neighbours queued once each.  A cycle's
     first flag, other than flag 0, is reached from its neighbour already
     walked by the least such colour."""
-    a, b, near = view[0], view[1], view[2:]
+    a, b, near = view[0], view[min(len(view), 2) - 1], view[2:]
     seen = bytearray(size)  # 0 unreached, 1 queued, 2 walked
-    starts, colours = array("i"), _colour_array(len(view))
+    starts, colours = array("i"), array("B" if len(view) <= 256 else "i")
     seen[0] = 1
     queue = [0]
     for f in queue:
@@ -579,38 +535,26 @@ def _cycle_walk(view: tuple[tuple[int, ...], ...], size: int) -> tuple[array, ar
             if g == f:
                 break
     missing = seen.find(0)
-    return starts, colours, None, None if missing < 0 else missing
+    return starts, colours, None if missing < 0 else missing
 
 
-def _search(rows: Sequence[Sequence[int]], size: int) -> tuple[list[int], array, list[int], Optional[int]]:
-    """The tree of `_spanning_tree` by one breadth-first search from flag 0,
-    colours tried in order, for rows that need not be involutions: each
-    flag's parent is recorded."""
-    parent = [-1] * size
-    parent[0] = 0
-    queue, colours = [0], _colour_array(len(rows))
-    coloured = tuple(enumerate(rows))
-    for f in queue:
-        for c, row in coloured:
-            g = row[f]
-            if parent[g] < 0:
-                parent[g] = f
-                queue.append(g)
-                colours.append(c)
-    missing = None if len(queue) == size else parent.index(-1)
-    return queue[1:], colours, parent, missing
+def _unreached(rows: Sequence[Sequence[int]], size: int) -> Optional[int]:
+    """The least flag not reached from flag 0 along the rows' edges, or
+    None, for rows that need not be involutions: the least flag that one
+    search (`_component_ids_by_search`) labels other than 0."""
+    return next(compress(count(), _component_ids_by_search(rows, size)), None)
 
 
 def isomorphic(m1: Maniplex, m2: Maniplex) -> Optional[tuple[int, ...]]:
-    """A colour-preserving flag bijection m1 -> m2, or None.  ValueError when
-    m1 is disconnected and the component of its flag 0 maps into m2."""
+    """A colour-preserving flag bijection m1 -> m2, or None; ValueError
+    unless both are valid maniplexes (`validate`, cached)."""
+    if not (validate(m1).ok and validate(m2).ok):
+        raise ValueError("only valid maniplexes are tested for isomorphism")
     if m1.rank != m2.rank or m1.flag_count != m2.flag_count:
         return None
     for image in range(m2.flag_count):
         phi = _propagate(m1, m2, image)
         if phi is not None:
-            if -1 in phi:
-                raise ValueError("m1 is disconnected: an isomorphism search needs a connected flag graph")
             return phi
     return None
 
@@ -695,22 +639,20 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
     orbits the lemmas decide (`flag_orbits`), the count is the flags over
     the number of orbits, with no further propagation.
 
-    Otherwise, and on any other maniplex, one image per orbit is
+    Otherwise, as for a rectangular torus, one image per orbit is
     propagated.  The valid images are the Aut-orbit of flag 0, so for the
     subgroup K generated by the automorphisms found so far, the valid
     images and the invalid ones are both unions of K-orbits: the images
     the lemmas tried seed the two sets, each closed once under K; then
     each success closes the valid set under the new generator (at least
     doubling K, by Lagrange), and each failure marks its flag's whole
-    K-orbit invalid.  A partial map (the flag graph is disconnected)
-    counts its own image only.
-
-    When every row is an involution, an image is marked invalid with no
-    propagation when its face-size signature, the flag count of its
-    i-face for each i, differs from flag 0's: an automorphism, or a
-    partial map on a disconnected input, is colour-preserving and one to
+    K-orbit invalid.  An image is marked invalid with no propagation when
+    its face-size signature, the flag count of its i-face for each i,
+    differs from flag 0's: an automorphism is colour-preserving and one to
     one, so it carries each face of flag 0, an orbit of the colours but
     one, onto the same-rank face of its image (`_alike_flag_0`).
+
+    ValueError on a maniplex that is not valid, as `flag_orbits` raises.
     """
     info = m._cache.get("automorphisms")
     if info is None:
@@ -720,29 +662,24 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
 
 def _automorphism_count(m: Maniplex) -> AutomorphismInfo:
     size = m.flag_count
+    orbits = flag_orbits(m)
+    reps = len(orbits.representatives)
+    if reps:
+        return AutomorphismInfo(size // reps, reps == 1)
     valid = [None] * size  # None: not yet decided
-    valid[0] = True  # the identity
-    gens: list[tuple[int, ...]] = []
-    if validate(m).ok:
-        orbits = flag_orbits(m)
-        reps = len(orbits.representatives)
-        if reps:
-            return AutomorphismInfo(size // reps, reps == 1)
-        gens = list(orbits.automorphisms)
-        _close_orbit(valid, gens, [0], True)
-        _close_orbit(valid, gens, list(orbits.failed), False)
-    alike = _alike_flag_0(m) if _involutions(m, range(m.rank)) else None
+    gens = list(orbits.automorphisms)
+    _close_orbit(valid, gens, [0], True)  # the identity
+    _close_orbit(valid, gens, list(orbits.failed), False)
+    alike = _alike_flag_0(m)
     for image in range(1, size):
         if valid[image] is not None:
             continue
-        if alike is not None and not alike(image):
+        if not alike(image):
             valid[image] = False
             continue
         phi = _propagate(m, m, image)
         if phi is None:
             _close_orbit(valid, gens, [image], False)
-        elif -1 in phi:
-            valid[image] = True
         else:
             gens.append(phi)
             _close_orbit(valid, gens, list(compress(range(size), valid)), True)
@@ -783,12 +720,16 @@ def restrict(m: Maniplex, flags: Iterable[int], colours: Iterable[int]) -> Manip
     """Sub-maniplex on a flag set closed under the given colours.
 
     Colours are relabelled in increasing order, flags in increasing order.
-    Both sets must be nonempty (ValueError otherwise).
+    Both sets must be nonempty, and every flag in 0..m.flag_count-1
+    (ValueError otherwise, naming the least flag out of range).
     """
     cols = _check_colours(m, colours)
     flag_list = sorted(set(flags))
     if not cols or not flag_list:
         raise ValueError("a sub-maniplex needs at least one flag and one colour")
+    if flag_list[0] < 0 or flag_list[-1] >= m.flag_count:
+        bad = next(f for f in flag_list if not 0 <= f < m.flag_count)
+        raise ValueError(f"flag {bad} out of range for {m.flag_count} flags")
     index = {f: k for k, f in enumerate(flag_list)}
     view = walk_rows(m)
     perms = []

@@ -97,9 +97,10 @@ def propagate_by_bfs(src: Perms, dst: Perms, image: int):
 
 
 def isomorphism_by_propagation(p1: Perms, p2: Perms):
-    """What `isomorphic` answers, from `propagate_by_bfs`: the map of the
-    least image of flag 0 that propagates, None when none does, and
-    ValueError when that map is partial."""
+    """What `isomorphic` answers on valid maniplexes, from
+    `propagate_by_bfs`: the map of the least image of flag 0 that
+    propagates, or None when none does; on other rows, ValueError when
+    that map is partial (p1 is disconnected)."""
     if len(p1) != len(p2) or len(p1[0]) != len(p2[0]):
         return None
     for image in range(len(p2[0])):

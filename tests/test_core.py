@@ -37,6 +37,7 @@ from maniplex.extension import extend
 from maniplex.poset import is_faithful
 from maniplex.voltage import double_cover
 
+from test_poset import random_map
 from oracles import (
     automorphism_count_by_propagation,
     base64_row,
@@ -274,19 +275,25 @@ def disjoint_union(*parts):
 
 
 def test_isomorphic_refuses_disconnected_m1(two_squares):
-    # propagation from flag 0 reaches only its own component, so a map
-    # found that way is partial; it is never returned
-    with pytest.raises(ValueError, match="disconnected"):
+    # only valid maniplexes are compared: a disconnected m1, on either
+    # side, is refused before ranks and sizes are compared, as is each
+    # broken structure; `automorphism_count` refuses them too
+    square = Maniplex(polygon_flag_graph(4))
+    with pytest.raises(ValueError, match="only valid maniplexes"):
         isomorphic(two_squares, two_squares)
-    square = polygon_flag_graph(4)
-    mixed = disjoint_union(square, polygon_flag_graph(6))
-    digons = disjoint_union(square, *[polygon_flag_graph(2)] * 3)
+    mixed = disjoint_union(polygon_flag_graph(4), polygon_flag_graph(6))
+    digons = disjoint_union(polygon_flag_graph(4), *[polygon_flag_graph(2)] * 3)
     assert mixed.flag_count == digons.flag_count == 20
     # not isomorphic: their components have different sizes
     sizes = [sorted(len(c.flags) for c in components(m, (0, 1))) for m in (mixed, digons)]
     assert sizes == [[8, 12], [4, 4, 4, 8]]
-    with pytest.raises(ValueError, match="disconnected"):
-        isomorphic(mixed, digons)
+    for broken in (two_squares, mixed, digons, FIXED_POINT, NOT_INVOLUTION, IMPROPER, SQUARE_BREAKER):
+        for pair in ((broken, square), (square, broken), (broken, digons)):
+            with pytest.raises(ValueError, match="only valid maniplexes"):
+                isomorphic(*pair)
+        with pytest.raises(ValueError, match="only a valid maniplex"):
+            automorphism_count(broken)
+    assert isomorphic(square, square) == tuple(range(8))
 
 
 def test_automorphism_count_against_brute_force():
@@ -300,20 +307,22 @@ def test_automorphism_count_against_brute_force():
 def test_automorphism_count_matches_propagation_oracle(
     named_corpus, b_maniplex, bstar_result, simplex5, two_squares
 ):
-    for m in [*named_corpus.values(), b_maniplex, bstar_result.bstar, simplex5, two_squares]:
+    """The count is the oracle's on the package's maniplexes and on the
+    valid ones of 40 seeded random rank-3 maps and their duals; a flag
+    graph that is not a maniplex is refused, whatever the oracle counts."""
+    rng = random.Random(suites.SEED + 11)
+    maps = [m for m in (random_map(rng, rng.randint(2, 8)) for _ in range(40)) if validate(m).ok]
+    assert len(maps) >= 20, len(maps)
+    for m in [*named_corpus.values(), b_maniplex, bstar_result.bstar, simplex5, *maps, *map(dual, maps)]:
         assert automorphism_count(m).count == automorphism_count_by_propagation(m.perms), m
-    # disconnected: each copy's images of flag 0 extend over its component
-    assert automorphism_count(two_squares) == (16, True)
-    # a square, a hexagon and a square: no image in the hexagon extends
-    parts = (polygon_flag_graph(4), polygon_flag_graph(6), polygon_flag_graph(4))
-    offsets = (0, 8, 20)
-    mixed = Maniplex(
-        tuple(
-            tuple(f + k for part, k in zip(parts, offsets) for f in part[colour])
-            for colour in range(2)
-        )
-    )
-    assert automorphism_count(mixed).count == automorphism_count_by_propagation(mixed.perms) == 16
+    # the oracle counts each copy's images of flag 0 that extend over its
+    # component: both squares' in two_squares, and in a square, a hexagon
+    # and a square, none in the hexagon
+    mixed = disjoint_union(polygon_flag_graph(4), polygon_flag_graph(6), polygon_flag_graph(4))
+    for m in (two_squares, mixed):
+        assert automorphism_count_by_propagation(m.perms) == 16
+        with pytest.raises(ValueError, match="only a valid maniplex"):
+            automorphism_count(m)
 
 
 def test_automorphism_count_propagates_once_per_orbit(monkeypatch):
@@ -342,9 +351,9 @@ def automorphism_paths(monkeypatch):
     """Spy on `automorphism_count`: path(m) is its result on a fresh copy
     of m, checked against the oracle, and the path it took: "reflexible"
     (lemma A: only the images r_i(0) propagated), "chiral" (lemma B:
-    r_0(0), which fails, and the images r_j r_0 (0)), "fallback" (the
-    lemma that r_0(0) picks, up to its first failure, then the orbit loop)
-    or "loop" (the orbit loop alone, which tries image 1 first)."""
+    r_0(0), which fails, and the images r_j r_0 (0)) or "fallback" (the
+    lemma that r_0(0) picks, up to its first failure, then the orbit
+    loop)."""
     images, closures = [], []
     propagate, close = core._propagate, core._close_orbit
     monkeypatch.setattr(core, "_propagate", lambda *args: images.append(args[2]) or propagate(*args))
@@ -362,16 +371,14 @@ def automorphism_paths(monkeypatch):
             return info, "reflexible"
         if images == chiral and not closures:
             return info, "chiral"
-        if closures and validate(m).ok:
-            tried = core.flag_orbits(m)
-            lemma = chiral if tried.failed[0] == firsts[0] else firsts
-            k = len(tried.automorphisms) + len(tried.failed)
-            # the lemma stops at its first failure, having paid at most two
-            assert images[:k] == lemma[:k] and tried.failed[-1] == lemma[k - 1], (m, images)
-            assert not tried.representatives and 1 <= len(tried.failed) <= 2, (m, tried.failed)
-            return info, "fallback"
-        assert images[0] == 1, (m, images)
-        return info, "loop"
+        assert closures, (m, images)
+        tried = core.flag_orbits(m)
+        lemma = chiral if tried.failed[0] == firsts[0] else firsts
+        k = len(tried.automorphisms) + len(tried.failed)
+        # the lemma stops at its first failure, having paid at most two
+        assert images[:k] == lemma[:k] and tried.failed[-1] == lemma[k - 1], (m, images)
+        assert not tried.representatives and 1 <= len(tried.failed) <= 2, (m, tried.failed)
+        return info, "fallback"
 
     return path, images
 
@@ -404,21 +411,23 @@ def test_automorphism_count_paths(b_maniplex, bstar_result, two_squares, monkeyp
             m = extend(torus, faces(torus, 2)[0])
             if validate(m).ok:
                 assert path(m)[1] == ("reflexible" if (b, c) == (1, 1) else "fallback"), (b, c)
-    # not maniplexes, so the orbit loop alone, as before: a disconnected
-    # flag graph's partial maps leave every image to try, as every flag's
-    # faces have the same sizes
+    # not maniplexes, so refused before any image is propagated
     mixed = disjoint_union(polygon_flag_graph(4), polygon_flag_graph(6), polygon_flag_graph(4))
-    assert path(two_squares) == ((16, True), "loop") and images == list(range(1, 16))
-    assert path(mixed) == ((16, False), "loop") and images == list(range(1, 28))
+    for m in (two_squares, mixed):
+        images.clear()
+        with pytest.raises(ValueError, match="only a valid maniplex"):
+            automorphism_count(Maniplex(m.perms))
+        assert images == []
     # rank 1: one image, as before
     assert path(Maniplex(((1, 0),))) == ((2, True), "reflexible") and images == [1]
 
 
 def counting_walks(monkeypatch):
-    """Patch the two walks of flag 0's component (`_spanning_tree`) to
-    count their calls."""
+    """Patch the two walks from flag 0, along the cycles of colours 0 and
+    1 (`_spanning_tree`) and by one search on rows that fail a row axiom
+    (`_unreached`), to count their calls."""
     walks = []
-    for name in ("_cycle_walk", "_search"):
+    for name in ("_cycle_walk", "_unreached"):
         real = getattr(core, name)
         monkeypatch.setattr(core, name, lambda *args, real=real, name=name: walks.append(name) or real(*args))
     return walks
@@ -428,7 +437,9 @@ def counting_walks(monkeypatch):
 def test_one_walk_per_maniplex(first, monkeypatch):
     """On a fresh torus, whichever of `validate`, `verdict`,
     `automorphism_count` and `isomorphic(m, dual(m))` comes first, flag
-    0's component is walked once, and no search over every colour runs."""
+    0's component is walked once, and no search over every colour runs.
+    `isomorphic` validates both of its inputs, so when it comes first,
+    the dual, which then has no ok report of m's to share, is walked too."""
     walks = counting_walks(monkeypatch)
     searched = []
     component_ids = core._component_ids
@@ -442,29 +453,35 @@ def test_one_walk_per_maniplex(first, monkeypatch):
     }
     for name in [first, *(name for name in steps if name != first)]:
         assert steps[name](), name
-    assert len(walks) == 1 and (0, 1, 2) not in searched, (walks, searched)
+    assert walks == ["_cycle_walk"] * (1 + (first == "isomorphic")) and (0, 1, 2) not in searched, (walks, searched)
 
 
 @pytest.mark.parametrize("first", ["validate", "isomorphic"])
 def test_one_walk_of_a_disconnected_input(first, two_squares, monkeypatch):
-    """A disconnected input is walked once too, and keeps `validate`'s
-    witness, the least flag not reached from flag 0, and `isomorphic`'s
-    ValueError."""
+    """A disconnected input is walked once too, along its cycles when its
+    rows pass the row axioms, by one search when a row is not an
+    involution, and keeps `validate`'s witness, the least flag not reached
+    from flag 0; `isomorphic` refuses it after that one walk."""
     walks = counting_walks(monkeypatch)
-    m = Maniplex(two_squares.perms)
+    # a square beside a 3-cycle of colour 1: row 1 is not an involution
+    broken = disjoint_union(polygon_flag_graph(4), ((1, 0, 2), (1, 2, 0)))
+    for rows, walk in ((two_squares.perms, "_cycle_walk"), (broken.perms, "_unreached")):
+        walks.clear()
+        m = Maniplex(rows)
 
-    def refused():
-        with pytest.raises(ValueError, match="disconnected"):
-            isomorphic(m, two_squares)
-        return True
+        def refused():
+            with pytest.raises(ValueError, match="only valid maniplexes"):
+                isomorphic(m, two_squares)
+            return True
 
-    steps = {
-        "validate": lambda: validate(m).violations == (core.Violation(core.AXIOM_CONNECTED, (8,)),),
-        "isomorphic": refused,
-    }
-    for name in [first, *(name for name in steps if name != first)]:
-        assert steps[name](), name
-    assert len(walks) == 1, walks
+        steps = {
+            "validate": lambda: validate(m).violations[-1] == core.Violation(core.AXIOM_CONNECTED, (8,)),
+            "isomorphic": refused,
+        }
+        for name in [first, *(name for name in steps if name != first)]:
+            assert steps[name](), name
+        assert walks == [walk], walks
+    assert validate(two_squares).violations == (core.Violation(core.AXIOM_CONNECTED, (8,)),)
 
 
 def test_restrict():
@@ -478,6 +495,11 @@ def test_restrict():
         restrict(cube, [], [0])
     with pytest.raises(ValueError, match="at least one flag and one colour"):
         restrict(cube, range(48), [])
+    # a flag out of range, past the end or negative, is refused by name,
+    # the least one first
+    for flags, bad in (([48], 48), ([47, 50, 49], 49), ([-1, 3, 48], -1), (range(-2, 2), -2)):
+        with pytest.raises(ValueError, match=rf"^flag {bad} out of range for 48 flags$"):
+            restrict(cube, flags, [0])
 
 
 def test_json_roundtrip():

@@ -485,9 +485,11 @@ def test_facet_section_check_skips_without_a_flag_isomorphism(monkeypatch):
 
 
 def facets_copy_base_by_search(ext: Maniplex, m: Maniplex) -> bool:
-    """Each facet of ext, restricted and renumbered, is isomorphic to m."""
+    """m is a valid maniplex, and each facet of ext, restricted and
+    renumbered, is a valid maniplex isomorphic to it."""
     n = m.rank
-    return all(isomorphic(restrict(ext, fc.flags, range(n)), m) is not None for fc in faces(ext, n))
+    subs = (restrict(ext, fc.flags, range(n)) for fc in faces(ext, n))
+    return validate(m).ok and all(validate(sub).ok and isomorphic(sub, m) is not None for sub in subs)
 
 
 def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, monkeypatch):
@@ -804,15 +806,19 @@ def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, mo
     # disconnected base is refused before any of it
     real = extension.extend
     calls = counting_searches(monkeypatch)
+    validated = []
+    full_validate = core._validate
+    monkeypatch.setattr(core, "_validate", lambda m: validated.append(m) or full_validate(m))
     paths = Counter()
     for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
             for kind, mutate in MUTANTS:
                 monkeypatch.setattr(extension, "extend", lambda m, f: mutate(real(m, f)))
                 calls.clear()
+                validated.clear()
                 ext = verify_extension(m, facet).extension
                 searches = [len(cols) for who, cols in calls if who == id(ext)]
-                paths[kind, m.rank not in searches, "tree" not in ext._cache] += 1  # the full validate walks the tree
+                paths[kind, m.rank not in searches, not any(x is ext for x in validated)] += 1
                 assert_read_off_base(m, ext)
     # (mutant, tables read off, validation read off)
     assert paths == {

@@ -2,7 +2,10 @@
 labelling (`_component_ids`), isomorphism and automorphism counting
 (`_propagate`), `validate`'s reports, the row decoder and the
 constructor's range check (`_lanes_in_range`), on seeded random row sets (involutions, permutations and
-arbitrary maps), on mutants and on the package's own maniplexes."""
+arbitrary maps), on seeded random rank-3 maps, on mutants and on the
+package's own maniplexes.  The isomorphism and automorphism kernels
+refuse every input that is not a valid maniplex, so the oracles are
+compared with them on the valid ones."""
 
 import collections
 import itertools
@@ -19,6 +22,7 @@ from maniplex.core import (
     Maniplex,
     automorphism_count,
     dual,
+    face_table,
     faces,
     isomorphic,
     maniplex_from_json,
@@ -27,6 +31,7 @@ from maniplex.core import (
 from maniplex.corpus import platonic, torus_44
 from maniplex.cosets import coset_enumerate, string_coxeter
 from maniplex.extension import extend
+from test_poset import random_map
 from oracles import (
     automorphism_count_by_propagation,
     bad_entry_by_scan,
@@ -49,8 +54,8 @@ BRUTE_FLAGS = 5  # brute_isomorphisms tries every permutation of this many flags
 @pytest.fixture(scope="module")
 def kernel_members(named_corpus, b_maniplex, bstar_result):
     """name -> maniplex: the named corpus, every census torus-pool map, the
-    24-cell and the rank-5 regular polytopes, B, B* and the tower's
-    extensions of ranks 5 to 7."""
+    24-cell and the rank-5 regular polytopes, B, B*, the tower's
+    extensions of ranks 5 to 7, the segment (rank 1) and the hexagon."""
     members = dict(named_corpus)
     members.update({f"torus_44{bc}": torus_44(*bc) for bc in suites.TORUS_POOL})
     for name, symbol in (("24cell", (3, 4, 3)), ("5simplex", (3, 3, 3, 3)), ("5cube", (4, 3, 3, 3))):
@@ -61,6 +66,7 @@ def kernel_members(named_corpus, b_maniplex, bstar_result):
     for rank in (5, 6, 7):
         m = extend(m, faces(m, m.rank - 1)[0])
         members[f"tower{rank}"] = m
+    members["segment"], members["hexagon"] = Maniplex(((1, 0),)), Maniplex(polygon_flag_graph(6))
     return members
 
 
@@ -85,6 +91,13 @@ def random_row(rng, size):
 def random_rows(rng, max_size):
     size = rng.randint(1, max_size)
     return tuple(random_row(rng, size) for _ in range(rng.randint(1, 4)))
+
+
+def random_maps(rng, count):
+    """The rows of the valid ones of count seeded random rank-3 maps
+    (`test_poset.random_map`) of 8 to 32 flags, and of their duals."""
+    maps = [random_map(rng, rng.randint(2, 8)) for _ in range(count)]
+    return [tuple(map(tuple, x.perms)) for m in maps if validate(m).ok for x in (m, dual(m))]
 
 
 def is_involution(row):
@@ -135,14 +148,15 @@ def result_or_value_error(fn, *args):
 
 
 def test_component_ids_match_oracles_on_random_rows():
-    """On random row sets and colour sequences, fresh and after `validate`,
-    the labels are those one search per unreached flag gives, and on
-    involutions they are the orbits; both the cycle walk (first two
-    colours involutions) and the search are taken often."""
+    """On random row sets and on random rank-3 maps and their duals, with
+    random colour sequences, fresh and after `validate`, the labels are
+    those one search per unreached flag gives, and on involutions they are
+    the orbits; both the cycle walk (a valid maniplex) and the search are
+    taken often."""
     rng = random.Random(suites.SEED)
+    cases = [random_rows(rng, 9) for _ in range(RANDOM_SETS)] + random_maps(random.Random(suites.SEED + 10), 1000)
     walked = searched = 0
-    for _ in range(RANDOM_SETS):
-        rows = random_rows(rng, 9)
+    for rows in cases:
         size = len(rows[0])
         cols = rng.sample(range(len(rows)), rng.randint(1, len(rows)))
         want = component_ids_by_search(rows, cols, size)
@@ -152,7 +166,7 @@ def test_component_ids_match_oracles_on_random_rows():
             assert list(core._component_ids(m, cols)) == want, (rows, cols)
         if all(is_involution(rows[c]) for c in cols):
             assert partition_of(want) == partition_by_merging(rows, cols, size)
-        if len(cols) >= 2 and is_involution(rows[cols[0]]) and is_involution(rows[cols[1]]):
+        if validate(checked).ok:
             walked += 1
         else:
             searched += 1
@@ -161,9 +175,9 @@ def test_component_ids_match_oracles_on_random_rows():
 
 def test_component_ids_on_every_colour_set(kernel_members):
     """Every colour set of every member is labelled by its orbits, each by
-    its least flag, with no `validate` report cached (whole-row involution
-    test, every colour's edges walked) and with an ok one (a colour two or
-    more away from the walked pair read once per cycle)."""
+    its least flag, along the cycles (a colour two or more away from the
+    walked pair read once per cycle), on a fresh copy, which
+    `_component_ids` validates itself, and on one validated first."""
     for name, m in kernel_members.items():
         rows = tuple(map(tuple, m.perms))
         fresh, checked = Maniplex(rows), Maniplex(rows)
@@ -175,46 +189,67 @@ def test_component_ids_on_every_colour_set(kernel_members):
                     assert partition_of(core._component_ids(x, cols)) == want, (name, cols)
 
 
+def valid_rows(rows):
+    return validate(Maniplex(rows)).ok
+
+
 def test_isomorphic_and_automorphisms_match_oracles_on_random_rows():
-    """On random row sets against a renumbering, another random set and a
-    mutant: `isomorphic` gives the oracle propagation's map, None or
-    ValueError, and on a source that reaches every flag from flag 0, the
-    least map brute force finds; `automorphism_count` counts the images
-    the oracle propagates, and all of brute force's maps."""
+    """On random row sets, and on random rank-3 maps and their duals,
+    against a renumbering, another random set or map and a mutant:
+    `isomorphic` and `automorphism_count` refuse, with ValueError, every
+    input that is not a valid maniplex.  On valid ones, `isomorphic` gives
+    the oracle propagation's map or None, and up to 5 flags the least map
+    brute force finds; `automorphism_count` counts the images the oracle
+    propagates, and up to 5 flags all of brute force's maps."""
     rng = random.Random(suites.SEED + 1)
-    found = partial = 0
-    for k in range(RANDOM_SETS):
-        rows = random_rows(rng, 7)
+    cases = [random_rows(rng, 7) for _ in range(RANDOM_SETS)] + random_maps(random.Random(suites.SEED + 12), 150)
+    counts = collections.Counter()
+    for k, rows in enumerate(cases):
         size = len(rows[0])
         if k % 3 == 0:
             sigma = list(range(size))
             rng.shuffle(sigma)
             other = renumber(rows, sigma)
         elif k % 3 == 1:
-            other = tuple(random_row(rng, size) for _ in rows)
+            other = tuple(random_row(rng, size) for _ in rows) if k < RANDOM_SETS else edge_switch(rows, rng)
         else:
-            other = single_swap(rows, rng)
+            other = single_swap(rows, rng) if k < RANDOM_SETS else tuple(map(tuple, random_map(rng, size // 4).perms))
         got = result_or_value_error(isomorphic, Maniplex(rows), Maniplex(other))
-        assert got == result_or_value_error(isomorphism_by_propagation, rows, other), (rows, other)
-        reaches_all = -1 not in propagate_by_bfs(rows, rows, 0)
-        count = automorphism_count(Maniplex(rows)).count
+        count = result_or_value_error(lambda m: automorphism_count(m).count, Maniplex(rows))
+        small = size <= BRUTE_FLAGS
+        if not (valid_rows(rows) and valid_rows(other)):
+            assert got is ValueError, (rows, other)
+            counts["refused"] += 1
+        else:
+            assert got == isomorphism_by_propagation(rows, other), (rows, other)
+            if small:
+                maps = brute_isomorphisms(rows, other)
+                assert got == (maps[0] if maps else None), (rows, other)
+            counts["compared", got is not None] += 1
+            counts["brute"] += small
+        if not valid_rows(rows):
+            assert count is ValueError, rows
+            continue
         assert count == automorphism_count_by_propagation(rows), rows
-        if size <= BRUTE_FLAGS and reaches_all:
-            maps = brute_isomorphisms(rows, other)
-            assert got == (maps[0] if maps else None), (rows, other)
+        if small:
             assert count == len(brute_isomorphisms(rows, rows)), rows
-        found += got not in (None, ValueError)
-        partial += got is ValueError
-    assert found >= 1000 and partial >= 100, (found, partial)
+        counts["counted"] += 1
+    assert counts["compared", True] >= 200 and counts["compared", False] >= 100, counts
+    assert counts["counted"] >= 400 and counts["brute"] >= 84 and counts["refused"] >= 4000, counts
 
 
 def test_isomorphic_and_automorphisms_on_members_and_mutants(kernel_members):
     """Each member against a renumbering of itself, and each member of up
     to 1 152 flags against its dual, agree with the oracle propagation, as
-    do those members' automorphism counts and, up to 200 flags, their
-    mutants against them and themselves.  A larger member's renumbering
-    keeps flag 0, so that the first image tried is taken."""
+    do those members' automorphism counts.  Up to 200 flags, a
+    single-swap, a colour-swap and an edge-switched mutant of each, against
+    the member and itself, agree with the oracle when valid and are
+    refused otherwise.  A larger member's renumbering keeps flag 0, so
+    that the first image tried is taken.  The segment and the hexagon,
+    which rank 1 and rank 2 walk along one colour and one cycle, are
+    pinned."""
     rng = random.Random(suites.SEED + 2)
+    mutants = collections.Counter()
     for name, m in kernel_members.items():
         rows = tuple(map(tuple, m.perms))
         small = m.flag_count <= 1152
@@ -229,12 +264,26 @@ def test_isomorphic_and_automorphisms_on_members_and_mutants(kernel_members):
         if small:
             assert automorphism_count(m).count == automorphism_count_by_propagation(rows), name
         if m.flag_count <= 200:
-            for mutate in (single_swap, colour_swap):
+            for mutate in (single_swap, colour_swap, edge_switch):
                 mutant = mutate(rows, rng)
-                for a, b in ((mutant, rows), (rows, mutant)):
-                    want = result_or_value_error(isomorphism_by_propagation, a, b)
-                    assert result_or_value_error(isomorphic, Maniplex(a), Maniplex(b)) == want, name
-                assert automorphism_count(Maniplex(mutant)).count == automorphism_count_by_propagation(mutant)
+                valid = valid_rows(mutant)
+                want = isomorphism_by_propagation(mutant, rows) if valid else ValueError
+                assert result_or_value_error(isomorphic, Maniplex(mutant), m) == want, name
+                want = isomorphism_by_propagation(rows, mutant) if valid else ValueError
+                assert result_or_value_error(isomorphic, m, Maniplex(mutant)) == want, name
+                count = result_or_value_error(lambda x: automorphism_count(x).count, Maniplex(mutant))
+                assert count == (automorphism_count_by_propagation(mutant) if valid else ValueError), name
+                mutants[mutate.__name__, valid] += 1
+    assert mutants["edge_switch", True] >= 15 and mutants["single_swap", False] >= 40, mutants
+    segment, hexagon = kernel_members["segment"], kernel_members["hexagon"]
+    assert isomorphic(segment, Maniplex(((1, 0),))) == (0, 1)
+    assert automorphism_count(segment) == (2, True)
+    assert list(face_table(segment, 0)) == [0, 1]  # no colour left: each flag alone
+    assert segment._cache["tree"] == (array("i", [0]), array("B", [0]), None)
+    assert isomorphic(hexagon, Maniplex(polygon_flag_graph(6))) == tuple(range(12))
+    assert automorphism_count(hexagon) == (12, True)
+    assert [len(set(face_table(hexagon, i))) for i in range(2)] == [6, 6]
+    assert hexagon._cache["tree"] == (array("i", [0]), array("B", [0]), None)  # one cycle holds every flag
 
 
 def edge_switch(rows, rng):
@@ -251,14 +300,13 @@ def edge_switch(rows, rng):
 
 
 def test_isomorphic_along_cycles(kernel_members):
-    """From a source walked along its cycles, onto a target whose ok
-    `validate` report is cached, `_propagate` checks only the colours past
-    1 and makes no one-to-one test; onto any other target, every check.
-    Each member of up to 1 152 flags, and up to 200 flags three
-    edge-switched mutants of it, all validated first, against a
-    renumbering of the member, its dual, every other member of its rank
-    and size, and up to 200 flags a single-swap, a colour-swap and an
-    edge-switched mutant of it, agree with the oracle propagation."""
+    """`_propagate` carries a map along the cycles of colours 0 and 1 and
+    checks only the colours past 1, with no one-to-one test.  Each member
+    of up to 1 152 flags, and up to 200 flags three edge-switched mutants
+    of it, against a renumbering of the member, its dual, every other
+    member of its rank and size, and up to 200 flags a single-swap, a
+    colour-swap and an edge-switched mutant of it, agree with the oracle
+    propagation when both are valid; any other pair is refused."""
     rng = random.Random(suites.SEED + 3)
     members = [m for m in kernel_members.values() if m.flag_count <= 1152]
     paths = collections.Counter()
@@ -273,14 +321,13 @@ def test_isomorphic_along_cycles(kernel_members):
         sources = [rows] + ([edge_switch(rows, rng) for _ in range(3)] if small else [])
         for target in targets:
             dst = Maniplex(target)
-            trusted = validate(dst).ok
             for source in sources:
                 src = Maniplex(source)
-                validate(src)
-                want = result_or_value_error(isomorphism_by_propagation, source, target)
+                valid = validate(src).ok and validate(dst).ok
+                want = isomorphism_by_propagation(source, target) if valid else ValueError
                 assert result_or_value_error(isomorphic, src, dst) == want, m
-                paths[core._spanning_tree(src)[2] is None, trusted] += 1
-    assert paths[True, True] >= 800 and paths[True, False] >= 400, paths
+                paths[valid] += 1
+    assert paths[True] >= 481 and paths[False] >= 400, paths
 
 
 def test_closing_edges_are_checked():
@@ -305,21 +352,24 @@ def test_closing_edges_are_checked():
 
 
 def test_disconnected_source_gives_partial_maps(two_squares):
-    """A source whose flag 0 does not reach every flag: `isomorphic` raises
-    ValueError where the oracle's first map is partial, and
-    `automorphism_count` counts each image the partial propagation takes."""
+    """A source whose flag 0 does not reach every flag: the oracle
+    propagation's first map is partial, and `isomorphic` and
+    `automorphism_count` refuse it, as it is not a valid maniplex, where
+    the oracle counts each image the partial propagation takes."""
     square, hexagon = polygon_flag_graph(4), polygon_flag_graph(6)
-    for rows in (
-        tuple(map(tuple, two_squares.perms)),
-        tuple(a + tuple(f + 8 for f in b) for a, b in zip(square, hexagon)),
-        tuple(a + tuple(f + 12 for f in b) for a, b in zip(hexagon, square)),
+    for rows, images in (
+        (tuple(map(tuple, two_squares.perms)), 16),
+        (tuple(a + tuple(f + 8 for f in b) for a, b in zip(square, hexagon)), 8),
+        (tuple(a + tuple(f + 12 for f in b) for a, b in zip(hexagon, square)), 12),
     ):
         m = Maniplex(rows)
-        with pytest.raises(ValueError, match="disconnected"):
+        with pytest.raises(ValueError, match="only valid maniplexes"):
             isomorphic(m, m)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="disconnected"):
             isomorphism_by_propagation(rows, rows)
-        assert automorphism_count(m).count == automorphism_count_by_propagation(rows)
+        with pytest.raises(ValueError, match="only a valid maniplex"):
+            automorphism_count(m)
+        assert automorphism_count_by_propagation(rows) == images
 
 
 def test_validate_reports_match_scan_on_mutants(kernel_members):
