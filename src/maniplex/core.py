@@ -42,9 +42,9 @@ class Maniplex:
     """Plain container for the edge-colouring permutations, plus a cache kept
     out of equality, hashing and repr: under key i, the face table of rank i,
     each flag's face id as an `array('i')` (`face_table`); under "valid",
-    the `validate` report; under "orbits", the flag orbits of a valid
-    maniplex's automorphisms, as the lemmas decide them, with the
-    automorphisms and failed images they tried (`flag_orbits`); under
+    the `validate` report; under "orbits", one flag per orbit of a valid
+    maniplex's automorphisms, as the lemma decides them, or () when it
+    does not (`flag_orbits`); under
     "automorphisms", the `automorphism_count` result; under "faithful",
     the faithfulness result (`poset.is_faithful`, or the witness
     `extension.verify_extension` carries to an unfaithful extension);
@@ -66,9 +66,10 @@ class Maniplex:
     the table, as the extension pipeline leaves one; `face_table` calls it
     on the first read.
 
-    The table must be sound: at least one row, each a list, a tuple or an
-    array of m >= 1 plain ints in 0..m-1 (bools excluded), m the length of
-    the first row.  Any other table raises the FormatError that
+    The table must be sound: a list or a tuple of at least one row, each
+    a list, a tuple or an array of m >= 1 plain ints in 0..m-1 (bools
+    excluded), m the length of the first row, or 0 when that row is none
+    of these.  Any other table raises the FormatError that
     `maniplex_from_json` raises on its format-1 document (`_checked_row`).
     Each row is kept as an `array('i')` of its own, 4 bytes an entry: an
     `array('i')` row is copied, so that the caller's later writes to it
@@ -82,10 +83,12 @@ class Maniplex:
     )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.perms, (list, tuple)):
+            raise FormatError("perms must be a list with one row per colour")
         rows = tuple(self.perms)
         if not rows:
             raise FormatError("rank must be a positive integer")
-        size = len(rows[0])
+        size = len(rows[0]) if isinstance(rows[0], (list, tuple, array)) else 0
         if size < 1:
             raise FormatError("flags must be a positive integer")
         perms = []
@@ -564,69 +567,64 @@ class AutomorphismInfo(NamedTuple):
     is_reflexible: bool
 
 
-class FlagOrbits(NamedTuple):
-    """The lemma stage of `automorphism_count` (see `flag_orbits`)."""
-
-    representatives: tuple[int, ...]  # one flag per orbit: (0,), (0, r_0(0)), or () when undecided
-    automorphisms: tuple[tuple[int, ...], ...]  # those the tried images give, kept when no representatives
-    failed: tuple[int, ...]  # the images that do not extend
-
-
-def flag_orbits(m: Maniplex) -> FlagOrbits:
-    """The orbits of the automorphism group on the flags of a valid
-    maniplex, when two lemmas decide them from a few images of flag 0;
-    ValueError on any other maniplex.  Computed once per maniplex and kept
-    in its cache under "orbits".
+def flag_orbits(m: Maniplex) -> tuple[int, ...]:
+    """One flag per orbit of the automorphism group on the flags of a
+    valid maniplex, as one lemma decides them from a few images of flag 0:
+    (0,) for one orbit, (0, r_j(0)) for two, () when the lemma stops
+    undecided; ValueError on any other maniplex.  Computed once per
+    maniplex and kept in its cache under "orbits".
 
     The group acts freely (connectivity plus forced propagation), so its
-    orbit of flag 0 is the set of valid images, the images of flag 0 that
-    extend to an automorphism.  The image r_0(0) is propagated first.
+    orbit of flag 0 is the set of valid images, those that extend to an
+    automorphism.  An automorphism commutes with each colour, so if
+    phi(0) = u(0) and psi(0) = v(0) for words u, v in the colours, then
+    phi(psi(0)) = v u (0) and phi^-1(0) = u^-1(0): the words w with w(0)
+    valid form a subgroup S.
 
-    Lemma A.  If r_0(0) and then every image r_i(0) extend, the maniplex
-    is reflexible, one orbit, represented by flag 0: if phi(0) = f and
-    rho_i(0) = r_i(0), then phi . rho_i sends 0 to phi(r_i 0) = r_i f, so
-    the valid images are closed under every colour, and the flag graph is
-    connected (McMullen & Schulte, Abstract Regular Polytopes, 2B).
+    The lemma.  Propagate r_i(0) for i = 0, 1, ... up to the first r_j(0)
+    that fails.  If none fails, S holds every colour: one orbit.
+    Otherwise I holds the colours below j; for each i > j, r_i r_j (0) is
+    tried, then r_i(0), which joins I when it extends, and the lemma stops
+    undecided when both fail.  Last, r_j r_i r_j (0) is propagated for
+    each i in I next to j; when all extend, there are two orbits, of class
+    2_I (Hubard, Two-orbit polyhedra from groups, 2010; Pellicer,
+    Potocnik & Toledo, JCTA 166, 2019), represented by flags 0 and r_j(0).
+    Proof: by Reidemeister-Schreier with the transversal {1, r_j}, the
+    words with an even number of letters outside I form a subgroup H of
+    index at most 2, generated by r_i for i in I, r_i r_j for i not in I,
+    and r_j r_i r_j for i in I, which is r_i when i is two or more from j
+    (the square axiom).  So S holds H, but not r_j: S is H, the valid
+    images are H(0), and r_j(0) lies in the other orbit.
 
-    Lemma B.  If r_0(0) does not extend, but every image r_j r_0 (0),
-    j = 1..n-1, does, the maniplex is chiral, two orbits, represented by
-    flags 0 and r_0(0) (Hubard, Two-orbit polyhedra from groups, 2010).
-    With sigma_j(0) = r_j r_0 (0), sigma_j^-1 sends 0 to r_0 r_j (0), so
-    the valid images are closed under the even words r_j r_0 and r_0 r_j,
-    and hold every flag at even distance from 0.  A flag g = w(0) for an
-    odd word w that were a valid image phi(0) would give
-    r_0(0) = (r_0 w^-1)(g) = phi((r_0 w^-1)(0)), the image under phi of an
-    even flag, itself a valid image, so r_0(0) would be valid.  So no odd
-    flag is a valid image, no flag is both even and odd, the graph is
-    bipartite, and the valid images are its even half: no flag shares an
-    orbit with a neighbour, and r_0(0) represents the odd half.
-
-    Each lemma stops at its first image that does not extend; the record
-    then has no representatives, and keeps the automorphisms found, which
-    it drops otherwise, and the images that failed, for
-    `automorphism_count`'s orbit loop.  So a
-    maniplex pays n propagations when a lemma decides it, and at most two
-    that fail when neither does."""
-    record = m._cache.get("orbits")
-    if record is None:
+    A reflexible map pays its n images r_i(0), and a chiral one, I empty,
+    r_0(0) and the n - 1 images r_i r_0 (0).  Each colour i > j that joins
+    I costs one failure, r_i r_j (0), as S holds r_i but not r_j; an
+    undecided maniplex stops at a colour whose two images fail, or at the
+    first r_j r_i r_j (0) that fails."""
+    reps = m._cache.get("orbits")
+    if reps is None:
         if not validate(m).ok:
             raise ValueError("only a valid maniplex has its flag orbits decided")
         rows = walk_rows(m)
-        r0 = rows[0][0]
-        first = _propagate(m, m, r0)
-        if first is not None:
-            reps, found, failed, images = (0,), [first], [], [row[0] for row in rows[1:]]
+
+        def extends(image: int) -> bool:
+            return _propagate(m, m, image) is not None
+
+        j = next((i for i, row in enumerate(rows) if not extends(row[0])), None)
+        if j is None:
+            reps = (0,)
         else:
-            reps, found, failed, images = (0, r0), [], [r0], [row[r0] for row in rows[1:]]
-        for image in images:
-            phi = _propagate(m, m, image)
-            if phi is None:
-                reps = ()
-                failed.append(image)
-                break
-            found.append(phi)
-        record = m._cache["orbits"] = FlagOrbits(reps, () if reps else tuple(found), tuple(failed))
-    return record
+            rj, kept, reps = rows[j][0], set(range(j)), ()
+            for i in range(j + 1, m.rank):
+                if not extends(rows[i][rj]):
+                    if not extends(rows[i][0]):
+                        break
+                    kept.add(i)
+            else:
+                if all(extends(rows[j][rows[i][rj]]) for i in (j - 1, j + 1) if i in kept):
+                    reps = (0, rj)
+        m._cache["orbits"] = reps
+    return reps
 
 
 def automorphism_count(m: Maniplex) -> AutomorphismInfo:
@@ -636,21 +634,20 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
     The action on flags is free (connectivity plus forced propagation), so
     the count equals the number of valid images of flag 0 and divides the
     flag count; equality is reflexibility.  On a valid maniplex whose flag
-    orbits the lemmas decide (`flag_orbits`), the count is the flags over
+    orbits the lemma decides (`flag_orbits`), the count is the flags over
     the number of orbits, with no further propagation.
 
-    Otherwise, as for a rectangular torus, one image per orbit is
-    propagated.  The valid images are the Aut-orbit of flag 0, so for the
-    subgroup K generated by the automorphisms found so far, the valid
-    images and the invalid ones are both unions of K-orbits: the images
-    the lemmas tried seed the two sets, each closed once under K; then
-    each success closes the valid set under the new generator (at least
-    doubling K, by Lagrange), and each failure marks its flag's whole
-    K-orbit invalid.  An image is marked invalid with no propagation when
-    its face-size signature, the flag count of its i-face for each i,
-    differs from flag 0's: an automorphism is colour-preserving and one to
-    one, so it carries each face of flag 0, an orbit of the colours but
-    one, onto the same-rank face of its image (`_alike_flag_0`).
+    Otherwise, as for B*, one image per orbit is propagated.  The valid
+    images are the Aut-orbit of flag 0, so for the subgroup K generated by
+    the automorphisms found so far, the valid images and the invalid ones
+    are both unions of K-orbits: each success closes the valid set under
+    the new generator (at least doubling K, by Lagrange), and each failure
+    marks its flag's whole K-orbit invalid.  An image is marked invalid
+    with no propagation when its face-size signature, the flag count of
+    its i-face for each i, differs from flag 0's: an automorphism is
+    colour-preserving and one to one, so it carries each face of flag 0,
+    an orbit of the colours but one, onto the same-rank face of its image
+    (`_alike_flag_0`).
 
     ValueError on a maniplex that is not valid, as `flag_orbits` raises.
     """
@@ -662,14 +659,12 @@ def automorphism_count(m: Maniplex) -> AutomorphismInfo:
 
 def _automorphism_count(m: Maniplex) -> AutomorphismInfo:
     size = m.flag_count
-    orbits = flag_orbits(m)
-    reps = len(orbits.representatives)
+    reps = len(flag_orbits(m))
     if reps:
         return AutomorphismInfo(size // reps, reps == 1)
     valid = [None] * size  # None: not yet decided
-    gens = list(orbits.automorphisms)
-    _close_orbit(valid, gens, [0], True)  # the identity
-    _close_orbit(valid, gens, list(orbits.failed), False)
+    valid[0] = True  # the identity
+    gens = []
     alike = _alike_flag_0(m)
     for image in range(1, size):
         if valid[image] is not None:

@@ -4,12 +4,12 @@ A rank-n maniplex is a transitive action of the universal string group on
 n involutory generators r_0 .. r_{n-1}.  It is sparse when its face poset
 is an abstract polytope, and semisparse when it is also faithful.  The
 polytope report is `poset.polytope_report`'s: a valid maniplex whose
-automorphisms have one flag orbit, or two with no flag sharing an orbit
-with a neighbour (`core.flag_orbits`), is judged at one flag per orbit
-(fact (f) of the `poset` module docstring), and so is its faithfulness,
-from the representatives' own faces: no face poset, no chain set, no
-face table.  Any other, or one that fails there, is judged from its face
-poset, whose search names the witness.
+automorphisms have one flag orbit, or two, in any class 2_I, that one
+lemma decides from a few images of flag 0 (`core.flag_orbits`), is
+judged at one flag per orbit (fact (f) of the `poset` module docstring),
+and so is its faithfulness, from the representatives' own faces: no
+face poset, no chain set, no face table.  Any other, or one that fails
+there, is judged from its face poset, whose search names the witness.
 The orbits are kept in the maniplex's cache, so `automorphism_count`
 after `verdict` propagates nothing more.
 

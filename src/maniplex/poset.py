@@ -54,7 +54,7 @@ ValueError:
 (f) Judging at one flag per automorphism orbit.  On a valid maniplex of
     any rank whose flag orbits `core.flag_orbits` decides, each flag is
     the image under an automorphism of a representative: flag 0 when the
-    maniplex is reflexible, flag 0 or r_0(0) when it is chiral.  An
+    maniplex is reflexible, flag 0 or r_j(0) when it has two orbits.  An
     automorphism commutes with every r_k, so it carries each i-face, an
     orbit of the colours other than i, onto an i-face, and keeps
     incidence: it is an automorphism of the face poset.  By (d), each
@@ -264,7 +264,7 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
     only then.  The first chain is found rank by rank: keep the shared
     chains whose id at rank i is the least of theirs as a string, a
     choice among the under-100 faces of a rank.  When the maniplex's flag
-    orbits are already in its cache with representatives
+    orbits' representatives are already in its cache
     (`core.flag_orbits`), a faithful maniplex is accepted at them from
     their own faces (`_faithful_at`): no face poset, no chain set, no
     face table; any other is judged from every flag's chain.  Computed
@@ -272,8 +272,8 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
     `extension.verify_extension`'s carried witness write."""
     result = m._cache.get("faithful")
     if result is None:
-        orbits = m._cache.get("orbits")
-        if orbits is not None and orbits.representatives and _faithful_at(m, orbits.representatives):
+        reps = m._cache.get("orbits")
+        if reps and _faithful_at(m, reps):
             result = FaithfulnessResult(True, None)
         else:
             result = _faithfulness(m)
@@ -457,7 +457,7 @@ def polytope_report(m: Maniplex) -> PolytopeReport:
     if report is None:
         if not validate(m).ok:
             raise ValueError("only a valid maniplex is judged")
-        reps = flag_orbits(m).representatives
+        reps = flag_orbits(m)
         if reps and _polytopal_at(m, reps):
             report = PolytopeReport(True, None, None)
         else:

@@ -237,12 +237,14 @@ def antipodal_quotient(perms: Perms, flags: list[tuple]) -> Perms:
 
 
 def chains_by_product(levels: list[list[str]], lt) -> list[tuple[str, ...]]:
-    """All full-length chains, filtering the cartesian product of levels."""
-    out = []
-    for combo in itertools.product(*levels):
-        if all(lt(combo[i], combo[j]) for i in range(len(combo)) for j in range(i + 1, len(combo))):
-            out.append(tuple(combo))
-    return sorted(out)
+    """All full-length chains, filtering the cartesian product of levels
+    one level at a time: a tuple is kept when each face lies below every
+    face after it, so a prefix that fails is dropped with every tuple it
+    begins."""
+    chains = [()]
+    for level in levels:
+        chains = [chain + (x,) for chain in chains for x in level if all(lt(y, x) for y in chain)]
+    return sorted(chains)
 
 
 def flag_graph_by_chains(faces, less) -> Perms:
@@ -460,10 +462,15 @@ def section_by_filter(faces, less, lower: str, upper: str):
 
 
 def automorphism_count_by_propagation(perms: Perms) -> int:
+    """The number of `valid_images_by_propagation`."""
+    return len(valid_images_by_propagation(perms))
+
+
+def valid_images_by_propagation(perms: Perms) -> set[int]:
     """Images of flag 0 that extend to a colour-preserving map, trying every
     image with a fresh depth-first propagation over flag 0's component."""
     size = len(perms[0])
-    count = 0
+    valid = set()
     for image in range(size):
         phi = {0: image}
         stack = [0]
@@ -479,8 +486,42 @@ def automorphism_count_by_propagation(perms: Perms) -> int:
                     ok = False
                     break
         if ok and len(set(phi.values())) == len(phi):
-            count += 1
-    return count
+            valid.add(image)
+    return valid
+
+
+def lemma_by_valid_images(perms: Perms, valid: set[int]):
+    """The images that the lemma of `core.flag_orbits` propagates, in
+    order, with the class I and the representatives it gives, worked out
+    from the valid images of flag 0 (`valid_images_by_propagation`):
+    r_i(0) up to the first r_j(0) that is not one, then r_i r_j (0), or
+    else r_i(0), for each i > j, then r_j r_i r_j (0) for each i in I next
+    to j.  I is every colour when no r_i(0) fails, and None when the
+    lemma stops at a failure, undecided."""
+    firsts = [row[0] for row in perms]
+    images = []
+    for image in firsts:
+        images.append(image)
+        if image not in valid:
+            break
+    else:
+        return images, tuple(range(len(perms))), (0,)
+    j = len(images) - 1
+    rj, kept = firsts[j], list(range(j))
+    for i in range(j + 1, len(perms)):
+        images.append(perms[i][rj])
+        if images[-1] in valid:
+            continue
+        images.append(firsts[i])
+        if images[-1] not in valid:
+            return images, None, ()
+        kept.append(i)
+    for i in kept:
+        if abs(i - j) == 1:
+            images.append(perms[j][perms[i][rj]])
+            if images[-1] not in valid:
+                return images, None, ()
+    return images, tuple(kept), (0, rj)
 
 
 def section_chains_connected(faces, less, lower: str, upper: str) -> bool:

@@ -36,6 +36,30 @@ def torus_automorphisms(b, c):
     return 8 * n if b * c * (b - c) == 0 else 4 * n
 
 
+def trivial_extensions(rng):
+    """Rank-4 two-orbit maniplexes that are not chiral, from two chiral
+    pool tori on at most 160 flags, drawn by rng: two copies of a torus,
+    flags f and f + N, joined by a new colour f <-> f + N that commutes
+    with every old colour, with its flags renumbered by a permutation that
+    rng draws.  The swap of the copies is an automorphism, so the new
+    colour's image of flag 0 lies in its orbit, while r_0(0) of a chiral
+    torus does not.  Each torus gives two: the new colour on top, class
+    2_{3} (the lemma's j = 0), and at the bottom, the old colours shifted
+    up by one, class 2_{0} (j = 1).  Returned as (maniplex, I) pairs."""
+    chiral = [(b, c) for b, c in TORUS_POOL if b * c * (b - c) and b * b + c * c <= 20]
+    members = []
+    for b, c in rng.sample(chiral, 2):
+        rows = [tuple(row) for row in torus_44(b, c).perms]
+        size = len(rows[0])
+        old = [row + tuple(f + size for f in row) for row in rows]
+        new = tuple(range(size, 2 * size)) + tuple(range(size))
+        sigma = rng.sample(range(2 * size), 2 * size)
+        inverse = sorted(range(2 * size), key=sigma.__getitem__)
+        for table, kept in (([*old, new], {3}), ([new, *old], {0})):
+            members.append((Maniplex(tuple(tuple(sigma[row[g]] for g in inverse) for row in table)), kept))
+    return members
+
+
 def suite_square_axiom(members):
     """Distant colour pairs commute on every flag."""
     cases = 0

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -37,18 +38,20 @@ from maniplex.extension import extend
 from maniplex.poset import is_faithful
 from maniplex.voltage import double_cover
 
-from test_poset import random_map
+from test_poset import random_map, rectangular_torus
 from oracles import (
     automorphism_count_by_propagation,
     base64_row,
     brute_isomorphisms,
     faces_by_bfs,
+    lemma_by_valid_images,
     maniplex_from_json_by_loads,
     partition_by_merging,
     polygon_flag_graph,
     renumber,
     to_json_dict_v1,
     to_json_dict_v2,
+    valid_images_by_propagation,
 )
 
 # small deliberately broken structures, one per axiom
@@ -349,68 +352,77 @@ def test_automorphism_count_propagates_once_per_orbit(monkeypatch):
 
 def automorphism_paths(monkeypatch):
     """Spy on `automorphism_count`: path(m) is its result on a fresh copy
-    of m, checked against the oracle, and the path it took: "reflexible"
-    (lemma A: only the images r_i(0) propagated), "chiral" (lemma B:
-    r_0(0), which fails, and the images r_j r_0 (0)) or "fallback" (the
-    lemma that r_0(0) picks, up to its first failure, then the orbit
-    loop)."""
-    images, closures = [], []
-    propagate, close = core._propagate, core._close_orbit
+    of m, checked against the oracle, the path it took and the class I.
+    The images propagated begin with those of
+    `oracles.lemma_by_valid_images`, and the flag orbits are its.  The
+    path is "reflexible" (one orbit: the n images r_i(0) and nothing
+    else), "two orbits" (the lemma's images and nothing else; I is then
+    the colours whose r_i(0) is a valid image, and the count half the
+    flags) or "undecided" (the orbit loop follows)."""
+    images = []
+    propagate = core._propagate
     monkeypatch.setattr(core, "_propagate", lambda *args: images.append(args[2]) or propagate(*args))
-    monkeypatch.setattr(core, "_close_orbit", lambda *args: closures.append(args[3]) or close(*args))
 
     def path(m):
         m = Maniplex(m.perms)
         images.clear()
-        closures.clear()
         info = automorphism_count(m)
-        assert info.count == automorphism_count_by_propagation(m.perms), m
-        firsts = [row[0] for row in m.perms]
-        chiral = firsts[:1] + [row[firsts[0]] for row in m.perms[1:]]
-        if images == firsts and not closures:
-            return info, "reflexible"
-        if images == chiral and not closures:
-            return info, "chiral"
-        assert closures, (m, images)
-        tried = core.flag_orbits(m)
-        lemma = chiral if tried.failed[0] == firsts[0] else firsts
-        k = len(tried.automorphisms) + len(tried.failed)
-        # the lemma stops at its first failure, having paid at most two
-        assert images[:k] == lemma[:k] and tried.failed[-1] == lemma[k - 1], (m, images)
-        assert not tried.representatives and 1 <= len(tried.failed) <= 2, (m, tried.failed)
-        return info, "fallback"
+        valid = valid_images_by_propagation(m.perms)
+        assert info.count == len(valid), m
+        lemma, kept, reps = lemma_by_valid_images(m.perms, valid)
+        assert core.flag_orbits(m) == reps and images[: len(lemma)] == lemma, (m, images)
+        if not reps:
+            return info, "undecided", kept
+        assert images == lemma and info.count * len(reps) == m.flag_count, (m, images)
+        assert kept == tuple(i for i, row in enumerate(m.perms) if row[0] in valid), m
+        return info, ("reflexible", "two orbits")[len(reps) - 1], kept
 
     return path, images
 
 
 def test_automorphism_count_paths(b_maniplex, bstar_result, two_squares, monkeypatch):
-    """Each case takes the path the lemmas give it (`flag_orbits`), and
-    counts what the oracle counts.  The orbit loop skips the images whose
-    face sizes differ from flag 0's: on the tower it propagates 98, 52,
-    101 and 199 images at ranks 4 to 7, against 98, 100, 391 and 1 555
-    with no such skip."""
+    """Each case takes the path the lemma gives it (`flag_orbits`), and
+    counts what the oracle counts: reflexible maps and chiral ones take n
+    propagations, rectangular tori, seeded random maps and their duals
+    and trivial extensions of chiral tori have their class I decided.
+    The orbit loop, seeded with nothing, skips the images whose face
+    sizes differ from flag 0's: on the tower it propagates 99, 53, 102
+    and 200 images at ranks 4 to 7, the lemma's three among them, against
+    99, 101, 392 and 1 556 with no such skip."""
     path, images = automorphism_paths(monkeypatch)
+    every = (0, 1, 2)
     for m in [b_maniplex, *(platonic(name) for name in corpus_names())]:
-        assert path(m) == ((m.flag_count, True), "reflexible"), m
+        assert path(m) == ((m.flag_count, True), "reflexible", tuple(range(m.rank))), m
     for b, c in suites.TORUS_POOL:
         m = torus_44(b, c)
         want = suites.torus_automorphisms(b, c)
         reflexible = want == m.flag_count
-        assert path(m) == ((want, reflexible), "reflexible" if reflexible else "chiral"), (b, c)
+        assert path(m) == ((want, reflexible), *(("reflexible", every) if reflexible else ("two orbits", ()))), (b, c)
+    for a, b in ((3, 4), (4, 6), (5, 7), (8, 12)):
+        m = rectangular_torus(a, b)
+        assert path(m) == ((4 * a * b, False), "two orbits", (0, 2)), (a, b)
+    rng = random.Random(suites.SEED + 42)
+    for m, kept in suites.trivial_extensions(rng):
+        assert validate(m).ok and path(m) == ((m.flag_count // 2, False), "two orbits", tuple(kept)), kept
+    maps = [m for m in (random_map(rng, rng.randint(2, 6)) for _ in range(200)) if validate(m).ok]
+    paths = Counter(path(m)[1:] for m in maps + [dual(m) for m in maps])
+    assert paths == {
+        ("reflexible", every): 54, ("two orbits", (0, 2)): 22, ("two orbits", (1,)): 16, ("undecided", None): 304
+    }, paths
     propagated = []
     for m in _tower(bstar_result.bstar, 7):
         propagated.append((path(m), len(images)))
-    assert propagated == [(((2, False), "fallback"), 98)] + [
-        (((8, False), "fallback"), k) for k in (52, 101, 199)
+    assert propagated == [(((2, False), "undecided", None), 99)] + [
+        (((8, False), "undecided", None), k) for k in (53, 102, 200)
     ]
     # the torus maps' extensions over the facet of flag 0: those of torus
-    # (1, 1) are reflexible, the rest take the fallback
+    # (1, 1) are reflexible, the rest undecided
     for b, c in itertools.product(range(4), repeat=2):
         if b or c:
             torus = torus_44(b, c)
             m = extend(torus, faces(torus, 2)[0])
             if validate(m).ok:
-                assert path(m)[1] == ("reflexible" if (b, c) == (1, 1) else "fallback"), (b, c)
+                assert path(m)[1] == ("reflexible" if (b, c) == (1, 1) else "undecided"), (b, c)
     # not maniplexes, so refused before any image is propagated
     mixed = disjoint_union(polygon_flag_graph(4), polygon_flag_graph(6), polygon_flag_graph(4))
     for m in (two_squares, mixed):
@@ -419,7 +431,7 @@ def test_automorphism_count_paths(b_maniplex, bstar_result, two_squares, monkeyp
             automorphism_count(Maniplex(m.perms))
         assert images == []
     # rank 1: one image, as before
-    assert path(Maniplex(((1, 0),))) == ((2, True), "reflexible") and images == [1]
+    assert path(Maniplex(((1, 0),))) == ((2, True), "reflexible", (0,)) and images == [1]
 
 
 def counting_walks(monkeypatch):
@@ -623,9 +635,11 @@ def test_maniplex_to_json_refuses_out_of_range_entries(perms, message):
 
 
 def _parity_tables():
-    """Tables with a structural error (no colour, no flag, a short and a
-    long row, each foreign entry), and each torus-pool map's rows followed
-    by a copy with one seeded bad entry."""
+    """Tables with a structural error (no table, no colour, no flag, a
+    row that is not a list, a short and a long row, each foreign entry),
+    and each torus-pool map's rows followed by a copy with one seeded bad
+    entry."""
+    yield from (5, None, [5], [None], [[1, 0], 3])
     yield ()
     yield ((),)
     yield ((1, 0, 3, 2), (2, 3, 0))
@@ -644,6 +658,18 @@ def _parity_tables():
         yield rows
 
 
+def _format_1_document(rows) -> dict:
+    """The format-1 document of a table: one row per colour and the first
+    row's length as its flag count, 0 when that row is not a list or a
+    tuple; a table that is not a list or a tuple is the document's perms,
+    with a rank and a flag count that the decoder accepts."""
+    if not isinstance(rows, (list, tuple)):
+        return {"rank": 1, "flags": 1, "perms": rows}
+    sequences = [isinstance(row, (list, tuple)) for row in rows]
+    flags = len(rows[0]) if rows and sequences[0] else 0
+    return {"rank": len(rows), "flags": flags, "perms": [list(row) if ok else row for row, ok in zip(rows, sequences)]}
+
+
 def test_constructor_refuses_what_the_decoder_refuses():
     """`Maniplex(rows)` raises exactly the FormatError that the decoder and
     the oracle decoder raise on the rows' format-1 document, which spells
@@ -651,7 +677,7 @@ def test_constructor_refuses_what_the_decoder_refuses():
     maniplex that both documents decode to."""
     sound = 0
     for rows in _parity_tables():
-        v1 = dumps_json({"rank": len(rows), "flags": len(rows[0]) if rows else 0, "perms": [list(row) for row in rows]})
+        v1 = dumps_json(_format_1_document(rows))
         want = _outcome(maniplex_from_json_by_loads, v1)
         if type(want) is tuple and want[0] is FormatError:
             assert _outcome(Maniplex, rows) == _outcome(maniplex_from_json, v1) == want, rows

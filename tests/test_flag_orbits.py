@@ -5,13 +5,13 @@ that read them: `poset.polytope_report` at the orbit representatives (fact
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import suites
 from maniplex import core, poset
 from maniplex.core import (
-    FlagOrbits,
     Maniplex,
     automorphism_count,
     dual,
@@ -31,8 +31,11 @@ from maniplex.poset import is_faithful, polytope_report, pos_of
 from oracles import (
     automorphism_count_by_propagation,
     faithful_at_by_tables,
+    faithfulness_by_labels,
+    lemma_by_valid_images,
     polytopal_at_by_tables,
     polytope_report_by_masks,
+    valid_images_by_propagation,
 )
 from test_poset import random_map, rectangular_torus
 
@@ -47,33 +50,42 @@ def regular():
 
 @pytest.fixture(scope="module")
 def judged(regular, named_corpus, b_maniplex, bstar_result, section_failure):
-    """Every maniplex the judges are compared on, with the number of its
-    flag orbits' representatives (0 when the lemmas do not decide them):
-    the regular polytopes, the named maps (tori (1,0), (0,1) and (1,1)
-    among them), every census pool torus, B, B*, the tower's ranks 5 to
-    7, the valid extensions of the tori b, c <= 3 over their first three
-    facets, rectangular tori, a rank-4 map failing at a proper section
-    and two rank-4 quotients of {4,4,4} failing the diamond condition."""
-    members = [(m, 1) for m in regular]
+    """Every maniplex the judges are compared on, with its flag orbits'
+    representatives, () when the lemma does not decide them: the regular
+    polytopes, the named maps (tori (1,0), (0,1) and (1,1) among them),
+    every census pool torus, B, B*, the tower's ranks 5 to 7, the valid
+    extensions of the tori b, c <= 3 over their first three facets,
+    rectangular tori, which the lemma decides at flags 0 and r_1(0),
+    trivial extensions of chiral tori, of classes 2_{3} and 2_{0}
+    (`suites.trivial_extensions`), a rank-4 map failing at a proper
+    section and two rank-4 quotients of {4,4,4} failing the diamond
+    condition."""
+    members = [(m, (0,)) for m in regular]
     for m in named_corpus.values():
-        members.append((m, 1 if automorphism_count_by_propagation(m.perms) == m.flag_count else 2))
+        members.append((m, (0,) if automorphism_count_by_propagation(m.perms) == m.flag_count else (0, m.perms[0][0])))
     for b, c in suites.TORUS_POOL:
-        members.append((torus_44(b, c), 1 if b * c * (b - c) == 0 else 2))
-    members += [(b_maniplex, 1), (bstar_result.bstar, 0)]
+        m = torus_44(b, c)
+        members.append((m, (0,) if b * c * (b - c) == 0 else (0, m.perms[0][0])))
+    members += [(b_maniplex, (0,)), (bstar_result.bstar, ())]
     m = bstar_result.bstar
     for _ in (5, 6, 7):
         m = extend(m, faces(m, m.rank - 1)[0])
-        members.append((m, 0))
+        members.append((m, ()))
     for b, c in itertools.product(range(4), repeat=2):
         torus = torus_44(b, c) if b or c else None
         for facet in faces(torus, 2)[:3] if torus else ():
             ext = extend(torus, facet)
             if validate(Maniplex(ext.perms)).ok:
-                members.append((ext, 1 if (b, c) == (1, 1) else 0))
-    members += [(rectangular_torus(a, b), 0) for a, b in ((3, 4), (4, 6))]
-    members.append((section_failure, 1))
+                members.append((ext, (0,) if (b, c) == (1, 1) else ()))
+    for a, b in ((3, 4), (4, 6)):
+        m = rectangular_torus(a, b)
+        members.append((m, (0, m.perms[1][0])))
+    for m, kept in suites.trivial_extensions(random.Random(suites.SEED + 42)):
+        j = min(set(range(m.rank)) - kept)  # the least colour whose r_j(0) is in the other orbit
+        members.append((m, (0, m.perms[j][0])))
+    members.append((section_failure, (0,)))
     for extra in ((0, 1, 2, 3) * 2, (0, 1, 2, 1) * 2 + (1, 2, 3, 2) * 2):
-        members.append((coset_enumerate(string_coxeter([4, 4, 4]).extended(extra), cap=20000).to_maniplex(), 1))
+        members.append((coset_enumerate(string_coxeter([4, 4, 4]).extended(extra), cap=20000).to_maniplex(), (0,)))
     return members
 
 
@@ -83,7 +95,7 @@ def forced_fallback(m: Maniplex) -> Maniplex:
     poset search and every flag's chain."""
     copy = Maniplex(m.perms)
     assert validate(copy).ok
-    copy._cache["orbits"] = FlagOrbits((), (), ())
+    copy._cache["orbits"] = ()
     return copy
 
 
@@ -91,21 +103,23 @@ def test_judging_by_representatives_equals_the_poset_search(judged):
     """On a fresh copy of each member, the flag orbits have the
     representatives the member is listed with, and `polytope_report`,
     `is_faithful` and `verdict` give what they give on a copy forced onto
-    the other path, and the report is the masks oracle's on the face
-    poset.  A member with representatives that is polytopal is judged with
-    no poset built; every case of fact (f) fails on some member."""
+    the other path, the report is the masks oracle's on the face poset,
+    and faithfulness the label oracle's.  A member with representatives
+    that is polytopal is judged with no poset built; every case of fact
+    (f) fails on some member."""
     fast = refused = 0
     failed = set()
     for m, want in judged:
         fresh, slow = Maniplex(m.perms), forced_fallback(m)
         assert validate(fresh).ok, m
-        reps = flag_orbits(fresh).representatives
-        assert reps == ((), (0,), (0, m.perms[0][0]))[want], (m, reps)
+        reps = flag_orbits(fresh)
+        assert reps == want, (m, reps)
         report = polytope_report(fresh)
         assert report == polytope_report(slow), m
         assert (report.ok, report.failed, report.witness) == polytope_report_by_masks(pos_of(Maniplex(m.perms))), m
         assert verdict(fresh) == verdict(slow), m
         assert is_faithful(fresh) == is_faithful(slow) == is_faithful(Maniplex(m.perms)), m
+        assert tuple(is_faithful(fresh)) == faithfulness_by_labels(m), m
         if reps and report.ok:
             assert "poset" not in fresh._cache, m
             fast += 1
@@ -131,7 +145,7 @@ def test_local_judges_equal_the_face_table_judges(judged):
         fresh = Maniplex(m.perms)
         assert validate(fresh).ok
         flags = [0, m.perms[0][0], m.perms[1][0], *(rng.randrange(m.flag_count) for _ in range(3))]
-        cases += [(fresh, at) for at in (flag_orbits(fresh).representatives, *((f,) for f in flags)) if at]
+        cases += [(fresh, at) for at in (flag_orbits(fresh), *((f,) for f in flags)) if at]
     maps = [random_map(rng, rng.randint(2, 8)) for _ in range(40)]
     for m in maps + [dual(m) for m in maps]:
         fresh = Maniplex(m.perms)
@@ -166,7 +180,7 @@ def test_census_and_regular_verdicts_build_no_face_table(regular, monkeypatch):
         automorphism_count(m)
         assert isomorphic(m, dual(m)) is not None
         assert maniplex_from_json(maniplex_to_json(m)) == m
-        assert flag_orbits(m).representatives, (b, c)
+        assert flag_orbits(m), (b, c)
         tables = sorted(key for key in m._cache if isinstance(key, int))
         if (b, c) in refused:
             assert not verdict(m).sparse and tables == [0, 1, 2] and len(labelled) == 3, (b, c)
@@ -185,7 +199,7 @@ def test_reflexible_tori_that_are_not_sparse_fail_at_flag_0(b, c):
     them at flag 0, and the verdict names the witness the masks oracle
     gives on the face poset."""
     m = torus_44(b, c)
-    assert validate(m).ok and flag_orbits(m).representatives == (0,)
+    assert validate(m).ok and flag_orbits(m) == (0,)
     assert not poset._polytopal_at(m, (0,))
     slow = forced_fallback(m)
     assert verdict(m) == verdict(slow) and not verdict(m).sparse
@@ -243,35 +257,43 @@ def test_verdict_then_automorphism_count_propagate_n_times(regular, b_maniplex, 
         assert len(calls) == m.rank, (m, calls)
 
 
-def test_no_representatives_cost_at_most_two_failed_propagations(judged, monkeypatch):
-    """A maniplex whose flag orbits the lemmas do not decide is told so
-    after at most two images that fail, the last image propagated; the
-    record keeps the automorphisms found and the failed images, which
-    seed `automorphism_count`'s orbit loop, and its count is the
-    oracle's."""
+def test_no_representatives_cost_the_lemmas_images(judged, bstar_result, monkeypatch):
+    """A member whose flag orbits the lemma does not decide is told so
+    after the images `oracles.lemma_by_valid_images` lists, the last of
+    them failing.  That is three failures at most, and one more for each
+    colour i > j that joins I, whose r_i r_j (0) fails before r_i(0)
+    extends: B* and the tower's ranks 5 and 6 pay three, r_0(0),
+    r_1 r_0 (0) and r_1(0), and some torus extensions four.  The count,
+    from `automorphism_count`'s orbit loop, which the lemma seeds with
+    nothing, is the oracle's."""
     outcomes = []
     propagate = core._propagate
 
     def spy(*args):
         phi = propagate(*args)
-        outcomes.append(phi is not None)
+        outcomes.append((args[2], phi is not None))
         return phi
 
     monkeypatch.setattr(core, "_propagate", spy)
-    undecided = 0
+    start = next(k for k, (m, _) in enumerate(judged) if m is bstar_result.bstar)
+    tower = [m for m, _ in judged[start : start + 3]]  # B* and ranks 5, 6
+    costs = Counter()
     for m, want in judged:
         if want or m.flag_count > 3072:
             continue
         copy = Maniplex(m.perms)
         outcomes.clear()
         assert validate(copy).ok
-        record = flag_orbits(copy)
-        assert record.representatives == () and not outcomes[-1], m
-        assert outcomes.count(False) == len(record.failed) <= 2, (m, outcomes)
-        assert len(record.automorphisms) == outcomes.count(True)
-        assert automorphism_count(copy).count == automorphism_count_by_propagation(m.perms), m
-        undecided += 1
-    assert undecided >= 10
+        valid = valid_images_by_propagation(m.perms)
+        images, _, reps = lemma_by_valid_images(m.perms, valid)
+        assert flag_orbits(copy) == reps == () and outcomes == [(f, f in valid) for f in images], m
+        failed = [f for f, ok in outcomes if not ok]
+        if any(m is t for t in tower):
+            assert failed == [m.perms[0][0], m.perms[1][m.perms[0][0]], m.perms[1][0]], m
+            costs["tower"] += 1
+        costs[len(failed)] += 1
+        assert automorphism_count(copy).count == len(valid), m
+    assert costs == {3: 37, 4: 2, "tower": 3}, costs
 
 
 def test_flag_orbits_refuses_an_invalid_maniplex(two_squares):

@@ -515,8 +515,9 @@ def rectangular_torus(a: int, b: int) -> Maniplex:
     """The map of a x b squares on the torus, a, b >= 3, from its face
     poset by the chain oracle: polytopal and faithful, and for a != b it
     has no automorphism swapping the two directions, so r_1(0) is no image
-    of flag 0 under an automorphism, while r_0(0) is: its flag orbits are
-    not decided by the lemmas of `core.flag_orbits`."""
+    of flag 0 under an automorphism, while r_0(0) and r_2(0) are: it has
+    two flag orbits, of class 2_{0,2}, which `core.flag_orbits` decides
+    at flags 0 and r_1(0)."""
     v = {(i, j): f"v{i}.{j}" for i in range(a) for j in range(b)}
     square_faces = {}
     for i, j in v:
@@ -575,7 +576,7 @@ def test_polytope_report_matches_the_poset_search(named_corpus, two_squares, sec
         before = len(built)
         report = poset.polytope_report(copy)
         assert poset.polytope_report(copy) is report
-        reps = core.flag_orbits(copy).representatives
+        reps = core.flag_orbits(copy)
         if reps and poset._polytopal_at(copy, reps):
             assert "poset" not in copy._cache and len(built) == before, m
             at_reps += 1
@@ -616,7 +617,7 @@ def test_polytope_report_shares_faithfulness(named_corpus, two_squares, section_
         if not validate(copy).ok:
             continue
         poset.polytope_report(copy)
-        reps = core.flag_orbits(copy).representatives
+        reps = core.flag_orbits(copy)
         assert "faithful" not in copy._cache, m
         assert is_faithful(copy) == is_faithful(Maniplex(m.perms)), m
         unfaithful += len(set(poset.flag_function(m))) != m.flag_count
