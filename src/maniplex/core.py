@@ -432,13 +432,15 @@ def faces(m: Maniplex, i: int) -> list[Face]:
 def dual(m: Maniplex) -> Maniplex:
     """Reverse the colours: colour i becomes colour n-1-i.  The rows are
     shared, and so is the walk view, reversed, when m has one.  The axioms
-    read the same with the colours reversed, so an ok `validate` report is
-    shared too."""
+    read the same with the colours reversed, so m's `validate` report,
+    computed here if m has none, is shared too when it is ok: m and its
+    dual are walked once between them."""
     d = from_sound_rows(tuple(reversed(m.perms)))
-    view, report = m._cache.get("walk"), m._cache.get("valid")
+    report = validate(m)
+    view = m._cache.get("walk")
     if view is not None:
         d._cache["walk"] = view[::-1]
-    if report is not None and report.ok:
+    if report.ok:
         d._cache["valid"] = report
     return d
 

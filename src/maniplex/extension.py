@@ -14,15 +14,16 @@ and it fixes the face id of every extension flag over the face, so the
 spans are certified by comparing the predicted ids over each base face
 with the extension's.
 
-When the old colours copy a valid M tag by tag, the extension is read off
-M and the new colour's row, with no search over its flags: over each base
-i-face, the i-faces of the extension are the classes of the four tags
-joined by the new colour's patterns at the face's flags, so the map from
-each base face to the four extension faces over it, the face poset and
-the axioms that involve the new colour are all computed from M's, and the
-checks read that map; the extension's flag-sized face tables are built
-from it only when first read.  Otherwise the extension's own flags are
-searched.
+When both row equations hold (the old colours copy a valid M tag by tag,
+and the new colour moves the tag by XOR 1 off F and XOR 3 on it, as
+`extend` builds it), the extension is read off M and F, with no search
+over its flags: over each base i-face, the extension's i-faces are the
+tag classes joined by XOR 1, XOR 3 or both, as the face has flags off F,
+on F or both (`_quotient`).  So the map from each base face to the four
+extension faces over it, the face poset and the axioms that involve the
+new colour all follow from M's and F's flags, and the checks read that
+map; the extension's flag-sized face tables are built from it only when
+first read.  Any other row set is searched on the extension's own flags.
 
 The extension is polytopal, with no search of its poset, by amalgamation
 (McMullen & Schulte, Abstract Regular Polytopes, 2002, section 2A) when
@@ -81,6 +82,8 @@ _TAGS_EQUAL = frozenset({(0, 0), (1, 1)})
 _TAGS_ALL = frozenset(TAG_CODES)
 # span -> for tag codes 0..3, the id of the extension face holding that tag over base face c, minus 4c
 _TAG_OFFSETS = {_TAGS_MISSING: (0, 0, 2, 2), _TAGS_EQUAL: (0, 1, 1, 0), _TAGS_ALL: (0, 0, 0, 0)}
+# a base face's sides of the marked facet, bit 1 for a flag off it and bit 2 for one on it -> its tag offsets
+_OFFSETS_BY_SIDES = {1: _TAG_OFFSETS[_TAGS_MISSING], 2: _TAG_OFFSETS[_TAGS_EQUAL], 3: _TAG_OFFSETS[_TAGS_ALL]}
 _KEY_FLAGS = 4096  # base flags per slice of `_quotient`'s keys, so that each slice holds 32 KB of them
 
 
@@ -115,12 +118,18 @@ def extend(m: Maniplex, facet: Face) -> Maniplex:
     if 4 * size > 1 << 31:
         raise ValueError(f"an extension of {4 * size} flags does not fit an array('i')")
     ones = lane_ones(size)
-    twist = array("i", [1]) * size  # the new colour moves the tag by XOR 1 outside the facet
-    for f in facet.flags:
-        twist[f] = 3  # and by XOR 3 inside it
     perms = [tagged_row(row_lanes(row) << 2, ones, 0, size, 4) for row in m.perms]
-    perms.append(tagged_row(row_lanes(array("i", range(0, 4 * size, 4))), ones, row_lanes(twist), size, 4))
+    perms.append(tagged_row(row_lanes(array("i", range(0, 4 * size, 4))), ones, row_lanes(_twists(m, facet)), size, 4))
     return from_sound_rows(tuple(perms))
+
+
+def _twists(m: Maniplex, facet: Face) -> array:
+    """Base flag g -> the XOR by which the new colour moves the tag of
+    each flag 4g + t: 1 off the facet, 3 on it."""
+    twist = array("i", [1]) * m.flag_count
+    for f in facet.flags:
+        twist[f] = 3
+    return twist
 
 
 def _tag_spans(m: Maniplex, facet: Face, i: int) -> dict[int, frozenset[tuple[int, int]] | None]:
@@ -167,15 +176,18 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
 
     When the extension is read off the base (`_quotient`), its checks read
     the map over each base face instead of its face tables, and its
-    faithfulness result is carried up from a base witness (0, w), with no
-    chain listed per flag.  Flag 0 is the least flag of each of its faces,
-    so its chain is all zeros, and "0" is the least label, so when that
-    chain is shared it is the one `is_faithful` picks: w is the least other
-    flag with the all-zero chain.  In the extension, flag 4g + t has facet
-    id t, and its i-face for i < n has id 4c plus the least tag of the
-    class of t over g's base i-face c; tag 0 is the least of its class.
-    So the flags with the all-zero chain are exactly 4g for the base flags
-    g with it, and the extension's result is (False, (0, 4w)).
+    faithfulness result is carried up from the base's, with no chain
+    listed per flag.  Flag 4g + t has facet id t, and its i-face for i < n
+    has id 4c plus the least tag of the class of t over g's base i-face c,
+    a tag in 0..3.  So two flags 4g + t and 4h + u share a chain only if
+    t = u and g and h share their base chain: over a faithful base the
+    extension is faithful, (True, None).  Over a base witness (0, w): flag
+    0 is the least flag of each of its faces, so its chain is all zeros,
+    and "0" is the least label, so when that chain is shared it is the one
+    `is_faithful` picks: w is the least other flag with the all-zero
+    chain.  Tag 0 is the least of its class, so the extension's flags with
+    the all-zero chain are exactly 4g for the base flags g with it, and
+    the extension's result is (False, (0, 4w)).
     """
     if not validate(m).ok:
         raise ValueError("base is not a valid maniplex")
@@ -185,9 +197,8 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks: list[Check] = []
 
     copies = _rows_copy_base(m, ext)
-    quotient = _quotient(m, ext) if copies else None
-    over = quotient[2] if quotient else None
-    report = _validate_over_base(m, ext, quotient) if quotient else validate(ext)
+    over = _quotient(m, ext, facet) if copies else None
+    report = validate(ext) if over is None else _validate_over_base(m, ext, facet)
     checks.append(passed("extension-valid", report.ok, report.violations or None))
     checks.append(passed("flag-count", ext.flag_count == 4 * m.flag_count, ext.flag_count))
 
@@ -203,12 +214,14 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks.append(passed("facets-copy-base", copies))
 
     if base_faith.faithful:
+        if over is not None:  # carried up, see the docstring
+            ext._cache["faithful"] = FaithfulnessResult(True, None)
         ext_faithful = is_faithful(ext).faithful
         preserved = Check("unfaithfulness-preserved", SKIP, "base is faithful")
     else:
         w1, w2 = base_faith.witness
         lifted = all(_face_id(m, ext, over, i, 4 * w1) == _face_id(m, ext, over, i, 4 * w2) for i in range(n + 1))
-        if over and w1 == 0:  # carried up, see the docstring
+        if over is not None and w1 == 0:  # carried up, see the docstring
             ext._cache["faithful"] = FaithfulnessResult(False, (0, 4 * w2))
         # two flags with the same faces already make the extension unfaithful
         ext_faithful = False if lifted else is_faithful(ext).faithful
@@ -217,8 +230,8 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks.append(preserved)
 
     p_base = pos_of(m)
-    if quotient:
-        ext._cache["poset"] = _poset_over_base(p_base, quotient, report.ok)
+    if over is not None:
+        ext._cache["poset"] = _poset_over_base(p_base, over, report.ok)
     p_ext = pos_of(ext)
 
     # every ridge of the extension lies under exactly two of its facets
@@ -306,109 +319,83 @@ def _spread(over: dict[int, tuple[int, ...]], ids: array) -> array:
     return array("i", b"".join(map(packed.__getitem__, ids)))[:]  # the slice holds no spare room
 
 
-def _tag_classes(patterns) -> tuple[int, ...]:
-    """tag -> least tag of its class, for the classes of the four tags
-    joined by the given permutations of them."""
-    least = [0, 1, 2, 3]
-    for p in patterns:
-        for t, u in enumerate(p):
-            a, b = sorted((least[t], least[u]))
-            if a != b:
-                least = [a if x == b else x for x in least]
-    return tuple(least)
+def _new_colour_twists(row: array, twist: array) -> bool:
+    """The new colour's row equation: it sends 4g + t to 4g + (t XOR
+    twist[g]) (`_twists`).  For each tag t, the entries 4g + t of the row,
+    as bytes, must be the lanes 4g plus t XOR the twist lanes, as `extend`
+    builds them.  The lane ints, each as large as a base row, are freed on
+    return, before `_quotient` reads the base's face tables."""
+    size = len(twist)
+    starts, twists, ones = row_lanes(array("i", range(0, 4 * size, 4))), row_lanes(twist), lane_ones(size)
+    return all(row[t::4].tobytes() == (starts + (t * ones ^ twists)).to_bytes(4 * size, sys.byteorder) for t in range(4))
 
 
-def _pattern_codes(row: array, size: int) -> Optional[array]:
-    """Base flag g -> the code of the new colour's pattern at g, from its
-    row: the images of 4g, ..., 4g + 3, minus 4g, two bits each, read off
-    lanes as in `extend`; None when an image leaves its quad.  The lane
-    ints, each as large as a base row, are freed on return, before
-    `_quotient` builds the base's face tables."""
-    starts = row_lanes(array("i", range(0, 4 * size, 4)))
-    spare = ~(3 * lane_ones(size))  # every bit but the two lowest of each lane
-    codes = 0
-    for t in range(4):
-        offsets = row_lanes(row[t::4]) - starts  # lane g: the image of 4g + t, minus 4g
-        if offsets < 0 or offsets & spare:  # some lane is outside 0..3, so an image leaves its quad
-            return None
-        codes |= offsets << 2 * t
-    return array("i", codes.to_bytes(4 * size, sys.byteorder))
-
-
-def _quotient(m: Maniplex, ext: Maniplex) -> Optional[tuple]:
-    """Read the extension's faces off the base's, with no search over its
-    flags, and return (pattern_of, patterns, over): for each base flag g,
-    the code of the new colour's pattern (`_pattern_codes`), each code's
-    pattern, and per rank i < n, base face id -> the ids of the
-    extension faces over that face holding tags 0..3.
-    The extension's cache gets its facet table and, per rank i < n, a
-    callable that spreads `over` onto its flags when the table is first
-    read.  None when the new colour does not permute some quad.  Needs the
-    old colours to copy the valid (so connected) base tag by tag and the
-    rows to have the right shape.
+def _quotient(m: Maniplex, ext: Maniplex, facet: Face) -> Optional[list]:
+    """Read the extension's faces off the base's and the marked facet's
+    flags, with no search over its flags, and return, per rank i < n,
+    base face id -> the ids of the extension faces over that face holding
+    tags 0..3; None when the new colour's row equation fails.  The
+    extension's cache gets its facet table and, per rank i < n, a callable
+    that spreads the map onto its flags when the table is first read.
+    Needs the old colours to copy the valid (so connected) base tag by tag.
 
     Deleting colour i < n leaves the old colours moving g within its
-    i-face c with the tag fixed, and the new colour moving the tag by g's
-    pattern, so the extension i-faces over c are the classes of the tags
-    joined by the patterns at c's flags, and the least flag of the class
-    of tag t is 4c plus the least tag in it.  Deleting colour n leaves
-    four copies of the base, one per tag."""
+    i-face c with the tag fixed, and the new colour joining the tags by
+    XOR 1 at c's flags off the facet and by XOR 3 at those on it: classes
+    {0, 1} and {2, 3} when c misses the facet, {0, 3} and {1, 2} when it
+    lies in it, one class of all four tags when it has flags on both
+    sides.  The least flag of the class of tag t is 4c plus its least tag
+    (`_TAG_OFFSETS`).  Deleting colour n leaves four copies of the base,
+    one per tag."""
     n, size = m.rank, m.flag_count
-    pattern_of = _pattern_codes(ext.perms[n], size)
-    if pattern_of is None:
+    twist = _twists(m, facet)
+    if not _new_colour_twists(ext.perms[n], twist):
         return None
-    # per rank, the distinct keys k << 32 | c of a flag's face id c and pattern
-    # code k: the 64-bit lanes of each slice's ids and codes interleaved
+    # per rank, the distinct keys x << 32 | c of a flag's face id c and
+    # twist x: the 64-bit lanes of each slice's ids and twists interleaved
     tables, keys = [face_table(m, i) for i in range(n)], [set() for _ in range(n)]
     low = sys.byteorder == "big"  # which int32 of a lane is its low half
     for g in range(0, size, _KEY_FLAGS):
         lanes = array("i", bytes(8 * min(_KEY_FLAGS, size - g)))
-        lanes[1 - low :: 2] = pattern_of[g : g + _KEY_FLAGS]
+        lanes[1 - low :: 2] = twist[g : g + _KEY_FLAGS]
         for ids, seen in zip(tables, keys):
             lanes[low::2] = ids[g : g + _KEY_FLAGS]
             seen.update(array("q", lanes.tobytes()))
-    patterns = {k: tuple(k >> 2 * t & 3 for t in range(4)) for k in {key >> 32 for key in keys[0]}}
-    if any(sorted(p) != [0, 1, 2, 3] for p in patterns.values()):
-        return None
     over = []
     for i, (ids, seen) in enumerate(zip(tables, keys)):
-        joined = defaultdict(list)
+        sides = defaultdict(int)
         for key in seen:
-            joined[key & 0xFFFFFFFF].append(patterns[key >> 32])
-        faces = {c: tuple(4 * c + t for t in _tag_classes(ps)) for c, ps in joined.items()}
+            sides[key & 0xFFFFFFFF] |= 1 << (key >> 33)  # bit 1 for twist 1 (off the facet), bit 2 for twist 3
+        faces = {c: tuple(4 * c + off for off in _OFFSETS_BY_SIDES[side]) for c, side in sides.items()}
         ext._cache[i] = partial(_spread, faces, ids)
         over.append(faces)
     ext._cache[n] = array("i", range(4)) * size
-    return pattern_of, patterns, over
+    return over
 
 
-def _validate_over_base(m: Maniplex, ext: Maniplex, quotient: tuple) -> ValidationReport:
-    """`validate(ext)` when the old colours copy the valid base tag by tag.
+def _validate_over_base(m: Maniplex, ext: Maniplex, facet: Face) -> ValidationReport:
+    """`validate(ext)` when both row equations hold over the valid base,
+    decided from the marked facet F.
 
-    The axioms among the old colours then hold as they do in the base, so
-    only those that involve the new colour n are checked, on its patterns.
-    Proper colouring (i, n) needs no check: at 4g + t colour i gives
-    4 r_i(g) + t and colour n gives 4g + p(t) with p(t) in 0..3, equal
-    only if r_i fixes g, which the valid base rules out.  Any failure
-    runs the full `validate`, whose witnesses are reported."""
-    n = m.rank
-    pattern_of, patterns, _ = quotient
-    ok = (
-        all(p[p[t]] == t != p[t] for p in patterns.values() for t in range(4))  # colour n: involution, no fixed point
-        # square (i, n) for i <= n - 2: at 4g + t it closes exactly when the
-        # patterns at g and at its colour-i neighbour compose to the identity,
-        # that is, as patterns are involutions, when they are the same; so
-        # for all such i at once, when each base facet has one pattern
-        and array("i", map(pattern_of.__getitem__, face_table(m, n - 1))) == pattern_of
-        and _tag_classes(patterns.values()) == (0, 0, 0, 0)  # connected: the base is, and the patterns join all tags
-    )
-    if not ok:
+    At flag 4g + t, old colour i gives 4 r_i(g) + t, and the new colour n
+    gives 4g + (t XOR x), x being 3 when g lies on F and 1 when it does not.
+    The axioms among the old colours hold as they do in the base.  XOR 1
+    and XOR 3 are fixed-point-free involutions of the tags, so colour n is
+    one too.  Proper colouring (i, n) holds: the two images are equal only
+    if r_i fixes g, which the valid base rules out.  For i <= n - 2, r_i
+    keeps a flag on or off F, a face of the colours below n - 1, so both
+    r_n r_i and r_i r_n send 4g + t to 4 r_i(g) + (t XOR x): the square
+    (i, n) closes.  The base is connected, so the old colours join 4g + t
+    to every 4h + t, and XOR 1 and XOR 3 together join all four tags: the
+    extension is connected exactly when some base flag lies off F.  When
+    none does, the full `validate` runs, whose witnesses are reported."""
+    if len(facet.flags) == m.flag_count:
         return validate(ext)
     report = ext._cache["valid"] = ValidationReport(True, ())
     return report
 
 
-def _poset_over_base(p_base: RankedPoset, quotient: tuple, valid: bool) -> RankedPoset:
+def _poset_over_base(p_base: RankedPoset, over: list, valid: bool) -> RankedPoset:
     """`pos_of(ext)` from `pos_of(m)`, in time linear in faces and order pairs,
     marked when valid, the extension's `validate` report, is ok.
 
@@ -417,7 +404,6 @@ def _poset_over_base(p_base: RankedPoset, quotient: tuple, valid: bool) -> Ranke
     in both), and an extension face lies under facet t exactly when its
     class holds t."""
     n = p_base.rank
-    _, _, over = quotient
     at = list(zip(p_base.ranks, p_base.ids))  # face number -> (rank, id)
     incident: dict[tuple[int, int], set[tuple[int, int]]] = defaultdict(set)
     for a, b in proper_pairs(p_base):

@@ -339,39 +339,37 @@ def tag_spans_by_counts(ids, facet_flags) -> dict:
     return spans
 
 
-def quotient_by_pairs(tables, new_row):
-    """A read-off extension's (pattern_of, over), entry by entry, or None
-    when some new-colour image leaves its quad {4g, ..., 4g + 3} or some
-    pattern is not a permutation of the tags.  Base flag g's pattern code
-    holds the images of 4g + t, minus 4g, two bits per tag t; over each
-    face of a base face table, the tags are joined, by a union-find, under
-    the patterns of the (face id, code) pairs of its flags, and tag t's
+def quotient_by_sides(tables, facet_flags, new_row):
+    """A read-off extension's map over each base face, entry by entry, or
+    None when some flag 4g + t's new-colour image is not 4g + (t XOR 3)
+    for g in the marked facet and 4g + (t XOR 1) for g off it.  Over each
+    face c of a base face table, the tags of the flags off the facet are
+    joined by XOR 1 and those on it by XOR 3, by a union-find, and tag t's
     extension face is 4c plus the least tag of its class."""
-    size = len(tables[0])
-    offsets = [[new_row[4 * g + t] - 4 * g for t in range(4)] for g in range(size)]
-    if any(sorted(p) != [0, 1, 2, 3] for p in offsets):
+    inside = set(facet_flags)
+    twist = [3 if g in inside else 1 for g in range(len(tables[0]))]
+    if any(new_row[4 * g + t] != 4 * g + (t ^ x) for g, x in enumerate(twist) for t in range(4)):
         return None
-    pattern_of = [sum(u << 2 * t for t, u in enumerate(p)) for p in offsets]
     over = []
     for ids in tables:
-        codes = collections.defaultdict(set)
-        for c, k in set(zip(ids, pattern_of)):
-            codes[c].add(k)
+        twists = collections.defaultdict(set)
+        for c, x in zip(ids, twist):
+            twists[c].add(x)
         faces = {}
-        for c, ks in codes.items():
+        for c, xs in twists.items():
             parent = list(range(4))
 
-            def root(x):
-                while parent[x] != x:
-                    x = parent[x]
-                return x
+            def root(u):
+                while parent[u] != u:
+                    u = parent[u]
+                return u
 
-            for k in ks:
+            for x in xs:
                 for t in range(4):
-                    parent[root(t)] = root(k >> 2 * t & 3)
+                    parent[root(t)] = root(t ^ x)
             faces[c] = tuple(4 * c + min(u for u in range(4) if root(u) == root(t)) for t in range(4))
         over.append(faces)
-    return pattern_of, over
+    return over
 
 
 def tag_spans_match_by_faces(base: Perms, facet_flags, ext: Perms) -> bool:

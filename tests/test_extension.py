@@ -23,6 +23,7 @@ from maniplex.core import (
 from maniplex.corpus import corpus_names, platonic, torus_44
 from maniplex.extension import (
     TAG_CODES,
+    _new_colour_twists,
     _quotient,
     _rows_copy_base,
     _tag_spans,
@@ -37,7 +38,7 @@ from oracles import (
     order_isomorphic_by_cover_search,
     polytope_report_by_masks,
     poset_by_labels,
-    quotient_by_pairs,
+    quotient_by_sides,
     section_by_filter,
     sections_match_base_by_triples,
     tag_spans_by_counts,
@@ -430,8 +431,9 @@ def test_facet_sections_match_the_triple_sets(bstar_result):
     # moved, whose count of pairs the bit tests alone tell apart
     tested = 0
     for name, m in section_bases(bstar_result.bstar).items():
-        ext = extend(m, faces(m, m.rank - 1)[0])
-        over = _quotient(m, ext)[2]
+        facet = faces(m, m.rank - 1)[0]
+        ext = extend(m, facet)
+        over = _quotient(m, ext, facet)
         p_base, p_ext = pos_of(m), pos_of(ext)
         want = sections_match_base_by_triples(p_base, ext.perms, p_ext)
         assert want == sections_match_base_by_triples(p_base, ext.perms, p_ext, over), name
@@ -599,27 +601,33 @@ def test_tag_spans_from_the_base_poset_match_the_counts(b_maniplex, bstar_result
 
 
 def test_quotient_reads_the_pair_sets_slice_by_slice(bstar_result, monkeypatch):
-    # pattern_of and the map over each base face equal the oracle's, built
-    # entry by entry with a set of (face id, code) pairs: on the tower's
-    # ranks 5-9, whose bases of 12 288 and 49 152 flags span 3 and 12
-    # slices of keys, then, in slices of 7 flags, the last one short, on
-    # every extension of the extension corpus and two mutants of each
-    def agree(m, ext, where):
-        got = _quotient(m, ext)
-        want = quotient_by_pairs([face_table(m, i) for i in range(m.rank)], ext.perms[m.rank])
-        assert (got and (got[0].tolist(), got[2])) == want, where
+    # the map over each base face equals the oracle's, built entry by entry
+    # from whether each base face's flags lie off the marked facet, on it or
+    # both, and both refuse the same new-colour rows: on the tower's ranks
+    # 5-9, whose bases of 12 288 and 49 152 flags span 3 and 12 slices of
+    # keys, then, in slices of 7 flags, the last one short, on every
+    # extension of the extension corpus and two mutants of each, one with
+    # crossed old colours, which `_quotient` does not read, and one with a
+    # swapped new colour, which both refuse
+    def agree(m, facet, ext, where):
+        want = quotient_by_sides([face_table(m, i) for i in range(m.rank)], facet.flags, ext.perms[m.rank])
+        assert _quotient(m, ext, facet) == want, where
+        return want is not None
 
     m = bstar_result.bstar
     for rank in range(5, 10):
-        ext = extend(m, faces(m, m.rank - 1)[0])
-        agree(m, ext, rank)
+        facet = faces(m, m.rank - 1)[0]
+        ext = extend(m, facet)
+        assert agree(m, facet, ext, rank)
         m = ext
     monkeypatch.setattr(extension, "_KEY_FLAGS", 7)
+    read = Counter()
     for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
             ext = extend(m, facet)
             for kind, built in (("real", ext), ("crossed", crossed(ext)), ("swapped", new_colour_swapped(ext))):
-                agree(m, built, (name, facet.canonical, kind))
+                read[kind, agree(m, facet, built, (name, facet.canonical, kind))] += 1
+    assert read == {("real", True): 137, ("crossed", True): 137, ("swapped", False): 137}
 
 
 def test_verify_extension_groups_only_the_base_facets(bstar_result, monkeypatch):
@@ -653,7 +661,8 @@ def test_ridge_check_names_a_ridge_under_one_facet(monkeypatch):
 def test_extend_matches_the_entry_by_entry_oracle(bstar_result):
     """Over every facet of B*, the cube, the hemicube, tori (1,0), (1,1)
     and (2,1) and the tower's ranks 5 to 7, the lanes give the oracle's
-    rows, and the row equation holds."""
+    rows, and both row equations hold: the old colours', and the new
+    colour's against twists written out flag by flag."""
     bases = [bstar_result.bstar, platonic("cube"), platonic("hemicube"), torus_44(1, 0), torus_44(1, 1), torus_44(2, 1)]
     m = bstar_result.bstar
     for _ in (5, 6, 7):
@@ -665,6 +674,50 @@ def test_extend_matches_the_entry_by_entry_oracle(bstar_result):
             assert tuple(map(tuple, ext.perms)) == extension_by_entries(m.perms, facet.flags), (m, facet.canonical)
             assert all(type(row) is array for row in ext.perms)
             assert _rows_copy_base(m, ext)
+            assert _new_colour_twists(ext.perms[-1], twists_by_flags(m, facet)), (m, facet.canonical)
+
+
+def twists_by_flags(m: Maniplex, facet: Face) -> array:
+    """Base flag g -> 3 when g lies on the facet, 1 when it does not, one
+    membership test per flag."""
+    inside = set(facet.flags)
+    return array("i", (3 if g in inside else 1 for g in range(m.flag_count)))
+
+
+def new_colour_mutants(m: Maniplex, ext: Maniplex, facet: Face):
+    """ext's new-colour row, changed: its edges crossed, an image moved,
+    fixed tags, one facet flag twisted by XOR 1, and one entry plus 1 in
+    the lane of each tag."""
+    yield "swapped", new_colour_swapped(ext).perms[-1]
+    yield "out of quad", out_of_quad(ext).perms[-1]
+    yield "image moved up", image_moved_up(ext).perms[-1]
+    yield "quad 0 fixed", quad_0_fixed(m, ext).perms[-1]
+    yield "fixed tags on a facet", fixed_tags_on_a_facet(m, ext).perms[-1]
+    flipped = array("i", ext.perms[-1])
+    g = facet.flags[-1]
+    flipped[4 * g : 4 * g + 4] = array("i", (4 * g + (t ^ 1) for t in range(4)))
+    yield "twist flipped", flipped
+    for t in range(4):
+        bumped = array("i", ext.perms[-1])
+        bumped[8 + t] += 1
+        yield f"+1 in lane {t}", bumped
+
+
+def test_new_colour_equation_fails_on_every_new_colour_mutant(bstar_result):
+    # over every facet of the cube and of B*, each mutant of the new colour
+    # fails its row equation, so `_quotient` reads nothing off the base
+    for m in (platonic("cube"), bstar_result.bstar):
+        for facet in faces(m, m.rank - 1):
+            ext = extend(m, facet)
+            twists = twists_by_flags(m, facet)
+            assert _new_colour_twists(ext.perms[-1], twists)
+            seen = []
+            for name, row in new_colour_mutants(m, ext, facet):
+                assert row != ext.perms[-1], name
+                assert not _new_colour_twists(row, twists), (name, facet.canonical)
+                assert _quotient(m, Maniplex((*ext.perms[:-1], row)), facet) is None, (name, facet.canonical)
+                seen.append(name)
+            assert len(seen) == 10
 
 
 def row_mutants(ext: Maniplex):
@@ -800,10 +853,11 @@ def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, mo
     # over every extension of the extension corpus, and over five mutants
     # of each, the tables, report and poset that verify_extension keeps
     # equal the flag-based ones.  The face tables are read off the base
-    # exactly when the old colours copy it and every new-colour image
-    # stays inside its quad; the validation is then read off too unless an
-    # axiom fails, when the full validate runs for its witnesses.  A
-    # disconnected base is refused before any of it
+    # exactly when both row equations hold: the old colours copy it and the
+    # new colour moves the tags as `extend` does; the validation is then
+    # read off too unless the extension is disconnected, when the full
+    # validate runs for its witnesses.  A disconnected base is refused
+    # before any of it
     real = extension.extend
     calls = counting_searches(monkeypatch)
     validated = []
@@ -826,7 +880,7 @@ def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, mo
         ("real", True, False): 2,  # torus (1, 0) and (0, 1): the extension is disconnected
         ("crossed", False, False): 137,  # the old colours do not copy the base
         ("crossed in tags 1, 2", False, False): 137,
-        ("swapped", True, False): 137,  # the squares with the new colour fail
+        ("swapped", False, False): 137,  # the new colour fails its row equation
         ("out of quad", False, False): 137,
         ("image moved up", False, False): 137,
     }
@@ -854,10 +908,11 @@ def fixed_tags_on_a_facet(m: Maniplex, ext: Maniplex) -> Maniplex:
 
 
 def test_fast_validation_matches_full_on_mutants(monkeypatch):
-    # a read-off extension that fails an axiom reports the full validate's
-    # witnesses: the swapped new colour breaks a square, a new colour that
-    # fixes quad 0 breaks fixed-point freedom and the squares, and one with
-    # fixed tags on a whole facet breaks fixed-point freedom alone
+    # an extension whose new colour fails its row equation is searched, and
+    # reports the full validate's witnesses: the swapped new colour breaks a
+    # square, a new colour that fixes quad 0 breaks fixed-point freedom and
+    # the squares, and one with fixed tags on a whole facet breaks
+    # fixed-point freedom alone
     real = extension.extend
     cube = platonic("cube")
     for mutate, axioms in (
@@ -933,6 +988,35 @@ def test_base_witness_off_flag_0_carries_nothing():
         assert statuses(res)["unfaithfulness-preserved"] == PASS
         assert "faithful" not in res.extension._cache
         assert is_faithful(res.extension) == faithfulness_by_labels(res.extension) == (False, (40, 44))
+
+
+def test_faithful_base_carries_faithfulness_up(monkeypatch):
+    # over every facet of the cube and the hemicube, and the first and last
+    # facet of each pool torus (a torus's facets are alike under its
+    # rotations), the extension of a faithful base is judged faithful with
+    # no chain listed for its flags; the carried result, and the
+    # certificate's observation, equal a fresh is_faithful and the
+    # label-string oracle
+    chained = []
+    inner = poset.flag_function
+    monkeypatch.setattr(poset, "flag_function", lambda m: chained.append(m) or inner(m))
+    bases = {"cube": platonic("cube"), "hemicube": platonic("hemicube")}
+    bases.update({f"torus_44{bc}": torus_44(*bc) for bc in TORUS_POOL})
+    carried = Counter()
+    for name, m in bases.items():
+        faithful = is_faithful(m).faithful
+        facets = faces(m, m.rank - 1)
+        for facet in facets if name in ("cube", "hemicube") else (facets[0], facets[-1]):
+            chained.clear()
+            res = verify_extension(m, facet)
+            ext, fresh = res.extension, Maniplex(res.extension.perms)
+            observed = next(c.detail for c in res.checks if c.name == "extension-faithful-observed")
+            if faithful:
+                assert ext._cache["faithful"] == (True, None) and not any(x is ext for x in chained), name
+            assert is_faithful(ext) == is_faithful(fresh) == faithfulness_by_labels(fresh), (name, facet.canonical)
+            assert observed == is_faithful(fresh).faithful, (name, facet.canonical)
+            carried[faithful] += 1
+    assert carried == {True: 119, False: 4}  # torus (1, 0) and (0, 1), one facet each, are unfaithful
 
 
 def test_extend_of_a_decoded_base_is_sound(bstar_result, monkeypatch):
@@ -1104,7 +1188,7 @@ def test_each_failed_premise_falls_back_to_the_search(monkeypatch):
     with monkeypatch.context() as patch:
         # an extension whose own report fails has an unmarked poset, which
         # is not judged: its polytope checks are skipped with the reason
-        patch.setattr(extension, "_validate_over_base", lambda m, ext, quotient: core.ValidationReport(False, ()))
+        patch.setattr(extension, "_validate_over_base", lambda m, ext, facet: core.ValidationReport(False, ()))
         res = verify_extension(cube, facet)
         st, p = statuses(res), extension.pos_of(res.extension)
         assert not p.of_valid_maniplex and p._report is None
