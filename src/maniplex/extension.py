@@ -10,20 +10,23 @@ face structure over any face of M is governed by its tag span:
 {(0,0),(1,0)} when the face misses F, {(0,0),(1,1)} when it equals F, and
 all four tags when it meets F without being contained in it.  Each span
 is read off M's face poset, from the face's incidence with F (`_tag_spans`),
-and it fixes the face id of every extension flag over the face, so the
-spans are certified by comparing the predicted ids over each base face
-with the extension's.
+and it fixes the face id of every extension flag over the face.  When the
+extension is searched on its own flags, the spans are certified by
+comparing the predicted ids over each base face with the extension's.
 
 When both row equations hold (the old colours copy a valid M tag by tag,
 and the new colour moves the tag by XOR 1 off F and XOR 3 on it, as
 `extend` builds it), the extension is read off M and F, with no search
 over its flags: over each base i-face, the extension's i-faces are the
 tag classes joined by XOR 1, XOR 3 or both, as the face has flags off F,
-on F or both (`_quotient`).  So the map from each base face to the four
-extension faces over it, the face poset and the axioms that involve the
-new colour all follow from M's and F's flags, and the checks read that
-map; the extension's flag-sized face tables are built from it only when
-first read.  Any other row set is searched on the extension's own flags.
+on F or both, which is its incidence with F in M's face poset
+(`_quotient`).  So the map from each base face to the four extension
+faces over it, the face poset and the axioms that involve the new colour
+all follow from M's poset and F, and the checks read that map; the
+extension's flag-sized face tables are built from it only when first
+read.  The map is built from the spans, so there `tag-spans-match` fails
+exactly when a base face lies properly inside F.  Any other row set is
+searched on the extension's own flags.
 
 The extension is polytopal, with no search of its poset, by amalgamation
 (McMullen & Schulte, Abstract Regular Polytopes, 2002, section 2A) when
@@ -82,9 +85,6 @@ _TAGS_EQUAL = frozenset({(0, 0), (1, 1)})
 _TAGS_ALL = frozenset(TAG_CODES)
 # span -> for tag codes 0..3, the id of the extension face holding that tag over base face c, minus 4c
 _TAG_OFFSETS = {_TAGS_MISSING: (0, 0, 2, 2), _TAGS_EQUAL: (0, 1, 1, 0), _TAGS_ALL: (0, 0, 0, 0)}
-# a base face's sides of the marked facet, bit 1 for a flag off it and bit 2 for one on it -> its tag offsets
-_OFFSETS_BY_SIDES = {1: _TAG_OFFSETS[_TAGS_MISSING], 2: _TAG_OFFSETS[_TAGS_EQUAL], 3: _TAG_OFFSETS[_TAGS_ALL]}
-_KEY_FLAGS = 4096  # base flags per slice of `_quotient`'s keys, so that each slice holds 32 KB of them
 
 
 def _resolve_facet(m: Maniplex, facet: Face) -> Face:
@@ -331,45 +331,36 @@ def _new_colour_twists(row: array, twist: array) -> bool:
 
 
 def _quotient(m: Maniplex, ext: Maniplex, facet: Face) -> Optional[list]:
-    """Read the extension's faces off the base's and the marked facet's
-    flags, with no search over its flags, and return, per rank i < n,
-    base face id -> the ids of the extension faces over that face holding
-    tags 0..3; None when the new colour's row equation fails.  The
+    """Read the extension's faces off the base poset's incidence with the
+    marked facet F, with no search over its flags, and return, per rank
+    i < n, base face id -> the ids of the extension faces over that face
+    holding tags 0..3; None when the new colour's row equation fails.  The
     extension's cache gets its facet table and, per rank i < n, a callable
     that spreads the map onto its flags when the table is first read.
     Needs the old colours to copy the valid (so connected) base tag by tag.
 
     Deleting colour i < n leaves the old colours moving g within its
     i-face c with the tag fixed, and the new colour joining the tags by
-    XOR 1 at c's flags off the facet and by XOR 3 at those on it: classes
-    {0, 1} and {2, 3} when c misses the facet, {0, 3} and {1, 2} when it
-    lies in it, one class of all four tags when it has flags on both
-    sides.  The least flag of the class of tag t is 4c plus its least tag
-    (`_TAG_OFFSETS`).  Deleting colour n leaves four copies of the base,
-    one per tag."""
-    n, size = m.rank, m.flag_count
-    twist = _twists(m, facet)
-    if not _new_colour_twists(ext.perms[n], twist):
+    XOR 1 at c's flags off F and by XOR 3 at those on it: classes {0, 1}
+    and {2, 3} when c misses F, {0, 3} and {1, 2} when all its flags lie
+    on F, one class of all four tags when it has flags on both sides.  A
+    face shares a flag with F exactly when the two are incident, so these
+    sides are c's tag span (`_tag_spans`), with a face properly inside F,
+    whose span is None, taking F's.  The least flag of the class of tag t
+    is 4c plus its least tag (`_TAG_OFFSETS`).  Deleting colour n leaves
+    four copies of the base, one per tag.  The map is not checked against
+    the flags here: the tests rebuild it flag by flag and search the
+    extension's own faces for the spans."""
+    n = m.rank
+    if not _new_colour_twists(ext.perms[n], _twists(m, facet)):
         return None
-    # per rank, the distinct keys x << 32 | c of a flag's face id c and
-    # twist x: the 64-bit lanes of each slice's ids and twists interleaved
-    tables, keys = [face_table(m, i) for i in range(n)], [set() for _ in range(n)]
-    low = sys.byteorder == "big"  # which int32 of a lane is its low half
-    for g in range(0, size, _KEY_FLAGS):
-        lanes = array("i", bytes(8 * min(_KEY_FLAGS, size - g)))
-        lanes[1 - low :: 2] = twist[g : g + _KEY_FLAGS]
-        for ids, seen in zip(tables, keys):
-            lanes[low::2] = ids[g : g + _KEY_FLAGS]
-            seen.update(array("q", lanes.tobytes()))
     over = []
-    for i, (ids, seen) in enumerate(zip(tables, keys)):
-        sides = defaultdict(int)
-        for key in seen:
-            sides[key & 0xFFFFFFFF] |= 1 << (key >> 33)  # bit 1 for twist 1 (off the facet), bit 2 for twist 3
-        faces = {c: tuple(4 * c + off for off in _OFFSETS_BY_SIDES[side]) for c, side in sides.items()}
-        ext._cache[i] = partial(_spread, faces, ids)
+    for i in range(n):
+        spans = _tag_spans(m, facet, i).items()
+        faces = {c: tuple(4 * c + off for off in _TAG_OFFSETS[span or _TAGS_EQUAL]) for c, span in spans}
+        ext._cache[i] = partial(_spread, faces, face_table(m, i))
         over.append(faces)
-    ext._cache[n] = array("i", range(4)) * size
+    ext._cache[n] = array("i", range(4)) * m.flag_count
     return over
 
 
@@ -421,19 +412,20 @@ def _tag_spans_match(m: Maniplex, facet: Face, ext: Maniplex, over: Optional[lis
     Over a base i-face with least flag c, the face holding tag 0 has id 4c
     and the face holding the other tags, if any, has as id its least flag.
     So the spans predict every flag's face id, and a rank matches when the
-    prediction equals the extension's face table flag for flag.  Given the
-    map of a read-off extension (`_quotient`), whose tables are that map
-    spread over the base's, a rank matches when the predicted map equals
-    it: every base face id occurs in the base's table.
+    prediction equals the extension's face table flag for flag.  A base
+    face properly inside the marked facet has no span and fails.  Given
+    the map of a read-off extension (`_quotient`), which is built from
+    these same spans, comparing the two would prove nothing: there the
+    check fails exactly when a base face lies properly inside the facet.
     """
     for i in range(m.rank):
         spans = _tag_spans(m, facet, i)
         if None in spans.values():
             return False
-        predicted = {c: tuple(4 * c + off for off in _TAG_OFFSETS[span]) for c, span in spans.items()}
-        matches = predicted == over[i] if over else _spread(predicted, face_table(m, i)) == face_table(ext, i)
-        if not matches:
-            return False
+        if over is None:
+            predicted = {c: tuple(4 * c + off for off in _TAG_OFFSETS[span]) for c, span in spans.items()}
+            if _spread(predicted, face_table(m, i)) != face_table(ext, i):
+                return False
     return True
 
 

@@ -544,7 +544,8 @@ def test_tags_in_order_reads_every_slice():
 def test_tag_spans_match_agrees_with_face_search(bstar_result):
     # over every extension of the extension corpus, a tag-crossing mutant
     # of each and a new-colour mutant of each, the predicted face ids and
-    # the face-by-face search agree
+    # the face-by-face search agree; so does the read-off branch, given the
+    # map `_quotient` reads off the base, on every real extension
     verdicts = Counter()
     for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
@@ -553,9 +554,14 @@ def test_tag_spans_match_agrees_with_face_search(bstar_result):
                 ok = extension._tag_spans_match(m, facet, built)
                 assert ok == tag_spans_match_by_faces(m.perms, facet.flags, built.perms), (name, facet.canonical, kind)
                 verdicts[kind, ok] += 1
+            ok = extension._tag_spans_match(m, facet, ext, _quotient(m, ext, facet))
+            assert ok == tag_spans_match_by_faces(m.perms, facet.flags, ext.perms), (name, facet.canonical, "read off")
+            verdicts["read off", ok] += 1
     assert verdicts == {
         ("real", True): 135,
         ("real", False): 2,  # torus (1, 0) and (0, 1): each edge lies properly inside the one facet
+        ("read off", True): 135,
+        ("read off", False): 2,  # the same two
         ("crossed", True): 116,
         ("crossed", False): 21,
         ("swapped", False): 137,
@@ -600,15 +606,17 @@ def test_tag_spans_from_the_base_poset_match_the_counts(b_maniplex, bstar_result
     }
 
 
-def test_quotient_reads_the_pair_sets_slice_by_slice(bstar_result, monkeypatch):
-    # the map over each base face equals the oracle's, built entry by entry
-    # from whether each base face's flags lie off the marked facet, on it or
+def test_quotient_reads_the_pair_sets_slice_by_slice(bstar_result):
+    # the map over each base face, read off the base poset's incidence with
+    # the marked facet, equals the oracle's, built entry by entry from
+    # whether each base face's flags lie off the marked facet, on it or
     # both, and both refuse the same new-colour rows: on the tower's ranks
-    # 5-9, whose bases of 12 288 and 49 152 flags span 3 and 12 slices of
-    # keys, then, in slices of 7 flags, the last one short, on every
-    # extension of the extension corpus and two mutants of each, one with
-    # crossed old colours, which `_quotient` does not read, and one with a
-    # swapped new colour, which both refuse
+    # 5-9 built by `extend`, whose base posets come from their flags; on
+    # the tower's ranks 5-8 built by `verify_extension`, whose bases above
+    # B* keep the posets it read off their own bases (`_poset_over_base`);
+    # and on every extension of the extension corpus and two mutants of
+    # each, one with crossed old colours, which `_quotient` does not read,
+    # and one with a swapped new colour, which both refuse
     def agree(m, facet, ext, where):
         want = quotient_by_sides([face_table(m, i) for i in range(m.rank)], facet.flags, ext.perms[m.rank])
         assert _quotient(m, ext, facet) == want, where
@@ -620,7 +628,12 @@ def test_quotient_reads_the_pair_sets_slice_by_slice(bstar_result, monkeypatch):
         ext = extend(m, facet)
         assert agree(m, facet, ext, rank)
         m = ext
-    monkeypatch.setattr(extension, "_KEY_FLAGS", 7)
+    m = bstar_result.bstar
+    for rank in range(5, 9):
+        facet = faces(m, m.rank - 1)[0]
+        assert rank == 5 or callable(m._cache[0]), rank  # its poset was read off its base, not its flags
+        assert agree(m, facet, extend(m, facet), ("verified", rank))
+        m = verify_extension(m, facet).extension
     read = Counter()
     for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
