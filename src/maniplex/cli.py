@@ -9,10 +9,11 @@ input and version; wall-clock timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
 import time
-from itertools import compress
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -23,7 +24,6 @@ from .core import (
     Maniplex,
     dumps_json,
     face_table,
-    faces,
     maniplex_from_json,
     maniplex_json_chunks,
     to_dot,
@@ -206,11 +206,17 @@ def cmd_build_bstar(args: argparse.Namespace) -> int:
     return 0
 
 
-def _facet_of_flag_0(m: Maniplex) -> Face:
-    """The facet holding flag 0 (the first of `faces(m, n - 1)`), read off
-    the facet table in one pass."""
+def _facet(m: Maniplex, k: int) -> Face:
+    """Facet k of `faces(m, n - 1)`, whose canonical id is the k-th least,
+    read off the facet table.  A face's canonical id is its least flag, so
+    the canonical ids are the flags f of id f, found in order: facet 0 is
+    found at flag 0."""
     ids = face_table(m, m.rank - 1)
-    return Face(m.rank - 1, 0, tuple(compress(range(len(ids)), map((0).__eq__, ids))))
+    canonical = compress(count(), map(operator.eq, ids, count()))
+    c = next(islice(canonical, k, None), None) if k >= 0 else None
+    if c is None:
+        raise ValueError(f"facet index {k} out of range (0..{len(set(ids)) - 1})")
+    return Face(m.rank - 1, c, tuple(compress(range(len(ids)), map(c.__eq__, ids))))
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
@@ -221,7 +227,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     _write_bstar(out, result, "maniplex-rank4.json", "certificate-rank4.json")
     m = result.bstar
     for rank in range(5, args.rank + 1):
-        res = verify_extension(m, _facet_of_flag_0(m))
+        res = verify_extension(m, _facet(m, 0))
         m = res.extension
         _write_certified(
             out,
@@ -250,10 +256,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     m, digest = _load_valid(args.input)
-    facet_list = faces(m, m.rank - 1)
-    if not 0 <= args.facet < len(facet_list):
-        raise ValueError(f"facet index {args.facet} out of range (0..{len(facet_list) - 1})")
-    facet = facet_list[args.facet]
+    facet = _facet(m, args.facet)
     if not args.verify:
         _emit(maniplex_json_chunks(extend(m, facet)), args.output)
         return 0

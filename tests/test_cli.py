@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import maniplex
-from maniplex import cli, corpus, poset
+from maniplex import cli, corpus, extension, poset
 from maniplex.certify import FAIL, Refusal
 from maniplex.cli import main
 from maniplex.core import (
@@ -497,6 +497,28 @@ def test_extend_verify_directory(tmp_path):
 def test_extend_facet_out_of_range(tmp_path):
     path = gen(tmp_path, "cube.json", "gen", "platonic", "--name", "cube")
     assert main(["extend", "-i", path, "--facet", "99"]) == 2
+
+
+def test_extend_verify_refuses_rows_that_are_not_extends(tmp_path, monkeypatch, capsys):
+    # a faulty `extend`, whose new colour crosses its edges at flags 0 and
+    # 2, gives rows that fail the new colour's row equation: the step is
+    # refused with exit 1, and neither the extension nor a certificate is
+    # written
+    path = gen(tmp_path, "cube.json", "gen", "platonic", "--name", "cube")
+    real = extension.extend
+
+    def faulty(m, facet):
+        ext = real(m, facet)
+        row = list(ext.perms[-1])
+        a, b = row[0], row[2]
+        row[0], row[2], row[a], row[b] = b, a, 2, 0
+        return Maniplex((*ext.perms[:-1], tuple(row)))
+
+    monkeypatch.setattr(extension, "extend", faulty)
+    out = tmp_path / "verified"
+    assert main(["extend", "-i", path, "--verify", "-o", str(out)]) == 1
+    assert "error: rank 4: the new colour fails its row equation\n" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_verdict_document(tmp_path):

@@ -6,7 +6,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from maniplex import core, extension, poset
-from maniplex.certify import FAIL, PASS, SKIP, all_ok
+from maniplex.certify import FAIL, PASS, SKIP, Refusal, all_ok
 from maniplex.core import (
     Face,
     FormatError,
@@ -298,26 +298,34 @@ def swapped_facets(p: RankedPoset, a: str, b: str) -> RankedPoset:
     return poset_by_labels(p.rank, p.faces, {(name.get(x, x), name.get(y, y)) for x, y in p.less})
 
 
+def over_by_tables(m: Maniplex, ext: Maniplex) -> list:
+    """Per rank i < n, base face id c -> the ids of ext's i-faces at the
+    flags 4c, ..., 4c + 3, read off ext's own face tables: the map
+    `_quotient` reads off the base, for any rows."""
+    return [{c: face_table(ext, i)[4 * c : 4 * c + 4] for c in set(face_table(m, i))} for i in range(m.rank)]
+
+
 def test_facet_section_check_fails_on_mutated_posets():
     cube = platonic("cube")
     ext = extend(cube, faces(cube, 2)[0])
     p_base, p_ext = pos_of(cube), pos_of(ext)
     bottom, label = p_ext.level(-1)[0], "3:0"  # facet 0 is the tag class {4g}
     section_faces, section_less = section_by_filter(p_ext.faces, p_ext.less, bottom, label)
-    assert extension._sections_match_base(cube, p_base, ext, p_ext)
+    over = over_by_tables(cube, ext)
+    assert extension._sections_match_base(p_base, p_ext, over)
     assert sections_match_base_by_triples(p_base, ext.perms, p_ext)
     assert all(facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, t) for t in range(4))
     assert order_isomorphic_by_cover_search(section_faces, section_less, p_base.faces, p_base.less)
 
     bad_base = moved_pair(p_base)
-    assert not extension._sections_match_base(cube, bad_base, ext, p_ext)
+    assert not extension._sections_match_base(bad_base, p_ext, over)
     assert not sections_match_base_by_triples(bad_base, ext.perms, p_ext)
     assert not facet_section_matches_base_by_labels(bad_base, ext.perms, p_ext, 0)
     assert poset_isomorphism(section(p_ext, bottom, label), bad_base) is None
     assert not order_isomorphic_by_cover_search(section_faces, section_less, bad_base.faces, bad_base.less)
 
     bad_ext = moved_pair(p_ext)
-    assert not extension._sections_match_base(cube, p_base, ext, bad_ext)
+    assert not extension._sections_match_base(p_base, bad_ext, over)
     assert not sections_match_base_by_triples(p_base, ext.perms, bad_ext)
     assert not facet_section_matches_base_by_labels(p_base, ext.perms, bad_ext, 0)
     assert poset_isomorphism(section(bad_ext, bottom, label), p_base) is None
@@ -326,7 +334,7 @@ def test_facet_section_check_fails_on_mutated_posets():
     # but the faces at the flags 4c + 1 are not the faces below it
     misread = swapped_facets(p_ext, "3:0", "3:1")
     assert poset_isomorphism(section(misread, bottom, "3:1"), p_base) is not None
-    assert not extension._sections_match_base(cube, p_base, ext, misread)
+    assert not extension._sections_match_base(p_base, misread, over)
     assert not sections_match_base_by_triples(p_base, ext.perms, misread)
     assert not facet_section_matches_base_by_labels(p_base, ext.perms, misread, 1)
 
@@ -354,7 +362,7 @@ def test_facet_section_check_needs_a_bijection():
     assert facet.flags == tuple(range(0, 32, 4))
     assert isomorphic(restrict(ext, facet.flags, range(3)), m) is not None
     p_base, p_ext = pos_of(m), pos_of(ext)
-    assert not extension._sections_match_base(m, p_base, ext, p_ext)
+    assert not extension._sections_match_base(p_base, p_ext, over_by_tables(m, ext))
     assert not sections_match_base_by_triples(p_base, ext.perms, p_ext)
     assert not facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, 0)
     assert poset_isomorphism(section(p_ext, p_ext.level(-1)[0], "3:0"), p_base) is None
@@ -367,16 +375,16 @@ def test_facet_sections_in_one_pass_match_each_facet(bstar_result):
     m = bstar_result.bstar
     for rank in (5, 6, 7):
         ext = extend(m, faces(m, rank - 2)[0])
-        p_base, p_ext = pos_of(m), pos_of(ext)
+        p_base, p_ext, over = pos_of(m), pos_of(ext), over_by_tables(m, ext)
         assert [facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, t) for t in range(4)] == [True] * 4
-        assert extension._sections_match_base(m, p_base, ext, p_ext)
+        assert extension._sections_match_base(p_base, p_ext, over)
         for t in range(4):
             facet = f"{rank - 1}:{t}"
             ridge = min(a for a, b in p_ext.less if b == facet and p_ext.rank_of[a] == rank - 2)
             mutant = poset_by_labels(p_ext.rank, p_ext.faces, p_ext.less - {(ridge, facet)})
             per_facet = [facet_section_matches_base_by_labels(p_base, ext.perms, mutant, u) for u in range(4)]
             assert per_facet == [u != t for u in range(4)], (rank, t)
-            assert not extension._sections_match_base(m, p_base, ext, mutant), (rank, t)
+            assert not extension._sections_match_base(p_base, mutant, over), (rank, t)
             assert not sections_match_base_by_triples(p_base, ext.perms, mutant), (rank, t)
         m = ext
 
@@ -437,15 +445,15 @@ def test_facet_sections_match_the_triple_sets(bstar_result):
         p_base, p_ext = pos_of(m), pos_of(ext)
         want = sections_match_base_by_triples(p_base, ext.perms, p_ext)
         assert want == sections_match_base_by_triples(p_base, ext.perms, p_ext, over), name
-        assert extension._sections_match_base(m, p_base, ext, p_ext) == want, name
-        assert extension._sections_match_base(m, p_base, ext, p_ext, over) == want, name
+        assert extension._sections_match_base(p_base, p_ext, over_by_tables(m, ext)) == want, name
+        assert extension._sections_match_base(p_base, p_ext, over) == want, name
         if not want:
             continue
         for t in range(4):
             mutants = section_mutants(p_ext, t)
             for mutant in mutants:
                 assert not sections_match_base_by_triples(p_base, ext.perms, mutant, over), (name, t)
-                assert not extension._sections_match_base(m, p_base, ext, mutant, over), (name, t)
+                assert not extension._sections_match_base(p_base, mutant, over), (name, t)
             if mutants:
                 extra, moved = mutants
                 assert len(section_pairs(extra, t)[1]) == len(p_base.less) + 1, (name, t)
@@ -475,15 +483,16 @@ def new_colour_swapped(ext: Maniplex) -> Maniplex:
 
 
 def test_facet_section_check_skips_without_a_flag_isomorphism(monkeypatch):
+    # old colours that cross two tags leave no facet a copy of the base, so
+    # there is no flag isomorphism to carry the sections by: the rows are
+    # not `extend`'s, and the step is refused before any check
     real = extension.extend
     monkeypatch.setattr(extension, "extend", lambda m, facet: crossed(real(m, facet)))
     cube = platonic("cube")
-    res = verify_extension(cube, faces(cube, 2)[0])
-    st = statuses(res)
-    assert st["facets-copy-base"] == FAIL
-    assert st["facet-sections-match-base"] == SKIP
-    detail = next(c.detail for c in res.checks if c.name == "facet-sections-match-base")
-    assert detail == "a facet is not a copy of the base"
+    facet = faces(cube, 2)[0]
+    assert not facets_copy_base_by_search(extension.extend(cube, facet), cube)
+    with pytest.raises(Refusal, match=r"^rank 4: the old colours fail their row equation$"):
+        verify_extension(cube, facet)
 
 
 def facets_copy_base_by_search(ext: Maniplex, m: Maniplex) -> bool:
@@ -495,86 +504,69 @@ def facets_copy_base_by_search(ext: Maniplex, m: Maniplex) -> bool:
 
 
 def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, monkeypatch):
-    # over every extension of the extension corpus, and over a
-    # tag-crossing mutant of each, the tag arithmetic and the per-facet
-    # isomorphism search agree, and `four-facets` reports the facet table's
-    # distinct ids, read off `_tags_in_order` when it passes; over a
-    # disconnected base, which `verify_extension` refuses, the tag
-    # arithmetic alone and the search agree that no facet is a copy
+    # over every extension of the extension corpus, `facets-copy-base`
+    # passes, as the per-facet isomorphism search agrees, and `four-facets`
+    # reports the distinct ids of a fresh copy's searched facet table; a
+    # tag-crossing mutant of each, whose facets the search finds are not
+    # copies, is refused at the old colours' row equation; over a
+    # disconnected base, which `verify_extension` refuses, the old colours
+    # copy it, yet the facets are not the tag classes and the search finds
+    # no facet a copy
     real = extension.extend
     for facet in faces(two_squares, 1):
         with pytest.raises(ValueError, match="base is not a valid maniplex"):
             verify_extension(two_squares, facet)
         ext = real(two_squares, facet)
-        assert _rows_copy_base(two_squares, ext) and not extension._tags_in_order(face_table(ext, 2))
+        assert _rows_copy_base(two_squares, ext) and face_table(ext, 2) != array("i", range(4)) * two_squares.flag_count
         assert not facets_copy_base_by_search(ext, two_squares)
-    checked, counts = 0, set()
+    checked = 0
     for name, m in extension_corpus(bstar_result.bstar).items():
-        for facet in faces(m, m.rank - 1):
-            for build, expected in ((real, True), (lambda m, f: crossed(real(m, f)), False)):
-                monkeypatch.setattr(extension, "extend", build)
-                res = verify_extension(m, facet)
-                copies = statuses(res)["facets-copy-base"] == PASS
-                assert copies == facets_copy_base_by_search(res.extension, m) == expected, (name, facet.canonical)
-                count = next(c for c in res.checks if c.name == "four-facets")
-                assert count.detail == len(set(core.face_table(res.extension, m.rank))), (name, facet.canonical)
-                assert (count.status == PASS) == (count.detail == 4)
-                counts.add(count.detail)
+        n = m.rank
+        for facet in faces(m, n - 1):
+            where = name, facet.canonical
+            res = verify_extension(m, facet)
+            assert statuses(res)["facets-copy-base"] == PASS and facets_copy_base_by_search(res.extension, m), where
+            count = next(c for c in res.checks if c.name == "four-facets")
+            searched = core._component_ids(Maniplex(res.extension.perms), range(n))
+            assert (count.status, count.detail) == (PASS, len(set(searched))) == (PASS, 4), where
+            mutant = crossed(real(m, facet))
+            assert not facets_copy_base_by_search(mutant, m), where
+            with monkeypatch.context() as patch:
+                patch.setattr(extension, "extend", lambda m, f: mutant)
+                with pytest.raises(Refusal, match="the old colours fail their row equation"):
+                    verify_extension(m, facet)
             checked += 1
     assert checked == 137
-    assert 4 in counts and len(counts) > 1  # the count both read off and counted
-
-
-def test_tags_in_order_reads_every_slice():
-    """`facets-copy-base`'s slice-by-slice test of a facet table against
-    the whole-table comparison it replaced, on tables of one to four slices
-    of `_TAGS`, whole or with a short last one, each with one entry changed
-    at the first and last entry, at the edges of a slice and in the
-    middle."""
-    step = len(extension._TAGS)
-    for flags in (1, 256, step // 4, step // 4 + 1, step, 3 * step // 4 + 2):
-        ids = array("i", range(4)) * flags
-        assert extension._tags_in_order(ids)
-        for k in {0, len(ids) - 1, step - 1, step, len(ids) // 2} & set(range(len(ids))):
-            bad = array("i", ids)
-            bad[k] = (bad[k] + 1) % 4
-            assert not extension._tags_in_order(bad) and bad != array("i", range(4)) * flags, (flags, k)
 
 
 def test_tag_spans_match_agrees_with_face_search(bstar_result):
-    # over every extension of the extension corpus, a tag-crossing mutant
-    # of each and a new-colour mutant of each, the predicted face ids and
-    # the face-by-face search agree; so does the read-off branch, given the
-    # map `_quotient` reads off the base, on every real extension
+    # over every extension of the extension corpus, the check read off the
+    # base poset and the face-by-face search of the extension's own faces
+    # agree
     verdicts = Counter()
     for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
-            ext = extend(m, facet)
-            for kind, built in (("real", ext), ("crossed", crossed(ext)), ("swapped", new_colour_swapped(ext))):
-                ok = extension._tag_spans_match(m, facet, built)
-                assert ok == tag_spans_match_by_faces(m.perms, facet.flags, built.perms), (name, facet.canonical, kind)
-                verdicts[kind, ok] += 1
-            ok = extension._tag_spans_match(m, facet, ext, _quotient(m, ext, facet))
-            assert ok == tag_spans_match_by_faces(m.perms, facet.flags, ext.perms), (name, facet.canonical, "read off")
-            verdicts["read off", ok] += 1
+            ok = extension._tag_spans_match(m, facet)
+            assert ok == tag_spans_match_by_faces(m.perms, facet.flags, extend(m, facet).perms), (name, facet.canonical)
+            verdicts[ok] += 1
     assert verdicts == {
-        ("real", True): 135,
-        ("real", False): 2,  # torus (1, 0) and (0, 1): each edge lies properly inside the one facet
-        ("read off", True): 135,
-        ("read off", False): 2,  # the same two
-        ("crossed", True): 116,
-        ("crossed", False): 21,
-        ("swapped", False): 137,
+        True: 135,
+        False: 2,  # torus (1, 0) and (0, 1): each edge lies properly inside the one facet
     }
 
 
 def test_tag_spans_match_fails_on_a_twisted_new_colour(monkeypatch):
+    # a new colour twisted as if base flag 0 had changed sides of the
+    # marked facet spans other tags over the base faces than the base
+    # poset predicts, as the face search finds; it fails the new colour's
+    # row equation, so the step is refused
     real = extension.extend
     monkeypatch.setattr(extension, "extend", lambda m, facet: new_colour_swapped(real(m, facet)))
     cube = platonic("cube")
-    st = statuses(verify_extension(cube, faces(cube, 2)[0]))
-    assert st["tag-spans-match"] == FAIL
-    assert st["facet-sections-match-base"] == PASS  # the old colours still copy the base
+    facet = faces(cube, 2)[0]
+    assert not tag_spans_match_by_faces(cube.perms, facet.flags, extension.extend(cube, facet).perms)
+    with pytest.raises(Refusal, match=r"^rank 4: the new colour fails its row equation$"):
+        verify_extension(cube, facet)
 
 
 def test_tag_spans_from_the_base_poset_match_the_counts(b_maniplex, bstar_result):
@@ -716,9 +708,10 @@ def new_colour_mutants(m: Maniplex, ext: Maniplex, facet: Face):
         yield f"+1 in lane {t}", bumped
 
 
-def test_new_colour_equation_fails_on_every_new_colour_mutant(bstar_result):
+def test_new_colour_equation_fails_on_every_new_colour_mutant(bstar_result, monkeypatch):
     # over every facet of the cube and of B*, each mutant of the new colour
-    # fails its row equation, so `_quotient` reads nothing off the base
+    # fails its row equation, so `_quotient` reads nothing off the base and
+    # `verify_extension` refuses the step, naming the equation
     for m in (platonic("cube"), bstar_result.bstar):
         for facet in faces(m, m.rank - 1):
             ext = extend(m, facet)
@@ -728,7 +721,12 @@ def test_new_colour_equation_fails_on_every_new_colour_mutant(bstar_result):
             for name, row in new_colour_mutants(m, ext, facet):
                 assert row != ext.perms[-1], name
                 assert not _new_colour_twists(row, twists), (name, facet.canonical)
-                assert _quotient(m, Maniplex((*ext.perms[:-1], row)), facet) is None, (name, facet.canonical)
+                mutant = Maniplex((*ext.perms[:-1], row))
+                assert _quotient(m, mutant, facet) is None, (name, facet.canonical)
+                with monkeypatch.context() as patch:
+                    patch.setattr(extension, "extend", lambda m, f: mutant)
+                    with pytest.raises(Refusal, match=rf"^rank {m.rank + 1}: the new colour fails its row equation$"):
+                        verify_extension(m, facet)
                 seen.append(name)
             assert len(seen) == 10
 
@@ -835,42 +833,59 @@ def image_moved_up(ext: Maniplex) -> Maniplex:
     return Maniplex((*ext.perms[:-1], tuple(row)))
 
 
-MUTANTS = (
-    ("real", lambda ext: ext),
-    ("crossed", crossed),
-    ("crossed in tags 1, 2", lambda ext: crossed(ext, 0, 1, 2)),  # every tag-0 entry still copies the base
-    ("swapped", new_colour_swapped),
-    ("out of quad", out_of_quad),
-    ("image moved up", image_moved_up),
+MUTANTS = (  # (name, mutation, the row equation it fails)
+    ("crossed", crossed, "old colours"),
+    ("crossed in tags 1, 2", lambda ext: crossed(ext, 0, 1, 2), "old colours"),  # every tag-0 entry still copies the base
+    ("swapped", new_colour_swapped, "new colour"),
+    ("out of quad", out_of_quad, "new colour"),
+    ("image moved up", image_moved_up, "new colour"),
 )
 
 
-def assert_read_off_base(m: Maniplex, ext: Maniplex) -> None:
+def assert_read_off_base(m: Maniplex, res) -> None:
     """Every face table, the validation report and the face poset that
-    verify_extension left in ext's cache equal those computed from a fresh
-    copy's flags: a search per rank, the full validate and the flag-based
-    pos_of."""
+    verify_extension left in the extension's cache equal those computed
+    from a fresh copy's flags: a search per rank, the full validate and
+    the flag-based pos_of.  So do the checks it decides by argument:
+    `four-facets` and `facets-copy-base` the searched facet table's count
+    and whether it is the tag classes, and `unfaithfulness-preserved`
+    whether the base witness of the label-string oracle lifts to flags
+    with the same searched face ids of an unfaithful extension."""
+    ext = res.extension
     fresh = Maniplex(ext.perms)
     n = ext.rank
+    tables = [core._component_ids(fresh, [c for c in range(n) if c != i]) for i in range(n)]
     for i in range(n):
-        assert face_table(ext, i) == core._component_ids(fresh, [c for c in range(n) if c != i]), i
+        assert face_table(ext, i) == tables[i], i
     assert ext._cache["valid"] == validate(fresh)
     got, want = ext._cache["poset"], pos_of(fresh)
     assert (got.rank, got.labels, got.ranks) == (want.rank, want.labels, want.ranks)
     assert set(got.pairs) == set(want.pairs) and len(got.pairs) == len(want.pairs)
     assert got == want and got.down == want.down
     assert got.of_valid_maniplex == want.of_valid_maniplex == ext._cache["valid"].ok
+    checks = {c.name: (c.status, c.detail) for c in res.checks}
+    facets = len(set(tables[n - 1]))
+    assert checks["four-facets"] == (PASS if facets == 4 else FAIL, facets)
+    tag_classes = tables[n - 1] == array("i", range(4)) * m.flag_count
+    assert checks["facets-copy-base"] == (PASS if tag_classes else FAIL, None)
+    base_faithful, witness = faithfulness_by_labels(Maniplex(m.perms))
+    if base_faithful:
+        assert checks["unfaithfulness-preserved"] == (SKIP, "base is faithful")
+    else:
+        x, y = 4 * witness[0], 4 * witness[1]
+        lifted = all(table[x] == table[y] for table in tables)
+        preserved = lifted and not faithfulness_by_labels(fresh)[0]
+        assert checks["unfaithfulness-preserved"] == (PASS if preserved else FAIL, (x, y))
 
 
 def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, monkeypatch):
-    # over every extension of the extension corpus, and over five mutants
-    # of each, the tables, report and poset that verify_extension keeps
-    # equal the flag-based ones.  The face tables are read off the base
-    # exactly when both row equations hold: the old colours copy it and the
-    # new colour moves the tags as `extend` does; the validation is then
-    # read off too unless the extension is disconnected, when the full
-    # validate runs for its witnesses.  A disconnected base is refused
-    # before any of it
+    # over every extension of the extension corpus, the tables, report and
+    # poset that verify_extension keeps, and the checks it decides by
+    # argument, equal the flag-based ones.  The face tables are read off the
+    # base, and so is the validation unless the extension is disconnected,
+    # when the full validate runs for its witnesses.  Each of five mutants
+    # of each extension fails a row equation, and the step is refused,
+    # naming it.  A disconnected base is refused before any of it
     real = extension.extend
     calls = counting_searches(monkeypatch)
     validated = []
@@ -879,23 +894,30 @@ def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, mo
     paths = Counter()
     for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
-            for kind, mutate in MUTANTS:
-                monkeypatch.setattr(extension, "extend", lambda m, f: mutate(real(m, f)))
-                calls.clear()
-                validated.clear()
-                ext = verify_extension(m, facet).extension
-                searches = [len(cols) for who, cols in calls if who == id(ext)]
-                paths[kind, m.rank not in searches, not any(x is ext for x in validated)] += 1
-                assert_read_off_base(m, ext)
-    # (mutant, tables read off, validation read off)
+            calls.clear()
+            validated.clear()
+            res = verify_extension(m, facet)
+            ext = res.extension
+            searches = [len(cols) for who, cols in calls if who == id(ext)]
+            paths["real", m.rank not in searches, not any(x is ext for x in validated)] += 1
+            assert_read_off_base(m, res)
+            for kind, mutate, equation in MUTANTS:
+                mutant = mutate(real(m, facet))
+                with monkeypatch.context() as patch:
+                    patch.setattr(extension, "extend", lambda m, f: mutant)
+                    with pytest.raises(Refusal, match=rf"^rank {m.rank + 1}: the {equation} fail"):
+                        verify_extension(m, facet)
+                paths[kind, equation] += 1
     assert paths == {
+        # (real, tables read off, validation read off)
         ("real", True, True): 135,
         ("real", True, False): 2,  # torus (1, 0) and (0, 1): the extension is disconnected
-        ("crossed", False, False): 137,  # the old colours do not copy the base
-        ("crossed in tags 1, 2", False, False): 137,
-        ("swapped", False, False): 137,  # the new colour fails its row equation
-        ("out of quad", False, False): 137,
-        ("image moved up", False, False): 137,
+        # (mutant, the row equation it fails)
+        ("crossed", "old colours"): 137,
+        ("crossed in tags 1, 2", "old colours"): 137,
+        ("swapped", "new colour"): 137,
+        ("out of quad", "new colour"): 137,
+        ("image moved up", "new colour"): 137,
     }
     for facet in faces(two_squares, 1):
         with pytest.raises(ValueError, match="base is not a valid maniplex"):
@@ -921,24 +943,25 @@ def fixed_tags_on_a_facet(m: Maniplex, ext: Maniplex) -> Maniplex:
 
 
 def test_fast_validation_matches_full_on_mutants(monkeypatch):
-    # an extension whose new colour fails its row equation is searched, and
-    # reports the full validate's witnesses: the swapped new colour breaks a
-    # square, a new colour that fixes quad 0 breaks fixed-point freedom and
-    # the squares, and one with fixed tags on a whole facet breaks
-    # fixed-point freedom alone
+    # each new-colour mutant breaks an axiom, which the full validate of
+    # its own flags names: the swapped new colour breaks a square, a new
+    # colour that fixes quad 0 breaks fixed-point freedom and the squares,
+    # and one with fixed tags on a whole facet breaks fixed-point freedom
+    # alone.  Each fails the new colour's row equation, so the step is
+    # refused and no certificate is made
     real = extension.extend
     cube = platonic("cube")
+    facet = faces(cube, 2)[0]
     for mutate, axioms in (
         (lambda m, ext: new_colour_swapped(ext), {"square"}),
         (quad_0_fixed, {"fixed-point-free", "square"}),
         (fixed_tags_on_a_facet, {"fixed-point-free"}),
     ):
-        monkeypatch.setattr(extension, "extend", lambda m, f: mutate(m, real(m, f)))
-        res = verify_extension(cube, faces(cube, 2)[0])
-        rep = validate(res.extension)
-        assert rep == validate(Maniplex(res.extension.perms))
-        assert {v.axiom for v in rep.violations} == axioms
-        assert statuses(res)["extension-valid"] == FAIL
+        mutant = mutate(cube, real(cube, facet))
+        assert {v.axiom for v in validate(mutant).violations} == axioms
+        monkeypatch.setattr(extension, "extend", lambda m, f: mutant)
+        with pytest.raises(Refusal, match=r"^rank 4: the new colour fails its row equation$"):
+            verify_extension(cube, facet)
 
 
 def test_tower_read_off_base_matches_its_flags(bstar_result, monkeypatch):
@@ -951,7 +974,7 @@ def test_tower_read_off_base_matches_its_flags(bstar_result, monkeypatch):
         res = verify_extension(m, faces(m, m.rank - 1)[0])
         assert all_ok(res.checks), rank
         assert not any(who == id(res.extension) for who, _ in calls), rank
-        assert_read_off_base(m, res.extension)
+        assert_read_off_base(m, res)
         m = res.extension
     assert m.flag_count == 49152
 
