@@ -7,9 +7,9 @@ themselves, the rows the decoder reads; the axioms (fixed-point-free
 involutions, proper colouring, connectivity, and the square condition for
 colours at distance > 1) are checked by `validate`, not by the
 constructor, so deliberately broken maniplexes can be represented and
-reported on.  The isomorphism and automorphism kernels take valid
-maniplexes only, and so carry a map along one path: the alternating
-cycles of colours 0 and 1.
+reported on.  The face labelling and the isomorphism and automorphism
+kernels take valid maniplexes only, and so walk one path: the alternating
+cycles of two colours.
 """
 
 from __future__ import annotations
@@ -325,14 +325,18 @@ def _check_colours(m: Maniplex, colours: Iterable[int]) -> tuple[int, ...]:
 
 
 def components(m: Maniplex, colours: Iterable[int]) -> list[Component]:
-    """Connected components of the subgraph spanned by the given colours."""
+    """Connected components of the subgraph spanned by the given colours;
+    ValueError unless m is a valid maniplex (`validate`, cached)."""
+    cols = _check_colours(m, colours)
+    if not validate(m).ok:
+        raise ValueError("only a valid maniplex has its components labelled")
     groups: dict[int, list[int]] = {}
-    for f, c in enumerate(_component_ids(m, _check_colours(m, colours))):
+    for f, c in enumerate(_component_ids(m, cols)):
         groups.setdefault(c, []).append(f)
     return [Component(c, tuple(flags)) for c, flags in groups.items()]
 
 
-def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
+def _component_ids(m: Maniplex, cols: Sequence[int]) -> array:
     """flag -> least flag of its component under the given colours.
 
     On a valid maniplex, each orbit of <r_a, r_b>, for the first two
@@ -342,12 +346,10 @@ def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
     neighbours are queued, each at most once.  A colour two or more away
     from both commutes with r_a and r_b, so it carries the whole cycle
     onto one cycle: only its image of the cycle's first flag is looked
-    at.  On any other rows, or for no colour, one search over every
-    colour's edges."""
-    cols = tuple(cols)
+    at.  For no colour, each flag is its own component."""
+    if not cols:
+        return array("i", range(m.flag_count))
     view = walk_rows(m)
-    if not cols or not validate(m).ok:
-        return _component_ids_by_search([view[c] for c in cols], m.flag_count)
     a, b, others = view[cols[0]], view[cols[min(len(cols), 2) - 1]], cols[2:]
     far = {c for c in others if abs(c - cols[0]) > 1 and abs(c - cols[1]) > 1}
     near_rows = [view[c] for c in others if c not in far]
@@ -386,31 +388,15 @@ def _component_ids(m: Maniplex, cols: Iterable[int]) -> array:
             return array("i", ids)
 
 
-def _component_ids_by_search(rows: list, size: int) -> array:
-    """`_component_ids` by one search along every row's edges, for rows
-    that need not be involutions."""
-    ids = [-1] * size
-    for start in range(size):
-        if ids[start] >= 0:
-            continue
-        ids[start] = start
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for row in rows:
-                g = row[f]
-                if ids[g] < 0:
-                    ids[g] = start
-                    stack.append(g)
-    return array("i", ids)
-
-
 def face_table(m: Maniplex, i: int) -> array:
     """flag -> canonical id (least flag) of its i-face, the component after
     deleting the colour-i edges; computed once per maniplex and rank, or
-    built by the callable the cache holds for it, on the first read."""
+    built by the callable the cache holds for it, on the first read;
+    ValueError, before the cache is read, unless m is a valid maniplex."""
     if not 0 <= i < m.rank:
         raise ValueError(f"face rank {i} out of range for rank {m.rank}")
+    if not validate(m).ok:
+        raise ValueError("only a valid maniplex has its faces labelled")
     ids = m._cache.get(i)
     if ids is None:
         ids = m._cache[i] = _component_ids(m, [c for c in range(m.rank) if c != i])
@@ -545,9 +531,18 @@ def _cycle_walk(view: tuple[tuple[int, ...], ...], size: int) -> tuple[array, ar
 
 def _unreached(rows: Sequence[Sequence[int]], size: int) -> Optional[int]:
     """The least flag not reached from flag 0 along the rows' edges, or
-    None, for rows that need not be involutions: the least flag that one
-    search (`_component_ids_by_search`) labels other than 0."""
-    return next(compress(count(), _component_ids_by_search(rows, size)), None)
+    None, for rows that need not be involutions: one search from flag 0."""
+    seen = bytearray(size)
+    seen[0] = 1
+    queue = [0]
+    for f in queue:
+        for row in rows:
+            g = row[f]
+            if not seen[g]:
+                seen[g] = 1
+                queue.append(g)
+    missing = seen.find(0)
+    return None if missing < 0 else missing
 
 
 def isomorphic(m1: Maniplex, m2: Maniplex) -> Optional[tuple[int, ...]]:

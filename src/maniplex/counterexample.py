@@ -351,7 +351,9 @@ def _projection_poset_iso(bstar: Maniplex, b: Maniplex) -> bool:
 
 
 def build_B_star() -> BStarResult:
-    """Assemble and certify the unfaithful polytopal double cover of B."""
+    """Assemble and certify the unfaithful polytopal double cover of B.
+    `cover-valid-maniplex` is a pass by construction: `find_theta` returns
+    only a cover that validates (`_cover_certified`)."""
     b = build_B()
     theta = find_theta(b)
     bstar = b._cache["theta"][1]  # the cover the search certified, with its report and face tables

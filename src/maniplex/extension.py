@@ -41,11 +41,10 @@ a < b < c of proper faces and every pair two ranks apart below the
 greatest face lie at or below a facet, where the order is M's, so their
 transitivity, diamonds and connectivity are M's; a pair two ranks apart
 at the greatest face is a ridge, with its two facets between.  When a
-facet or ridge premise fails, `is_polytope` searches the poset; when the
-extension is not valid, its poset is not judged, and its polytope checks
-are skipped.  The extension of a valid, polytopal base over a facet is
-always valid, so that case is reached only over a base that is not
-polytopal.
+facet or ridge premise fails, `is_polytope` searches the poset.  An
+extension that is not valid has a base that is not polytopal
+(`verify_extension`), so its polytope checks are skipped with the base's,
+and its poset, unmarked, is never judged.
 """
 
 from __future__ import annotations
@@ -101,9 +100,9 @@ def _resolve_facet(m: Maniplex, facet: Face) -> Face:
 
 
 def extend(m: Maniplex, facet: Face) -> Maniplex:
-    """The rank-(n+1) extension of M over the given facet.  Its rows are
-    in range by construction, so the maniplex is made with no check of
-    them.
+    """The rank-(n+1) extension of M over the given facet; ValueError, as
+    `face_table` raises, unless M is a valid maniplex.  Its rows are in
+    range by construction, so the maniplex is made with no check of them.
 
     Each row is built by lane arithmetic on Python ints (SIMD within a
     register, Fisher & Dietz, LCPC 1998), with no Python step per entry:
@@ -176,13 +175,19 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     faulty `extend` can bring about.  Rows that pass both are read off the
     base (`_quotient`): the checks read the map over each base face
     instead of the extension's face tables, and four of them are decided
-    by argument.  `extension-valid` is `_validate_over_base`'s.  The old
-    colours copy the connected base tag by tag, so the facets are the four
-    tag classes {4g + t}, each a copy of the base: `four-facets` and
-    `facets-copy-base`.  And `unfaithfulness-preserved`: flag 4g has facet
-    id 0 and, for i < n, i-face id 4c, c being g's base i-face, so a base
-    witness (w1, w2), which shares every base face, lifts to 4 w1 and 4 w2,
-    which share every extension face.
+    by argument.  `extension-valid` is `_validate_over_base`'s.
+    `flag-count` is a pass by construction: `_rows_copy_base` has compared
+    the counts.  The old colours copy the connected base tag by tag, so the
+    facets are the four tag classes {4g + t}, each a copy of the base:
+    `four-facets` and `facets-copy-base`.  And `unfaithfulness-preserved`:
+    flag 4g has facet id 0 and, for i < n, i-face id 4c, c being g's base
+    i-face, so a base witness (w1, w2), which shares every base face, lifts
+    to 4 w1 and 4 w2, which share every extension face.  An extension
+    that is not valid has its polytope checks skipped with its base's: rows
+    that pass both equations give one only when the marked facet holds
+    every base flag (`_validate_over_base`), and then it is the one facet,
+    so the base fails the diamond condition at every ridge, as torus (1,0)
+    and (0,1) do.
 
     Faithfulness of the extension is recorded, never asserted; only the
     preservation of unfaithfulness is a hard check.  The posets of the base
@@ -223,14 +228,15 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     checks.append(passed("facets-copy-base", True))
 
     if base_faith.faithful:
-        ext._cache["faithful"] = FaithfulnessResult(True, None)  # carried up, see the docstring
+        carried = FaithfulnessResult(True, None)  # carried up, see the docstring
         preserved = Check("unfaithfulness-preserved", SKIP, "base is faithful")
     else:
         # the base witness shares every base face, so 4 w1 and 4 w2 share every extension face
         w1, w2 = base_faith.witness
-        if w1 == 0:  # carried up, see the docstring
-            ext._cache["faithful"] = FaithfulnessResult(False, (0, 4 * w2))
+        carried = FaithfulnessResult(False, (0, 4 * w2)) if w1 == 0 else None  # carried up, see the docstring
         preserved = passed("unfaithfulness-preserved", True, (4 * w1, 4 * w2))
+    if carried and report.ok:  # an invalid extension has no faces, so no faithfulness
+        ext._cache["faithful"] = carried
     checks.append(Check("extension-faithful-observed", INFO, base_faith.faithful))
     checks.append(preserved)
 
@@ -254,14 +260,9 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
         checks.append(passed("facet-sections-match-base", sections))
         checks.append(passed("tag-spans-match", _tag_spans_match(m, facet)))
 
-    skip = None
-    if not base.ok:
-        skip = "base is not polytopal"
-    elif not report.ok:  # its poset is not marked, so not judged
-        skip = "extension is not a valid maniplex"
-    if skip:
+    if not base.ok:  # and so whenever the extension is not valid, see the docstring
         for name in ("diamond", "strong-flag-connectivity", "polytopal"):
-            checks.append(Check(name, SKIP, skip))
+            checks.append(Check(name, SKIP, "base is not polytopal"))
     else:
         if sections and witness is None:
             p_ext._report = PolytopeReport(True, None, None)  # by amalgamation, see the module docstring

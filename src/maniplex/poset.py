@@ -18,11 +18,11 @@ masks.  The label views (`faces`, `less`, `rank_of`, `covers`) are
 derived only when read, and the `is_polytope` report is computed once and
 kept on the poset.
 
-`pos_of` marks what it builds (`of_valid_maniplex`) by the maniplex's
-memoised `validate` report, which it reads itself, and the extension's
-read-off poset is marked by the extension's report.  Facts (a) to (d) are
-the invariant of a marked poset, and `is_polytope` refuses any other with
-ValueError:
+`pos_of` builds the posets of valid maniplexes only, as `face_table`
+refuses any other, and marks each (`of_valid_maniplex`); only
+`extension._poset_over_base` builds an unmarked one, for an extension
+that is not valid.  Facts (a) to (d) are the invariant of a marked poset,
+and `is_polytope` refuses any other with ValueError:
 
 (a) Gradedness.  Two faces are incident only when they share a flag, and
     that flag's faces of every rank in between lie above the one and below
@@ -208,14 +208,14 @@ def pos_of(m: Maniplex) -> RankedPoset:
     faces of different ranks are incident when some flag lies in both.
     Indexed straight from the face tables: per pair of ranks, the id pairs
     of the flags' faces.  Built once per maniplex and kept in its cache,
-    marked when the maniplex's memoised `validate` report is ok; no polytope
-    report is computed here."""
+    marked; ValueError, as `face_table` raises, when m is not a valid
+    maniplex.  No polytope report is computed here."""
     p = m._cache.get("poset")
     if p is None:
-        n, valid = m.rank, validate(m).ok
+        n = m.rank
         ids = [face_table(m, i) for i in range(n)]
         incident = (((i, j), set(zip(ids[i], ids[j]))) for i in range(n) for j in range(i + 1, n))
-        p = m._cache["poset"] = face_poset(n, [set(row) for row in ids], incident, valid)
+        p = m._cache["poset"] = face_poset(n, [set(row) for row in ids], incident, True)
     return p
 
 
@@ -267,8 +267,9 @@ def is_faithful(m: Maniplex) -> FaithfulnessResult:
     orbits' representatives are already in its cache
     (`core.flag_orbits`), a faithful maniplex is accepted at them from
     their own faces (`_faithful_at`): no face poset, no chain set, no
-    face table; any other is judged from every flag's chain.  Computed
-    once per maniplex and kept in its cache, which only this and
+    face table; any other is judged from every flag's chain, and refused
+    with ValueError, as `face_table` refuses it, when it is not valid.
+    Computed once per maniplex and kept in its cache, which only this and
     `extension.verify_extension`'s carried witness write."""
     result = m._cache.get("faithful")
     if result is None:

@@ -43,6 +43,7 @@ from oracles import (
     automorphism_count_by_propagation,
     base64_row,
     brute_isomorphisms,
+    component_ids_by_search,
     faces_by_bfs,
     lemma_by_valid_images,
     maniplex_from_json_by_loads,
@@ -144,6 +145,22 @@ def test_components_against_merging_oracle(named_corpus):
 def test_components_bad_colour():
     with pytest.raises(ValueError):
         components(platonic("square"), (2,))
+
+
+def test_face_labelling_refuses_an_invalid_maniplex(two_squares):
+    """Faces and components are labelled on valid maniplexes only: every
+    broken structure, fresh or validated, is refused, a table the cache
+    holds as a callable included, before it is called."""
+    for broken in (two_squares, FIXED_POINT, NOT_INVOLUTION, IMPROPER, SQUARE_BREAKER):
+        for m in (Maniplex(broken.perms), broken):
+            m._cache[0] = lambda: pytest.fail("a refused table is built")
+            with pytest.raises(ValueError, match="only a valid maniplex has its faces labelled"):
+                face_table(m, 0)
+            with pytest.raises(ValueError, match="only a valid maniplex has its faces labelled"):
+                faces(m, m.rank - 1)
+            with pytest.raises(ValueError, match="only a valid maniplex has its components labelled"):
+                components(m, range(m.rank))
+            del m._cache[0]
 
 
 def test_faces_and_face_map():
@@ -288,7 +305,7 @@ def test_isomorphic_refuses_disconnected_m1(two_squares):
     digons = disjoint_union(polygon_flag_graph(4), *[polygon_flag_graph(2)] * 3)
     assert mixed.flag_count == digons.flag_count == 20
     # not isomorphic: their components have different sizes
-    sizes = [sorted(len(c.flags) for c in components(m, (0, 1))) for m in (mixed, digons)]
+    sizes = [sorted(Counter(component_ids_by_search(m.perms, (0, 1), 20)).values()) for m in (mixed, digons)]
     assert sizes == [[8, 12], [4, 4, 4, 8]]
     for broken in (two_squares, mixed, digons, FIXED_POINT, NOT_INVOLUTION, IMPROPER, SQUARE_BREAKER):
         for pair in ((broken, square), (square, broken), (broken, digons)):

@@ -291,12 +291,19 @@ def test_face_lift_count_rule_matches_lift_connected(b_maniplex, bstar_result):
     """A face of B lifts to one face of the double cover when `lift_connected`
     finds its preimage connected, and to two otherwise, so comparing face
     counts per rank decides what searching every lift does.  On B*'s voltage
-    assignment every lift connects; on one nontrivial colour-0 edge the
-    faces through it connect and the vertices do not."""
+    assignment every lift connects; with voltage 1 on every colour-0 edge
+    the cover is a maniplex whose facets connect and whose other faces
+    split, face counts (8, 12, 12, 4) against B's (4, 6, 6, 4).  The cover
+    over one nontrivial colour-0 edge is not a maniplex, so its faces are
+    not labelled."""
     b = b_maniplex
-    single = voltage_edges(b, [(0, 0)])
-    for edges, want in ((bstar_result.e_theta, True), (single, False)):
+    split = voltage_edges(b, [(f, 0) for f in range(b.flag_count)])
+    single = double_cover(b, voltage_edges(b, [(0, 0)]))
+    with pytest.raises(ValueError, match="only a valid maniplex"):
+        _face_lifts_connected(single, b)
+    for edges, want in ((bstar_result.e_theta, True), (split, False)):
         cover = double_cover(b, edges)
+        assert validate(cover).ok
         lifts = []
         for i in range(4):
             base_ids = face_table(b, i)
@@ -306,6 +313,8 @@ def test_face_lift_count_rule_matches_lift_connected(b_maniplex, bstar_result):
                 assert over[face.canonical] == (1 if connected else 2), (i, face.canonical)
                 lifts.append(connected)
         assert _face_lifts_connected(cover, b) == all(lifts) == want
+        if not want:
+            assert tuple(len(set(face_table(cover, i))) for i in range(4)) == (8, 12, 12, 4)
     assert any(lifts)
 
 
@@ -318,7 +327,8 @@ def test_bstar_poset_collapses_to_base(bstar_result):
 
 def test_projection_check_matches_halved_label_poset(bstar_result):
     # the per-rank checks imply the order part: B*'s label poset with every
-    # id halved is B's; a cover with a split face lift fails them
+    # id halved is B's; a valid cover with split face lifts, voltage 1 on
+    # every colour-0 edge, fails them, and an invalid one is refused
     def halve(label):
         rank, flag = label.split(":")
         return f"{rank}:{int(flag) // 2}"
@@ -326,8 +336,10 @@ def test_projection_check_matches_halved_label_poset(bstar_result):
     b, bstar = bstar_result.b, bstar_result.bstar
     assert _projection_poset_iso(bstar, b)
     assert {(halve(a), halve(c)) for a, c in pos_of_by_labels(bstar).less} == pos_of_by_labels(b).less
-    split = double_cover(b, voltage_edges(b, [(0, 0)]))
-    assert not _projection_poset_iso(split, b)
+    split = double_cover(b, voltage_edges(b, [(f, 0) for f in range(b.flag_count)]))
+    assert validate(split).ok and not _projection_poset_iso(split, b)
+    with pytest.raises(ValueError, match="only a valid maniplex"):
+        _projection_poset_iso(double_cover(b, voltage_edges(b, [(0, 0)])), b)
 
 
 def test_bstar_equals_double_cover_of_b(bstar_result):

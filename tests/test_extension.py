@@ -30,10 +30,12 @@ from maniplex.extension import (
     extend,
     verify_extension,
 )
-from maniplex.poset import RankedPoset, is_faithful, pos_of, section, poset_isomorphism
+from maniplex.poset import RankedPoset, is_faithful, is_polytope, pos_of, section, poset_isomorphism
 from oracles import (
+    component_ids_by_search,
     extension_by_entries,
     facet_section_matches_base_by_labels,
+    faces_by_bfs,
     faithfulness_by_labels,
     order_isomorphic_by_cover_search,
     polytope_report_by_masks,
@@ -183,7 +185,11 @@ def test_verify_extension_on_single_facet_base():
     assert st["unfaithfulness-preserved"] == PASS
     assert st["diamond"] == SKIP  # base is not polytopal
     assert st["polytopal"] == SKIP
-    assert not is_faithful(res.extension).faithful
+    # it has no faces, so no faithfulness, and carries none up
+    assert "faithful" not in res.extension._cache
+    with pytest.raises(ValueError, match="only a valid maniplex"):
+        is_faithful(res.extension)
+    assert not faithfulness_by_labels(res.extension)[0]
     # the base fiber pair {0, 3} lifts to the marked-sheet pair (0, 12)
     detail = next(c.detail for c in res.checks if c.name == "unfaithfulness-preserved")
     assert detail == (0, 12)
@@ -298,11 +304,29 @@ def swapped_facets(p: RankedPoset, a: str, b: str) -> RankedPoset:
     return poset_by_labels(p.rank, p.faces, {(name.get(x, x), name.get(y, y)) for x, y in p.less})
 
 
+def tables_by_search(m: Maniplex) -> list[array]:
+    """m's face tables, one per rank, by the oracle's search, for any rows:
+    on a valid maniplex, the tables `face_table` gives."""
+    n = m.rank
+    return [array("i", component_ids_by_search(m.perms, [c for c in range(n) if c != i], m.flag_count)) for i in range(n)]
+
+
+def poset_by_search(m: Maniplex) -> RankedPoset:
+    """The poset `pos_of` indexes from the face tables, from the searched
+    ones (`tables_by_search`) and unmarked, for any rows: `pos_of` refuses
+    a maniplex that is not valid."""
+    ids, n = tables_by_search(m), m.rank
+    incident = (((i, j), set(zip(ids[i], ids[j]))) for i in range(n) for j in range(i + 1, n))
+    return poset.face_poset(n, [set(row) for row in ids], incident, False)
+
+
 def over_by_tables(m: Maniplex, ext: Maniplex) -> list:
     """Per rank i < n, base face id c -> the ids of ext's i-faces at the
-    flags 4c, ..., 4c + 3, read off ext's own face tables: the map
-    `_quotient` reads off the base, for any rows."""
-    return [{c: face_table(ext, i)[4 * c : 4 * c + 4] for c in set(face_table(m, i))} for i in range(m.rank)]
+    flags 4c, ..., 4c + 3, read off ext's own face tables, or its searched
+    ones when it is not valid (`tables_by_search`): the map `_quotient`
+    reads off the base, for any rows."""
+    tables = [face_table(ext, i) for i in range(ext.rank)] if validate(ext).ok else tables_by_search(ext)
+    return [{c: tables[i][4 * c : 4 * c + 4] for c in set(face_table(m, i))} for i in range(m.rank)]
 
 
 def test_facet_section_check_fails_on_mutated_posets():
@@ -345,7 +369,8 @@ def test_facet_section_check_needs_a_bijection():
     # facet 0 is still the tag class {4g}, a copy of the base, and every
     # base order pair still maps onto a pair of its section, but the section
     # has one edge, so the face map is not injective and the posets are not
-    # isomorphic
+    # isomorphic.  The glued rows are not a valid maniplex, so their faces
+    # and poset are the oracle's search's, unmarked
     m = torus_44(1, 0)
     e1, e2 = (face.flags for face in faces(m, 1))
     rows = [tuple(4 * row[f] + t for f in range(8) for t in range(4)) for row in m.perms]
@@ -358,10 +383,13 @@ def test_facet_section_check_needs_a_bijection():
     for f in range(8):
         glue[4 * f + 2], glue[4 * f + 3] = 4 * f + 3, 4 * f + 2
     ext = Maniplex((*rows, tuple(glue)))
-    facet = faces(ext, 3)[0]
-    assert facet.flags == tuple(range(0, 32, 4))
-    assert isomorphic(restrict(ext, facet.flags, range(3)), m) is not None
-    p_base, p_ext = pos_of(m), pos_of(ext)
+    assert not validate(ext).ok
+    with pytest.raises(ValueError, match="only a valid maniplex"):
+        pos_of(ext)
+    facet = [f for f, c in enumerate(tables_by_search(ext)[3]) if c == 0]
+    assert facet == list(range(0, 32, 4))
+    assert isomorphic(restrict(ext, facet, range(3)), m) is not None
+    p_base, p_ext = pos_of(m), poset_by_search(ext)
     assert not extension._sections_match_base(p_base, p_ext, over_by_tables(m, ext))
     assert not sections_match_base_by_triples(p_base, ext.perms, p_ext)
     assert not facet_section_matches_base_by_labels(p_base, ext.perms, p_ext, 0)
@@ -436,13 +464,15 @@ def test_facet_sections_match_the_triple_sets(bstar_result):
     # do, with the map over each base face and without, on the extensions
     # of the tower's ranks 5-7, of the cube and of the torus pool, and on
     # their mutants: a section with one extra pair, and one with a pair
-    # moved, whose count of pairs the bit tests alone tell apart
+    # moved, whose count of pairs the bit tests alone tell apart.  Over
+    # torus (1, 0) and (0, 1) the extension is not valid: its poset is the
+    # search's, unmarked
     tested = 0
     for name, m in section_bases(bstar_result.bstar).items():
         facet = faces(m, m.rank - 1)[0]
         ext = extend(m, facet)
         over = _quotient(m, ext, facet)
-        p_base, p_ext = pos_of(m), pos_of(ext)
+        p_base, p_ext = pos_of(m), pos_of(ext) if validate(ext).ok else poset_by_search(ext)
         want = sections_match_base_by_triples(p_base, ext.perms, p_ext)
         assert want == sections_match_base_by_triples(p_base, ext.perms, p_ext, over), name
         assert extension._sections_match_base(p_base, p_ext, over_by_tables(m, ext)) == want, name
@@ -496,10 +526,11 @@ def test_facet_section_check_skips_without_a_flag_isomorphism(monkeypatch):
 
 
 def facets_copy_base_by_search(ext: Maniplex, m: Maniplex) -> bool:
-    """m is a valid maniplex, and each facet of ext, restricted and
-    renumbered, is a valid maniplex isomorphic to it."""
+    """m is a valid maniplex, and each facet of ext, found by the oracle's
+    search, restricted and renumbered, is a valid maniplex isomorphic to
+    it."""
     n = m.rank
-    subs = (restrict(ext, fc.flags, range(n)) for fc in faces(ext, n))
+    subs = (restrict(ext, flags, range(n)) for _, flags in faces_by_bfs(ext.perms, n))
     return validate(m).ok and all(validate(sub).ok and isomorphic(sub, m) is not None for sub in subs)
 
 
@@ -508,17 +539,16 @@ def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, 
     # passes, as the per-facet isomorphism search agrees, and `four-facets`
     # reports the distinct ids of a fresh copy's searched facet table; a
     # tag-crossing mutant of each, whose facets the search finds are not
-    # copies, is refused at the old colours' row equation; over a
-    # disconnected base, which `verify_extension` refuses, the old colours
-    # copy it, yet the facets are not the tag classes and the search finds
-    # no facet a copy
+    # copies, is refused at the old colours' row equation; a disconnected
+    # base, which has no faces, is refused by `verify_extension` and by
+    # `extend`
     real = extension.extend
-    for facet in faces(two_squares, 1):
+    for canonical, flags in faces_by_bfs(two_squares.perms, 1):
+        facet = Face(1, canonical, flags)
         with pytest.raises(ValueError, match="base is not a valid maniplex"):
             verify_extension(two_squares, facet)
-        ext = real(two_squares, facet)
-        assert _rows_copy_base(two_squares, ext) and face_table(ext, 2) != array("i", range(4)) * two_squares.flag_count
-        assert not facets_copy_base_by_search(ext, two_squares)
+        with pytest.raises(ValueError, match="only a valid maniplex has its faces labelled"):
+            real(two_squares, facet)
     checked = 0
     for name, m in extension_corpus(bstar_result.bstar).items():
         n = m.rank
@@ -527,7 +557,7 @@ def test_facets_copy_base_matches_isomorphism_search(bstar_result, two_squares, 
             res = verify_extension(m, facet)
             assert statuses(res)["facets-copy-base"] == PASS and facets_copy_base_by_search(res.extension, m), where
             count = next(c for c in res.checks if c.name == "four-facets")
-            searched = core._component_ids(Maniplex(res.extension.perms), range(n))
+            searched = component_ids_by_search(res.extension.perms, range(n), res.extension.flag_count)
             assert (count.status, count.detail) == (PASS, len(set(searched))) == (PASS, 4), where
             mutant = crossed(real(m, facet))
             assert not facets_copy_base_by_search(mutant, m), where
@@ -845,8 +875,10 @@ MUTANTS = (  # (name, mutation, the row equation it fails)
 def assert_read_off_base(m: Maniplex, res) -> None:
     """Every face table, the validation report and the face poset that
     verify_extension left in the extension's cache equal those computed
-    from a fresh copy's flags: a search per rank, the full validate and
-    the flag-based pos_of.  So do the checks it decides by argument:
+    from a fresh copy's flags: its face tables, the full validate and the
+    flag-based pos_of.  An extension that is not valid has its tables
+    refused, and its poset equals the one built from the oracle's searched
+    tables, unmarked.  So do the checks it decides by argument:
     `four-facets` and `facets-copy-base` the searched facet table's count
     and whether it is the tag classes, and `unfaithfulness-preserved`
     whether the base witness of the label-string oracle lifts to flags
@@ -854,15 +886,23 @@ def assert_read_off_base(m: Maniplex, res) -> None:
     ext = res.extension
     fresh = Maniplex(ext.perms)
     n = ext.rank
-    tables = [core._component_ids(fresh, [c for c in range(n) if c != i]) for i in range(n)]
-    for i in range(n):
-        assert face_table(ext, i) == tables[i], i
+    valid = ext._cache["valid"].ok
     assert ext._cache["valid"] == validate(fresh)
-    got, want = ext._cache["poset"], pos_of(fresh)
+    if valid:
+        tables = [face_table(fresh, i) for i in range(n)]
+        assert [face_table(ext, i) for i in range(n)] == tables
+        want = pos_of(fresh)
+    else:  # torus (1, 0) and (0, 1)
+        tables = tables_by_search(fresh)
+        for i in range(n):
+            with pytest.raises(ValueError, match="only a valid maniplex"):
+                face_table(ext, i)
+        want = poset_by_search(fresh)
+    got = ext._cache["poset"]
     assert (got.rank, got.labels, got.ranks) == (want.rank, want.labels, want.ranks)
     assert set(got.pairs) == set(want.pairs) and len(got.pairs) == len(want.pairs)
     assert got == want and got.down == want.down
-    assert got.of_valid_maniplex == want.of_valid_maniplex == ext._cache["valid"].ok
+    assert got.of_valid_maniplex == want.of_valid_maniplex == valid
     checks = {c.name: (c.status, c.detail) for c in res.checks}
     facets = len(set(tables[n - 1]))
     assert checks["four-facets"] == (PASS if facets == 4 else FAIL, facets)
@@ -919,9 +959,9 @@ def test_extension_read_off_base_matches_its_flags(bstar_result, two_squares, mo
         ("out of quad", "new colour"): 137,
         ("image moved up", "new colour"): 137,
     }
-    for facet in faces(two_squares, 1):
+    for canonical, flags in faces_by_bfs(two_squares.perms, 1):
         with pytest.raises(ValueError, match="base is not a valid maniplex"):
-            verify_extension(two_squares, facet)
+            verify_extension(two_squares, Face(1, canonical, flags))
 
 
 def quad_0_fixed(m: Maniplex, ext: Maniplex) -> Maniplex:
@@ -1049,8 +1089,14 @@ def test_faithful_base_carries_faithfulness_up(monkeypatch):
             observed = next(c.detail for c in res.checks if c.name == "extension-faithful-observed")
             if faithful:
                 assert ext._cache["faithful"] == (True, None) and not any(x is ext for x in chained), name
-            assert is_faithful(ext) == is_faithful(fresh) == faithfulness_by_labels(fresh), (name, facet.canonical)
-            assert observed == is_faithful(fresh).faithful, (name, facet.canonical)
+            want = faithfulness_by_labels(fresh)
+            if validate(fresh).ok:
+                assert is_faithful(ext) == is_faithful(fresh) == want, (name, facet.canonical)
+            else:  # torus (1, 0) and (0, 1): the extension has no faces, so no faithfulness
+                for x in (ext, fresh):
+                    with pytest.raises(ValueError, match="only a valid maniplex"):
+                        is_faithful(x)
+            assert observed == want[0], (name, facet.canonical)
             carried[faithful] += 1
     assert carried == {True: 119, False: 4}  # torus (1, 0) and (0, 1), one facet each, are unfaithful
 
@@ -1177,9 +1223,8 @@ def marked_without(p: RankedPoset, a: int, b: int) -> RankedPoset:
 def test_each_failed_premise_falls_back_to_the_search(monkeypatch):
     # the cube's extension, with each premise of the amalgamation made to
     # fail in turn: the step searches the extension's poset and reports
-    # what the search finds, or, over a base that is not polytopal or with
-    # an extension that is not valid, skips the polytope checks and leaves
-    # no report
+    # what the search finds, or, over a base that is not polytopal, skips
+    # the polytope checks and leaves no report
     judged = counting_judgements(monkeypatch)
     cube = platonic("cube")
     facet = faces(cube, 2)[0]
@@ -1221,19 +1266,26 @@ def test_each_failed_premise_falls_back_to_the_search(monkeypatch):
     assert not searched and p._report is None
     assert (st["facet-sections-match-base"], st["polytopal"]) == (PASS, SKIP)
 
-    with monkeypatch.context() as patch:
-        # an extension whose own report fails has an unmarked poset, which
-        # is not judged: its polytope checks are skipped with the reason
-        patch.setattr(extension, "_validate_over_base", lambda m, ext, facet: core.ValidationReport(False, ()))
-        res = verify_extension(cube, facet)
-        st, p = statuses(res), extension.pos_of(res.extension)
-        assert not p.of_valid_maniplex and p._report is None
-        with pytest.raises(ValueError, match="valid maniplex"):
-            poset.is_polytope(p)
-        assert (st["extension-valid"], st["facet-sections-match-base"]) == (FAIL, PASS)
-        for name in ("diamond", "strong-flag-connectivity", "polytopal"):
-            check = next(c for c in res.checks if c.name == name)
-            assert (check.status, check.detail) == (SKIP, "extension is not a valid maniplex")
+
+def test_every_invalid_extension_has_a_base_that_is_not_polytopal(bstar_result):
+    # over every facet of the extension corpus, an extension that fails
+    # `extension-valid` is one whose marked facet holds every base flag,
+    # so the base, with one facet, fails the diamond condition: its
+    # polytope checks are skipped with the base's, and its unmarked poset
+    # is never judged.  Torus (1, 0) and (0, 1) are the only such bases
+    invalid = []
+    for name, m in extension_corpus(bstar_result.bstar).items():
+        for facet in faces(m, m.rank - 1):
+            res = verify_extension(m, facet)
+            if statuses(res)["extension-valid"] == PASS:
+                continue
+            invalid.append(name)
+            assert len(facet.flags) == m.flag_count and is_polytope(pos_of(m)).failed == "diamond", name
+            p = pos_of(res.extension)
+            assert not p.of_valid_maniplex and p._report is None, name
+            skipped = {c.name: (c.status, c.detail) for c in res.checks[-3:]}
+            assert skipped == dict.fromkeys(("diamond", "strong-flag-connectivity", "polytopal"), (SKIP, "base is not polytopal"))
+    assert invalid == ["torus(0,1)", "torus(1,0)"]
 
 
 def test_second_extension_step(bstar_result):

@@ -3,9 +3,9 @@ labelling (`_component_ids`), isomorphism and automorphism counting
 (`_propagate`), `validate`'s reports, the row decoder and the
 constructor's range check (`_lanes_in_range`), on seeded random row sets (involutions, permutations and
 arbitrary maps), on seeded random rank-3 maps, on mutants and on the
-package's own maniplexes.  The isomorphism and automorphism kernels
-refuse every input that is not a valid maniplex, so the oracles are
-compared with them on the valid ones."""
+package's own maniplexes.  Face labelling and the isomorphism and
+automorphism kernels refuse every input that is not a valid maniplex, so
+the oracles are compared with them on the valid ones."""
 
 import collections
 import itertools
@@ -149,35 +149,46 @@ def result_or_value_error(fn, *args):
 
 def test_component_ids_match_oracles_on_random_rows():
     """On random row sets and on random rank-3 maps and their duals, with
-    random colour sequences, fresh and after `validate`, the labels are
-    those one search per unreached flag gives, and on involutions they are
-    the orbits; both the cycle walk (a valid maniplex) and the search are
-    taken often."""
+    random colour sequences.  On a valid maniplex, fresh and after
+    `validate`, the cycle walk's labels are those one search per
+    unreached flag gives, the orbits.  Any other rows are refused by
+    `face_table`, `faces` and `components`, fresh and after `validate`,
+    and `validate`'s connectivity witness is the least flag that one
+    search over every colour labels other than 0.  Both are taken
+    often."""
     rng = random.Random(suites.SEED)
     cases = [random_rows(rng, 9) for _ in range(RANDOM_SETS)] + random_maps(random.Random(suites.SEED + 10), 1000)
-    walked = searched = 0
+    walked = refused = 0
     for rows in cases:
         size = len(rows[0])
         cols = rng.sample(range(len(rows)), rng.randint(1, len(rows)))
         want = component_ids_by_search(rows, cols, size)
         fresh, checked = Maniplex(rows), Maniplex(rows)
-        validate(checked)
-        for m in (fresh, checked):
-            assert list(core._component_ids(m, cols)) == want, (rows, cols)
+        report = validate(checked)
         if all(is_involution(rows[c]) for c in cols):
             assert partition_of(want) == partition_by_merging(rows, cols, size)
-        if validate(checked).ok:
+        if report.ok:
             walked += 1
-        else:
-            searched += 1
-    assert walked >= 1000 and searched >= 1000, (walked, searched)
+            for m in (fresh, checked):
+                assert list(core._component_ids(m, cols)) == want, (rows, cols)
+            continue
+        refused += 1
+        for m in (fresh, checked):
+            for label in (lambda: face_table(m, cols[0]), lambda: faces(m, cols[0]), lambda: core.components(m, cols)):
+                with pytest.raises(ValueError, match="only a valid maniplex"):
+                    label()
+        everything = component_ids_by_search(rows, range(len(rows)), size)
+        unreached = next((f for f, c in enumerate(everything) if c), None)
+        witness = next((v.witness for v in report.violations if v.axiom == "connected"), None)
+        assert witness == (None if unreached is None else (unreached,)), rows
+    assert walked >= 1000 and refused >= 1000, (walked, refused)
 
 
 def test_component_ids_on_every_colour_set(kernel_members):
     """Every colour set of every member is labelled by its orbits, each by
     its least flag, along the cycles (a colour two or more away from the
-    walked pair read once per cycle), on a fresh copy, which
-    `_component_ids` validates itself, and on one validated first."""
+    walked pair read once per cycle), on a fresh copy, never validated,
+    and on one validated first."""
     for name, m in kernel_members.items():
         rows = tuple(map(tuple, m.perms))
         fresh, checked = Maniplex(rows), Maniplex(rows)

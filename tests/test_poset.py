@@ -51,7 +51,7 @@ from oracles import (
     transitivity_witness_by_masks,
 )
 import suites
-from test_extension import crossed, moved_pair
+from test_extension import crossed, moved_pair, poset_by_search
 
 # the label-set oracle's report, computed once per poset (faces and order)
 # for the tests that compare the same posets with it
@@ -189,40 +189,50 @@ def test_flag_function_matches_label_oracle(named_corpus, b_maniplex, bstar_resu
         assert got == [want[f] for f in range(m.flag_count)]
 
 
+# a valid rank-3 map of 16 flags with singleton fibers and three shared
+# ones: its chains through 1-faces 4 and 12 come in one order by id and in
+# the other as label strings, so its witness is (12, 13), not (4, 5)
+_STRING_ORDER_MAP = (
+    (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14),
+    (12, 11, 6, 9, 13, 14, 2, 8, 7, 3, 15, 1, 0, 4, 5, 10),
+    (2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13),
+)
+
+
 def test_faithfulness_witness_under_renumbering(bstar_result):
     """is_faithful and verdict against the label-string
-    oracle on seeded flag renumberings; verdict refuses the cube beside
-    torus (1,0), which is not a valid maniplex.
+    oracle on the members and seeded flag renumberings of them; both
+    refuse the cube beside torus (1,0), which is not a valid maniplex.
 
     Flag 0's chain is all ids 0, first in any order, and in B*, torus (1,0)
     and the rank-5 extension it is shared, so their witnesses start at flag
-    0 whatever the numbering.  A cube beside torus (1,0) (a flag graph with
-    two components) also has singleton fibers, and there the label-string
-    order of chains differs from their numeric order.
+    0 whatever the numbering.  `_STRING_ORDER_MAP` also has singleton
+    fibers, and there the label-string order of chains differs from their
+    numeric order.
     """
     bstar = bstar_result.bstar
     cube, t10 = platonic("cube"), torus_44(1, 0)
     beside = Maniplex(tuple(tuple(a) + tuple(f + 48 for f in b) for a, b in zip(cube.perms, t10.perms)))
-    members = [bstar, t10, torus_44(1, 1), extend(bstar, faces(bstar, 3)[0]), beside]
+    for judge in (is_faithful, verdict):
+        with pytest.raises(ValueError, match="valid maniplex"):
+            judge(beside)
+    members = [bstar, t10, torus_44(1, 1), extend(bstar, faces(bstar, 3)[0]), Maniplex(_STRING_ORDER_MAP)]
     rng = random.Random(20261018)
     string_order_differs = 0
     for m in members:
-        sparse = verdict(m).sparse if m is not beside else None
-        for _ in range(4):
+        sparse = verdict(m).sparse
+        for k in range(5):
             sigma = list(range(m.flag_count))
-            rng.shuffle(sigma)
+            if k:  # the member itself first
+                rng.shuffle(sigma)
             moved = Maniplex(renumber(m.perms, sigma))
             faithful, witness = faithfulness_by_labels(moved)
             assert tuple(is_faithful(moved)) == (faithful, witness)
-            if m is beside:
-                with pytest.raises(ValueError, match="valid maniplex"):
-                    verdict(moved)
-            else:
-                v = verdict(moved)
-                assert v.sparse == sparse
-                assert v.semisparse == (sparse and faithful)
-                if sparse:
-                    assert v.witness == witness
+            v = verdict(moved)
+            assert v.sparse == sparse
+            assert v.semisparse == (sparse and faithful)
+            if sparse:
+                assert v.witness == witness
             if not faithful:
                 table = flag_function(moved)
                 shared = [fiber for fiber in table.fibers.values() if len(fiber) > 1]
@@ -306,14 +316,16 @@ def connectivity_against_oracle(p: RankedPoset, report: tuple):
 
 def test_flag_connectivity_matches_section_oracle(oracle_members, two_squares, section_failure):
     """On the valid oracle members and a map failing at a proper section,
-    the package's search; on two squares, not connected, the mask
-    reference fails at the whole poset, as the oracle does, and the
-    package refuses to judge them."""
+    the package's search; on two squares, not connected, `pos_of` refuses,
+    the mask reference fails the searched poset at the whole poset, as the
+    oracle does, and the package refuses to judge it."""
     for m in [*oracle_members, section_failure]:
         if m is not two_squares:
             p = pos_of(m)
             assert flag_connectivity_witness(p) == connectivity_against_oracle(p, report_of(p)), m
-    p = pos_of(two_squares)
+    with pytest.raises(ValueError, match="only a valid maniplex"):
+        pos_of(two_squares)
+    p = poset_by_search(two_squares)
     report = polytope_report_by_masks(p)
     assert connectivity_against_oracle(p, report) == report[2] == ("-1:0", "2:0")
     with pytest.raises(ValueError, match="valid maniplex"):
@@ -323,14 +335,15 @@ def test_flag_connectivity_matches_section_oracle(oracle_members, two_squares, s
 def test_is_polytope_matches_label_set_oracle(oracle_members, section_failure):
     """The whole report, witness included, against the label-set oracle on
     the valid oracle members' posets and a map failing at a proper section.
-    The posets of the other oracle member (two squares), the pathologies,
+    The searched poset of the other oracle member (two squares), which
+    `pos_of` refuses, the pathologies,
     and each of these posets with one order pair dropped and, where there
     is one to move, one pair moved, are no valid maniplex's face posets:
     the package refuses to judge them, the mask reference's report equals
     the oracle's, which finds every axiom failed among them, and where
     the oracle finds the order a bounded, graded partial order, the
     package's diamond witness is the oracle's."""
-    posets = [pos_of(m) for m in [*oracle_members, section_failure]]
+    posets = [pos_of(m) if validate(m).ok else poset_by_search(m) for m in [*oracle_members, section_failure]]
     outcomes = set()
     for p in posets:
         if p.of_valid_maniplex:
@@ -363,14 +376,20 @@ def test_is_polytope_matches_label_set_oracle(oracle_members, section_failure):
 
 def test_pos_of_matches_label_oracle(oracle_members):
     """The poset indexed from the face tables against the label-string
-    construction, on the oracle members and every census pool map (the pool
-    holds each map's mirror (c, b) too): rank, faces, order, covers and
-    ranks, equality with the same poset built from its labels, and the
-    faithfulness witness; on the pool maps also the polytope
+    construction, on the valid oracle members and every census pool map
+    (the pool holds each map's mirror (c, b) too): rank, faces, order,
+    covers and ranks, equality with the same poset built from its labels,
+    and the faithfulness witness; on the pool maps also the polytope
     report (the oracle members' reports are compared in
-    `test_is_polytope_matches_label_set_oracle`)."""
+    `test_is_polytope_matches_label_set_oracle`).  Two squares, the
+    oracle member that is not valid, are refused both."""
     pool = [torus_44(b, c) for b, c in suites.TORUS_POOL]
     for m in [*oracle_members, *pool]:
+        if not validate(m).ok:
+            for refused in (pos_of, is_faithful):
+                with pytest.raises(ValueError, match="only a valid maniplex"):
+                    refused(m)
+            continue
         p, want = pos_of(m), pos_of_by_labels(m)
         assert (p.rank, p.faces, p.less, p.covers, p.rank_of) == want, m
         assert list(p.rank_of) == list(want.rank_of)
@@ -399,11 +418,12 @@ def redirected(m: Maniplex) -> Maniplex:
 
 
 def test_marked_posets_judge_as_their_label_built_copies(oracle_members):
-    """The face poset of a maniplex is marked exactly when the maniplex is
-    valid, whether or not it was validated before `pos_of` ran.  A marked
-    poset is judged skipping what its construction proves, and its report,
-    witness included, must equal the label-set oracle's on its label sets;
-    an unmarked one is not judged, and neither `polytope_report` nor
+    """`pos_of` builds the marked face poset of a valid maniplex and
+    refuses any other, whether or not it was validated before `pos_of`
+    ran.  A marked poset is judged skipping what its construction proves,
+    and its report, witness included, must equal the label-set oracle's on
+    its label sets; the unmarked poset of any other rows, built from the
+    searched face tables, is not judged, and neither `polytope_report` nor
     `verdict` judges its maniplex, while the mask reference's report of it
     equals the oracle's.  On the oracle members (two disjoint
     squares among them), every census pool map and mutants: crossed
@@ -421,7 +441,10 @@ def test_marked_posets_judge_as_their_label_built_copies(oracle_members):
             m = Maniplex(member.perms)  # nothing cached from elsewhere
             if validated_first:
                 validate(m)
-            p = pos_of(m)
+            try:
+                p = pos_of(m)
+            except ValueError:  # not valid: pos_of refuses
+                p = poset_by_search(m)
             valid = validate(m).ok
             assert p.of_valid_maniplex == valid, m
             if valid:
@@ -482,9 +505,10 @@ def test_marked_posets_hold_the_construction_facts():
     random maps and their rank-4 extensions) is a bounded, graded partial
     order, as the label-set oracle finds, with every section at the least
     or greatest face connected, and its report equals the oracle's, which
-    checks all of that first.  Rows that are no permutation are never
-    marked, and some of them do have a disconnected boundary section, so
-    the mark needs the valid report."""
+    checks all of that first.  `pos_of` refuses any other rows.  Rows that
+    are no permutation have their poset built from the searched face
+    tables, unmarked, and some of them do have a disconnected boundary
+    section, so the mark needs the valid report."""
     rng = random.Random(20261019)
     marked = disconnected = 0
     for _ in range(150):
@@ -493,20 +517,23 @@ def test_marked_posets_hold_the_construction_facts():
         if validate(m).ok:
             members.append(extend(m, faces(m, 2)[rng.randrange(len(faces(m, 2)))]))
         for m in members:
-            valid = validate(m).ok
+            if not validate(m).ok:
+                with pytest.raises(ValueError, match="only a valid maniplex"):
+                    pos_of(m)
+                continue
             p = pos_of(m)
-            assert p.of_valid_maniplex == valid
-            if valid:
-                marked += 1
-                assert disconnected_boundary_section(p) is None
-                want = polytope_report_by_label_sets(p.faces, p.less)
-                assert want[1] not in ("order-not-transitive", "bounded", "graded")
-                assert report_of(p) == want
+            assert p.of_valid_maniplex
+            marked += 1
+            assert disconnected_boundary_section(p) is None
+            want = polytope_report_by_label_sets(p.faces, p.less)
+            assert want[1] not in ("order-not-transitive", "bounded", "graded")
+            assert report_of(p) == want
     for _ in range(300):
         size, rank = 2 * rng.randint(2, 8), rng.randint(3, 4)
         m = Maniplex(tuple(tuple(rng.randrange(size) for _ in range(size)) for _ in range(rank)))
-        p = pos_of(m)
-        assert not p.of_valid_maniplex
+        with pytest.raises(ValueError, match="only a valid maniplex"):
+            pos_of(m)
+        p = poset_by_search(m)
         disconnected += disconnected_boundary_section(p) is not None
     assert marked >= 150 and disconnected > 0
 
@@ -746,8 +773,8 @@ def test_flag_connectivity_fails_on_proper_sections(two_squares, section_failure
     assert is_polytope(p) == poset.PolytopeReport(False, "strong-flag-connectivity", ("0:0", "3:0"))
     assert connectivity_against_oracle(p, report_of(p)) == ("0:0", "3:0")
     cube = platonic("cube")
-    squares = pos_of(two_squares)
-    cubes = pos_of(Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms)))
+    squares = poset_by_search(two_squares)
+    cubes = poset_by_search(Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms)))
     broken = [pyramid(squares, "^"), pyramid(cubes, "^"), pyramid(pyramid(squares, "^"), "*")]
     broken += [dual_poset(p) for p in broken]
     for p in broken:
