@@ -19,6 +19,7 @@ isomorphically onto the one of B.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +33,9 @@ from .core import (
     face_table,
     faces,
     isomorphic,
+    lane_ones,
     restrict,
+    row_lanes,
     validate,
 )
 from .corpus import platonic
@@ -58,7 +61,18 @@ def _require(condition: bool, message: str) -> None:
 
 
 def build_B() -> Maniplex:
-    """Flag graph of the 96-flag counterexample substrate, fully post-checked."""
+    """Flag graph of the 96-flag counterexample substrate, fully post-checked.
+
+    Reflexibility is decided before the sections, and only flag 0's facet
+    and vertex figure are restricted and matched.  Reflexible means
+    flag-transitive: for each flag f an automorphism carries flag 0 to f.
+    An automorphism commutes with every r_k, so it carries the facet of
+    flag 0, its orbit under colours 0, 1, 2, onto the facet of f, and its
+    restriction there is an isomorphism of the two sub-maniplexes; so for
+    the vertex figures, orbits under colours 1, 2, 3.  Every facet is then
+    a hemicube exactly when flag 0's is, and every vertex figure a
+    hemioctahedron exactly when flag 0's is (McMullen & Schulte, Abstract
+    Regular Polytopes, 2002)."""
     b = coset_enumerate(B_PRESENTATION).to_maniplex()
     _require(b.flag_count == B_FLAGS, f"expected {B_FLAGS} flags, got {b.flag_count}")
     _require(validate(b).ok, "enumerated graph is not a maniplex")
@@ -67,15 +81,12 @@ def build_B() -> Maniplex:
     # flat: every vertex is incident to every facet
     incident = set(zip(face_table(b, 0), face_table(b, 3)))
     _require(len(incident) == B_FACE_VECTOR[0] * B_FACE_VECTOR[3], "not flat")
-    hemicube = platonic("hemicube")
-    hemioct = platonic("hemioctahedron")
-    for facet in faces(b, 3):
-        sub = restrict(b, facet.flags, (0, 1, 2))
-        _require(isomorphic(sub, hemicube) is not None, "facet is not a hemicube")
-    for comp in faces(b, 0):
-        sub = restrict(b, comp.flags, (1, 2, 3))
-        _require(isomorphic(sub, hemioct) is not None, "vertex figure is not a hemioctahedron")
     _require(automorphism_count(b).is_reflexible, "not reflexible")
+    # faces come in increasing canonical order, so flag 0's comes first
+    facet = restrict(b, faces(b, 3)[0].flags, (0, 1, 2))
+    _require(isomorphic(facet, platonic("hemicube")) is not None, "facet is not a hemicube")
+    figure = restrict(b, faces(b, 0)[0].flags, (1, 2, 3))
+    _require(isomorphic(figure, platonic("hemioctahedron")) is not None, "vertex figure is not a hemioctahedron")
     _require(isomorphic(b, dual(b)) is not None, "not self-dual")
     _require(is_faithful(b).faithful, "flag function not faithful")
     _require(is_polytopal(b), "face poset is not a polytope")
@@ -124,45 +135,61 @@ class _MarkCounts:
     3 f0.  No load exceeds 3, so each is 3, and a vertex with a member has
     one member and two shifts or two members and one.  Two members of a
     vertex differ in 1-face, in 2-face and, as the (vertex, facet) pairs
-    are distinct, in facet.  The facets go likewise, with colour 3 and f3."""
+    are distinct, in facet.  The facets go likewise, with colour 3 and f3.
+
+    The counts are flat lists indexed by face id, a face's least flag, one
+    list per count and extreme rank, and marking a flag tests the bounds
+    of the six counts it raised, the only ones that can have broken one;
+    `members` reads a count by rank and face id."""
 
     def __init__(self, b: Maniplex, maps) -> None:
         self.b, self.maps = b, maps
-        self.members: Counter = Counter()
-        self.load: Counter = Counter()  # members plus shifts
+        size = b.flag_count
+        self.vertex_members, self.facet_members = [0] * size, [0] * size
+        self.vertex_load, self.facet_load = [0] * size, [0] * size  # members plus shifts
         self.twos: set[int] = set()
         self.pairs: set[tuple[int, int]] = set()
 
-    def _keys(self, f: int) -> tuple:
-        """f's 2-face, its (vertex, facet) pair, the faces it is a member
-        of and the faces whose load it raises, as (i, face id)."""
+    def members(self, i: int, c: int) -> int:
+        """The marked flags in face c of rank i, 0 or 3."""
+        return (self.vertex_members if i == 0 else self.facet_members)[c]
+
+    def _keys(self, f: int) -> tuple[int, int, int, int, int]:
+        """f's 2-face, vertex and facet, and the vertex and facet of its
+        colour-0 and colour-3 neighbours, whose loads it raises."""
         maps, perms = self.maps, self.b.perms
-        vertex, facet = maps[0][f], maps[3][f]
-        members = ((0, vertex), (3, facet))
-        shifts = ((0, maps[0][perms[0][f]]), (3, maps[3][perms[3][f]]))
-        return maps[2][f], (vertex, facet), members, members + shifts
+        return maps[2][f], maps[0][f], maps[3][f], maps[0][perms[0][f]], maps[3][perms[3][f]]
 
     def push(self, f: int) -> bool:
         """Mark f when the marked set stays within the bounds, and say whether it did."""
-        two, pair, members, load = self._keys(f)
-        if two in self.twos or pair in self.pairs:
+        two, vertex, facet, vertex_shift, facet_shift = self._keys(f)
+        if two in self.twos or (vertex, facet) in self.pairs:
             return False
         self.twos.add(two)
-        self.pairs.add(pair)
-        self.members.update(members)
-        self.load.update(load)
-        if all(self.members[k] <= 2 for k in members) and all(self.load[k] <= 3 for k in load):
+        self.pairs.add((vertex, facet))
+        vm, fm, vl, fl = self.vertex_members, self.facet_members, self.vertex_load, self.facet_load
+        vm[vertex] += 1
+        fm[facet] += 1
+        vl[vertex] += 1
+        vl[vertex_shift] += 1
+        fl[facet] += 1
+        fl[facet_shift] += 1
+        if vm[vertex] <= 2 and fm[facet] <= 2 and max(vl[vertex], vl[vertex_shift], fl[facet], fl[facet_shift]) <= 3:
             return True
         self.pop(f)
         return False
 
     def pop(self, f: int) -> None:
         """Unmark f, the last flag marked."""
-        two, pair, members, load = self._keys(f)
+        two, vertex, facet, vertex_shift, facet_shift = self._keys(f)
         self.twos.discard(two)
-        self.pairs.discard(pair)
-        self.members.subtract(members)
-        self.load.subtract(load)
+        self.pairs.discard((vertex, facet))
+        self.vertex_members[vertex] -= 1
+        self.facet_members[facet] -= 1
+        self.vertex_load[vertex] -= 1
+        self.vertex_load[vertex_shift] -= 1
+        self.facet_load[facet] -= 1
+        self.facet_load[facet_shift] -= 1
 
 
 def find_theta(b: Maniplex) -> tuple[int, ...]:
@@ -197,7 +224,7 @@ def find_theta(b: Maniplex) -> tuple[int, ...]:
     def dfs(level: int) -> Optional[tuple[tuple[int, ...], Maniplex]]:
         if level == len(one_faces):
             theta = tuple(sorted(chosen))
-            marked = all(counts.members[i, c] for i in (0, 3) for c in canonical[i])
+            marked = all(counts.members(i, c) for i in (0, 3) for c in canonical[i])
             cover = _cover_certified(b, theta) if marked else None
             return None if cover is None else (theta, cover)
         for f in one_faces[level].flags:
@@ -337,13 +364,24 @@ def _projection_poset_iso(bstar: Maniplex, b: Maniplex) -> bool:
     Halving is then a bijection of the faces of each rank, and it carries
     the order too: incidences are read off the flags, and each cover flag's
     faces halve to the faces of the base flag it projects to.
+
+    The projection test is one comparison of whole rows per rank, on their
+    32-bit lanes (`core.row_lanes`): `double_cover` numbers flag (f, s) as
+    2f + s, so each entry of the cover's face table, its sheet bit cleared,
+    must be twice the entry of its flag's base flag, read off the base row
+    with each entry repeated for the two sheets.
     """
+    if bstar.flag_count != 2 * b.flag_count:
+        return False
+    ones = lane_ones(bstar.flag_count)
     for i in range(bstar.rank):
         up, down = face_table(bstar, i), face_table(b, i)
         lifted, size = Counter(up), Counter(down)  # face id -> flags in the face
         if len(lifted) != len(size):
             return False
-        if any(down[v // 2] != c // 2 for v, c in enumerate(up)):
+        repeated = array("i", [0]) * len(up)
+        repeated[0::2] = repeated[1::2] = down
+        if row_lanes(up) & ~ones != row_lanes(repeated) << 1:
             return False
         if any(count != 2 * size[c // 2] for c, count in lifted.items()):
             return False

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
@@ -73,11 +72,11 @@ from .poset import (
     FaithfulnessResult,
     PolytopeReport,
     RankedPoset,
-    face_poset,
+    face_numbering,
     is_faithful,
     is_polytope,
+    numbered_face_poset,
     pos_of,
-    proper_pairs,
 )
 
 TAG_CODES = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -215,9 +214,10 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     n = m.rank
     if not _rows_copy_base(m, ext):
         raise Refusal(f"rank {n + 1}: the old colours fail their row equation")
-    over = _quotient(m, ext, facet)
-    if over is None:
+    read = _quotient(m, ext, facet)
+    if read is None:
         raise Refusal(f"rank {n + 1}: the new colour fails its row equation")
+    over, spans = read
     checks: list[Check] = []
 
     report = _validate_over_base(m, ext, facet)
@@ -258,7 +258,7 @@ def verify_extension(m: Maniplex, facet: Face) -> ExtensionResult:
     else:
         sections = _sections_match_base(p_base, p_ext, over)
         checks.append(passed("facet-sections-match-base", sections))
-        checks.append(passed("tag-spans-match", _tag_spans_match(m, facet)))
+        checks.append(passed("tag-spans-match", _tag_spans_match(spans)))
 
     if not base.ok:  # and so whenever the extension is not valid, see the docstring
         for name in ("diamond", "strong-flag-connectivity", "polytopal"):
@@ -308,11 +308,12 @@ def _new_colour_twists(row: array, twist: array) -> bool:
     return all(row[t::4].tobytes() == (starts + (t * ones ^ twists)).to_bytes(4 * size, sys.byteorder) for t in range(4))
 
 
-def _quotient(m: Maniplex, ext: Maniplex, facet: Face) -> Optional[list]:
+def _quotient(m: Maniplex, ext: Maniplex, facet: Face) -> Optional[tuple[list, list]]:
     """Read the extension's faces off the base poset's incidence with the
     marked facet F, with no search over its flags, and return, per rank
     i < n, base face id -> the ids of the extension faces over that face
-    holding tags 0..3; None when the new colour's row equation fails.  The
+    holding tags 0..3, with, per rank, the tag spans it read them from
+    (`_tag_spans`); None when the new colour's row equation fails.  The
     extension's cache gets its facet table and, per rank i < n, a callable
     that spreads the map onto its flags when the table is first read.
     Needs the old colours to copy the valid (so connected) base tag by tag.
@@ -332,14 +333,13 @@ def _quotient(m: Maniplex, ext: Maniplex, facet: Face) -> Optional[list]:
     n = m.rank
     if not _new_colour_twists(ext.perms[n], _twists(m, facet)):
         return None
-    over = []
-    for i in range(n):
-        spans = _tag_spans(m, facet, i).items()
-        faces = {c: tuple(4 * c + off for off in _TAG_OFFSETS[span or _TAGS_EQUAL]) for c, span in spans}
+    over, spans = [], [_tag_spans(m, facet, i) for i in range(n)]
+    for i, rank_spans in enumerate(spans):
+        faces = {c: tuple(4 * c + off for off in _TAG_OFFSETS[span or _TAGS_EQUAL]) for c, span in rank_spans.items()}
         ext._cache[i] = partial(_spread, faces, face_table(m, i))
         over.append(faces)
     ext._cache[n] = array("i", range(4)) * m.flag_count
-    return over
+    return over, spans
 
 
 def _validate_over_base(m: Maniplex, ext: Maniplex, facet: Face) -> ValidationReport:
@@ -371,25 +371,34 @@ def _poset_over_base(p_base: RankedPoset, over: list, valid: bool) -> RankedPose
     A base order pair, faces c < d, gives for each tag t the pair of the
     extension faces over c and over d that hold t (each flag 4g + t lies
     in both), and an extension face lies under facet t exactly when its
-    class holds t."""
+    class holds t.  So the extension's faces are numbered first, as
+    `face_poset` numbers them, and each tag t gets one lift: base face
+    number -> the number of the extension face holding t over it, the
+    greatest face going to facet t.  The extension's proper pairs are the
+    images under the four lifts of the base's pairs above a proper face:
+    those between proper faces, and those with the greatest face, which
+    give each lift against facet t.  They are collected as a set, so they
+    come in set order, which no reader of a poset depends on."""
     n = p_base.rank
-    at = list(zip(p_base.ranks, p_base.ids))  # face number -> (rank, id)
-    incident: dict[tuple[int, int], set[tuple[int, int]]] = defaultdict(set)
-    for a, b in proper_pairs(p_base):
-        (i, c), (j, d) = at[a], at[b]
-        incident[i, j].update(zip(over[i][c], over[j][d]))
-    for i, faces in enumerate(over):
-        incident[i, n] = {(x, t) for ids in faces.values() for t, x in enumerate(ids)}
     levels = [set(chain.from_iterable(faces.values())) for faces in over] + [range(4)]
-    return face_poset(n + 1, levels, incident.items(), valid)
+    ids, ranks, numbers = face_numbering(n + 1, levels)
+    base = list(zip(p_base.ranks[1:-1], p_base.ids[1:-1]))  # base face number - 1 -> (rank, id)
+    # `RankedPoset._set` lists first the pairs with the least face, one per other face
+    lower, upper = zip(*p_base.pairs[len(p_base.labels) - 1 :])
+    pairs: set[tuple[int, int]] = set()
+    for t in range(4):
+        lift = [0] + [numbers[i][over[i][c][t]] for i, c in base] + [numbers[n][t]]
+        pairs.update(zip(map(lift.__getitem__, lower), map(lift.__getitem__, upper)))
+    return numbered_face_poset(n + 1, ids, ranks, list(pairs), valid)
 
 
-def _tag_spans_match(m: Maniplex, facet: Face) -> bool:
+def _tag_spans_match(spans: list) -> bool:
     """Every base face below rank n has a tag span: none lies properly
-    inside the marked facet.  The extension's map over each base face is
-    built from these same spans (`_quotient`), so comparing the two would
-    prove nothing; the tests search the extension's own faces for them."""
-    return all(None not in _tag_spans(m, facet, i).values() for i in range(m.rank))
+    inside the marked facet, read off the spans `_quotient` read, per rank.
+    The extension's map over each base face is built from these same
+    spans, so comparing the two would prove nothing; the tests search the
+    extension's own faces for them."""
+    return all(None not in rank_spans.values() for rank_spans in spans)
 
 
 def _sections_match_base(p_base: RankedPoset, p_ext: RankedPoset, over: list) -> bool:

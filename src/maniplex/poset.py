@@ -130,7 +130,8 @@ class RankedPoset:
     are the order pairs as (k, j), and `less` is the strict order as label
     pairs.  Two posets are equal when they have the same rank, faces and
     order.  A poset is not changed once numbered, so `is_polytope` keeps
-    its report on it.  `face_poset` and `section` build one."""
+    its report on it.  `numbered_face_poset`, which `face_poset` calls, and
+    `section` build one."""
 
     # the face poset of a valid maniplex, as its builders mark it (see the module docstring)
     of_valid_maniplex = False
@@ -225,6 +226,19 @@ def face_poset(n: int, levels: list, incident: Iterable, valid: bool) -> RankedP
     'n:0' above them all; incident yields, per pair of ranks (i, j), the id
     pairs (a, b) with face a of rank i below face b of rank j.  valid marks
     it as the face poset of a maniplex whose `validate` report is ok."""
+    ids, ranks, numbers = face_numbering(n, levels)
+    pairs = []
+    for (i, j), ab in incident:
+        lower, upper = numbers[i], numbers[j]
+        pairs += [(lower[a], upper[b]) for a, b in ab]
+    return numbered_face_poset(n, ids, ranks, pairs, valid)
+
+
+def face_numbering(n: int, levels: list) -> tuple[list[int], list[int], list[dict[int, int]]]:
+    """The numbering `face_poset` gives the faces of a rank-n poset whose
+    rank-i faces are the ids in levels[i]: by face number, their ids and
+    ranks, the least face first and the greatest last; and per rank i,
+    id -> face number."""
     ids, ranks = [0], [-1]
     numbers: list[dict[int, int]] = []
     for i, level in enumerate(levels):
@@ -232,13 +246,15 @@ def face_poset(n: int, levels: list, incident: Iterable, valid: bool) -> RankedP
         numbers.append({c: k for k, c in enumerate(level, start=len(ids))})
         ids += level
         ranks += [i] * len(level)
-    ids, ranks = ids + [0], ranks + [n]
-    pairs = []
-    for (i, j), ab in incident:
-        lower, upper = numbers[i], numbers[j]
-        pairs += [(lower[a], upper[b]) for a, b in ab]
+    return ids + [0], ranks + [n], numbers
+
+
+def numbered_face_poset(n: int, ids: list[int], ranks: list[int], proper, valid: bool) -> RankedPoset:
+    """The poset of faces numbered as `face_numbering` numbers them, with
+    the order pairs between proper faces given as proper, face numbers in
+    any order; valid marks it as `face_poset` does."""
     p = RankedPoset.__new__(RankedPoset)
-    p._set(n, [f"{i}:{c}" for i, c in zip(ranks, ids)], ranks, pairs)
+    p._set(n, [f"{i}:{c}" for i, c in zip(ranks, ids)], ranks, proper)
     p.ids = tuple(ids)
     p.of_valid_maniplex = valid
     return p

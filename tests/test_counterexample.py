@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from maniplex.certify import all_ok
-from maniplex.core import Maniplex, dual, face_table, faces, isomorphic, restrict, validate
+from maniplex.core import AutomorphismInfo, Maniplex, dual, face_table, faces, isomorphic, restrict, validate
 from maniplex.corpus import platonic
 from maniplex import counterexample
 from maniplex.cosets import coset_enumerate, string_coxeter
@@ -12,6 +12,7 @@ from maniplex.counterexample import (
     B_FACE_VECTOR,
     B_FLAGS,
     B_PRESENTATION,
+    BuildError,
     EThetaOverlap,
     ThetaNotFound,
     _face_lifts_connected,
@@ -54,6 +55,42 @@ def test_b_facet_and_vertex_sections(b_maniplex):
     for vertex in faces(b_maniplex, 0):
         figure = restrict(b_maniplex, vertex.flags, (1, 2, 3))
         assert isomorphic(figure, hemioct) is not None
+
+
+def test_build_b_checks_the_sections_at_flag_0(monkeypatch):
+    # B is reflexible, so its facet and vertex figure at flag 0 stand for
+    # all of them: build_B restricts and matches exactly those two, while
+    # test_b_facet_and_vertex_sections checks all eight
+    restricted, matched = [], []
+    real_restrict, real_isomorphic = counterexample.restrict, counterexample.isomorphic
+
+    def spy_restrict(m, flags, colours):
+        sub = real_restrict(m, flags, colours)
+        restricted.append((sub, 0 in flags, tuple(colours)))
+        return sub
+
+    def spy_isomorphic(m1, m2):
+        if any(m1 is sub for sub, _, _ in restricted):
+            matched.append(m2.flag_count)
+        return real_isomorphic(m1, m2)
+
+    monkeypatch.setattr(counterexample, "restrict", spy_restrict)
+    monkeypatch.setattr(counterexample, "isomorphic", spy_isomorphic)
+    b = counterexample.build_B()
+    assert [(held, colours) for _, held, colours in restricted] == [(True, (0, 1, 2)), (True, (1, 2, 3))]
+    assert [sub.flag_count for sub, _, _ in restricted] == [24, 24] and matched == [24, 24]
+    assert b.flag_count == B_FLAGS
+
+
+def test_build_b_decides_reflexibility_before_the_sections(monkeypatch):
+    # the sections at flag 0 stand for all only on a reflexible B, so a B
+    # judged not reflexible is refused before any section is restricted
+    restricted = []
+    monkeypatch.setattr(counterexample, "automorphism_count", lambda m: AutomorphismInfo(48, False))
+    monkeypatch.setattr(counterexample, "restrict", lambda *args: restricted.append(args))
+    with pytest.raises(BuildError, match="^not reflexible$"):
+        counterexample.build_B()
+    assert restricted == []
 
 
 def test_theta_is_frozen_value(theta):
@@ -147,7 +184,7 @@ def leaves_past_cuts(m: Maniplex) -> list[tuple[tuple[int, ...], bool]]:
 
     def walk(level: int) -> None:
         if level == len(one_faces):
-            leaves.append((tuple(chosen), all(counts.members[k] for k in vertices_and_facets)))
+            leaves.append((tuple(chosen), all(counts.members(*k) for k in vertices_and_facets)))
             return
         for f in one_faces[level].flags:
             if counts.push(f):
@@ -194,7 +231,7 @@ def test_theta_search_checks_two_leaves(b_maniplex, monkeypatch):
         def push(self, f):
             pushed = super().push(f)
             if pushed and len(self.twos) == one_face_count:  # a flag marked on every 1-face
-                leaves.append(all(self.members[k] for k in vertices_and_facets))
+                leaves.append(all(self.members(*k) for k in vertices_and_facets))
             return pushed
 
     inner = counterexample._cover_certified
@@ -328,7 +365,9 @@ def test_bstar_poset_collapses_to_base(bstar_result):
 def test_projection_check_matches_halved_label_poset(bstar_result):
     # the per-rank checks imply the order part: B*'s label poset with every
     # id halved is B's; a valid cover with split face lifts, voltage 1 on
-    # every colour-0 edge, fails them, and an invalid one is refused
+    # every colour-0 edge, fails them, and an invalid one is refused.  B*
+    # with flags 0 and 2 swapped has B's face counts and sizes, but its
+    # vertex ids do not halve to B's: the whole-row comparison refuses it
     def halve(label):
         rank, flag = label.split(":")
         return f"{rank}:{int(flag) // 2}"
@@ -336,6 +375,14 @@ def test_projection_check_matches_halved_label_poset(bstar_result):
     b, bstar = bstar_result.b, bstar_result.bstar
     assert _projection_poset_iso(bstar, b)
     assert {(halve(a), halve(c)) for a, c in pos_of_by_labels(bstar).less} == pos_of_by_labels(b).less
+    swap = list(range(bstar.flag_count))
+    swap[0], swap[2] = 2, 0
+    swapped = Maniplex(tuple([swap[row[swap[v]]] for v in range(bstar.flag_count)] for row in bstar.perms))
+    assert validate(swapped).ok and not _projection_poset_iso(swapped, b)
+    assert [sorted(Counter(face_table(swapped, i)).values()) for i in range(4)] == [
+        sorted(Counter(face_table(bstar, i)).values()) for i in range(4)
+    ]
+    assert {(halve(a), halve(c)) for a, c in pos_of_by_labels(swapped).less} != pos_of_by_labels(b).less
     split = double_cover(b, voltage_edges(b, [(f, 0) for f in range(b.flag_count)]))
     assert validate(split).ok and not _projection_poset_iso(split, b)
     with pytest.raises(ValueError, match="only a valid maniplex"):

@@ -471,7 +471,7 @@ def test_facet_sections_match_the_triple_sets(bstar_result):
     for name, m in section_bases(bstar_result.bstar).items():
         facet = faces(m, m.rank - 1)[0]
         ext = extend(m, facet)
-        over = _quotient(m, ext, facet)
+        over, _ = _quotient(m, ext, facet)
         p_base, p_ext = pos_of(m), pos_of(ext) if validate(ext).ok else poset_by_search(ext)
         want = sections_match_base_by_triples(p_base, ext.perms, p_ext)
         assert want == sections_match_base_by_triples(p_base, ext.perms, p_ext, over), name
@@ -576,7 +576,7 @@ def test_tag_spans_match_agrees_with_face_search(bstar_result):
     verdicts = Counter()
     for name, m in extension_corpus(bstar_result.bstar).items():
         for facet in faces(m, m.rank - 1):
-            ok = extension._tag_spans_match(m, facet)
+            ok = extension._tag_spans_match(_quotient(m, extend(m, facet), facet)[1])
             assert ok == tag_spans_match_by_faces(m.perms, facet.flags, extend(m, facet).perms), (name, facet.canonical)
             verdicts[ok] += 1
     assert verdicts == {
@@ -640,8 +640,12 @@ def test_quotient_reads_the_pair_sets_slice_by_slice(bstar_result):
     # each, one with crossed old colours, which `_quotient` does not read,
     # and one with a swapped new colour, which both refuse
     def agree(m, facet, ext, where):
-        want = quotient_by_sides([face_table(m, i) for i in range(m.rank)], facet.flags, ext.perms[m.rank])
-        assert _quotient(m, ext, facet) == want, where
+        tables = [face_table(m, i) for i in range(m.rank)]
+        want = quotient_by_sides(tables, facet.flags, ext.perms[m.rank])
+        read = _quotient(m, ext, facet)
+        assert (read and read[0]) == want, where
+        if read is not None:  # the spans it read the map from, for `tag-spans-match`
+            assert read[1] == [tag_spans_by_counts(table, facet.flags) for table in tables], where
         return want is not None
 
     m = bstar_result.bstar
@@ -1024,8 +1028,11 @@ def test_tower_tables_on_demand_and_faithfulness_carried_over_every_facet(bstar_
     # facet-0 extension one rank down: verify_extension leaves no flag-sized
     # face table below rank n until one is read; each table, then built
     # from the map over the base, equals the search over a fresh copy's
-    # flags; and the faithfulness result carried up from the base's
-    # witness (0, w) equals a fresh is_faithful and the label-string oracle
+    # flags; the poset read off the base (`_poset_over_base`), its proper
+    # pairs in set order, has the labels, ids, masks and pair set of the
+    # fresh copy's, built from those tables; and the faithfulness result
+    # carried up from the base's witness (0, w) equals a fresh is_faithful
+    # and the label-string oracle
     m = bstar_result.bstar
     for rank in range(5, 9):
         n = m.rank
@@ -1039,6 +1046,9 @@ def test_tower_tables_on_demand_and_faithfulness_carried_over_every_facet(bstar_
             assert tuple(carried) == faithfulness_by_labels(fresh), where
             for i in range(n):
                 assert face_table(ext, i) == face_table(fresh, i), (*where, i)  # the fresh copy's is a search
+            got, want = ext._cache["poset"], pos_of(fresh)
+            assert (got.labels, got.ids, got.up, got.down) == (want.labels, want.ids, want.up, want.down), where
+            assert frozenset(got.pairs) == frozenset(want.pairs) and len(got.pairs) == len(want.pairs), where
             if facet.canonical == 0:
                 base = ext
         m = base

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,10 +24,12 @@ from maniplex.poset import (
     is_polytopal,
     is_polytope,
     maximal_chains,
+    numbered_face_poset,
     pos_of,
     poset_isomorphism,
     poset_to_dot,
     poset_to_json_dict,
+    proper_pairs,
     section,
 )
 
@@ -578,6 +581,34 @@ def report_members(named_corpus, two_squares, section_failure) -> list[Maniplex]
     members += [rectangular_torus(a, b) for a, b in ((3, 4), (3, 5), (4, 3), (4, 6), (5, 3))]
     cube = named_corpus["cube"]
     return members + [two_squares, Maniplex(tuple(tuple(row) + tuple(f + 48 for f in row) for row in cube.perms))]
+
+
+def test_readings_do_not_depend_on_the_order_of_the_proper_pairs(named_corpus, section_failure, bstar_result):
+    """`extension._poset_over_base` lists the proper pairs in set order, so
+    every reading of a poset must be the same for any order of them: its
+    covers, strict order, diamond and connectivity witnesses, polytope
+    report and exports.  Each poset of the named maps, among them the tori
+    that fail the diamond condition, of the map failing at a proper
+    section, of B* and of its rank-5 extension, is rebuilt with its proper
+    pairs reversed and shuffled."""
+    rng = random.Random(20261022)
+    ext = extend(bstar_result.bstar, faces(bstar_result.bstar, 3)[0])
+    members = [*named_corpus.values(), section_failure, bstar_result.bstar, ext]
+    failed = Counter()
+    for m in members:
+        p = pos_of(m)
+        proper = list(proper_pairs(p))
+        for order in (proper[::-1], rng.sample(proper, len(proper))):
+            q = numbered_face_poset(p.rank, list(p.ids), list(p.ranks), order, True)
+            assert proper_pairs(q) == tuple(order) and set(q.pairs) == set(p.pairs), m
+            assert (q.labels, q.ids, q.up, q.down) == (p.labels, p.ids, p.up, p.down), m
+            assert (q.covers, q.less) == (p.covers, p.less), m
+            assert diamond_witness(q) == diamond_witness(p), m
+            assert flag_connectivity_witness(q) == flag_connectivity_witness(p), m
+            assert is_polytope(q) == is_polytope(p), m
+            assert poset_to_json_dict(q) == poset_to_json_dict(p) and poset_to_dot(q) == poset_to_dot(p), m
+        failed[is_polytope(p).failed] += 1
+    assert failed == {None: 15, "diamond": 3, "strong-flag-connectivity": 1}
 
 
 def test_polytope_report_matches_the_poset_search(named_corpus, two_squares, section_failure, monkeypatch):
